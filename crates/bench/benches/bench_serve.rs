@@ -2,8 +2,9 @@
 //! pipelined `INSERT` bursts through the wire protocol into
 //! constraint-guarded tables, with and without WAL durability, across
 //! a worker-count × WAL-shard sweep. Emits `BENCH_serve.json` with the
-//! sustained statements/sec of each configuration (plus the `serve.*`
-//! obs counters when built with `--features obs`).
+//! sustained statements/sec of each configuration, plus the `serve.*`
+//! counters and spans of the servers' stores (the library counters
+//! join them when built with `--features obs`).
 //!
 //! Clients pipeline with [`Client::send_batch`] — each burst is one
 //! socket write and one reply read-off — so the server's group commit
@@ -12,6 +13,7 @@
 
 use sqlnf_bench::{banner, fmt_duration, measure, render_table, write_bench_json};
 use sqlnf_obs::json::JsonValue;
+use sqlnf_obs::ObsReport;
 use sqlnf_serve::{Client, ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -43,9 +45,14 @@ fn wal_dir(tag: &str) -> PathBuf {
 
 /// Runs `clients` concurrent sessions, each inserting
 /// `stmts_per_client` unique rows into its table (round-robin over
-/// [`TABLES`]) in pipelined bursts; returns when all sessions are done
-/// and the server has shut down.
-fn run_load(clients: usize, stmts_per_client: usize, wal: Option<&PathBuf>, shards: usize) {
+/// [`TABLES`]) in pipelined bursts; returns the store's counters and
+/// spans once all sessions are done and the server has shut down.
+fn run_load(
+    clients: usize,
+    stmts_per_client: usize,
+    wal: Option<&PathBuf>,
+    shards: usize,
+) -> ObsReport {
     let config = ServeConfig {
         workers: clients.min(8),
         wal_dir: wal.cloned(),
@@ -88,7 +95,9 @@ fn run_load(clients: usize, stmts_per_client: usize, wal: Option<&PathBuf>, shar
     for h in handles {
         h.join().expect("client thread");
     }
+    let store = std::sync::Arc::clone(server.store());
     server.shutdown().expect("shutdown");
+    store.metrics().report()
 }
 
 fn main() {
@@ -113,19 +122,20 @@ fn main() {
         };
         let dir = wal_dir(&id);
         let wal = durable.then(|| dir.clone());
-        let record = measure(&id, 3, || {
+        let mut served = ObsReport::default();
+        let mut record = measure(&id, 3, || {
             if let Some(d) = &wal {
                 let _ = std::fs::remove_dir_all(d);
             }
-            run_load(clients, per_client, wal.as_ref(), shards);
+            served.absorb(run_load(clients, per_client, wal.as_ref(), shards));
         });
+        record.obs.absorb(served);
         let total = (clients * per_client) as f64;
         let per_sec = total / record.median.as_secs_f64();
 
         // Per-verb latency percentiles, per-lock-tier wait shares, and
         // the group-commit batch profile come straight from the span
-        // histograms the runs accumulated (all zero when built without
-        // `--features obs`).
+        // histograms the runs' stores accumulated.
         let timer = |name: &str| record.obs.timers.iter().find(|t| t.name == name);
         let (sql_p50, sql_p99) = timer("serve.verb.sql")
             .map(|t| (t.p50_ns(), t.p99_ns()))
@@ -152,7 +162,6 @@ fn main() {
             .map(|t| (t.p50_ns(), t.p99_ns()))
             .unwrap_or((0, 0));
 
-        let mut record = record;
         record
             .extra
             .push(("stmts_per_sec".to_owned(), JsonValue::Float(per_sec)));

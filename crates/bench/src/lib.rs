@@ -95,7 +95,9 @@ pub struct BenchRecord {
     /// Median wall-clock time over the measured runs.
     pub median: Duration,
     /// Counter/timer snapshot of the *last* measured run sequence
-    /// (reset before measuring, captured after).
+    /// (the global registry, reset before measuring, captured after).
+    /// A caller whose runs start servers absorbs their stores' reports
+    /// here: `serve.*` counters live in each store's own registry.
     pub obs: ObsReport,
     /// Extra bench-specific fields serialized into the JSON entry
     /// (e.g. a throughput figure).

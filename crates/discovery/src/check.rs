@@ -43,7 +43,7 @@ impl ProbeIndex {
                 patterns: Vec::new(),
             };
         }
-        sqlnf_obs::count!("discovery.check.probe_index_builds");
+        sqlnf_obs::count!("discovery.check.probe_index.builds");
         let null_rows = enc.null_rows_on(x);
 
         // The x-total rows, computed once: the ascending complement of
@@ -358,8 +358,8 @@ enum ProbeStrategy {
 /// [`ADMIT_AFTER`] probes, so one-shot footprints — the common case on
 /// wide tables where most candidate LHSs are entirely nullable — never
 /// pay a build. Counted under `discovery.check.probe_index.{hits,
-/// builds,direct}`; the indexes themselves still count the legacy
-/// `discovery.check.probe_index_builds`.
+/// direct}`; [`ProbeIndex::new`] counts the builds
+/// (`discovery.check.probe_index.builds`).
 ///
 /// Interior mutability is a [`Mutex`] held only for the policy lookup
 /// (indexes are built outside it), so miner workers share one cache.
@@ -407,7 +407,6 @@ impl ProbeCache {
         // Build outside the lock so workers keep probing other
         // footprints meanwhile; a racing double build is harmless (the
         // index is deterministic) and the last insert wins.
-        sqlnf_obs::count!("discovery.check.probe_index.builds");
         let idx = Arc::new(ProbeIndex::new(enc, s));
         let mut state = self.state.lock().expect("probe cache poisoned");
         if let Some(slot) = state.get_mut(&s) {

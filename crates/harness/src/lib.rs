@@ -153,6 +153,8 @@ pub struct RunReport {
     pub watch_lagged: u64,
     /// `MINE` verbs acknowledged while (and just after) the DML ran.
     pub mines: usize,
+    /// The store's `serve.*` counters and spans at the end of the run.
+    pub served: sqlnf_obs::ObsReport,
 }
 
 impl RunReport {
@@ -515,15 +517,17 @@ pub fn run_one(config: &HarnessConfig) -> Result<RunReport, HarnessFailure> {
     // The observability plane must agree with the ground-truth serial
     // history: every oplog push increments `stmt.admitted` (both under
     // the same admission path), so a divergence means a counter bug.
-    let admitted_counter = store.stats.admitted.load(Ordering::Relaxed);
+    let served = store.metrics().report();
+    let counter = |name: &str| served.counter(name).unwrap_or(0);
+    let admitted_counter = counter("serve.stmt.admitted");
     if admitted_counter != oplog.len() as u64 {
         return Err(fail(format!(
-            "stats.admitted ({admitted_counter}) diverges from the oplog ({})",
+            "serve.stmt.admitted ({admitted_counter}) diverges from the oplog ({})",
             oplog.len()
         )));
     }
     let fault_fired = store.wal_fault_fired();
-    let snapshots = store.stats.snapshots.load(Ordering::Relaxed);
+    let snapshots = counter("serve.snapshots");
     drop(store);
 
     let corrupted = if let Some(c) = plan.corruption {
@@ -671,6 +675,7 @@ pub fn run_one(config: &HarnessConfig) -> Result<RunReport, HarnessFailure> {
         watch_events,
         watch_lagged,
         mines,
+        served,
     })
 }
 

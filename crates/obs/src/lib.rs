@@ -5,15 +5,17 @@
 //! # Design
 //!
 //! Each [`count!`]/[`count_max!`]/[`span!`] call site owns a `static`
-//! atomic cell, registered lazily in a global registry on first use.
-//! The hot path is therefore one relaxed atomic RMW with no locking,
-//! no allocation and no hashing; the registry lock is taken once per
-//! call site per process, and again only by [`report`]/[`reset`].
+//! atomic cell, registered lazily in the global [`Registry`] on first
+//! use. The hot path is therefore one relaxed atomic RMW with no
+//! locking, no allocation and no hashing; the registry lock is taken
+//! once per call site per process, and again only by
+//! [`report`]/[`reset`]. A component with counters of its own (the
+//! server, per store) owns a [`Registry`] and records through the
+//! handles it hands out, regardless of the feature.
 //!
-//! Everything is feature-gated: with the `obs` feature disabled (the
-//! default) the macros expand to no-ops, the atomics are not compiled,
-//! and [`report`] returns an empty [`ObsReport`] — instrumented hot
-//! loops pay nothing. The workspace's binary crate enables the
+//! With the `obs` feature disabled (the default) the macros expand to
+//! no-ops and [`report`] returns an empty [`ObsReport`] — instrumented
+//! hot loops pay nothing. The workspace's binary crate enables the
 //! feature; benches leave it off.
 //!
 //! # Example
@@ -39,423 +41,82 @@
 
 pub mod flight;
 pub mod json;
+mod registry;
 mod report;
 
 pub use flight::{
     flight_enabled, flight_intern, flight_record_id, flight_reset, flight_snapshot, set_flight,
     FlightEvent, FlightKind, RING_SLOTS,
 };
+pub use registry::{
+    report, reset, set_trace, span_depth, trace_emit, trace_enabled, Counter, Registry, SpanGuard,
+    Timer,
+};
 pub use report::{CounterSnapshot, ObsReport, TimerSnapshot};
 
-/// Whether instrumentation is compiled in (the `obs` feature). Lets
+/// Whether the macros are compiled in (the `obs` feature). Lets
 /// callers distinguish "nothing recorded" from "recording disabled".
-#[cfg(feature = "obs")]
-pub const ENABLED: bool = true;
-
-/// Whether instrumentation is compiled in (the `obs` feature). Lets
-/// callers distinguish "nothing recorded" from "recording disabled".
-#[cfg(not(feature = "obs"))]
-pub const ENABLED: bool = false;
+pub const ENABLED: bool = cfg!(feature = "obs");
 
 /// Number of log2 histogram buckets per timer (bucket 31 absorbs
 /// everything from ~1 s up). Compiled regardless of the `obs` feature
 /// so percentile estimation over snapshots has one API surface.
 pub const TIMER_BUCKETS: usize = 32;
 
-#[cfg(feature = "obs")]
-mod enabled {
-    use crate::TIMER_BUCKETS;
-    use crate::{CounterSnapshot, ObsReport, TimerSnapshot};
-    use std::cell::Cell;
-    use std::fmt;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
-
-    struct Registry {
-        counters: Mutex<Vec<&'static Counter>>,
-        timers: Mutex<Vec<&'static Timer>>,
-    }
-
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(|| Registry {
-            counters: Mutex::new(Vec::new()),
-            timers: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// How same-named counters from different call sites combine in a
-    /// report.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    pub enum Merge {
-        /// Values add up (event counts).
-        Sum,
-        /// The largest value wins (high-water marks).
-        Max,
-    }
-
-    /// A named monotonically updated cell. Instantiated per call site
-    /// by [`count!`](crate::count!) / [`count_max!`](crate::count_max!);
-    /// rarely used directly.
-    pub struct Counter {
-        name: &'static str,
-        value: AtomicU64,
-        merge: Merge,
-        registered: AtomicBool,
-    }
-
-    impl Counter {
-        /// A fresh summing counter; `const` so it can back a `static`.
-        pub const fn new(name: &'static str) -> Counter {
-            Counter {
-                name,
-                value: AtomicU64::new(0),
-                merge: Merge::Sum,
-                registered: AtomicBool::new(false),
-            }
-        }
-
-        /// A fresh high-water-mark counter.
-        pub const fn new_max(name: &'static str) -> Counter {
-            Counter {
-                name,
-                value: AtomicU64::new(0),
-                merge: Merge::Max,
-                registered: AtomicBool::new(false),
-            }
-        }
-
-        #[inline]
-        fn register(&'static self) {
-            if !self.registered.swap(true, Relaxed) {
-                registry().counters.lock().expect("obs registry").push(self);
-            }
-        }
-
-        /// Adds `n`.
-        #[inline]
-        pub fn add(&'static self, n: u64) {
-            self.register();
-            self.value.fetch_add(n, Relaxed);
-        }
-
-        /// Raises the value to at least `n` (high-water marks such as
-        /// recursion depth).
-        #[inline]
-        pub fn raise_to(&'static self, n: u64) {
-            self.register();
-            self.value.fetch_max(n, Relaxed);
-        }
-    }
-
-    /// A named histogram timer. Instantiated per call site by
-    /// [`span!`](crate::span!); rarely used directly.
-    pub struct Timer {
-        name: &'static str,
-        count: AtomicU64,
-        total_ns: AtomicU64,
-        max_ns: AtomicU64,
-        buckets: [AtomicU64; TIMER_BUCKETS],
-        registered: AtomicBool,
-        /// Interned flight-recorder name id, resolved on first use.
-        flight_id: OnceLock<u32>,
-    }
-
-    impl Timer {
-        /// A fresh timer; `const` so it can back a `static`.
-        pub const fn new(name: &'static str) -> Timer {
-            Timer {
-                name,
-                count: AtomicU64::new(0),
-                total_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-                buckets: [const { AtomicU64::new(0) }; TIMER_BUCKETS],
-                registered: AtomicBool::new(false),
-                flight_id: OnceLock::new(),
-            }
-        }
-
-        /// The timer's interned flight-recorder name id (the interning
-        /// lock is taken once per timer per process).
-        #[inline]
-        fn flight_id(&'static self) -> u32 {
-            *self
-                .flight_id
-                .get_or_init(|| crate::flight::flight_intern(self.name))
-        }
-
-        /// Records one span of `ns` nanoseconds.
-        #[inline]
-        pub fn record_ns(&'static self, ns: u64) {
-            if !self.registered.swap(true, Relaxed) {
-                registry().timers.lock().expect("obs registry").push(self);
-            }
-            self.count.fetch_add(1, Relaxed);
-            self.total_ns.fetch_add(ns, Relaxed);
-            self.max_ns.fetch_max(ns, Relaxed);
-            let bucket = (64 - ns.leading_zeros() as usize).min(TIMER_BUCKETS - 1);
-            self.buckets[bucket].fetch_add(1, Relaxed);
-        }
-    }
-
-    thread_local! {
-        static SPAN_DEPTH: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Current span nesting depth on this thread (0 outside any span).
-    pub fn span_depth() -> usize {
-        SPAN_DEPTH.with(Cell::get)
-    }
-
-    /// RAII guard created by [`span!`](crate::span!): times the
-    /// enclosing scope and tracks nesting depth for trace indentation.
-    pub struct SpanGuard {
-        timer: &'static Timer,
-        start: Instant,
-    }
-
-    impl SpanGuard {
-        /// Enters a span on `timer`.
-        pub fn enter(timer: &'static Timer) -> SpanGuard {
-            if trace_enabled() {
-                trace_emit(format_args!("-> {}", timer.name));
-            }
-            if crate::flight::flight_enabled() {
-                crate::flight::flight_record_id(timer.flight_id(), crate::FlightKind::Enter, 0);
-            }
-            SPAN_DEPTH.with(|d| d.set(d.get() + 1));
-            SpanGuard {
-                timer,
-                start: Instant::now(),
-            }
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.timer.record_ns(ns);
-            SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            if crate::flight::flight_enabled() {
-                crate::flight::flight_record_id(
-                    self.timer.flight_id(),
-                    crate::FlightKind::Exit,
-                    ns,
-                );
-            }
-            if trace_enabled() {
-                trace_emit(format_args!("<- {} ({ns}ns)", self.timer.name));
-            }
-        }
-    }
-
-    static TRACE: AtomicBool = AtomicBool::new(false);
-
-    /// Turns the reasoner trace on or off process-wide.
-    pub fn set_trace(on: bool) {
-        TRACE.store(on, Relaxed);
-    }
-
-    /// Whether [`trace!`](crate::trace!) lines are being emitted.
-    /// Checked before formatting, so a disabled trace costs one relaxed
-    /// load.
-    #[inline]
-    pub fn trace_enabled() -> bool {
-        TRACE.load(Relaxed)
-    }
-
-    /// Writes one trace line to stderr, indented by span depth.
-    pub fn trace_emit(args: fmt::Arguments<'_>) {
-        eprintln!("[obs]{:indent$} {args}", "", indent = span_depth() * 2);
-    }
-
-    /// Snapshots every registered counter and timer, sorted by name.
-    /// Same-named counters from different call sites (e.g. the same
-    /// event counted in two algorithm variants) are merged per their
-    /// [`Merge`] rule.
-    pub fn report() -> ObsReport {
-        let mut merged: std::collections::HashMap<&'static str, u64> =
-            std::collections::HashMap::new();
-        for c in registry().counters.lock().expect("obs registry").iter() {
-            let v = c.value.load(Relaxed);
-            let slot = merged.entry(c.name).or_insert(0);
-            *slot = match c.merge {
-                Merge::Sum => *slot + v,
-                Merge::Max => (*slot).max(v),
-            };
-        }
-        let mut counters: Vec<CounterSnapshot> = merged
-            .into_iter()
-            .map(|(name, value)| CounterSnapshot {
-                name: name.to_string(),
-                value,
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut timers: Vec<TimerSnapshot> = Vec::new();
-        for t in registry().timers.lock().expect("obs registry").iter() {
-            let snap = TimerSnapshot {
-                name: t.name.to_string(),
-                count: t.count.load(Relaxed),
-                total_ns: t.total_ns.load(Relaxed),
-                max_ns: t.max_ns.load(Relaxed),
-                buckets: t.buckets.iter().map(|b| b.load(Relaxed)).collect(),
-            };
-            match timers.iter_mut().find(|s| s.name == snap.name) {
-                None => timers.push(snap),
-                Some(existing) => {
-                    existing.count += snap.count;
-                    existing.total_ns += snap.total_ns;
-                    existing.max_ns = existing.max_ns.max(snap.max_ns);
-                    for (a, b) in existing.buckets.iter_mut().zip(&snap.buckets) {
-                        *a += b;
-                    }
-                }
-            }
-        }
-        timers.sort_by(|a, b| a.name.cmp(&b.name));
-        ObsReport { counters, timers }
-    }
-
-    /// Zeroes every registered counter and timer (call sites stay
-    /// registered). Meant for tests and for repeated measurement runs
-    /// within one process.
-    pub fn reset() {
-        for c in registry().counters.lock().expect("obs registry").iter() {
-            c.value.store(0, Relaxed);
-        }
-        for t in registry().timers.lock().expect("obs registry").iter() {
-            t.count.store(0, Relaxed);
-            t.total_ns.store(0, Relaxed);
-            t.max_ns.store(0, Relaxed);
-            for b in &t.buckets {
-                b.store(0, Relaxed);
-            }
-        }
-    }
-}
-
-#[cfg(feature = "obs")]
-pub use enabled::{
-    report, reset, set_trace, span_depth, trace_emit, trace_enabled, Counter, SpanGuard, Timer,
-};
-
-#[cfg(not(feature = "obs"))]
-mod disabled {
-    use crate::ObsReport;
-
-    /// No-op without the `obs` feature: always an empty report.
-    pub fn report() -> ObsReport {
-        ObsReport::default()
-    }
-
-    /// No-op without the `obs` feature.
-    pub fn reset() {}
-
-    /// No-op without the `obs` feature.
-    pub fn set_trace(_on: bool) {}
-
-    /// Always `false` without the `obs` feature.
-    #[inline]
-    pub fn trace_enabled() -> bool {
-        false
-    }
-
-    /// Always 0 without the `obs` feature.
-    pub fn span_depth() -> usize {
-        0
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-pub use disabled::{report, reset, set_trace, span_depth, trace_enabled};
+// Each macro plants its cell only under the `obs` feature: with it
+// off, `ENABLED` is `false`, the branch folds away and the macro is a
+// no-op.
 
 /// Increments a named counter: `count!("core.closure.iterations")`, or
 /// by a step: `count!("model.satisfy.pairs", pairs)`.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! count {
     ($name:expr) => {
         $crate::count!($name, 1u64)
     };
     ($name:expr, $n:expr) => {{
-        static __OBS_COUNTER: $crate::Counter = $crate::Counter::new($name);
-        __OBS_COUNTER.add($n as u64);
-    }};
-}
-
-/// No-op: the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! count {
-    ($name:expr) => {};
-    ($name:expr, $n:expr) => {{
-        let _ = $n;
+        if $crate::ENABLED {
+            static __OBS_COUNTER: $crate::Counter = $crate::Counter::new($name);
+            __OBS_COUNTER.global().add($n as u64);
+        }
     }};
 }
 
 /// Raises a named high-water-mark counter to at least the given value:
 /// `count_max!("core.decompose.depth", depth)`.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! count_max {
     ($name:expr, $n:expr) => {{
-        static __OBS_COUNTER: $crate::Counter = $crate::Counter::new_max($name);
-        __OBS_COUNTER.raise_to($n as u64);
-    }};
-}
-
-/// No-op: the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! count_max {
-    ($name:expr, $n:expr) => {{
-        let _ = $n;
+        if $crate::ENABLED {
+            static __OBS_COUNTER: $crate::Counter = $crate::Counter::new_max($name);
+            __OBS_COUNTER.global().raise_to($n as u64);
+        }
     }};
 }
 
 /// Records one value observation into a named log2 histogram (the
 /// same machinery as [`span!`] timers, but fed a dimensionless value
-/// instead of elapsed nanoseconds): `record!("serve.commit.batch_size",
+/// instead of elapsed nanoseconds): `record!("discovery.batch_size",
 /// n)`. The report's p50/p99 are bucket upper edges, like any timer.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! record {
     ($name:expr, $n:expr) => {{
-        static __OBS_TIMER: $crate::Timer = $crate::Timer::new($name);
-        __OBS_TIMER.record_ns($n as u64);
-    }};
-}
-
-/// No-op: the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! record {
-    ($name:expr, $n:expr) => {{
-        let _ = $n;
+        if $crate::ENABLED {
+            static __OBS_TIMER: $crate::Timer = $crate::Timer::new($name);
+            __OBS_TIMER.global().record_ns($n as u64);
+        }
     }};
 }
 
 /// Times the enclosing scope under a named histogram timer. Bind the
 /// guard: `let _span = obs::span!("p_closure");` — timing stops when
-/// the guard drops.
-#[cfg(feature = "obs")]
+/// the guard drops (it is `None` without the `obs` feature).
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{
         static __OBS_TIMER: $crate::Timer = $crate::Timer::new($name);
-        $crate::SpanGuard::enter(&__OBS_TIMER)
+        $crate::ENABLED.then(|| __OBS_TIMER.global().enter())
     }};
-}
-
-/// No-op: the `obs` feature is disabled (expands to a unit guard).
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        ()
-    };
 }
 
 /// Records one point event into the flight recorder:
@@ -463,14 +124,13 @@ macro_rules! span {
 /// `event!("serve.stmt.admitted", nonce)`. Costs one relaxed load when
 /// recording is off ([`set_flight`]); the name is interned once per
 /// call site.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! event {
     ($name:expr) => {
         $crate::event!($name, 0u64)
     };
     ($name:expr, $v:expr) => {{
-        if $crate::flight_enabled() {
+        if $crate::ENABLED && $crate::flight_enabled() {
             static __OBS_EVENT_ID: ::std::sync::OnceLock<u32> = ::std::sync::OnceLock::new();
             let id = *__OBS_EVENT_ID.get_or_init(|| $crate::flight_intern($name));
             $crate::flight_record_id(id, $crate::FlightKind::Instant, $v as u64);
@@ -478,35 +138,13 @@ macro_rules! event {
     }};
 }
 
-/// No-op: the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {};
-    ($name:expr, $v:expr) => {{
-        let _ = $v;
-    }};
-}
-
 /// Emits one reasoner-trace line (format-args syntax) when tracing is
 /// enabled via [`set_trace`]; otherwise costs one relaxed load.
-#[cfg(feature = "obs")]
 #[macro_export]
 macro_rules! trace {
     ($($arg:tt)*) => {
-        if $crate::trace_enabled() {
+        if $crate::ENABLED && $crate::trace_enabled() {
             $crate::trace_emit(::core::format_args!($($arg)*));
-        }
-    };
-}
-
-/// No-op: the `obs` feature is disabled.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! trace {
-    ($($arg:tt)*) => {
-        if false {
-            let _ = ::core::format_args!($($arg)*);
         }
     };
 }

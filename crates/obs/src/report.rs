@@ -131,6 +131,36 @@ impl ObsReport {
         self.timers.iter().find(|t| t.name == name)
     }
 
+    /// Folds `other` into this report: same-named counters add,
+    /// same-named timers merge into one histogram, and both lists stay
+    /// sorted by name. How a process shows several registries as one
+    /// (the server's `METRICS` is the global report plus its store's).
+    pub fn absorb(&mut self, other: ObsReport) {
+        self.counters.extend(other.counters);
+        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
+        self.counters.dedup_by(|next, kept| {
+            let same = next.name == kept.name;
+            if same {
+                kept.value += next.value;
+            }
+            same
+        });
+        self.timers.extend(other.timers);
+        self.timers.sort_by(|a, b| a.name.cmp(&b.name));
+        self.timers.dedup_by(|next, kept| {
+            let same = next.name == kept.name;
+            if same {
+                kept.count += next.count;
+                kept.total_ns += next.total_ns;
+                kept.max_ns = kept.max_ns.max(next.max_ns);
+                for (a, b) in kept.buckets.iter_mut().zip(&next.buckets) {
+                    *a += b;
+                }
+            }
+            same
+        });
+    }
+
     /// Human-readable rendering for `--stats` output.
     pub fn render(&self) -> String {
         let mut out = String::new();

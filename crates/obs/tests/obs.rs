@@ -210,6 +210,48 @@ mod without_obs {
     }
 }
 
+/// An owned registry records in both feature modes and never touches
+/// the global one; `absorb` folds reports together by name.
+mod owned_registry {
+    use sqlnf_obs::Registry;
+
+    #[test]
+    fn handles_record_into_their_own_registry() {
+        let reg = Registry::new();
+        let hits = reg.counter("test.owned.hits");
+        let latency = reg.timer("test.owned.latency");
+        hits.add(3);
+        latency.record_ns(100);
+        let ns = latency.enter().exit();
+        let report = reg.report();
+        assert_eq!(report.counter("test.owned.hits"), Some(3));
+        let t = report.timer("test.owned.latency").unwrap();
+        assert_eq!((t.count, t.total_ns), (2, 100 + ns));
+        assert_eq!(sqlnf_obs::report().counter("test.owned.hits"), None);
+        reg.reset();
+        assert_eq!(reg.report().counter("test.owned.hits"), Some(0));
+        assert_eq!(reg.report().timer("test.owned.latency").unwrap().count, 0);
+    }
+
+    #[test]
+    fn absorb_merges_reports_by_name() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("x").add(2);
+        b.counter("x").add(5);
+        b.counter("y").add(1);
+        a.timer("t").record_ns(10);
+        b.timer("t").record_ns(1000);
+        let mut report = a.report();
+        report.absorb(b.report());
+        let names: Vec<&str> = report.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["x", "y"]);
+        assert_eq!(report.counter("x"), Some(7));
+        let t = report.timer("t").unwrap();
+        assert_eq!((t.count, t.total_ns, t.max_ns), (2, 1010, 1000));
+        assert_eq!(t.buckets.iter().sum::<u64>(), 2);
+    }
+}
+
 /// Percentile estimation is pure math over a snapshot, compiled in
 /// both feature modes, so the property suite runs in both too.
 mod percentile_properties {

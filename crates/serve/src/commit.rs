@@ -53,14 +53,14 @@
 //! and should be restarted, which replays exactly the durable,
 //! ack-consistent prefix.
 
-use crate::metrics::{self, Stage};
+use crate::metrics::{Stage, StoreMetrics};
 use crate::wal::{self, Wal};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 /// How long a loser of the committer election parks before re-checking
@@ -204,13 +204,20 @@ pub struct GroupWal {
     /// releases epochs contiguously observes exactly the cross-shard
     /// durable watermark.
     listener: Mutex<Option<std::sync::mpsc::Sender<crate::watch::HubMsg>>>,
+    /// The owning store's measurements.
+    metrics: Arc<StoreMetrics>,
 }
 
 impl GroupWal {
     /// A durability plane with no backing files (ephemeral store):
     /// commit still assigns epochs, advances durable sequences, and
     /// feeds the oplog, it just performs no I/O.
-    pub fn ephemeral(shards: usize, window: Duration, mode: FsyncMode) -> GroupWal {
+    pub fn ephemeral(
+        shards: usize,
+        window: Duration,
+        mode: FsyncMode,
+        metrics: Arc<StoreMetrics>,
+    ) -> GroupWal {
         GroupWal {
             shards: (0..shards.max(1)).map(|_| Shard::new(None)).collect(),
             epoch: AtomicU64::new(1),
@@ -220,6 +227,7 @@ impl GroupWal {
             oplog: Mutex::new(None),
             fsync_fault: AtomicU64::new(FAULT_NONE),
             listener: Mutex::new(None),
+            metrics,
         }
     }
 
@@ -239,6 +247,7 @@ impl GroupWal {
         shards: usize,
         window: Duration,
         mode: FsyncMode,
+        metrics: Arc<StoreMetrics>,
     ) -> io::Result<(GroupWal, Vec<String>)> {
         let shards = shards.max(1);
         let discovered = wal::shard_logs(dir, generation)?;
@@ -267,12 +276,7 @@ impl GroupWal {
         let wal = GroupWal {
             shards: files,
             epoch: AtomicU64::new(last.max(epoch_base.saturating_sub(1)) + 1),
-            window,
-            mode,
-            failed_floor: AtomicU64::new(u64::MAX),
-            oplog: Mutex::new(None),
-            fsync_fault: AtomicU64::new(FAULT_NONE),
-            listener: Mutex::new(None),
+            ..GroupWal::ephemeral(1, window, mode, metrics)
         };
         Ok((wal, run))
     }
@@ -317,10 +321,9 @@ impl GroupWal {
         {
             return Err(io::Error::other("WAL shard failed; statement refused"));
         }
-        let mut q = {
-            let _wait = sqlnf_obs::span!("serve.lock_wait.wal");
-            metrics::timed(Stage::LockWal, || shard.queue.lock().unwrap())
-        };
+        let mut q = self
+            .metrics
+            .timed(Stage::LockWal, || shard.queue.lock().unwrap());
         if q.in_flight_front.is_none() && q.pending.is_empty() {
             // Publish a floor *before* drawing the epoch: the drawn
             // value will be >= the counter read here, and every
@@ -410,7 +413,7 @@ impl GroupWal {
                 continue;
             }
             let _ = shard.cv.wait_timeout(gate, PARK).unwrap();
-            sqlnf_obs::count!("serve.commit.wakeups");
+            self.metrics.commit_wakeups.add(1);
         }
     }
 
@@ -484,9 +487,9 @@ impl GroupWal {
                     let next = q.pending.first().map_or(u64::MAX, |&(e, _)| e);
                     shard.oldest_pending.store(next, Ordering::SeqCst);
                 }
-                sqlnf_obs::count!("serve.commit.batches");
-                sqlnf_obs::count!("serve.commit.frames", n);
-                sqlnf_obs::record!("serve.commit.batch_size", n);
+                self.metrics.commit_batches.add(1);
+                self.metrics.commit_frames.add(n);
+                self.metrics.commit_batch_size.record_ns(n);
             }
             Err(_) => {
                 // Never acked: erase the batch so recovery cannot
@@ -512,33 +515,23 @@ impl GroupWal {
 
     /// Writes one drained batch under the configured fsync discipline.
     fn write_batch(&self, idx: usize, wal: &mut Wal, batch: &[(u64, String)]) -> io::Result<()> {
-        match self.mode {
-            FsyncMode::Batch => {
-                {
-                    let _span = sqlnf_obs::span!("serve.wal.append");
-                    metrics::timed(Stage::WalAppend, || wal.append_batch(batch))?;
-                }
-                if self.take_fault(idx) {
-                    return Err(io::Error::other("injected fsync fault"));
-                }
-                metrics::timed(Stage::WalFsync, || wal.sync())
+        // One write and one fsync per batch, or per frame under
+        // `--fsync=always`.
+        let per_sync = match self.mode {
+            FsyncMode::Batch => batch.len().max(1),
+            FsyncMode::Always => 1,
+        };
+        let m = &self.metrics;
+        for frames in batch.chunks(per_sync) {
+            let bytes = m.timed(Stage::WalAppend, || wal.append_batch(frames))?;
+            m.wal_bytes.add(bytes);
+            m.wal_records.add(frames.len() as u64);
+            if self.take_fault(idx) {
+                return Err(io::Error::other("injected fsync fault"));
             }
-            FsyncMode::Always => {
-                for frame in batch {
-                    {
-                        let _span = sqlnf_obs::span!("serve.wal.append");
-                        metrics::timed(Stage::WalAppend, || {
-                            wal.append_batch(std::slice::from_ref(frame))
-                        })?;
-                    }
-                    if self.take_fault(idx) {
-                        return Err(io::Error::other("injected fsync fault"));
-                    }
-                    metrics::timed(Stage::WalFsync, || wal.sync())?;
-                }
-                Ok(())
-            }
+            m.timed(Stage::WalFsync, || wal.sync())?;
         }
+        Ok(())
     }
 
     /// Consumes an armed fsync fault if it targets shard `idx` (or any
@@ -573,7 +566,7 @@ impl GroupWal {
     pub fn sync_all(&self) -> io::Result<()> {
         for shard in &self.shards {
             if let Some(wal) = shard.file.lock().unwrap().as_mut() {
-                metrics::timed(Stage::WalFsync, || wal.sync())?;
+                self.metrics.timed(Stage::WalFsync, || wal.sync())?;
             }
         }
         Ok(())
@@ -646,7 +639,10 @@ fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use std::sync::Arc;
+
+    fn meters() -> Arc<StoreMetrics> {
+        Arc::default()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sqlnf_commit_{tag}_{}", std::process::id()));
@@ -659,7 +655,7 @@ mod tests {
     fn enqueue_wait_commits_and_acks() {
         let dir = tmp_dir("ack");
         let (gw, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert!(replayed.is_empty());
         gw.enable_oplog();
         let t1 = gw.enqueue("a", "S1".into()).unwrap();
@@ -670,7 +666,7 @@ mod tests {
         // Everything written is replayable in epoch order.
         drop(gw);
         let (gw2, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert_eq!(replayed, vec!["S1".to_owned(), "S2".to_owned()]);
         assert_eq!(gw2.epoch_next(), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -679,7 +675,8 @@ mod tests {
     #[test]
     fn many_writers_share_fsyncs() {
         let dir = tmp_dir("shared");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) =
+            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         let gw = Arc::new(gw);
         let handles: Vec<_> = (0..4)
             .map(|k| {
@@ -702,7 +699,8 @@ mod tests {
     #[test]
     fn fsync_fault_fails_waiters_and_erases_the_batch() {
         let dir = tmp_dir("fault");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) =
+            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         gw.enable_oplog();
         let t_ok = gw.enqueue("t", "GOOD".into()).unwrap();
         gw.wait(t_ok).unwrap();
@@ -716,7 +714,7 @@ mod tests {
         assert!(gw.enqueue("t", "LATER".into()).is_err());
         drop(gw);
         let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch).unwrap();
+            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert_eq!(replayed, vec!["GOOD".to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -724,7 +722,8 @@ mod tests {
     #[test]
     fn always_mode_syncs_each_frame() {
         let dir = tmp_dir("always");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Always).unwrap();
+        let (gw, _) =
+            GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Always, meters()).unwrap();
         let t1 = gw.enqueue("t", "A".into()).unwrap();
         let t2 = gw.enqueue("t", "B".into()).unwrap();
         gw.wait(t1).unwrap();
@@ -735,7 +734,7 @@ mod tests {
 
     #[test]
     fn ephemeral_commits_without_io() {
-        let gw = GroupWal::ephemeral(4, Duration::ZERO, FsyncMode::Batch);
+        let gw = GroupWal::ephemeral(4, Duration::ZERO, FsyncMode::Batch, meters());
         gw.enable_oplog();
         let t = gw.enqueue("t", "S".into()).unwrap();
         gw.wait(t).unwrap();
@@ -767,7 +766,8 @@ mod tests {
     #[test]
     fn ack_waits_for_earlier_epochs_on_other_shards() {
         let dir = tmp_dir("watermark");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) =
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
         let _t1 = gw.enqueue(&on_a, "S1".into()).unwrap(); // epoch 1, shard 0
         let t2 = gw.enqueue(&on_b, "S2".into()).unwrap(); // epoch 2, shard 1
@@ -784,7 +784,7 @@ mod tests {
         // And recovery replays both, in epoch order — no gap.
         drop(gw);
         let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert_eq!(replayed, vec!["S1".to_owned(), "S2".to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -796,7 +796,8 @@ mod tests {
     #[test]
     fn lost_batch_fails_later_epochs_on_every_shard() {
         let dir = tmp_dir("floor");
-        let (gw, _) = GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+        let (gw, _) =
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         gw.enable_oplog();
         let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
         let t_early = gw.enqueue(&on_a, "EARLY".into()).unwrap(); // epoch 1
@@ -819,7 +820,7 @@ mod tests {
         assert_eq!(gw.oplog(), vec!["EARLY".to_owned()]);
         drop(gw);
         let (_, replayed) =
-            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch).unwrap();
+            GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert_eq!(replayed, vec!["EARLY".to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,12 @@
-//! The METRICS plane: per-request stage accounting, the bounded
-//! slow-request log, and the Prometheus-style text exposition (plus
-//! its parser, which `sqlnf top` and the tests share).
+//! The METRICS plane: the store's own obs registry, per-request stage
+//! accounting, the bounded slow-request log, and the Prometheus-style
+//! text exposition (plus its parser, which `sqlnf top` and the tests
+//! share).
 //!
-//! Stage accounting is independent of the `sqlnf-obs` feature: the
-//! per-thread accumulator is a handful of `Cell`s and the slow log's
-//! fast path is one atomic load, so the request path stays cheap even
-//! when full histograms are compiled out.
+//! Every serve measurement lives in the [`StoreMetrics`] a store owns:
+//! handles into an owned [`Registry`], resolved once at construction,
+//! recorded regardless of the `sqlnf-obs` feature, and never shared
+//! with another store in the process.
 //!
 //! ## Exposition grammar
 //!
@@ -20,27 +21,31 @@
 //!
 //! Families emitted by [`render_metrics`]:
 //!
-//! * `sqlnf_counter{name=…}` / `sqlnf_span_*{name=…}` — the
-//!   `sqlnf-obs` registry (empty when the feature is off);
+//! * `sqlnf_counter{name=…}` / `sqlnf_span_*{name=…}` — the global
+//!   `sqlnf-obs` registry (library call sites; empty when the feature
+//!   is off) together with the store's registry (every `serve.*`
+//!   name);
 //! * `sqlnf_store{name=…}` — the same counters `STATS` reports, same
 //!   names, so the two planes can be diffed against each other;
 //! * `sqlnf_slow_request_ns{rank=…,seq=…,verb=…,stage=…}` — the
 //!   worst-requests log, one `total` sample plus one per non-zero
 //!   stage.
 
+use crate::protocol::Request;
 use crate::store::Store;
+use sqlnf_obs::{Counter, ObsReport, Registry, Timer};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// How many worst requests the slow log retains.
 pub const SLOW_LOG_CAP: usize = 8;
 
-/// One timed portion of a request's lifecycle. The four `Lock*`
-/// stages mirror the store's lock tiers (DESIGN.md §8): wait time
-/// only, never the work done under the lock.
+/// One timed portion of a request's lifecycle, and the store span it
+/// is recorded under. The four `Lock*` stages mirror the store's lock
+/// tiers (DESIGN.md §8): wait time only, never the work done under
+/// the lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -56,38 +61,75 @@ pub enum Stage {
     LockWal = 4,
     /// Writing a WAL frame.
     WalAppend = 5,
-    /// Forcing the WAL or a snapshot to stable storage.
+    /// Forcing the WAL to stable storage.
     WalFsync = 6,
+    /// Forcing a snapshot image to stable storage.
+    SnapshotFsync = 7,
 }
 
 /// Number of [`Stage`] variants (the breakdown array length).
-pub const STAGES: usize = 7;
+pub const STAGES: usize = 8;
 
-impl Stage {
-    /// Exposition label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::Parse => "parse",
-            Stage::LockSnapshot => "lock_snapshot",
-            Stage::LockRegistry => "lock_registry",
-            Stage::LockTable => "lock_table",
-            Stage::LockWal => "lock_wal",
-            Stage::WalAppend => "wal_append",
-            Stage::WalFsync => "wal_fsync",
-        }
+/// Per [`Stage`], in order: its slow-log label and its span name.
+const STAGE_NAMES: [(&str, &str); STAGES] = [
+    ("parse", "serve.parse"),
+    ("lock_snapshot", "serve.lock_wait.snapshot"),
+    ("lock_registry", "serve.lock_wait.registry"),
+    ("lock_table", "serve.lock_wait.table"),
+    ("lock_wal", "serve.lock_wait.wal"),
+    ("wal_append", "serve.wal.append"),
+    ("wal_fsync", "serve.wal.fsync"),
+    ("snapshot_fsync", "serve.snapshot.fsync"),
+];
+
+/// Per [`Verb`], in order: its latency span, whose last segment is the
+/// verb's label (slow log, `sqlnf top`).
+const VERB_SPANS: [&str; 14] = [
+    "serve.verb.ping",
+    "serve.verb.tables",
+    "serve.verb.dump",
+    "serve.verb.mine",
+    "serve.verb.closure",
+    "serve.verb.normalize",
+    "serve.verb.stats",
+    "serve.verb.metrics",
+    "serve.verb.trace",
+    "serve.verb.watch",
+    "serve.verb.unwatch",
+    "serve.verb.quit",
+    "serve.verb.shutdown",
+    "serve.verb.sql",
+];
+
+/// A request's verb: which `serve.verb.<label>` span it is timed
+/// under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Verb(usize);
+
+impl Verb {
+    /// The verb of `req`.
+    pub(crate) fn of(req: &Request) -> Verb {
+        Verb(match req {
+            Request::Ping => 0,
+            Request::Tables => 1,
+            Request::Dump(_) => 2,
+            Request::Mine { .. } => 3,
+            Request::Closure { .. } => 4,
+            Request::Normalize { .. } => 5,
+            Request::Stats => 6,
+            Request::Metrics => 7,
+            Request::Trace(_) => 8,
+            Request::Watch { .. } => 9,
+            Request::Unwatch => 10,
+            Request::Quit => 11,
+            Request::Shutdown => 12,
+            Request::Sql(_) => 13,
+        })
     }
 
-    /// All stages, in lifecycle order.
-    pub fn all() -> [Stage; STAGES] {
-        [
-            Stage::Parse,
-            Stage::LockSnapshot,
-            Stage::LockRegistry,
-            Stage::LockTable,
-            Stage::LockWal,
-            Stage::WalAppend,
-            Stage::WalFsync,
-        ]
+    /// The verb's label (`sql`, `mine`, …).
+    pub(crate) fn label(self) -> &'static str {
+        &VERB_SPANS[self.0]["serve.verb.".len()..]
     }
 }
 
@@ -97,47 +139,122 @@ thread_local! {
     static STAGE_NS: [Cell<u64>; STAGES] = const { [const { Cell::new(0) }; STAGES] };
 }
 
-/// Clears this thread's stage accumulator (start of a request).
-pub fn stage_begin() {
-    STAGE_NS.with(|s| {
-        for cell in s {
-            cell.set(0);
-        }
-    });
+/// Drains this thread's stage accumulator (clearing it).
+fn stage_take() -> [u64; STAGES] {
+    STAGE_NS.with(|s| s.each_ref().map(|cell| cell.replace(0)))
 }
 
-/// Drains this thread's stage accumulator (end of a request).
-pub fn stage_take() -> [u64; STAGES] {
-    STAGE_NS.with(|s| {
-        let mut out = [0u64; STAGES];
-        for (cell, slot) in s.iter().zip(out.iter_mut()) {
-            *slot = cell.replace(0);
+/// A store's measurements: its registry, the handles every layer
+/// records through, and the slow-request log. Shared (`Arc`) by the
+/// store, its commit plane and its WATCH hub.
+#[derive(Debug)]
+pub struct StoreMetrics {
+    registry: Registry,
+    stages: [Arc<Timer>; STAGES],
+    verbs: [Arc<Timer>; VERB_SPANS.len()],
+    dispatch: Arc<Timer>,
+    /// `serve.requests`: requests served — one per request a session
+    /// reads (every verb) and one per direct
+    /// [`dispatch`](crate::server::dispatch) call. Its value at the
+    /// start of a request is that request's slow-log `seq`.
+    pub(crate) requests: Arc<Counter>,
+    pub(crate) sessions: Arc<Counter>,
+    pub(crate) admitted: Arc<Counter>,
+    pub(crate) rejected: Arc<Counter>,
+    pub(crate) snapshots: Arc<Counter>,
+    pub(crate) snapshot: Arc<Timer>,
+    pub(crate) commit_wait: Arc<Timer>,
+    pub(crate) commit_batches: Arc<Counter>,
+    pub(crate) commit_frames: Arc<Counter>,
+    pub(crate) commit_wakeups: Arc<Counter>,
+    /// A value histogram: its "ns" are frames per commit batch.
+    pub(crate) commit_batch_size: Arc<Timer>,
+    pub(crate) wal_bytes: Arc<Counter>,
+    pub(crate) wal_records: Arc<Counter>,
+    pub(crate) watch_events: Arc<Counter>,
+    pub(crate) watch_dropped: Arc<Counter>,
+    /// The worst-request log.
+    pub(crate) slow: SlowLog,
+}
+
+impl Default for StoreMetrics {
+    fn default() -> Self {
+        let registry = Registry::new();
+        let counter = |name| registry.counter(name);
+        let timer = |name| registry.timer(name);
+        StoreMetrics {
+            stages: STAGE_NAMES.map(|(_, span)| timer(span)),
+            verbs: VERB_SPANS.map(timer),
+            dispatch: timer("serve.dispatch"),
+            requests: counter("serve.requests"),
+            sessions: counter("serve.sessions"),
+            admitted: counter("serve.stmt.admitted"),
+            rejected: counter("serve.stmt.rejected"),
+            snapshots: counter("serve.snapshots"),
+            snapshot: timer("serve.snapshot"),
+            commit_wait: timer("serve.commit.wait"),
+            commit_batches: counter("serve.commit.batches"),
+            commit_frames: counter("serve.commit.frames"),
+            commit_wakeups: counter("serve.commit.wakeups"),
+            commit_batch_size: timer("serve.commit.batch_size"),
+            wal_bytes: counter("serve.wal.bytes"),
+            wal_records: counter("serve.wal.records"),
+            watch_events: counter("serve.watch.events"),
+            watch_dropped: counter("serve.watch.dropped"),
+            slow: SlowLog::default(),
+            registry,
         }
+    }
+}
+
+impl StoreMetrics {
+    /// Snapshot of every `serve.*` counter and span of this store.
+    pub fn report(&self) -> ObsReport {
+        self.registry.report()
+    }
+
+    /// Runs `f`, charging its wall time to `stage`: the stage's span
+    /// and the in-flight request's slow-log breakdown, from one
+    /// measurement.
+    pub(crate) fn timed<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let span = self.stages[stage as usize].enter();
+        let out = f();
+        let ns = span.exit();
+        STAGE_NS.with(|s| s[stage as usize].set(s[stage as usize].get().saturating_add(ns)));
         out
-    })
-}
+    }
 
-/// Runs `f`, charging its wall time to `stage` on this thread.
-pub fn timed<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    STAGE_NS.with(|s| {
-        let cell = &s[stage as usize];
-        cell.set(cell.get().saturating_add(ns));
-    });
-    out
+    /// Serves one request: counts it (the count is its slow-log
+    /// `seq`), times `f` under `serve.dispatch` and the verb's span,
+    /// and offers the finished request with its stage breakdown to the
+    /// slow log.
+    pub(crate) fn serve<T>(&self, verb: Verb, f: impl FnOnce() -> T) -> T {
+        let seq = self.requests.add(1) + 1;
+        let dispatch = self.dispatch.enter();
+        stage_take();
+        let span = self.verbs[verb.0].enter();
+        let out = f();
+        let total_ns = span.exit();
+        drop(dispatch);
+        self.slow.offer(SlowEntry {
+            seq,
+            verb: verb.label(),
+            total_ns,
+            stages: stage_take(),
+        });
+        out
+    }
 }
 
 /// One retained worst-request record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowEntry {
-    /// The request's sequence number (the store's `requests` counter
-    /// at dispatch time), so a record can be lined up with a trace.
+    /// The request's sequence number (the store's `serve.requests`
+    /// count at its start), so a record can be lined up with a trace.
     pub seq: u64,
     /// Verb label (`sql`, `mine`, …).
     pub verb: &'static str,
-    /// End-to-end dispatch time.
+    /// End-to-end time of the request's verb span.
     pub total_ns: u64,
     /// Per-stage breakdown, indexed by [`Stage`].
     pub stages: [u64; STAGES],
@@ -177,37 +294,33 @@ impl SlowLog {
     }
 }
 
-/// Renders the full exposition: the obs registry (counters, latency
-/// histograms with derived percentiles), the store counters, and the
-/// slow-request log.
+/// Renders the full exposition: the global and the store registries
+/// (counters, latency histograms with derived percentiles), the store
+/// counters, and the slow-request log.
 pub fn render_metrics(store: &Store) -> String {
-    let mut out = sqlnf_obs::report().to_prometheus();
-    let (wal_bytes, wal_records) = store.wal_size();
+    let mut report = sqlnf_obs::report();
+    report.absorb(store.metrics().report());
+    let mut out = report.to_prometheus();
     out.push_str("# TYPE sqlnf_store gauge\n");
-    for line in store
-        .stats
-        .lines(store.table_names().len(), wal_bytes, wal_records)
-    {
+    for line in store.stats_lines() {
         if let Some((name, value)) = line.rsplit_once(' ') {
             let _ = writeln!(out, "sqlnf_store{{name=\"{name}\"}} {value}");
         }
     }
     out.push_str("# TYPE sqlnf_slow_request_ns gauge\n");
-    for (rank, e) in store.slow_requests().iter().enumerate() {
+    for (rank, e) in store.metrics().slow.entries().iter().enumerate() {
         let _ = writeln!(
             out,
             "sqlnf_slow_request_ns{{rank=\"{rank}\",seq=\"{}\",verb=\"{}\",stage=\"total\"}} {}",
             e.seq, e.verb, e.total_ns
         );
-        for stage in Stage::all() {
-            let ns = e.stages[stage as usize];
+        for (&ns, (stage, _)) in e.stages.iter().zip(STAGE_NAMES) {
             if ns > 0 {
                 let _ = writeln!(
                     out,
-                    "sqlnf_slow_request_ns{{rank=\"{rank}\",seq=\"{}\",verb=\"{}\",stage=\"{}\"}} {ns}",
+                    "sqlnf_slow_request_ns{{rank=\"{rank}\",seq=\"{}\",verb=\"{}\",stage=\"{stage}\"}} {ns}",
                     e.seq,
                     e.verb,
-                    stage.as_str()
                 );
             }
         }
@@ -310,28 +423,6 @@ fn parse_sample(line: &str) -> Option<Sample> {
     }
 }
 
-/// The per-verb span label of a request — the `name` under which its
-/// latency histogram is recorded (`serve.verb.<label>`).
-pub fn verb_label(req: &crate::protocol::Request) -> &'static str {
-    use crate::protocol::Request;
-    match req {
-        Request::Ping => "ping",
-        Request::Tables => "tables",
-        Request::Dump(_) => "dump",
-        Request::Mine { .. } => "mine",
-        Request::Closure { .. } => "closure",
-        Request::Normalize { .. } => "normalize",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Trace(_) => "trace",
-        Request::Watch { .. } => "watch",
-        Request::Unwatch => "unwatch",
-        Request::Quit => "quit",
-        Request::Shutdown => "shutdown",
-        Request::Sql(_) => "sql",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,17 +454,34 @@ mod tests {
         assert_eq!(log.entries(), entries);
     }
 
+    /// One `timed` call feeds both the stage's span and the in-flight
+    /// request's slow-log breakdown; `serve` counts the request and
+    /// times it under `serve.dispatch` and its verb.
     #[test]
-    fn stage_accumulator_charges_and_drains() {
-        stage_begin();
-        let x = timed(Stage::Parse, || 21 * 2);
+    fn serve_and_timed_record_into_the_store_registry() {
+        let metrics = StoreMetrics::default();
+        let x = metrics.serve(Verb::of(&Request::Sql(String::new())), || {
+            metrics.timed(Stage::Parse, || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                21 * 2
+            })
+        });
         assert_eq!(x, 42);
-        timed(Stage::LockWal, || std::hint::black_box(()));
-        let stages = stage_take();
-        // Instant is monotone but can report 0ns for a trivial closure;
-        // the drain itself is the property under test.
-        assert_eq!(stage_take(), [0; STAGES], "take drains");
-        let _ = stages;
+        let report = metrics.report();
+        assert_eq!(report.counter("serve.requests"), Some(1));
+        for span in ["serve.dispatch", "serve.verb.sql", "serve.parse"] {
+            assert_eq!(report.timer(span).unwrap().count, 1, "{span}");
+        }
+        assert_eq!(report.timer("serve.verb.ping").unwrap().count, 0);
+        let parse_ns = report.timer("serve.parse").unwrap().total_ns;
+        let entries = metrics.slow.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].seq, entries[0].verb), (1, "sql"));
+        assert_eq!(entries[0].stages[Stage::Parse as usize], parse_ns);
+        assert!(entries[0].total_ns >= parse_ns);
+        assert_eq!(stage_take(), [0; STAGES], "serve drains the accumulator");
+        // Nothing leaks into the process-global registry.
+        assert_eq!(sqlnf_obs::report().timer("serve.parse"), None);
     }
 
     #[test]
@@ -408,8 +516,8 @@ mod tests {
         store
             .execute_sql("CREATE TABLE t (a INT NOT NULL, CONSTRAINT k CERTAIN KEY (a));")
             .unwrap();
-        store.slow_requests(); // exercise the empty accessor
-        store.slow_log().offer(entry(1, 5000));
+        assert!(store.metrics().slow.entries().is_empty());
+        store.metrics().slow.offer(entry(1, 5000));
         let text = render_metrics(&store);
         let samples = parse_exposition(&text).expect("render must parse");
         let admitted = samples

@@ -11,7 +11,7 @@
 //!   to the WAL.
 
 use crate::commit::FsyncMode;
-use crate::metrics::{self, SlowEntry};
+use crate::metrics::{self, Verb};
 use crate::protocol::{Accumulator, Reply, Request};
 use crate::store::{Pending, ServeError, Store, StoreOptions};
 use crate::watch::Subscription;
@@ -121,11 +121,7 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    store
-                        .stats
-                        .sessions
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    sqlnf_obs::count!("serve.sessions");
+                    store.metrics().sessions.add(1);
                     if tx.send(stream).is_err() {
                         break;
                     }
@@ -274,46 +270,49 @@ fn handle_session(
                 let Some(req) = acc.push_line(complete.trim_end_matches(['\r', '\n'])) else {
                     continue;
                 };
-                sqlnf_obs::count!("serve.requests");
+                // Requests this loop answers itself are served (counted
+                // and timed) here; the rest through `dispatch`.
+                let verb = Verb::of(&req);
+                let metrics = store.metrics();
                 match req {
-                    Request::Quit => {
+                    Request::Quit | Request::Shutdown => {
                         settle(store, &mut writer, &mut staged, &mut pending)?;
-                        write_reply(&mut writer, &Reply::ok("bye"))?;
-                        return Ok(());
-                    }
-                    Request::Shutdown => {
-                        settle(store, &mut writer, &mut staged, &mut pending)?;
-                        write_reply(&mut writer, &Reply::ok("shutting down"))?;
-                        shutdown.store(true, Ordering::SeqCst);
+                        let stop = matches!(req, Request::Shutdown);
+                        let bye = if stop { "shutting down" } else { "bye" };
+                        metrics.serve(verb, || write_reply(&mut writer, &Reply::ok(bye)))?;
+                        shutdown.fetch_or(stop, Ordering::SeqCst);
                         return Ok(());
                     }
                     // WATCH and UNWATCH mutate session state, so they
                     // are handled here rather than in `dispatch`.
                     Request::Watch { table, weak } => {
                         settle(store, &mut writer, &mut staged, &mut pending)?;
-                        let _span = sqlnf_obs::span!("serve.verb.watch");
-                        let mut label = table.as_deref().unwrap_or("*").to_owned();
-                        if weak {
-                            label.push_str(" weak");
-                        }
-                        watching = Some(store.watch_opts(table, weak));
-                        write_reply(&mut writer, &Reply::ok(format!("watching {label}")))?;
+                        metrics.serve(verb, || {
+                            let mut label = table.as_deref().unwrap_or("*").to_owned();
+                            if weak {
+                                label.push_str(" weak");
+                            }
+                            watching = Some(store.watch_opts(table, weak));
+                            write_reply(&mut writer, &Reply::ok(format!("watching {label}")))
+                        })?;
                     }
                     Request::Unwatch => {
                         settle(store, &mut writer, &mut staged, &mut pending)?;
-                        let _span = sqlnf_obs::span!("serve.verb.unwatch");
-                        // Flush everything queued before the
-                        // subscription dies, then confirm.
-                        flush_watch(&mut writer, watching.as_ref())?;
-                        let reply = if watching.take().is_some() {
-                            Reply::ok("unwatched")
-                        } else {
-                            Reply::err("not watching")
-                        };
-                        write_reply(&mut writer, &reply)?;
+                        metrics.serve(verb, || {
+                            // Flush everything queued before the
+                            // subscription dies, then confirm.
+                            flush_watch(&mut writer, watching.as_ref())?;
+                            let reply = if watching.take().is_some() {
+                                Reply::ok("unwatched")
+                            } else {
+                                Reply::err("not watching")
+                            };
+                            write_reply(&mut writer, &reply)
+                        })?;
                     }
                     Request::Sql(src) => {
-                        let (reply, tickets) = dispatch_sql_enqueue(store, &src, &mut pending);
+                        let (reply, tickets) =
+                            metrics.serve(verb, || dispatch_sql_enqueue(store, &src, &mut pending));
                         staged.push((reply, tickets));
                         // Settle as soon as the pipe runs dry:
                         // everything the client already sent shares
@@ -421,86 +420,40 @@ fn flush_watch(writer: &mut TcpStream, watching: Option<&Subscription>) -> io::R
 
 /// The SQL half of [`dispatch`]: applies and enqueues, but leaves the
 /// commit wait to [`settle`] so pipelined requests share a batch. The
-/// per-request span and slow-log entry cover parse/apply/enqueue; the
-/// shared commit wait is accounted separately under
-/// `serve.commit.wait`. Returns the staged reply and how many commit
-/// tickets this request pushed into `pending` — the reply must be
-/// withheld until exactly those tickets settle. (A refused script
-/// still owns the tickets of its earlier, applied statements.)
+/// session serves it, so its request spans and slow-log entry cover
+/// parse/apply/enqueue; the shared commit wait is accounted
+/// separately under `serve.commit.wait`. Returns the staged reply and
+/// how many commit tickets this request pushed into `pending` — the
+/// reply must be withheld until exactly those tickets settle. (A
+/// refused script still owns the tickets of its earlier, applied
+/// statements.)
 fn dispatch_sql_enqueue(store: &Store, src: &str, pending: &mut Pending) -> (Reply, usize) {
-    let _span = sqlnf_obs::span!("serve.dispatch");
-    let seq = store.stats.requests.fetch_add(1, Ordering::Relaxed) + 1;
-    metrics::stage_begin();
-    let start = std::time::Instant::now();
     let before = pending.len();
-    let result = {
-        #[allow(clippy::let_unit_value)]
-        let _verb_span = sqlnf_obs::span!("serve.verb.sql");
-        store.execute_sql_enqueue(src, pending)
-    };
-    let total_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    store.slow_log().offer(SlowEntry {
-        seq,
-        verb: "sql",
-        total_ns,
-        stages: metrics::stage_take(),
-    });
-    let tickets = pending.len() - before;
+    let reply = applied_reply(store.execute_sql_enqueue(src, pending));
+    (reply, pending.len() - before)
+}
+
+/// The reply to a SQL request: how many statements applied, or why
+/// the script stopped.
+fn applied_reply(result: Result<usize, ServeError>) -> Reply {
     match result {
-        Ok(applied) => (
-            Reply::ok(format!(
-                "applied {applied} statement{}",
-                if applied == 1 { "" } else { "s" }
-            )),
-            tickets,
-        ),
-        Err(e) => (Reply::err(e.to_string()), tickets),
+        Ok(applied) => Reply::ok(format!(
+            "applied {applied} statement{}",
+            if applied == 1 { "" } else { "s" }
+        )),
+        Err(e) => Reply::err(e.to_string()),
     }
 }
 
-/// Executes one request against the store, recording its latency in
-/// the aggregate `serve.dispatch` histogram and a per-verb
-/// `serve.verb.<label>` histogram, and offering the finished request
-/// (with its per-stage breakdown) to the store's slow-request log.
+/// Executes one request against the store, serving it through the
+/// store's metrics: counted in `serve.requests`, timed under
+/// `serve.dispatch` and its `serve.verb.<label>` span, and offered
+/// (with its per-stage breakdown) to the slow-request log.
 pub fn dispatch(store: &Store, req: Request) -> Reply {
-    let _span = sqlnf_obs::span!("serve.dispatch");
-    let verb = metrics::verb_label(&req);
-    let seq = store.stats.requests.fetch_add(1, Ordering::Relaxed) + 1;
-    metrics::stage_begin();
-    let start = std::time::Instant::now();
-    let result = {
-        // `span!` needs a literal name, so per-verb histograms route
-        // through one arm per verb. With `obs` compiled out every arm
-        // is unit, hence the allow.
-        #[allow(clippy::let_unit_value)]
-        let _verb_span = match verb {
-            "ping" => sqlnf_obs::span!("serve.verb.ping"),
-            "tables" => sqlnf_obs::span!("serve.verb.tables"),
-            "dump" => sqlnf_obs::span!("serve.verb.dump"),
-            "mine" => sqlnf_obs::span!("serve.verb.mine"),
-            "closure" => sqlnf_obs::span!("serve.verb.closure"),
-            "normalize" => sqlnf_obs::span!("serve.verb.normalize"),
-            "stats" => sqlnf_obs::span!("serve.verb.stats"),
-            "metrics" => sqlnf_obs::span!("serve.verb.metrics"),
-            "trace" => sqlnf_obs::span!("serve.verb.trace"),
-            "watch" => sqlnf_obs::span!("serve.verb.watch"),
-            "unwatch" => sqlnf_obs::span!("serve.verb.unwatch"),
-            "sql" => sqlnf_obs::span!("serve.verb.sql"),
-            _ => sqlnf_obs::span!("serve.verb.other"),
-        };
-        run_request(store, req)
-    };
-    let total_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    store.slow_log().offer(SlowEntry {
-        seq,
-        verb,
-        total_ns,
-        stages: metrics::stage_take(),
-    });
-    match result {
-        Ok(reply) => reply,
-        Err(e) => Reply::err(e.to_string()),
-    }
+    let result = store
+        .metrics()
+        .serve(Verb::of(&req), || run_request(store, req));
+    result.unwrap_or_else(|e| Reply::err(e.to_string()))
 }
 
 fn run_request(store: &Store, req: Request) -> Result<Reply, ServeError> {
@@ -517,13 +470,7 @@ fn run_request(store: &Store, req: Request) -> Result<Reply, ServeError> {
             let names = store.table_names();
             Ok(Reply::ok_with(format!("{} tables", names.len()), names))
         }
-        Request::Stats => {
-            let (wal_bytes, wal_records) = store.wal_size();
-            let lines = store
-                .stats
-                .lines(store.table_names().len(), wal_bytes, wal_records);
-            Ok(Reply::ok_with("server counters", lines))
-        }
+        Request::Stats => Ok(Reply::ok_with("server counters", store.stats_lines())),
         Request::Metrics => {
             let text = metrics::render_metrics(store);
             let lines: Vec<String> = text.lines().map(str::to_owned).collect();
@@ -537,13 +484,7 @@ fn run_request(store: &Store, req: Request) -> Result<Reply, ServeError> {
                 lines,
             ))
         }
-        Request::Sql(src) => {
-            let applied = store.execute_sql(&src)?;
-            Ok(Reply::ok(format!(
-                "applied {applied} statement{}",
-                if applied == 1 { "" } else { "s" }
-            )))
-        }
+        Request::Sql(src) => Ok(applied_reply(store.execute_sql(&src))),
         Request::Dump(table) => store.with_table(&table, |st| {
             let csv = table_to_csv(st.data());
             let lines: Vec<String> = csv.lines().map(str::to_owned).collect();

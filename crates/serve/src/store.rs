@@ -28,7 +28,7 @@
 //! between snapshot and log.
 
 use crate::commit::{FsyncMode, GroupWal, Ticket};
-use crate::metrics::{self, SlowEntry, SlowLog, Stage};
+use crate::metrics::{Stage, StoreMetrics};
 use crate::wal::{self, Wal, SNAPSHOT_FILE};
 use crate::watch::{Subscription, WatchHub, DEFAULT_WATCH_QUEUE};
 use sqlnf_core::prelude::*;
@@ -74,40 +74,6 @@ impl From<EngineError> for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-/// Monotone counters of the store's lifetime (mirrored into
-/// `sqlnf-obs` under `serve.*` when the `obs` feature is compiled in).
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    /// Requests dispatched (every verb, including failures).
-    pub requests: AtomicU64,
-    /// Sessions accepted.
-    pub sessions: AtomicU64,
-    /// Statements admitted: applied, durable, and acknowledged.
-    pub admitted: AtomicU64,
-    /// Statements rejected.
-    pub rejected: AtomicU64,
-    /// Snapshots written.
-    pub snapshots: AtomicU64,
-}
-
-impl StoreStats {
-    /// Renders the counters as `name value` payload lines, sorted by
-    /// name — `STATS` and `METRICS` output is stable across runs, so
-    /// diffs (and tests diffing the two planes) are deterministic.
-    pub fn lines(&self, tables: usize, wal_bytes: u64, wal_records: u64) -> Vec<String> {
-        vec![
-            format!("requests {}", self.requests.load(Ordering::Relaxed)),
-            format!("sessions {}", self.sessions.load(Ordering::Relaxed)),
-            format!("snapshots {}", self.snapshots.load(Ordering::Relaxed)),
-            format!("stmt.admitted {}", self.admitted.load(Ordering::Relaxed)),
-            format!("stmt.rejected {}", self.rejected.load(Ordering::Relaxed)),
-            format!("tables {tables}"),
-            format!("wal.bytes {wal_bytes}"),
-            format!("wal.records {wal_records}"),
-        ]
     }
 }
 
@@ -204,13 +170,12 @@ pub struct Store {
     since_snapshot: AtomicU64,
     /// Test-only fault/observation hooks.
     hooks: Hooks,
-    /// Lifetime counters.
-    pub stats: StoreStats,
-    /// Worst-request log (see [`crate::metrics`]).
-    slow: SlowLog,
+    /// Every `serve.*` counter and span of this store, and its
+    /// slow-request log (see [`crate::metrics`]).
+    metrics: Arc<StoreMetrics>,
     /// Process-unique tag stamped into every flight-recorder event this
-    /// store emits, so tests sharing the process-global recorder can
-    /// filter their own events out of the stream.
+    /// store emits: the flight recorder is still process-global, so
+    /// tests sharing it filter their own events out of the stream.
     nonce: u64,
     /// The WATCH subscription hub (see [`crate::watch`]): a thread
     /// shadowing committed history with incremental miners, fed from
@@ -231,19 +196,45 @@ impl Store {
     /// count and commit window still shape batching even without
     /// backing files).
     pub fn ephemeral_with(opts: StoreOptions) -> Store {
-        let wal = GroupWal::ephemeral(opts.wal_shards, opts.commit_window, opts.fsync);
-        let watch = WatchHub::spawn(Vec::new(), wal.epoch_next(), DEFAULT_WATCH_QUEUE);
+        let metrics = Arc::new(StoreMetrics::default());
+        let wal = GroupWal::ephemeral(
+            opts.wal_shards,
+            opts.commit_window,
+            opts.fsync,
+            Arc::clone(&metrics),
+        );
+        Store::assemble(wal, metrics, Vec::new(), None, 0, 0)
+    }
+
+    /// Wires a store around its commit plane: spawns the WATCH hub
+    /// (seeded with `preamble`, the recovered history) as the plane's
+    /// commit listener.
+    fn assemble(
+        wal: GroupWal,
+        metrics: Arc<StoreMetrics>,
+        preamble: Vec<String>,
+        dir: Option<PathBuf>,
+        generation: u64,
+        snapshot_every: u64,
+    ) -> Store {
+        // The hub's cursor starts at the first epoch the store can
+        // commit.
+        let watch = WatchHub::spawn(
+            preamble,
+            wal.epoch_next(),
+            DEFAULT_WATCH_QUEUE,
+            Arc::clone(&metrics),
+        );
         wal.set_listener(watch.sender());
         Store {
             tables: RwLock::new(BTreeMap::new()),
             wal,
-            dir: None,
-            generation: Mutex::new(0),
-            snapshot_every: 0,
+            dir,
+            generation: Mutex::new(generation),
+            snapshot_every,
             since_snapshot: AtomicU64::new(0),
             hooks: Hooks::default(),
-            stats: StoreStats::default(),
-            slow: SlowLog::default(),
+            metrics,
             nonce: NONCE.fetch_add(1, Ordering::Relaxed),
             watch,
         }
@@ -285,6 +276,7 @@ impl Store {
         wal::cleanup_stale(dir, generation)?;
         // GroupWal::recover truncates torn tails and epoch-gapped
         // suffixes, so replay-then-append agree on the logs' contents.
+        let metrics = Arc::new(StoreMetrics::default());
         let (gwal, replayed) = GroupWal::recover(
             dir,
             generation,
@@ -292,28 +284,20 @@ impl Store {
             opts.wal_shards,
             opts.commit_window,
             opts.fsync,
+            Arc::clone(&metrics),
         )?;
         // Seed the WATCH hub's shadow state with the recovered history
-        // so a subscriber's baseline matches the live registry; the
-        // cursor starts at the first epoch the resumed store can
-        // commit.
+        // so a subscriber's baseline matches the live registry.
         let mut preamble = vec![script.clone()];
         preamble.extend(replayed.iter().cloned());
-        let watch = WatchHub::spawn(preamble, gwal.epoch_next(), DEFAULT_WATCH_QUEUE);
-        gwal.set_listener(watch.sender());
-        let store = Store {
-            tables: RwLock::new(BTreeMap::new()),
-            wal: gwal,
-            dir: Some(dir.to_path_buf()),
-            generation: Mutex::new(generation),
-            snapshot_every: opts.snapshot_every,
-            since_snapshot: AtomicU64::new(0),
-            hooks: Hooks::default(),
-            stats: StoreStats::default(),
-            slow: SlowLog::default(),
-            nonce: NONCE.fetch_add(1, Ordering::Relaxed),
-            watch,
-        };
+        let store = Store::assemble(
+            gwal,
+            metrics,
+            preamble,
+            Some(dir.to_path_buf()),
+            generation,
+            opts.snapshot_every,
+        );
         store.apply_script_unlogged(&script)?;
         for stmt in &replayed {
             store.apply_script_unlogged(stmt)?;
@@ -347,10 +331,9 @@ impl Store {
     }
 
     fn table_arc(&self, name: &str) -> Result<Arc<RwLock<StoredTable>>, ServeError> {
-        let reg = {
-            let _wait = sqlnf_obs::span!("serve.lock_wait.registry");
-            metrics::timed(Stage::LockRegistry, || self.tables.read().unwrap())
-        };
+        let reg = self
+            .metrics
+            .timed(Stage::LockRegistry, || self.tables.read().unwrap());
         reg.get(name)
             .cloned()
             .ok_or_else(|| EngineError::NoSuchTable(name.to_owned()).into())
@@ -361,15 +344,27 @@ impl Store {
         self.nonce
     }
 
-    /// The worst-request log (requests recorded by the server's
-    /// dispatch loop).
-    pub fn slow_log(&self) -> &SlowLog {
-        &self.slow
+    /// This store's counters, spans and slow-request log.
+    pub fn metrics(&self) -> &StoreMetrics {
+        &self.metrics
     }
 
-    /// The retained worst requests, worst first.
-    pub fn slow_requests(&self) -> Vec<SlowEntry> {
-        self.slow.entries()
+    /// The `STATS` payload: `name value` lines, sorted by name —
+    /// `STATS` and `METRICS` output is stable across runs, so diffs
+    /// (and tests diffing the two planes) are deterministic.
+    pub fn stats_lines(&self) -> Vec<String> {
+        let m = &self.metrics;
+        let (wal_bytes, wal_records) = self.wal_size();
+        vec![
+            format!("requests {}", m.requests.get()),
+            format!("sessions {}", m.sessions.get()),
+            format!("snapshots {}", m.snapshots.get()),
+            format!("stmt.admitted {}", m.admitted.get()),
+            format!("stmt.rejected {}", m.rejected.get()),
+            format!("tables {}", self.table_names().len()),
+            format!("wal.bytes {wal_bytes}"),
+            format!("wal.records {wal_records}"),
+        ]
     }
 
     /// Table names, sorted.
@@ -384,11 +379,8 @@ impl Store {
         f: impl FnOnce(&StoredTable) -> T,
     ) -> Result<T, ServeError> {
         let arc = self.table_arc(name)?;
-        let st = {
-            // Wait time only: the span must not cover `f` itself.
-            let _wait = sqlnf_obs::span!("serve.lock_wait.table");
-            metrics::timed(Stage::LockTable, || arc.read().unwrap())
-        };
+        // Wait time only: the span must not cover `f` itself.
+        let st = self.metrics.timed(Stage::LockTable, || arc.read().unwrap());
         Ok(f(&st))
     }
 
@@ -428,30 +420,19 @@ impl Store {
         src: &str,
         pending: &mut Pending,
     ) -> Result<usize, ServeError> {
-        let parsed = {
-            let _span = sqlnf_obs::span!("serve.parse");
-            metrics::timed(Stage::Parse, || parse_script(src))
-        };
-        let stmts = parsed.map_err(|e| {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            sqlnf_obs::count!("serve.stmt.rejected");
-            EngineError::from(e)
-        })?;
+        let parsed = self.metrics.timed(Stage::Parse, || parse_script(src));
         let mut applied = 0;
-        for stmt in stmts {
-            match self.apply_logged(stmt) {
-                Ok(ticket) => {
-                    applied += 1;
-                    pending.tickets.push(ticket);
-                }
-                Err(e) => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    sqlnf_obs::count!("serve.stmt.rejected");
-                    return Err(e);
-                }
-            }
-        }
-        Ok(applied)
+        let result = match parsed {
+            Ok(stmts) => stmts.into_iter().try_for_each(|stmt| {
+                pending.tickets.push(self.apply_logged(stmt)?);
+                applied += 1;
+                Ok(())
+            }),
+            Err(e) => Err(EngineError::from(e).into()),
+        };
+        // A refused statement ends the script: one rejection.
+        self.metrics.rejected.add(result.is_err() as u64);
+        result.map(|()| applied)
     }
 
     /// Parks until every pending statement is durable, then counts
@@ -478,21 +459,14 @@ impl Store {
         }
         let tickets = std::mem::take(&mut pending.tickets);
         let outcomes: Vec<io::Result<()>> = {
-            let _span = sqlnf_obs::span!("serve.commit.wait");
+            let _span = self.metrics.commit_wait.enter();
             tickets.into_iter().map(|t| self.wal.wait(t)).collect()
         };
         let admitted = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        let rejected = outcomes.len() as u64 - admitted;
-        if admitted > 0 {
-            self.stats.admitted.fetch_add(admitted, Ordering::Relaxed);
-            sqlnf_obs::count!("serve.stmt.admitted", admitted);
-            for _ in 0..admitted {
-                sqlnf_obs::event!("serve.stmt.admitted", self.nonce);
-            }
-        }
-        if rejected > 0 {
-            self.stats.rejected.fetch_add(rejected, Ordering::Relaxed);
-            sqlnf_obs::count!("serve.stmt.rejected", rejected);
+        self.metrics.admitted.add(admitted);
+        self.metrics.rejected.add(outcomes.len() as u64 - admitted);
+        for _ in 0..admitted {
+            sqlnf_obs::event!("serve.stmt.admitted", self.nonce);
         }
         let aftermath = self.maybe_snapshot(admitted);
         (outcomes, aftermath)
@@ -530,10 +504,9 @@ impl Store {
             Statement::CreateTable { schema, sigma } => {
                 let rendered = render_create_table(&schema, &sigma);
                 let name = schema.name().to_owned();
-                let mut reg = {
-                    let _wait = sqlnf_obs::span!("serve.lock_wait.registry");
-                    metrics::timed(Stage::LockRegistry, || self.tables.write().unwrap())
-                };
+                let mut reg = self
+                    .metrics
+                    .timed(Stage::LockRegistry, || self.tables.write().unwrap());
                 if reg.contains_key(&name) {
                     return Err(EngineError::DuplicateTable(name).into());
                 }
@@ -550,10 +523,9 @@ impl Store {
                 // How long concurrent writers queue on one table — the
                 // suspected cause of serve_4x500 throughput trailing
                 // serve_1x500. The span ends at acquisition.
-                let mut st = {
-                    let _wait = sqlnf_obs::span!("serve.lock_wait.table");
-                    metrics::timed(Stage::LockTable, || arc.write().unwrap())
-                };
+                let mut st = self
+                    .metrics
+                    .timed(Stage::LockTable, || arc.write().unwrap());
                 // Multi-row INSERTs are atomic: roll back this
                 // statement's rows if a later one is rejected.
                 let base = st.data().len();
@@ -715,13 +687,12 @@ impl Store {
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
         };
-        let _span = sqlnf_obs::span!("serve.snapshot");
+        let _span = self.metrics.snapshot.enter();
         // Tier 1: one snapshot at a time; the guard owns the live
         // WAL's generation.
-        let mut generation = {
-            let _wait = sqlnf_obs::span!("serve.lock_wait.snapshot");
-            metrics::timed(Stage::LockSnapshot, || self.generation.lock().unwrap())
-        };
+        let mut generation = self
+            .metrics
+            .timed(Stage::LockSnapshot, || self.generation.lock().unwrap());
         let next = *generation + 1;
         let reg = self.tables.read().unwrap();
         let guards: Vec<(&String, std::sync::RwLockReadGuard<'_, StoredTable>)> = reg
@@ -748,8 +719,7 @@ impl Store {
             use std::io::Write as _;
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(script.as_bytes())?;
-            let _span = sqlnf_obs::span!("serve.snapshot.fsync");
-            metrics::timed(Stage::WalFsync, || f.sync_data())?;
+            self.metrics.timed(Stage::SnapshotFsync, || f.sync_data())?;
         }
         // The next generation's logs must exist before the snapshot
         // naming them is published, and both must be durable before
@@ -776,8 +746,7 @@ impl Store {
         drop(files);
         self.since_snapshot.store(0, Ordering::Relaxed);
         *generation = next;
-        self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
-        sqlnf_obs::count!("serve.snapshots");
+        self.metrics.snapshots.add(1);
         Ok(())
     }
 
@@ -830,8 +799,8 @@ mod tests {
             err,
             ServeError::Engine(EngineError::ConstraintViolation { .. })
         ));
-        assert_eq!(store.stats.admitted.load(Ordering::Relaxed), 2);
-        assert_eq!(store.stats.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(store.metrics.admitted.get(), 2);
+        assert_eq!(store.metrics.rejected.get(), 1);
         assert!(store.satisfies_all_constraints());
     }
 
@@ -988,7 +957,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(store.stats.snapshots.load(Ordering::Relaxed) >= 1);
+        assert!(store.metrics.snapshots.get() >= 1);
         let expected = store.export_script();
         drop(store);
         let reborn = Store::open(&dir, 0).unwrap();
@@ -1059,7 +1028,7 @@ mod tests {
             .execute_sql("INSERT INTO purchase VALUES (2, 'B', NULL, 2);")
             .unwrap_err();
         assert!(matches!(err, ServeError::Io(_)), "{err}");
-        assert_eq!(store.stats.admitted.load(Ordering::Relaxed), 2);
+        assert_eq!(store.metrics.admitted.get(), 2);
         assert_eq!(store.oplog().len(), 2, "undurable frame must not be acked");
         drop(store);
         let reborn = Store::open(&dir, 0).unwrap();
@@ -1121,8 +1090,8 @@ mod tests {
         assert!(outcomes[0].is_ok(), "healthy shard's statement is admitted");
         assert!(outcomes[1].is_err(), "only the lost statement is rejected");
         // 2 DDL + the healthy insert; the counter matches the oplog.
-        assert_eq!(store.stats.admitted.load(Ordering::Relaxed), 3);
-        assert_eq!(store.stats.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(store.metrics.admitted.get(), 3);
+        assert_eq!(store.metrics.rejected.get(), 1);
         assert_eq!(store.oplog().len(), 3);
         drop(store);
         let reborn = Store::open_with(&dir, opts).unwrap();
@@ -1145,7 +1114,7 @@ mod tests {
             .unwrap();
         // Threshold reached: snapshot happened, WAL empty.
         assert_eq!(store.wal_size().1, 0);
-        assert_eq!(store.stats.snapshots.load(Ordering::Relaxed), 1);
+        assert_eq!(store.metrics.snapshots.get(), 1);
         assert!(dir.join(SNAPSHOT_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

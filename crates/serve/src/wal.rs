@@ -231,14 +231,11 @@ impl Wal {
         self.file.write_all(buf.as_bytes())?;
         self.bytes += buf.len() as u64;
         self.records += frames.len() as u64;
-        sqlnf_obs::count!("serve.wal.bytes", buf.len() as u64);
-        sqlnf_obs::count!("serve.wal.records", frames.len() as u64);
         Ok(buf.len() as u64)
     }
 
     /// Forces the log to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        let _span = sqlnf_obs::span!("serve.wal.fsync");
         self.file.sync_data()
     }
 

@@ -55,7 +55,9 @@ use std::thread;
 use sqlnf_discovery::prelude::*;
 use sqlnf_model::prelude::*;
 
+use crate::metrics::StoreMetrics;
 use crate::store::DEFAULT_MINE_LHS;
+use sqlnf_obs::Counter;
 
 /// Default per-subscriber queue depth (event lines) before lagging.
 pub const DEFAULT_WATCH_QUEUE: usize = 4096;
@@ -234,12 +236,12 @@ impl SubscriberShared {
         self.filter.as_deref().is_none_or(|f| f == table)
     }
 
-    fn push(&self, line: String) {
+    fn push(&self, line: String, dropped: &Counter) {
         let mut q = self.queue.lock().unwrap();
         if q.len() >= self.cap {
             drop(q);
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            sqlnf_obs::count!("serve.watch.dropped");
+            dropped.add(1);
         } else {
             q.push_back(line);
         }
@@ -304,11 +306,16 @@ impl WatchHub {
     /// shadow state without emitting events; `cursor` is the first
     /// epoch the live store will commit (`GroupWal::epoch_next()` at
     /// store construction).
-    pub(crate) fn spawn(preamble: Vec<String>, cursor: u64, queue_cap: usize) -> WatchHub {
+    pub(crate) fn spawn(
+        preamble: Vec<String>,
+        cursor: u64,
+        queue_cap: usize,
+        metrics: Arc<StoreMetrics>,
+    ) -> WatchHub {
         let (tx, rx) = mpsc::channel();
         thread::Builder::new()
             .name("sqlnf-watch".into())
-            .spawn(move || hub_main(rx, preamble, cursor))
+            .spawn(move || hub_main(rx, preamble, cursor, metrics))
             .expect("spawn watch hub");
         WatchHub {
             tx,
@@ -369,15 +376,18 @@ struct Hub {
     /// pay the cheap delta apply.
     facts: BTreeMap<String, BTreeSet<String>>,
     subs: Vec<Arc<SubscriberShared>>,
+    /// The owning store's measurements (`serve.watch.*`).
+    metrics: Arc<StoreMetrics>,
 }
 
-fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64) {
+fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64, metrics: Arc<StoreMetrics>) {
     let mut hub = Hub {
         cursor,
         pending: BTreeMap::new(),
         miners: BTreeMap::new(),
         facts: BTreeMap::new(),
         subs: Vec::new(),
+        metrics,
     };
     for src in &preamble {
         hub.apply_script(src, None);
@@ -494,14 +504,14 @@ impl Hub {
                 .line();
                 lines.push((is_weak_fact(fact), line));
             }
-            sqlnf_obs::count!("serve.watch.events", lines.len() as u64);
+            self.metrics.watch_events.add(lines.len() as u64);
             for sub in &self.subs {
                 if !sub.closed.load(Ordering::Relaxed) && sub.watches(table) {
                     for (weak_fact, line) in &lines {
                         if *weak_fact && !sub.weak {
                             continue;
                         }
-                        sub.push(line.clone());
+                        sub.push(line.clone(), &self.metrics.watch_dropped);
                     }
                 }
             }
@@ -567,7 +577,7 @@ mod tests {
 
     #[test]
     fn contiguous_release_streams_fact_diffs_in_epoch_order() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
+        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
         let sub = hub.subscribe(None);
         // Out-of-order delivery: epochs 2 and 3 arrive before 1.
         send(
@@ -610,7 +620,7 @@ mod tests {
             "INSERT INTO t VALUES (2, 2, NULL);",
             "INSERT INTO t VALUES (2, 2, 2);",
         ];
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
+        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
         let sub = hub.subscribe(Some("t".into()));
         send(
             &hub,
@@ -648,7 +658,7 @@ mod tests {
             "INSERT INTO t VALUES (1, 2, NULL);",
             "INSERT INTO t VALUES (2, 2, 2);",
         ];
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
+        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
         let weak_sub = hub.subscribe_opts(Some("t".into()), true);
         let plain_sub = hub.subscribe(Some("t".into()));
         send(
@@ -697,7 +707,8 @@ mod tests {
 
     #[test]
     fn bounded_queue_lags_and_reports_once() {
-        let hub = WatchHub::spawn(Vec::new(), 1, 4);
+        let metrics = Arc::new(StoreMetrics::default());
+        let hub = WatchHub::spawn(Vec::new(), 1, 4, Arc::clone(&metrics));
         let sub = hub.subscribe(None);
         let mut frames = vec![frame(1, "CREATE TABLE t (a INT, b INT);")];
         for i in 0..20u64 {
@@ -715,13 +726,18 @@ mod tests {
         let n: u64 = last["LAGGED ".len()..].parse().unwrap();
         assert_eq!(n, sub.lagged());
         assert!(n > 0);
+        // The hub's store counters see the same stream: exactly the
+        // lines this queue dropped, among every line published (the
+        // weak-plane lines this subscriber skips count there too).
+        assert_eq!(metrics.watch_dropped.get(), n);
+        assert!(metrics.watch_events.get() >= 4 + n);
         // Drained and reported: a second drain is empty, no LAGGED spam.
         assert!(sub.drain().is_empty());
     }
 
     #[test]
     fn filtered_subscriber_only_sees_its_table() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
+        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
         let sub = hub.subscribe(Some("u".into()));
         send(
             &hub,
@@ -751,6 +767,7 @@ mod tests {
             ],
             3,
             DEFAULT_WATCH_QUEUE,
+            Arc::default(),
         );
         let sub = hub.subscribe(None);
         hub.barrier();
@@ -766,7 +783,7 @@ mod tests {
 
     #[test]
     fn drop_unregisters_and_disables_mining() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE);
+        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
         let sub = hub.subscribe(None);
         send(&hub, vec![frame(1, "CREATE TABLE t (a INT, b INT);")]);
         hub.barrier();

@@ -271,13 +271,13 @@ fn crash_between_write_and_fsync_acks_nothing_undurable() {
         let err = store.execute_sql("INSERT INTO t VALUES (2);").unwrap_err();
         assert!(err.to_string().contains("not durable"), "{err}");
         // The failed batch was never acked and never reached the oplog.
-        use std::sync::atomic::Ordering;
+        let report = store.metrics().report();
         assert_eq!(
-            store.stats.admitted.load(Ordering::Relaxed),
-            2,
+            report.counter("serve.stmt.admitted"),
+            Some(2),
             "ack count must exclude the lost batch"
         );
-        assert!(store.stats.rejected.load(Ordering::Relaxed) >= 1);
+        assert!(report.counter("serve.stmt.rejected") >= Some(1));
         assert_eq!(store.oplog(), durable);
     }
     // Recovery sees only the durable history: the crashed batch's

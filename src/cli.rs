@@ -16,7 +16,9 @@ use crate::prelude::*;
 use sqlnf_core::lint::lint;
 use sqlnf_model::stats::{profile, profile_to_json, render_profile};
 use sqlnf_obs::json::JsonValue;
+use sqlnf_obs::ObsReport;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Errors surfaced to the user.
 #[derive(Debug)]
@@ -373,8 +375,9 @@ fn parse_serve_config(args: &[String]) -> Result<sqlnf_serve::ServeConfig, CliEr
 
 /// `sqlnf serve`: run the TCP server until a client sends `SHUTDOWN`.
 /// Prints (and flushes) a `listening on <addr>` line immediately so
-/// scripts can wait for readiness.
-pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+/// scripts can wait for readiness. Returns the closing line and the
+/// store's final counters and spans (for `--stats`).
+pub fn cmd_serve(args: &[String]) -> Result<(String, ObsReport), CliError> {
     let config = parse_serve_config(args)?;
     let server = sqlnf_serve::Server::start(config)?;
     {
@@ -384,19 +387,16 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         let _ = out.flush();
     }
     server.wait_shutdown();
-    let store = server.store();
-    let admitted = store
-        .stats
-        .admitted
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let sessions = store
-        .stats
-        .sessions
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let store = Arc::clone(server.store());
     server.shutdown()?;
-    Ok(format!(
-        "server stopped ({sessions} sessions, {admitted} statements admitted)"
-    ))
+    let served = store.metrics().report();
+    let counter = |name: &str| served.counter(name).unwrap_or(0);
+    let text = format!(
+        "server stopped ({} sessions, {} statements admitted)",
+        counter("serve.sessions"),
+        counter("serve.stmt.admitted")
+    );
+    Ok((text, served))
 }
 
 /// `sqlnf client`: run a scripted session. Lines may mix SQL
@@ -516,25 +516,11 @@ fn top_frame(
             format!("{:.2}s", ns / 1e9)
         }
     };
+    // Every verb's span is exposed from server start; list the ones
+    // that have served a request.
+    verbs.retain(|_, &mut (count, _, _)| count > 0.0);
     let mut out = String::new();
     let mut counts = std::collections::BTreeMap::new();
-    if verbs.is_empty() {
-        // A server compiled without the obs feature has no span
-        // histograms; fall back to the store counters so `top` still
-        // shows something truthful.
-        let _ = writeln!(
-            out,
-            "(no per-verb histograms — server built without obs; store counters:)"
-        );
-        for s in samples {
-            if s.name == "sqlnf_store" {
-                if let Some(name) = s.label("name") {
-                    let _ = writeln!(out, "  {name} {}", s.value);
-                }
-            }
-        }
-        return (out, counts);
-    }
     let _ = writeln!(
         out,
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
@@ -747,10 +733,12 @@ fn parse_harness_args(
 
 /// `sqlnf harness`: run the seeded fault-injection + differential
 /// harness over one seed or a seed range. A failing seed aborts the
-/// sweep with a minimized, replayable `(seed, ops)` pair.
-pub fn cmd_harness(args: &[String]) -> Result<String, CliError> {
+/// sweep with a minimized, replayable `(seed, ops)` pair. Returns the
+/// summary and the runs' store counters and spans (for `--stats`).
+pub fn cmd_harness(args: &[String]) -> Result<(String, ObsReport), CliError> {
     let (seeds, base) = parse_harness_args(args)?;
     let mut out = String::new();
+    let mut served = ObsReport::default();
     let mut admitted = 0usize;
     let mut oracle_queries = 0usize;
     for seed in &seeds {
@@ -760,6 +748,7 @@ pub fn cmd_harness(args: &[String]) -> Result<String, CliError> {
         admitted += report.admitted;
         oracle_queries += report.minecheck.oracle_queries;
         let _ = writeln!(out, "{}", report.line());
+        served.absorb(report.served);
     }
     let _ = writeln!(
         out,
@@ -767,7 +756,7 @@ pub fn cmd_harness(args: &[String]) -> Result<String, CliError> {
         seeds.len(),
         if seeds.len() == 1 { "" } else { "s" },
     );
-    Ok(out)
+    Ok((out, served))
 }
 
 /// `sqlnf dataset`: emit one of the evaluation datasets as CSV.
@@ -908,8 +897,13 @@ pub fn split_obs_args(args: &[String]) -> Result<(Vec<String>, ObsOptions), CliE
 
 /// Dispatches the flag-free argv. The second component is an optional
 /// command payload merged into the `--stats-json` document (the profile
-/// subcommand exports its statistics there).
-fn dispatch(args: &[String], mine: &MineOptions) -> Result<(String, Option<JsonValue>), CliError> {
+/// subcommand exports its statistics there). A command that runs
+/// servers leaves their stores' counters and spans in `served`.
+fn dispatch(
+    args: &[String],
+    mine: &MineOptions,
+    served: &mut ObsReport,
+) -> Result<(String, Option<JsonValue>), CliError> {
     let read = |path: &str| -> Result<String, CliError> { Ok(std::fs::read_to_string(path)?) };
     let base_name = |path: &str| -> String {
         std::path::Path::new(path)
@@ -935,8 +929,14 @@ fn dispatch(args: &[String], mine: &MineOptions) -> Result<(String, Option<JsonV
                 .map_err(|_| CliError::Usage(format!("bad max_lhs {cap:?}\n\n{USAGE}")))?;
             Ok((cmd_mine(&read(file)?, &base_name(file), cap, mine)?, None))
         }
-        [cmd, rest @ ..] if cmd == "serve" => Ok((cmd_serve(rest)?, None)),
-        [cmd, rest @ ..] if cmd == "harness" => Ok((cmd_harness(rest)?, None)),
+        [cmd, rest @ ..] if cmd == "serve" || cmd == "harness" => {
+            let (text, report) = match cmd.as_str() {
+                "serve" => cmd_serve(rest)?,
+                _ => cmd_harness(rest)?,
+            };
+            *served = report;
+            Ok((text, None))
+        }
         [cmd, addr] if cmd == "client" => {
             let mut script = String::new();
             std::io::Read::read_to_string(&mut std::io::stdin(), &mut script)?;
@@ -984,11 +984,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         sqlnf_obs::reset();
     }
     sqlnf_obs::set_trace(obs.trace);
-    let outcome = dispatch(&rest, &mine);
+    let mut served = ObsReport::default();
+    let outcome = dispatch(&rest, &mine, &mut served);
     sqlnf_obs::set_trace(false);
     let (text, payload) = outcome?;
     if obs.wants_report() {
-        let report = sqlnf_obs::report();
+        let mut report = sqlnf_obs::report();
+        report.absorb(served);
         if obs.stats {
             if sqlnf_obs::ENABLED {
                 eprint!("{}", report.render());
@@ -1335,12 +1337,12 @@ QUIT
             .any(|s| s.name == "sqlnf_store" && s.label("name") == Some("stmt.admitted")));
         // One `top` frame over the same exposition.
         let frame = cmd_top(&addr, &["--samples".to_owned(), "1".to_owned()]).unwrap();
-        if sqlnf_obs::ENABLED {
-            assert!(frame.contains("verb"), "{frame}");
-            assert!(frame.contains("sql"), "{frame}");
-        } else {
-            assert!(frame.contains("store counters"), "{frame}");
-        }
+        assert!(frame.contains("verb"), "{frame}");
+        assert!(frame.contains("sql"), "{frame}");
+        assert!(
+            !frame.contains("closure"),
+            "unused verbs are not listed: {frame}"
+        );
         // Flag validation.
         assert!(matches!(
             cmd_top(&addr, &["--samples".to_owned(), "x".to_owned()]),

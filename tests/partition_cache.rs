@@ -130,7 +130,7 @@ fn miner_probe_cache_reuses_and_counters_are_separated() {
     );
 
     let builds = report
-        .counter("discovery.check.probe_index_builds")
+        .counter("discovery.check.probe_index.builds")
         .unwrap_or(0);
     let hits = report
         .counter("discovery.check.probe_index.hits")

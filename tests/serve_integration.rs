@@ -45,6 +45,7 @@ const STMTS: usize = 1_000;
 fn concurrent_sessions_never_admit_a_violation() {
     let dir = scratch_dir("load");
     let mut exported = String::new();
+    let mut served = sqlnf_obs::ObsReport::default();
     let mut record = sqlnf_bench::measure("serve_it_8x1000_wal", 1, || {
         let server = Server::start(ServeConfig {
             workers: CLIENTS,
@@ -112,15 +113,21 @@ fn concurrent_sessions_never_admit_a_violation() {
             .with_table("load", |t| t.data().len())
             .expect("table exists");
         assert_eq!(rows, admitted);
-        let stats = &store.stats;
-        assert_eq!(stats.admitted.load(Ordering::Relaxed), admitted as u64 + 1);
-        assert_eq!(stats.rejected.load(Ordering::Relaxed), rejected as u64);
-        assert_eq!(stats.sessions.load(Ordering::Relaxed), CLIENTS as u64 + 1);
+        let report = store.metrics().report();
+        let counter = |name: &str| report.counter(name).unwrap_or(0);
+        assert_eq!(counter("serve.stmt.admitted"), admitted as u64 + 1);
+        assert_eq!(counter("serve.stmt.rejected"), rejected as u64);
+        assert_eq!(counter("serve.sessions"), CLIENTS as u64 + 1);
         exported = store.export_script();
 
         // Simulated crash: no final snapshot, no fsync.
+        let store = std::sync::Arc::clone(store);
         server.kill();
+        served.absorb(store.metrics().report());
     });
+    // The serve counters live in the store's registry, not the global
+    // one `measure` snapshots.
+    record.obs.absorb(served);
 
     // Recovery must come from the WAL alone and reproduce the store.
     let reopened = Store::open(&dir, 0).expect("recover");
@@ -144,31 +151,27 @@ fn concurrent_sessions_never_admit_a_violation() {
     let doc = sqlnf_obs::json::parse(&text).expect("valid JSON");
     let entry = &doc.get("entries").and_then(|v| v.as_array()).unwrap()[0];
     assert!(entry.get("stmts_per_sec").is_some());
-    if sqlnf_obs::ENABLED {
-        let counter = |name: &str| {
-            entry
-                .get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(|v| v.as_u64())
-                .unwrap_or_else(|| panic!("counter {name} missing from {text}"))
-        };
-        assert_eq!(counter("serve.sessions"), CLIENTS as u64 + 1);
-        assert_eq!(
-            counter("serve.stmt.admitted"),
-            (CLIENTS * STMTS * 4 / 5) as u64 + 1
-        );
-        assert_eq!(counter("serve.stmt.rejected"), (CLIENTS * STMTS / 5) as u64);
-        assert!(counter("serve.wal.bytes") > 0);
-    }
+    let counter = |name: &str| {
+        entry
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("counter {name} missing from {text}"))
+    };
+    assert_eq!(counter("serve.sessions"), CLIENTS as u64 + 1);
+    assert_eq!(
+        counter("serve.stmt.admitted"),
+        (CLIENTS * STMTS * 4 / 5) as u64 + 1
+    );
+    assert_eq!(counter("serve.stmt.rejected"), (CLIENTS * STMTS / 5) as u64);
+    assert!(counter("serve.wal.bytes") > 0);
     let _ = std::fs::remove_dir_all(&out);
 }
 
 /// The observability verbs answer over the wire: `METRICS` renders a
 /// parseable exposition whose per-store gauges match this server's
-/// `STATS` and whose per-verb histograms have seen at least this
-/// session's statements (the histograms are process-global, so `>=`
-/// is the strongest in-process claim — the CI smoke checks exact
-/// equality against a fresh server process); `TRACE n` is bounded.
+/// `STATS` and whose per-verb histograms have seen exactly this
+/// session's requests; `TRACE n` is bounded.
 #[test]
 fn metrics_and_trace_over_the_wire() {
     let server = Server::start(ServeConfig::default()).expect("bind");
@@ -202,27 +205,85 @@ fn metrics_and_trace_over_the_wire() {
     assert_eq!(gauge("stmt.admitted"), stats["stmt.admitted"]);
     assert_eq!(gauge("stmt.admitted"), 11.0);
     assert_eq!(gauge("tables"), 1.0);
-    if sqlnf_obs::ENABLED {
-        // Per-verb latency histograms: this session alone contributed
-        // eleven SQL statements and one STATS.
-        let span_count = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.name == "sqlnf_span_count" && s.label("name") == Some(name))
-                .map(|s| s.value)
-                .unwrap_or(0.0)
-        };
-        assert!(span_count("serve.verb.sql") >= 11.0);
-        assert!(span_count("serve.verb.stats") >= 1.0);
-        // The slow-request log carries at least one total breakdown.
-        assert!(samples
+    // Per-verb latency histograms: this session alone contributed
+    // eleven SQL statements and one STATS.
+    let span_count = |name: &str| {
+        samples
             .iter()
-            .any(|s| s.name == "sqlnf_slow_request_ns" && s.label("stage") == Some("total")));
+            .find(|s| s.name == "sqlnf_span_count" && s.label("name") == Some(name))
+            .map(|s| s.value)
+            .unwrap_or(0.0)
+    };
+    assert_eq!(span_count("serve.verb.sql"), 11.0);
+    assert_eq!(span_count("serve.verb.stats"), 1.0);
+    // The slow-request log carries at least one total breakdown.
+    assert!(samples
+        .iter()
+        .any(|s| s.name == "sqlnf_slow_request_ns" && s.label("stage") == Some("total")));
+    if sqlnf_obs::ENABLED {
         let trace = c.trace(8).expect("trace");
         assert!(trace.len() <= 8 && !trace.is_empty(), "{trace:?}");
     }
     c.quit().expect("quit");
     server.shutdown().expect("graceful shutdown");
+}
+
+/// Two servers in one process keep separate books: each store owns its
+/// counters and spans, so a server's `METRICS` reports exactly its own
+/// workload however much the other one (or any other test in this
+/// binary) serves at the same time.
+#[test]
+fn two_servers_in_one_process_report_only_their_own_work() {
+    const WORK: [usize; 2] = [60, 35];
+    let servers: Vec<Server> = WORK
+        .iter()
+        .map(|_| Server::start(ServeConfig::default()).expect("bind"))
+        .collect();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(WORK.len()));
+    let drivers: Vec<_> = servers
+        .iter()
+        .zip(WORK)
+        .map(|(server, n)| {
+            let addr = server.local_addr();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                c.expect_ok(DDL).expect("ddl");
+                start.wait();
+                for id in 0..n as i64 {
+                    let g = id / 4;
+                    c.expect_ok(&format!(
+                        "INSERT INTO load VALUES ({id}, {g}, {});",
+                        g * 7 % 101
+                    ))
+                    .expect("insert");
+                }
+                c.quit().expect("quit");
+            })
+        })
+        .collect();
+    for d in drivers {
+        d.join().expect("driver");
+    }
+    for (server, n) in servers.into_iter().zip(WORK) {
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        let samples = sqlnf_serve::parse_exposition(&c.metrics().expect("metrics"))
+            .expect("exposition parses");
+        let sample = |family: &str, name: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == family && s.label("name") == Some(name))
+                .unwrap_or_else(|| panic!("missing {family}{{name={name:?}}}"))
+                .value
+        };
+        // The DDL plus n inserts; the driver's session plus this one.
+        let statements = (n + 1) as f64;
+        assert_eq!(sample("sqlnf_counter", "serve.stmt.admitted"), statements);
+        assert_eq!(sample("sqlnf_counter", "serve.sessions"), 2.0);
+        assert_eq!(sample("sqlnf_span_count", "serve.verb.sql"), statements);
+        c.quit().expect("quit");
+        server.shutdown().expect("graceful shutdown");
+    }
 }
 
 /// Graceful shutdown writes a snapshot; a restart from snapshot + WAL

@@ -219,14 +219,17 @@ fn watch_verbs_are_counted_in_metrics() {
     let (_, _) = c.unwatch().unwrap();
     let text = c.metrics().unwrap();
     let samples = sqlnf_serve::parse_exposition(&text).expect("exposition parses");
+    // Every verb's span is exposed from server start, so presence alone
+    // proves nothing: this session served exactly one of each.
     for verb in ["watch", "unwatch"] {
-        assert!(
-            samples.iter().any(|s| {
+        let count = samples
+            .iter()
+            .find(|s| {
                 s.name == "sqlnf_span_count"
                     && s.label("name") == Some(&format!("serve.verb.{verb}"))
-            }),
-            "no span sample for {verb}"
-        );
+            })
+            .map(|s| s.value);
+        assert_eq!(count, Some(1.0), "span count for {verb}");
     }
     c.quit().unwrap();
     server.shutdown().unwrap();
