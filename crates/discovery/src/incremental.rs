@@ -10,6 +10,16 @@
 //! `MINE` after `k` admissions costs `O(k · touched candidates)` row
 //! work instead of a full lattice re-run.
 //!
+//! ## State
+//!
+//! The instance is one [`Table`] — rows and their dictionary codes in
+//! lockstep under `push` / `set_value` / `remove_row` — plus an
+//! ascending [`RowId`] per row, so a verdict's witness pair survives
+//! other rows' deletions. Every mine call borrows the table's columns
+//! as a transient `O(arity)` [`Encoded`] snapshot; per-column posting
+//! lists (code → ascending rows) are extended in place per insert and
+//! rebuilt from the codes after an update or delete.
+//!
 //! ## Delta algebra
 //!
 //! Per delta we record three monotone marks: the epoch of the last
@@ -21,11 +31,11 @@
 //!   Deletions never break a holding FD/key — removing rows removes
 //!   violating pairs only.
 //! * **Refuted** `X → A` with witness pair `(r, s)`: still refuted iff
-//!   the two rows are live and *still violate by value* — a single
-//!   violating pair refutes regardless of every other row, so the
-//!   witness re-check is `O(|X|)` value comparisons, no scan. (This is
-//!   also why slot reuse would be sound: the check is semantic, not
-//!   identity-based.) Inserts can never un-refute.
+//!   the two rows are live and *still violate* — a single violating
+//!   pair refutes regardless of every other row, so the witness
+//!   re-check is `O(|X|)` code comparisons (code 0 is ⊥; within one
+//!   table code equality is value equality), no scan. Inserts can
+//!   never un-refute.
 //!
 //! Everything else (classification into nn/p/c/t/λ, key mining,
 //! projection ratios) replays the *exact* enumeration of the
@@ -33,7 +43,7 @@
 //! bookkeeping, same checks on the cache misses — so the output is
 //! byte-identical to [`mine_report`] by construction, not by accident.
 //! The `incremental_matches_scratch` differential property pins this
-//! across all three semantics, random DML, and thread counts.
+//! across all four semantics, random DML, and thread counts.
 //!
 //! ## Reconcile policy
 //!
@@ -42,6 +52,8 @@
 //! from-scratch pipeline and asserts equivalence (panicking on any
 //! divergence), then resets the counter. `discovery.incr.reconciles`
 //! counts these audits.
+//!
+//! [`mine_report`]: crate::classify::mine_report
 
 use crate::cache::PartitionCtx;
 use crate::check::{fd_targets_holding_cached, is_pkey, null_semantics, ProbeCache, Semantics};
@@ -50,35 +62,15 @@ use crate::keys::MinedKeys;
 use crate::mine::{k_subsets, MinedFd};
 use crate::partition::{Encoded, NullSemantics, Partition};
 use sqlnf_model::attrs::{Attr, AttrSet};
-use sqlnf_model::column::ColumnStore;
 use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
 use sqlnf_model::tuple::Tuple;
-use sqlnf_model::value::Value;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-/// Stable identifier of a row slot; never invalidated by other rows'
-/// deletions (the slot array is tombstoned, not compacted).
+/// Stable identifier of a row; never invalidated by other rows'
+/// deletions.
 pub type RowId = usize;
-
-/// One row-level mutation of the maintained instance.
-#[derive(Debug, Clone)]
-pub enum Delta {
-    /// Append a new row.
-    Insert(Tuple),
-    /// Replace the row in `row` with `tuple`.
-    Update {
-        /// Slot to overwrite (must be live).
-        row: RowId,
-        /// The replacement tuple.
-        tuple: Tuple,
-    },
-    /// Remove the row in `row`.
-    Delete {
-        /// Slot to tombstone (must be live).
-        row: RowId,
-    },
-}
 
 /// A cached yes/no verdict about one candidate attribute set.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +99,18 @@ struct KeyVerdict {
     c: Option<Verdict>,
 }
 
+/// Every verdict memo of one maintained instance.
+#[derive(Debug, Default)]
+struct Caches {
+    /// FD verdicts per semantics (Classical/Possible/Certain/Weak).
+    fd: [HashMap<AttrSet, FdVerdict>; 4],
+    key: HashMap<AttrSet, KeyVerdict>,
+    /// `X →_w X` (totality) verdicts, for the t-FD classification.
+    refl: HashMap<AttrSet, Verdict>,
+    /// Projection-ratio memo: value + epoch it was computed at.
+    ratio: HashMap<AttrSet, (f64, u64)>,
+}
+
 /// Snapshot of the delta marks a replay validates against.
 struct Marks<'a> {
     insert: u64,
@@ -132,40 +136,6 @@ impl Marks<'_> {
     }
 }
 
-/// rustc-style multiplicative hasher for the hot code maps (postings
-/// and delta groups): the keys are short `u32`s / code vectors, where
-/// SipHash's DoS resistance buys nothing and costs most of each probe.
-#[derive(Default, Clone)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
-
 fn sem_index(sem: Semantics) -> usize {
     match sem {
         Semantics::Classical => 0,
@@ -175,128 +145,103 @@ fn sem_index(sem: Semantics) -> usize {
     }
 }
 
-fn strongly_similar(a: &Value, b: &Value) -> bool {
-    !a.is_null() && !b.is_null() && a == b
+/// Per column: code → ascending rows carrying it (code 0 = the
+/// column's ⊥ rows).
+type Postings = Vec<Vec<Vec<usize>>>;
+
+/// The position of stable id `id` in the ascending `ids`, if live.
+/// Ids are handed out densely and only deletes open gaps, so without
+/// deletes id `i` sits at position `i`: one probe, no search.
+fn row_of(ids: &[RowId], id: RowId) -> Option<usize> {
+    if ids.get(id) == Some(&id) {
+        return Some(id);
+    }
+    ids.binary_search(&id).ok()
 }
 
-fn weakly_similar(a: &Value, b: &Value) -> bool {
-    a.is_null() || b.is_null() || a == b
+fn postings_of(enc: &Encoded, arity: usize) -> Postings {
+    (0..arity)
+        .map(Attr::from)
+        .map(|a| {
+            let mut lists = vec![Vec::new(); enc.dict_size(a) as usize + 1];
+            for (row, &code) in enc.column(a).iter().enumerate() {
+                lists[code as usize].push(row);
+            }
+            lists
+        })
+        .collect()
 }
 
 /// Incrementally-maintained discovery state for one table.
 ///
-/// Feed it the same row stream the table sees ([`IncrementalMiner::
-/// apply`]); ask for mined FDs, keys or the full `MINE` report at any
-/// point. Reports are byte-identical to [`mine_report`] over the
-/// current rows.
+/// Feed it the same row stream the table sees ([`insert`],
+/// [`update`], [`delete`]); ask for mined FDs, keys or the full `MINE`
+/// report at any point. Reports are byte-identical to [`mine_report`]
+/// over the current rows.
+///
+/// [`insert`]: IncrementalMiner::insert
+/// [`update`]: IncrementalMiner::update
+/// [`delete`]: IncrementalMiner::delete
+/// [`mine_report`]: crate::classify::mine_report
 pub struct IncrementalMiner {
-    schema: TableSchema,
-    /// Tombstoned row slots; `None` = deleted. Stable [`RowId`]s index
-    /// into this.
-    slots: Vec<Option<Tuple>>,
-    live: usize,
+    /// The live rows and their dictionary codes.
+    table: Table,
+    /// `ids[i]` is the stable id of table row `i`; strictly ascending.
+    ids: Vec<RowId>,
+    next_id: RowId,
     /// Monotone delta counter; bumped once per applied delta.
     epoch: u64,
     last_insert: u64,
     last_delete: u64,
     /// Per column: epoch of the last update that changed it.
     col_updated: Vec<u64>,
-    /// Verdict caches per semantics
-    /// (Classical/Possible/Certain/Weak).
-    fd_cache: [HashMap<AttrSet, FdVerdict>; 4],
-    key_cache: HashMap<AttrSet, KeyVerdict>,
-    /// `X →_w X` (totality) verdicts, for the t-FD classification.
-    refl_cache: HashMap<AttrSet, Verdict>,
-    /// Projection-ratio memo: value + epoch it was computed at.
-    ratio_cache: HashMap<AttrSet, (f64, u64)>,
-    /// Warm dense view of the live rows (dictionary encoding + stable
-    /// slot ids), extended in `O(arity)` per insert, dropped on
-    /// update/delete and rebuilt lazily at the next mine. Without it
-    /// every mine call pays an `O(rows × arity)` clone + re-encode of
-    /// the whole instance — a wall-clock floor that would swallow the
-    /// savings of the verdict cache.
-    dense: Option<DenseView>,
-    /// `(epoch, slot)` of every insert, ascending in both — the rows a
+    caches: Caches,
+    /// Posting lists over the table rows, kept warm across inserts and
+    /// dropped on update/delete (row indices shift or codes move). The
+    /// delta re-validation sweeps scan only the sparsest matching list
+    /// instead of the whole instance.
+    postings: Option<Postings>,
+    /// `(epoch, id)` of every insert, ascending in both — the rows a
     /// verdict from epoch `e` has never seen are exactly the live
-    /// entries after the `partition_point` of `e`. One entry per
-    /// insert ever, matching the tombstoned `slots` growth.
+    /// entries after the `partition_point` of `e`.
     insert_log: Vec<(u64, RowId)>,
     deltas_since_reconcile: u64,
     reconcile_every: Option<u64>,
 }
 
-/// See [`IncrementalMiner::dense`]. Store row `i` is the live row in
-/// slot `stable[i]`; the order is exactly [`IncrementalMiner::table`]'s
-/// row order, and the store is append-only between rebuilds, so its
-/// first-appearance codes are byte-identical to a fresh
-/// [`Encoded::new`] over that table.
-///
-/// The view owns a [`ColumnStore`] rather than a long-lived
-/// [`Encoded`]: mine calls take a *transient* snapshot and drop it
-/// before returning, so the next insert's `push` finds the column
-/// `Arc`s unshared and extends them in place (`O(arity)`). Holding the
-/// snapshot across inserts would instead force a copy-on-write column
-/// clone per push.
-struct DenseView {
-    store: ColumnStore,
-    stable: Vec<RowId>,
-    /// Per column: code → ascending dense rows carrying it (code 0 =
-    /// the column's ⊥ rows). The delta re-validation sweeps scan only
-    /// the sparsest matching list instead of the whole view.
-    postings: Vec<FastMap<u32, Vec<usize>>>,
-}
-
-impl DenseView {
-    fn build(store: ColumnStore, stable: Vec<RowId>) -> Self {
-        let mut postings: Vec<FastMap<u32, Vec<usize>>> = vec![FastMap::default(); store.arity()];
-        for row in 0..store.rows() {
-            for (ci, p) in postings.iter_mut().enumerate() {
-                p.entry(store.code_at(row, ci)).or_default().push(row);
-            }
-        }
-        DenseView {
-            store,
-            stable,
-            postings,
-        }
-    }
-
-    /// A transient `O(arity)` encoding snapshot for one mine call.
-    fn encode(&self) -> Encoded {
-        Encoded::from_snapshot(self.store.snapshot())
-    }
-}
-
 impl IncrementalMiner {
     /// An empty maintained instance over `schema`.
     pub fn new(schema: TableSchema) -> IncrementalMiner {
-        let arity = schema.arity();
-        IncrementalMiner {
-            schema,
-            slots: Vec::new(),
-            live: 0,
-            epoch: 0,
-            last_insert: 0,
-            last_delete: 0,
-            col_updated: vec![0; arity],
-            fd_cache: Default::default(),
-            key_cache: HashMap::new(),
-            refl_cache: HashMap::new(),
-            ratio_cache: HashMap::new(),
-            dense: None,
-            insert_log: Vec::new(),
-            deltas_since_reconcile: 0,
-            reconcile_every: None,
-        }
+        IncrementalMiner::seeded(Table::new(schema))
     }
 
     /// Seeds the maintained instance from an existing table; rows get
     /// [`RowId`]s `0..len` in table order.
     pub fn from_table(table: &Table) -> IncrementalMiner {
-        let mut m = IncrementalMiner::new(table.schema().clone());
-        m.slots.extend(table.rows().iter().cloned().map(Some));
-        m.live = m.slots.len();
-        m
+        IncrementalMiner::seeded(table.clone())
+    }
+
+    /// [`from_table`](Self::from_table) over rows not yet in a table.
+    pub fn from_rows(schema: TableSchema, rows: impl IntoIterator<Item = Tuple>) -> Self {
+        IncrementalMiner::seeded(Table::from_rows(schema, rows))
+    }
+
+    fn seeded(table: Table) -> IncrementalMiner {
+        let (rows, arity) = (table.len(), table.schema().arity());
+        IncrementalMiner {
+            table,
+            ids: (0..rows).collect(),
+            next_id: rows,
+            epoch: 0,
+            last_insert: 0,
+            last_delete: 0,
+            col_updated: vec![0; arity],
+            caches: Caches::default(),
+            postings: None,
+            insert_log: Vec::new(),
+            deltas_since_reconcile: 0,
+            reconcile_every: None,
+        }
     }
 
     /// Arms the reconcile threshold: after `every` deltas the next
@@ -308,17 +253,17 @@ impl IncrementalMiner {
 
     /// The schema of the maintained instance.
     pub fn schema(&self) -> &TableSchema {
-        &self.schema
+        self.table.schema()
     }
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.table.len()
     }
 
     /// Whether no live rows remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.table.is_empty()
     }
 
     /// Deltas applied since construction.
@@ -326,12 +271,12 @@ impl IncrementalMiner {
         self.epoch
     }
 
-    /// The live rows as a [`Table`], in stable slot order. This is what
-    /// every report mines; its row multiset always equals the table the
+    /// A copy of the live rows, in [`RowId`] order. This is what every
+    /// report mines; its row multiset always equals the table the
     /// deltas were mirrored from (row *order* is irrelevant to every
     /// mined artifact).
     pub fn table(&self) -> Table {
-        Table::from_rows(self.schema.clone(), self.slots.iter().flatten().cloned())
+        self.table.clone()
     }
 
     /// Appends a row, returning its stable id.
@@ -339,72 +284,58 @@ impl IncrementalMiner {
         let _apply = sqlnf_obs::span!("discovery.incr.apply");
         self.begin_delta();
         self.last_insert = self.epoch;
-        if let Some(dense) = self.dense.as_mut() {
-            dense.store.push(&tuple);
-            let row = dense.store.rows() - 1;
-            for (ci, p) in dense.postings.iter_mut().enumerate() {
-                p.entry(dense.store.code_at(row, ci)).or_default().push(row);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.table.push(tuple);
+        let row = self.table.len() - 1;
+        if let Some(postings) = self.postings.as_mut() {
+            for (ci, lists) in postings.iter_mut().enumerate() {
+                let code = self.table.code_at(row, Attr::from(ci)) as usize;
+                if code >= lists.len() {
+                    lists.resize_with(code + 1, Vec::new);
+                }
+                lists[code].push(row);
             }
-            dense.stable.push(self.slots.len());
         }
-        self.insert_log.push((self.epoch, self.slots.len()));
-        self.slots.push(Some(tuple));
-        self.live += 1;
-        self.slots.len() - 1
+        self.ids.push(id);
+        self.insert_log.push((self.epoch, id));
+        id
     }
 
     /// Replaces a live row; returns `false` (and applies nothing) if
-    /// the slot is dead or out of range. Only columns whose value
-    /// actually changed are marked dirty.
-    pub fn update(&mut self, row: RowId, tuple: Tuple) -> bool {
+    /// the id is dead or unknown. Only columns whose value actually
+    /// changed are marked dirty.
+    pub fn update(&mut self, id: RowId, tuple: Tuple) -> bool {
         let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        let Some(Some(old)) = self.slots.get(row) else {
+        let Some(row) = row_of(&self.ids, id) else {
             return false;
         };
-        let changed: AttrSet = (0..self.schema.arity())
+        let old = &self.table.rows()[row];
+        let changed: AttrSet = (0..self.schema().arity())
             .map(Attr::from)
             .filter(|&a| old.get(a) != tuple.get(a))
             .collect();
         self.begin_delta();
-        let epoch = self.epoch;
         for a in changed {
-            self.col_updated[a.index()] = epoch;
+            self.col_updated[a.index()] = self.epoch;
+            self.table.set_value(row, a, tuple.get(a).clone());
+            self.postings = None;
         }
-        self.slots[row] = Some(tuple);
-        self.dense = None;
         true
     }
 
-    /// Tombstones a live row; returns `false` if it was not live.
-    pub fn delete(&mut self, row: RowId) -> bool {
+    /// Removes a live row; returns `false` if it was not live.
+    pub fn delete(&mut self, id: RowId) -> bool {
         let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        match self.slots.get_mut(row) {
-            Some(slot) if slot.is_some() => {
-                *slot = None;
-                self.live -= 1;
-                self.dense = None;
-                self.begin_delta();
-                self.last_delete = self.epoch;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Applies one [`Delta`]; returns the inserted row's id for
-    /// inserts.
-    pub fn apply(&mut self, delta: Delta) -> Option<RowId> {
-        match delta {
-            Delta::Insert(t) => Some(self.insert(t)),
-            Delta::Update { row, tuple } => {
-                self.update(row, tuple);
-                None
-            }
-            Delta::Delete { row } => {
-                self.delete(row);
-                None
-            }
-        }
+        let Some(row) = row_of(&self.ids, id) else {
+            return false;
+        };
+        self.table.remove_row(row);
+        self.ids.remove(row);
+        self.postings = None;
+        self.begin_delta();
+        self.last_delete = self.epoch;
+        true
     }
 
     fn begin_delta(&mut self) {
@@ -413,125 +344,291 @@ impl IncrementalMiner {
         self.deltas_since_reconcile += 1;
     }
 
-    /// Whether the witness pair still violates `X → A` (rows live and
-    /// similar on `X` per `sem`, unequal on `a`). Purely semantic: any
-    /// live violating pair refutes, whatever its history.
-    fn pair_violates_fd(
-        slots: &[Option<Tuple>],
-        r: RowId,
-        s: RowId,
-        x: AttrSet,
-        a: Attr,
-        sem: Semantics,
-    ) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
+    /// Runs one replay over a transient snapshot of the table: builds
+    /// the postings if a delta dropped them, hands `run` the per-call
+    /// state, the verdict caches and the rows, and charges the
+    /// candidates it touched. The snapshot is dropped before
+    /// returning, so the next insert finds the table's columns
+    /// unshared and extends them in place.
+    fn with_pass<T>(
+        &mut self,
+        nulls: NullSemantics,
+        cache_budget: usize,
+        run: impl FnOnce(&mut Pass<'_>, &mut Caches, &Table) -> T,
+    ) -> T {
+        let enc = Encoded::new(&self.table);
+        let arity = self.table.schema().arity();
+        let postings = self
+            .postings
+            .get_or_insert_with(|| postings_of(&enc, arity));
+        let mut pass = Pass {
+            enc: &enc,
+            ctx: PartitionCtx::with_budget(&enc, nulls, cache_budget),
+            probes: ProbeCache::new(&enc),
+            arity,
+            ids: &self.ids,
+            log: &self.insert_log,
+            postings,
+            marks: Marks {
+                insert: self.last_insert,
+                delete: self.last_delete,
+                cols: &self.col_updated,
+            },
+            now: self.epoch,
+            delta_memo: None,
+            touched: 0,
         };
-        if !Self::pair_similar(tr, ts, x, sem) {
-            return false;
+        let out = run(&mut pass, &mut self.caches, &self.table);
+        sqlnf_obs::count!("discovery.incr.candidates_touched", pass.touched);
+        let frontier: usize = self.caches.fd.iter().map(HashMap::len).sum::<usize>()
+            + self.caches.key.len()
+            + self.caches.refl.len();
+        sqlnf_obs::count_max!("discovery.incr.frontier_size", frontier);
+        out
+    }
+
+    /// Mines the minimal FDs under `sem`, replaying the lattice against
+    /// the verdict cache. Byte-identical (content and order) to
+    /// `mine_fds` over [`IncrementalMiner::table`].
+    pub fn mine_fds(
+        &mut self,
+        sem: Semantics,
+        max_lhs: usize,
+        cache_budget: usize,
+    ) -> Vec<MinedFd> {
+        self.with_pass(null_semantics(sem), cache_budget, |pass, caches, _| {
+            pass.replay_fds(&mut caches.fd[sem_index(sem)], sem, max_lhs)
+        })
+    }
+
+    /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
+    /// over [`IncrementalMiner::table`].
+    pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
+        self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches, _| {
+            pass.replay_keys(&mut caches.key, max_size)
+        })
+    }
+
+    /// The classification + keys backing one `MINE` report — the
+    /// incremental mirror of `classify_table_budgeted` +
+    /// `mine_keys_budgeted`.
+    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
+        self.with_pass(
+            NullSemantics::Strong,
+            cache_budget,
+            |pass, caches, table| {
+                let null_free = pass.enc.null_free_columns();
+                let possible = pass.replay_fds(
+                    &mut caches.fd[sem_index(Semantics::Possible)],
+                    Semantics::Possible,
+                    max_lhs,
+                );
+                let certain = pass.replay_fds(
+                    &mut caches.fd[sem_index(Semantics::Certain)],
+                    Semantics::Certain,
+                    max_lhs,
+                );
+                let mut out = Classification::default();
+                for fd in possible {
+                    if fd.lhs.is_subset(null_free) {
+                        if !pass.key_status(&mut caches.key, fd.lhs).1 {
+                            let ratio = pass.ratio(&mut caches.ratio, table, fd.lhs | fd.rhs);
+                            out.nn_nonkey_ratios.push(ratio);
+                        }
+                        out.nn_fds.push(fd);
+                    } else {
+                        out.p_fds.push(fd);
+                    }
+                }
+                for fd in certain {
+                    if fd.lhs.is_subset(null_free) {
+                        continue; // coincides with an nn-FD; counted there
+                    }
+                    if pass.reflexive(&mut caches.refl, fd.lhs) {
+                        out.t_fds.push(fd.clone());
+                        let ckey = pass.key_status(&mut caches.key, fd.lhs).1;
+                        if !fd.rhs.is_empty() && !ckey {
+                            out.lambda_fds.push(LambdaFd {
+                                lhs: fd.lhs,
+                                rhs: fd.rhs,
+                                relative_projection_size: pass.ratio(
+                                    &mut caches.ratio,
+                                    table,
+                                    fd.lhs | fd.rhs,
+                                ),
+                            });
+                        }
+                    }
+                    out.c_fds.push(fd);
+                }
+                let keys = pass.replay_keys(&mut caches.key, max_lhs);
+                (out, keys)
+            },
+        )
+    }
+
+    /// The `MINE` report over the live rows, byte-identical to
+    /// [`mine_report`](crate::classify::mine_report) over
+    /// [`IncrementalMiner::table`]. When the reconcile threshold is
+    /// armed and tripped, also runs the full from-scratch pipeline and
+    /// asserts equivalence.
+    pub fn report(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
+        let due = self
+            .reconcile_every
+            .is_some_and(|n| self.deltas_since_reconcile >= n);
+        if due {
+            return self.reconcile(name, max_lhs, cache_budget);
         }
-        match sem {
-            // A weak violation needs a conflict no completion can fix:
-            // both values present and distinct (a ⊥ is filled with the
-            // partner's value).
-            Semantics::Weak => {
-                let (va, vb) = (tr.get(a), ts.get(a));
-                !va.is_null() && !vb.is_null() && va != vb
+        let (cls, keys) = self.classify(max_lhs, cache_budget);
+        render_report(name, self.len(), self.schema(), max_lhs, &cls, &keys)
+    }
+
+    /// Full-pipeline audit: runs both the incremental replay and the
+    /// from-scratch mine, asserts they render the same report, resets
+    /// the reconcile counter, and returns the report. Panics on any
+    /// divergence — an incremental-state bug must never ship a wrong
+    /// answer silently.
+    pub fn reconcile(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
+        sqlnf_obs::count!("discovery.incr.reconciles");
+        let (cls, keys) = self.classify(max_lhs, cache_budget);
+        let incr = render_report(name, self.len(), self.schema(), max_lhs, &cls, &keys);
+        let full = crate::classify::mine_report(name, &self.table, max_lhs, cache_budget);
+        assert_eq!(
+            incr, full,
+            "incremental reconcile mismatch on {name} after {} deltas",
+            self.epoch
+        );
+        self.deltas_since_reconcile = 0;
+        incr
+    }
+}
+
+/// The state of one replay: the snapshot and every structure the
+/// verdict checks consult, plus the running per-call counters. Rows
+/// are table rows of the snapshot; witnesses are stored as [`RowId`]s.
+struct Pass<'a> {
+    enc: &'a Encoded,
+    ctx: PartitionCtx<'a>,
+    probes: ProbeCache,
+    arity: usize,
+    ids: &'a [RowId],
+    log: &'a [(u64, RowId)],
+    postings: &'a Postings,
+    marks: Marks<'a>,
+    /// The epoch fresh verdicts are stamped with.
+    now: u64,
+    /// The rows inserted after some epoch, for the last epoch asked:
+    /// within one replay most stale verdicts share the epoch of the
+    /// previous mine, so the set is computed once, not per candidate.
+    delta_memo: Option<(u64, Rc<[usize]>)>,
+    /// Candidates that needed row work (`discovery.incr.candidates_touched`).
+    touched: usize,
+}
+
+impl Pass<'_> {
+    /// The rows (ascending) inserted after `since` and still live —
+    /// the only rows that can carry a pair unseen by a verdict stamped
+    /// at `since`.
+    fn delta_since(&mut self, since: u64) -> Rc<[usize]> {
+        match &self.delta_memo {
+            Some((at, rows)) if *at == since => Rc::clone(rows),
+            _ => {
+                let start = self.log.partition_point(|&(e, _)| e <= since);
+                let rows: Rc<[usize]> = self.log[start..]
+                    .iter()
+                    .filter_map(|&(_, id)| row_of(self.ids, id))
+                    .collect();
+                self.delta_memo = Some((since, Rc::clone(&rows)));
+                rows
             }
-            _ => tr.get(a) != ts.get(a),
         }
     }
 
-    /// LHS-similarity of two live tuples under the mining semantics:
+    /// The table rows of a witness pair, if both are still live.
+    fn live_pair(&self, r: RowId, s: RowId) -> Option<(usize, usize)> {
+        Some((row_of(self.ids, r)?, row_of(self.ids, s)?))
+    }
+
+    /// LHS-similarity of two rows under the mining semantics:
     /// syntactic equality (⊥ = ⊥) classically, strong similarity for
-    /// possible FDs, weak similarity for certain FDs. Weak FDs only
-    /// ever constrain `X`-total pairs (an `X`-incomplete row is
-    /// completed apart with fresh values), so their pair notion is
-    /// strong similarity too.
-    fn pair_similar(tr: &Tuple, ts: &Tuple, x: AttrSet, sem: Semantics) -> bool {
-        x.iter().all(|c| match sem {
-            Semantics::Classical => tr.get(c) == ts.get(c),
-            Semantics::Possible | Semantics::Weak => strongly_similar(tr.get(c), ts.get(c)),
-            Semantics::Certain => weakly_similar(tr.get(c), ts.get(c)),
-        })
+    /// possible FDs and p-keys, weak similarity for certain FDs and
+    /// c-keys. Weak FDs only ever constrain `X`-total pairs (an
+    /// `X`-incomplete row is completed apart with fresh values), so
+    /// their pair notion is strong similarity too.
+    fn similar(&self, r: usize, s: usize, x: AttrSet, sem: Semantics) -> bool {
+        let e = self.enc;
+        match sem {
+            Semantics::Classical => e.equal_on(r, s, x),
+            Semantics::Possible | Semantics::Weak => e.is_total_on(r, x) && e.equal_on(r, s, x),
+            Semantics::Certain => e.weakly_similar(r, s, x),
+        }
+    }
+
+    /// Whether the witness pair still violates `X → A` (rows live and
+    /// similar on `X` per `sem`, unequal on `a`). Purely semantic: any
+    /// live violating pair refutes, whatever its history.
+    fn pair_violates_fd(&self, r: RowId, s: RowId, x: AttrSet, a: Attr, sem: Semantics) -> bool {
+        let Some((r, s)) = self.live_pair(r, s) else {
+            return false;
+        };
+        let (ca, cb) = (self.enc.code(r, a), self.enc.code(s, a));
+        self.similar(r, s, x, sem)
+            && match sem {
+                // A weak violation needs a conflict no completion can
+                // fix: both values present and distinct (a ⊥ is filled
+                // with the partner's value).
+                Semantics::Weak => ca != 0 && cb != 0 && ca != cb,
+                _ => ca != cb,
+            }
     }
 
     /// Whether a witness pair still refutes `X` as a key: possible keys
     /// fall to a strongly-similar pair, certain keys to a weakly-similar
     /// one.
-    fn pair_violates_key(
-        slots: &[Option<Tuple>],
-        r: RowId,
-        s: RowId,
-        x: AttrSet,
-        certain: bool,
-    ) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
-        };
-        x.iter().all(|c| {
-            if certain {
-                weakly_similar(tr.get(c), ts.get(c))
-            } else {
-                strongly_similar(tr.get(c), ts.get(c))
-            }
-        })
+    fn pair_violates_key(&self, r: RowId, s: RowId, x: AttrSet, sem: Semantics) -> bool {
+        self.live_pair(r, s)
+            .is_some_and(|(r, s)| self.similar(r, s, x, sem))
     }
 
     /// Whether a witness pair still refutes totality `X →_w X`: weakly
     /// similar on `X` but not syntactically equal on it.
-    fn pair_violates_reflexive(slots: &[Option<Tuple>], r: RowId, s: RowId, x: AttrSet) -> bool {
-        let (Some(Some(tr)), Some(Some(ts))) = (slots.get(r), slots.get(s)) else {
-            return false;
-        };
-        x.iter().all(|c| weakly_similar(tr.get(c), ts.get(c)))
-            && x.iter().any(|c| tr.get(c) != ts.get(c))
+    fn pair_violates_reflexive(&self, r: RowId, s: RowId, x: AttrSet) -> bool {
+        self.live_pair(r, s)
+            .is_some_and(|(r, s)| self.enc.weakly_similar(r, s, x) && !self.enc.equal_on(r, s, x))
     }
 
     /// Finds a violating pair for each refuted target of `x` — the
     /// witnesses the next replay validates instead of re-scanning. Every
     /// requested target is guaranteed a witness (the check just refuted
     /// it over the same data).
-    #[allow(clippy::too_many_arguments)]
     fn find_fd_witnesses(
-        enc: &Encoded,
-        probes: &ProbeCache,
-        stable: &[RowId],
+        &self,
         x: AttrSet,
         p: &Partition,
         mut want: AttrSet,
         sem: Semantics,
         out: &mut Vec<(Attr, RowId, RowId)>,
     ) {
+        let (enc, ids) = (self.enc, self.ids);
         if sem == Semantics::Weak {
             // The witness must be a *non-null* disagreement: comparing
             // against the class head would hand out a pair a completion
             // could repair (the head may carry ⊥ on the target), so
             // track the first non-null code per target instead.
-            'weak_classes: for class in &p.classes {
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    let mut seen: Option<usize> = None;
-                    for &r in class {
-                        let r = r as usize;
-                        let c = enc.code(r, a);
-                        if c == 0 {
-                            continue;
-                        }
-                        match seen {
-                            None => seen = Some(r),
-                            Some(f) if enc.code(f, a) != c => {
-                                out.push((a, stable[f], stable[r]));
-                                got.insert(a);
-                                break;
-                            }
-                            Some(_) => {}
-                        }
+            let mut tracked: Vec<(Attr, Option<usize>)> = Vec::new();
+            for class in &p.classes {
+                tracked.clear();
+                tracked.extend(want.iter().map(|a| (a, None)));
+                let mut dead = AttrSet::EMPTY;
+                for &r in class {
+                    self.weak_note_row(r as usize, &mut tracked, &mut dead, out);
+                    if dead == want {
+                        break;
                     }
                 }
-                want = want - got;
+                want = want - dead;
                 if want.is_empty() {
-                    break 'weak_classes;
+                    break;
                 }
             }
             debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
@@ -544,7 +641,7 @@ impl IncrementalMiner {
                 let mut got = AttrSet::EMPTY;
                 for a in want {
                     if enc.code(r, a) != enc.code(first, a) {
-                        out.push((a, stable[first], stable[r]));
+                        out.push((a, ids[first], ids[r]));
                         got.insert(a);
                     }
                 }
@@ -555,11 +652,11 @@ impl IncrementalMiner {
             }
         }
         if sem == Semantics::Certain && !want.is_empty() {
-            probes.weak_pairs(enc, x, |r, s| {
+            self.probes.weak_pairs(enc, x, |r, s| {
                 let mut got = AttrSet::EMPTY;
                 for a in want {
                     if enc.code(r, a) != enc.code(s, a) {
-                        out.push((a, stable[r], stable[s]));
+                        out.push((a, ids[r], ids[s]));
                         got.insert(a);
                     }
                 }
@@ -570,113 +667,56 @@ impl IncrementalMiner {
         debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
     }
 
-    /// Dense indices (ascending) of the live rows inserted after
-    /// `since` — the only rows that can carry a pair unseen by a
-    /// verdict stamped at `since`.
-    /// Memoizing wrapper around [`Self::delta_dense_since`]: within one
-    /// replay most stale verdicts share the epoch of the previous mine,
-    /// so the delta row set is computed once, not per candidate.
-    fn delta_since_memo<'m>(
-        log: &[(u64, RowId)],
-        slots: &[Option<Tuple>],
-        stable: &[RowId],
-        since: u64,
-        memo: &'m mut Option<(u64, Vec<usize>)>,
-    ) -> &'m [usize] {
-        if memo.as_ref().is_none_or(|(s, _)| *s != since) {
-            *memo = Some((since, Self::delta_dense_since(log, slots, stable, since)));
-        }
-        &memo.as_ref().expect("just filled").1
+    /// The rows of column `a` carrying `code`.
+    fn posting(&self, a: Attr, code: u32) -> &[usize] {
+        self.postings[a.index()]
+            .get(code as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
-    fn delta_dense_since(
-        log: &[(u64, RowId)],
-        slots: &[Option<Tuple>],
-        stable: &[RowId],
-        since: u64,
-    ) -> Vec<usize> {
-        let start = log.partition_point(|&(e, _)| e <= since);
-        log[start..]
-            .iter()
-            .filter(|&&(_, slot)| slots.get(slot).is_some_and(Option::is_some))
-            .map(|&(_, slot)| {
-                stable
-                    .binary_search(&slot)
-                    .expect("live slot missing from the dense view")
-            })
-            .collect()
-    }
-
-    /// The code projection of dense row `row` onto `attrs`, written
-    /// into `buf`.
-    fn key_on(enc: &Encoded, row: usize, attrs: AttrSet, buf: &mut Vec<u32>) {
-        buf.clear();
-        for a in attrs {
-            buf.push(enc.code(row, a));
-        }
-    }
-
-    /// The shortest posting list among `x`'s columns for the code
-    /// vector `kv` (parallel to `x`'s iteration order); `None` when
-    /// some column has no row carrying the required code — no partner
-    /// can match at all.
-    fn sparsest_posting<'p>(
-        postings: &'p [FastMap<u32, Vec<usize>>],
-        x: AttrSet,
-        kv: &[u32],
-    ) -> Option<&'p Vec<usize>> {
-        let mut best: Option<&'p Vec<usize>> = None;
-        for (i, a) in x.iter().enumerate() {
-            let list = postings[a.index()].get(&kv[i])?;
-            if best.is_none_or(|b: &Vec<usize>| list.len() < b.len()) {
-                best = Some(list);
-            }
-        }
-        best
-    }
-
-    /// Groups `delta` by its code vector on `x` (⊥ is code 0): equal
-    /// projections have identical partner sets, so they share one
-    /// probe. Under `Possible` and `Weak`, x-incomplete rows are
-    /// dropped — ⊥ is strongly similar to nothing, and the weak
+    /// Groups `delta` by its code vector on `x` (⊥ is code 0), in key
+    /// order: equal projections have identical partner sets, so they
+    /// share one probe. Under `Possible` and `Weak`, x-incomplete rows
+    /// are dropped — ⊥ is strongly similar to nothing, and the weak
     /// completion isolates such rows with fresh values.
     fn delta_groups(
-        enc: &Encoded,
+        &self,
         delta: &[usize],
         x: AttrSet,
         sem: Semantics,
-    ) -> FastMap<Vec<u32>, Vec<usize>> {
-        let mut key = Vec::new();
-        let mut groups: FastMap<Vec<u32>, Vec<usize>> = FastMap::default();
-        for &r in delta {
-            if matches!(sem, Semantics::Possible | Semantics::Weak) && !enc.is_total_on(r, x) {
-                continue;
-            }
-            Self::key_on(enc, r, x, &mut key);
-            match groups.get_mut(key.as_slice()) {
-                Some(g) => g.push(r),
-                None => {
-                    groups.insert(key.clone(), vec![r]);
-                }
+    ) -> Vec<(Vec<u32>, Vec<usize>)> {
+        let key = |r: usize| x.iter().map(move |a| self.enc.code(r, a));
+        let mut rows: Vec<usize> = delta
+            .iter()
+            .copied()
+            .filter(|&r| {
+                !matches!(sem, Semantics::Possible | Semantics::Weak) || self.enc.is_total_on(r, x)
+            })
+            .collect();
+        // Stable: each group keeps its rows ascending.
+        rows.sort_by(|&r, &s| key(r).cmp(key(s)));
+        let mut groups: Vec<(Vec<u32>, Vec<usize>)> = Vec::new();
+        for r in rows {
+            match groups.last_mut() {
+                Some((kv, group)) if key(r).eq(kv.iter().copied()) => group.push(r),
+                _ => groups.push((key(r).collect(), vec![r])),
             }
         }
         groups
     }
 
-    /// Visits every dense row `sem`-similar on `x` to the projection
-    /// `kv` (carried by delta row `r0`), charging each visit to
-    /// `scanned`. Stops — returning `false` — when `f` does. The
-    /// visited rows include `r0` itself and any other delta row with a
-    /// similar projection; callers decide whether self-pairs matter.
+    /// Visits every row `sem`-similar on `x` to the projection `kv`
+    /// (carried by delta row `r0`), charging each visit to `scanned`.
+    /// Stops — returning `false` — when `f` does. The visited rows
+    /// include `r0` itself and any other delta row with a similar
+    /// projection; callers decide whether self-pairs matter.
     ///
-    /// Partners come from the dense view's posting lists, so work is
-    /// proportional to the classes the projection actually lands in —
-    /// not to the instance. This is what makes a re-mine after a small
-    /// delta cheap in *wall clock*, not just in rows scanned.
-    #[allow(clippy::too_many_arguments)]
+    /// Partners come from the posting lists, so work is proportional
+    /// to the classes the projection actually lands in — not to the
+    /// instance. This is what makes a re-mine after a small delta
+    /// cheap in *wall clock*, not just in rows scanned.
     fn for_each_partner(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
+        &self,
         x: AttrSet,
         kv: &[u32],
         r0: usize,
@@ -684,81 +724,70 @@ impl IncrementalMiner {
         scanned: &mut usize,
         mut f: impl FnMut(usize) -> bool,
     ) -> bool {
-        match sem {
-            Semantics::Classical | Semantics::Possible | Semantics::Weak => {
-                // Similarity is plain code equality on `x`: scan the
-                // sparsest matching posting list, verifying the other
-                // columns directly. A classical ⊥ is the ordinary code
-                // 0, so a zero entry correctly demands fellow nulls; a
-                // possible or weak projection is x-total (incomplete
-                // delta rows were dropped), so any row matching its
-                // all-nonzero codes is too.
-                let Some(list) = Self::sparsest_posting(postings, x, kv) else {
-                    return true;
-                };
-                for &s in list {
-                    *scanned += 1;
-                    if x.iter().zip(kv.iter()).all(|(a, &c)| enc.code(s, a) == c) && !f(s) {
-                        return false;
-                    }
+        let enc = self.enc;
+        if sem != Semantics::Certain {
+            // Similarity is plain code equality on `x`: scan the
+            // sparsest matching posting list, verifying the other
+            // columns directly. A classical ⊥ is the ordinary code 0,
+            // so a zero entry correctly demands fellow nulls; a
+            // possible or weak projection is x-total (incomplete delta
+            // rows were dropped), so any row matching its all-nonzero
+            // codes is too.
+            let list = x
+                .iter()
+                .zip(kv)
+                .map(|(a, &c)| self.posting(a, c))
+                .min_by_key(|l| l.len())
+                .unwrap_or(&[]);
+            for &s in list {
+                *scanned += 1;
+                if x.iter().zip(kv).all(|(a, &c)| enc.code(s, a) == c) && !f(s) {
+                    return false;
                 }
             }
-            Semantics::Certain => {
-                // Weak similarity: agreement wherever both rows are
-                // non-null on `x`. On a column where `kv` is non-null a
-                // partner either shares the code or is ⊥ there — so the
-                // cheapest match∪null posting pair bounds the scan and
-                // the remaining columns are verified pairwise. A
-                // projection that is ⊥ on all of `x` is weakly similar
-                // to everything and must scan the whole view (bounded
-                // by such rows in the delta).
-                let mut choice: Option<(Attr, u32, usize)> = None;
-                for (i, a) in x.iter().enumerate() {
-                    let c = kv[i];
-                    if c == 0 {
-                        continue;
-                    }
-                    let len = postings[a.index()].get(&c).map_or(0, Vec::len)
-                        + postings[a.index()].get(&0).map_or(0, Vec::len);
-                    if choice.is_none_or(|(_, _, best)| len < best) {
-                        choice = Some((a, c, len));
-                    }
+            return true;
+        }
+        // Weak similarity: agreement wherever both rows are non-null on
+        // `x`. On a column where `kv` is non-null a partner either
+        // shares the code or is ⊥ there — so the cheapest match∪null
+        // posting pair bounds the scan and the remaining columns are
+        // verified pairwise. A projection that is ⊥ on all of `x` is
+        // weakly similar to everything and must scan the whole
+        // instance (bounded by such rows in the delta).
+        let cheapest = x
+            .iter()
+            .zip(kv)
+            .filter(|&(_, &c)| c != 0)
+            .map(|(a, &c)| [self.posting(a, c), self.posting(a, 0)])
+            .min_by_key(|[m, n]| m.len() + n.len());
+        let Some(lists) = cheapest else {
+            for s in 0..enc.rows() {
+                *scanned += 1;
+                if !f(s) {
+                    return false;
                 }
-                match choice {
-                    None => {
-                        for s in 0..enc.rows() {
-                            *scanned += 1;
-                            if !f(s) {
-                                return false;
-                            }
-                        }
-                    }
-                    Some((a, c, _)) => {
-                        let lists = [postings[a.index()].get(&c), postings[a.index()].get(&0)];
-                        for &s in lists.into_iter().flatten().flatten() {
-                            *scanned += 1;
-                            if enc.weakly_similar(r0, s, x) && !f(s) {
-                                return false;
-                            }
-                        }
-                    }
-                }
+            }
+            return true;
+        };
+        for &s in lists.into_iter().flatten() {
+            *scanned += 1;
+            if enc.weakly_similar(r0, s, x) && !f(s) {
+                return false;
             }
         }
         true
     }
 
-    /// Visits every `sem`-similar pair `(r, s)` of dense rows with `r`
-    /// drawn from `delta` — exactly the pairs that a verdict predating
-    /// the delta rows has never seen. Calls `f` for each; stops early —
-    /// and returns `false` — when `f` returns `false`. A pair with both
+    /// Visits every `sem`-similar pair `(r, s)` with `r` drawn from
+    /// `delta` — exactly the pairs that a verdict predating the delta
+    /// rows has never seen. Calls `f` for each; stops early — and
+    /// returns `false` — when `f` returns `false`. A pair with both
     /// rows in `delta` may be visited in both orientations; callers
     /// hunt for a single violation, so the duplicate is harmless. Rows
     /// visited are charged to `discovery.partition.rows_scanned` like
     /// every other check path.
     fn for_each_delta_pair(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
+        &self,
         delta: &[usize],
         x: AttrSet,
         sem: Semantics,
@@ -774,7 +803,7 @@ impl IncrementalMiner {
             let mut scanned = 0usize;
             let mut complete = true;
             'empty: for &r in delta {
-                for s in 0..enc.rows() {
+                for s in 0..self.enc.rows() {
                     scanned += 1;
                     if r != s && !f(r, s) {
                         complete = false;
@@ -786,18 +815,11 @@ impl IncrementalMiner {
             return complete;
         }
         let mut scanned = delta.len();
-        let groups = Self::delta_groups(enc, delta, x, sem);
         let mut complete = true;
-        for (kv, group) in &groups {
-            let done =
-                Self::for_each_partner(enc, postings, x, kv, group[0], sem, &mut scanned, |s| {
-                    for &r in group {
-                        if r != s && !f(r, s) {
-                            return false;
-                        }
-                    }
-                    true
-                });
+        for (kv, group) in self.delta_groups(delta, x, sem) {
+            let done = self.for_each_partner(x, &kv, group[0], sem, &mut scanned, |s| {
+                group.iter().all(|&r| r == s || f(r, s))
+            });
             if !done {
                 complete = false;
                 break;
@@ -808,14 +830,13 @@ impl IncrementalMiner {
     }
 
     /// Folds one class row into the weak-semantics tracking state:
-    /// `tracked` holds, per target, the first dense row seen carrying a
+    /// `tracked` holds, per target, the first row seen carrying a
     /// non-null code; a later row with a *different* non-null code is a
     /// genuine violating pair (no completion can reconcile two present,
     /// distinct values), recorded in `refuted` and `dead`. Rows with ⊥
     /// on a target are skipped — the weak completion absorbs them.
     fn weak_note_row(
-        enc: &Encoded,
-        stable: &[RowId],
+        &self,
         row: usize,
         tracked: &mut [(Attr, Option<usize>)],
         dead: &mut AttrSet,
@@ -825,14 +846,14 @@ impl IncrementalMiner {
             if dead.contains(*a) {
                 continue;
             }
-            let c = enc.code(row, *a);
+            let c = self.enc.code(row, *a);
             if c == 0 {
                 continue;
             }
             match first {
                 None => *first = Some(row),
-                Some(f) if enc.code(*f, *a) != c => {
-                    refuted.push((*a, stable[*f], stable[row]));
+                Some(f) if self.enc.code(*f, *a) != c => {
+                    refuted.push((*a, self.ids[*f], self.ids[row]));
                     dead.insert(*a);
                 }
                 Some(_) => {}
@@ -842,21 +863,19 @@ impl IncrementalMiner {
 
     /// Re-validates previously-holding targets of `X → ·` against only
     /// the delta-involved pairs. Returns the surviving targets; each
-    /// refuted one is appended to `refuted` with a live witness pair
-    /// (slot ids). Sound because deletes only remove pairs and the
-    /// caller has checked that no update touched `X` or a target since
-    /// the verdicts were stamped.
-    #[allow(clippy::too_many_arguments)]
+    /// refuted one is appended to `refuted` with a live witness pair.
+    /// Sound because deletes only remove pairs and the caller has
+    /// checked that no update touched `X` or a target since the
+    /// verdicts were stamped.
     fn delta_targets_surviving(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
+        &self,
         delta: &[usize],
         x: AttrSet,
         targets: AttrSet,
         sem: Semantics,
         refuted: &mut Vec<(Attr, RowId, RowId)>,
     ) -> AttrSet {
+        let (enc, ids) = (self.enc, self.ids);
         let mut holding = targets;
         if delta.is_empty() {
             return holding;
@@ -866,43 +885,41 @@ impl IncrementalMiner {
             // the FD survives iff the column is still constant — one
             // early-exit column scan. Weakly, "constant" tolerates ⊥:
             // only two distinct non-null codes kill the target.
+            let mut scanned = 0usize;
             if sem == Semantics::Weak {
-                let mut scanned = 0usize;
                 let mut tracked: Vec<(Attr, Option<usize>)> =
                     holding.iter().map(|a| (a, None)).collect();
                 let mut dead = AttrSet::EMPTY;
                 for s in 0..enc.rows() {
                     scanned += 1;
-                    Self::weak_note_row(enc, stable, s, &mut tracked, &mut dead, refuted);
+                    self.weak_note_row(s, &mut tracked, &mut dead, refuted);
                     if dead == holding {
                         break;
                     }
                 }
-                sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
-                return holding - dead;
-            }
-            let mut scanned = 0usize;
-            for s in 1..enc.rows() {
-                scanned += 1;
-                let mut still = AttrSet::EMPTY;
-                for a in holding {
-                    if enc.code(s, a) == enc.code(0, a) {
-                        still.insert(a);
-                    } else {
-                        refuted.push((a, stable[0], stable[s]));
+                holding = holding - dead;
+            } else {
+                for s in 1..enc.rows() {
+                    scanned += 1;
+                    let mut still = AttrSet::EMPTY;
+                    for a in holding {
+                        if enc.code(s, a) == enc.code(0, a) {
+                            still.insert(a);
+                        } else {
+                            refuted.push((a, ids[0], ids[s]));
+                        }
                     }
-                }
-                holding = still;
-                if holding.is_empty() {
-                    break;
+                    holding = still;
+                    if holding.is_empty() {
+                        break;
+                    }
                 }
             }
             sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
             return holding;
         }
         let mut scanned = delta.len();
-        let groups = Self::delta_groups(enc, delta, x, sem);
-        for (kv, group) in &groups {
+        for (kv, group) in self.delta_groups(delta, x, sem) {
             if holding.is_empty() {
                 break;
             }
@@ -916,12 +933,12 @@ impl IncrementalMiner {
                 let mut tracked: Vec<(Attr, Option<usize>)> =
                     holding.iter().map(|a| (a, None)).collect();
                 let mut dead = AttrSet::EMPTY;
-                for &m in group {
-                    Self::weak_note_row(enc, stable, m, &mut tracked, &mut dead, refuted);
+                for &m in &group {
+                    self.weak_note_row(m, &mut tracked, &mut dead, refuted);
                 }
                 if dead != holding {
-                    Self::for_each_partner(enc, postings, x, kv, r0, sem, &mut scanned, |s| {
-                        Self::weak_note_row(enc, stable, s, &mut tracked, &mut dead, refuted);
+                    self.for_each_partner(x, &kv, r0, sem, &mut scanned, |s| {
+                        self.weak_note_row(s, &mut tracked, &mut dead, refuted);
                         dead != holding
                     });
                 }
@@ -936,7 +953,7 @@ impl IncrementalMiner {
             let mut still = AttrSet::EMPTY;
             for a in holding {
                 match group.iter().find(|&&m| enc.code(m, a) != enc.code(r0, a)) {
-                    Some(&m) => refuted.push((a, stable[r0], stable[m])),
+                    Some(&m) => refuted.push((a, ids[r0], ids[m])),
                     None => {
                         still.insert(a);
                     }
@@ -946,7 +963,7 @@ impl IncrementalMiner {
             if holding.is_empty() {
                 break;
             }
-            Self::for_each_partner(enc, postings, x, kv, r0, sem, &mut scanned, |s| {
+            self.for_each_partner(x, &kv, r0, sem, &mut scanned, |s| {
                 let mut still = AttrSet::EMPTY;
                 for a in holding {
                     if enc.code(s, a) == enc.code(r0, a) {
@@ -956,7 +973,7 @@ impl IncrementalMiner {
                         // this target, so it is not a group member
                         // (those agree on `a`) and `(r0, s)` is a
                         // genuine violating pair.
-                        refuted.push((a, stable[r0], stable[s]));
+                        refuted.push((a, ids[r0], ids[s]));
                     }
                 }
                 holding = still;
@@ -967,43 +984,24 @@ impl IncrementalMiner {
         holding
     }
 
-    /// The first delta-involved pair similar on `x` under `sem`, as
-    /// slot ids — the witness that kills a stale p-/c-key verdict.
-    /// `None` means the verdict survived the delta.
+    /// The first delta-involved pair similar on `x` under `sem` that
+    /// `keep` rejects, as stable ids — the witness that kills a stale
+    /// key or totality verdict. `None` means the verdict survived the
+    /// delta.
     fn first_delta_pair(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
+        &self,
         delta: &[usize],
         x: AttrSet,
         sem: Semantics,
+        keep: impl Fn(usize, usize) -> bool,
     ) -> Option<(RowId, RowId)> {
         let mut witness = None;
-        Self::for_each_delta_pair(enc, postings, delta, x, sem, |r, s| {
-            witness = Some((stable[r], stable[s]));
-            false
-        });
-        witness
-    }
-
-    /// The first delta-involved weak pair of `x` that is *not*
-    /// syntactically equal on `x` — the witness that kills a stale
-    /// totality (`X →_w X`) verdict.
-    fn first_delta_reflexive_violation(
-        enc: &Encoded,
-        postings: &[FastMap<u32, Vec<usize>>],
-        stable: &[RowId],
-        delta: &[usize],
-        x: AttrSet,
-    ) -> Option<(RowId, RowId)> {
-        let mut witness = None;
-        Self::for_each_delta_pair(enc, postings, delta, x, Semantics::Certain, |r, s| {
-            if enc.equal_on(r, s, x) {
-                true
-            } else {
-                witness = Some((stable[r], stable[s]));
-                false
+        self.for_each_delta_pair(delta, x, sem, |r, s| {
+            if keep(r, s) {
+                return true;
             }
+            witness = Some((self.ids[r], self.ids[s]));
+            false
         });
         witness
     }
@@ -1013,33 +1011,22 @@ impl IncrementalMiner {
     /// minimality bookkeeping — is the from-scratch serial one; only
     /// the per-candidate check is short-circuited by valid verdicts, so
     /// the returned FDs are identical to `mine_fds` over the same rows.
-    #[allow(clippy::too_many_arguments)]
     fn replay_fds(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
+        &mut self,
         cache: &mut HashMap<AttrSet, FdVerdict>,
-        enc: &Encoded,
-        ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
         sem: Semantics,
-        arity: usize,
         max_lhs: usize,
-        now: u64,
     ) -> Vec<MinedFd> {
-        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+        let attrs: Vec<Attr> = (0..self.arity).map(Attr::from).collect();
         let all: AttrSet = attrs.iter().copied().collect();
-        let last_level = max_lhs.min(arity.saturating_sub(1));
-        let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
+        let last_level = max_lhs.min(self.arity.saturating_sub(1));
+        let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); self.arity];
         let mut found = Vec::new();
-        let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
+        let now = self.now;
 
         for k in 0..=last_level {
             if k >= 2 {
-                ctx.evict_below(k - 1);
+                self.ctx.evict_below(k - 1);
             }
             for x in k_subsets(&attrs, k) {
                 let mut targets = AttrSet::EMPTY;
@@ -1057,19 +1044,20 @@ impl IncrementalMiner {
                 let mut stale_since = u64::MAX;
                 let mut unknown = AttrSet::EMPTY;
                 for a in targets {
+                    let cols = x | AttrSet::single(a);
                     if let Some(&(_, at)) = v.holding.iter().find(|&&(b, _)| b == a) {
-                        if marks.holding_valid(at, x | AttrSet::single(a)) {
+                        if self.marks.holding_valid(at, cols) {
                             holding.insert(a);
                             continue;
                         }
-                        if marks.only_inserts_since(at, x | AttrSet::single(a)) {
+                        if self.marks.only_inserts_since(at, cols) {
                             stale.insert(a);
                             stale_since = stale_since.min(at);
                             continue;
                         }
                     }
                     if let Some(&(_, r, s)) = v.refuted.iter().find(|&&(b, _, _)| b == a) {
-                        if Self::pair_violates_fd(slots, r, s, x, a, sem) {
+                        if self.pair_violates_fd(r, s, x, a, sem) {
                             continue; // still refuted, witness intact
                         }
                     }
@@ -1079,13 +1067,10 @@ impl IncrementalMiner {
                     // Held before the delta, and only inserts happened
                     // since: check the inserted rows' pairs instead of
                     // rechecking the whole candidate.
-                    touched += 1;
-                    let delta =
-                        Self::delta_since_memo(log, slots, stable, stale_since, &mut delta_memo);
+                    self.touched += 1;
+                    let delta = self.delta_since(stale_since);
                     let mut fresh = Vec::new();
-                    let survive = Self::delta_targets_surviving(
-                        enc, postings, stable, delta, x, stale, sem, &mut fresh,
-                    );
+                    let survive = self.delta_targets_surviving(&delta, x, stale, sem, &mut fresh);
                     for a in survive {
                         holding.insert(a);
                         if let Some(entry) = v.holding.iter_mut().find(|(b, _)| *b == a) {
@@ -1099,9 +1084,10 @@ impl IncrementalMiner {
                     }
                 }
                 if !unknown.is_empty() {
-                    touched += 1;
-                    let p = ctx.partition(x);
-                    let held = fd_targets_holding_cached(enc, x, &p, unknown, sem, probes);
+                    self.touched += 1;
+                    let p = self.ctx.partition(x);
+                    let held =
+                        fd_targets_holding_cached(self.enc, x, &p, unknown, sem, &self.probes);
                     holding |= held;
                     let refuted = unknown - held;
                     // Record fresh verdicts: held targets stamped at the
@@ -1116,16 +1102,7 @@ impl IncrementalMiner {
                     if !refuted.is_empty() {
                         v.refuted.retain(|&(b, _, _)| !refuted.contains(b));
                         v.holding.retain(|&(b, _)| !refuted.contains(b));
-                        Self::find_fd_witnesses(
-                            enc,
-                            probes,
-                            stable,
-                            x,
-                            &p,
-                            refuted,
-                            sem,
-                            &mut v.refuted,
-                        );
+                        self.find_fd_witnesses(x, &p, refuted, sem, &mut v.refuted);
                     }
                 }
                 if !holding.is_empty() {
@@ -1139,35 +1116,22 @@ impl IncrementalMiner {
                 }
             }
         }
-        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
         found
     }
 
     /// Replays the level-wise key enumeration of [`crate::keys`]
     /// against the verdict cache; identical output to
     /// `mine_keys_budgeted` over the same rows.
-    #[allow(clippy::too_many_arguments)]
     fn replay_keys(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
+        &mut self,
         cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
-        ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        arity: usize,
         max_size: usize,
-        now: u64,
     ) -> MinedKeys {
-        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+        let attrs: Vec<Attr> = (0..self.arity).map(Attr::from).collect();
         let mut out = MinedKeys::default();
-        let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
-        for k in 0..=max_size.min(arity) {
+        for k in 0..=max_size.min(self.arity) {
             if k >= 2 {
-                ctx.evict_below(k - 1);
+                self.ctx.evict_below(k - 1);
             }
             for x in k_subsets(&attrs, k) {
                 let p_covered = out.pkeys.iter().any(|y| y.is_subset(x));
@@ -1175,21 +1139,7 @@ impl IncrementalMiner {
                 if p_covered && c_covered {
                     continue;
                 }
-                let (p_is, c_is) = Self::key_status(
-                    slots,
-                    marks,
-                    log,
-                    cache,
-                    enc,
-                    ctx,
-                    probes,
-                    stable,
-                    postings,
-                    &mut delta_memo,
-                    x,
-                    now,
-                    &mut touched,
-                );
+                let (p_is, c_is) = self.key_status(cache, x);
                 if !p_covered && p_is {
                     out.pkeys.push(x);
                 }
@@ -1198,520 +1148,125 @@ impl IncrementalMiner {
                 }
             }
         }
-        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
         out
     }
 
-    /// Cached p-key/c-key status of `x`, rechecking only what the delta
-    /// marks invalidated.
-    #[allow(clippy::too_many_arguments)]
-    fn key_status(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
-        cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
-        ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
+    /// A cached key verdict of `x` under `sem` (`Possible` for p-keys,
+    /// `Certain` for c-keys), if the delta marks leave it decidable
+    /// without a full check: a holding verdict stale only by inserts
+    /// is re-validated against the inserted rows' pairs.
+    fn key_known(
+        &mut self,
+        slot: &mut Option<Verdict>,
         x: AttrSet,
-        now: u64,
-        touched: &mut usize,
-    ) -> (bool, bool) {
-        let v = cache.entry(x).or_default();
-        let p_known = match v.p {
-            Some(Verdict::Holds(at)) if marks.holding_valid(at, x) => Some(true),
-            Some(Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
+        sem: Semantics,
+    ) -> Option<bool> {
+        match *slot {
+            Some(Verdict::Holds(at)) if self.marks.holding_valid(at, x) => Some(true),
+            Some(Verdict::Holds(at)) if self.marks.only_inserts_since(at, x) => {
                 // A key dies only to a *new* similar pair; probe the
                 // inserted rows instead of rechecking the candidate.
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                match Self::first_delta_pair(enc, postings, stable, delta, x, Semantics::Possible) {
-                    None => {
-                        v.p = Some(Verdict::Holds(now));
-                        Some(true)
-                    }
-                    Some((r, s)) => {
-                        v.p = Some(Verdict::Fails(r, s));
-                        Some(false)
-                    }
-                }
+                self.touched += 1;
+                let delta = self.delta_since(at);
+                let witness = self.first_delta_pair(&delta, x, sem, |_, _| false);
+                *slot =
+                    Some(witness.map_or(Verdict::Holds(self.now), |(r, s)| Verdict::Fails(r, s)));
+                Some(witness.is_none())
             }
-            Some(Verdict::Fails(r, s)) if Self::pair_violates_key(slots, r, s, x, false) => {
-                Some(false)
-            }
+            Some(Verdict::Fails(r, s)) if self.pair_violates_key(r, s, x, sem) => Some(false),
             _ => None,
-        };
-        let c_known = match v.c {
-            Some(Verdict::Holds(at)) if marks.holding_valid(at, x) => Some(true),
-            Some(Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                match Self::first_delta_pair(enc, postings, stable, delta, x, Semantics::Certain) {
-                    None => {
-                        v.c = Some(Verdict::Holds(now));
-                        Some(true)
-                    }
-                    Some((r, s)) => {
-                        v.c = Some(Verdict::Fails(r, s));
-                        Some(false)
-                    }
-                }
-            }
-            Some(Verdict::Fails(r, s)) if Self::pair_violates_key(slots, r, s, x, true) => {
-                Some(false)
-            }
-            _ => None,
-        };
+        }
+    }
+
+    /// Cached p-key/c-key status of `x`, rechecking only what the delta
+    /// marks invalidated. Also backs the classification's c-key checks
+    /// (λ-FD and nn-ratio eligibility).
+    fn key_status(&mut self, cache: &mut HashMap<AttrSet, KeyVerdict>, x: AttrSet) -> (bool, bool) {
+        let v = cache.entry(x).or_default();
+        let p_known = self.key_known(&mut v.p, x, Semantics::Possible);
+        let c_known = self.key_known(&mut v.c, x, Semantics::Certain);
         if let (Some(p), Some(c)) = (p_known, c_known) {
             return (p, c);
         }
-        *touched += 1;
-        let strong = ctx.partition(x);
+        self.touched += 1;
+        let (now, ids) = (self.now, self.ids);
+        let strong = self.ctx.partition(x);
         let p_is = p_known.unwrap_or_else(|| {
             let holds = is_pkey(&strong);
             v.p = Some(if holds {
                 Verdict::Holds(now)
             } else {
                 let c = &strong.classes[0];
-                Verdict::Fails(stable[c[0] as usize], stable[c[1] as usize])
+                Verdict::Fails(ids[c[0] as usize], ids[c[1] as usize])
             });
             holds
         });
-        let c_is = match c_known {
-            Some(c) => c,
-            None => {
-                // is_ckey with witness extraction: a strong pair is
-                // already a weak violation; else probe the weak pairs.
-                let mut witness: Option<(RowId, RowId)> = None;
-                if let Some(c) = strong.classes.first() {
-                    witness = Some((stable[c[0] as usize], stable[c[1] as usize]));
-                } else {
-                    probes.weak_pairs(enc, x, |r, s| {
-                        witness = Some((stable[r], stable[s]));
-                        false
-                    });
-                }
-                v.c = Some(match witness {
-                    None => Verdict::Holds(now),
-                    Some((r, s)) => Verdict::Fails(r, s),
+        let c_is = c_known.unwrap_or_else(|| {
+            // is_ckey with witness extraction: a strong pair is
+            // already a weak violation; else probe the weak pairs.
+            let mut witness: Option<(RowId, RowId)> = None;
+            if let Some(c) = strong.classes.first() {
+                witness = Some((ids[c[0] as usize], ids[c[1] as usize]));
+            } else {
+                self.probes.weak_pairs(self.enc, x, |r, s| {
+                    witness = Some((ids[r], ids[s]));
+                    false
                 });
-                witness.is_none()
             }
-        };
+            v.c = Some(witness.map_or(Verdict::Holds(now), |(r, s)| Verdict::Fails(r, s)));
+            witness.is_none()
+        });
         (p_is, c_is)
     }
 
-    /// Cached c-key check for classification (λ-FD and nn-ratio
-    /// eligibility); shares the key verdict cache.
-    #[allow(clippy::too_many_arguments)]
-    fn is_ckey_incr(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
-        cache: &mut HashMap<AttrSet, KeyVerdict>,
-        enc: &Encoded,
-        ctx: &mut PartitionCtx<'_>,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
-        x: AttrSet,
-        now: u64,
-        touched: &mut usize,
-    ) -> bool {
-        Self::key_status(
-            slots, marks, log, cache, enc, ctx, probes, stable, postings, delta_memo, x, now,
-            touched,
-        )
-        .1
-    }
-
     /// Cached totality check `X →_w X` (Definition 9).
-    #[allow(clippy::too_many_arguments)]
-    fn reflexive_incr(
-        slots: &[Option<Tuple>],
-        marks: &Marks<'_>,
-        log: &[(u64, RowId)],
-        cache: &mut HashMap<AttrSet, Verdict>,
-        enc: &Encoded,
-        probes: &ProbeCache,
-        stable: &[RowId],
-        postings: &[FastMap<u32, Vec<usize>>],
-        delta_memo: &mut Option<(u64, Vec<usize>)>,
-        x: AttrSet,
-        now: u64,
-        touched: &mut usize,
-    ) -> bool {
-        match cache.get(&x) {
-            Some(&Verdict::Holds(at)) if marks.holding_valid(at, x) => return true,
-            Some(&Verdict::Holds(at)) if marks.only_inserts_since(at, x) => {
-                *touched += 1;
-                let delta = Self::delta_since_memo(log, slots, stable, at, delta_memo);
-                return match Self::first_delta_reflexive_violation(enc, postings, stable, delta, x)
-                {
-                    None => {
-                        cache.insert(x, Verdict::Holds(now));
-                        true
+    fn reflexive(&mut self, cache: &mut HashMap<AttrSet, Verdict>, x: AttrSet) -> bool {
+        let enc = self.enc;
+        let unequal = |r: usize, s: usize| !enc.equal_on(r, s, x);
+        let witness = match cache.get(&x) {
+            Some(&Verdict::Holds(at)) if self.marks.holding_valid(at, x) => return true,
+            Some(&Verdict::Fails(r, s)) if self.pair_violates_reflexive(r, s, x) => return false,
+            Some(&Verdict::Holds(at)) if self.marks.only_inserts_since(at, x) => {
+                self.touched += 1;
+                let delta = self.delta_since(at);
+                self.first_delta_pair(&delta, x, Semantics::Certain, |r, s| !unequal(r, s))
+            }
+            _ => {
+                self.touched += 1;
+                let mut witness = None;
+                self.probes.weak_pairs(enc, x, |r, s| {
+                    if unequal(r, s) {
+                        witness = Some((self.ids[r], self.ids[s]));
                     }
-                    Some((r, s)) => {
-                        cache.insert(x, Verdict::Fails(r, s));
-                        false
-                    }
-                };
+                    witness.is_none()
+                });
+                witness
             }
-            Some(&Verdict::Fails(r, s)) if Self::pair_violates_reflexive(slots, r, s, x) => {
-                return false
-            }
-            _ => {}
-        }
-        *touched += 1;
-        let mut witness: Option<(RowId, RowId)> = None;
-        probes.weak_pairs(enc, x, |r, s| {
-            if enc.equal_on(r, s, x) {
-                true
-            } else {
-                witness = Some((stable[r], stable[s]));
-                false
-            }
-        });
+        };
         cache.insert(
             x,
-            match witness {
-                None => Verdict::Holds(now),
-                Some((r, s)) => Verdict::Fails(r, s),
-            },
+            witness.map_or(Verdict::Holds(self.now), |(r, s)| Verdict::Fails(r, s)),
         );
         witness.is_none()
     }
 
-    /// Mines the minimal FDs under `sem`, replaying the lattice against
-    /// the verdict cache. Byte-identical (content and order) to
-    /// `mine_fds` over [`IncrementalMiner::table`].
-    pub fn mine_fds(
-        &mut self,
-        sem: Semantics,
-        max_lhs: usize,
-        cache_budget: usize,
-    ) -> Vec<MinedFd> {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        let mut ctx = PartitionCtx::with_budget(enc, null_semantics(sem), cache_budget);
-        let probes = ProbeCache::new(enc);
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let now = self.epoch;
-        let fds = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(sem)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            sem,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        self.note_frontier();
-        fds
-    }
-
-    /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
-    /// over [`IncrementalMiner::table`].
-    pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
-        let probes = ProbeCache::new(enc);
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let now = self.epoch;
-        let keys = Self::replay_keys(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.key_cache,
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            self.schema.arity(),
-            max_size,
-            now,
-        );
-        self.note_frontier();
-        keys
-    }
-
-    /// The classification + keys backing one `MINE` report — the
-    /// incremental mirror of `classify_table_budgeted` +
-    /// `mine_keys_budgeted`.
-    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
-        self.ensure_dense();
-        let dense = self.dense.as_ref().expect("just ensured");
-        let enc_snap = dense.encode(); // transient; dropped before the next delta
-        let (enc, stable) = (&enc_snap, &dense.stable);
-        // Materialized only if a projection ratio misses its memo —
-        // `projection_ratio` wants real rows, not codes.
-        let mut ratio_table: Option<Table> = None;
-        let null_free = enc.null_free_columns();
-        let now = self.epoch;
-        let probes = ProbeCache::new(enc);
-        let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
-        let mut touched = 0usize;
-        let mut delta_memo: Option<(u64, Vec<usize>)> = None;
-
-        let marks = Marks {
-            insert: self.last_insert,
-            delete: self.last_delete,
-            cols: &self.col_updated,
-        };
-        let possible = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(Semantics::Possible)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            Semantics::Possible,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        let certain = Self::replay_fds(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.fd_cache[sem_index(Semantics::Certain)],
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            Semantics::Certain,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-
-        let mut out = Classification::default();
-        for fd in possible {
-            if fd.lhs.is_subset(null_free) {
-                let ckey = Self::is_ckey_incr(
-                    &self.slots,
-                    &marks,
-                    &self.insert_log,
-                    &mut self.key_cache,
-                    enc,
-                    &mut ctx,
-                    &probes,
-                    stable,
-                    &dense.postings,
-                    &mut delta_memo,
-                    fd.lhs,
-                    now,
-                    &mut touched,
-                );
-                if !ckey {
-                    let attrs = fd.lhs | fd.rhs;
-                    // Inline ratio memo (self is partially borrowed via
-                    // marks/caches above, so consult the map directly).
-                    let ratio = match self.ratio_cache.get(&attrs) {
-                        Some(&(ratio, at))
-                            if at >= marks.insert
-                                && at >= marks.delete
-                                && attrs.iter().all(|c| at >= marks.cols[c.index()]) =>
-                        {
-                            ratio
-                        }
-                        _ => {
-                            let table = ratio_table.get_or_insert_with(|| {
-                                Table::from_rows(
-                                    self.schema.clone(),
-                                    self.slots.iter().flatten().cloned(),
-                                )
-                            });
-                            let ratio = projection_ratio(table, attrs);
-                            self.ratio_cache.insert(attrs, (ratio, now));
-                            ratio
-                        }
-                    };
-                    out.nn_nonkey_ratios.push(ratio);
-                }
-                out.nn_fds.push(fd);
-            } else {
-                out.p_fds.push(fd);
+    /// The projection ratio of `attrs` over the live rows, memoized
+    /// until a delta could have changed it (any insert or delete, or
+    /// an update touching `attrs`). `projection_ratio` wants real
+    /// rows, not codes, so it reads the table itself.
+    fn ratio(&self, memo: &mut HashMap<AttrSet, (f64, u64)>, table: &Table, attrs: AttrSet) -> f64 {
+        match memo.get(&attrs) {
+            Some(&(ratio, at))
+                if at >= self.marks.delete && self.marks.holding_valid(at, attrs) =>
+            {
+                ratio
+            }
+            _ => {
+                let ratio = projection_ratio(table, attrs);
+                memo.insert(attrs, (ratio, self.now));
+                ratio
             }
         }
-        for fd in certain {
-            if fd.lhs.is_subset(null_free) {
-                continue; // coincides with an nn-FD; counted there
-            }
-            let total = Self::reflexive_incr(
-                &self.slots,
-                &marks,
-                &self.insert_log,
-                &mut self.refl_cache,
-                enc,
-                &probes,
-                stable,
-                &dense.postings,
-                &mut delta_memo,
-                fd.lhs,
-                now,
-                &mut touched,
-            );
-            if total {
-                out.t_fds.push(fd.clone());
-                let ckey = Self::is_ckey_incr(
-                    &self.slots,
-                    &marks,
-                    &self.insert_log,
-                    &mut self.key_cache,
-                    enc,
-                    &mut ctx,
-                    &probes,
-                    stable,
-                    &dense.postings,
-                    &mut delta_memo,
-                    fd.lhs,
-                    now,
-                    &mut touched,
-                );
-                if !fd.rhs.is_empty() && !ckey {
-                    let attrs = fd.lhs | fd.rhs;
-                    let ratio = match self.ratio_cache.get(&attrs) {
-                        Some(&(ratio, at))
-                            if at >= marks.insert
-                                && at >= marks.delete
-                                && attrs.iter().all(|c| at >= marks.cols[c.index()]) =>
-                        {
-                            ratio
-                        }
-                        _ => {
-                            let table = ratio_table.get_or_insert_with(|| {
-                                Table::from_rows(
-                                    self.schema.clone(),
-                                    self.slots.iter().flatten().cloned(),
-                                )
-                            });
-                            let ratio = projection_ratio(table, attrs);
-                            self.ratio_cache.insert(attrs, (ratio, now));
-                            ratio
-                        }
-                    };
-                    out.lambda_fds.push(LambdaFd {
-                        lhs: fd.lhs,
-                        rhs: fd.rhs,
-                        relative_projection_size: ratio,
-                    });
-                }
-            }
-            out.c_fds.push(fd);
-        }
-
-        let keys = Self::replay_keys(
-            &self.slots,
-            &marks,
-            &self.insert_log,
-            &mut self.key_cache,
-            enc,
-            &mut ctx,
-            &probes,
-            stable,
-            &dense.postings,
-            self.schema.arity(),
-            max_lhs,
-            now,
-        );
-        sqlnf_obs::count!("discovery.incr.candidates_touched", touched);
-        self.note_frontier();
-        (out, keys)
-    }
-
-    /// The `MINE` report over the live rows, byte-identical to
-    /// [`mine_report`] over [`IncrementalMiner::table`]. When the
-    /// reconcile threshold is armed and tripped, also runs the full
-    /// from-scratch pipeline and asserts equivalence.
-    pub fn report(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
-        let due = self
-            .reconcile_every
-            .is_some_and(|n| self.deltas_since_reconcile >= n);
-        if due {
-            return self.reconcile(name, max_lhs, cache_budget);
-        }
-        let (cls, keys) = self.classify(max_lhs, cache_budget);
-        render_report(name, self.live, &self.schema, max_lhs, &cls, &keys)
-    }
-
-    /// Full-pipeline audit: runs both the incremental replay and the
-    /// from-scratch mine, asserts they render the same report, resets
-    /// the reconcile counter, and returns the report. Panics on any
-    /// divergence — an incremental-state bug must never ship a wrong
-    /// answer silently.
-    pub fn reconcile(&mut self, name: &str, max_lhs: usize, cache_budget: usize) -> String {
-        sqlnf_obs::count!("discovery.incr.reconciles");
-        let (cls, keys) = self.classify(max_lhs, cache_budget);
-        let incr = render_report(name, self.live, &self.schema, max_lhs, &cls, &keys);
-        let full = crate::classify::mine_report(name, &self.table(), max_lhs, cache_budget);
-        assert_eq!(
-            incr, full,
-            "incremental reconcile mismatch on {name} after {} deltas",
-            self.epoch
-        );
-        self.deltas_since_reconcile = 0;
-        incr
-    }
-
-    /// Builds the warm dense view if an update/delete (or construction)
-    /// left it cold: the live rows are pushed straight into a fresh
-    /// [`ColumnStore`] in slot order — no intermediate [`Table`] — so
-    /// the codes are exactly what [`Encoded::new`] over
-    /// [`IncrementalMiner::table`] would see, and later appends keep
-    /// that equivalence (first-appearance codes either way).
-    fn ensure_dense(&mut self) {
-        if self.dense.is_none() {
-            let mut store = ColumnStore::new(self.schema.arity());
-            for t in self.slots.iter().flatten() {
-                store.push(t);
-            }
-            self.dense = Some(DenseView::build(store, self.stable_ids()));
-        }
-    }
-
-    fn stable_ids(&self) -> Vec<RowId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
-    }
-
-    fn note_frontier(&self) {
-        let frontier: usize = self.fd_cache.iter().map(HashMap::len).sum::<usize>()
-            + self.key_cache.len()
-            + self.refl_cache.len();
-        sqlnf_obs::count_max!("discovery.incr.frontier_size", frontier);
     }
 }
 
@@ -1832,19 +1387,5 @@ mod tests {
         m.insert(tuple![6i64, 60i64, "v"]);
         let _ = m.report("r", 2, crate::cache::DEFAULT_CACHE_BUDGET); // 2 deltas: audit
         assert_eq!(m.deltas_since_reconcile, 0);
-    }
-
-    #[test]
-    fn apply_mirrors_direct_calls() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        let id = m
-            .apply(Delta::Insert(tuple![7i64, 70i64, "u"]))
-            .expect("insert returns id");
-        m.apply(Delta::Update {
-            row: id,
-            tuple: tuple![7i64, 71i64, "u"],
-        });
-        m.apply(Delta::Delete { row: 0 });
-        assert_matches_scratch(&mut m, 3);
     }
 }

@@ -39,7 +39,7 @@ pub mod prelude {
         classify_table, classify_table_budgeted, mine_report, render_report,
         render_semantics_report, semantics_report, Classification, Counts, LambdaFd,
     };
-    pub use crate::incremental::{Delta, IncrementalMiner, RowId};
+    pub use crate::incremental::{IncrementalMiner, RowId};
     pub use crate::keys::{mine_keys, mine_keys_budgeted, MinedKeys};
     pub use crate::mine::{mine_fds, MinedFd, MinerConfig, MiningResult};
     pub use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};

@@ -119,6 +119,11 @@ impl Table {
         self.cols.snapshot()
     }
 
+    /// The dictionary code of cell `(row, a)`; `0` = `⊥`.
+    pub fn code_at(&self, row: usize, a: Attr) -> u32 {
+        self.cols.code_at(row, a.index())
+    }
+
     /// Appends a row.
     ///
     /// # Panics

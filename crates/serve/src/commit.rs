@@ -55,6 +55,7 @@
 
 use crate::metrics::{Stage, StoreMetrics};
 use crate::wal::{self, Wal};
+use crate::watch::{Change, HubMsg, Notice};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io;
@@ -116,6 +117,9 @@ pub struct Ticket {
 #[derive(Debug)]
 struct ShardQueue {
     pending: Vec<(u64, String)>,
+    /// What each pending frame did, for the commit listener; parallel
+    /// to `pending`.
+    notices: Vec<Notice>,
     next_seq: u64,
     /// First epoch of the batch a committer has drained but not yet
     /// made durable (`None` outside a commit). Keeps
@@ -153,6 +157,7 @@ impl Shard {
         Shard {
             queue: Mutex::new(ShardQueue {
                 pending: Vec::new(),
+                notices: Vec::new(),
                 next_seq: 1,
                 in_flight_front: None,
             }),
@@ -199,11 +204,11 @@ pub struct GroupWal {
     /// [`FAULT_NONE`] = disarmed).
     fsync_fault: AtomicU64,
     /// Commit-time listener (the store's WATCH hub): every batch that
-    /// becomes durable on its shard is forwarded as `(epoch, payload)`
-    /// frames. Failed batches are never sent, so a listener that
+    /// becomes durable on its shard is forwarded as one [`Notice`] per
+    /// frame. Failed batches are never sent, so a listener that
     /// releases epochs contiguously observes exactly the cross-shard
     /// durable watermark.
-    listener: Mutex<Option<std::sync::mpsc::Sender<crate::watch::HubMsg>>>,
+    listener: Mutex<Option<std::sync::mpsc::Sender<HubMsg>>>,
     /// The owning store's measurements.
     metrics: Arc<StoreMetrics>,
 }
@@ -302,18 +307,24 @@ impl GroupWal {
 
     /// Install the commit-time listener (the store's WATCH hub). Set
     /// once at store construction, before any writer runs.
-    pub(crate) fn set_listener(&self, tx: std::sync::mpsc::Sender<crate::watch::HubMsg>) {
+    pub(crate) fn set_listener(&self, tx: std::sync::mpsc::Sender<HubMsg>) {
         *self.listener.lock().unwrap() = Some(tx);
     }
 
-    /// Assigns `payload` its epoch and its place in its shard's commit
-    /// queue. Must be called while still holding the statement's table
+    /// Assigns `payload` — a statement that made `change` to `table` —
+    /// its epoch and its place in its shard's commit queue. Must be
+    /// called while still holding the statement's table
     /// (or registry) write lock, so epoch order agrees with
     /// application order. Fails — without enqueuing — if any shard has
     /// already lost a batch (the new frame's epoch would sit past the
     /// failed floor and could never ack); the caller still holds its
     /// lock and can roll the statement back.
-    pub fn enqueue(&self, table: &str, payload: String) -> io::Result<Ticket> {
+    pub(crate) fn enqueue(
+        &self,
+        table: &str,
+        change: Change,
+        payload: String,
+    ) -> io::Result<Ticket> {
         let idx = self.shard_for(table);
         let shard = &self.shards[idx];
         if shard.failed.load(Ordering::Acquire) != u64::MAX
@@ -321,6 +332,7 @@ impl GroupWal {
         {
             return Err(io::Error::other("WAL shard failed; statement refused"));
         }
+        let table = table.to_owned();
         let mut q = self
             .metrics
             .timed(Stage::LockWal, || shard.queue.lock().unwrap());
@@ -338,6 +350,11 @@ impl GroupWal {
         let seq = q.next_seq;
         q.next_seq += 1;
         q.pending.push((epoch, payload));
+        q.notices.push(Notice {
+            epoch,
+            table,
+            change,
+        });
         if q.in_flight_front.is_none() && q.pending.len() == 1 {
             shard.oldest_pending.store(epoch, Ordering::SeqCst);
         }
@@ -433,6 +450,7 @@ impl GroupWal {
                 let mut q = shard.queue.lock().unwrap();
                 q.in_flight_front = None;
                 shard.oldest_pending.store(u64::MAX, Ordering::SeqCst);
+                q.notices.clear();
                 std::mem::take(&mut q.pending)
             };
             if !dropped.is_empty() {
@@ -445,7 +463,7 @@ impl GroupWal {
             // enqueue (the queue mutex is free) and join this batch.
             std::thread::sleep(self.window);
         }
-        let batch = {
+        let (batch, notices) = {
             let mut q = shard.queue.lock().unwrap();
             let batch = std::mem::take(&mut q.pending);
             if let Some(&(front, _)) = batch.first() {
@@ -454,7 +472,7 @@ impl GroupWal {
                 // lands.
                 q.in_flight_front = Some(front);
             }
-            batch
+            (batch, std::mem::take(&mut q.notices))
         };
         if batch.is_empty() {
             return;
@@ -475,7 +493,7 @@ impl GroupWal {
                 // release turns per-shard durability into the
                 // cross-shard watermark.
                 if let Some(tx) = self.listener.lock().unwrap().as_ref() {
-                    let _ = tx.send(crate::watch::HubMsg::Batch(batch.clone()));
+                    let _ = tx.send(HubMsg::Batch(notices));
                 }
                 shard.durable.fetch_add(n, Ordering::Release);
                 {
@@ -658,8 +676,8 @@ mod tests {
             GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         assert!(replayed.is_empty());
         gw.enable_oplog();
-        let t1 = gw.enqueue("a", "S1".into()).unwrap();
-        let t2 = gw.enqueue("b", "S2".into()).unwrap();
+        let t1 = gw.enqueue("a", Change::Rows(1), "S1".into()).unwrap();
+        let t2 = gw.enqueue("b", Change::Rows(1), "S2".into()).unwrap();
         gw.wait(t1).unwrap();
         gw.wait(t2).unwrap();
         assert_eq!(gw.oplog(), vec!["S1".to_owned(), "S2".to_owned()]);
@@ -683,7 +701,9 @@ mod tests {
                 let gw = Arc::clone(&gw);
                 std::thread::spawn(move || {
                     for i in 0..25 {
-                        let t = gw.enqueue("t", format!("S{k}_{i}")).unwrap();
+                        let t = gw
+                            .enqueue("t", Change::Rows(1), format!("S{k}_{i}"))
+                            .unwrap();
                         gw.wait(t).unwrap();
                     }
                 })
@@ -702,16 +722,16 @@ mod tests {
         let (gw, _) =
             GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         gw.enable_oplog();
-        let t_ok = gw.enqueue("t", "GOOD".into()).unwrap();
+        let t_ok = gw.enqueue("t", Change::Rows(1), "GOOD".into()).unwrap();
         gw.wait(t_ok).unwrap();
         gw.inject_fsync_fault_once();
-        let t_bad = gw.enqueue("t", "BAD".into()).unwrap();
+        let t_bad = gw.enqueue("t", Change::Rows(1), "BAD".into()).unwrap();
         assert!(gw.wait(t_bad).is_err(), "undurable waiter must not ack");
         assert_eq!(gw.oplog(), vec!["GOOD".to_owned()]);
         // The failed frame was erased: only the durable prefix replays.
         assert_eq!(gw.size().1, 1);
         // The shard is latched failed: further work is refused upfront.
-        assert!(gw.enqueue("t", "LATER".into()).is_err());
+        assert!(gw.enqueue("t", Change::Rows(1), "LATER".into()).is_err());
         drop(gw);
         let (_, replayed) =
             GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
@@ -724,8 +744,8 @@ mod tests {
         let dir = tmp_dir("always");
         let (gw, _) =
             GroupWal::recover(&dir, 0, 1, 1, Duration::ZERO, FsyncMode::Always, meters()).unwrap();
-        let t1 = gw.enqueue("t", "A".into()).unwrap();
-        let t2 = gw.enqueue("t", "B".into()).unwrap();
+        let t1 = gw.enqueue("t", Change::Rows(1), "A".into()).unwrap();
+        let t2 = gw.enqueue("t", Change::Rows(1), "B".into()).unwrap();
         gw.wait(t1).unwrap();
         gw.wait(t2).unwrap();
         assert_eq!(gw.size().1, 2);
@@ -736,7 +756,7 @@ mod tests {
     fn ephemeral_commits_without_io() {
         let gw = GroupWal::ephemeral(4, Duration::ZERO, FsyncMode::Batch, meters());
         gw.enable_oplog();
-        let t = gw.enqueue("t", "S".into()).unwrap();
+        let t = gw.enqueue("t", Change::Rows(1), "S".into()).unwrap();
         gw.wait(t).unwrap();
         assert_eq!(gw.oplog(), vec!["S".to_owned()]);
         assert_eq!(gw.size(), (0, 0));
@@ -769,8 +789,8 @@ mod tests {
         let (gw, _) =
             GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
-        let _t1 = gw.enqueue(&on_a, "S1".into()).unwrap(); // epoch 1, shard 0
-        let t2 = gw.enqueue(&on_b, "S2".into()).unwrap(); // epoch 2, shard 1
+        let _t1 = gw.enqueue(&on_a, Change::Rows(1), "S1".into()).unwrap(); // epoch 1, shard 0
+        let t2 = gw.enqueue(&on_b, Change::Rows(1), "S2".into()).unwrap(); // epoch 2, shard 1
 
         // Only the later epoch's waiter runs; it must help-commit
         // shard 0 before it may ack.
@@ -800,10 +820,10 @@ mod tests {
             GroupWal::recover(&dir, 0, 1, 2, Duration::ZERO, FsyncMode::Batch, meters()).unwrap();
         gw.enable_oplog();
         let (on_a, on_b) = two_tables_on_distinct_shards(&gw);
-        let t_early = gw.enqueue(&on_a, "EARLY".into()).unwrap(); // epoch 1
+        let t_early = gw.enqueue(&on_a, Change::Rows(1), "EARLY".into()).unwrap(); // epoch 1
         gw.wait(t_early).unwrap();
-        let t_lost = gw.enqueue(&on_a, "LOST".into()).unwrap(); // epoch 2, shard 0
-        let t_after = gw.enqueue(&on_b, "AFTER".into()).unwrap(); // epoch 3, shard 1
+        let t_lost = gw.enqueue(&on_a, Change::Rows(1), "LOST".into()).unwrap(); // epoch 2, shard 0
+        let t_after = gw.enqueue(&on_b, Change::Rows(1), "AFTER".into()).unwrap(); // epoch 3, shard 1
         gw.inject_fsync_fault_on(0);
         assert!(
             gw.wait(t_lost).is_err(),
@@ -814,8 +834,8 @@ mod tests {
         let err = gw.wait(t_after).unwrap_err();
         assert!(err.to_string().contains("not durable"), "{err}");
         // The store refuses new work on every shard.
-        assert!(gw.enqueue(&on_a, "MORE".into()).is_err());
-        assert!(gw.enqueue(&on_b, "MORE".into()).is_err());
+        assert!(gw.enqueue(&on_a, Change::Rows(1), "MORE".into()).is_err());
+        assert!(gw.enqueue(&on_b, Change::Rows(1), "MORE".into()).is_err());
         // The oplog records only what recovery can reproduce.
         assert_eq!(gw.oplog(), vec!["EARLY".to_owned()]);
         drop(gw);

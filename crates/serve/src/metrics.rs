@@ -173,6 +173,8 @@ pub struct StoreMetrics {
     pub(crate) wal_records: Arc<Counter>,
     pub(crate) watch_events: Arc<Counter>,
     pub(crate) watch_dropped: Arc<Counter>,
+    /// High-water mark of the rows the WATCH hub's miners hold.
+    pub(crate) watch_shadow_rows: Arc<Counter>,
     /// The worst-request log.
     pub(crate) slow: SlowLog,
 }
@@ -201,6 +203,7 @@ impl Default for StoreMetrics {
             wal_records: counter("serve.wal.records"),
             watch_events: counter("serve.watch.events"),
             watch_dropped: counter("serve.watch.dropped"),
+            watch_shadow_rows: counter("serve.watch.shadow_rows"),
             slow: SlowLog::default(),
             registry,
         }

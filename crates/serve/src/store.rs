@@ -12,7 +12,8 @@
 //!    `CREATE TABLE`; every other path takes it briefly as a reader to
 //!    clone the table's `Arc` and drops it before touching the table;
 //! 3. **table** `RwLock`s — sessions hold at most one; the snapshotter
-//!    holds all of them as a reader, acquired in name order;
+//!    holds all of them as a reader, acquired in name order; the WATCH
+//!    hub holds at most one, as a reader, to copy committed rows;
 //! 4. **shard file** mutexes — holding one *is* being that shard's
 //!    elected committer; the snapshotter holds all of them (in shard
 //!    order) across the generation switch;
@@ -30,7 +31,7 @@
 use crate::commit::{FsyncMode, GroupWal, Ticket};
 use crate::metrics::{Stage, StoreMetrics};
 use crate::wal::{self, Wal, SNAPSHOT_FILE};
-use crate::watch::{Subscription, WatchHub, DEFAULT_WATCH_QUEUE};
+use crate::watch::{Change, Subscription, WatchHub, DEFAULT_WATCH_QUEUE};
 use sqlnf_core::prelude::*;
 use std::collections::BTreeMap;
 use std::io;
@@ -78,6 +79,10 @@ impl From<io::Error> for ServeError {
 }
 
 type Registry = BTreeMap<String, Arc<RwLock<StoredTable>>>;
+
+/// The table registry, shared by the store and its WATCH hub (which
+/// reads committed rows from it).
+pub(crate) type Tables = Arc<RwLock<Registry>>;
 
 /// Fault-injection hooks for deterministic crash testing (used by
 /// `sqlnf-harness`; all disabled by default and inert in production
@@ -158,7 +163,7 @@ impl Pending {
 /// The shared store: the table registry plus the durability layer.
 #[derive(Debug)]
 pub struct Store {
-    tables: RwLock<Registry>,
+    tables: Tables,
     wal: GroupWal,
     dir: Option<PathBuf>,
     /// Serializes snapshots; the guarded value is the generation of
@@ -178,7 +183,7 @@ pub struct Store {
     /// tests sharing it filter their own events out of the stream.
     nonce: u64,
     /// The WATCH subscription hub (see [`crate::watch`]): a thread
-    /// shadowing committed history with incremental miners, fed from
+    /// mining watched tables' committed rows incrementally, fed from
     /// the commit plane post-durability.
     watch: WatchHub,
 }
@@ -203,31 +208,31 @@ impl Store {
             opts.fsync,
             Arc::clone(&metrics),
         );
-        Store::assemble(wal, metrics, Vec::new(), None, 0, 0)
+        Store::assemble(wal, metrics, Registry::new(), None, 0, 0)
     }
 
-    /// Wires a store around its commit plane: spawns the WATCH hub
-    /// (seeded with `preamble`, the recovered history) as the plane's
-    /// commit listener.
+    /// Wires a store around its commit plane and its (recovered)
+    /// tables: spawns the WATCH hub as the plane's commit listener.
     fn assemble(
         wal: GroupWal,
         metrics: Arc<StoreMetrics>,
-        preamble: Vec<String>,
+        registry: Registry,
         dir: Option<PathBuf>,
         generation: u64,
         snapshot_every: u64,
     ) -> Store {
+        let tables = Arc::new(RwLock::new(registry));
         // The hub's cursor starts at the first epoch the store can
-        // commit.
+        // commit; every row already in the registry precedes it.
         let watch = WatchHub::spawn(
-            preamble,
+            Arc::clone(&tables),
             wal.epoch_next(),
             DEFAULT_WATCH_QUEUE,
             Arc::clone(&metrics),
         );
         wal.set_listener(watch.sender());
         Store {
-            tables: RwLock::new(BTreeMap::new()),
+            tables,
             wal,
             dir,
             generation: Mutex::new(generation),
@@ -286,48 +291,18 @@ impl Store {
             opts.fsync,
             Arc::clone(&metrics),
         )?;
-        // Seed the WATCH hub's shadow state with the recovered history
-        // so a subscriber's baseline matches the live registry.
-        let mut preamble = vec![script.clone()];
-        preamble.extend(replayed.iter().cloned());
-        let store = Store::assemble(
+        let mut registry = Registry::new();
+        for src in std::iter::once(&script).chain(&replayed) {
+            replay_into(&mut registry, src)?;
+        }
+        Ok(Store::assemble(
             gwal,
             metrics,
-            preamble,
+            registry,
             Some(dir.to_path_buf()),
             generation,
             opts.snapshot_every,
-        );
-        store.apply_script_unlogged(&script)?;
-        for stmt in &replayed {
-            store.apply_script_unlogged(stmt)?;
-        }
-        Ok(store)
-    }
-
-    /// Applies a recovery script directly to the registry, bypassing
-    /// the WAL.
-    fn apply_script_unlogged(&self, src: &str) -> Result<(), ServeError> {
-        for stmt in parse_script(src).map_err(EngineError::from)? {
-            match stmt {
-                Statement::CreateTable { schema, sigma } => {
-                    let name = schema.name().to_owned();
-                    let mut reg = self.tables.write().unwrap();
-                    if reg.contains_key(&name) {
-                        return Err(EngineError::DuplicateTable(name).into());
-                    }
-                    reg.insert(name, Arc::new(RwLock::new(StoredTable::new(schema, sigma))));
-                }
-                Statement::Insert { table, rows } => {
-                    let arc = self.table_arc(&table)?;
-                    let mut st = arc.write().unwrap();
-                    for row in rows {
-                        st.insert(row).map_err(ServeError::Engine)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        ))
     }
 
     fn table_arc(&self, name: &str) -> Result<Arc<RwLock<StoredTable>>, ServeError> {
@@ -364,6 +339,7 @@ impl Store {
             format!("tables {}", self.table_names().len()),
             format!("wal.bytes {wal_bytes}"),
             format!("wal.records {wal_records}"),
+            format!("watch.shadow_rows {}", m.watch_shadow_rows.get()),
         ]
     }
 
@@ -514,7 +490,7 @@ impl Store {
                 // plane refuses, the statement is refused and the
                 // registry is unchanged.
                 self.admit_gate()?;
-                let ticket = self.wal.enqueue(&name, rendered)?;
+                let ticket = self.wal.enqueue(&name, Change::Created, rendered)?;
                 reg.insert(name, Arc::new(RwLock::new(StoredTable::new(schema, sigma))));
                 Ok(ticket)
             }
@@ -538,9 +514,11 @@ impl Store {
                     }
                 }
                 let rendered = render_insert(&table, &rows);
-                let enqueued = self
-                    .admit_gate()
-                    .and_then(|()| self.wal.enqueue(&table, rendered).map_err(ServeError::from));
+                let enqueued = self.admit_gate().and_then(|()| {
+                    self.wal
+                        .enqueue(&table, Change::Rows(rows.len()), rendered)
+                        .map_err(ServeError::from)
+                });
                 match enqueued {
                     Ok(ticket) => Ok(ticket),
                     Err(e) => {
@@ -765,6 +743,33 @@ impl Store {
                 .unwrap_or(false)
         })
     }
+}
+
+/// Applies a recovery script (snapshot body or replayed frame)
+/// directly to a registry under construction, bypassing the WAL.
+fn replay_into(registry: &mut Registry, src: &str) -> Result<(), ServeError> {
+    for stmt in parse_script(src).map_err(EngineError::from)? {
+        match stmt {
+            Statement::CreateTable { schema, sigma } => {
+                let name = schema.name().to_owned();
+                if registry.contains_key(&name) {
+                    return Err(EngineError::DuplicateTable(name).into());
+                }
+                let table = StoredTable::new(schema, sigma);
+                registry.insert(name, Arc::new(RwLock::new(table)));
+            }
+            Statement::Insert { table, rows } => {
+                let stored = registry
+                    .get(&table)
+                    .ok_or_else(|| EngineError::NoSuchTable(table.clone()))?;
+                let mut st = stored.write().unwrap();
+                for row in rows {
+                    st.insert(row)?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,23 +1,39 @@
 //! Live discovery: the `WATCH` subscription plane.
 //!
-//! A [`WatchHub`] thread shadows the store's committed history with
-//! per-table [`IncrementalMiner`]s and streams *fact diffs* — newly
+//! A [`WatchHub`] thread mines every *watched* table incrementally
+//! with an [`IncrementalMiner`] and streams *fact diffs* — newly
 //! appearing or newly refuted possible/certain FDs and keys — to
 //! registered subscribers as framed `EVENT` lines.
 //!
 //! ## Durable-watermark contract
 //!
-//! Frames enter the hub from [`GroupWal::commit_locked`]'s success
-//! path, i.e. *after* the batch is fsync-durable on its shard. The hub
-//! holds them in a reorder buffer and releases epochs strictly
-//! contiguously from the store's base epoch: epoch `e` is applied only
-//! once every epoch `< e` has arrived. Because a frame is sent exactly
-//! once its shard commit succeeds, contiguity-from-base reproduces the
-//! cross-shard durable watermark without ever reading it — a censored
-//! (failed) epoch simply never arrives, so the stream stalls in front
-//! of it forever and a subscriber can never observe state beyond the
+//! Commit notices — `(epoch, table, created | k rows added)` — enter
+//! the hub from [`GroupWal::commit_locked`]'s success path, i.e.
+//! *after* the batch is fsync-durable on its shard. The hub holds them
+//! in a reorder buffer and releases epochs strictly contiguously from
+//! the store's base epoch: epoch `e` is applied only once every epoch
+//! `< e` has arrived. Because a notice is sent exactly once its shard
+//! commit succeeds, contiguity-from-base reproduces the cross-shard
+//! durable watermark without ever reading it — a censored (failed)
+//! epoch simply never arrives, so the stream stalls in front of it
+//! forever and a subscriber can never observe state beyond the
 //! watermark. This mirrors the restart contract: a degraded store
 //! replays exactly the contiguous durable prefix.
+//!
+//! ## Committed rows come from the store
+//!
+//! The hub keeps no copy of the store's history: it shares the store's
+//! table registry and keeps one row count per table, as of its cursor.
+//! Served tables only grow — a statement's rows are appended in epoch
+//! order under the table's write lock, and the only deletions roll
+//! back a tail that was never enqueued — so the committed rows of a
+//! table at the cursor are exactly its first `n` rows in the store,
+//! and epoch `e`'s `k` rows are rows `[n, n + k)`. A table's miner is
+//! seeded from that prefix when the table is first watched and fed
+//! each later epoch's range; it is dropped when the last subscriber
+//! leaves. An unwatched table costs one integer. The miners' total
+//! row count is the store counter `serve.watch.shadow_rows` (a
+//! high-water mark).
 //!
 //! ## Wire grammar
 //!
@@ -32,7 +48,10 @@
 //! subscribers registered with `WATCH <t|*> weak` receive (there is no
 //! `wkey:` fact: weak keys coincide with p-keys). Default subscribers
 //! never see `wfd:` lines, so pre-weak consumers' streams are
-//! byte-identical. Within one epoch, refutations (`-`) are emitted
+//! byte-identical. The weak plane is mined only while a weak
+//! subscriber watches the table: one joining a table already watched
+//! gets a silent weak baseline, and the `wfd:` facts are dropped when
+//! the last one leaves. Within one epoch, refutations (`-`) are emitted
 //! before appearances (`+`), each in lexicographic fact order, so the
 //! event stream for a given history is byte-deterministic.
 //!
@@ -56,14 +75,14 @@ use sqlnf_discovery::prelude::*;
 use sqlnf_model::prelude::*;
 
 use crate::metrics::StoreMetrics;
-use crate::store::DEFAULT_MINE_LHS;
+use crate::store::{Tables, DEFAULT_MINE_LHS};
 use sqlnf_obs::Counter;
 
 /// Default per-subscriber queue depth (event lines) before lagging.
 pub const DEFAULT_WATCH_QUEUE: usize = 4096;
 
-/// LHS/key size bound used for the hub's shadow mining (matches the
-/// `MINE` verb default).
+/// LHS/key size bound used for the hub's mining (matches the `MINE`
+/// verb default).
 pub const WATCH_MAX_LHS: usize = DEFAULT_MINE_LHS;
 
 /// One streamed discovery event.
@@ -158,7 +177,7 @@ fn facts_from_parts(
 /// From-scratch fact set of a table: the minimal possible/certain FDs
 /// (one fact per RHS attribute) and minimal possible/certain keys, all
 /// bounded by `max_lhs`. This is the reference the hub's incremental
-/// shadow state must agree with — harness stream-soundness checks mine
+/// miners must agree with — harness stream-soundness checks mine
 /// a table at an oplog prefix through this function and confirm every
 /// streamed event against consecutive prefixes. Output is exactly what
 /// a *default* subscriber sees; weak subscribers verify against
@@ -191,24 +210,42 @@ pub fn table_facts_with(table: &Table, max_lhs: usize, include_weak: bool) -> BT
     facts_from_parts(table.schema(), &pfds, &cfds, wfds.as_deref(), &keys)
 }
 
-/// The hub always mines the full plane (weak included); subscriber
-/// filtering decides who sees the `wfd:` lines.
-fn miner_facts(m: &mut IncrementalMiner, max_lhs: usize) -> BTreeSet<String> {
-    let pfds = m.mine_fds(Semantics::Possible, max_lhs, DEFAULT_CACHE_BUDGET);
-    let cfds = m.mine_fds(Semantics::Certain, max_lhs, DEFAULT_CACHE_BUDGET);
-    let wfds = m.mine_fds(Semantics::Weak, max_lhs, DEFAULT_CACHE_BUDGET);
-    let keys = m.mine_keys(max_lhs, DEFAULT_CACHE_BUDGET);
-    let schema = m.schema().clone();
-    facts_from_parts(&schema, &pfds, &cfds, Some(&wfds), &keys)
+/// The facts of a watched table's maintained instance; the weak plane
+/// is mined only when `weak` (some weak subscriber watches the table).
+fn miner_facts(m: &mut IncrementalMiner, weak: bool) -> BTreeSet<String> {
+    let mine = |m: &mut IncrementalMiner, sem| m.mine_fds(sem, WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET);
+    let pfds = mine(m, Semantics::Possible);
+    let cfds = mine(m, Semantics::Certain);
+    let wfds = weak.then(|| mine(m, Semantics::Weak));
+    let keys = m.mine_keys(WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET);
+    facts_from_parts(m.schema(), &pfds, &cfds, wfds.as_deref(), &keys)
 }
 
-/// Messages into the hub thread. Frames, registrations and barriers
+/// What one committed statement did to its table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Change {
+    /// `CREATE TABLE`.
+    Created,
+    /// An `INSERT` of this many rows, appended after the table's
+    /// earlier rows.
+    Rows(usize),
+}
+
+/// One durable commit, as the commit plane announces it to the hub.
+#[derive(Debug)]
+pub(crate) struct Notice {
+    pub(crate) epoch: u64,
+    pub(crate) table: String,
+    pub(crate) change: Change,
+}
+
+/// Messages into the hub thread. Notices, registrations and barriers
 /// travel the same FIFO channel, so the hub's serial processing order
 /// defines each subscription's exact baseline point.
 #[derive(Debug)]
 pub(crate) enum HubMsg {
-    /// A commit batch, durable on its shard: `(epoch, payload)` pairs.
-    Batch(Vec<(u64, String)>),
+    /// A commit batch, durable on its shard.
+    Batch(Vec<Notice>),
     /// A new subscriber.
     Register(Arc<SubscriberShared>),
     /// A subscriber dropped its handle.
@@ -234,6 +271,10 @@ pub(crate) struct SubscriberShared {
 impl SubscriberShared {
     fn watches(&self, table: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| f == table)
+    }
+
+    fn open(&self) -> bool {
+        !self.closed.load(Ordering::Relaxed)
     }
 
     fn push(&self, line: String, dropped: &Counter) {
@@ -302,20 +343,39 @@ pub struct WatchHub {
 }
 
 impl WatchHub {
-    /// Spawn the hub. `preamble` scripts (recovered history) seed the
-    /// shadow state without emitting events; `cursor` is the first
+    /// Spawn the hub over the store's registry. `cursor` is the first
     /// epoch the live store will commit (`GroupWal::epoch_next()` at
-    /// store construction).
+    /// store construction); every row in `tables` now — the recovered
+    /// state — precedes it, so the row counts are read here, before
+    /// the store admits a statement.
     pub(crate) fn spawn(
-        preamble: Vec<String>,
+        tables: Tables,
         cursor: u64,
         queue_cap: usize,
         metrics: Arc<StoreMetrics>,
     ) -> WatchHub {
+        let rows = tables
+            .read()
+            .expect("registry lock poisoned")
+            .iter()
+            .map(|(name, t)| {
+                let len = t.read().expect("table lock poisoned").data().len();
+                (name.clone(), len)
+            })
+            .collect();
+        let hub = Hub {
+            tables,
+            cursor,
+            pending: BTreeMap::new(),
+            rows,
+            watched: BTreeMap::new(),
+            subs: Vec::new(),
+            metrics,
+        };
         let (tx, rx) = mpsc::channel();
         thread::Builder::new()
             .name("sqlnf-watch".into())
-            .spawn(move || hub_main(rx, preamble, cursor, metrics))
+            .spawn(move || hub.run(rx))
             .expect("spawn watch hub");
         WatchHub {
             tx,
@@ -367,146 +427,164 @@ impl WatchHub {
     }
 }
 
+/// A watched table's mining state.
+struct Watched {
+    miner: IncrementalMiner,
+    /// The fact set last published (or silently baselined).
+    facts: BTreeSet<String>,
+    /// Whether the weak plane is mined: some weak subscriber watches.
+    weak: bool,
+}
+
 struct Hub {
+    /// The store's registry: where committed rows are read from.
+    tables: Tables,
     cursor: u64,
-    pending: BTreeMap<u64, String>,
-    miners: BTreeMap<String, IncrementalMiner>,
-    /// Last published fact set, per *watched* table. Presence of a key
-    /// is what turns mining on for that table; unwatched tables only
-    /// pay the cheap delta apply.
-    facts: BTreeMap<String, BTreeSet<String>>,
+    /// Reorder buffer: notices that arrived ahead of the cursor.
+    pending: BTreeMap<u64, Notice>,
+    /// Committed row count per table, as of the cursor.
+    rows: BTreeMap<String, usize>,
+    watched: BTreeMap<String, Watched>,
     subs: Vec<Arc<SubscriberShared>>,
     /// The owning store's measurements (`serve.watch.*`).
     metrics: Arc<StoreMetrics>,
 }
 
-fn hub_main(rx: Receiver<HubMsg>, preamble: Vec<String>, cursor: u64, metrics: Arc<StoreMetrics>) {
-    let mut hub = Hub {
-        cursor,
-        pending: BTreeMap::new(),
-        miners: BTreeMap::new(),
-        facts: BTreeMap::new(),
-        subs: Vec::new(),
-        metrics,
-    };
-    for src in &preamble {
-        hub.apply_script(src, None);
-    }
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            HubMsg::Batch(frames) => {
-                for (epoch, payload) in frames {
-                    hub.pending.insert(epoch, payload);
-                }
-                hub.release();
-            }
-            HubMsg::Register(sub) => hub.register(sub),
-            HubMsg::Unregister(id) => hub.unregister(id),
-            HubMsg::Barrier(done) => {
-                let _ = done.send(());
-            }
-        }
-    }
+/// Whether an open subscriber watches `table` (a weak one, if
+/// `weak_only`).
+fn subscribed(subs: &[Arc<SubscriberShared>], table: &str, weak_only: bool) -> bool {
+    subs.iter()
+        .any(|s| s.open() && s.watches(table) && (s.weak || !weak_only))
+}
+
+/// Reads committed `table` under its read lock. A committed table
+/// is always in the registry, and its committed rows are always a
+/// prefix of its rows there.
+fn committed<T>(tables: &Tables, table: &str, read: impl FnOnce(&Table) -> T) -> T {
+    let stored = tables
+        .read()
+        .expect("registry lock poisoned")
+        .get(table)
+        .cloned()
+        .unwrap_or_else(|| panic!("watch hub: committed table {table} not in the store"));
+    let st = stored.read().expect("table lock poisoned");
+    read(st.data())
 }
 
 impl Hub {
-    /// Apply every contiguously-durable epoch. A missing epoch stalls
-    /// the stream: that is the watermark contract, not a bug.
-    fn release(&mut self) {
-        while let Some(payload) = self.pending.remove(&self.cursor) {
-            let epoch = self.cursor;
-            self.cursor += 1;
-            self.apply_script(&payload, Some(epoch));
-        }
-    }
-
-    fn watched(&self, table: &str) -> bool {
-        self.subs
-            .iter()
-            .any(|s| !s.closed.load(Ordering::Relaxed) && s.watches(table))
-    }
-
-    /// Apply one committed script to the shadow state. With
-    /// `epoch = None` (recovery preamble) state is updated silently;
-    /// otherwise watched tables are re-mined and fact diffs published.
-    fn apply_script(&mut self, src: &str, epoch: Option<u64>) {
-        // Frames were parsed and admitted by the server before they
-        // were logged, so a parse failure here can only mean a torn
-        // payload; skip it rather than poison the hub.
-        let Ok(stmts) = parse_script(src) else { return };
-        for stmt in stmts {
-            match stmt {
-                Statement::CreateTable { schema, .. } => {
-                    let name = schema.name().to_string();
-                    self.miners
-                        .insert(name.clone(), IncrementalMiner::new(schema));
-                    if let Some(e) = epoch {
-                        if self.watched(&name) {
-                            // Baseline is "table absent" = no facts;
-                            // the empty table's trivial facts stream
-                            // as the creation event.
-                            self.facts.insert(name.clone(), BTreeSet::new());
-                            self.publish(e, &name);
-                        }
+    fn run(mut self, rx: Receiver<HubMsg>) {
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                HubMsg::Batch(notices) => {
+                    for notice in notices {
+                        self.pending.insert(notice.epoch, notice);
                     }
+                    self.release();
                 }
-                Statement::Insert { table, rows } => {
-                    let applied = match self.miners.get_mut(&table) {
-                        Some(m) => {
-                            for t in rows {
-                                m.insert(t);
-                            }
-                            true
-                        }
-                        None => false,
-                    };
-                    if applied {
-                        if let Some(e) = epoch {
-                            if self.facts.contains_key(&table) {
-                                self.publish(e, &table);
-                            }
-                        }
-                    }
+                HubMsg::Register(sub) => self.register(sub),
+                HubMsg::Unregister(id) => self.unregister(id),
+                HubMsg::Barrier(done) => {
+                    let _ = done.send(());
                 }
             }
         }
+    }
+
+    /// Apply every contiguously-durable epoch. A missing epoch stalls
+    /// the stream: that is the watermark contract, not a bug.
+    fn release(&mut self) {
+        while let Some(notice) = self.pending.remove(&self.cursor) {
+            self.cursor += 1;
+            self.apply(notice);
+        }
+    }
+
+    /// Applies one durable commit: advances the table's row count and,
+    /// if the table is watched, feeds the commit's rows to its miner
+    /// and publishes the fact diff.
+    fn apply(&mut self, notice: Notice) {
+        let Notice {
+            epoch,
+            table,
+            change,
+        } = notice;
+        match change {
+            Change::Created => {
+                let fresh = self.rows.insert(table.clone(), 0).is_none();
+                assert!(fresh, "watch hub: table {table} created twice");
+                if subscribed(&self.subs, &table, false) {
+                    // Baseline is "table absent" = no facts; the empty
+                    // table's trivial facts stream as the creation event.
+                    self.seed(&table);
+                    self.publish(epoch, &table);
+                }
+            }
+            Change::Rows(k) => {
+                let n = self.rows.get_mut(&table).unwrap_or_else(|| {
+                    panic!("watch hub: rows committed to unknown table {table}")
+                });
+                let range = *n..*n + k;
+                *n += k;
+                if let Some(w) = self.watched.get_mut(&table) {
+                    for row in committed(&self.tables, &table, |t| t.rows()[range].to_vec()) {
+                        w.miner.insert(row);
+                    }
+                    self.note_shadow_rows();
+                    self.publish(epoch, &table);
+                }
+            }
+        }
+    }
+
+    /// Starts mining `table`: a miner seeded with its committed rows
+    /// and an empty baseline.
+    fn seed(&mut self, table: &str) -> &mut Watched {
+        let n = self.rows[table];
+        let (schema, rows) = committed(&self.tables, table, |t| {
+            (t.schema().clone(), t.rows()[..n].to_vec())
+        });
+        let watched = Watched {
+            miner: IncrementalMiner::from_rows(schema, rows),
+            facts: BTreeSet::new(),
+            weak: subscribed(&self.subs, table, true),
+        };
+        self.watched.entry(table.to_string()).or_insert(watched)
+    }
+
+    fn note_shadow_rows(&self) {
+        let held = self.watched.values().map(|w| w.miner.len()).sum::<usize>();
+        self.metrics.watch_shadow_rows.raise_to(held as u64);
     }
 
     /// Re-mine `table` and stream the fact diff for `epoch`.
     fn publish(&mut self, epoch: u64, table: &str) {
-        let now = match self.miners.get_mut(table) {
-            Some(miner) => miner_facts(miner, WATCH_MAX_LHS),
-            None => return,
-        };
-        let before = self.facts.get(table).cloned().unwrap_or_default();
-        if now != before {
+        let w = self
+            .watched
+            .get_mut(table)
+            .expect("watch hub: publishing an unwatched table");
+        let now = miner_facts(&mut w.miner, w.weak);
+        if now != w.facts {
             // Each line is tagged with whether it belongs to the
             // weak-opt-in plane; default subscribers skip those, so
             // their streams are byte-identical to a weak-unaware hub's.
-            let mut lines: Vec<(bool, String)> = Vec::new();
-            for fact in before.difference(&now) {
-                let line = WatchEvent {
-                    epoch,
-                    table: table.to_string(),
-                    appeared: false,
-                    fact: fact.clone(),
-                }
-                .line();
-                lines.push((is_weak_fact(fact), line));
-            }
-            for fact in now.difference(&before) {
-                let line = WatchEvent {
-                    epoch,
-                    table: table.to_string(),
-                    appeared: true,
-                    fact: fact.clone(),
-                }
-                .line();
-                lines.push((is_weak_fact(fact), line));
-            }
+            let gone = w.facts.difference(&now).map(|f| (false, f));
+            let came = now.difference(&w.facts).map(|f| (true, f));
+            let lines: Vec<(bool, String)> = gone
+                .chain(came)
+                .map(|(appeared, fact)| {
+                    let line = WatchEvent {
+                        epoch,
+                        table: table.to_string(),
+                        appeared,
+                        fact: fact.clone(),
+                    }
+                    .line();
+                    (is_weak_fact(fact), line)
+                })
+                .collect();
             self.metrics.watch_events.add(lines.len() as u64);
             for sub in &self.subs {
-                if !sub.closed.load(Ordering::Relaxed) && sub.watches(table) {
+                if sub.open() && sub.watches(table) {
                     for (weak_fact, line) in &lines {
                         if *weak_fact && !sub.weak {
                             continue;
@@ -516,45 +594,166 @@ impl Hub {
                 }
             }
         }
-        self.facts.insert(table.to_string(), now);
+        w.facts = now;
     }
 
     fn register(&mut self, sub: Arc<SubscriberShared>) {
         // Baseline silently: the subscriber starts from the fact set at
         // the current cursor and only sees diffs for later epochs.
-        for (name, miner) in self.miners.iter_mut() {
-            if sub.watches(name) && !self.facts.contains_key(name) {
-                let baseline = miner_facts(miner, WATCH_MAX_LHS);
-                self.facts.insert(name.clone(), baseline);
+        self.subs.push(Arc::clone(&sub));
+        let names: Vec<String> = self
+            .rows
+            .keys()
+            .filter(|name| sub.watches(name))
+            .cloned()
+            .collect();
+        for name in names {
+            match self.watched.get_mut(&name) {
+                // Already mined for default subscribers: a weak one
+                // needs the weak plane's baseline on top.
+                Some(w) if sub.weak && !w.weak => {
+                    w.weak = true;
+                    w.facts = miner_facts(&mut w.miner, true);
+                }
+                Some(_) => {}
+                None => {
+                    let w = self.seed(&name);
+                    w.facts = miner_facts(&mut w.miner, w.weak);
+                    self.note_shadow_rows();
+                }
             }
         }
-        self.subs.push(sub);
     }
 
     fn unregister(&mut self, id: u64) {
-        self.subs
-            .retain(|s| s.id != id && !s.closed.load(Ordering::Relaxed));
-        // Stop mining tables nobody watches any more.
-        let keep: Vec<String> = self
-            .facts
-            .keys()
-            .filter(|name| self.watched(name))
-            .cloned()
-            .collect();
-        self.facts.retain(|name, _| keep.contains(name));
+        self.subs.retain(|s| s.id != id && s.open());
+        // Stop mining tables nobody watches any more, and the weak
+        // plane of tables no weak subscriber watches.
+        let subs = &self.subs;
+        self.watched.retain(|name, w| {
+            if w.weak && !subscribed(subs, name, true) {
+                w.weak = false;
+                w.facts.retain(|f| !is_weak_fact(f));
+            }
+            subscribed(subs, name, false)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Store;
+    use std::sync::RwLock;
 
-    fn frame(epoch: u64, payload: &str) -> (u64, String) {
-        (epoch, payload.to_string())
+    /// A hub over a registry the test fills itself, standing in for the
+    /// store: `create` and `insert` change the registry and return the
+    /// notice the commit plane would send for that statement.
+    struct Rig {
+        tables: Tables,
+        hub: WatchHub,
     }
 
-    fn send(hub: &WatchHub, frames: Vec<(u64, String)>) {
-        hub.sender().send(HubMsg::Batch(frames)).unwrap();
+    impl Rig {
+        fn new() -> Rig {
+            Rig::with(DEFAULT_WATCH_QUEUE, Arc::default())
+        }
+
+        fn with(queue_cap: usize, metrics: Arc<StoreMetrics>) -> Rig {
+            let tables = Tables::default();
+            let hub = WatchHub::spawn(Arc::clone(&tables), 1, queue_cap, metrics);
+            Rig { tables, hub }
+        }
+
+        fn create(&self, epoch: u64, name: &str, cols: &[&str]) -> Notice {
+            let schema = TableSchema::new(name, cols.iter().copied(), &[]);
+            let table = StoredTable::new(schema, Sigma::new());
+            self.tables
+                .write()
+                .unwrap()
+                .insert(name.to_string(), Arc::new(RwLock::new(table)));
+            Notice {
+                epoch,
+                table: name.to_string(),
+                change: Change::Created,
+            }
+        }
+
+        fn insert(&self, epoch: u64, name: &str, rows: Vec<Tuple>) -> Notice {
+            let stored = Arc::clone(&self.tables.read().unwrap()[name]);
+            let k = rows.len();
+            for row in rows {
+                stored.write().unwrap().insert(row).unwrap();
+            }
+            Notice {
+                epoch,
+                table: name.to_string(),
+                change: Change::Rows(k),
+            }
+        }
+
+        /// Appends to `expected` the events moving `before` to the
+        /// registry's current facts of `table`, at `epoch`.
+        fn expect_diff(
+            &self,
+            epoch: u64,
+            table: &str,
+            weak: bool,
+            before: &mut BTreeSet<String>,
+            expected: &mut Vec<String>,
+        ) {
+            let stored = Arc::clone(&self.tables.read().unwrap()[table]);
+            let now = table_facts_with(stored.read().unwrap().data(), WATCH_MAX_LHS, weak);
+            push_diff(epoch, table, before, now, expected);
+        }
+
+        fn send(&self, notices: Vec<Notice>) {
+            self.hub.sender().send(HubMsg::Batch(notices)).unwrap();
+        }
+    }
+
+    /// Appends the event lines turning `before` into `now` at `epoch`,
+    /// then makes `now` the new `before`.
+    fn push_diff(
+        epoch: u64,
+        table: &str,
+        before: &mut BTreeSet<String>,
+        now: BTreeSet<String>,
+        expected: &mut Vec<String>,
+    ) {
+        expected.extend(
+            before
+                .difference(&now)
+                .map(|f| format!("EVENT {epoch} {table} -{f}")),
+        );
+        expected.extend(
+            now.difference(before)
+                .map(|f| format!("EVENT {epoch} {table} +{f}")),
+        );
+        *before = now;
+    }
+
+    /// Runs `stmts` on `store` (epochs `first..`), appending the events
+    /// a subscriber of `table` on the given plane must see.
+    fn run_expecting(
+        store: &Store,
+        first: u64,
+        stmts: &[&str],
+        weak: bool,
+        before: &mut BTreeSet<String>,
+        expected: &mut Vec<String>,
+    ) {
+        for (i, sql) in stmts.iter().enumerate() {
+            store.execute_sql(sql).unwrap();
+            let now = store_facts(store, weak);
+            push_diff(first + i as u64, "t", before, now, expected);
+        }
+    }
+
+    fn store_facts(store: &Store, weak: bool) -> BTreeSet<String> {
+        store
+            .with_table("t", |st| table_facts_with(st.data(), WATCH_MAX_LHS, weak))
+            .unwrap()
     }
 
     #[test]
@@ -577,20 +776,18 @@ mod tests {
 
     #[test]
     fn contiguous_release_streams_fact_diffs_in_epoch_order() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
-        let sub = hub.subscribe(None);
-        // Out-of-order delivery: epochs 2 and 3 arrive before 1.
-        send(
-            &hub,
-            vec![
-                frame(2, "INSERT INTO t VALUES (1, 1);"),
-                frame(3, "INSERT INTO t VALUES (1, 2);"),
-            ],
-        );
-        hub.barrier();
+        let rig = Rig::new();
+        let sub = rig.hub.subscribe(None);
+        // The registry already holds all three statements; their
+        // notices arrive out of order: epochs 2 and 3 before 1.
+        let create = rig.create(1, "t", &["a", "b"]);
+        let first = rig.insert(2, "t", vec![tuple![1i64, 1i64]]);
+        let second = rig.insert(3, "t", vec![tuple![1i64, 2i64]]);
+        rig.send(vec![first, second]);
+        rig.hub.barrier();
         assert!(sub.drain().is_empty(), "nothing released before epoch 1");
-        send(&hub, vec![frame(1, "CREATE TABLE t (a INT, b INT);")]);
-        hub.barrier();
+        rig.send(vec![create]);
+        rig.hub.barrier();
         let lines = sub.drain();
         let events: Vec<WatchEvent> = lines
             .iter()
@@ -613,85 +810,54 @@ mod tests {
 
     #[test]
     fn streamed_facts_match_from_scratch_prefixes() {
-        let stmts = [
-            "CREATE TABLE t (a INT, b INT, c INT);",
-            "INSERT INTO t VALUES (1, 1, 1);",
-            "INSERT INTO t VALUES (1, 2, 1);",
-            "INSERT INTO t VALUES (2, 2, NULL);",
-            "INSERT INTO t VALUES (2, 2, 2);",
+        let rows = [
+            tuple![1i64, 1i64, 1i64],
+            tuple![1i64, 2i64, 1i64],
+            tuple![2i64, 2i64, null],
+            tuple![2i64, 2i64, 2i64],
         ];
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
-        let sub = hub.subscribe(Some("t".into()));
-        send(
-            &hub,
-            stmts
-                .iter()
-                .enumerate()
-                .map(|(i, s)| frame(i as u64 + 1, s))
-                .collect(),
-        );
-        hub.barrier();
-        // Replay the same prefixes from scratch and diff.
-        let mut expected = Vec::new();
-        let mut db = Database::new();
-        let mut before = BTreeSet::new();
-        for (i, s) in stmts.iter().enumerate() {
-            db.run_script(s).unwrap();
-            let now = table_facts(db.table("t").unwrap().data(), WATCH_MAX_LHS);
-            for fact in before.difference(&now) {
-                expected.push(format!("EVENT {} t -{fact}", i + 1));
-            }
-            for fact in now.difference(&before) {
-                expected.push(format!("EVENT {} t +{fact}", i + 1));
-            }
-            before = now;
+        let rig = Rig::new();
+        let sub = rig.hub.subscribe(Some("t".into()));
+        // Fill the registry statement by statement, mining each prefix
+        // from scratch; the hub must read exactly each epoch's rows.
+        let (mut expected, mut before) = (Vec::new(), BTreeSet::new());
+        let mut notices = vec![rig.create(1, "t", &["a", "b", "c"])];
+        rig.expect_diff(1, "t", false, &mut before, &mut expected);
+        for (i, row) in rows.into_iter().enumerate() {
+            let epoch = i as u64 + 2;
+            notices.push(rig.insert(epoch, "t", vec![row]));
+            rig.expect_diff(epoch, "t", false, &mut before, &mut expected);
         }
+        rig.send(notices);
+        rig.hub.barrier();
         assert_eq!(sub.drain(), expected);
     }
 
     #[test]
     fn weak_subscriber_streams_match_weak_from_scratch_prefixes() {
-        let stmts = [
-            "CREATE TABLE t (a INT, b INT, c INT);",
-            "INSERT INTO t VALUES (1, 1, 1);",
-            "INSERT INTO t VALUES (1, NULL, 1);",
-            "INSERT INTO t VALUES (1, 2, NULL);",
-            "INSERT INTO t VALUES (2, 2, 2);",
+        let rows = [
+            tuple![1i64, 1i64, 1i64],
+            tuple![1i64, null, 1i64],
+            tuple![1i64, 2i64, null],
+            tuple![2i64, 2i64, 2i64],
         ];
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
-        let weak_sub = hub.subscribe_opts(Some("t".into()), true);
-        let plain_sub = hub.subscribe(Some("t".into()));
-        send(
-            &hub,
-            stmts
-                .iter()
-                .enumerate()
-                .map(|(i, s)| frame(i as u64 + 1, s))
-                .collect(),
-        );
-        hub.barrier();
-        // Replay the prefixes from scratch, once per plane, and diff.
-        let mut expect_weak = Vec::new();
-        let mut expect_plain = Vec::new();
-        let mut db = Database::new();
+        let rig = Rig::new();
+        let weak_sub = rig.hub.subscribe_opts(Some("t".into()), true);
+        let plain_sub = rig.hub.subscribe(Some("t".into()));
+        // Mine the prefixes from scratch, once per plane, and diff.
+        let (mut expect_weak, mut expect_plain) = (Vec::new(), Vec::new());
         let (mut before_weak, mut before_plain) = (BTreeSet::new(), BTreeSet::new());
-        for (i, s) in stmts.iter().enumerate() {
-            db.run_script(s).unwrap();
-            let data = db.table("t").unwrap().data();
-            for (include_weak, before, expected) in [
-                (true, &mut before_weak, &mut expect_weak),
-                (false, &mut before_plain, &mut expect_plain),
-            ] {
-                let now = table_facts_with(data, WATCH_MAX_LHS, include_weak);
-                for fact in before.difference(&now) {
-                    expected.push(format!("EVENT {} t -{fact}", i + 1));
-                }
-                for fact in now.difference(before) {
-                    expected.push(format!("EVENT {} t +{fact}", i + 1));
-                }
-                *before = now;
-            }
+        let mut notices = vec![rig.create(1, "t", &["a", "b", "c"])];
+        rig.expect_diff(1, "t", true, &mut before_weak, &mut expect_weak);
+        rig.expect_diff(1, "t", false, &mut before_plain, &mut expect_plain);
+        for (i, row) in rows.into_iter().enumerate() {
+            let epoch = i as u64 + 2;
+            notices.push(rig.insert(epoch, "t", vec![row]));
+            rig.expect_diff(epoch, "t", true, &mut before_weak, &mut expect_weak);
+            rig.expect_diff(epoch, "t", false, &mut before_plain, &mut expect_plain);
         }
+        rig.send(notices);
+        rig.hub.barrier();
         let weak_lines = weak_sub.drain();
         assert!(
             weak_lines.iter().any(|l| l.contains("+wfd:")),
@@ -708,17 +874,15 @@ mod tests {
     #[test]
     fn bounded_queue_lags_and_reports_once() {
         let metrics = Arc::new(StoreMetrics::default());
-        let hub = WatchHub::spawn(Vec::new(), 1, 4, Arc::clone(&metrics));
-        let sub = hub.subscribe(None);
-        let mut frames = vec![frame(1, "CREATE TABLE t (a INT, b INT);")];
-        for i in 0..20u64 {
-            frames.push(frame(
-                i + 2,
-                &format!("INSERT INTO t VALUES ({}, {});", i % 3, i),
-            ));
+        let rig = Rig::with(4, Arc::clone(&metrics));
+        let sub = rig.hub.subscribe(None);
+        let mut notices = vec![rig.create(1, "t", &["a", "b"])];
+        for i in 0..20i64 {
+            let row = Tuple::new(vec![Value::Int(i % 3), Value::Int(i)]);
+            notices.push(rig.insert(i as u64 + 2, "t", vec![row]));
         }
-        send(&hub, frames);
-        hub.barrier();
+        rig.send(notices);
+        rig.hub.barrier();
         let lines = sub.drain();
         assert_eq!(lines.len(), 5, "4 queued events + LAGGED: {lines:?}");
         let last = lines.last().unwrap();
@@ -727,8 +891,7 @@ mod tests {
         assert_eq!(n, sub.lagged());
         assert!(n > 0);
         // The hub's store counters see the same stream: exactly the
-        // lines this queue dropped, among every line published (the
-        // weak-plane lines this subscriber skips count there too).
+        // lines this queue dropped, among every line published.
         assert_eq!(metrics.watch_dropped.get(), n);
         assert!(metrics.watch_events.get() >= 4 + n);
         // Drained and reported: a second drain is empty, no LAGGED spam.
@@ -737,18 +900,15 @@ mod tests {
 
     #[test]
     fn filtered_subscriber_only_sees_its_table() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
-        let sub = hub.subscribe(Some("u".into()));
-        send(
-            &hub,
-            vec![
-                frame(1, "CREATE TABLE t (a INT, b INT);"),
-                frame(2, "CREATE TABLE u (x INT, y INT);"),
-                frame(3, "INSERT INTO t VALUES (1, 1);"),
-                frame(4, "INSERT INTO u VALUES (7, 7);"),
-            ],
-        );
-        hub.barrier();
+        let rig = Rig::new();
+        let sub = rig.hub.subscribe(Some("u".into()));
+        rig.send(vec![
+            rig.create(1, "t", &["a", "b"]),
+            rig.create(2, "u", &["x", "y"]),
+            rig.insert(3, "t", vec![tuple![1i64, 1i64]]),
+            rig.insert(4, "u", vec![tuple![7i64, 7i64]]),
+        ]);
+        rig.hub.barrier();
         let events: Vec<WatchEvent> = sub
             .drain()
             .iter()
@@ -759,39 +919,172 @@ mod tests {
     }
 
     #[test]
-    fn preamble_seeds_baseline_without_events() {
-        let hub = WatchHub::spawn(
-            vec![
-                "CREATE TABLE t (a INT, b INT);".to_string(),
-                "INSERT INTO t VALUES (1, 1);".to_string(),
-            ],
-            3,
-            DEFAULT_WATCH_QUEUE,
-            Arc::default(),
-        );
-        let sub = hub.subscribe(None);
-        hub.barrier();
-        assert!(sub.drain().is_empty(), "recovered history is the baseline");
-        send(&hub, vec![frame(3, "INSERT INTO t VALUES (1, 2);")]);
-        hub.barrier();
-        let lines = sub.drain();
-        assert!(
-            lines.contains(&"EVENT 3 t -pfd:->b".to_string()),
-            "{lines:?}"
-        );
+    fn drop_unregisters_and_disables_mining() {
+        let rig = Rig::new();
+        let sub = rig.hub.subscribe(None);
+        rig.send(vec![rig.create(1, "t", &["a", "b"])]);
+        rig.hub.barrier();
+        assert!(!sub.drain().is_empty());
+        drop(sub);
+        let sub2 = rig.hub.subscribe(Some("other".into()));
+        rig.send(vec![rig.insert(2, "t", vec![tuple![1i64, 1i64]])]);
+        rig.hub.barrier();
+        assert!(sub2.drain().is_empty());
     }
 
     #[test]
-    fn drop_unregisters_and_disables_mining() {
-        let hub = WatchHub::spawn(Vec::new(), 1, DEFAULT_WATCH_QUEUE, Arc::default());
-        let sub = hub.subscribe(None);
-        send(&hub, vec![frame(1, "CREATE TABLE t (a INT, b INT);")]);
-        hub.barrier();
-        assert!(!sub.drain().is_empty());
-        drop(sub);
-        let sub2 = hub.subscribe(Some("other".into()));
-        send(&hub, vec![frame(2, "INSERT INTO t VALUES (1, 1);")]);
-        hub.barrier();
-        assert!(sub2.drain().is_empty());
+    fn late_subscriber_streams_prefix_diffs_from_its_registration() {
+        let store = Store::ephemeral();
+        for sql in [
+            "CREATE TABLE t (a INT, b INT, c INT);",
+            "INSERT INTO t VALUES (1, 1, 1);",
+            "INSERT INTO t VALUES (1, 2, 1);",
+        ] {
+            store.execute_sql(sql).unwrap();
+        }
+        // Registered at epoch 3: the rows already there are the
+        // baseline, read from the store.
+        let sub = store.watch(Some("t".into()));
+        let (mut expected, mut before) = (Vec::new(), store_facts(&store, false));
+        let later = [
+            "INSERT INTO t VALUES (2, 2, NULL);",
+            "INSERT INTO t VALUES (2, 2, 2);",
+            "INSERT INTO t VALUES (3, NULL, 2), (4, 1, 1);",
+        ];
+        run_expecting(&store, 4, &later, false, &mut before, &mut expected);
+        store.watch_barrier();
+        assert!(!expected.is_empty());
+        assert_eq!(sub.drain(), expected);
+    }
+
+    #[test]
+    fn reopened_store_baselines_the_recovered_table() {
+        let dir = std::env::temp_dir().join(format!("sqlnf_watch_reopen_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let store = Store::open(&dir, 0).unwrap();
+            store.execute_sql("CREATE TABLE t (a INT, b INT);").unwrap();
+            store.execute_sql("INSERT INTO t VALUES (1, 1);").unwrap();
+            // Half the history in the snapshot, half in the WAL.
+            store.snapshot().unwrap();
+            store.execute_sql("INSERT INTO t VALUES (2, 1);").unwrap();
+        }
+        let store = Store::open(&dir, 0).unwrap();
+        let sub = store.watch(None);
+        store.watch_barrier();
+        assert!(sub.drain().is_empty(), "recovered history is the baseline");
+        let (mut expected, mut before) = (Vec::new(), store_facts(&store, false));
+        let next = ["INSERT INTO t VALUES (1, 2);"];
+        run_expecting(&store, 4, &next, false, &mut before, &mut expected);
+        store.watch_barrier();
+        assert!(
+            expected.contains(&"EVENT 4 t -pfd:->b".to_string()),
+            "{expected:?}"
+        );
+        assert_eq!(sub.drain(), expected);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn weak_subscriber_joining_a_watched_table_gets_a_silent_weak_baseline() {
+        let store = Store::ephemeral();
+        store
+            .execute_sql("CREATE TABLE t (a INT, b INT, c INT);")
+            .unwrap();
+        let plain = store.watch(Some("t".into()));
+        let (mut expect_plain, mut plain_before) = (Vec::new(), store_facts(&store, false));
+        let early = [
+            "INSERT INTO t VALUES (1, 1, 1);",
+            "INSERT INTO t VALUES (1, NULL, 1);",
+        ];
+        run_expecting(
+            &store,
+            2,
+            &early,
+            false,
+            &mut plain_before,
+            &mut expect_plain,
+        );
+
+        // Joins at epoch 3, next to the default subscriber: its
+        // baseline includes the weak plane, and nothing is emitted.
+        let weak = store.watch_opts(Some("t".into()), true);
+        let (mut expect_weak, mut weak_before) = (Vec::new(), store_facts(&store, true));
+        let later = [
+            "INSERT INTO t VALUES (1, 2, NULL);",
+            "INSERT INTO t VALUES (2, 2, 2);",
+            "INSERT INTO t VALUES (2, NULL, 3);",
+        ];
+        for (i, sql) in later.iter().enumerate() {
+            let epoch = 4 + i as u64;
+            store.execute_sql(sql).unwrap();
+            push_diff(
+                epoch,
+                "t",
+                &mut weak_before,
+                store_facts(&store, true),
+                &mut expect_weak,
+            );
+            push_diff(
+                epoch,
+                "t",
+                &mut plain_before,
+                store_facts(&store, false),
+                &mut expect_plain,
+            );
+        }
+        store.watch_barrier();
+        let weak_lines = weak.drain();
+        assert!(
+            weak_lines.iter().any(|l| l.contains("wfd:")),
+            "weak plane emitted nothing: {weak_lines:?}"
+        );
+        assert_eq!(weak_lines, expect_weak);
+
+        // The last weak subscriber leaves: the weak plane is dropped,
+        // and a later weak subscriber re-baselines it from scratch.
+        drop(weak);
+        let tail = ["INSERT INTO t VALUES (3, 3, NULL);"];
+        run_expecting(
+            &store,
+            7,
+            &tail,
+            false,
+            &mut plain_before,
+            &mut expect_plain,
+        );
+        let rejoined = store.watch_opts(Some("t".into()), true);
+        let (mut expect_rejoined, mut rejoined_before) = (Vec::new(), store_facts(&store, true));
+        store
+            .execute_sql("INSERT INTO t VALUES (3, 4, 4);")
+            .unwrap();
+        let (weak_now, plain_now) = (store_facts(&store, true), store_facts(&store, false));
+        push_diff(8, "t", &mut rejoined_before, weak_now, &mut expect_rejoined);
+        push_diff(8, "t", &mut plain_before, plain_now, &mut expect_plain);
+        store.watch_barrier();
+        assert_eq!(rejoined.drain(), expect_rejoined);
+        // No weak fact ever reaches the default subscriber.
+        assert_eq!(plain.drain(), expect_plain);
+    }
+
+    #[test]
+    fn shadow_rows_count_only_watched_tables() {
+        let store = Store::ephemeral();
+        store.execute_sql("CREATE TABLE t (a INT, b INT);").unwrap();
+        for i in 0..1000 {
+            store
+                .execute_sql(&format!("INSERT INTO t VALUES ({i}, {});", i % 7))
+                .unwrap();
+        }
+        store.watch_barrier();
+        let shadow_rows = || store.metrics().report().counter("serve.watch.shadow_rows");
+        assert_eq!(shadow_rows(), Some(0), "an unwatched table holds no rows");
+        let _sub = store.watch(Some("t".into()));
+        store.watch_barrier();
+        assert_eq!(shadow_rows(), Some(1000));
+        assert!(store
+            .stats_lines()
+            .contains(&"watch.shadow_rows 1000".to_string()));
     }
 }
