@@ -36,6 +36,11 @@ pub struct ColData {
     pub null_rows: Vec<u32>,
 }
 
+/// The code [`Table::lookup_codes`](crate::table::Table::lookup_codes)
+/// gives a value its column's dictionary has never seen. Stored codes
+/// never reach it, so it equals none of them.
+pub const UNSEEN: u32 = u32::MAX;
+
 /// Value → code dictionary for one column. Code `0` stays reserved for
 /// `⊥`; non-null values get `1, 2, …` in first-appearance order.
 /// Entries are never removed, so a code retired by UPDATE/DELETE is
@@ -54,6 +59,13 @@ impl Dict {
         sqlnf_obs::count!("discovery.encode.dict_entries");
         self.index.insert(v.clone(), c);
         c
+    }
+
+    fn lookup(&self, v: &Value) -> u32 {
+        if v.is_null() {
+            return 0;
+        }
+        self.index.get(v).copied().unwrap_or(UNSEEN)
     }
 }
 
@@ -129,6 +141,16 @@ impl ColumnStore {
         self.rows += 1;
     }
 
+    /// The codes `t` would carry as a row, read without growing any
+    /// dictionary: a value a column has not seen gets [`UNSEEN`].
+    pub(crate) fn lookup_codes(&self, t: &Tuple) -> Vec<u32> {
+        self.dicts
+            .iter()
+            .enumerate()
+            .map(|(ci, dict)| dict.lookup(t.get(Attr::from(ci))))
+            .collect()
+    }
+
     /// Re-codes one cell after a point update.
     pub fn set_value(&mut self, row: usize, col: usize, v: &Value) {
         let code = if v.is_null() {
@@ -167,6 +189,20 @@ impl ColumnStore {
             }
         }
         self.rows -= 1;
+    }
+
+    /// Drops every row from `len` on; no other row is renumbered.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len >= self.rows {
+            return;
+        }
+        for col in &mut self.cols {
+            let data = Arc::make_mut(col);
+            data.codes.truncate(len);
+            let keep = data.null_rows.partition_point(|&r| (r as usize) < len);
+            data.null_rows.truncate(keep);
+        }
+        self.rows = len;
     }
 
     /// Freezes the current contents into an `O(arity)` snapshot.
@@ -248,6 +284,26 @@ mod tests {
         assert_eq!(s.snapshot().cols[0].null_rows, vec![0, 2]);
         s.remove_row(0); // removes the (now first) null row
         assert_eq!(s.snapshot().cols[0].null_rows, vec![1]);
+    }
+
+    #[test]
+    fn lookup_codes_never_grow_a_dictionary() {
+        let s = store3();
+        assert_eq!(s.lookup_codes(&tuple!["x", 2i64]), vec![1, 2]);
+        assert_eq!(s.lookup_codes(&tuple![null, 7i64]), vec![0, UNSEEN]);
+        assert_eq!((s.dict_size(0), s.dict_size(1)), (1, 2));
+    }
+
+    #[test]
+    fn truncate_drops_tail_rows_and_their_nulls() {
+        let mut s = store3();
+        s.push(&tuple![null, 3i64]);
+        s.truncate(2);
+        assert_eq!(s.rows(), 2);
+        assert_eq!(s.snapshot().cols[0].null_rows, vec![1]);
+        assert_eq!(s.snapshot().cols[1].codes, vec![1, 1]);
+        s.truncate(5);
+        assert_eq!(s.rows(), 2);
     }
 
     #[test]

@@ -49,6 +49,13 @@ pub enum EngineError {
         /// The two rows witnessing the violation.
         rows: (usize, usize),
     },
+    /// No column with this name in the target table.
+    NoSuchColumn {
+        /// Target table.
+        table: String,
+        /// Requested column.
+        column: String,
+    },
     /// Row index out of range.
     NoSuchRow {
         /// Target table.
@@ -87,6 +94,9 @@ impl fmt::Display for EngineError {
                 "constraint {constraint} of {table:?} violated by rows {} and {}",
                 rows.0, rows.1
             ),
+            EngineError::NoSuchColumn { table, column } => {
+                write!(f, "table {table:?} has no column {column:?}")
+            }
             EngineError::NoSuchRow { table, row } => {
                 write!(f, "table {table:?} has no row {row}")
             }
@@ -180,16 +190,20 @@ impl StoredTable {
     }
 
     /// Inserts a row, enforcing the NFS and every declared constraint
-    /// via the incremental indexes; on rejection the table is
-    /// unchanged. Amortized O(1) per FD/key plus O(#null rows) for
-    /// certain constraints.
+    /// via the incremental indexes; on rejection the table — its
+    /// dictionaries included — is unchanged. Amortized O(1) per FD/key
+    /// plus O(#null rows) for certain constraints.
     pub fn insert(&mut self, row: Tuple) -> Result<(), EngineError> {
         self.check_row_shape(&row)?;
-        if let Err((ci, conflict)) = self.bank.can_insert(self.data.rows(), &row) {
-            return Err(self.violation_error(ci, (conflict.with_row, self.data.len())));
+        // An empty Σ has no index to check the codes against.
+        if !self.sigma.is_empty() {
+            let codes = self.data.lookup_codes(&row);
+            if let Err((ci, conflict)) = self.bank.check(&self.data, &codes, None) {
+                return Err(self.violation_error(ci, (conflict.with_row, self.data.len())));
+            }
         }
-        self.bank.insert(&row, self.data.len());
         self.data.push(row);
+        self.bank.insert(&self.data, self.data.len() - 1);
         Ok(())
     }
 
@@ -207,31 +221,27 @@ impl StoredTable {
         let schema = self.data.schema();
         let a = schema
             .attr(column)
-            .ok_or_else(|| EngineError::NoSuchTable(format!("{}.{column}", self.name())))?;
+            .ok_or_else(|| EngineError::NoSuchColumn {
+                table: self.name().to_owned(),
+                column: column.to_owned(),
+            })?;
         if value.is_null() && schema.nfs().contains(a) {
             return Err(EngineError::NotNullViolation {
                 table: self.name().to_owned(),
                 column: column.to_owned(),
             });
         }
-        let old = self.data.rows()[row].clone();
-        let mut new = old.clone();
+        let mut new = self.data.rows()[row].clone();
         *new.get_mut(a) = value.clone();
-        self.bank.remove(&old, row);
-        match self
-            .bank
-            .can_insert_excluding(self.data.rows(), &new, Some(row))
-        {
-            Err((ci, conflict)) => {
-                self.bank.insert(&old, row);
-                Err(self.violation_error(ci, (conflict.with_row, row)))
-            }
-            Ok(()) => {
-                self.bank.insert(&new, row);
-                self.data.set_value(row, a, value);
-                Ok(())
-            }
+        let codes = self.data.lookup_codes(&new);
+        self.bank.remove(&self.data, row);
+        if let Err((ci, conflict)) = self.bank.check(&self.data, &codes, Some(row)) {
+            self.bank.insert(&self.data, row);
+            return Err(self.violation_error(ci, (conflict.with_row, row)));
         }
+        self.data.set_value(row, a, value);
+        self.bank.insert(&self.data, row);
+        Ok(())
     }
 
     /// Deletes a row (deletions can never introduce a violation of this
@@ -243,10 +253,20 @@ impl StoredTable {
                 row,
             });
         }
+        self.bank.remove(&self.data, row);
         let removed = self.data.remove_row(row);
-        self.bank.remove(&removed, row);
         self.bank.shift_down(row);
         Ok(removed)
+    }
+
+    /// Drops every row from `len` on — the rollback of a statement that
+    /// appended them. Tail rows leave the indexes without renumbering
+    /// any other id; a no-op when `len ≥` the row count.
+    pub fn truncate(&mut self, len: usize) {
+        for row in (len..self.data.len()).rev() {
+            self.bank.remove(&self.data, row);
+        }
+        self.data.truncate(len);
     }
 }
 
@@ -309,6 +329,13 @@ impl Database {
     /// Deletes a row of a named table (see [`StoredTable::delete`]).
     pub fn delete(&mut self, name: &str, row: usize) -> Result<Tuple, EngineError> {
         self.table_mut(name)?.delete(row)
+    }
+
+    /// Drops the tail rows of a named table (see
+    /// [`StoredTable::truncate`]).
+    pub fn truncate(&mut self, name: &str, len: usize) -> Result<(), EngineError> {
+        self.table_mut(name)?.truncate(len);
+        Ok(())
     }
 
     /// Executes a parsed statement.
@@ -437,6 +464,25 @@ mod tests {
         // NOT NULL still enforced on update.
         let e2 = db.update("purchase", 0, "price", Value::Null).unwrap_err();
         assert!(matches!(e2, EngineError::NotNullViolation { .. }));
+    }
+
+    #[test]
+    fn update_of_an_unknown_column_names_the_column() {
+        let mut db = purchase_db();
+        let err = db
+            .update("purchase", 0, "colour", Value::str("red"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::NoSuchColumn {
+                table: "purchase".to_owned(),
+                column: "colour".to_owned(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "table \"purchase\" has no column \"colour\""
+        );
     }
 
     #[test]

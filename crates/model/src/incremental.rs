@@ -1,410 +1,290 @@
-//! Incremental constraint checking: validate one candidate row against
-//! an instance in (amortized) constant time per constraint, instead of
-//! revalidating the whole table.
+//! Incremental constraint checking over dictionary codes: validate one
+//! candidate row against an instance in (amortized) constant time per
+//! constraint, instead of revalidating the whole table.
 //!
-//! For each constraint an [`ConstraintIndex`] maintains:
+//! Every constraint of Σ gets one index of the same shape. A key `⟨X⟩`
+//! is an FD `X → Y` with no `Y` to agree on: any two rows that match
+//! on `X` conflict. An index reads the table's dictionary codes
+//! ([`Table::code_at`], `0` = `⊥`) and never a value:
 //!
-//! * a hash map from the `X`-projection of every `X`-total row to the
-//!   group's shared RHS image (FDs) or its row count (keys) — strong
-//!   similarity and syntactic equality are transitive on the `X`-total
-//!   part, so one representative per group suffices;
-//! * the list of rows carrying `⊥` in `X` (for certain constraints,
-//!   whose weak similarity escapes the hash map). A candidate row is
-//!   checked against these pairwise; with the null lists short — the
-//!   common case — the check is O(1) + O(#null rows).
+//! * `groups` maps the `X`-codes of every `X`-total row to the group's
+//!   member rows. On the `X`-total part strong similarity is code
+//!   equality, and admission keeps every member equal on `Y`, so the
+//!   first member stands for the group;
+//! * `null_rows` lists the rows with `⊥` in `X`. For certain
+//!   constraints weak similarity ("equal codes, or one of them is
+//!   `0`") reaches past the map: a candidate is compared with these
+//!   rows, and a candidate with `⊥` in `X` with every row. With the
+//!   null lists short — the common case — a check is O(1) +
+//!   O(#null rows).
 //!
-//! The index answers *admission* queries (`can_insert`) and is updated
-//! by `insert`, `remove` and `shift_down`, so point updates and deletes
-//! maintain it incrementally instead of rebuilding from scratch: a
-//! removal is one hash lookup plus a scan of the affected group, and a
-//! delete's id compaction touches every stored row id once but never
-//! rehashes or reallocates the projections. This is what gives
-//! `sqlnf_model::engine` linear bulk loads; the equivalence with full
-//! revalidation is property-tested.
+//! A candidate arrives as the codes of [`Table::lookup_codes`], which
+//! never grows a dictionary: a value its column has not seen gets
+//! [`UNSEEN`](crate::column::UNSEEN), equal to no stored code, so a
+//! rejected row leaves the table untouched. A row enters the bank once
+//! it is stored ([`IndexBank::insert`] reads its codes back) and leaves
+//! it while it is still stored ([`IndexBank::remove`]). A positional
+//! delete then renumbers the later ids ([`IndexBank::shift_down`]);
+//! dropping tail rows renumbers nothing. When a candidate conflicts,
+//! the witness is the group's first member, else the first weakly
+//! similar null row, else the first weakly similar row of the table.
+//! The equivalence with full revalidation is property-tested.
 
-use crate::attrs::AttrSet;
-use crate::constraint::{Constraint, Fd, Key, Modality};
-use crate::similarity::weakly_similar;
+use crate::attrs::{Attr, AttrSet};
+use crate::constraint::{Modality, Sigma};
 use crate::table::Table;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::mem::size_of;
 
 /// Why a candidate row is inadmissible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conflict {
-    /// An existing row the candidate conflicts with (an index into the
-    /// insertion sequence).
+    /// An existing row the candidate conflicts with.
     pub with_row: usize,
 }
 
-fn project_values(row: &Tuple, x: AttrSet) -> Vec<Value> {
-    x.iter().map(|a| row.get(a).clone()).collect()
+/// The member rows of one `X`-total group, in the order a `Vec` with
+/// `swap_remove` would keep them. The first member is held inline, so
+/// a key group — always a single row — allocates nothing.
+#[derive(Debug, Clone)]
+struct Group {
+    first: u32,
+    rest: Vec<u32>,
 }
 
-/// One X-total FD group: the shared RHS image plus every member row.
-/// All members agree on the RHS projection (enforced at admission), so
-/// any member serves as the conflict witness.
+/// Incremental checker for one FD (`rhs: Some`) or key (`rhs: None`).
 #[derive(Debug, Clone)]
-struct FdGroup {
-    rhs: Vec<Value>,
-    rows: Vec<usize>,
-}
-
-/// Incremental state for one constraint.
-#[derive(Debug, Clone)]
-enum IndexKind {
-    Fd {
-        fd: Fd,
-        /// X-total groups: X-projection → (RHS image, member row ids).
-        groups: HashMap<Vec<Value>, FdGroup>,
-        /// Rows with ⊥ somewhere in X (certain FDs only need these).
-        null_rows: Vec<usize>,
-    },
-    Key {
-        key: Key,
-        /// X-total groups: X-projection → member row ids.
-        groups: HashMap<Vec<Value>, Vec<usize>>,
-        null_rows: Vec<usize>,
-    },
-}
-
-/// Incremental checker for one constraint over a growing instance.
-#[derive(Debug, Clone)]
-pub struct ConstraintIndex {
-    kind: IndexKind,
+struct ConstraintIndex {
+    lhs: AttrSet,
+    rhs: Option<AttrSet>,
+    modality: Modality,
+    groups: HashMap<Box<[u32]>, Group>,
+    null_rows: Vec<u32>,
+    /// Summed capacity of the groups' `rest` lists.
+    spilled: usize,
 }
 
 impl ConstraintIndex {
-    /// An empty index for `c`.
-    pub fn new(c: Constraint) -> ConstraintIndex {
-        let kind = match c {
-            Constraint::Fd(fd) => IndexKind::Fd {
-                fd,
-                groups: HashMap::new(),
-                null_rows: Vec::new(),
-            },
-            Constraint::Key(key) => IndexKind::Key {
-                key,
-                groups: HashMap::new(),
-                null_rows: Vec::new(),
-            },
+    fn new(lhs: AttrSet, rhs: Option<AttrSet>, modality: Modality) -> ConstraintIndex {
+        ConstraintIndex {
+            lhs,
+            rhs,
+            modality,
+            groups: HashMap::new(),
+            null_rows: Vec::new(),
+            spilled: 0,
+        }
+    }
+
+    /// The `X`-codes of a row, or `None` if it has `⊥` in `X`.
+    fn project(&self, code: impl Fn(Attr) -> u32) -> Option<Box<[u32]>> {
+        self.lhs
+            .iter()
+            .map(|a| Some(code(a)).filter(|&c| c != 0))
+            .collect()
+    }
+
+    /// Whether stored row `r` and the candidate conflict, given that
+    /// they match on `X`: they disagree on `Y`, and a key has no `Y`.
+    fn disagrees(&self, table: &Table, r: usize, codes: &[u32]) -> bool {
+        !self
+            .rhs
+            .is_some_and(|y| y.iter().all(|a| table.code_at(r, a) == codes[a.index()]))
+    }
+
+    fn weakly_similar(&self, table: &Table, r: usize, codes: &[u32]) -> bool {
+        self.lhs.iter().all(|a| {
+            let (c, d) = (codes[a.index()], table.code_at(r, a));
+            c == d || c == 0 || d == 0
+        })
+    }
+
+    fn check(&self, table: &Table, codes: &[u32], exclude: Option<usize>) -> Result<(), Conflict> {
+        let key = self.project(|a| codes[a.index()]);
+        if let Some(g) = key.as_ref().and_then(|k| self.groups.get(k)) {
+            let w = g.first as usize;
+            if self.disagrees(table, w, codes) {
+                return Err(Conflict { with_row: w });
+            }
+        }
+        if self.modality == Modality::Certain {
+            let conflicts =
+                |r: usize| self.weakly_similar(table, r, codes) && self.disagrees(table, r, codes);
+            // The candidate against the rows with ⊥ in X…
+            if let Some(&r) = self.null_rows.iter().find(|&&r| conflicts(r as usize)) {
+                return Err(Conflict {
+                    with_row: r as usize,
+                });
+            }
+            // …and, with ⊥ in its own X, against rows the map cannot
+            // find: scan.
+            if key.is_none() {
+                if let Some(r) = (0..table.len()).find(|&r| Some(r) != exclude && conflicts(r)) {
+                    return Err(Conflict { with_row: r });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn insert(&mut self, table: &Table, row: usize) {
+        let id = row as u32;
+        let Some(key) = self.project(|a| table.code_at(row, a)) else {
+            self.null_rows.push(id);
+            return;
         };
-        ConstraintIndex { kind }
-    }
-
-    /// Whether inserting `row` (as row id `row_id`) into the instance
-    /// `rows` (the rows inserted so far, in order) keeps the constraint
-    /// satisfied. `rows` is only consulted for weak-similarity checks
-    /// against null-bearing rows.
-    pub fn can_insert(&self, rows: &[Tuple], row: &Tuple) -> Result<(), Conflict> {
-        self.can_insert_excluding(rows, row, None)
-    }
-
-    /// [`can_insert`](Self::can_insert), but any comparison against the
-    /// row at index `exclude` is skipped. Used by point updates, where
-    /// the candidate replaces an existing row: the old row is first
-    /// [`remove`](Self::remove)d from the index, but still occupies its
-    /// slot in `rows` while the replacement is validated.
-    pub fn can_insert_excluding(
-        &self,
-        rows: &[Tuple],
-        row: &Tuple,
-        exclude: Option<usize>,
-    ) -> Result<(), Conflict> {
-        match &self.kind {
-            IndexKind::Fd {
-                fd,
-                groups,
-                null_rows,
-            } => {
-                let total = row.is_total_on(fd.lhs);
-                if total {
-                    if let Some(g) = groups.get(&project_values(row, fd.lhs)) {
-                        if project_values(row, fd.rhs) != g.rhs {
-                            return Err(Conflict {
-                                with_row: g.rows[0],
-                            });
-                        }
-                    }
-                }
-                // Certain FDs: weak similarity involving a null side.
-                if fd.modality == Modality::Certain {
-                    // The candidate against existing null rows…
-                    for &r in null_rows {
-                        if weakly_similar(row, &rows[r], fd.lhs) && !row.eq_on(&rows[r], fd.rhs) {
-                            return Err(Conflict { with_row: r });
-                        }
-                    }
-                    // …and, if the candidate itself has nulls in X, it
-                    // is weakly similar to rows the hash map cannot
-                    // find: scan.
-                    if !total {
-                        for (r, existing) in rows.iter().enumerate() {
-                            if Some(r) == exclude {
-                                continue;
-                            }
-                            if weakly_similar(row, existing, fd.lhs) && !row.eq_on(existing, fd.rhs)
-                            {
-                                return Err(Conflict { with_row: r });
-                            }
-                        }
-                    }
-                }
-                Ok(())
+        match self.groups.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Group {
+                    first: id,
+                    rest: Vec::new(),
+                });
             }
-            IndexKind::Key {
-                key,
-                groups,
-                null_rows,
-            } => {
-                let total = row.is_total_on(key.attrs);
-                if total {
-                    if let Some(members) = groups.get(&project_values(row, key.attrs)) {
-                        return Err(Conflict {
-                            with_row: members[0],
-                        });
-                    }
-                }
-                if key.modality == Modality::Certain {
-                    for &r in null_rows {
-                        if weakly_similar(row, &rows[r], key.attrs) {
-                            return Err(Conflict { with_row: r });
-                        }
-                    }
-                    if !total {
-                        for (r, existing) in rows.iter().enumerate() {
-                            if Some(r) == exclude {
-                                continue;
-                            }
-                            if weakly_similar(row, existing, key.attrs) {
-                                return Err(Conflict { with_row: r });
-                            }
-                        }
-                    }
-                }
-                Ok(())
+            Entry::Occupied(o) => {
+                let rest = &mut o.into_mut().rest;
+                let before = rest.capacity();
+                rest.push(id);
+                self.spilled += rest.capacity() - before;
             }
         }
     }
 
-    /// Records `row` (id `row_id`) as inserted. Callers must have
-    /// checked `can_insert` first; the index does not re-verify.
-    pub fn insert(&mut self, row: &Tuple, row_id: usize) {
-        match &mut self.kind {
-            IndexKind::Fd {
-                fd,
-                groups,
-                null_rows,
-            } => {
-                if row.is_total_on(fd.lhs) {
-                    groups
-                        .entry(project_values(row, fd.lhs))
-                        .or_insert_with(|| FdGroup {
-                            rhs: project_values(row, fd.rhs),
-                            rows: Vec::new(),
-                        })
-                        .rows
-                        .push(row_id);
-                } else {
-                    null_rows.push(row_id);
-                }
+    fn remove(&mut self, table: &Table, row: usize) {
+        let id = row as u32;
+        let Some(key) = self.project(|a| table.code_at(row, a)) else {
+            if let Some(at) = self.null_rows.iter().rposition(|&r| r == id) {
+                self.null_rows.swap_remove(at);
             }
-            IndexKind::Key {
-                key,
-                groups,
-                null_rows,
-            } => {
-                if row.is_total_on(key.attrs) {
-                    groups
-                        .entry(project_values(row, key.attrs))
-                        .or_default()
-                        .push(row_id);
-                } else {
-                    null_rows.push(row_id);
-                }
-            }
-        }
-    }
-
-    /// Forgets the membership of `row` (id `row_id`): one hash lookup
-    /// plus a scan of the affected group. The caller passes the exact
-    /// tuple the id was inserted with; ids of other rows are untouched
-    /// (use [`shift_down`](Self::shift_down) after a positional
-    /// delete).
-    pub fn remove(&mut self, row: &Tuple, row_id: usize) {
-        fn drop_id(ids: &mut Vec<usize>, row_id: usize) {
-            if let Some(at) = ids.iter().position(|&r| r == row_id) {
-                ids.swap_remove(at);
-            }
-        }
-        match &mut self.kind {
-            IndexKind::Fd {
-                fd,
-                groups,
-                null_rows,
-            } => {
-                if row.is_total_on(fd.lhs) {
-                    let proj = project_values(row, fd.lhs);
-                    if let Some(g) = groups.get_mut(&proj) {
-                        drop_id(&mut g.rows, row_id);
-                        if g.rows.is_empty() {
-                            groups.remove(&proj);
-                        }
-                    }
-                } else {
-                    drop_id(null_rows, row_id);
-                }
-            }
-            IndexKind::Key {
-                key,
-                groups,
-                null_rows,
-            } => {
-                if row.is_total_on(key.attrs) {
-                    let proj = project_values(row, key.attrs);
-                    if let Some(members) = groups.get_mut(&proj) {
-                        drop_id(members, row_id);
-                        if members.is_empty() {
-                            groups.remove(&proj);
-                        }
-                    }
-                } else {
-                    drop_id(null_rows, row_id);
-                }
-            }
-        }
-    }
-
-    /// Compacts row ids after the row at `removed` was deleted from the
-    /// instance: every stored id greater than `removed` decrements by
-    /// one. The id `removed` itself must already have been
-    /// [`remove`](Self::remove)d. Touches each stored id once — no
-    /// rehashing, no reallocation.
-    pub fn shift_down(&mut self, removed: usize) {
-        fn shift(ids: &mut [usize], removed: usize) {
-            for r in ids {
-                debug_assert_ne!(*r, removed, "removed id still indexed");
-                if *r > removed {
-                    *r -= 1;
-                }
-            }
-        }
-        match &mut self.kind {
-            IndexKind::Fd {
-                groups, null_rows, ..
-            } => {
-                for g in groups.values_mut() {
-                    shift(&mut g.rows, removed);
-                }
-                shift(null_rows, removed);
-            }
-            IndexKind::Key {
-                groups, null_rows, ..
-            } => {
-                for members in groups.values_mut() {
-                    shift(members, removed);
-                }
-                shift(null_rows, removed);
-            }
-        }
-    }
-
-    /// Rebuilds the index from scratch over an instance (used after
-    /// updates/deletes, which invalidate incremental state).
-    pub fn rebuild(&mut self, table: &Table) {
-        let c = match &self.kind {
-            IndexKind::Fd { fd, .. } => Constraint::Fd(*fd),
-            IndexKind::Key { key, .. } => Constraint::Key(*key),
+            return;
         };
-        *self = ConstraintIndex::new(c);
-        for (i, row) in table.rows().iter().enumerate() {
-            self.insert(row, i);
+        let Some(g) = self.groups.get_mut(&key) else {
+            return;
+        };
+        if g.first != id {
+            if let Some(at) = g.rest.iter().rposition(|&r| r == id) {
+                g.rest.swap_remove(at);
+            }
+        } else if let Some(last) = g.rest.pop() {
+            g.first = last;
+        } else {
+            self.spilled -= g.rest.capacity();
+            self.groups.remove(&key);
         }
+    }
+
+    fn shift_down(&mut self, removed: usize) {
+        let removed = removed as u32;
+        let shift = |r: &mut u32| {
+            debug_assert_ne!(*r, removed, "removed id still indexed");
+            if *r > removed {
+                *r -= 1;
+            }
+        };
+        for g in self.groups.values_mut() {
+            shift(&mut g.first);
+            g.rest.iter_mut().for_each(shift);
+        }
+        self.null_rows.iter_mut().for_each(shift);
+    }
+
+    /// Map slots (key handle, group, control byte), the `X`-codes each
+    /// group's key holds, the spilled members and the null list.
+    /// Allocator overhead is not counted.
+    fn bytes(&self) -> usize {
+        self.groups.capacity() * (size_of::<(Box<[u32]>, Group)>() + 1)
+            + (self.groups.len() * self.lhs.len() + self.spilled + self.null_rows.capacity())
+                * size_of::<u32>()
     }
 }
 
-/// A bank of indexes, one per constraint of Σ, sharing admission and
-/// insertion.
+/// A bank of indexes, one per constraint of Σ in [`Sigma::iter`]
+/// order, sharing admission and maintenance.
 #[derive(Debug, Clone, Default)]
 pub struct IndexBank {
     indexes: Vec<ConstraintIndex>,
 }
 
 impl IndexBank {
-    /// Builds the bank for Σ over an existing instance.
-    pub fn build(sigma: &crate::constraint::Sigma, table: &Table) -> IndexBank {
+    /// Builds the bank for Σ over every row of `table`.
+    pub fn build(sigma: &Sigma, table: &Table) -> IndexBank {
+        let fds = sigma
+            .fds
+            .iter()
+            .map(|fd| ConstraintIndex::new(fd.lhs, Some(fd.rhs), fd.modality));
+        let keys = sigma
+            .keys
+            .iter()
+            .map(|k| ConstraintIndex::new(k.attrs, None, k.modality));
         let mut bank = IndexBank {
-            indexes: sigma.iter().map(ConstraintIndex::new).collect(),
+            indexes: fds.chain(keys).collect(),
         };
-        for idx in &mut bank.indexes {
-            idx.rebuild(table);
+        for row in 0..table.len() {
+            bank.insert(table, row);
         }
         bank
     }
 
-    /// Checks every constraint; returns the first conflict with the
-    /// index of the violated constraint.
-    pub fn can_insert(&self, rows: &[Tuple], row: &Tuple) -> Result<(), (usize, Conflict)> {
-        self.can_insert_excluding(rows, row, None)
-    }
-
-    /// [`can_insert`](Self::can_insert) skipping comparisons against
-    /// the row at `exclude` (see
-    /// [`ConstraintIndex::can_insert_excluding`]).
-    pub fn can_insert_excluding(
+    /// Whether a row with the candidate `codes` (from
+    /// [`Table::lookup_codes`]) may join `table`; on refusal, the first
+    /// violated constraint's index and the conflict. A full scan skips
+    /// the row at `exclude`: a point update validates the replacement
+    /// while the old row, already [`remove`](Self::remove)d, still
+    /// occupies its slot.
+    pub fn check(
         &self,
-        rows: &[Tuple],
-        row: &Tuple,
+        table: &Table,
+        codes: &[u32],
         exclude: Option<usize>,
     ) -> Result<(), (usize, Conflict)> {
         for (ci, idx) in self.indexes.iter().enumerate() {
-            idx.can_insert_excluding(rows, row, exclude)
-                .map_err(|c| (ci, c))?;
+            idx.check(table, codes, exclude).map_err(|c| (ci, c))?;
         }
         Ok(())
     }
 
-    /// Records an accepted insert in every index.
-    pub fn insert(&mut self, row: &Tuple, row_id: usize) {
+    /// Indexes the stored row `row`. Callers must have checked it
+    /// first; the bank does not re-verify.
+    pub fn insert(&mut self, table: &Table, row: usize) {
         for idx in &mut self.indexes {
-            idx.insert(row, row_id);
+            idx.insert(table, row);
         }
     }
 
-    /// Forgets `row` (id `row_id`) in every index (see
-    /// [`ConstraintIndex::remove`]).
-    pub fn remove(&mut self, row: &Tuple, row_id: usize) {
+    /// Forgets the stored row `row`, reading its codes before the
+    /// table drops or changes it: one hash lookup plus a scan of the
+    /// row's group. Other ids are untouched.
+    pub fn remove(&mut self, table: &Table, row: usize) {
         for idx in &mut self.indexes {
-            idx.remove(row, row_id);
+            idx.remove(table, row);
         }
     }
 
-    /// Compacts ids after a positional delete in every index (see
-    /// [`ConstraintIndex::shift_down`]).
+    /// Compacts ids after a positional delete: every stored id greater
+    /// than `removed` decrements by one. The id `removed` itself must
+    /// already have been [`remove`](Self::remove)d. Touches each stored
+    /// id once — no rehashing, no reallocation.
     pub fn shift_down(&mut self, removed: usize) {
         for idx in &mut self.indexes {
             idx.shift_down(removed);
         }
     }
 
-    /// Rebuilds every index from scratch (only needed when the whole
-    /// instance is replaced; mutations maintain the bank
-    /// incrementally).
-    pub fn rebuild(&mut self, table: &Table) {
-        for idx in &mut self.indexes {
-            idx.rebuild(table);
-        }
+    /// The bytes the indexes hold, from the sizes they keep (no map is
+    /// walked): map slots, group keys, spilled members and null lists.
+    pub fn index_bytes(&self) -> usize {
+        self.indexes.iter().map(ConstraintIndex::bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Sigma;
+    use crate::constraint::{Fd, Key};
     use crate::satisfy::satisfies_all;
     use crate::schema::TableSchema;
     use crate::tuple;
+    use crate::tuple::Tuple;
 
     fn schema() -> TableSchema {
         TableSchema::new("t", ["a", "b", "c"], &[])
@@ -415,6 +295,21 @@ mod tests {
         let mut next = table.clone();
         next.push(row.clone());
         satisfies_all(&next, sigma)
+    }
+
+    fn check(bank: &IndexBank, table: &Table, row: &Tuple) -> Result<(), (usize, Conflict)> {
+        bank.check(table, &table.lookup_codes(row), None)
+    }
+
+    /// Appends `row` if the bank admits it, in the engine's order:
+    /// check, store, index.
+    fn admit(bank: &mut IndexBank, table: &mut Table, row: Tuple) -> bool {
+        let ok = check(bank, table, &row).is_ok();
+        if ok {
+            table.push(row);
+            bank.insert(table, table.len() - 1);
+        }
+        ok
     }
 
     #[test]
@@ -435,12 +330,7 @@ mod tests {
         ];
         for cand in candidates {
             let expected = naive_admissible(&table, &sigma, &cand);
-            let got = bank.can_insert(table.rows(), &cand).is_ok();
-            assert_eq!(got, expected, "candidate {cand}");
-            if expected {
-                bank.insert(&cand, table.len());
-                table.push(cand);
-            }
+            assert_eq!(admit(&mut bank, &mut table, cand), expected);
         }
     }
 
@@ -459,12 +349,7 @@ mod tests {
         ];
         for cand in candidates {
             let expected = naive_admissible(&table, &sigma, &cand);
-            let got = bank.can_insert(table.rows(), &cand).is_ok();
-            assert_eq!(got, expected, "candidate {cand}");
-            if expected {
-                bank.insert(&cand, table.len());
-                table.push(cand);
-            }
+            assert_eq!(admit(&mut bank, &mut table, cand), expected);
         }
     }
 
@@ -476,12 +361,9 @@ mod tests {
         ));
         let mut table = Table::new(schema());
         let mut bank = IndexBank::build(&sigma, &table);
-        let first = tuple![7i64, 1i64, 0i64];
-        bank.insert(&first, 0);
-        table.push(first);
-        let (ci, conflict) = bank
-            .can_insert(table.rows(), &tuple![7i64, 2i64, 0i64])
-            .unwrap_err();
+        assert!(admit(&mut bank, &mut table, tuple![7i64, 1i64, 0i64]));
+        // The RHS value 2 is unseen: its sentinel code matches nothing.
+        let (ci, conflict) = check(&bank, &table, &tuple![7i64, 2i64, 0i64]).unwrap_err();
         assert_eq!(ci, 0);
         assert_eq!(conflict.with_row, 0);
     }
@@ -496,75 +378,53 @@ mod tests {
             ));
         let mut table = Table::new(schema());
         let mut bank = IndexBank::build(&sigma, &table);
-        let rows = vec![
+        for r in [
             tuple![1i64, 5i64, 50i64],
             tuple![2i64, null, 50i64],
             tuple![3i64, 5i64, 50i64],
-        ];
-        for r in &rows {
-            bank.can_insert(table.rows(), r).unwrap();
-            bank.insert(r, table.len());
-            table.push(r.clone());
+        ] {
+            assert!(admit(&mut bank, &mut table, r));
         }
-        // Delete the middle (null-bearing) row: remove + shift.
-        let removed = table.rows()[1].clone();
-        bank.remove(&removed, 1);
+        // Delete the middle (null-bearing) row: remove, drop, shift.
+        bank.remove(&table, 1);
+        table.remove_row(1);
         bank.shift_down(1);
-        let remaining = Table::from_rows(
-            table.schema().clone(),
-            vec![table.rows()[0].clone(), table.rows()[2].clone()],
-        );
-        // Key 1 is free again, key 3 (now id 1) still taken, and the
+        // Key 2 is free again, key 3 (now id 1) still taken, and the
         // FD group {5}→{50} still rejects a divergent RHS.
-        assert!(bank
-            .can_insert(remaining.rows(), &tuple![2i64, 9i64, 0i64])
-            .is_ok());
-        let (_, c) = bank
-            .can_insert(remaining.rows(), &tuple![3i64, 8i64, 0i64])
-            .unwrap_err();
+        assert!(check(&bank, &table, &tuple![2i64, 9i64, 0i64]).is_ok());
+        let (_, c) = check(&bank, &table, &tuple![3i64, 8i64, 0i64]).unwrap_err();
         assert_eq!(c.with_row, 1);
-        assert!(bank
-            .can_insert(remaining.rows(), &tuple![4i64, 5i64, 99i64])
-            .is_err());
-        // Updating row 0's key: remove old, validate replacement
-        // excluding the slot, insert new.
-        let old = remaining.rows()[0].clone();
-        bank.remove(&old, 0);
-        let new = tuple![3i64, 5i64, 50i64];
+        assert!(check(&bank, &table, &tuple![4i64, 5i64, 99i64]).is_err());
+        // Updating row 0's key: remove old, validate the replacement
+        // excluding the slot, store it, index it.
+        bank.remove(&table, 0);
+        let taken = table.lookup_codes(&tuple![3i64, 5i64, 50i64]);
         // Key 3 is taken by row 1: conflict even mid-update.
-        assert!(bank
-            .can_insert_excluding(remaining.rows(), &new, Some(0))
-            .is_err());
-        let new_ok = tuple![7i64, 5i64, 50i64];
-        bank.can_insert_excluding(remaining.rows(), &new_ok, Some(0))
-            .unwrap();
-        bank.insert(&new_ok, 0);
-        let after = Table::from_rows(
-            remaining.schema().clone(),
-            vec![new_ok, remaining.rows()[1].clone()],
-        );
-        assert!(bank
-            .can_insert(after.rows(), &tuple![7i64, 0i64, 0i64])
-            .is_err());
-        assert!(bank
-            .can_insert(after.rows(), &tuple![1i64, 0i64, 0i64])
-            .is_ok());
+        assert!(bank.check(&table, &taken, Some(0)).is_err());
+        let free = table.lookup_codes(&tuple![7i64, 5i64, 50i64]);
+        bank.check(&table, &free, Some(0)).unwrap();
+        table.set_value(0, Attr(0), crate::value::Value::Int(7));
+        bank.insert(&table, 0);
+        assert!(check(&bank, &table, &tuple![7i64, 0i64, 0i64]).is_err());
+        assert!(check(&bank, &table, &tuple![1i64, 0i64, 0i64]).is_ok());
     }
 
     #[test]
-    fn rebuild_after_mutation() {
+    fn dropping_tail_rows_frees_their_groups() {
         let sigma = Sigma::new().with(Key::possible(AttrSet::from_indices([0])));
         let mut table = Table::new(schema());
-        table.push(tuple![1i64, 0i64, 0i64]);
         let mut bank = IndexBank::build(&sigma, &table);
-        assert!(bank
-            .can_insert(table.rows(), &tuple![1i64, 0i64, 0i64])
-            .is_err());
-        // Delete the row; after rebuild the key is free again.
-        let empty = Table::new(schema());
-        bank.rebuild(&empty);
-        assert!(bank
-            .can_insert(empty.rows(), &tuple![1i64, 0i64, 0i64])
-            .is_ok());
+        let empty = bank.index_bytes();
+        assert!(admit(&mut bank, &mut table, tuple![1i64, 0i64, 0i64]));
+        assert!(admit(&mut bank, &mut table, tuple![2i64, 0i64, 0i64]));
+        assert!(bank.index_bytes() > empty);
+        assert!(check(&bank, &table, &tuple![2i64, 0i64, 0i64]).is_err());
+        bank.remove(&table, 1);
+        table.truncate(1);
+        assert!(check(&bank, &table, &tuple![2i64, 0i64, 0i64]).is_ok());
+        assert!(check(&bank, &table, &tuple![1i64, 0i64, 0i64]).is_err());
+        // A bank built over the survivors agrees.
+        let rebuilt = IndexBank::build(&sigma, &table);
+        assert!(check(&rebuilt, &table, &tuple![1i64, 0i64, 0i64]).is_err());
     }
 }

@@ -113,6 +113,13 @@ impl Table {
         self.rows.remove(row)
     }
 
+    /// Drops every row from `len` on (later rows only, so no row is
+    /// renumbered); a no-op when `len ≥ self.len()`.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.cols.truncate(len);
+        self.rows.truncate(len);
+    }
+
     /// An `O(arity)` frozen view of the dictionary-coded columns — what
     /// discovery wraps as its `Encoded` input.
     pub fn snapshot(&self) -> ColumnSnapshot {
@@ -122,6 +129,14 @@ impl Table {
     /// The dictionary code of cell `(row, a)`; `0` = `⊥`.
     pub fn code_at(&self, row: usize, a: Attr) -> u32 {
         self.cols.code_at(row, a.index())
+    }
+
+    /// The codes `t` would carry as a row of this table, looked up
+    /// without growing any dictionary: a value a column has not seen
+    /// gets [`UNSEEN`](crate::column::UNSEEN), and the table is left
+    /// untouched.
+    pub fn lookup_codes(&self, t: &Tuple) -> Vec<u32> {
+        self.cols.lookup_codes(t)
     }
 
     /// Appends a row.

@@ -4,6 +4,11 @@
 //! exactly at code 0, and per-column code equality coinciding with
 //! value equality across every row pair. That last clause is the whole
 //! contract discovery builds on: partitions read codes, never values.
+//!
+//! Under a non-empty Σ the engine also refuses rows, and a refused
+//! INSERT or UPDATE must leave the column store byte-identical — codes,
+//! null lists and dictionary sizes: candidates are encoded by lookup,
+//! never by growing a dictionary.
 
 use proptest::prelude::*;
 use sqlnf_model::attrs::Attr;
@@ -30,6 +35,20 @@ fn small_value() -> impl Strategy<Value = Value> {
         3 => (0i64..4).prop_map(Value::Int),
         2 => "[ab]{1,2}".prop_map(Value::str),
         1 => Just(Value::Null),
+    ]
+}
+
+/// One random FD or key over the `COLS` columns, possible or certain.
+fn constraint() -> impl Strategy<Value = Constraint> {
+    let attrs = || (0u32..(1 << COLS)).prop_map(|bits| AttrSet(bits as u128));
+    let modality = prop_oneof![Just(Modality::Possible), Just(Modality::Certain)];
+    prop_oneof![
+        3 => (attrs(), attrs(), modality.clone()).prop_map(
+            |(lhs, rhs, modality)| Constraint::Fd(Fd { lhs, rhs, modality })
+        ),
+        1 => (attrs(), modality).prop_map(|(attrs, modality)| {
+            Constraint::Key(Key { attrs, modality })
+        }),
     ]
 }
 
@@ -76,31 +95,51 @@ fn assert_columnar_faithful(t: &Table) {
     }
 }
 
+/// A refused statement left the column store exactly as it was.
+fn assert_snapshot_unchanged(before: &ColumnSnapshot, after: &ColumnSnapshot) {
+    assert_eq!(before.rows, after.rows, "refusal changed the row count");
+    assert_eq!(
+        before.cols, after.cols,
+        "refusal changed codes or null lists"
+    );
+    assert_eq!(
+        before.dict_sizes, after.dict_sizes,
+        "refusal grew a dictionary"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn columnar_codes_track_row_values_under_dml(
+        constraints in proptest::collection::vec(constraint(), 1..=3),
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let names: Vec<String> = (0..COLS).map(|i| format!("a{i}")).collect();
         let schema = TableSchema::new("t", names, &[]);
-        let mut stored = StoredTable::new(schema, Sigma::default());
-        for op in ops {
-            // With an empty Σ the engine accepts everything in range;
-            // out-of-range rows are rejected and must leave no trace.
-            match op {
-                Op::Insert(values) => {
-                    stored.insert(Tuple::new(values)).expect("no constraints");
+        for sigma in [Sigma::default(), Sigma::from_constraints(constraints)] {
+            let unconstrained = sigma.is_empty();
+            let mut stored = StoredTable::new(schema.clone(), sigma);
+            for op in ops.clone() {
+                // Out-of-range rows and violations of Σ are refused and
+                // must leave no trace; with an empty Σ every insert
+                // lands.
+                let before = stored.data().snapshot();
+                let insert = matches!(op, Op::Insert(_));
+                let refused = match op {
+                    Op::Insert(values) => stored.insert(Tuple::new(values)).is_err(),
+                    Op::Update { row, col, value } => {
+                        stored.update(row, &format!("a{col}"), value).is_err()
+                    }
+                    Op::Delete { row } => stored.delete(row).is_err(),
+                };
+                assert!(!(insert && refused && unconstrained), "no constraints");
+                if refused {
+                    assert_snapshot_unchanged(&before, &stored.data().snapshot());
                 }
-                Op::Update { row, col, value } => {
-                    let _ = stored.update(row, &format!("a{col}"), value);
-                }
-                Op::Delete { row } => {
-                    let _ = stored.delete(row);
-                }
+                assert_columnar_faithful(stored.data());
             }
-            assert_columnar_faithful(stored.data());
         }
     }
 }

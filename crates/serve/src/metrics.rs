@@ -26,7 +26,8 @@
 //!   is off) together with the store's registry (every `serve.*`
 //!   name);
 //! * `sqlnf_store{name=…}` — the same counters `STATS` reports, same
-//!   names, so the two planes can be diffed against each other;
+//!   names, so the two planes can be diffed against each other; among
+//!   them `table.<name>.index_bytes`, one per table with constraints;
 //! * `sqlnf_slow_request_ns{rank=…,seq=…,verb=…,stage=…}` — the
 //!   worst-requests log, one `total` sample plus one per non-zero
 //!   stage.
@@ -307,6 +308,8 @@ pub fn render_metrics(store: &Store) -> String {
     out.push_str("# TYPE sqlnf_store gauge\n");
     for line in store.stats_lines() {
         if let Some((name, value)) = line.rsplit_once(' ') {
+            // Table names make their way into per-table gauge names.
+            let name = name.replace('\\', "\\\\").replace('"', "\\\"");
             let _ = writeln!(out, "sqlnf_store{{name=\"{name}\"}} {value}");
         }
     }

@@ -13,7 +13,8 @@
 //!    clone the table's `Arc` and drops it before touching the table;
 //! 3. **table** `RwLock`s — sessions hold at most one; the snapshotter
 //!    holds all of them as a reader, acquired in name order; the WATCH
-//!    hub holds at most one, as a reader, to copy committed rows;
+//!    hub holds at most one, as a reader, to copy committed rows, and
+//!    `STATS` at most one, as a reader, to size its indexes;
 //! 4. **shard file** mutexes — holding one *is* being that shard's
 //!    elected committer; the snapshotter holds all of them (in shard
 //!    order) across the generation switch;
@@ -326,21 +327,42 @@ impl Store {
 
     /// The `STATS` payload: `name value` lines, sorted by name —
     /// `STATS` and `METRICS` output is stable across runs, so diffs
-    /// (and tests diffing the two planes) are deterministic.
+    /// (and tests diffing the two planes) are deterministic. Each table
+    /// that declares constraints adds `table.<name>.index_bytes`, the
+    /// bytes its admission indexes hold; the table read locks are taken
+    /// one at a time, after the registry lock is dropped.
     pub fn stats_lines(&self) -> Vec<String> {
         let m = &self.metrics;
         let (wal_bytes, wal_records) = self.wal_size();
-        vec![
+        let tables: Vec<_> = {
+            let reg = self.tables.read().expect("registry lock poisoned");
+            reg.values().cloned().collect()
+        };
+        let mut lines = vec![
             format!("requests {}", m.requests.get()),
             format!("sessions {}", m.sessions.get()),
             format!("snapshots {}", m.snapshots.get()),
             format!("stmt.admitted {}", m.admitted.get()),
             format!("stmt.rejected {}", m.rejected.get()),
-            format!("tables {}", self.table_names().len()),
+            format!("tables {}", tables.len()),
             format!("wal.bytes {wal_bytes}"),
             format!("wal.records {wal_records}"),
             format!("watch.shadow_rows {}", m.watch_shadow_rows.get()),
-        ]
+        ];
+        // A table without constraints holds no index: no line, so
+        // stores of many plain tables keep `METRICS` short.
+        for t in tables {
+            let st = t.read().expect("table lock poisoned");
+            if !st.sigma().is_empty() {
+                let name = st.data().schema().name();
+                lines.push(format!(
+                    "table.{name}.index_bytes {}",
+                    st.bank().index_bytes()
+                ));
+            }
+        }
+        lines.sort();
+        lines
     }
 
     /// Table names, sorted.
@@ -505,11 +527,9 @@ impl Store {
                 // Multi-row INSERTs are atomic: roll back this
                 // statement's rows if a later one is rejected.
                 let base = st.data().len();
-                for (i, row) in rows.iter().enumerate() {
+                for row in &rows {
                     if let Err(e) = st.insert(row.clone()) {
-                        for r in (base..base + i).rev() {
-                            st.delete(r).expect("rolling back admitted rows");
-                        }
+                        st.truncate(base);
                         return Err(e.into());
                     }
                 }
@@ -519,15 +539,10 @@ impl Store {
                         .enqueue(&table, Change::Rows(rows.len()), rendered)
                         .map_err(ServeError::from)
                 });
-                match enqueued {
-                    Ok(ticket) => Ok(ticket),
-                    Err(e) => {
-                        for r in (base..base + rows.len()).rev() {
-                            st.delete(r).expect("rolling back admitted rows");
-                        }
-                        Err(e)
-                    }
+                if enqueued.is_err() {
+                    st.truncate(base);
                 }
+                enqueued
             }
         }
     }
@@ -821,6 +836,34 @@ mod tests {
         store
             .with_table("purchase", |st| assert_eq!(st.data().len(), 0))
             .unwrap();
+        // The rolled-back row left the indexes too: 'X' at 'A' is free.
+        store
+            .execute_sql("INSERT INTO purchase VALUES (3, 'X', 'A', 20);")
+            .unwrap();
+    }
+
+    #[test]
+    fn stats_report_each_tables_index_bytes() {
+        let store = Store::ephemeral();
+        store.execute_sql(DDL).unwrap();
+        let index_bytes = || {
+            store.stats_lines().iter().find_map(|l| {
+                l.strip_prefix("table.purchase.index_bytes ")
+                    .map(|v| v.parse::<u64>().unwrap())
+            })
+        };
+        let empty = index_bytes().expect("a line per table with constraints");
+        store
+            .execute_sql("INSERT INTO purchase VALUES (1, 'Fitbit', 'Amazon', 240);")
+            .unwrap();
+        assert!(index_bytes().unwrap() > empty);
+        // A table without constraints has no index and no line.
+        store.execute_sql("CREATE TABLE plain (x INT);").unwrap();
+        let lines = store.stats_lines();
+        assert!(!lines.iter().any(|l| l.starts_with("table.plain.")));
+        let mut sorted = lines.clone();
+        sorted.sort();
+        assert_eq!(lines, sorted, "STATS lines are sorted by name");
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! 2. an operation is accepted iff applying it naively would leave the
 //!    instance valid (the engine is a *sound and complete* gate);
 //! 3. rejected operations leave the state byte-identical.
+//!
+//! Truncation (the rollback of an appending statement) rides along:
+//! it is always valid, and its reference simply drops the tail rows.
 
 mod common;
 
@@ -26,6 +29,9 @@ enum Op {
     Delete {
         row: usize,
     },
+    Truncate {
+        len: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -34,6 +40,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0usize..6, 0usize..COLS, small_value())
             .prop_map(|(row, col, value)| Op::Update { row, col, value }),
         1 => (0usize..6).prop_map(|row| Op::Delete { row }),
+        1 => (0usize..6).prop_map(|len| Op::Truncate { len }),
     ]
 }
 
@@ -62,6 +69,7 @@ fn naive_would_be_valid(current: &Table, sigma: &Sigma, op: &Op) -> Option<Table
             }
             next_rows.remove(*row);
         }
+        Op::Truncate { len } => next_rows.truncate(*len),
     }
     let next = Table::from_rows(current.schema().clone(), next_rows);
     if next.satisfies_nfs() && satisfies_all(&next, sigma) {
@@ -93,6 +101,7 @@ proptest! {
                     db.update("t", *row, &format!("a{col}"), value.clone())
                 }
                 Op::Delete { row } => db.delete("t", *row).map(|_| ()),
+                Op::Truncate { len } => db.truncate("t", *len),
             };
             let after = db.table("t").unwrap().data().clone();
             match (result, expected) {
@@ -143,13 +152,14 @@ proptest! {
                     db.update("t", *row, &format!("a{col}"), value.clone())
                 }
                 Op::Delete { row } => db.delete("t", *row).map(|_| ()),
+                Op::Truncate { len } => db.truncate("t", *len),
             };
             let stored = db.table("t").unwrap();
             let rebuilt = IndexBank::build(&sigma, stored.data());
             for p in &probes {
-                let probe = Tuple::new(p.clone());
-                let incremental = stored.bank().can_insert(stored.data().rows(), &probe);
-                let reference = rebuilt.can_insert(stored.data().rows(), &probe);
+                let codes = stored.data().lookup_codes(&Tuple::new(p.clone()));
+                let incremental = stored.bank().check(stored.data(), &codes, None);
+                let reference = rebuilt.check(stored.data(), &codes, None);
                 match (incremental, reference) {
                     (Ok(()), Ok(())) => {}
                     (Err((ci, _)), Err((cj, _))) => prop_assert_eq!(
