@@ -5,7 +5,7 @@
 
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// A memoized probe structure for weak-similarity checks on a fixed
@@ -20,7 +20,8 @@ use std::sync::{Arc, Mutex};
 /// an `is_total_on` test per pattern, which was quadratic in practice
 /// on null-heavy candidates). Callers that probe the same `X` several
 /// times (c-key + reflexivity during classification, key mining) build
-/// the index once and reuse it.
+/// the index once and reuse it; the yes/no questions sweep it by groups
+/// (`WeakSweep`) rather than visiting its pairs.
 pub struct ProbeIndex {
     x: AttrSet,
     null_rows: Vec<usize>,
@@ -45,26 +46,9 @@ impl ProbeIndex {
         }
         sqlnf_obs::count!("discovery.check.probe_index.builds");
         let null_rows = enc.null_rows_on(x);
-
-        // The x-total rows, computed once: the ascending complement of
-        // the (ascending) null-row list.
-        let mut total: Vec<usize> = Vec::with_capacity(enc.rows() - null_rows.len());
-        let mut nulls_it = null_rows.iter().copied().peekable();
-        for r in 0..enc.rows() {
-            if nulls_it.peek() == Some(&r) {
-                nulls_it.next();
-            } else {
-                total.push(r);
-            }
-        }
-
-        // Group the null rows by their reduced (non-null) pattern.
-        let mut by_pattern: HashMap<AttrSet, Vec<usize>> = HashMap::new();
-        for &r in &null_rows {
-            let nulls: AttrSet = x.iter().filter(|&a| enc.code(r, a) == 0).collect();
-            by_pattern.entry(x - nulls).or_default().push(r);
-        }
-        let mut patterns: Vec<Pattern> = by_pattern
+        // The x-total rows, computed once and shared by every pattern.
+        let total = total_rows(enc.rows(), &null_rows);
+        let patterns: Vec<Pattern> = null_patterns(enc, x, &null_rows)
             .into_iter()
             .map(|(reduced, rows)| {
                 let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
@@ -75,17 +59,11 @@ impl ProbeIndex {
                 (reduced, rows, index)
             })
             .collect();
-        patterns.sort_by_key(|&(reduced, _, _)| reduced);
         ProbeIndex {
             x,
             null_rows,
             patterns,
         }
-    }
-
-    /// The attribute set this index probes.
-    pub fn x(&self) -> AttrSet {
-        self.x
     }
 
     /// Whether any row carries `⊥` in `X` (if not, every probe is a
@@ -149,141 +127,288 @@ impl ProbeIndex {
         true
     }
 
-    /// Which of `targets` survive every weak pair of `X = self.x ∪
-    /// extra` (`extra` null-free, as in
-    /// [`ProbeIndex::for_each_weak_pair_filtered`]): exactly the set a
-    /// pairwise fold with the code-agreement filter would leave, but
-    /// computed in one linear grouping pass per null pattern instead of
-    /// enumerating pairs.
-    ///
-    /// The collapse is sound because code equality is transitive:
-    /// within one pattern, a null row and the rows weakly similar to
-    /// it share their codes on `reduced ∪ extra`, so the pair
-    /// constraints over such a group — every null–null and null–total
-    /// pair must agree on each target — are equivalent to "the whole
-    /// group is constant on each target". On `adult`-sized instances
-    /// this turns the millions of pairs a *holding* candidate would
-    /// enumerate into one sweep of the matching buckets.
-    pub fn certain_targets_surviving(
-        &self,
-        enc: &Encoded,
-        extra: AttrSet,
-        targets: AttrSet,
-    ) -> AttrSet {
-        let mut holding = targets;
-        if self.null_rows.is_empty() || holding.is_empty() {
-            return holding;
-        }
-        const UNSET: u32 = u32::MAX; // dictionary codes are ≤ rows ≪ MAX
-
-        // Per pattern: group the pattern's null rows and the total
-        // rows matching them by their codes on `reduced ∪ extra`, and
-        // require every group containing a null row to be constant on
-        // each surviving target. Buckets are keyed by the reduced
-        // codes, so each bucket is swept once per distinct reduced key
-        // among the nulls — never per null row.
+    /// Runs `sweep` over the weak pairs of `self.x ∪ extra` (`extra`
+    /// null-free, as in [`ProbeIndex::for_each_weak_pair_filtered`]):
+    /// per null pattern, the pattern's null rows grouped with the
+    /// matching bucket rows; then the null rows of every two patterns
+    /// joined on their common non-null part.
+    fn sweep(&self, enc: &Encoded, extra: AttrSet, sweep: &mut WeakSweep) {
         for (reduced, rows, index) in &self.patterns {
-            if holding.is_empty() {
-                return holding;
+            if sweep.done() {
+                return;
             }
-            let tvec: Vec<Attr> = holding.iter().collect();
-            let mut dead = vec![false; tvec.len()];
-            let mut by_rkey: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-            for &r in rows {
-                let rkey: Vec<u32> = reduced.iter().map(|a| enc.code(r, a)).collect();
-                by_rkey.entry(rkey).or_default().push(r);
-            }
-            // (has_null, per-target first code, per-target conflict)
-            type Group = (bool, Vec<u32>, Vec<bool>);
-            let mut groups: HashMap<Vec<u32>, Group> = HashMap::new();
-            for (rkey, nulls) in &by_rkey {
-                groups.clear();
-                let visit = |row: usize, is_null: bool, groups: &mut HashMap<Vec<u32>, Group>| {
-                    let ekey: Vec<u32> = extra.iter().map(|a| enc.code(row, a)).collect();
-                    let (has_null, codes, conflict) = groups.entry(ekey).or_insert_with(|| {
-                        (false, vec![UNSET; tvec.len()], vec![false; tvec.len()])
-                    });
-                    *has_null |= is_null;
-                    for (i, &a) in tvec.iter().enumerate() {
-                        let c = enc.code(row, a);
-                        if codes[i] == UNSET {
-                            codes[i] = c;
-                        } else if codes[i] != c {
-                            conflict[i] = true;
-                        }
-                    }
-                };
-                for &r in nulls {
-                    visit(r, true, &mut groups);
-                }
-                if let Some(bucket) = index.get(rkey) {
-                    for &s in bucket {
-                        visit(s, false, &mut groups);
-                    }
-                }
-                for (has_null, _, conflict) in groups.values() {
-                    if *has_null {
-                        for (i, &c) in conflict.iter().enumerate() {
-                            dead[i] |= c;
-                        }
-                    }
-                }
-            }
-            for (i, &a) in tvec.iter().enumerate() {
-                if dead[i] {
-                    holding.remove(a);
-                }
-            }
+            // Each bucket is swept once per distinct reduced key among
+            // the nulls — never per null row.
+            let mut seen: HashSet<Vec<u32>> = HashSet::new();
+            let partners = rows
+                .iter()
+                .filter_map(|&r| {
+                    let rkey: Vec<u32> = reduced.iter().map(|a| enc.code(r, a)).collect();
+                    let bucket = index.get(&rkey);
+                    seen.insert(rkey).then_some(bucket).flatten()
+                })
+                .flatten()
+                .copied();
+            sweep.within_pattern(enc, *reduced | extra, rows, partners);
         }
-
-        // Null–null pairs across patterns: a row non-null on `red_i`
-        // and one non-null on `red_j` are weakly similar on `X` iff
-        // they agree on `(red_i ∩ red_j) ∪ extra` — pairwise, but
-        // patterns are few and only null rows participate.
-        for i in 0..self.patterns.len() {
-            for j in i + 1..self.patterns.len() {
-                if holding.is_empty() {
-                    return holding;
-                }
-                let (red_i, rows_i, _) = &self.patterns[i];
-                let (red_j, rows_j, _) = &self.patterns[j];
-                let common = (*red_i & *red_j) | extra;
-                for &r in rows_i {
-                    for &s in rows_j {
-                        if enc.equal_on(r, s, common) {
-                            let mut still = AttrSet::EMPTY;
-                            for a in holding {
-                                if enc.code(r, a) == enc.code(s, a) {
-                                    still.insert(a);
-                                }
-                            }
-                            holding = still;
-                            if holding.is_empty() {
-                                return holding;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        holding
+        let patterns: Vec<(AttrSet, &[usize])> = self
+            .patterns
+            .iter()
+            .map(|(reduced, rows, _)| (*reduced, rows.as_slice()))
+            .collect();
+        sweep.across_patterns(enc, extra, &patterns);
     }
+}
+
+/// The rows of `0..rows` not in `null_rows` (ascending), in one
+/// complement pass.
+fn total_rows(rows: usize, null_rows: &[usize]) -> Vec<usize> {
+    let mut total: Vec<usize> = Vec::with_capacity(rows - null_rows.len());
+    let mut nulls_it = null_rows.iter().copied().peekable();
+    for r in 0..rows {
+        if nulls_it.peek() == Some(&r) {
+            nulls_it.next();
+        } else {
+            total.push(r);
+        }
+    }
+    total
+}
+
+/// `null_rows` (the rows with `⊥` somewhere in `x`) grouped by their
+/// reduced pattern — the columns of `x` where they are non-null —
+/// sorted by pattern so every sweep runs in a deterministic order.
+fn null_patterns(enc: &Encoded, x: AttrSet, null_rows: &[usize]) -> Vec<(AttrSet, Vec<usize>)> {
+    let mut by_pattern: HashMap<AttrSet, Vec<usize>> = HashMap::new();
+    for &r in null_rows {
+        let nulls: AttrSet = x.iter().filter(|&a| enc.code(r, a) == 0).collect();
+        by_pattern.entry(x - nulls).or_default().push(r);
+    }
+    let mut patterns: Vec<(AttrSet, Vec<usize>)> = by_pattern.into_iter().collect();
+    patterns.sort_by_key(|&(reduced, _)| reduced);
+    patterns
+}
+
+/// One group of a [`WeakSweep`]: rows sharing their codes on the
+/// group key, with the first row's code per target and the targets
+/// some later row disagreed on.
+struct Group {
+    codes: Vec<u32>,
+    conflict: AttrSet,
+}
+
+/// The grouped sweep over the weak pairs of `X` — the one
+/// implementation behind every certain-semantics question that does not
+/// need the pairs themselves:
+///
+/// * which of `targets` every weak pair agrees on (the certain-FD
+///   tail, [`ProbeCache::fd_targets`]);
+/// * whether `X →_w X` holds (totality): exactly `targets = X` surviving
+///   whole;
+/// * whether any weak pair exists (the c-key check), with
+///   [`WeakSweep::first_pair`].
+///
+/// A row `r` with nulls on `N ⊆ X` is weakly similar to an `X`-total
+/// row, or to a null row of the same pattern, iff the two agree on the
+/// codes of `X − N`. Code equality is transitive, so every pair inside
+/// a group of such rows keyed on `X − N` must agree on a target iff the
+/// whole group is constant on it: the quadratic pair set collapses to
+/// one linear grouping pass per null pattern. Null rows of two
+/// different patterns are weakly similar iff they agree on the columns
+/// non-null in both; hash-joining the two patterns on those codes
+/// gives groups where every row of one side pairs with every row of
+/// the other, so again "all pairs agree" is "the group is constant".
+struct WeakSweep {
+    targets: Vec<Attr>,
+    holding: AttrSet,
+    /// Stop at the first weak pair instead of when no target survives.
+    until_pair: bool,
+    pair: bool,
+}
+
+impl WeakSweep {
+    fn targets(targets: AttrSet) -> WeakSweep {
+        WeakSweep {
+            targets: targets.iter().collect(),
+            holding: targets,
+            until_pair: false,
+            pair: false,
+        }
+    }
+
+    fn first_pair() -> WeakSweep {
+        WeakSweep {
+            targets: Vec::new(),
+            holding: AttrSet::EMPTY,
+            until_pair: true,
+            pair: false,
+        }
+    }
+
+    fn done(&self) -> bool {
+        if self.until_pair {
+            self.pair
+        } else {
+            self.holding.is_empty()
+        }
+    }
+
+    /// Adds `row` to the group keyed by `key`, opening it if absent —
+    /// or, with `open = false`, only joins an existing group. Adding
+    /// with `anchor` means every two rows of the group must now agree
+    /// on each target (the row pairs with every null row of its
+    /// pattern group, or with the whole other side of a cross-pattern
+    /// join), so the group's disagreements refute targets.
+    fn join(
+        &mut self,
+        enc: &Encoded,
+        groups: &mut HashMap<Vec<u32>, Group>,
+        key: &[u32],
+        row: usize,
+        anchor: bool,
+        open: bool,
+    ) {
+        let g = match groups.get_mut(key) {
+            Some(g) => g,
+            None => {
+                if open {
+                    let codes = self.targets.iter().map(|&a| enc.code(row, a)).collect();
+                    groups.insert(
+                        key.to_vec(),
+                        Group {
+                            codes,
+                            conflict: AttrSet::EMPTY,
+                        },
+                    );
+                }
+                return;
+            }
+        };
+        for (&a, &c) in self.targets.iter().zip(&g.codes) {
+            if enc.code(row, a) != c {
+                g.conflict.insert(a);
+            }
+        }
+        if anchor {
+            self.pair = true;
+            self.holding = self.holding - g.conflict;
+        }
+    }
+
+    /// The pairs of one null pattern: its null rows with each other
+    /// and with `partners`, the candidate `X`-total rows (any superset
+    /// of those matching on `key`, which is the pattern's non-null
+    /// part of `X`).
+    fn within_pattern(
+        &mut self,
+        enc: &Encoded,
+        key: AttrSet,
+        nulls: &[usize],
+        partners: impl Iterator<Item = usize>,
+    ) {
+        let cols: Vec<&[u32]> = key.iter().map(|a| enc.column(a)).collect();
+        let mut buf: Vec<u32> = Vec::with_capacity(cols.len());
+        let mut groups: HashMap<Vec<u32>, Group> = HashMap::new();
+        // Every null row pairs with the rows it meets in its group.
+        for &row in nulls {
+            buf.clear();
+            buf.extend(cols.iter().map(|c| c[row]));
+            self.join(enc, &mut groups, &buf, row, true, true);
+            if self.done() {
+                return;
+            }
+        }
+        for row in partners {
+            buf.clear();
+            buf.extend(cols.iter().map(|c| c[row]));
+            self.join(enc, &mut groups, &buf, row, true, false);
+            if self.done() {
+                return;
+            }
+        }
+    }
+
+    /// The null–null pairs across patterns: rows of patterns `i < j`
+    /// hash-joined on `(red_i ∩ red_j) ∪ extra`.
+    fn across_patterns(&mut self, enc: &Encoded, extra: AttrSet, patterns: &[(AttrSet, &[usize])]) {
+        let mut buf: Vec<u32> = Vec::new();
+        let mut groups: HashMap<Vec<u32>, Group> = HashMap::new();
+        for (i, &(red_i, rows_i)) in patterns.iter().enumerate() {
+            for &(red_j, rows_j) in &patterns[i + 1..] {
+                if self.done() {
+                    return;
+                }
+                let cols: Vec<&[u32]> = ((red_i & red_j) | extra)
+                    .iter()
+                    .map(|a| enc.column(a))
+                    .collect();
+                groups.clear();
+                for &row in rows_i {
+                    buf.clear();
+                    buf.extend(cols.iter().map(|c| c[row]));
+                    self.join(enc, &mut groups, &buf, row, false, true);
+                }
+                for &row in rows_j {
+                    buf.clear();
+                    buf.extend(cols.iter().map(|c| c[row]));
+                    self.join(enc, &mut groups, &buf, row, true, false);
+                    if self.done() {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The grouped sweep of `x` without an index: each null pattern's rows
+/// against every `X`-total row. Beats building a [`ProbeIndex`] while
+/// `nulls × rows` stays small (wide-short instances like `hepatitis`,
+/// where most probed footprints are never seen twice), and serves the
+/// one-shot checks.
+fn sweep_direct(enc: &Encoded, x: AttrSet, sweep: &mut WeakSweep) {
+    if !enc.has_nulls_on(x) {
+        return;
+    }
+    let null_rows = enc.null_rows_on(x);
+    let total = total_rows(enc.rows(), &null_rows);
+    let patterns = null_patterns(enc, x, &null_rows);
+    for (reduced, rows) in &patterns {
+        if sweep.done() {
+            return;
+        }
+        sweep.within_pattern(enc, *reduced, rows, total.iter().copied());
+    }
+    let patterns: Vec<(AttrSet, &[usize])> = patterns
+        .iter()
+        .map(|(reduced, rows)| (*reduced, rows.as_slice()))
+        .collect();
+    sweep.across_patterns(enc, AttrSet::EMPTY, &patterns);
 }
 
 /// One-shot form of [`ProbeIndex::for_each_weak_pair`]: builds the
 /// index for `x`, probes, and drops it. Free when `x` is null-free.
 /// Hot loops share indexes through a [`ProbeCache`] instead.
-pub fn probe_weak_pairs(enc: &Encoded, x: AttrSet, f: impl FnMut(usize, usize) -> bool) -> bool {
+pub fn probe_weak_pairs(
+    enc: &Encoded,
+    x: AttrSet,
+    mut f: impl FnMut(usize, usize) -> bool,
+) -> bool {
     if !enc.has_nulls_on(x) {
         return true;
     }
-    ProbeIndex::new(enc, x).for_each_weak_pair(enc, f)
+    let mut visited = 0u64;
+    let done = ProbeIndex::new(enc, x).for_each_weak_pair(enc, |r, s| {
+        visited += 1;
+        f(r, s)
+    });
+    sqlnf_obs::count!("discovery.check.weak_pairs_visited", visited);
+    done
 }
 
 /// Weak pairs of `x` without any index: each `X`-null row scanned
-/// against the table. Beats building a [`ProbeIndex`] while
-/// `nulls × rows` stays small (wide-short instances like `hepatitis`,
-/// where most probed footprints are never seen twice).
+/// against the table — the direct counterpart of [`sweep_direct`] for
+/// callers that need the pairs themselves.
 fn direct_weak_pairs(enc: &Encoded, x: AttrSet, mut f: impl FnMut(usize, usize) -> bool) -> bool {
     let null_rows = enc.null_rows_on(x);
     // null–null pairs, each unordered pair once.
@@ -294,14 +419,10 @@ fn direct_weak_pairs(enc: &Encoded, x: AttrSet, mut f: impl FnMut(usize, usize) 
             }
         }
     }
-    // null–total pairs: skip the (ascending) null list while scanning.
+    // null–total pairs, against the complement of the null list.
+    let total = total_rows(enc.rows(), &null_rows);
     for &r in &null_rows {
-        let mut nulls_it = null_rows.iter().copied().peekable();
-        for s in 0..enc.rows() {
-            if nulls_it.peek() == Some(&s) {
-                nulls_it.next();
-                continue;
-            }
+        for &s in &total {
             if enc.weakly_similar(r, s, x) && !f(r, s) {
                 return false;
             }
@@ -345,8 +466,8 @@ enum ProbeStrategy {
 ///
 /// An index built for `S` therefore serves **every** LHS with that
 /// footprint, with the null-free remainder applied as an equality
-/// filter at probe time ([`ProbeIndex::for_each_weak_pair_filtered`],
-/// [`ProbeIndex::certain_targets_surviving`]). Keying on `S` alone
+/// filter at probe time ([`ProbeIndex::for_each_weak_pair_filtered`]
+/// and the grouped sweep, `WeakSweep`). Keying on `S` alone
 /// *without* the filter would be unsound — it admits pairs that
 /// disagree on `X ∖ S`.
 ///
@@ -418,51 +539,64 @@ impl ProbeCache {
     /// Visits every weak pair of `x` (exactly as [`probe_weak_pairs`])
     /// through the footprint cache. Enumeration *order* may differ
     /// between the direct and indexed paths; the pair set never does.
+    /// Only for callers that need the pairs themselves (approximate
+    /// errors, incremental witnesses): the yes/no questions go through
+    /// the grouped sweep ([`ProbeCache::fd_targets`],
+    /// [`ProbeCache::has_weak_pair`]). Each call adds the pairs it
+    /// visited to `discovery.check.weak_pairs_visited`.
     pub fn weak_pairs(
         &self,
         enc: &Encoded,
         x: AttrSet,
-        f: impl FnMut(usize, usize) -> bool,
+        mut f: impl FnMut(usize, usize) -> bool,
     ) -> bool {
         let s = x & self.nullable;
         if s.is_empty() {
             return true;
         }
+        let mut visited = 0u64;
+        let visit = |r, t| {
+            visited += 1;
+            f(r, t)
+        };
+        let done = match self.strategy(enc, s) {
+            ProbeStrategy::Index(idx) => idx.for_each_weak_pair_filtered(enc, x - s, visit),
+            ProbeStrategy::Direct => direct_weak_pairs(enc, x, visit),
+        };
+        sqlnf_obs::count!("discovery.check.weak_pairs_visited", visited);
+        done
+    }
+
+    /// Runs the grouped sweep of `x` through the footprint cache.
+    fn sweep(&self, enc: &Encoded, x: AttrSet, sweep: &mut WeakSweep) {
+        let s = x & self.nullable;
+        if s.is_empty() {
+            return;
+        }
         match self.strategy(enc, s) {
-            ProbeStrategy::Index(idx) => idx.for_each_weak_pair_filtered(enc, x - s, f),
-            ProbeStrategy::Direct => direct_weak_pairs(enc, x, f),
+            ProbeStrategy::Index(idx) => idx.sweep(enc, x - s, sweep),
+            ProbeStrategy::Direct => sweep_direct(enc, x, sweep),
         }
     }
 
     /// The subset of `targets` on which `X →_w A` survives the weak
     /// pairs of `x` — the certain-semantics tail of the FD check,
-    /// served from the footprint cache (and, on the indexed path, by
-    /// the linear group-constancy sweep instead of pair enumeration).
+    /// served from the footprint cache by the grouped sweep.
     pub fn fd_targets(&self, enc: &Encoded, x: AttrSet, targets: AttrSet) -> AttrSet {
         if targets.is_empty() {
             return targets;
         }
-        let s = x & self.nullable;
-        if s.is_empty() {
-            return targets;
-        }
-        match self.strategy(enc, s) {
-            ProbeStrategy::Index(idx) => idx.certain_targets_surviving(enc, x - s, targets),
-            ProbeStrategy::Direct => {
-                let mut holding = targets;
-                direct_weak_pairs(enc, x, |r, t| {
-                    let mut still = AttrSet::EMPTY;
-                    for a in holding {
-                        if enc.code(r, a) == enc.code(t, a) {
-                            still.insert(a);
-                        }
-                    }
-                    holding = still;
-                    !holding.is_empty()
-                });
-                holding
-            }
-        }
+        let mut sweep = WeakSweep::targets(targets);
+        self.sweep(enc, x, &mut sweep);
+        sweep.holding
+    }
+
+    /// Whether `x` has any weak pair involving a row with `⊥` in `x`
+    /// (the c-key check's probe tail), by the grouped sweep.
+    pub fn has_weak_pair(&self, enc: &Encoded, x: AttrSet) -> bool {
+        let mut sweep = WeakSweep::first_pair();
+        self.sweep(enc, x, &mut sweep);
+        sweep.pair
     }
 }
 
@@ -648,22 +782,21 @@ pub fn fd_targets_holding(
     // Certain FDs additionally constrain rows with ⊥ in X: such a row
     // is weakly similar to every row matching its non-null part.
     if sem == Semantics::Certain && !holding.is_empty() {
-        probe_weak_pairs(enc, x, |r, s| {
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                if enc.code(r, a) == enc.code(s, a) {
-                    still.insert(a);
-                }
-            }
-            holding = still;
-            !holding.is_empty()
-        });
+        holding = certain_targets(enc, x, holding);
     }
     holding
 }
 
-/// [`fd_targets_holding`] probing weak pairs through a [`ProbeCache`]
-/// instead of a fresh per-candidate [`ProbeIndex`].
+/// One-shot certain-FD tail: the subset of `targets` every weak pair
+/// of `x` agrees on, by the unindexed grouped sweep.
+fn certain_targets(enc: &Encoded, x: AttrSet, targets: AttrSet) -> AttrSet {
+    let mut sweep = WeakSweep::targets(targets);
+    sweep_direct(enc, x, &mut sweep);
+    sweep.holding
+}
+
+/// [`fd_targets_holding`] with the certain tail swept through a
+/// [`ProbeCache`], so candidates sharing a footprint share its index.
 pub fn fd_targets_holding_cached(
     enc: &Encoded,
     x: AttrSet,
@@ -709,7 +842,9 @@ pub fn is_ckey(enc: &Encoded, x: AttrSet, strong_partition: &Partition) -> bool 
     if !strong_partition.is_empty() {
         return false;
     }
-    probe_weak_pairs(enc, x, |_, _| false)
+    let mut sweep = WeakSweep::first_pair();
+    sweep_direct(enc, x, &mut sweep);
+    !sweep.pair
 }
 
 /// [`is_ckey`] probing through a shared [`ProbeCache`].
@@ -719,19 +854,7 @@ pub fn is_ckey_cached(
     x: AttrSet,
     strong_partition: &Partition,
 ) -> bool {
-    if !strong_partition.is_empty() {
-        return false;
-    }
-    probes.weak_pairs(enc, x, |_, _| false)
-}
-
-/// [`is_ckey`] against a prebuilt [`ProbeIndex`] — for callers that
-/// also run the reflexivity check on the same `X`.
-pub fn is_ckey_with(enc: &Encoded, idx: &ProbeIndex, strong_partition: &Partition) -> bool {
-    if !strong_partition.is_empty() {
-        return false;
-    }
-    idx.for_each_weak_pair(enc, |_, _| false)
+    strong_partition.is_empty() && !probes.has_weak_pair(enc, x)
 }
 
 /// Whether `X` is a p-key: no two rows strongly similar on `X`
@@ -743,20 +866,16 @@ pub fn is_pkey(strong_partition: &Partition) -> bool {
 /// Whether the internal c-FD `X →_w X` holds — the extra condition that
 /// upgrades a certain FD `X →_w Y` to the *total* FD `X →_w XY`
 /// (Definition 9). Rows without nulls in `X` satisfy it trivially
-/// (weak similarity = equality there); only null-bearing rows matter.
+/// (weak similarity = equality there); only null-bearing rows matter,
+/// and the check is the certain-FD tail with targets `X`.
 pub fn certain_reflexive_holds(enc: &Encoded, x: AttrSet) -> bool {
-    probe_weak_pairs(enc, x, |r, s| enc.equal_on(r, s, x))
-}
-
-/// [`certain_reflexive_holds`] against a prebuilt [`ProbeIndex`].
-pub fn certain_reflexive_holds_with(enc: &Encoded, idx: &ProbeIndex) -> bool {
-    idx.for_each_weak_pair(enc, |r, s| enc.equal_on(r, s, idx.x()))
+    certain_targets(enc, x, x) == x
 }
 
 /// [`certain_reflexive_holds`] probing through a shared
 /// [`ProbeCache`].
 pub fn certain_reflexive_holds_cached(enc: &Encoded, probes: &ProbeCache, x: AttrSet) -> bool {
-    probes.weak_pairs(enc, x, |r, s| enc.equal_on(r, s, x))
+    probes.fd_targets(enc, x, x) == x
 }
 
 /// The [`NullSemantics`] under which partitions for `sem` are built:

@@ -28,8 +28,8 @@ use crate::check::{certain_reflexive_holds_cached, is_ckey_cached, ProbeCache, S
 use crate::mine::{mine_fds_encoded, MinedFd, MinerConfig};
 use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::AttrSet;
-use sqlnf_model::project::project_set;
 use sqlnf_model::table::Table;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// A λ-FD together with its relative projection size.
@@ -102,22 +102,25 @@ pub fn classify_table_budgeted(
     max_lhs: usize,
     cache_budget: usize,
 ) -> Classification {
-    classify_table_encoded(table, &Encoded::new(table), max_lhs, cache_budget)
+    classify_table_encoded(
+        &Encoded::new(table),
+        table.schema().arity(),
+        max_lhs,
+        cache_budget,
+    )
 }
 
-/// [`classify_table_budgeted`] from a pre-encoded instance. `enc` must
-/// encode `table` (the table itself is still consulted for projection
-/// ratios, which need the actual values). Lets callers reuse one
-/// encoding across mining runs — and lets the columnar-vs-row-major
-/// differential tests drive the full classification pipeline from
-/// either encoding.
+/// [`classify_table_budgeted`] from a pre-encoded instance of `arity`
+/// columns — projection ratios are counted on the codes too. Lets
+/// callers reuse one encoding across mining runs, and lets the
+/// columnar-vs-row-major differential tests drive the full
+/// classification pipeline from either encoding.
 pub fn classify_table_encoded(
-    table: &Table,
     enc: &Encoded,
+    arity: usize,
     max_lhs: usize,
     cache_budget: usize,
 ) -> Classification {
-    let arity = table.schema().arity();
     let null_free = enc.null_free_columns();
 
     let possible = mine_fds_encoded(
@@ -149,7 +152,7 @@ pub fn classify_table_encoded(
             let strong = ctx.partition(fd.lhs);
             if !is_ckey_cached(enc, &probes, fd.lhs, &strong) {
                 out.nn_nonkey_ratios
-                    .push(projection_ratio(table, fd.lhs | fd.rhs));
+                    .push(projection_ratio(enc, fd.lhs | fd.rhs));
             }
             out.nn_fds.push(fd);
         } else {
@@ -170,7 +173,7 @@ pub fn classify_table_encoded(
                 out.lambda_fds.push(LambdaFd {
                     lhs: fd.lhs,
                     rhs: fd.rhs,
-                    relative_projection_size: projection_ratio(table, fd.lhs | fd.rhs),
+                    relative_projection_size: projection_ratio(enc, fd.lhs | fd.rhs),
                 });
             }
         }
@@ -299,12 +302,26 @@ pub fn render_report(
     out
 }
 
-pub(crate) fn projection_ratio(table: &Table, attrs: AttrSet) -> f64 {
-    if table.is_empty() {
+/// `|I[attrs]| / |I|` counted on dictionary codes: two rows project to
+/// the same tuple iff their codes agree on `attrs` (`⊥` is code 0, so
+/// `⊥ = ⊥` as in the set projection). Each row's projection gets a
+/// dense id refined one column at a time, so no tuple is built.
+pub(crate) fn projection_ratio(enc: &Encoded, attrs: AttrSet) -> f64 {
+    if enc.rows() == 0 {
         return 1.0;
     }
-    let proj = project_set(table, attrs, "proj");
-    proj.len() as f64 / table.len() as f64
+    let mut ids = vec![0u32; enc.rows()];
+    let mut distinct = 1;
+    let mut refined: HashMap<(u32, u32), u32> = HashMap::new();
+    for a in attrs {
+        refined.clear();
+        for (id, &code) in ids.iter_mut().zip(enc.column(a)) {
+            let next = refined.len() as u32;
+            *id = *refined.entry((*id, code)).or_insert(next);
+        }
+        distinct = refined.len();
+    }
+    distinct as f64 / enc.rows() as f64
 }
 
 #[cfg(test)]
@@ -433,11 +450,17 @@ mod tests {
     #[test]
     fn projection_ratio_bounds() {
         let t = fig7_snippet();
+        let enc = Encoded::new(&t);
         let all = t.schema().attrs();
-        let r = projection_ratio(&t, all);
+        let r = projection_ratio(&enc, all);
         assert!(r > 0.0 && r <= 1.0);
         // Projecting on a constant-ish set compresses.
         let st = t.schema().set(&["st"]);
-        assert!(projection_ratio(&t, st) < r);
+        assert!(projection_ratio(&enc, st) < r);
+        // Counting codes counts the rows of the set projection.
+        for x in all.subsets().filter(|x| !x.is_empty()) {
+            let want = project_set(&t, x, "p").len() as f64 / t.len() as f64;
+            assert_eq!(projection_ratio(&enc, x), want, "{x:?}");
+        }
     }
 }

@@ -354,7 +354,7 @@ impl IncrementalMiner {
         &mut self,
         nulls: NullSemantics,
         cache_budget: usize,
-        run: impl FnOnce(&mut Pass<'_>, &mut Caches, &Table) -> T,
+        run: impl FnOnce(&mut Pass<'_>, &mut Caches) -> T,
     ) -> T {
         let enc = Encoded::new(&self.table);
         let arity = self.table.schema().arity();
@@ -378,7 +378,7 @@ impl IncrementalMiner {
             delta_memo: None,
             touched: 0,
         };
-        let out = run(&mut pass, &mut self.caches, &self.table);
+        let out = run(&mut pass, &mut self.caches);
         sqlnf_obs::count!("discovery.incr.candidates_touched", pass.touched);
         let frontier: usize = self.caches.fd.iter().map(HashMap::len).sum::<usize>()
             + self.caches.key.len()
@@ -396,7 +396,7 @@ impl IncrementalMiner {
         max_lhs: usize,
         cache_budget: usize,
     ) -> Vec<MinedFd> {
-        self.with_pass(null_semantics(sem), cache_budget, |pass, caches, _| {
+        self.with_pass(null_semantics(sem), cache_budget, |pass, caches| {
             pass.replay_fds(&mut caches.fd[sem_index(sem)], sem, max_lhs)
         })
     }
@@ -404,7 +404,7 @@ impl IncrementalMiner {
     /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
     /// over [`IncrementalMiner::table`].
     pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
-        self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches, _| {
+        self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
             pass.replay_keys(&mut caches.key, max_size)
         })
     }
@@ -413,58 +413,51 @@ impl IncrementalMiner {
     /// incremental mirror of `classify_table_budgeted` +
     /// `mine_keys_budgeted`.
     pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
-        self.with_pass(
-            NullSemantics::Strong,
-            cache_budget,
-            |pass, caches, table| {
-                let null_free = pass.enc.null_free_columns();
-                let possible = pass.replay_fds(
-                    &mut caches.fd[sem_index(Semantics::Possible)],
-                    Semantics::Possible,
-                    max_lhs,
-                );
-                let certain = pass.replay_fds(
-                    &mut caches.fd[sem_index(Semantics::Certain)],
-                    Semantics::Certain,
-                    max_lhs,
-                );
-                let mut out = Classification::default();
-                for fd in possible {
-                    if fd.lhs.is_subset(null_free) {
-                        if !pass.key_status(&mut caches.key, fd.lhs).1 {
-                            let ratio = pass.ratio(&mut caches.ratio, table, fd.lhs | fd.rhs);
-                            out.nn_nonkey_ratios.push(ratio);
-                        }
-                        out.nn_fds.push(fd);
-                    } else {
-                        out.p_fds.push(fd);
+        self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
+            let null_free = pass.enc.null_free_columns();
+            let possible = pass.replay_fds(
+                &mut caches.fd[sem_index(Semantics::Possible)],
+                Semantics::Possible,
+                max_lhs,
+            );
+            let certain = pass.replay_fds(
+                &mut caches.fd[sem_index(Semantics::Certain)],
+                Semantics::Certain,
+                max_lhs,
+            );
+            let mut out = Classification::default();
+            for fd in possible {
+                if fd.lhs.is_subset(null_free) {
+                    if !pass.key_status(&mut caches.key, fd.lhs).1 {
+                        let ratio = pass.ratio(&mut caches.ratio, fd.lhs | fd.rhs);
+                        out.nn_nonkey_ratios.push(ratio);
+                    }
+                    out.nn_fds.push(fd);
+                } else {
+                    out.p_fds.push(fd);
+                }
+            }
+            for fd in certain {
+                if fd.lhs.is_subset(null_free) {
+                    continue; // coincides with an nn-FD; counted there
+                }
+                if pass.reflexive(&mut caches.refl, fd.lhs) {
+                    out.t_fds.push(fd.clone());
+                    let ckey = pass.key_status(&mut caches.key, fd.lhs).1;
+                    if !fd.rhs.is_empty() && !ckey {
+                        out.lambda_fds.push(LambdaFd {
+                            lhs: fd.lhs,
+                            rhs: fd.rhs,
+                            relative_projection_size: pass
+                                .ratio(&mut caches.ratio, fd.lhs | fd.rhs),
+                        });
                     }
                 }
-                for fd in certain {
-                    if fd.lhs.is_subset(null_free) {
-                        continue; // coincides with an nn-FD; counted there
-                    }
-                    if pass.reflexive(&mut caches.refl, fd.lhs) {
-                        out.t_fds.push(fd.clone());
-                        let ckey = pass.key_status(&mut caches.key, fd.lhs).1;
-                        if !fd.rhs.is_empty() && !ckey {
-                            out.lambda_fds.push(LambdaFd {
-                                lhs: fd.lhs,
-                                rhs: fd.rhs,
-                                relative_projection_size: pass.ratio(
-                                    &mut caches.ratio,
-                                    table,
-                                    fd.lhs | fd.rhs,
-                                ),
-                            });
-                        }
-                    }
-                    out.c_fds.push(fd);
-                }
-                let keys = pass.replay_keys(&mut caches.key, max_lhs);
-                (out, keys)
-            },
-        )
+                out.c_fds.push(fd);
+            }
+            let keys = pass.replay_keys(&mut caches.key, max_lhs);
+            (out, keys)
+        })
     }
 
     /// The `MINE` report over the live rows, byte-identical to
@@ -1252,9 +1245,9 @@ impl Pass<'_> {
 
     /// The projection ratio of `attrs` over the live rows, memoized
     /// until a delta could have changed it (any insert or delete, or
-    /// an update touching `attrs`). `projection_ratio` wants real
-    /// rows, not codes, so it reads the table itself.
-    fn ratio(&self, memo: &mut HashMap<AttrSet, (f64, u64)>, table: &Table, attrs: AttrSet) -> f64 {
+    /// an update touching `attrs`), counted on the pass's codes like
+    /// the scratch classifier's.
+    fn ratio(&self, memo: &mut HashMap<AttrSet, (f64, u64)>, attrs: AttrSet) -> f64 {
         match memo.get(&attrs) {
             Some(&(ratio, at))
                 if at >= self.marks.delete && self.marks.holding_valid(at, attrs) =>
@@ -1262,7 +1255,7 @@ impl Pass<'_> {
                 ratio
             }
             _ => {
-                let ratio = projection_ratio(table, attrs);
+                let ratio = projection_ratio(self.enc, attrs);
                 memo.insert(attrs, (ratio, self.now));
                 ratio
             }

@@ -112,8 +112,9 @@ fn classification_identical_across_encodings() {
     for (name, t, max_lhs) in corpus() {
         let columnar = Encoded::new(&t);
         let reference = Encoded::from_table_rows(&t);
-        let a = classify_table_encoded(&t, &columnar, max_lhs, usize::MAX);
-        let b = classify_table_encoded(&t, &reference, max_lhs, usize::MAX);
+        let arity = t.schema().arity();
+        let a = classify_table_encoded(&columnar, arity, max_lhs, usize::MAX);
+        let b = classify_table_encoded(&reference, arity, max_lhs, usize::MAX);
         assert_eq!(a, b, "{name}: classification diverges");
     }
 }

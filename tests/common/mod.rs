@@ -24,6 +24,28 @@ pub fn small_table(cols: usize, max_rows: usize) -> impl Strategy<Value = Table>
     })
 }
 
+/// Strategy: a table of `nullable` columns over the small domain
+/// followed by `total` null-free columns over {0, 1, 2}, with
+/// 0..=max_rows rows. LHSs mixing both kinds share nullable
+/// footprints and leave a non-empty null-free remainder.
+pub fn mixed_table(nullable: usize, total: usize, max_rows: usize) -> impl Strategy<Value = Table> {
+    let row = (
+        proptest::collection::vec(small_value(), nullable),
+        proptest::collection::vec((0i64..3).prop_map(Value::Int), total),
+    );
+    proptest::collection::vec(row, 0..=max_rows).prop_map(move |rows| {
+        let names: Vec<String> = (0..nullable + total).map(|i| format!("a{i}")).collect();
+        let schema = TableSchema::new("t", names, &[]);
+        Table::from_rows(
+            schema,
+            rows.into_iter().map(|(mut values, rest)| {
+                values.extend(rest);
+                Tuple::new(values)
+            }),
+        )
+    })
+}
+
 /// Strategy: an attribute subset of the first `cols` attributes.
 pub fn attr_subset(cols: usize) -> impl Strategy<Value = AttrSet> {
     (0u32..(1 << cols)).prop_map(|bits| AttrSet(bits as u128))

@@ -191,53 +191,23 @@ proptest! {
 
     /// The footprint-keyed [`ProbeCache`] is transparent: for every
     /// LHS it visits exactly the weak-pair set of a fresh
-    /// per-candidate [`ProbeIndex`] build, and its batch target check
-    /// equals the pairwise code-agreement fold over those pairs.
+    /// per-candidate [`ProbeIndex`] build, its batch target check
+    /// equals the pairwise code-agreement fold over those pairs, and
+    /// its c-key and totality answers equal the naive checker's.
     /// Each LHS is probed three times so footprints cross the policy
     /// transitions (direct scan → index build → cache hit).
     #[test]
     fn probe_cache_matches_fresh_index(table in small_table(4, 10)) {
-        use sqlnf::discovery::check::{probe_weak_pairs, ProbeCache};
-        use sqlnf::discovery::partition::Encoded;
-        use std::collections::BTreeSet;
-        let enc = Encoded::new(&table);
-        let all = AttrSet::first_n(4);
-        let probes = ProbeCache::new(&enc);
-        for x in all.subsets() {
-            // Reference: a fresh index per probe, as the seed code did.
-            let mut want = BTreeSet::new();
-            probe_weak_pairs(&enc, x, |r, s| {
-                want.insert((r.min(s), r.max(s)));
-                true
-            });
-            let targets = all - x;
-            let mut want_targets = targets;
-            for &(r, s) in &want {
-                let mut still = AttrSet::EMPTY;
-                for a in want_targets {
-                    if enc.code(r, a) == enc.code(s, a) {
-                        still.insert(a);
-                    }
-                }
-                want_targets = still;
-            }
-            for round in 0..3 {
-                let mut got = BTreeSet::new();
-                probes.weak_pairs(&enc, x, |r, s| {
-                    got.insert((r.min(s), r.max(s)));
-                    true
-                });
-                prop_assert_eq!(
-                    &got, &want,
-                    "round {} x={:?} on\n{}", round, x, table
-                );
-                let got_targets = probes.fd_targets(&enc, x, targets);
-                prop_assert_eq!(
-                    got_targets, want_targets,
-                    "round {} x={:?} on\n{}", round, x, table
-                );
-            }
-        }
+        probe_cache_agrees(&table);
+    }
+
+    /// [`probe_cache_matches_fresh_index`] on tables with two nullable
+    /// and three null-free columns: footprints carry several null
+    /// patterns and are shared by LHSs with a non-empty null-free
+    /// remainder.
+    #[test]
+    fn probe_cache_matches_fresh_index_on_shared_footprints(table in mixed_table(2, 3, 12)) {
+        probe_cache_agrees(&table);
     }
 
     /// The partition-based weak check agrees with the related-work
@@ -300,13 +270,85 @@ proptest! {
     fn classifier_lambdas_are_genuine(table in small_table(COLS, 6)) {
         prop_assume!(!table.is_empty());
         let cls = sqlnf::discovery::classify::classify_table(&table, COLS);
+        let ratio = |attrs| project_set(&table, attrs, "p").len() as f64 / table.len() as f64;
         for lam in &cls.lambda_fds {
             let total = Fd::certain(lam.lhs, lam.lhs | lam.rhs);
             prop_assert!(satisfies_fd(&table, &total));
             prop_assert!(!satisfies_key(&table, &Key::certain(lam.lhs)));
-            let proj = project_set(&table, lam.lhs | lam.rhs, "p");
-            let ratio = proj.len() as f64 / table.len() as f64;
-            prop_assert!((ratio - lam.relative_projection_size).abs() < 1e-12);
+            prop_assert!((ratio(lam.lhs | lam.rhs) - lam.relative_projection_size).abs() < 1e-12);
+        }
+        // The nn series: one ratio per nn-FD whose LHS is not a c-key,
+        // in nn-FD order.
+        let nn_nonkey: Vec<f64> = cls
+            .nn_fds
+            .iter()
+            .filter(|fd| !satisfies_key(&table, &Key::certain(fd.lhs)))
+            .map(|fd| ratio(fd.lhs | fd.rhs))
+            .collect();
+        prop_assert_eq!(nn_nonkey.len(), cls.nn_nonkey_ratios.len());
+        for (want, got) in nn_nonkey.iter().zip(&cls.nn_nonkey_ratios) {
+            prop_assert!((want - got).abs() < 1e-12, "{} vs {} on\n{}", want, got, table);
+        }
+    }
+}
+
+/// The body of the two `probe_cache_matches_fresh_index` properties.
+fn probe_cache_agrees(table: &Table) {
+    use sqlnf::discovery::check::{
+        certain_reflexive_holds_cached, is_ckey_cached, partition_for, probe_weak_pairs, ProbeCache,
+    };
+    use std::collections::BTreeSet;
+    let enc = Encoded::new(table);
+    let all = table.schema().attrs();
+    let probes = ProbeCache::new(&enc);
+    for x in all.subsets() {
+        // Reference: a fresh index per probe, as the seed code did.
+        let mut want = BTreeSet::new();
+        probe_weak_pairs(&enc, x, |r, s| {
+            want.insert((r.min(s), r.max(s)));
+            true
+        });
+        let targets = all - x;
+        let mut want_targets = targets;
+        for &(r, s) in &want {
+            let mut still = AttrSet::EMPTY;
+            for a in want_targets {
+                if enc.code(r, a) == enc.code(s, a) {
+                    still.insert(a);
+                }
+            }
+            want_targets = still;
+        }
+        let ckey = satisfies_key(table, &Key::certain(x));
+        let total = satisfies_fd(table, &Fd::certain(x, x));
+        let strong = partition_for(&enc, x, Semantics::Possible);
+        for round in 0..3 {
+            let mut got = BTreeSet::new();
+            probes.weak_pairs(&enc, x, |r, s| {
+                got.insert((r.min(s), r.max(s)));
+                true
+            });
+            assert_eq!(got, want, "round {round} x={x:?} on\n{table}");
+            let got_targets = probes.fd_targets(&enc, x, targets);
+            assert_eq!(
+                got_targets, want_targets,
+                "round {round} x={x:?} on\n{table}"
+            );
+            assert_eq!(
+                probes.has_weak_pair(&enc, x),
+                !want.is_empty(),
+                "pair round {round} x={x:?} on\n{table}"
+            );
+            assert_eq!(
+                is_ckey_cached(&enc, &probes, x, &strong),
+                ckey,
+                "c-key round {round} x={x:?} on\n{table}"
+            );
+            assert_eq!(
+                certain_reflexive_holds_cached(&enc, &probes, x),
+                total,
+                "totality round {round} x={x:?} on\n{table}"
+            );
         }
     }
 }
