@@ -27,7 +27,7 @@ fn naive_cfd_holds(enc: &Encoded, rows: usize, x: AttrSet, a: Attr) -> bool {
     use sqlnf_discovery::check::{fd_targets_holding, partition_for, Semantics};
     // Partition part is shared; re-do the null probing naively.
     let p = partition_for(enc, x, Semantics::Possible);
-    let within = fd_targets_holding(enc, x, &p, AttrSet::single(a), Semantics::Possible);
+    let within = fd_targets_holding(enc, x, &p, AttrSet::single(a), Semantics::Possible, None);
     if within.is_empty() {
         return false;
     }

@@ -6,6 +6,7 @@
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 /// A memoized probe structure for weak-similarity checks on a fixed
@@ -189,24 +190,25 @@ fn null_patterns(enc: &Encoded, x: AttrSet, null_rows: &[usize]) -> Vec<(AttrSet
     patterns
 }
 
-/// One group of a [`WeakSweep`]: rows sharing their codes on the
-/// group key, with the first row's code per target and the targets
-/// some later row disagreed on.
+/// One group of a [`WeakSweep`]: rows sharing their codes on the group
+/// key. Per target it keeps the code of the row that opened the group
+/// and the first row that disagreed with it.
 struct Group {
-    codes: Vec<u32>,
+    head: usize,
+    cells: Vec<(u32, usize)>,
     conflict: AttrSet,
 }
 
 /// The grouped sweep over the weak pairs of `X` — the one
-/// implementation behind every certain-semantics question that does not
-/// need the pairs themselves:
+/// implementation behind every certain-semantics question:
 ///
 /// * which of `targets` every weak pair agrees on (the certain-FD
-///   tail, [`ProbeCache::fd_targets`]);
+///   tail, [`ProbeCache::fd_targets`]), with a disagreeing pair per
+///   refuted target;
 /// * whether `X →_w X` holds (totality): exactly `targets = X` surviving
 ///   whole;
-/// * whether any weak pair exists (the c-key check), with
-///   [`WeakSweep::first_pair`].
+/// * the first weak pair, if any (the c-key check,
+///   [`ProbeCache::first_weak_pair`]).
 ///
 /// A row `r` with nulls on `N ⊆ X` is weakly similar to an `X`-total
 /// row, or to a null row of the same pattern, iff the two agree on the
@@ -223,7 +225,9 @@ struct WeakSweep {
     holding: AttrSet,
     /// Stop at the first weak pair instead of when no target survives.
     until_pair: bool,
-    pair: bool,
+    pair: Option<(usize, usize)>,
+    /// Per refuted target, a weak pair that disagrees on it.
+    refuted: Vec<(Attr, usize, usize)>,
 }
 
 impl WeakSweep {
@@ -232,22 +236,21 @@ impl WeakSweep {
             targets: targets.iter().collect(),
             holding: targets,
             until_pair: false,
-            pair: false,
+            pair: None,
+            refuted: Vec::new(),
         }
     }
 
     fn first_pair() -> WeakSweep {
         WeakSweep {
-            targets: Vec::new(),
-            holding: AttrSet::EMPTY,
             until_pair: true,
-            pair: false,
+            ..WeakSweep::targets(AttrSet::EMPTY)
         }
     }
 
     fn done(&self) -> bool {
         if self.until_pair {
-            self.pair
+            self.pair.is_some()
         } else {
             self.holding.is_empty()
         }
@@ -272,11 +275,16 @@ impl WeakSweep {
             Some(g) => g,
             None => {
                 if open {
-                    let codes = self.targets.iter().map(|&a| enc.code(row, a)).collect();
+                    let cells = self
+                        .targets
+                        .iter()
+                        .map(|&a| (enc.code(row, a), row))
+                        .collect();
                     groups.insert(
                         key.to_vec(),
                         Group {
-                            codes,
+                            head: row,
+                            cells,
                             conflict: AttrSet::EMPTY,
                         },
                     );
@@ -284,15 +292,32 @@ impl WeakSweep {
                 return;
             }
         };
-        for (&a, &c) in self.targets.iter().zip(&g.codes) {
-            if enc.code(row, a) != c {
-                g.conflict.insert(a);
+        for (&a, cell) in self.targets.iter().zip(&mut g.cells) {
+            if enc.code(row, a) != cell.0 && g.conflict.insert(a) {
+                cell.1 = row;
             }
         }
-        if anchor {
-            self.pair = true;
-            self.holding = self.holding - g.conflict;
+        if !anchor {
+            return;
         }
+        self.pair.get_or_insert((g.head, row));
+        let killed = self.holding & g.conflict;
+        if killed.is_empty() {
+            return;
+        }
+        // `row` pairs with every row of the group: with the head where
+        // it disagrees with the head, else with the row that did.
+        for (&a, &(code, clash)) in self.targets.iter().zip(&g.cells) {
+            if killed.contains(a) {
+                let earlier = if enc.code(row, a) != code {
+                    g.head
+                } else {
+                    clash
+                };
+                self.refuted.push((a, earlier, row));
+            }
+        }
+        self.holding = self.holding - killed;
     }
 
     /// The pairs of one null pattern: its null rows with each other
@@ -539,10 +564,9 @@ impl ProbeCache {
     /// Visits every weak pair of `x` (exactly as [`probe_weak_pairs`])
     /// through the footprint cache. Enumeration *order* may differ
     /// between the direct and indexed paths; the pair set never does.
-    /// Only for callers that need the pairs themselves (approximate
-    /// errors, incremental witnesses): the yes/no questions go through
-    /// the grouped sweep ([`ProbeCache::fd_targets`],
-    /// [`ProbeCache::has_weak_pair`]). Each call adds the pairs it
+    /// Only for callers that need every pair (approximate errors): the
+    /// yes/no questions and their witnesses come from the grouped sweep ([`ProbeCache::fd_targets`],
+    /// [`ProbeCache::first_weak_pair`]). Each call adds the pairs it
     /// visited to `discovery.check.weak_pairs_visited`.
     pub fn weak_pairs(
         &self,
@@ -583,21 +607,45 @@ impl ProbeCache {
     /// pairs of `x` — the certain-semantics tail of the FD check,
     /// served from the footprint cache by the grouped sweep.
     pub fn fd_targets(&self, enc: &Encoded, x: AttrSet, targets: AttrSet) -> AttrSet {
-        if targets.is_empty() {
-            return targets;
-        }
-        let mut sweep = WeakSweep::targets(targets);
-        self.sweep(enc, x, &mut sweep);
-        sweep.holding
+        certain_tail(enc, x, targets, Some(self)).holding
     }
 
-    /// Whether `x` has any weak pair involving a row with `⊥` in `x`
-    /// (the c-key check's probe tail), by the grouped sweep.
-    pub fn has_weak_pair(&self, enc: &Encoded, x: AttrSet) -> bool {
+    /// [`ProbeCache::fd_targets`] as witnesses: for each refuted target,
+    /// a weak pair of `x` that disagrees on it.
+    pub(crate) fn fd_target_witnesses(
+        &self,
+        enc: &Encoded,
+        x: AttrSet,
+        targets: AttrSet,
+    ) -> Vec<(Attr, usize, usize)> {
+        certain_tail(enc, x, targets, Some(self)).refuted
+    }
+
+    /// The first weak pair of `x` involving a row with `⊥` in `x`, if
+    /// any (the c-key check's probe tail), by the grouped sweep.
+    pub fn first_weak_pair(&self, enc: &Encoded, x: AttrSet) -> Option<(usize, usize)> {
         let mut sweep = WeakSweep::first_pair();
         self.sweep(enc, x, &mut sweep);
         sweep.pair
     }
+}
+
+/// The certain-FD tail: the grouped sweep of `x`'s weak pairs over
+/// `targets`, through `probes` or, for one-shot checks, unindexed.
+fn certain_tail(
+    enc: &Encoded,
+    x: AttrSet,
+    targets: AttrSet,
+    probes: Option<&ProbeCache>,
+) -> WeakSweep {
+    let mut sweep = WeakSweep::targets(targets);
+    if !targets.is_empty() {
+        match probes {
+            Some(probes) => probes.sweep(enc, x, &mut sweep),
+            None => sweep_direct(enc, x, &mut sweep),
+        }
+    }
+    sweep
 }
 
 /// Semantics under which a mined FD `X → A` is evaluated.
@@ -619,11 +667,12 @@ pub enum Semantics {
     /// of `X`-total rows equal on `X`, all **non-null** `A`-values are
     /// equal. Rows with `⊥` in `X` constrain nothing (the completion
     /// hands them fresh values, isolating them in their own group), and
-    /// a `⊥` on `A` is completed to whatever its group agreed on — so
-    /// unlike [`Semantics::Certain`] there is no weak-pair probe tail,
-    /// and the null-tolerant class sweep makes this the *weakest* of
-    /// the four semantics pairwise: certain ⟹ possible ⟹ weak, and
-    /// classical ⟹ weak.
+    /// a `⊥` on `A` is completed to whatever its group agreed on. So
+    /// the check runs on strong partitions like the possible one, with
+    /// a class rule that tracks the first non-null code per target in
+    /// place of the head's codes, and with no weak-pair tail. Pairwise
+    /// it is the weakest of the four semantics: certain ⟹ possible ⟹
+    /// weak, and classical ⟹ weak.
     Weak,
 }
 
@@ -661,39 +710,223 @@ impl Semantics {
     }
 }
 
-/// The subset of `targets` whose non-null codes are constant over
-/// `class` — the per-class kernel of [`Semantics::Weak`] (`0` encodes
-/// `⊥`, which the weak completion absorbs). Comparing against the
-/// class head would be unsound here: the head may carry `⊥` on a
-/// target while two later rows disagree with non-null values, so the
-/// sweep tracks the first *non-null* code per target instead.
-fn weak_targets_in_class(enc: &Encoded, class: &[u32], targets: AttrSet) -> AttrSet {
-    let mut still = AttrSet::EMPTY;
-    'targets: for a in targets {
-        let mut seen = 0u32;
-        for &r in class {
-            let c = enc.code(r as usize, a);
-            if c != 0 {
-                if seen == 0 {
-                    seen = c;
-                } else if seen != c {
-                    continue 'targets;
-                }
+/// The per-class rule of a semantics: what a class of rows similar on
+/// `X` remembers per target, and which later member refutes a target.
+/// A refutation always names the earlier row it clashes with, so every
+/// refuted target comes with a witness pair.
+pub(crate) trait ClassRule {
+    /// State words a class keeps for `n` targets.
+    fn width(n: usize) -> usize;
+
+    /// Seeds the state of a class whose first row is `row`.
+    fn open(enc: &Encoded, targets: AttrSet, state: &mut [u32], row: usize);
+
+    /// Compares a later member `row` with the class state on each
+    /// target of `holding`. Returns the targets it leaves standing and
+    /// reports each other one as `refute(a, earlier)`.
+    fn feed(
+        enc: &Encoded,
+        targets: AttrSet,
+        state: &mut [u32],
+        holding: AttrSet,
+        row: usize,
+        refute: impl FnMut(Attr, usize),
+    ) -> AttrSet;
+}
+
+/// Classical, possible and certain: `⊥` equals `⊥` on the target, so
+/// every member must carry the class head's code.
+pub(crate) enum Head {}
+
+impl ClassRule for Head {
+    fn width(_: usize) -> usize {
+        1
+    }
+
+    fn open(_: &Encoded, _: AttrSet, state: &mut [u32], row: usize) {
+        state[0] = row as u32;
+    }
+
+    #[inline]
+    fn feed(
+        enc: &Encoded,
+        _: AttrSet,
+        state: &mut [u32],
+        holding: AttrSet,
+        row: usize,
+        mut refute: impl FnMut(Attr, usize),
+    ) -> AttrSet {
+        let head = state[0] as usize;
+        let mut still = AttrSet::EMPTY;
+        for a in holding {
+            if enc.code(row, a) == enc.code(head, a) {
+                still.insert(a);
+            } else {
+                refute(a, head);
             }
         }
-        still.insert(a);
+        still
     }
-    still
+}
+
+/// Weak: a `⊥` on the target completes to the class consensus, so each
+/// target remembers the first member with a non-null code, and only a
+/// later, different non-null code refutes it. (The head would be
+/// unsound here: it may carry `⊥` on a target two later rows disagree
+/// on.)
+pub(crate) enum FirstNonNull {}
+
+/// [`FirstNonNull`] state of a target no member has a code on yet.
+const NO_ROW: u32 = u32::MAX;
+
+impl ClassRule for FirstNonNull {
+    fn width(n: usize) -> usize {
+        n
+    }
+
+    fn open(enc: &Encoded, targets: AttrSet, state: &mut [u32], row: usize) {
+        state.fill(NO_ROW);
+        FirstNonNull::feed(enc, targets, state, targets, row, |_, _| {});
+    }
+
+    #[inline]
+    fn feed(
+        enc: &Encoded,
+        targets: AttrSet,
+        state: &mut [u32],
+        holding: AttrSet,
+        row: usize,
+        mut refute: impl FnMut(Attr, usize),
+    ) -> AttrSet {
+        let mut still = holding;
+        for (seen, a) in state.iter_mut().zip(targets) {
+            let c = enc.code(row, a);
+            if c == 0 || !holding.contains(a) {
+                continue;
+            }
+            if *seen == NO_ROW {
+                *seen = row as u32;
+            } else if enc.code(*seen as usize, a) != c {
+                still.remove(a);
+                refute(a, *seen as usize);
+            }
+        }
+        still
+    }
+}
+
+/// Evaluates `$body` with the type `$R` bound to the [`ClassRule`] of
+/// the semantics `$sem`. The body is monomorphised per rule, so each
+/// rule's inner loop compiles on its own.
+macro_rules! with_rule {
+    ($sem:expr, |$R:ident| $body:expr) => {
+        match $sem {
+            $crate::check::Semantics::Weak => {
+                type $R = $crate::check::FirstNonNull;
+                $body
+            }
+            _ => {
+                type $R = $crate::check::Head;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_rule;
+
+/// The one class kernel: a [`ClassRule`] fed one row at a time with the
+/// id of its class, tracking which targets every class has left
+/// standing. Class ids index the state, so classes may interleave (the
+/// subclasses of one prefix class in a fused refinement); a class's
+/// first row re-seeds its id.
+pub(crate) struct ClassSweep<R> {
+    targets: AttrSet,
+    holding: AttrSet,
+    width: usize,
+    /// The state of class `c` at `c * width..(c + 1) * width`.
+    state: Vec<u32>,
+    rule: PhantomData<R>,
+}
+
+impl<R: ClassRule> ClassSweep<R> {
+    pub(crate) fn new(targets: AttrSet) -> ClassSweep<R> {
+        ClassSweep {
+            targets,
+            holding: targets,
+            width: R::width(targets.len()),
+            state: Vec::new(),
+            rule: PhantomData,
+        }
+    }
+
+    /// The targets no class has refuted so far.
+    pub(crate) fn holding(&self) -> AttrSet {
+        self.holding
+    }
+
+    /// Feeds `row` as a member of class `class` — its first row when
+    /// `first` — reporting each target it refutes as
+    /// `refute(a, earlier, row)`. Returns whether any target survives.
+    #[inline]
+    pub(crate) fn row(
+        &mut self,
+        enc: &Encoded,
+        class: u32,
+        first: bool,
+        row: usize,
+        mut refute: impl FnMut(Attr, usize, usize),
+    ) -> bool {
+        let at = class as usize * self.width;
+        let end = at + self.width;
+        if first {
+            if self.state.len() < end {
+                self.state.resize(end, 0);
+            }
+            R::open(enc, self.targets, &mut self.state[at..end], row);
+        } else {
+            let state = &mut self.state[at..end];
+            self.holding = R::feed(enc, self.targets, state, self.holding, row, |a, earlier| {
+                refute(a, earlier, row)
+            });
+        }
+        !self.holding.is_empty()
+    }
+
+    /// Feeds the rows of one class, first row first; returns whether
+    /// any target survives.
+    pub(crate) fn class(
+        &mut self,
+        enc: &Encoded,
+        rows: impl IntoIterator<Item = usize>,
+        mut refute: impl FnMut(Attr, usize, usize),
+    ) -> bool {
+        rows.into_iter()
+            .enumerate()
+            .all(|(i, r)| self.row(enc, 0, i == 0, r, &mut refute))
+    }
+}
+
+/// Whether two rows of one class — already similar on `X` under
+/// `sem` — refute `a` under `sem`'s class rule.
+pub(crate) fn pair_refutes(enc: &Encoded, sem: Semantics, a: Attr, r: usize, s: usize) -> bool {
+    let one = AttrSet::single(a);
+    // Either rule keeps one state word for one target.
+    let mut state = [0u32];
+    with_rule!(sem, |R| {
+        R::open(enc, one, &mut state, r);
+        R::feed(enc, one, &mut state, one, s, |_, _| {}).is_empty()
+    })
 }
 
 /// [`fd_targets_holding`] fused with the partition product: checks
 /// `X → A` for all `A` in `targets` where `X = attrs(prefix) ∪ {by}`,
-/// sweeping the refinement of `prefix` by `by` directly instead of
-/// materializing `π_X` first. Stops scanning the moment every target
-/// is refuted — on the last lattice level (where the partition would
-/// be thrown away anyway) a violated candidate usually dies within a
-/// handful of rows. Returns exactly what
-/// `fd_targets_holding(enc, x, &π_X, targets, sem)` would.
+/// feeding the refinement of `prefix` by `by` row by row to the class
+/// kernel instead of materializing `π_X` first. Stops scanning the
+/// moment every target is refuted — on the last lattice level (where
+/// the partition would be thrown away anyway) a violated candidate
+/// usually dies within a handful of rows. Returns exactly what
+/// `fd_targets_holding(enc, x, &π_X, targets, sem, Some(probes))`
+/// would.
 #[allow(clippy::too_many_arguments)]
 pub fn fd_targets_on_refinement(
     enc: &Encoded,
@@ -707,132 +940,64 @@ pub fn fd_targets_on_refinement(
     probes: &ProbeCache,
 ) -> AttrSet {
     sqlnf_obs::count!("discovery.check.fused_checks");
-    // The weak sweep needs per-class "first non-null code" state, not
-    // head-vs-row pairs (the head's `⊥` would mask a later non-null
-    // disagreement), so it materializes the refined partition and runs
-    // the class kernel directly.
-    if sem == Semantics::Weak {
-        let p = prefix.product_attr(enc, by, ns, scratch);
-        return fd_targets_holding(enc, x, &p, targets, sem);
-    }
-    let mut holding = targets;
-    prefix.for_each_refined_pair(enc, by, ns, scratch, |head, r| {
-        let (head, r) = (head as usize, r as usize);
-        let mut still = AttrSet::EMPTY;
-        for a in holding {
-            if enc.code(r, a) == enc.code(head, a) {
-                still.insert(a);
-            }
-        }
-        holding = still;
-        !holding.is_empty()
+    let holding = with_rule!(sem, |R| {
+        let mut sweep = ClassSweep::<R>::new(targets);
+        prefix.for_each_refined_row(enc, by, ns, scratch, |sub, first, r| {
+            sweep.row(enc, sub, first, r as usize, |_, _, _| {})
+        });
+        sweep.holding()
     });
-
-    // Certain FDs additionally constrain rows with ⊥ in X, exactly as
-    // in the materialized check.
     if sem == Semantics::Certain && !holding.is_empty() {
-        holding = probes.fd_targets(enc, x, holding);
+        return probes.fd_targets(enc, x, holding);
     }
     holding
 }
 
 /// Checks `X → A` for all `A` in `targets` at once, returning the
 /// subset of `targets` on which the FD holds. `partition` must be the
-/// grouping of `X` under the matching semantics (strong for
-/// [`Semantics::Possible`]/[`Semantics::Certain`], null-as-value for
-/// [`Semantics::Classical`]).
+/// grouping of `X` under the matching semantics ([`null_semantics`]).
+/// Certain FDs additionally constrain rows with `⊥` in `X`; `probes`
+/// serves that tail from its footprint cache, and `None` sweeps it
+/// unindexed (one-shot checks).
 pub fn fd_targets_holding(
     enc: &Encoded,
     x: AttrSet,
     partition: &Partition,
     targets: AttrSet,
     sem: Semantics,
+    probes: Option<&ProbeCache>,
 ) -> AttrSet {
-    let mut holding = targets;
-
-    // Within-partition check: every class must be constant on A.
-    // For Possible/Certain the class is a strong-similarity class and
-    // equality is syntactic (⊥ = ⊥ ⇒ code equality works, with 0 = ⊥);
-    // for Weak only the non-null codes must agree (`⊥` is completed to
-    // the class consensus).
-    for class in &partition.classes {
-        if holding.is_empty() {
-            break;
-        }
-        if sem == Semantics::Weak {
-            holding = weak_targets_in_class(enc, class, holding);
-            continue;
-        }
-        let first = class[0] as usize;
-        for &r in &class[1..] {
-            let r = r as usize;
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                if enc.code(r, a) == enc.code(first, a) {
-                    still.insert(a);
-                }
-            }
-            holding = still;
-            if holding.is_empty() {
-                break;
-            }
-        }
-    }
-
-    // Certain FDs additionally constrain rows with ⊥ in X: such a row
-    // is weakly similar to every row matching its non-null part.
-    if sem == Semantics::Certain && !holding.is_empty() {
-        holding = certain_targets(enc, x, holding);
-    }
-    holding
+    fd_targets_witnessed(enc, x, partition, targets, sem, probes, |_, _, _| {})
 }
 
-/// One-shot certain-FD tail: the subset of `targets` every weak pair
-/// of `x` agrees on, by the unindexed grouped sweep.
-fn certain_targets(enc: &Encoded, x: AttrSet, targets: AttrSet) -> AttrSet {
-    let mut sweep = WeakSweep::targets(targets);
-    sweep_direct(enc, x, &mut sweep);
-    sweep.holding
-}
-
-/// [`fd_targets_holding`] with the certain tail swept through a
-/// [`ProbeCache`], so candidates sharing a footprint share its index.
-pub fn fd_targets_holding_cached(
+/// [`fd_targets_holding`] reporting a violating pair for each refuted
+/// target as `refute(a, r, s)`.
+pub(crate) fn fd_targets_witnessed(
     enc: &Encoded,
     x: AttrSet,
     partition: &Partition,
     targets: AttrSet,
     sem: Semantics,
-    probes: &ProbeCache,
+    probes: Option<&ProbeCache>,
+    mut refute: impl FnMut(Attr, usize, usize),
 ) -> AttrSet {
-    let mut holding = targets;
-    for class in &partition.classes {
-        if holding.is_empty() {
-            break;
-        }
-        if sem == Semantics::Weak {
-            holding = weak_targets_in_class(enc, class, holding);
-            continue;
-        }
-        let first = class[0] as usize;
-        for &r in &class[1..] {
-            let r = r as usize;
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                if enc.code(r, a) == enc.code(first, a) {
-                    still.insert(a);
-                }
-            }
-            holding = still;
-            if holding.is_empty() {
+    let holding = with_rule!(sem, |R| {
+        let mut sweep = ClassSweep::<R>::new(targets);
+        for class in &partition.classes {
+            if !sweep.class(enc, class.iter().map(|&r| r as usize), &mut refute) {
                 break;
             }
         }
+        sweep.holding()
+    });
+    if sem != Semantics::Certain || holding.is_empty() {
+        return holding;
     }
-    if sem == Semantics::Certain && !holding.is_empty() {
-        holding = probes.fd_targets(enc, x, holding);
+    let tail = certain_tail(enc, x, holding, probes);
+    for (a, r, s) in tail.refuted {
+        refute(a, r, s);
     }
-    holding
+    tail.holding
 }
 
 /// Whether `X` is a c-key of the encoded instance: no two rows weakly
@@ -844,7 +1009,7 @@ pub fn is_ckey(enc: &Encoded, x: AttrSet, strong_partition: &Partition) -> bool 
     }
     let mut sweep = WeakSweep::first_pair();
     sweep_direct(enc, x, &mut sweep);
-    !sweep.pair
+    sweep.pair.is_none()
 }
 
 /// [`is_ckey`] probing through a shared [`ProbeCache`].
@@ -854,7 +1019,7 @@ pub fn is_ckey_cached(
     x: AttrSet,
     strong_partition: &Partition,
 ) -> bool {
-    strong_partition.is_empty() && !probes.has_weak_pair(enc, x)
+    strong_partition.is_empty() && probes.first_weak_pair(enc, x).is_none()
 }
 
 /// Whether `X` is a p-key: no two rows strongly similar on `X`
@@ -869,7 +1034,7 @@ pub fn is_pkey(strong_partition: &Partition) -> bool {
 /// (weak similarity = equality there); only null-bearing rows matter,
 /// and the check is the certain-FD tail with targets `X`.
 pub fn certain_reflexive_holds(enc: &Encoded, x: AttrSet) -> bool {
-    certain_targets(enc, x, x) == x
+    certain_tail(enc, x, x, None).holding == x
 }
 
 /// [`certain_reflexive_holds`] probing through a shared
@@ -911,7 +1076,7 @@ pub fn partition_for(enc: &Encoded, x: AttrSet, sem: Semantics) -> Partition {
 /// miner uses [`fd_targets_holding`] with cached partitions).
 pub fn fd_holds(enc: &Encoded, x: AttrSet, a: Attr, sem: Semantics) -> bool {
     let p = partition_for(enc, x, sem);
-    !fd_targets_holding(enc, x, &p, AttrSet::single(a), sem).is_empty()
+    !fd_targets_holding(enc, x, &p, AttrSet::single(a), sem, None).is_empty()
 }
 
 #[cfg(test)]
@@ -1048,6 +1213,73 @@ mod tests {
         }
     }
 
+    /// Every witness the kernels hand out is a genuine violating pair:
+    /// FD witnesses of all four semantics (class rule and certain tail,
+    /// unindexed and through an index), c-key pairs and totality
+    /// witnesses — exhaustively over 3×3 tables on {0, 1, ⊥}, where
+    /// null rows of two patterns already meet in the cross-pattern join.
+    #[test]
+    fn witnesses_are_violating_pairs() {
+        let vals = [Value::Int(0), Value::Int(1), Value::Null];
+        let schema = TableSchema::new("r", ["a", "b", "c"], &[]);
+        let all = AttrSet::from_indices([0, 1, 2]);
+        for code in 0..3usize.pow(9) {
+            let rows = (0..3).map(|i| {
+                Tuple::new(
+                    (0..3)
+                        .map(|j| vals[code / 3usize.pow(3 * i + j) % 3].clone())
+                        .collect::<Vec<_>>(),
+                )
+            });
+            let t = Table::from_rows(schema.clone(), rows.collect::<Vec<_>>());
+            let e = enc(&t);
+            let probes = ProbeCache::new(&e);
+            for x in all.subsets() {
+                let similar = |sem, r, s| match sem {
+                    Semantics::Classical => e.equal_on(r, s, x),
+                    Semantics::Certain => e.weakly_similar(r, s, x),
+                    _ => e.is_total_on(r, x) && e.equal_on(r, s, x),
+                };
+                let clash = |sem, a, r, s| {
+                    let (cr, cs) = (e.code(r, a), e.code(s, a));
+                    cr != cs && (sem != Semantics::Weak || (cr != 0 && cs != 0))
+                };
+                for sem in Semantics::ALL {
+                    let p = partition_for(&e, x, sem);
+                    // Past the fifth probe the footprint is indexed.
+                    let rounds = if sem == Semantics::Certain { 7 } else { 1 };
+                    for round in 0..rounds {
+                        let tail = (round > 0).then_some(&probes);
+                        let mut refuted = AttrSet::EMPTY;
+                        let held =
+                            fd_targets_witnessed(&e, x, &p, all - x, sem, tail, |a, r, s| {
+                                assert!(refuted.insert(a), "{sem:?} {a:?} twice x={x:?}\n{t}");
+                                assert!(
+                                    similar(sem, r, s) && clash(sem, a, r, s),
+                                    "{sem:?} x={x:?} {a:?} ({r}, {s})\n{t}"
+                                );
+                            });
+                        assert_eq!(held | refuted, all - x, "{sem:?} x={x:?}\n{t}");
+                        assert!(held.is_disjoint(refuted));
+                    }
+                }
+                if let Some((r, s)) = probes.first_weak_pair(&e, x) {
+                    assert!(e.weakly_similar(r, s, x) && r != s, "c-key x={x:?}\n{t}");
+                    assert!(!e.is_total_on(r, x) || !e.is_total_on(s, x));
+                }
+                let refl = probes.fd_target_witnesses(&e, x, x);
+                assert_eq!(
+                    refl.is_empty(),
+                    certain_reflexive_holds(&e, x),
+                    "x={x:?}\n{t}"
+                );
+                for (a, r, s) in refl {
+                    assert!(e.weakly_similar(r, s, x) && e.code(r, a) != e.code(s, a));
+                }
+            }
+        }
+    }
+
     #[test]
     fn batch_targets_match_single_checks() {
         let t = TableBuilder::new("r", ["a", "b", "c", "d"], &[])
@@ -1065,7 +1297,7 @@ mod tests {
         ] {
             let p = partition_for(&e, x, sem);
             let targets = AttrSet::from_indices([1, 2, 3]);
-            let batch = fd_targets_holding(&e, x, &p, targets, sem);
+            let batch = fd_targets_holding(&e, x, &p, targets, sem, None);
             for a in targets {
                 assert_eq!(batch.contains(a), fd_holds(&e, x, a, sem), "{sem:?} {a:?}");
             }

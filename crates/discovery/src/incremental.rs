@@ -56,11 +56,14 @@
 //! [`mine_report`]: crate::classify::mine_report
 
 use crate::cache::PartitionCtx;
-use crate::check::{fd_targets_holding_cached, is_pkey, null_semantics, ProbeCache, Semantics};
+use crate::check::{
+    fd_targets_witnessed, is_pkey, null_semantics, pair_refutes, with_rule, ClassSweep, ProbeCache,
+    Semantics,
+};
 use crate::classify::{projection_ratio, render_report, Classification, LambdaFd};
 use crate::keys::MinedKeys;
 use crate::mine::{k_subsets, MinedFd};
-use crate::partition::{Encoded, NullSemantics, Partition};
+use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
@@ -558,21 +561,14 @@ impl Pass<'_> {
     }
 
     /// Whether the witness pair still violates `X → A` (rows live and
-    /// similar on `X` per `sem`, unequal on `a`). Purely semantic: any
-    /// live violating pair refutes, whatever its history.
+    /// similar on `X` per `sem`, refuting `a` under `sem`'s class
+    /// rule). Purely semantic: any live violating pair refutes,
+    /// whatever its history.
     fn pair_violates_fd(&self, r: RowId, s: RowId, x: AttrSet, a: Attr, sem: Semantics) -> bool {
         let Some((r, s)) = self.live_pair(r, s) else {
             return false;
         };
-        let (ca, cb) = (self.enc.code(r, a), self.enc.code(s, a));
-        self.similar(r, s, x, sem)
-            && match sem {
-                // A weak violation needs a conflict no completion can
-                // fix: both values present and distinct (a ⊥ is filled
-                // with the partner's value).
-                Semantics::Weak => ca != 0 && cb != 0 && ca != cb,
-                _ => ca != cb,
-            }
+        self.similar(r, s, x, sem) && pair_refutes(self.enc, sem, a, r, s)
     }
 
     /// Whether a witness pair still refutes `X` as a key: possible keys
@@ -588,76 +584,6 @@ impl Pass<'_> {
     fn pair_violates_reflexive(&self, r: RowId, s: RowId, x: AttrSet) -> bool {
         self.live_pair(r, s)
             .is_some_and(|(r, s)| self.enc.weakly_similar(r, s, x) && !self.enc.equal_on(r, s, x))
-    }
-
-    /// Finds a violating pair for each refuted target of `x` — the
-    /// witnesses the next replay validates instead of re-scanning. Every
-    /// requested target is guaranteed a witness (the check just refuted
-    /// it over the same data).
-    fn find_fd_witnesses(
-        &self,
-        x: AttrSet,
-        p: &Partition,
-        mut want: AttrSet,
-        sem: Semantics,
-        out: &mut Vec<(Attr, RowId, RowId)>,
-    ) {
-        let (enc, ids) = (self.enc, self.ids);
-        if sem == Semantics::Weak {
-            // The witness must be a *non-null* disagreement: comparing
-            // against the class head would hand out a pair a completion
-            // could repair (the head may carry ⊥ on the target), so
-            // track the first non-null code per target instead.
-            let mut tracked: Vec<(Attr, Option<usize>)> = Vec::new();
-            for class in &p.classes {
-                tracked.clear();
-                tracked.extend(want.iter().map(|a| (a, None)));
-                let mut dead = AttrSet::EMPTY;
-                for &r in class {
-                    self.weak_note_row(r as usize, &mut tracked, &mut dead, out);
-                    if dead == want {
-                        break;
-                    }
-                }
-                want = want - dead;
-                if want.is_empty() {
-                    break;
-                }
-            }
-            debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
-            return;
-        }
-        'classes: for class in &p.classes {
-            let first = class[0] as usize;
-            for &r in &class[1..] {
-                let r = r as usize;
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    if enc.code(r, a) != enc.code(first, a) {
-                        out.push((a, ids[first], ids[r]));
-                        got.insert(a);
-                    }
-                }
-                want = want - got;
-                if want.is_empty() {
-                    break 'classes;
-                }
-            }
-        }
-        if sem == Semantics::Certain && !want.is_empty() {
-            self.probes.weak_pairs(enc, x, |r, s| {
-                let mut got = AttrSet::EMPTY;
-                for a in want {
-                    if enc.code(r, a) != enc.code(s, a) {
-                        out.push((a, ids[r], ids[s]));
-                        got.insert(a);
-                    }
-                }
-                want = want - got;
-                !want.is_empty()
-            });
-        }
-        debug_assert!(want.is_empty(), "refuted target without witness: {want:?}");
     }
 
     /// The rows of column `a` carrying `code`.
@@ -822,44 +748,18 @@ impl Pass<'_> {
         complete
     }
 
-    /// Folds one class row into the weak-semantics tracking state:
-    /// `tracked` holds, per target, the first row seen carrying a
-    /// non-null code; a later row with a *different* non-null code is a
-    /// genuine violating pair (no completion can reconcile two present,
-    /// distinct values), recorded in `refuted` and `dead`. Rows with ⊥
-    /// on a target are skipped — the weak completion absorbs them.
-    fn weak_note_row(
-        &self,
-        row: usize,
-        tracked: &mut [(Attr, Option<usize>)],
-        dead: &mut AttrSet,
-        refuted: &mut Vec<(Attr, RowId, RowId)>,
-    ) {
-        for (a, first) in tracked.iter_mut() {
-            if dead.contains(*a) {
-                continue;
-            }
-            let c = self.enc.code(row, *a);
-            if c == 0 {
-                continue;
-            }
-            match first {
-                None => *first = Some(row),
-                Some(f) if self.enc.code(*f, *a) != c => {
-                    refuted.push((*a, self.ids[*f], self.ids[row]));
-                    dead.insert(*a);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
     /// Re-validates previously-holding targets of `X → ·` against only
     /// the delta-involved pairs. Returns the surviving targets; each
     /// refuted one is appended to `refuted` with a live witness pair.
     /// Sound because deletes only remove pairs and the caller has
     /// checked that no update touched `X` or a target since the
     /// verdicts were stamped.
+    ///
+    /// The delta rows' classes go through the class kernel. On `∅`
+    /// every pair is similar, so the whole instance is one class. Else
+    /// each delta group, then the rows similar to it, form one class:
+    /// the group's rows share their `X`-codes, so a row similar to one
+    /// of them is similar to all.
     fn delta_targets_surviving(
         &self,
         delta: &[usize],
@@ -868,111 +768,30 @@ impl Pass<'_> {
         sem: Semantics,
         refuted: &mut Vec<(Attr, RowId, RowId)>,
     ) -> AttrSet {
-        let (enc, ids) = (self.enc, self.ids);
-        let mut holding = targets;
         if delta.is_empty() {
-            return holding;
+            return targets;
         }
-        if x.is_empty() {
-            // `∅ → A`: every pair is similar under every semantics, so
-            // the FD survives iff the column is still constant — one
-            // early-exit column scan. Weakly, "constant" tolerates ⊥:
-            // only two distinct non-null codes kill the target.
-            let mut scanned = 0usize;
-            if sem == Semantics::Weak {
-                let mut tracked: Vec<(Attr, Option<usize>)> =
-                    holding.iter().map(|a| (a, None)).collect();
-                let mut dead = AttrSet::EMPTY;
-                for s in 0..enc.rows() {
-                    scanned += 1;
-                    self.weak_note_row(s, &mut tracked, &mut dead, refuted);
-                    if dead == holding {
-                        break;
-                    }
-                }
-                holding = holding - dead;
+        let (enc, ids) = (self.enc, self.ids);
+        let mut refute = |a, r, s| refuted.push((a, ids[r], ids[s]));
+        let mut scanned = 0usize;
+        let holding = with_rule!(sem, |R| {
+            let mut sweep = ClassSweep::<R>::new(targets);
+            if x.is_empty() {
+                sweep.class(enc, (0..enc.rows()).inspect(|_| scanned += 1), &mut refute);
             } else {
-                for s in 1..enc.rows() {
-                    scanned += 1;
-                    let mut still = AttrSet::EMPTY;
-                    for a in holding {
-                        if enc.code(s, a) == enc.code(0, a) {
-                            still.insert(a);
-                        } else {
-                            refuted.push((a, ids[0], ids[s]));
-                        }
-                    }
-                    holding = still;
-                    if holding.is_empty() {
+                scanned += delta.len();
+                for (kv, group) in self.delta_groups(delta, x, sem) {
+                    let live = sweep.class(enc, group.iter().copied(), &mut refute)
+                        && self.for_each_partner(x, &kv, group[0], sem, &mut scanned, |s| {
+                            sweep.row(enc, 0, false, s, &mut refute)
+                        });
+                    if !live {
                         break;
                     }
                 }
             }
-            sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
-            return holding;
-        }
-        let mut scanned = delta.len();
-        for (kv, group) in self.delta_groups(delta, x, sem) {
-            if holding.is_empty() {
-                break;
-            }
-            let r0 = group[0];
-            if sem == Semantics::Weak {
-                // Weakly, a class stays repairable while its non-null
-                // codes per target agree; the r0-homogeneity shortcut
-                // below is unsound here (r0 may carry ⊥ on a target two
-                // partners disagree on non-null), so track the first
-                // non-null row per target across group and partners.
-                let mut tracked: Vec<(Attr, Option<usize>)> =
-                    holding.iter().map(|a| (a, None)).collect();
-                let mut dead = AttrSet::EMPTY;
-                for &m in &group {
-                    self.weak_note_row(m, &mut tracked, &mut dead, refuted);
-                }
-                if dead != holding {
-                    self.for_each_partner(x, &kv, r0, sem, &mut scanned, |s| {
-                        self.weak_note_row(s, &mut tracked, &mut dead, refuted);
-                        dead != holding
-                    });
-                }
-                holding = holding - dead;
-                continue;
-            }
-            // Group members are pairwise similar on `x`, so a target
-            // they disagree on dies to a member pair — and the
-            // survivors are group-homogeneous, which lets the partner
-            // scan below compare each row once against `r0` instead of
-            // once per member.
-            let mut still = AttrSet::EMPTY;
-            for a in holding {
-                match group.iter().find(|&&m| enc.code(m, a) != enc.code(r0, a)) {
-                    Some(&m) => refuted.push((a, ids[r0], ids[m])),
-                    None => {
-                        still.insert(a);
-                    }
-                }
-            }
-            holding = still;
-            if holding.is_empty() {
-                break;
-            }
-            self.for_each_partner(x, &kv, r0, sem, &mut scanned, |s| {
-                let mut still = AttrSet::EMPTY;
-                for a in holding {
-                    if enc.code(s, a) == enc.code(r0, a) {
-                        still.insert(a);
-                    } else {
-                        // `s` matched the group's projection but not
-                        // this target, so it is not a group member
-                        // (those agree on `a`) and `(r0, s)` is a
-                        // genuine violating pair.
-                        refuted.push((a, ids[r0], ids[s]));
-                    }
-                }
-                holding = still;
-                !holding.is_empty()
-            });
-        }
+            sweep.holding()
+        });
         sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
         holding
     }
@@ -1079,24 +898,30 @@ impl Pass<'_> {
                 if !unknown.is_empty() {
                     self.touched += 1;
                     let p = self.ctx.partition(x);
-                    let held =
-                        fd_targets_holding_cached(self.enc, x, &p, unknown, sem, &self.probes);
+                    let ids = self.ids;
+                    let mut fresh = Vec::new();
+                    let held = fd_targets_witnessed(
+                        self.enc,
+                        x,
+                        &p,
+                        unknown,
+                        sem,
+                        Some(&self.probes),
+                        |a, r, s| fresh.push((a, ids[r], ids[s])),
+                    );
                     holding |= held;
-                    let refuted = unknown - held;
                     // Record fresh verdicts: held targets stamped at the
-                    // current epoch, refuted ones re-witnessed.
+                    // current epoch, refuted ones with their witnesses.
+                    v.refuted.retain(|&(b, _, _)| !unknown.contains(b));
+                    v.holding.retain(|&(b, _)| !(unknown - held).contains(b));
                     for a in held {
-                        v.refuted.retain(|&(b, _, _)| b != a);
                         match v.holding.iter_mut().find(|(b, _)| *b == a) {
                             Some(entry) => entry.1 = now,
                             None => v.holding.push((a, now)),
                         }
                     }
-                    if !refuted.is_empty() {
-                        v.refuted.retain(|&(b, _, _)| !refuted.contains(b));
-                        v.holding.retain(|&(b, _)| !refuted.contains(b));
-                        self.find_fd_witnesses(x, &p, refuted, sem, &mut v.refuted);
-                    }
+                    debug_assert_eq!(fresh.len(), (unknown - held).len());
+                    v.refuted.extend(fresh);
                 }
                 if !holding.is_empty() {
                     for a in holding {
@@ -1196,17 +1021,13 @@ impl Pass<'_> {
         });
         let c_is = c_known.unwrap_or_else(|| {
             // is_ckey with witness extraction: a strong pair is
-            // already a weak violation; else probe the weak pairs.
-            let mut witness: Option<(RowId, RowId)> = None;
-            if let Some(c) = strong.classes.first() {
-                witness = Some((ids[c[0] as usize], ids[c[1] as usize]));
-            } else {
-                self.probes.weak_pairs(self.enc, x, |r, s| {
-                    witness = Some((ids[r], ids[s]));
-                    false
-                });
-            }
-            v.c = Some(witness.map_or(Verdict::Holds(now), |(r, s)| Verdict::Fails(r, s)));
+            // already a weak violation; else the sweep's first weak pair.
+            let witness = match strong.classes.first() {
+                Some(c) => Some((c[0] as usize, c[1] as usize)),
+                None => self.probes.first_weak_pair(self.enc, x),
+            };
+            v.c =
+                Some(witness.map_or(Verdict::Holds(now), |(r, s)| Verdict::Fails(ids[r], ids[s])));
             witness.is_none()
         });
         (p_is, c_is)
@@ -1225,15 +1046,10 @@ impl Pass<'_> {
                 self.first_delta_pair(&delta, x, Semantics::Certain, |r, s| !unequal(r, s))
             }
             _ => {
+                // A weak pair that disagrees on some column of `x`.
                 self.touched += 1;
-                let mut witness = None;
-                self.probes.weak_pairs(enc, x, |r, s| {
-                    if unequal(r, s) {
-                        witness = Some((self.ids[r], self.ids[s]));
-                    }
-                    witness.is_none()
-                });
-                witness
+                let refuted = self.probes.fd_target_witnesses(enc, x, x);
+                refuted.first().map(|&(_, r, s)| (self.ids[r], self.ids[s]))
             }
         };
         cache.insert(

@@ -31,8 +31,8 @@ pub mod prelude {
     pub use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
     pub use crate::check::{
         certain_reflexive_holds, certain_reflexive_holds_cached, fd_holds, fd_targets_holding,
-        fd_targets_holding_cached, is_ckey, is_ckey_cached, is_pkey, is_weak_key, null_semantics,
-        partition_for, probe_weak_pairs, ProbeCache, ProbeIndex, Semantics,
+        is_ckey, is_ckey_cached, is_pkey, is_weak_key, null_semantics, partition_for,
+        probe_weak_pairs, ProbeCache, ProbeIndex, Semantics,
     };
     pub use crate::classify::{
         classify_table, classify_table_budgeted, mine_report, render_report,

@@ -45,7 +45,7 @@
 
 use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{
-    fd_targets_holding_cached, fd_targets_on_refinement, null_semantics, ProbeCache, Semantics,
+    fd_targets_holding, fd_targets_on_refinement, null_semantics, ProbeCache, Semantics,
 };
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
@@ -607,7 +607,7 @@ fn run_queue(
             continue;
         }
         let p = candidate_partition(enc, ns, x, k, singles, prev, scratch);
-        let holding = fd_targets_holding_cached(enc, x, p.get(), targets, sem, probes);
+        let holding = fd_targets_holding(enc, x, p.get(), targets, sem, Some(probes));
         if !holding.is_empty() {
             fds.push((
                 i,

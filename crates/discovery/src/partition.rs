@@ -278,14 +278,9 @@ pub struct ProductScratch {
     probe: Vec<u32>,
     /// Slot buffers per left class; capacity retained across products.
     slots: Vec<Vec<u32>>,
-    /// Left-class ids touched while sweeping one right class.
+    /// Left-class ids touched while sweeping one right class (codes,
+    /// in a refinement), in order of first touch.
     touched: Vec<u32>,
-    /// `heads[id − 1]` = first row of subclass `id` during a fused
-    /// [`Partition::for_each_refined_pair`] sweep. Overwritten on
-    /// relabel, so it needs no clearing — and the fused sweep never
-    /// dirties `slots`, which [`Partition::product_attr`] relies on
-    /// being empty.
-    heads: Vec<u32>,
 }
 
 impl ProductScratch {
@@ -681,25 +676,30 @@ impl Partition {
         Partition { classes }
     }
 
-    /// Sweeps the refinement `π_self · π_{a}` *without materializing
-    /// it*: for every row `r` that lands in an already-headed subclass,
-    /// calls `f(head, r)` where `head` is the subclass's first row.
-    /// Stops — and returns `false` — as soon as `f` does, skipping the
-    /// rest of the sweep entirely.
+    /// Sweeps the refinement `π_self · π_{a}` row by row *without
+    /// materializing it*: calls `f(sub, first, r)` for every row `r`
+    /// the null semantics keeps, where `sub` numbers `r`'s subclass
+    /// within its prefix class (from 0, in order of first appearance)
+    /// and `first` marks the subclass's first row. Subclasses of one
+    /// prefix class interleave, so a consumer keeps its state per
+    /// `sub`; the numbering restarts at every prefix class. Stops — and
+    /// returns `false` — as soon as `f` does, skipping the rest of the
+    /// sweep entirely.
     ///
     /// This is the check-only fast path for lattice levels whose
     /// partitions are never stored (the last level): a violated FD is
     /// usually refuted within a few rows, so fusing the product with
-    /// the constancy check avoids paying the full prefix sweep per
-    /// candidate. Only the rows actually visited count towards
+    /// the class check ([`crate::check::fd_targets_on_refinement`])
+    /// avoids paying the full prefix sweep per candidate. Only the rows
+    /// actually visited count towards
     /// `discovery.partition.rows_scanned`.
-    pub fn for_each_refined_pair(
+    pub fn for_each_refined_row(
         &self,
         enc: &Encoded,
         a: Attr,
         sem: NullSemantics,
         scratch: &mut ProductScratch,
-        mut f: impl FnMut(u32, u32) -> bool,
+        mut f: impl FnMut(u32, bool, u32) -> bool,
     ) -> bool {
         sqlnf_obs::count!("discovery.partition.products");
         let col = enc.column(a);
@@ -707,33 +707,30 @@ impl Partition {
         let strong = sem == NullSemantics::Strong;
         let mut scanned = 0usize;
         let mut live = true;
-        'classes: for class in &self.classes {
-            let mut used = 0u32;
+        for class in &self.classes {
             for &r in class {
                 scanned += 1;
                 let c = col[r as usize];
                 if c == 0 && strong {
                     continue;
                 }
-                let id = scratch.probe_label(c);
-                if id == 0 {
-                    used += 1;
+                let mut id = scratch.probe_label(c);
+                let first = id == 0;
+                if first {
                     scratch.touched.push(c);
-                    scratch.label(c, used);
-                    if scratch.heads.len() < used as usize {
-                        scratch.heads.resize(used as usize, 0);
-                    }
-                    scratch.heads[used as usize - 1] = r;
-                } else if !f(scratch.heads[id as usize - 1], r) {
+                    id = scratch.touched.len() as u32;
+                    scratch.label(c, id);
+                }
+                if !f(id - 1, first, r) {
                     live = false;
-                    while let Some(c) = scratch.touched.pop() {
-                        scratch.clear_label(c);
-                    }
-                    break 'classes;
+                    break;
                 }
             }
             while let Some(c) = scratch.touched.pop() {
                 scratch.clear_label(c);
+            }
+            if !live {
+                break;
             }
         }
         sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
@@ -1035,26 +1032,34 @@ mod tests {
 
     #[test]
     fn fused_sweep_leaves_scratch_clean_for_products() {
-        // Regression: the fused pair sweep must not dirty the slot
-        // buffers a later product on the SAME scratch relies on being
-        // empty (it once stored subclass heads there, corrupting the
-        // next product's classes).
+        // Regression: the fused row sweep must leave the probe table and
+        // slot buffers a later product on the SAME scratch relies on
+        // clean.
         let t = sample();
         let e = Encoded::new(&t);
         let mut scratch = ProductScratch::for_encoded(&e);
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
             let pa = Partition::by_attr(&e, Attr(0), sem);
-            let mut pairs = 0usize;
-            pa.for_each_refined_pair(&e, Attr(1), sem, &mut scratch, |head, r| {
-                assert!(head < r, "heads precede members in sorted classes");
-                pairs += 1;
+            let mut heads: Vec<u32> = Vec::new();
+            let mut members = 0usize;
+            pa.for_each_refined_row(&e, Attr(1), sem, &mut scratch, |sub, first, r| {
+                if first {
+                    if sub == 0 {
+                        heads.clear(); // a new prefix class
+                    }
+                    assert_eq!(sub as usize, heads.len(), "subclasses numbered in order");
+                    heads.push(r);
+                } else {
+                    assert!(heads[sub as usize] < r, "heads precede members");
+                    members += 1;
+                }
                 true
             });
-            // A full (non-early-exited) sweep visits |class| − 1 pairs
-            // per refined class.
+            // A full (non-early-exited) sweep visits |class| − 1
+            // members per refined class.
             let refined = pa.refine_by(&e, Attr(1), sem);
             let expect: usize = refined.classes.iter().map(|c| c.len() - 1).sum();
-            assert_eq!(pairs, expect, "{sem:?}");
+            assert_eq!(members, expect, "{sem:?}");
             // The same scratch must still produce correct products.
             assert_eq!(
                 pa.product_attr(&e, Attr(1), sem, &mut scratch),
