@@ -308,7 +308,7 @@ fn watch_session(mut client: Client, done: Arc<AtomicBool>) -> WatchTally {
         }
     }
     // UNWATCH forces a flush of everything still queued server-side,
-    // so the tally never depends on racing the idle-poll flush.
+    // so the tally never depends on racing the session's event writer.
     match client.unwatch() {
         Ok((rest, _)) => {
             for item in rest {

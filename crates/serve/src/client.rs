@@ -169,7 +169,8 @@ impl Client {
     }
 
     /// Reads one complete line, preserving a partial line across
-    /// timeouts (the server's idle event flush can race the timeout).
+    /// timeouts (an event the server pushes can arrive in pieces, with
+    /// the timeout falling between them).
     fn read_session_line(&mut self) -> Result<String, ClientError> {
         match self.reader.read_line(&mut self.stream_buf) {
             Ok(0) => Err(ClientError::ServerClosed),

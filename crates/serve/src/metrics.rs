@@ -176,6 +176,12 @@ pub struct StoreMetrics {
     pub(crate) watch_dropped: Arc<Counter>,
     /// High-water mark of the rows the WATCH hub's miners hold.
     pub(crate) watch_shadow_rows: Arc<Counter>,
+    /// `serve.watch.publish`: the hub's work on one epoch of a watched
+    /// table — applying its rows, re-mining, diffing the facts.
+    pub(crate) watch_publish: Arc<Timer>,
+    /// `serve.watch.deliver`: one event batch a session's event writer
+    /// writes, from taking the session's write lock to the flush.
+    pub(crate) watch_deliver: Arc<Timer>,
     /// The worst-request log.
     pub(crate) slow: SlowLog,
 }
@@ -205,6 +211,8 @@ impl Default for StoreMetrics {
             watch_events: counter("serve.watch.events"),
             watch_dropped: counter("serve.watch.dropped"),
             watch_shadow_rows: counter("serve.watch.shadow_rows"),
+            watch_publish: timer("serve.watch.publish"),
+            watch_deliver: timer("serve.watch.deliver"),
             slow: SlowLog::default(),
             registry,
         }

@@ -3,12 +3,14 @@
 //!
 //! Shutdown comes in two flavours:
 //!
-//! * [`Server::shutdown`] — graceful: stop accepting, let every
-//!   session finish its current request and drain, fsync the WAL and
-//!   write a final snapshot;
-//! * [`Server::kill`] — simulated crash for durability tests: threads
-//!   stop without a final snapshot or fsync, leaving recovery entirely
-//!   to the WAL.
+//! * [`Server::shutdown`] — graceful: stop accepting, shut the read
+//!   half of every session's socket (each session reads EOF, answers
+//!   what it has read, and exits), fsync the WAL and write a final
+//!   snapshot;
+//! * [`Server::kill`] — simulated crash for durability tests: both
+//!   halves of every session's socket are shut and threads stop
+//!   without a final snapshot or fsync, leaving recovery entirely to
+//!   the WAL.
 
 use crate::commit::FsyncMode;
 use crate::metrics::{self, Verb};
@@ -17,16 +19,20 @@ use crate::store::{Pending, ServeError, Store, StoreOptions};
 use crate::watch::Subscription;
 use sqlnf_core::prelude::*;
 use sqlnf_discovery::prelude::*;
+use sqlnf_obs::Timer;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often blocked threads re-check the shutdown flag.
+/// How often idle pool workers and [`Server::wait_shutdown`] re-check
+/// the shutdown flag. Sessions never poll: stopping the server shuts
+/// their sockets.
 const POLL: Duration = Duration::from_millis(100);
 
 /// Server configuration.
@@ -74,8 +80,66 @@ pub struct Server {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     kill: Arc<AtomicBool>,
+    sessions: Arc<Sessions>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// The sockets of the sessions being served, so that stopping the
+/// server can end them. Once [`shut`](Self::shut) has run, every
+/// registered socket — and each one registered later — has the same
+/// halves shut.
+#[derive(Debug, Default)]
+struct Sessions {
+    inner: Mutex<SessionSet>,
+}
+
+#[derive(Debug, Default)]
+struct SessionSet {
+    next_id: u64,
+    live: HashMap<u64, TcpStream>,
+    shut: Option<Shutdown>,
+}
+
+impl Sessions {
+    /// Registers a session's socket until the returned guard drops.
+    fn enter(&self, stream: &TcpStream) -> io::Result<Live<'_>> {
+        let mut set = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(how) = set.shut {
+            let _ = stream.shutdown(how);
+        }
+        let id = set.next_id;
+        set.next_id += 1;
+        set.live.insert(id, stream.try_clone()?);
+        Ok(Live { sessions: self, id })
+    }
+
+    /// Shuts `how` of every session's socket, now and on registration.
+    fn shut(&self, how: Shutdown) {
+        let mut set = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        set.shut = Some(how);
+        for stream in set.live.values() {
+            let _ = stream.shutdown(how);
+        }
+    }
+}
+
+/// A registered session socket; dropping it closes the registry's
+/// handle on the socket.
+struct Live<'a> {
+    sessions: &'a Sessions,
+    id: u64,
+}
+
+impl Drop for Live<'_> {
+    fn drop(&mut self) {
+        let mut set = self
+            .sessions
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        set.live.remove(&self.id);
+    }
 }
 
 impl Server {
@@ -99,6 +163,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let kill = Arc::new(AtomicBool::new(false));
+        let sessions = Arc::new(Sessions::default());
 
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
@@ -106,9 +171,10 @@ impl Server {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let store = Arc::clone(&store);
+                let sessions = Arc::clone(&sessions);
                 let shutdown = Arc::clone(&shutdown);
                 let kill = Arc::clone(&kill);
-                std::thread::spawn(move || worker_loop(&rx, &store, &shutdown, &kill))
+                std::thread::spawn(move || worker_loop(&rx, &store, &sessions, &shutdown, &kill))
             })
             .collect();
 
@@ -135,6 +201,7 @@ impl Server {
             local_addr,
             shutdown,
             kill,
+            sessions,
             acceptor: Some(acceptor),
             workers,
         })
@@ -157,8 +224,11 @@ impl Server {
         }
     }
 
-    fn stop_threads(&mut self) {
+    /// Stops accepting, shuts `how` of every session's socket, and
+    /// joins the acceptor and the workers.
+    fn stop_threads(&mut self, how: Shutdown) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.sessions.shut(how);
         // The acceptor blocks in accept(); poke it awake.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.acceptor.take() {
@@ -169,10 +239,11 @@ impl Server {
         }
     }
 
-    /// Graceful shutdown: stop accepting, drain sessions, fsync the
-    /// WAL and write a final snapshot.
+    /// Graceful shutdown: stop accepting, end every session once it
+    /// has answered what it read, fsync the WAL and write a final
+    /// snapshot.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
-        self.stop_threads();
+        self.stop_threads(Shutdown::Read);
         self.store.sync()?;
         self.store.snapshot()?;
         Ok(())
@@ -182,7 +253,7 @@ impl Server {
     /// no fsync — recovery must come from the WAL alone.
     pub fn kill(mut self) {
         self.kill.store(true, Ordering::SeqCst);
-        self.stop_threads();
+        self.stop_threads(Shutdown::Both);
     }
 }
 
@@ -190,7 +261,7 @@ impl Drop for Server {
     fn drop(&mut self) {
         if self.acceptor.is_some() || !self.workers.is_empty() {
             self.kill.store(true, Ordering::SeqCst);
-            self.stop_threads();
+            self.stop_threads(Shutdown::Both);
         }
     }
 }
@@ -198,6 +269,7 @@ impl Drop for Server {
 fn worker_loop(
     rx: &Mutex<Receiver<TcpStream>>,
     store: &Arc<Store>,
+    sessions: &Sessions,
     shutdown: &AtomicBool,
     kill: &AtomicBool,
 ) {
@@ -210,7 +282,7 @@ fn worker_loop(
                 if kill.load(Ordering::SeqCst) {
                     continue; // crash simulation: drop without replying
                 }
-                let _ = handle_session(store, stream, shutdown, kill);
+                let _ = handle_session(store, sessions, stream, shutdown, kill);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -230,40 +302,59 @@ fn worker_loop(
 ///
 /// SQL requests are pipelining-aware: each one is applied and
 /// *enqueued* immediately, but its reply is staged and its commit
-/// ticket parked in `pending` until the read buffer runs dry — so a
-/// client that writes N statements before reading N replies gets all
-/// of them applied, committed in (at most) one shared fsync, and then
-/// answered in one write. A client that waits for each reply settles
-/// after every request and observes no difference.
+/// ticket parked in `pending` until the next read could block — the
+/// read buffer holds no complete line — so a client that writes N
+/// statements before reading N replies gets all of them applied,
+/// committed in (at most) one shared fsync, and then answered in one
+/// write. A client that waits for each reply settles after every
+/// request and observes no difference, and one that stops mid-pipeline
+/// (say, in the middle of a multi-line statement) still gets the
+/// replies to what it completed.
+///
+/// Reads carry no timeout. The session ends at EOF — the client
+/// closed, or the server shut the socket's read half to stop — after
+/// settling what it staged. While the session watches, a [`Pusher`]
+/// writes its events as the hub queues them.
 fn handle_session(
     store: &Arc<Store>,
+    sessions: &Sessions,
     stream: TcpStream,
     shutdown: &AtomicBool,
     kill: &AtomicBool,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL))?;
+    let _live = sessions.enter(&stream)?;
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
+    // Replies and event batches are each written whole under this
+    // lock, so an event never splits a reply.
+    let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let mut reader = BufReader::new(stream);
     let mut acc = Accumulator::new();
     let mut line = String::new();
     let mut staged: Vec<(Reply, usize)> = Vec::new();
     let mut pending = Pending::default();
-    // The session's live WATCH subscription, if any. Events are
-    // drained to the socket only between requests (on the idle poll),
-    // so a framed event never splits a reply. Dropping the handle —
-    // on UNWATCH, QUIT, or any disconnect path — unregisters it.
-    let mut watching: Option<Subscription> = None;
+    // The session's event writer while it watches. Dropping it — on
+    // UNWATCH, a second WATCH, QUIT, or any disconnect path — stops
+    // and joins its thread and unregisters the subscription.
+    let mut pusher: Option<Pusher> = None;
     loop {
+        // Settle before a read that could block: everything the client
+        // already sent shares this one commit.
+        if !staged.is_empty() && !reader.buffer().contains(&b'\n') {
+            settle(store, &writer, &mut staged, &mut pending)?;
+            if kill.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+        }
         match reader.read_line(&mut line) {
             Ok(0) => {
-                // Client closed; ack whatever it pipelined before EOF.
-                settle(store, &mut writer, &mut staged, &mut pending)?;
+                // Client closed (or the server is stopping); ack
+                // whatever was pipelined before EOF.
+                settle(store, &writer, &mut staged, &mut pending)?;
                 return Ok(());
             }
             Ok(_) => {
                 if !line.ends_with('\n') {
-                    // Timeout can split a line; keep reading it.
+                    // EOF cut the last line short; the next read is 0.
                     continue;
                 }
                 let complete = std::mem::take(&mut line);
@@ -276,77 +367,64 @@ fn handle_session(
                 let metrics = store.metrics();
                 match req {
                     Request::Quit | Request::Shutdown => {
-                        settle(store, &mut writer, &mut staged, &mut pending)?;
+                        settle(store, &writer, &mut staged, &mut pending)?;
+                        drop(pusher.take()); // nothing follows the goodbye
                         let stop = matches!(req, Request::Shutdown);
                         let bye = if stop { "shutting down" } else { "bye" };
-                        metrics.serve(verb, || write_reply(&mut writer, &Reply::ok(bye)))?;
+                        metrics.serve(verb, || write_reply(&writer, &Reply::ok(bye)))?;
                         shutdown.fetch_or(stop, Ordering::SeqCst);
                         return Ok(());
                     }
                     // WATCH and UNWATCH mutate session state, so they
                     // are handled here rather than in `dispatch`.
                     Request::Watch { table, weak } => {
-                        settle(store, &mut writer, &mut staged, &mut pending)?;
+                        settle(store, &writer, &mut staged, &mut pending)?;
+                        drop(pusher.take()); // a second WATCH replaces the first
                         metrics.serve(verb, || {
                             let mut label = table.as_deref().unwrap_or("*").to_owned();
                             if weak {
                                 label.push_str(" weak");
                             }
-                            watching = Some(store.watch_opts(table, weak));
-                            write_reply(&mut writer, &Reply::ok(format!("watching {label}")))
+                            let sub = store.watch_opts(table, weak);
+                            write_reply(&writer, &Reply::ok(format!("watching {label}")))?;
+                            // Only now: the reply precedes every event.
+                            pusher = Some(Pusher::start(sub, &writer, &metrics.watch_deliver)?);
+                            io::Result::Ok(())
                         })?;
                     }
                     Request::Unwatch => {
-                        settle(store, &mut writer, &mut staged, &mut pending)?;
+                        settle(store, &writer, &mut staged, &mut pending)?;
                         metrics.serve(verb, || {
-                            // Flush everything queued before the
-                            // subscription dies, then confirm.
-                            flush_watch(&mut writer, watching.as_ref())?;
-                            let reply = if watching.take().is_some() {
-                                Reply::ok("unwatched")
-                            } else {
-                                Reply::err("not watching")
+                            let reply = match pusher.take() {
+                                Some(mut p) => {
+                                    // Stop the writer and flush what it
+                                    // left queued, so nothing follows
+                                    // the confirmation.
+                                    p.stop();
+                                    flush_watch(&writer, &p.sub.drain())?;
+                                    Reply::ok("unwatched")
+                                }
+                                None => Reply::err("not watching"),
                             };
-                            write_reply(&mut writer, &reply)
+                            write_reply(&writer, &reply)
                         })?;
                     }
                     Request::Sql(src) => {
                         let (reply, tickets) =
                             metrics.serve(verb, || dispatch_sql_enqueue(store, &src, &mut pending));
                         staged.push((reply, tickets));
-                        // Settle as soon as the pipe runs dry:
-                        // everything the client already sent shares
-                        // this one commit.
-                        if reader.buffer().is_empty() {
-                            settle(store, &mut writer, &mut staged, &mut pending)?;
-                            if kill.load(Ordering::SeqCst) {
-                                return Ok(());
-                            }
-                        }
                     }
                     req => {
                         // Earlier SQL must be acknowledged (and
                         // counted) before a read verb looks at the
                         // store.
-                        settle(store, &mut writer, &mut staged, &mut pending)?;
+                        settle(store, &writer, &mut staged, &mut pending)?;
                         let reply = dispatch(store, req);
-                        write_reply(&mut writer, &reply)?;
+                        write_reply(&writer, &reply)?;
                         if kill.load(Ordering::SeqCst) {
                             return Ok(());
                         }
                     }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                settle(store, &mut writer, &mut staged, &mut pending)?;
-                flush_watch(&mut writer, watching.as_ref())?;
-                if shutdown.load(Ordering::SeqCst) || kill.load(Ordering::SeqCst) {
-                    return Ok(()); // drain: drop idle sessions
                 }
             }
             Err(e) => {
@@ -356,6 +434,56 @@ fn handle_session(
                 return Err(e);
             }
         }
+    }
+}
+
+/// A watching session's event writer: a thread that blocks on the
+/// subscription and writes each batch the hub queues, whole, under the
+/// session's write lock. Dropping it stops and joins the thread.
+struct Pusher {
+    sub: Arc<Subscription>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Pusher {
+    /// Starts writing `sub`'s events to the session's socket, timing
+    /// each batch under `deliver`.
+    fn start(
+        sub: Subscription,
+        writer: &Arc<Mutex<TcpStream>>,
+        deliver: &Arc<Timer>,
+    ) -> io::Result<Pusher> {
+        let sub = Arc::new(sub);
+        let (events, writer, deliver) = (Arc::clone(&sub), Arc::clone(writer), Arc::clone(deliver));
+        let thread = std::thread::Builder::new()
+            .name("sqlnf-watch-push".into())
+            .spawn(move || {
+                while let Some(lines) = events.wait_drain() {
+                    let _span = deliver.enter();
+                    if flush_watch(&writer, &lines).is_err() {
+                        return; // the session meets the dead socket itself
+                    }
+                }
+            })?;
+        Ok(Pusher {
+            sub,
+            thread: Some(thread),
+        })
+    }
+
+    /// Stops the thread and waits for it. Lines the hub queued since
+    /// its last batch stay in the subscription.
+    fn stop(&mut self) {
+        self.sub.stop();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for Pusher {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -370,7 +498,7 @@ fn handle_session(
 /// error, not a statement rejection.
 fn settle(
     store: &Store,
-    writer: &mut TcpStream,
+    writer: &Mutex<TcpStream>,
     staged: &mut Vec<(Reply, usize)>,
     pending: &mut Pending,
 ) -> io::Result<()> {
@@ -389,33 +517,34 @@ fn settle(
             _ => out.push_str(&reply.to_string()),
         }
     }
-    writer.write_all(out.as_bytes())?;
-    writer.flush()?;
+    write_whole(writer, &out)?;
     aftermath.map_err(|e| io::Error::other(e.to_string()))
 }
 
-fn write_reply(writer: &mut TcpStream, reply: &Reply) -> io::Result<()> {
-    writer.write_all(reply.to_string().as_bytes())?;
-    writer.flush()
+fn write_reply(writer: &Mutex<TcpStream>, reply: &Reply) -> io::Result<()> {
+    write_whole(writer, &reply.to_string())
 }
 
-/// Drain a watching session's queued discovery events to the socket.
-/// Called only between requests (idle poll or UNWATCH), so events
-/// never interleave inside a reply.
-fn flush_watch(writer: &mut TcpStream, watching: Option<&Subscription>) -> io::Result<()> {
-    if let Some(sub) = watching {
-        let lines = sub.drain();
-        if !lines.is_empty() {
-            let mut out = String::new();
-            for line in &lines {
-                out.push_str(line);
-                out.push('\n');
-            }
-            writer.write_all(out.as_bytes())?;
-            writer.flush()?;
-        }
+/// Writes a batch of event lines to a watching session. Only its
+/// [`Pusher`] and `UNWATCH` call it.
+fn flush_watch(writer: &Mutex<TcpStream>, lines: &[String]) -> io::Result<()> {
+    if lines.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let mut out = String::new();
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    write_whole(writer, &out)
+}
+
+/// Writes `text` under the session's write lock, so no other reply or
+/// event batch can interleave with it.
+fn write_whole(writer: &Mutex<TcpStream>, text: &str) -> io::Result<()> {
+    let mut stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
+    stream.write_all(text.as_bytes())?;
+    stream.flush()
 }
 
 /// The SQL half of [`dispatch`]: applies and enqueues, but leaves the
@@ -742,6 +871,50 @@ mod tests {
             .with_table("purchase", |st| assert_eq!(st.data().len(), 5))
             .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One watched insert records one `serve.watch.publish` sample (the
+    /// hub's epoch) and one `serve.watch.deliver` sample (the event
+    /// writer's batch), and only in its own store.
+    #[test]
+    fn a_watched_insert_records_one_publish_and_one_delivery() {
+        use crate::client::{Client, StreamItem};
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let other = Server::start(ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut writer = Client::connect(addr).unwrap();
+        writer.expect_ok("CREATE TABLE t (a INT, b INT);").unwrap();
+        writer.expect_ok("INSERT INTO t VALUES (1, 1);").unwrap();
+        let mut watcher = Client::connect_with_timeout(addr, Some(Duration::from_secs(5))).unwrap();
+        watcher.watch(Some("t")).unwrap();
+        let samples = |store: &Store| {
+            let report = store.metrics().report();
+            ["serve.watch.publish", "serve.watch.deliver"]
+                .map(|span| report.timer(span).unwrap().count)
+        };
+        server.store().watch_barrier();
+        assert_eq!(samples(server.store()), [0, 0], "a baseline is silent");
+
+        // A second row refutes ∅ -> a: epoch 3 streams events.
+        writer.expect_ok("INSERT INTO t VALUES (2, 1);").unwrap();
+        let first = watcher.next_event().unwrap();
+        assert!(
+            matches!(&first, Some(StreamItem::Event(ev)) if ev.epoch == 3),
+            "{first:?}"
+        );
+        server.store().watch_barrier();
+        // The writer records its span just after the write the client
+        // has already read.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while samples(server.store())[1] == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(samples(server.store()), [1, 1]);
+        assert_eq!(samples(other.store()), [0, 0]);
+        watcher.quit().unwrap();
+        writer.quit().unwrap();
+        server.shutdown().unwrap();
+        other.shutdown().unwrap();
     }
 
     #[test]

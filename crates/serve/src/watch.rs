@@ -63,12 +63,18 @@
 //! drain appends an explicit `LAGGED <n>` notice so the consumer knows
 //! the stream has a gap and can re-baseline with a full `MINE`.
 //!
+//! The hub never touches a socket. It queues an epoch's lines for a
+//! subscriber in one step and wakes whoever blocks in
+//! [`Subscription::wait_drain`] — a serving session's event writer —
+//! whether it queued a line or dropped one, so a `LAGGED` notice is
+//! delivered as promptly as an event.
+//!
 //! [`GroupWal::commit_locked`]: crate::commit::GroupWal
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use sqlnf_discovery::prelude::*;
@@ -263,7 +269,12 @@ pub(crate) struct SubscriberShared {
     weak: bool,
     cap: usize,
     queue: Mutex<VecDeque<String>>,
+    /// Signalled under `queue` when a line is queued or dropped, and
+    /// when the subscription stops.
+    ready: Condvar,
+    /// Lines dropped on a full queue; raised under `queue`.
     dropped: AtomicU64,
+    /// How many of `dropped` a drain has reported; advanced under `queue`.
     reported: AtomicU64,
     closed: AtomicBool,
 }
@@ -277,15 +288,44 @@ impl SubscriberShared {
         !self.closed.load(Ordering::Relaxed)
     }
 
-    fn push(&self, line: String, dropped: &Counter) {
+    /// Queues one epoch's `lines`, dropping (and counting) each that
+    /// finds the queue full, then wakes the waiter if it did either.
+    fn push<'a>(&self, lines: impl Iterator<Item = &'a String>, dropped: &Counter) {
         let mut q = self.queue.lock().unwrap();
-        if q.len() >= self.cap {
-            drop(q);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            dropped.add(1);
-        } else {
-            q.push_back(line);
+        let (mut queued, mut lost) = (0u64, 0u64);
+        for line in lines {
+            if q.len() >= self.cap {
+                lost += 1;
+            } else {
+                q.push_back(line.clone());
+                queued += 1;
+            }
         }
+        if lost > 0 {
+            self.dropped.fetch_add(lost, Ordering::Relaxed);
+            dropped.add(lost);
+        }
+        drop(q);
+        if queued + lost > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Whether a drop has not been reported yet.
+    fn lagging(&self) -> bool {
+        self.dropped.load(Ordering::Relaxed) > self.reported.load(Ordering::Relaxed)
+    }
+
+    /// Empties the locked queue; a trailing `LAGGED <n>` reports the
+    /// drops since the last drain (they are newer than the lines).
+    fn drain(&self, q: &mut MutexGuard<'_, VecDeque<String>>) -> Vec<String> {
+        let mut out: Vec<String> = q.drain(..).collect();
+        let dropped = self.dropped.load(Ordering::Relaxed);
+        let reported = self.reported.swap(dropped, Ordering::Relaxed);
+        if dropped > reported {
+            out.push(format!("LAGGED {}", dropped - reported));
+        }
+        out
     }
 }
 
@@ -302,17 +342,29 @@ impl Subscription {
     /// last drain, a trailing `LAGGED <n>` line reports the gap (the
     /// dropped events are newer than the drained ones).
     pub fn drain(&self) -> Vec<String> {
-        let mut out: Vec<String> = {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.drain(..).collect()
-        };
-        let dropped = self.shared.dropped.load(Ordering::Relaxed);
-        let reported = self.shared.reported.load(Ordering::Relaxed);
-        if dropped > reported {
-            self.shared.reported.store(dropped, Ordering::Relaxed);
-            out.push(format!("LAGGED {}", dropped - reported));
-        }
-        out
+        self.shared.drain(&mut self.shared.queue.lock().unwrap())
+    }
+
+    /// Blocks until a line is queued or dropped, then drains like
+    /// [`drain`](Self::drain). Returns `None` once the subscription is
+    /// [stopped](Self::stop); what is still queued then stays for
+    /// `drain`.
+    pub fn wait_drain(&self) -> Option<Vec<String>> {
+        let shared = &*self.shared;
+        let q = shared.queue.lock().unwrap();
+        let mut q = shared
+            .ready
+            .wait_while(q, |q| shared.open() && q.is_empty() && !shared.lagging())
+            .unwrap();
+        shared.open().then(|| shared.drain(&mut q))
+    }
+
+    /// Stops the subscription: the hub queues nothing more for it, and
+    /// a blocked [`wait_drain`](Self::wait_drain) returns `None`.
+    pub fn stop(&self) {
+        let _q = self.shared.queue.lock().unwrap();
+        self.shared.closed.store(true, Ordering::Relaxed);
+        self.shared.ready.notify_all();
     }
 
     /// Total events ever dropped for this subscriber.
@@ -404,6 +456,7 @@ impl WatchHub {
             weak,
             cap: self.queue_cap,
             queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
             dropped: AtomicU64::new(0),
             reported: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -501,18 +554,20 @@ impl Hub {
 
     /// Applies one durable commit: advances the table's row count and,
     /// if the table is watched, feeds the commit's rows to its miner
-    /// and publishes the fact diff.
+    /// and publishes the fact diff — timed as `serve.watch.publish`.
     fn apply(&mut self, notice: Notice) {
         let Notice {
             epoch,
             table,
             change,
         } = notice;
+        let metrics = Arc::clone(&self.metrics);
         match change {
             Change::Created => {
                 let fresh = self.rows.insert(table.clone(), 0).is_none();
                 assert!(fresh, "watch hub: table {table} created twice");
                 if subscribed(&self.subs, &table, false) {
+                    let _span = metrics.watch_publish.enter();
                     // Baseline is "table absent" = no facts; the empty
                     // table's trivial facts stream as the creation event.
                     self.seed(&table);
@@ -526,6 +581,7 @@ impl Hub {
                 let range = *n..*n + k;
                 *n += k;
                 if let Some(w) = self.watched.get_mut(&table) {
+                    let _span = metrics.watch_publish.enter();
                     for row in committed(&self.tables, &table, |t| t.rows()[range].to_vec()) {
                         w.miner.insert(row);
                     }
@@ -585,12 +641,8 @@ impl Hub {
             self.metrics.watch_events.add(lines.len() as u64);
             for sub in &self.subs {
                 if sub.open() && sub.watches(table) {
-                    for (weak_fact, line) in &lines {
-                        if *weak_fact && !sub.weak {
-                            continue;
-                        }
-                        sub.push(line.clone(), &self.metrics.watch_dropped);
-                    }
+                    let mine = lines.iter().filter(|(weak_fact, _)| sub.weak || !weak_fact);
+                    sub.push(mine.map(|(_, line)| line), &self.metrics.watch_dropped);
                 }
             }
         }
@@ -896,6 +948,53 @@ mod tests {
         assert!(metrics.watch_events.get() >= 4 + n);
         // Drained and reported: a second drain is empty, no LAGGED spam.
         assert!(sub.drain().is_empty());
+    }
+
+    /// The hub wakes a blocked waiter for an epoch that overflows the
+    /// queue, and the waiter's drain reports the drops at its end.
+    #[test]
+    fn waiter_wakes_on_dropped_events_and_drains_lagged() {
+        let rig = Rig::with(4, Arc::default());
+        let sub = rig.hub.subscribe(None);
+        rig.hub.barrier();
+        let lines = thread::scope(|s| {
+            let waiter = s.spawn(|| sub.wait_drain());
+            thread::sleep(std::time::Duration::from_millis(20));
+            // An empty three-column table: ∅ determines every column
+            // under both semantics, more facts than the queue holds.
+            rig.send(vec![rig.create(1, "t", &["a", "b", "c"])]);
+            waiter.join().unwrap()
+        })
+        .expect("a running subscription yields lines");
+        assert_eq!(lines.len(), 5, "4 queued events + LAGGED: {lines:?}");
+        assert!(lines[..4].iter().all(|l| l.starts_with("EVENT 1 t ")));
+        let n: u64 = lines[4].strip_prefix("LAGGED ").unwrap().parse().unwrap();
+        assert_eq!(n, sub.lagged());
+        assert!(n > 0);
+    }
+
+    /// Stopping wakes a blocked waiter, and the hub queues nothing for
+    /// a stopped subscription.
+    #[test]
+    fn stop_wakes_a_blocked_waiter() {
+        let rig = Rig::new();
+        let sub = rig.hub.subscribe(None);
+        rig.hub.barrier();
+        let woke = thread::scope(|s| {
+            let waiter = s.spawn(|| sub.wait_drain());
+            thread::sleep(std::time::Duration::from_millis(20));
+            sub.stop();
+            waiter.join().unwrap()
+        });
+        assert_eq!(woke, None);
+        rig.send(vec![rig.create(1, "t", &["a", "b"])]);
+        rig.hub.barrier();
+        assert!(sub.drain().is_empty());
+        assert_eq!(
+            sub.wait_drain(),
+            None,
+            "a stopped subscription never blocks"
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use sqlnf::prelude::*;
-use sqlnf_serve::{Client, ServeConfig, Server, Store};
+use sqlnf_serve::{Client, ClientError, ServeConfig, Server, Store};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// A fresh per-test scratch directory (no clock or RNG involved so the
 /// proptest shim stays deterministic).
@@ -318,6 +319,69 @@ fn graceful_shutdown_then_restart_reproduces_store() {
     assert_eq!(reopened.wal_size().1, 0, "snapshot should absorb the WAL");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sessions read without a timeout, so stopping the server must end
+/// idle ones by shutting their sockets: both `shutdown` and `kill`
+/// return promptly with an idle plain session and an idle watching
+/// session connected, and both clients then find the server gone.
+#[test]
+fn stopping_the_server_ends_idle_sessions() {
+    for kill in [false, true] {
+        let server = Server::start(ServeConfig::default()).expect("bind");
+        let addr = server.local_addr();
+        let connect = || Client::connect_with_timeout(addr, Some(Duration::from_secs(5)));
+        let mut plain = connect().expect("connect");
+        plain
+            .expect_ok("PING")
+            .expect("a worker serves the session");
+        let mut watcher = connect().expect("connect");
+        watcher.watch(None).expect("watch");
+        let started = Instant::now();
+        if kill {
+            server.kill();
+        } else {
+            server.shutdown().expect("graceful shutdown");
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "kill={kill}: took {took:?}");
+        let err = plain.request("PING").unwrap_err();
+        assert!(
+            matches!(err, ClientError::ServerClosed),
+            "kill={kill}: {err}"
+        );
+        let err = watcher.next_event().unwrap_err();
+        assert!(
+            matches!(err, ClientError::ServerClosed),
+            "kill={kill}: {err}"
+        );
+    }
+}
+
+/// A client that stops mid-pipeline — one complete INSERT, then only
+/// the first line of a multi-line CREATE TABLE — and blocks reading
+/// still gets the INSERT's reply; finishing the CREATE later works.
+#[test]
+fn a_pipeline_stopped_mid_statement_still_gets_its_replies() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut c = Client::connect_with_timeout(server.local_addr(), Some(Duration::from_secs(5)))
+        .expect("connect");
+    c.expect_ok(DDL).expect("ddl");
+    let reply = c
+        .request("INSERT INTO load VALUES (1, 1, 7);\nCREATE TABLE other (\n")
+        .expect("the INSERT's reply");
+    assert!(reply.ok, "{}", reply.message);
+    assert_eq!(reply.message, "applied 1 statement");
+    let reply = c
+        .request("  x INT NOT NULL\n);")
+        .expect("the CREATE's reply");
+    assert!(reply.ok, "{}", reply.message);
+    assert_eq!(
+        c.expect_ok("TABLES").expect("tables").lines,
+        ["load", "other"]
+    );
+    c.quit().expect("quit");
+    server.shutdown().expect("graceful shutdown");
 }
 
 proptest! {
