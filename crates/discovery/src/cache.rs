@@ -6,10 +6,12 @@
 //! `X`. A level-wise miner therefore never needs to re-group the table
 //! per candidate — π_X for a level-`k` candidate is one linear sweep
 //! over two already-known partitions of level `k−1` and level 1. This
-//! module provides the single-threaded context used by everything
-//! outside the miner's worker pool ([`crate::approx`], [`crate::keys`],
-//! [`crate::classify`]); the miner itself shards an equivalent cache
-//! across its persistent workers (see [`crate::mine`]).
+//! module provides the single-threaded context of the callers that ask
+//! about arbitrary attribute sets rather than walk the lattice once:
+//! [`crate::approx`] and the [`crate::incremental::IncrementalMiner`].
+//! The miner — and with it key mining and classification, which read
+//! its one pass — keeps its own previous-level store, sharded across
+//! its persistent workers (see [`crate::mine`]).
 //!
 //! The memo is byte-budgeted: entries are admitted until the budget is
 //! full and recomputed from the (always-resident) single-attribute

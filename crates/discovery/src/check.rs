@@ -918,39 +918,43 @@ pub(crate) fn pair_refutes(enc: &Encoded, sem: Semantics, a: Attr, r: usize, s: 
     })
 }
 
-/// [`fd_targets_holding`] fused with the partition product: checks
-/// `X → A` for all `A` in `targets` where `X = attrs(prefix) ∪ {by}`,
-/// feeding the refinement of `prefix` by `by` row by row to the class
-/// kernel instead of materializing `π_X` first. Stops scanning the
-/// moment every target is refuted — on the last lattice level (where
-/// the partition would be thrown away anyway) a violated candidate
-/// usually dies within a handful of rows. Returns exactly what
-/// `fd_targets_holding(enc, x, &π_X, targets, sem, Some(probes))`
-/// would.
+/// [`fd_targets_holding`] fused with the partition product, without the
+/// certain tail: checks `X → A` for all `A` in `targets` where
+/// `X = attrs(prefix) ∪ {by}`, feeding the refinement of `prefix` by
+/// `by` row by row to `sem`'s class kernel instead of materializing
+/// `π_X` first. Returns the targets left standing — for classical,
+/// possible and weak FDs exactly what `fd_targets_holding` returns on
+/// `π_X`; a certain caller runs the [`ProbeCache`] tail on them — and
+/// whether some class holds two rows, i.e. `X` is not a p-key.
+///
+/// Stops scanning the moment every target is refuted, which already
+/// proves a two-row class: on the last lattice level (where the
+/// partition would be thrown away anyway) a violated candidate usually
+/// dies within a handful of rows. With `keyed` it runs on to the first
+/// two-row class when no target is left, so a key-only question
+/// (`targets` empty) stops there.
 #[allow(clippy::too_many_arguments)]
-pub fn fd_targets_on_refinement(
+pub fn refinement_sweep(
     enc: &Encoded,
-    x: AttrSet,
     prefix: &Partition,
     by: Attr,
     ns: NullSemantics,
     targets: AttrSet,
     sem: Semantics,
     scratch: &mut ProductScratch,
-    probes: &ProbeCache,
-) -> AttrSet {
+    keyed: bool,
+) -> (AttrSet, bool) {
     sqlnf_obs::count!("discovery.check.fused_checks");
+    let mut pair = false;
     let holding = with_rule!(sem, |R| {
         let mut sweep = ClassSweep::<R>::new(targets);
         prefix.for_each_refined_row(enc, by, ns, scratch, |sub, first, r| {
-            sweep.row(enc, sub, first, r as usize, |_, _, _| {})
+            pair |= !first;
+            sweep.row(enc, sub, first, r as usize, |_, _, _| {}) || (keyed && !pair)
         });
         sweep.holding()
     });
-    if sem == Semantics::Certain && !holding.is_empty() {
-        return probes.fd_targets(enc, x, holding);
-    }
-    holding
+    (holding, pair)
 }
 
 /// Checks `X → A` for all `A` in `targets` at once, returning the
@@ -1010,16 +1014,6 @@ pub fn is_ckey(enc: &Encoded, x: AttrSet, strong_partition: &Partition) -> bool 
     let mut sweep = WeakSweep::first_pair();
     sweep_direct(enc, x, &mut sweep);
     sweep.pair.is_none()
-}
-
-/// [`is_ckey`] probing through a shared [`ProbeCache`].
-pub fn is_ckey_cached(
-    enc: &Encoded,
-    probes: &ProbeCache,
-    x: AttrSet,
-    strong_partition: &Partition,
-) -> bool {
-    strong_partition.is_empty() && probes.first_weak_pair(enc, x).is_none()
 }
 
 /// Whether `X` is a p-key: no two rows strongly similar on `X`

@@ -22,12 +22,20 @@
 //! For each λ-FD (and each nn-FD with non-c-key LHS) the *relative
 //! projection size* is `|I[X·rhs]| / |I|` — the fraction of rows the
 //! set projection keeps; small values mean much redundancy eliminated.
+//!
+//! The minimal FDs of both semantics and the minimal keys come from one
+//! lattice pass ([`report_parts`]; see [`crate::mine`]). Classification
+//! builds no partition of its own: an LHS is a c-key iff a mined
+//! minimal c-key lies inside it, and totality is asked of the pass's
+//! probe cache. [`mine_keys`] and [`classify_table`] are views of that
+//! pass.
 
-use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
-use crate::check::{certain_reflexive_holds_cached, is_ckey_cached, ProbeCache, Semantics};
-use crate::mine::{mine_fds_encoded, MinedFd, MinerConfig};
-use crate::partition::{Encoded, NullSemantics};
+use crate::cache::DEFAULT_CACHE_BUDGET;
+use crate::check::{certain_reflexive_holds_cached, ProbeCache, Semantics};
+use crate::mine::{mine_fds_encoded, traverse, MinedFd, MinedKeys, MinerConfig};
+use crate::partition::Encoded;
 use sqlnf_model::attrs::AttrSet;
+use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -93,64 +101,68 @@ pub fn classify_table(table: &Table, max_lhs: usize) -> Classification {
     classify_table_budgeted(table, max_lhs, DEFAULT_CACHE_BUDGET)
 }
 
-/// [`classify_table`] with an explicit partition-cache byte budget,
-/// passed to both mining runs and to the post-mining key/reflexivity
-/// checks (one [`PartitionCtx`] serves both — possible and certain FDs
-/// share the strong grouping). Results are identical for any budget.
+/// [`classify_table`] with an explicit partition-cache byte budget for
+/// the lattice pass. Results are identical for any budget.
 pub fn classify_table_budgeted(
     table: &Table,
     max_lhs: usize,
     cache_budget: usize,
 ) -> Classification {
-    classify_table_encoded(
-        &Encoded::new(table),
-        table.schema().arity(),
-        max_lhs,
-        cache_budget,
-    )
+    let config = report_config(max_lhs, cache_budget);
+    report_parts(&Encoded::new(table), table.schema().arity(), config).0
 }
 
-/// [`classify_table_budgeted`] from a pre-encoded instance of `arity`
-/// columns — projection ratios are counted on the codes too. Lets
-/// callers reuse one encoding across mining runs, and lets the
-/// columnar-vs-row-major differential tests drive the full
-/// classification pipeline from either encoding.
-pub fn classify_table_encoded(
+/// Mines the subset-minimal p-keys and c-keys with attribute sets of at
+/// most `max_size` attributes, with the default partition-cache budget.
+///
+/// There is no separate *weak*-key miner: weak keys coincide exactly
+/// with possible keys ([`crate::check::is_weak_key`]) — an `X`-null row
+/// is always separable by fresh completion values, while two `X`-total
+/// duplicates are never separable — so `pkeys` doubles as the
+/// weak-semantics key set.
+pub fn mine_keys(table: &Table, max_size: usize) -> MinedKeys {
+    mine_keys_budgeted(table, max_size, DEFAULT_CACHE_BUDGET)
+}
+
+/// [`mine_keys`] with an explicit partition-cache byte budget; results
+/// are identical for any budget. The keys of the report's lattice pass,
+/// without the classification.
+pub fn mine_keys_budgeted(table: &Table, max_size: usize, cache_budget: usize) -> MinedKeys {
+    let enc = Encoded::new(table);
+    let (config, probes) = (report_config(max_size, cache_budget), ProbeCache::new(&enc));
+    traverse(&enc, table.schema().arity(), config, true, &probes).keys
+}
+
+/// The report's pass configuration: the LHS cap, the cache budget, and
+/// the thread count `MinerConfig::new` picks.
+fn report_config(max_lhs: usize, cache_budget: usize) -> MinerConfig {
+    MinerConfig::new(Semantics::Possible)
+        .with_max_lhs(max_lhs)
+        .with_cache_budget(cache_budget)
+}
+
+/// The classification and the minimal keys behind one `MINE` report,
+/// read off one lattice pass over an encoded instance of `arity`
+/// columns, with `config`'s LHS cap (keys included), threads and cache
+/// budget; its semantics is ignored, as the report fixes possible and
+/// certain. An FD's LHS is a c-key iff some minimal c-key lies inside
+/// it, and keys are mined up to the same cap, so that key was found.
+/// Totality asks the pass's probe cache.
+pub fn report_parts(
     enc: &Encoded,
     arity: usize,
-    max_lhs: usize,
-    cache_budget: usize,
-) -> Classification {
+    config: MinerConfig,
+) -> (Classification, MinedKeys) {
+    let probes = ProbeCache::new(enc);
+    let pass = traverse(enc, arity, config, true, &probes);
     let null_free = enc.null_free_columns();
-
-    let possible = mine_fds_encoded(
-        enc,
-        arity,
-        MinerConfig::new(Semantics::Possible)
-            .with_max_lhs(max_lhs)
-            .with_cache_budget(cache_budget),
-        Instant::now(),
-    );
-    let certain = mine_fds_encoded(
-        enc,
-        arity,
-        MinerConfig::new(Semantics::Certain)
-            .with_max_lhs(max_lhs)
-            .with_cache_budget(cache_budget),
-        Instant::now(),
-    );
+    let ckey = |x: AttrSet| pass.keys.ckeys.iter().any(|k| k.is_subset(x));
 
     let mut out = Classification::default();
-    let mut ctx = PartitionCtx::with_budget(enc, NullSemantics::Strong, cache_budget);
-    // One probe cache serves every post-mining key/reflexivity check:
-    // LHSs sharing a nullable footprint reuse one index.
-    let probes = ProbeCache::new(enc);
-
-    for fd in possible.fds {
+    for fd in pass.fds {
         if fd.lhs.is_subset(null_free) {
             // Figure 6's nn series additionally requires a non-key LHS.
-            let strong = ctx.partition(fd.lhs);
-            if !is_ckey_cached(enc, &probes, fd.lhs, &strong) {
+            if !ckey(fd.lhs) {
                 out.nn_nonkey_ratios
                     .push(projection_ratio(enc, fd.lhs | fd.rhs));
             }
@@ -159,17 +171,13 @@ pub fn classify_table_encoded(
             out.p_fds.push(fd);
         }
     }
-
-    for fd in certain.fds {
+    for fd in pass.certain {
         if fd.lhs.is_subset(null_free) {
             continue; // coincides with an nn-FD; counted there
         }
-        let total = certain_reflexive_holds_cached(enc, &probes, fd.lhs);
-        if total {
+        if certain_reflexive_holds_cached(enc, &probes, fd.lhs) {
             out.t_fds.push(fd.clone());
-            let strong = ctx.partition(fd.lhs);
-            let usable = !fd.rhs.is_empty() && !is_ckey_cached(enc, &probes, fd.lhs, &strong);
-            if usable {
+            if !ckey(fd.lhs) {
                 out.lambda_fds.push(LambdaFd {
                     lhs: fd.lhs,
                     rhs: fd.rhs,
@@ -179,7 +187,7 @@ pub fn classify_table_encoded(
         }
         out.c_fds.push(fd);
     }
-    out
+    (out, pass.keys)
 }
 
 /// Mines and classifies a table and renders the human-readable report
@@ -187,9 +195,22 @@ pub fn classify_table_encoded(
 /// header, category counts, then the certain keys, λ-FDs (with
 /// projection sizes) and nn-FDs.
 pub fn mine_report(name: &str, table: &Table, max_lhs: usize, cache_budget: usize) -> String {
-    let cls = classify_table_budgeted(table, max_lhs, cache_budget);
-    let keys = crate::keys::mine_keys_budgeted(table, max_lhs, cache_budget);
-    render_report(name, table.len(), table.schema(), max_lhs, &cls, &keys)
+    let enc = Encoded::new(table);
+    mine_report_encoded(name, table.schema(), &enc, max_lhs, cache_budget)
+}
+
+/// [`mine_report`] of an encoded instance — e.g. a
+/// [`ColumnSnapshot`](sqlnf_model::column::ColumnSnapshot) of a stored
+/// table, taken in `O(arity)` — with the table's schema.
+pub fn mine_report_encoded(
+    name: &str,
+    schema: &TableSchema,
+    enc: &Encoded,
+    max_lhs: usize,
+    cache_budget: usize,
+) -> String {
+    let (cls, keys) = report_parts(enc, schema.arity(), report_config(max_lhs, cache_budget));
+    render_report(name, enc.rows(), schema, max_lhs, &cls, &keys)
 }
 
 /// Mines minimal FDs under **one** named semantics and renders a plain
@@ -206,16 +227,28 @@ pub fn semantics_report(
     cache_budget: usize,
 ) -> String {
     let enc = Encoded::new(table);
-    let schema = table.schema();
+    semantics_report_encoded(name, table.schema(), &enc, sem, max_lhs, cache_budget)
+}
+
+/// [`semantics_report`] of an encoded instance with its schema, as
+/// [`mine_report_encoded`].
+pub fn semantics_report_encoded(
+    name: &str,
+    schema: &TableSchema,
+    enc: &Encoded,
+    sem: Semantics,
+    max_lhs: usize,
+    cache_budget: usize,
+) -> String {
     let mined = mine_fds_encoded(
-        &enc,
+        enc,
         schema.arity(),
         MinerConfig::new(sem)
             .with_max_lhs(max_lhs)
             .with_cache_budget(cache_budget),
         Instant::now(),
     );
-    render_semantics_report(name, table.len(), schema, sem, max_lhs, &mined.fds)
+    render_semantics_report(name, enc.rows(), schema, sem, max_lhs, &mined.fds)
 }
 
 /// Renders [`semantics_report`] from already-mined FDs. Shared with the
@@ -224,7 +257,7 @@ pub fn semantics_report(
 pub fn render_semantics_report(
     name: &str,
     rows: usize,
-    schema: &sqlnf_model::schema::TableSchema,
+    schema: &TableSchema,
     sem: Semantics,
     max_lhs: usize,
     fds: &[MinedFd],
@@ -256,10 +289,10 @@ pub fn render_semantics_report(
 pub fn render_report(
     name: &str,
     rows: usize,
-    schema: &sqlnf_model::schema::TableSchema,
+    schema: &TableSchema,
     max_lhs: usize,
     cls: &Classification,
-    keys: &crate::keys::MinedKeys,
+    keys: &MinedKeys,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -444,6 +477,93 @@ mod tests {
         for sem in Semantics::ALL {
             let r = semantics_report("r", &t, sem, 2, DEFAULT_CACHE_BUDGET);
             assert!(r.contains(&format!("{} semantics", sem.token())), "{r}");
+        }
+    }
+
+    /// `id` unique; `name` has a `⊥`, so it is a p-key but not a c-key;
+    /// `(a, b)` jointly unique and total.
+    fn keyed_sample() -> Table {
+        TableBuilder::new("r", ["id", "name", "a", "b"], &[])
+            .row(tuple![1i64, "x", 1i64, 1i64])
+            .row(tuple![2i64, null, 1i64, 2i64])
+            .row(tuple![3i64, "y", 2i64, 1i64])
+            .build()
+    }
+
+    #[test]
+    fn finds_minimal_keys_of_both_kinds() {
+        let t = keyed_sample();
+        let s = t.schema().clone();
+        let keys = mine_keys(&t, 4);
+        assert!(keys.pkeys.contains(&s.set(&["id"])));
+        assert!(keys.ckeys.contains(&s.set(&["id"])));
+        // name: p-key (the NULL is strongly similar to nothing) but not
+        // a c-key (⊥ weakly matches x and y).
+        assert!(keys.pkeys.contains(&s.set(&["name"])));
+        assert!(!keys.ckeys.contains(&s.set(&["name"])));
+        assert!(keys.pkeys.contains(&s.set(&["a", "b"])));
+        assert!(keys.ckeys.contains(&s.set(&["a", "b"])));
+        for list in [&keys.pkeys, &keys.ckeys] {
+            for (i, x) in list.iter().enumerate() {
+                for (j, y) in list.iter().enumerate() {
+                    assert!(i == j || !x.is_subset(*y), "{x:?} ⊆ {y:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_edge_cases() {
+        // Every pair of columns repeats, so with the cap at the arity the
+        // one key is the full width — a level past the last FD level.
+        let t = TableBuilder::new("r", ["a", "b", "c"], &[])
+            .row(tuple![0i64, 0i64, 0i64])
+            .row(tuple![0i64, 0i64, 1i64])
+            .row(tuple![0i64, 1i64, 0i64])
+            .row(tuple![1i64, 0i64, 0i64])
+            .build();
+        let all = t.schema().attrs();
+        let keys = mine_keys(&t, 3);
+        assert_eq!((keys.pkeys, keys.ckeys), (vec![all], vec![all]));
+        assert_eq!(mine_keys(&t, 2), MinedKeys::default());
+        // Duplicates kill every key; a single row is keyed by ∅.
+        let dup = TableBuilder::new("r", ["a"], &[])
+            .row(tuple![1i64])
+            .row(tuple![1i64])
+            .build();
+        assert_eq!(mine_keys(&dup, 1), MinedKeys::default());
+        let one = TableBuilder::new("r", ["a"], &[]).row(tuple![1i64]).build();
+        let keys = mine_keys(&one, 1);
+        assert_eq!(keys.pkeys, vec![AttrSet::EMPTY]);
+        assert_eq!(keys.ckeys, vec![AttrSet::EMPTY]);
+    }
+
+    /// `MINE` reports a column snapshot taken under the table lock:
+    /// rows inserted after it do not reach the report.
+    #[test]
+    fn snapshot_report_ignores_later_inserts() {
+        let mut t = fig7_snippet();
+        let before = t.clone();
+        let snap = Encoded::from_snapshot(t.snapshot());
+        for i in 0..3i64 {
+            let id = 200 + i;
+            t.push(tuple![id, "Kathy", "Sheehan", null, 99i64]);
+        }
+        let budget = DEFAULT_CACHE_BUDGET;
+        let schema = before.schema();
+        assert_eq!(
+            mine_report_encoded("c", schema, &snap, 3, budget),
+            mine_report("c", &before, 3, budget)
+        );
+        assert_ne!(
+            mine_report("c", &t, 3, budget),
+            mine_report("c", &before, 3, budget)
+        );
+        for sem in Semantics::ALL {
+            assert_eq!(
+                semantics_report_encoded("c", schema, &snap, sem, 3, budget),
+                semantics_report("c", &before, sem, 3, budget)
+            );
         }
     }
 

@@ -61,8 +61,7 @@ use crate::check::{
     Semantics,
 };
 use crate::classify::{projection_ratio, render_report, Classification, LambdaFd};
-use crate::keys::MinedKeys;
-use crate::mine::{k_subsets, MinedFd};
+use crate::mine::{k_subsets, MinedFd, MinedKeys};
 use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::schema::TableSchema;
@@ -937,9 +936,9 @@ impl Pass<'_> {
         found
     }
 
-    /// Replays the level-wise key enumeration of [`crate::keys`]
-    /// against the verdict cache; identical output to
-    /// `mine_keys_budgeted` over the same rows.
+    /// Replays the level-wise key enumeration (every `k`-subset not
+    /// above a found key, level by level) against the verdict cache;
+    /// identical output to `mine_keys_budgeted` over the same rows.
     fn replay_keys(
         &mut self,
         cache: &mut HashMap<AttrSet, KeyVerdict>,
@@ -1082,8 +1081,8 @@ impl Pass<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::mine_keys_budgeted;
     use crate::classify::mine_report;
-    use crate::keys::mine_keys_budgeted;
     use crate::mine::{mine_fds, MinerConfig};
     use sqlnf_model::prelude::*;
 

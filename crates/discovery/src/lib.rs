@@ -18,7 +18,6 @@ pub mod cache;
 pub mod check;
 pub mod classify;
 pub mod incremental;
-pub mod keys;
 pub mod mine;
 pub mod partition;
 
@@ -31,15 +30,15 @@ pub mod prelude {
     pub use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
     pub use crate::check::{
         certain_reflexive_holds, certain_reflexive_holds_cached, fd_holds, fd_targets_holding,
-        is_ckey, is_ckey_cached, is_pkey, is_weak_key, null_semantics, partition_for,
-        probe_weak_pairs, ProbeCache, ProbeIndex, Semantics,
+        is_ckey, is_pkey, is_weak_key, null_semantics, partition_for, probe_weak_pairs, ProbeCache,
+        ProbeIndex, Semantics,
     };
     pub use crate::classify::{
-        classify_table, classify_table_budgeted, mine_report, render_report,
-        render_semantics_report, semantics_report, Classification, Counts, LambdaFd,
+        classify_table, classify_table_budgeted, mine_keys, mine_keys_budgeted, mine_report,
+        mine_report_encoded, render_report, render_semantics_report, report_parts,
+        semantics_report, semantics_report_encoded, Classification, Counts, LambdaFd,
     };
     pub use crate::incremental::{IncrementalMiner, RowId};
-    pub use crate::keys::{mine_keys, mine_keys_budgeted, MinedKeys};
-    pub use crate::mine::{mine_fds, MinedFd, MinerConfig, MiningResult};
+    pub use crate::mine::{mine_fds, MinedFd, MinedKeys, MinerConfig, MiningResult};
     pub use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 }

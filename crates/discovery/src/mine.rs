@@ -1,10 +1,25 @@
 //! Level-wise discovery of minimal non-trivial FDs, in the style of
-//! TANE, under any of the four [`Semantics`].
+//! TANE, under any of the four [`Semantics`] — and of everything the
+//! `MINE` report asks, in the same pass.
 //!
 //! The miner records, per minimal LHS `X`, the set of all RHS
 //! attributes `A ∉ X` such that `X → A` holds and no `Y ⊊ X` already
 //! gives `Y → A` — matching the paper's counting convention ("all
 //! non-trivial FDs with minimal LHSs, and only once per LHS").
+//!
+//! ## One pass, several questions
+//!
+//! `traverse` is the only lattice walk. A candidate carries the
+//! questions still open at it: the targets of the swept semantics no
+//! minimal FD covers yet, the certain targets no minimal c-FD covers
+//! yet, and — for the report — whether no p-key and no c-key lies
+//! inside it. One sweep of its classes under the swept semantics'
+//! class rule answers them all: certain FDs are the possible rule plus
+//! the [`ProbeCache`] tail over the surviving certain targets (a c-FD
+//! is a p-FD), `X` is a p-key iff no class holds two rows, and only a
+//! p-key is probed for a weak pair to decide the c-key. `mine_fds` is
+//! the same walk with one semantics' targets and no key flags;
+//! [`crate::classify`] reads the report's.
 //!
 //! ## Level-cached partition products
 //!
@@ -15,16 +30,16 @@
 //! probe-table scratch (see [`Partition::product_attr`] — the cost is
 //! proportional to the *prefix*, which shrinks as levels advance, not
 //! to the table). Every immediate prefix of a candidate is
-//! itself a candidate of the previous level (uncovered targets are
-//! inherited downwards), so the prefix lookup misses only when the
-//! byte budget ([`MinerConfig::cache_budget`]) evicted it — in which
+//! itself a candidate of the previous level (uncovered targets and
+//! key flags are inherited downwards), so the prefix lookup misses
+//! only when the byte budget ([`MinerConfig::cache_budget`]) evicted it — in which
 //! case the partition is folded from the always-resident singles.
 //! Levels retire as the frontier advances: only level `k−1` is kept
 //! while level `k` runs. On levels whose partitions are never stored
-//! (the last one) the product is fused with the FD check
-//! ([`fd_targets_on_refinement`]) and aborts at the first refuting
-//! row, so refuted candidates — the vast majority at depth — cost a
-//! handful of row visits instead of a full sweep.
+//! (the last one) the product is fused with the class check
+//! ([`crate::check::refinement_sweep`]) and stops once every
+//! target is refuted, so refuted candidates — the vast majority at
+//! depth — cost a handful of row visits instead of a full sweep.
 //!
 //! With `threads > 1` the per-level fan-out runs on a *persistent*
 //! worker pool spawned once inside one `thread::scope`: each worker
@@ -37,16 +52,13 @@
 //! Every emitted FD and partition shard is tagged with its candidate
 //! index; the main thread sorts by index before merging, so results —
 //! and the cache contents under any byte budget — are byte-identical
-//! across thread counts (`parallel_equals_serial`). Certain-semantics
-//! workers share one [`ProbeCache`], so LHSs with the same nullable
-//! footprint reuse one probe index instead of rebuilding per
-//! candidate. Worker saturation is visible as the
-//! `discovery.mine.worker_busy_ns` timer.
+//! across thread counts (`parallel_equals_serial`). Workers share one
+//! [`ProbeCache`], so LHSs with the same nullable footprint reuse one
+//! probe index instead of rebuilding per candidate. Worker saturation
+//! is visible as the `discovery.mine.worker_busy_ns` timer.
 
 use crate::cache::DEFAULT_CACHE_BUDGET;
-use crate::check::{
-    fd_targets_holding, fd_targets_on_refinement, null_semantics, ProbeCache, Semantics,
-};
+use crate::check::{fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics};
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::table::Table;
@@ -197,8 +209,74 @@ pub fn mine_fds(table: &Table, config: MinerConfig) -> MiningResult {
     mine_fds_encoded(&enc, table.schema().arity(), config, started)
 }
 
-/// A candidate partition: borrowed from the singles at level 1, owned
-/// (freshly producted) everywhere else.
+/// Mines from a pre-encoded instance (lets callers share the encoding
+/// across several mining runs, as the discovery experiment does).
+pub fn mine_fds_encoded(
+    enc: &Encoded,
+    arity: usize,
+    config: MinerConfig,
+    started: Instant,
+) -> MiningResult {
+    let pass = traverse(enc, arity, config, false, &ProbeCache::new(enc));
+    let certain = config.semantics == Semantics::Certain;
+    MiningResult {
+        fds: if certain { pass.certain } else { pass.fds },
+        elapsed: started.elapsed(),
+        candidates_checked: pass.checked,
+    }
+}
+
+/// Minimal keys of an instance.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MinedKeys {
+    /// Subset-minimal possible keys.
+    pub pkeys: Vec<AttrSet>,
+    /// Subset-minimal certain keys (every c-key is also a p-key, but a
+    /// *minimal* c-key need not be a minimal p-key).
+    pub ckeys: Vec<AttrSet>,
+}
+
+/// What one pass found, each list in candidate (level, then
+/// combination) order.
+pub(crate) struct Lattice {
+    /// Minimal FDs of the swept semantics (possible, in a report).
+    pub(crate) fds: Vec<MinedFd>,
+    /// Minimal certain FDs.
+    pub(crate) certain: Vec<MinedFd>,
+    /// Minimal keys (a report only).
+    pub(crate) keys: MinedKeys,
+    /// Candidates evaluated.
+    pub(crate) checked: usize,
+}
+
+/// A candidate `X` and the questions still open at it; once settled,
+/// the same fields hold the answers. `X` is a candidate while any
+/// question is open: every question's lattice is downward closed, so
+/// every immediate prefix of a candidate was a candidate one level
+/// down.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    x: AttrSet,
+    /// Targets of the swept semantics no minimal FD covers yet; then
+    /// those `x` determines.
+    swept: AttrSet,
+    /// The same for certain FDs.
+    certain: AttrSet,
+    /// No p-key is a subset of `x`; then: `x` is a minimal p-key.
+    pkey: bool,
+    /// The same for c-keys.
+    ckey: bool,
+}
+
+impl Candidate {
+    /// Whether any question is open (or, settled, any answer found).
+    fn open(&self) -> bool {
+        self.pkey || self.ckey || !(self.swept | self.certain).is_empty()
+    }
+}
+
+/// A candidate partition: borrowed from the singles or the previous
+/// level, owned (freshly producted) everywhere else.
 enum Part<'a> {
     Ref(&'a Partition),
     Own(Partition),
@@ -214,10 +292,10 @@ impl Part<'_> {
 }
 
 /// Builds `π_x` for a level-`k` candidate from the previous level's
-/// cached partitions and the always-resident singles. Every immediate
-/// prefix of a live candidate was itself a live candidate one level
-/// down, so the prefix lookup fails only on budget eviction — then the
-/// partition is folded from the singles by repeated products.
+/// cached partitions and the always-resident singles: one product of
+/// its [`prefix`], except for attribute pairs over a small combined
+/// code space, which take one fused counting sort over both raw
+/// columns.
 fn candidate_partition<'a>(
     enc: &Encoded,
     ns: NullSemantics,
@@ -230,125 +308,40 @@ fn candidate_partition<'a>(
     match k {
         0 => Part::Own(Partition::universal(enc.rows())),
         1 => Part::Ref(&singles[x.first().expect("level-1 candidate").index()]),
-        2 => {
-            let mut it = x.iter();
-            let a = it.next().expect("level-2 candidate");
-            let b = it.next().expect("level-2 candidate");
-            // Small combined code space: one fused counting sort over
-            // both raw columns. Otherwise (a near-unique attribute in
-            // the pair) sweep the smaller of the two singles — which is
-            // then tiny. Ties keep attribute order; the result is
-            // canonical either way.
-            if Partition::by_pair_applicable(enc, a, b) {
-                return Part::Own(Partition::by_pair(enc, a, b, ns));
-            }
-            let (base, by) =
-                if singles[a.index()].stripped_rows() <= singles[b.index()].stripped_rows() {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-            Part::Own(singles[base.index()].product_attr(enc, by, ns, scratch))
-        }
         _ => {
-            // Among the cached immediate prefixes, refine the cheapest
-            // one: a candidate containing a selective attribute has a
-            // tiny prefix partition, and the product cost is exactly
-            // the prefix's stripped rows.
-            let mut best: Option<(Attr, &Partition, usize)> = None;
-            for a in x {
-                if let Some(p) = prev.get(&(x - AttrSet::single(a))) {
-                    let cost = p.stripped_rows();
-                    if best.is_none_or(|(_, _, c)| cost < c) {
-                        best = Some((a, p, cost));
-                    }
+            let mut it = x.iter();
+            if let (2, Some(a), Some(b)) = (k, it.next(), it.next()) {
+                if Partition::by_pair_applicable(enc, a, b) {
+                    return Part::Own(Partition::by_pair(enc, a, b, ns));
                 }
             }
-            if let Some((a, p, _)) = best {
-                sqlnf_obs::count!("discovery.mine.prev_level.hits");
-                return Part::Own(p.product_attr(enc, a, ns, scratch));
-            }
-            sqlnf_obs::count!("discovery.mine.prev_level.misses");
-            // Every prefix was evicted: fold from the singles, smallest
-            // first, so the sweeps stay as cheap as possible.
-            let mut attrs: Vec<Attr> = x.iter().collect();
-            attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
-            let mut it = attrs.into_iter();
-            let a = it.next().expect("non-empty");
-            let mut p = None;
-            for b in it {
-                let next = p
-                    .as_ref()
-                    .unwrap_or(&singles[a.index()])
-                    .product_attr(enc, b, ns, scratch);
-                p = Some(next);
-            }
-            Part::Own(p.expect("level ≥ 3"))
+            let (prefix, by) = prefix(enc, ns, x, k, singles, prev, scratch);
+            Part::Own(prefix.get().product_attr(enc, by, ns, scratch))
         }
     }
 }
 
-/// One level's worth of work for a persistent pool worker: the shared
-/// candidate slice, the cost-descending visit order, and the atomic
-/// cursor every worker pulls from.
-struct LevelJob {
-    k: usize,
-    candidates: Arc<Vec<(AttrSet, AttrSet)>>,
-    order: Arc<Vec<u32>>,
-    cursor: Arc<AtomicUsize>,
-    prev: Arc<HashMap<AttrSet, Partition>>,
-    store: bool,
-}
-
-/// What a worker sends back per level: FDs and partition shards, each
-/// tagged with the candidate index so the main thread can restore
-/// candidate order exactly regardless of which worker pulled what.
-/// Shard entries carry their precomputed cache size so the merge loop
-/// stays trivial.
-struct LevelOut {
-    fds: Vec<(u32, MinedFd)>,
-    shard: Vec<(u32, AttrSet, Partition, usize)>,
-}
-
-/// Check-only fast path for levels whose partitions are never stored:
-/// sweep the refinement of the cheapest available prefix fused with
-/// the constancy check ([`fd_targets_on_refinement`]), never
-/// materializing `π_x`. Falls back to folding a prefix from the
-/// singles when the budget evicted every cached one.
-#[allow(clippy::too_many_arguments)]
-fn check_candidate_fused(
+/// The `(k−1)`-prefix partition a level-`k` candidate (`k ≥ 2`) is
+/// refined from, and the attribute it is refined by — a product or a
+/// refinement costs exactly the prefix's stripped rows, so the cheapest
+/// one: the smaller single at level 2 (ties keep attribute order), else
+/// the cheapest cached prefix. Every immediate prefix of a candidate
+/// was a candidate one level down, so the lookup fails only when the
+/// budget evicted them all; then the prefix is folded from the
+/// singles, smallest first, and refined by the least selective one.
+fn prefix<'a>(
     enc: &Encoded,
-    sem: Semantics,
     ns: NullSemantics,
     x: AttrSet,
     k: usize,
-    targets: AttrSet,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
+    singles: &'a [Partition],
+    prev: &'a HashMap<AttrSet, Partition>,
     scratch: &mut ProductScratch,
-    probes: &ProbeCache,
-) -> AttrSet {
+) -> (Part<'a>, Attr) {
+    let mut attrs: Vec<Attr> = x.iter().collect();
+    attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
     if k == 2 {
-        let mut it = x.iter();
-        let a = it.next().expect("level-2 candidate");
-        let b = it.next().expect("level-2 candidate");
-        let (base, by) = if singles[a.index()].stripped_rows() <= singles[b.index()].stripped_rows()
-        {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        return fd_targets_on_refinement(
-            enc,
-            x,
-            &singles[base.index()],
-            by,
-            ns,
-            targets,
-            sem,
-            scratch,
-            probes,
-        );
+        return (Part::Ref(&singles[attrs[0].index()]), attrs[1]);
     }
     let mut best: Option<(Attr, &Partition, usize)> = None;
     for a in x {
@@ -361,24 +354,84 @@ fn check_candidate_fused(
     }
     if let Some((a, p, _)) = best {
         sqlnf_obs::count!("discovery.mine.prev_level.hits");
-        return fd_targets_on_refinement(enc, x, p, a, ns, targets, sem, scratch, probes);
+        return (Part::Ref(p), a);
     }
     sqlnf_obs::count!("discovery.mine.prev_level.misses");
-    let mut attrs: Vec<Attr> = x.iter().collect();
-    attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
-    let by = attrs.pop().expect("non-empty");
-    let mut it = attrs.into_iter();
-    let a = it.next().expect("level ≥ 3");
-    let mut p = None;
-    for b in it {
-        let next = p
-            .as_ref()
-            .unwrap_or(&singles[a.index()])
-            .product_attr(enc, b, ns, scratch);
-        p = Some(next);
+    let by = attrs.pop().expect("level ≥ 3");
+    let mut p = singles[attrs[0].index()].product_attr(enc, attrs[1], ns, scratch);
+    for &b in &attrs[2..] {
+        p = p.product_attr(enc, b, ns, scratch);
     }
-    let prefix = p.expect("level ≥ 3 folds at least one product");
-    fd_targets_on_refinement(enc, x, &prefix, by, ns, targets, sem, scratch, probes)
+    (Part::Own(p), by)
+}
+
+/// `f(state, i)` for every `i < n`, in index order. With `threads > 1`
+/// and at least `min` items, scoped workers pull indexes off one atomic
+/// cursor, each with its own `init()` state; otherwise one state serves
+/// a serial loop.
+fn par_map<S, T: Send>(
+    threads: usize,
+    min: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    if threads <= 1 || n < min {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(&mut state, i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, t) in w.join().expect("worker panicked") {
+                slots[i] = Some(t);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|t| t.expect("every item built exactly once"))
+        .collect()
+}
+
+/// One level's worth of work for a persistent pool worker: the shared
+/// candidate slice, the cost-descending visit order, and the atomic
+/// cursor every worker pulls from.
+struct LevelJob {
+    k: usize,
+    candidates: Arc<Vec<Candidate>>,
+    order: Arc<Vec<u32>>,
+    cursor: Arc<AtomicUsize>,
+    prev: Arc<HashMap<AttrSet, Partition>>,
+    store: bool,
+}
+
+/// What a worker sends back per level: settled answers and partition
+/// shards, each tagged with the candidate index so the main thread can
+/// restore candidate order exactly regardless of which worker pulled
+/// what. Shard entries carry their precomputed cache size so the merge
+/// loop stays trivial.
+struct LevelOut {
+    settled: Vec<(u32, Candidate)>,
+    shard: Vec<(u32, AttrSet, Partition, usize)>,
 }
 
 /// The deterministic visit order for one level: candidate indexes
@@ -389,7 +442,7 @@ fn check_candidate_fused(
 /// whole-table-sized pessimistic constant when every prefix was
 /// evicted and the partition must be folded from the singles.
 fn cost_order(
-    candidates: &[(AttrSet, AttrSet)],
+    candidates: &[Candidate],
     k: usize,
     rows: usize,
     singles: &[Partition],
@@ -401,7 +454,7 @@ fn cost_order(
     }
     let costs: Vec<usize> = candidates
         .iter()
-        .map(|&(x, _)| {
+        .map(|&Candidate { x, .. }| {
             if k == 2 {
                 x.iter()
                     .map(|a| singles[a.index()].stripped_rows())
@@ -434,7 +487,7 @@ fn cost_order(
 fn build_needed_prefixes(
     enc: &Encoded,
     ns: NullSemantics,
-    candidates: &[(AttrSet, AttrSet)],
+    candidates: &[Candidate],
     k: usize,
     singles: &[Partition],
     prev: &HashMap<AttrSet, Partition>,
@@ -453,7 +506,7 @@ fn build_needed_prefixes(
     };
     let mut needed: Vec<AttrSet> = Vec::new();
     let mut seen: std::collections::HashSet<AttrSet> = std::collections::HashSet::new();
-    for &(x, _) in candidates {
+    for &Candidate { x, .. } in candidates {
         let mut best: Option<(usize, Attr)> = None;
         for a in x {
             let e = est(x - AttrSet::single(a));
@@ -485,63 +538,23 @@ fn build_needed_prefixes(
         Part::Own(p) => p,
         Part::Ref(p) => p.clone(),
     };
-    let built: Vec<Partition> = if threads > 1 && needed.len() >= PAR_MIN {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Partition>> = Vec::new();
-        slots.resize_with(needed.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(needed.len()))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = ProductScratch::for_encoded(enc);
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= needed.len() {
-                                break;
-                            }
-                            let p = candidate_partition(
-                                enc,
-                                ns,
-                                needed[i],
-                                k - 1,
-                                singles,
-                                prev,
-                                &mut scratch,
-                            );
-                            out.push((i, own(p)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, p) in h.join().expect("prefix builder panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|p| p.expect("every needed prefix built exactly once"))
-            .collect()
-    } else {
-        let mut scratch = ProductScratch::for_encoded(enc);
-        needed
-            .iter()
-            .map(|&s| {
-                own(candidate_partition(
-                    enc,
-                    ns,
-                    s,
-                    k - 1,
-                    singles,
-                    prev,
-                    &mut scratch,
-                ))
-            })
-            .collect()
-    };
+    let built = par_map(
+        threads,
+        PAR_MIN,
+        needed.len(),
+        || ProductScratch::for_encoded(enc),
+        |scratch, i| {
+            own(candidate_partition(
+                enc,
+                ns,
+                needed[i],
+                k - 1,
+                singles,
+                prev,
+                scratch,
+            ))
+        },
+    );
     let mut map = HashMap::new();
     let mut bytes = 0usize;
     for (s, p) in needed.into_iter().zip(built) {
@@ -559,88 +572,160 @@ fn build_needed_prefixes(
     map
 }
 
-/// Drains the level's work queue from one thread: pulls candidate
-/// positions off the shared cursor until the order is exhausted,
-/// checking FDs and (when `store` is set) collecting owned partitions
-/// for the next level's cache. Both output streams are tagged with the
-/// candidate index. Also used by the serial path (with a trivial
-/// identity order), so serial and parallel runs share one code path.
-#[allow(clippy::too_many_arguments)]
-fn run_queue(
-    enc: &Encoded,
+/// The fixed context of one pass, shared by every worker.
+struct Pass<'a> {
+    enc: &'a Encoded,
+    /// The semantics whose class rule the strong sweep applies.
     sem: Semantics,
     ns: NullSemantics,
-    k: usize,
-    candidates: &[(AttrSet, AttrSet)],
-    order: &[u32],
-    cursor: &AtomicUsize,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
-    store: bool,
-    scratch: &mut ProductScratch,
-    probes: &ProbeCache,
-) -> LevelOut {
-    let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
-    let mut fds = Vec::new();
-    let mut shard = Vec::new();
-    let mut processed = 0usize;
-    loop {
-        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-        if pos >= order.len() {
-            break;
-        }
-        let i = order[pos];
-        let (x, targets) = candidates[i as usize];
-        processed += 1;
-        if !store && k >= 2 {
-            let holding =
-                check_candidate_fused(enc, sem, ns, x, k, targets, singles, prev, scratch, probes);
-            if !holding.is_empty() {
-                fds.push((
-                    i,
-                    MinedFd {
-                        lhs: x,
-                        rhs: holding,
-                    },
-                ));
-            }
-            continue;
-        }
-        let p = candidate_partition(enc, ns, x, k, singles, prev, scratch);
-        let holding = fd_targets_holding(enc, x, p.get(), targets, sem, Some(probes));
-        if !holding.is_empty() {
-            fds.push((
-                i,
-                MinedFd {
-                    lhs: x,
-                    rhs: holding,
-                },
-            ));
-        }
-        if store {
-            if let Part::Own(p) = p {
-                let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
-                shard.push((i, x, p, sz));
-            }
-        }
-    }
-    sqlnf_obs::count!("discovery.mine.worker_candidates", processed);
-    LevelOut { fds, shard }
+    singles: &'a [Partition],
+    probes: &'a ProbeCache,
 }
 
-/// Mines from a pre-encoded instance (lets callers share the encoding
-/// across several mining runs, as the discovery experiment does).
-pub fn mine_fds_encoded(
+impl Pass<'_> {
+    /// Answers every open question of one candidate with one sweep of
+    /// its classes: materialized (and handed back for the next level's
+    /// cache) when `store` or below level 2, else fused with the
+    /// product of its cheapest prefix. The class rule runs over the
+    /// union of both planes' targets; a c-FD is a p-FD, so the
+    /// certain tail only probes the survivors, and only a p-key can be
+    /// a c-key.
+    fn settle(
+        &self,
+        c: Candidate,
+        k: usize,
+        prev: &HashMap<AttrSet, Partition>,
+        store: bool,
+        scratch: &mut ProductScratch,
+    ) -> (Candidate, Option<Partition>) {
+        let enc = self.enc;
+        let targets = c.swept | c.certain;
+        let mut kept = None;
+        let (holding, pair) = if !store && k >= 2 {
+            let (prefix, by) = prefix(enc, self.ns, c.x, k, self.singles, prev, scratch);
+            let keyed = c.pkey || c.ckey;
+            refinement_sweep(
+                enc,
+                prefix.get(),
+                by,
+                self.ns,
+                targets,
+                self.sem,
+                scratch,
+                keyed,
+            )
+        } else {
+            let p = candidate_partition(enc, self.ns, c.x, k, self.singles, prev, scratch);
+            let holding = fd_targets_holding(enc, c.x, p.get(), targets, self.sem, None);
+            let pair = !p.get().is_empty();
+            if let (true, Part::Own(p)) = (store, p) {
+                kept = Some(p);
+            }
+            (holding, pair)
+        };
+        let certain = holding & c.certain;
+        let settled = Candidate {
+            x: c.x,
+            swept: holding & c.swept,
+            certain: if certain.is_empty() {
+                certain
+            } else {
+                self.probes.fd_targets(enc, c.x, certain)
+            },
+            pkey: c.pkey && !pair,
+            ckey: c.ckey && !pair && self.probes.first_weak_pair(enc, c.x).is_none(),
+        };
+        (settled, kept)
+    }
+
+    /// Drains the level's work queue from one thread: pulls candidate
+    /// positions off the shared cursor until the order is exhausted,
+    /// settling each candidate and (when `store` is set) collecting
+    /// owned partitions for the next level's cache. Both output
+    /// streams are tagged with the candidate index. Also used by the
+    /// serial path (with a trivial identity order), so serial and
+    /// parallel runs share one code path.
+    #[allow(clippy::too_many_arguments)]
+    fn run_queue(
+        &self,
+        k: usize,
+        candidates: &[Candidate],
+        order: &[u32],
+        cursor: &AtomicUsize,
+        prev: &HashMap<AttrSet, Partition>,
+        store: bool,
+        scratch: &mut ProductScratch,
+    ) -> LevelOut {
+        let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
+        let mut out = LevelOut {
+            settled: Vec::new(),
+            shard: Vec::new(),
+        };
+        let mut processed = 0usize;
+        loop {
+            let pos = cursor.fetch_add(1, Ordering::Relaxed);
+            if pos >= order.len() {
+                break;
+            }
+            let i = order[pos];
+            let c = candidates[i as usize];
+            processed += 1;
+            let (settled, kept) = self.settle(c, k, prev, store, scratch);
+            if settled.open() {
+                out.settled.push((i, settled));
+            }
+            if let Some(p) = kept {
+                let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
+                out.shard.push((i, c.x, p, sz));
+            }
+        }
+        sqlnf_obs::count!("discovery.mine.worker_candidates", processed);
+        out
+    }
+}
+
+/// The attributes of `plane` outside `x` that no recorded minimal LHS
+/// (`minimal[a]` for target `a`) inside `x` determines yet.
+fn uncovered(minimal: &[Vec<AttrSet>], plane: AttrSet, x: AttrSet) -> AttrSet {
+    (plane - x)
+        .iter()
+        .filter(|a| !minimal[a.index()].iter().any(|y| y.is_subset(x)))
+        .collect()
+}
+
+/// The one level-wise traversal of the strong-partition lattice (or,
+/// for classical FDs, the null-as-value one) behind every miner of
+/// this crate: the minimal FDs of `config.semantics`, or with `report`
+/// the `MINE` report's minimal possible and certain FDs and minimal
+/// possible and certain keys. Each candidate carries the targets still
+/// open per plane (the swept semantics, and the certain tail) and, in
+/// a report, the two key flags; one sweep of its classes answers them
+/// all (see [`Pass::settle`]). FD levels run to `max_lhs` (at most
+/// `arity − 1`: a full-width LHS has no targets); in a report, key
+/// levels run to `min(max_lhs, arity)`.
+pub(crate) fn traverse(
     enc: &Encoded,
     arity: usize,
     config: MinerConfig,
-    started: Instant,
-) -> MiningResult {
+    report: bool,
+    probes: &ProbeCache,
+) -> Lattice {
     let _span = sqlnf_obs::span!("mine_fds");
     let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
     let all: AttrSet = attrs.iter().copied().collect();
-    let last_level = config.max_lhs.min(arity.saturating_sub(1));
-    let sem = config.semantics;
+    // The targets each plane asks about: certain FDs are the possible
+    // class rule plus the certain tail, so a certain run sweeps none of
+    // its own.
+    let (sem, planes) = match (report, config.semantics) {
+        (true, _) => (Semantics::Possible, [all, all]),
+        (false, Semantics::Certain) => (Semantics::Possible, [AttrSet::EMPTY, all]),
+        (false, sem) => (sem, [all, AttrSet::EMPTY]),
+    };
+    let last_level = if report {
+        config.max_lhs.min(arity)
+    } else {
+        config.max_lhs.min(arity.saturating_sub(1))
+    };
 
     // The single-attribute partitions: always resident, the floor every
     // product chain bottoms out on. Each is an independent table sweep,
@@ -648,54 +733,33 @@ pub fn mine_fds_encoded(
     // wide tables (hepatitis: 20 columns) this is the one serial stage
     // whose cost rivals a whole lattice level.
     let ns = null_semantics(sem);
-    let singles: Vec<Partition> = if config.threads > 1 && arity > 1 {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Partition>> = Vec::new();
-        slots.resize_with(arity, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.threads.min(arity))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut built = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= arity {
-                                break;
-                            }
-                            built.push((i, Partition::by_attr(enc, Attr::from(i), ns)));
-                        }
-                        built
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, p) in h.join().expect("singles worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|p| p.expect("every single built exactly once"))
-            .collect()
-    } else {
-        attrs
-            .iter()
-            .map(|&a| Partition::by_attr(enc, a, ns))
-            .collect()
-    };
-    let singles = &singles;
-
+    let singles = par_map(
+        config.threads,
+        2,
+        arity,
+        || (),
+        |_, i| Partition::by_attr(enc, Attr::from(i), ns),
+    );
     // One probe cache for the whole run, shared by every worker:
     // certain-semantics candidates with the same nullable footprint
     // reuse one index (see `check::ProbeCache`).
-    let probes = ProbeCache::new(enc);
-    let probes = &probes;
+    let pass = Pass {
+        enc,
+        sem,
+        ns,
+        singles: &singles,
+        probes,
+    };
+    let pass = &pass;
 
-    // minimal_lhs_for[a] = the minimal LHSs recorded for attribute a.
-    let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
-    let mut found: Vec<MinedFd> = Vec::new();
-    let mut checked = 0usize;
+    // minimal[plane][a] = the minimal LHSs recorded for target a.
+    let mut minimal: [Vec<Vec<AttrSet>>; 2] = [vec![Vec::new(); arity], vec![Vec::new(); arity]];
+    let mut found = Lattice {
+        fds: Vec::new(),
+        certain: Vec::new(),
+        keys: MinedKeys::default(),
+        checked: 0,
+    };
 
     // One scope for the whole run: workers (spawned lazily at the first
     // level big enough to parallelise) persist across levels, each
@@ -708,22 +772,22 @@ pub fn mine_fds_encoded(
 
         for k in 0..=last_level {
             sqlnf_obs::count!("discovery.mine.lattice_levels");
-            // Candidates of this level, with their uncovered targets.
+            // Candidates of this level, with their open questions.
             let generated = k_subsets(&attrs, k);
             let generated_count = generated.len();
-            let candidates: Vec<(AttrSet, AttrSet)> = generated
+            let candidates: Vec<Candidate> = generated
                 .into_iter()
-                .filter_map(|x| {
-                    let mut targets = AttrSet::EMPTY;
-                    for a in all - x {
-                        if !minimal_for[a.index()].iter().any(|y| y.is_subset(x)) {
-                            targets.insert(a);
-                        }
-                    }
-                    (!targets.is_empty()).then_some((x, targets))
+                .map(|x| Candidate {
+                    x,
+                    swept: uncovered(&minimal[0], planes[0], x),
+                    certain: uncovered(&minimal[1], planes[1], x),
+                    pkey: report && !found.keys.pkeys.iter().any(|y| y.is_subset(x)),
+                    ckey: report && !found.keys.ckeys.iter().any(|y| y.is_subset(x)),
                 })
+                .filter(Candidate::open)
                 .collect();
-            checked += candidates.len();
+            let candidates = Arc::new(candidates);
+            found.checked += candidates.len();
             sqlnf_obs::count!("discovery.mine.candidates_checked", candidates.len());
             sqlnf_obs::count!(
                 "discovery.mine.candidates_pruned",
@@ -758,7 +822,7 @@ pub fn mine_fds_encoded(
                     ns,
                     &candidates,
                     k,
-                    singles,
+                    &singles,
                     &prev,
                     config.threads,
                     config.cache_budget,
@@ -767,95 +831,89 @@ pub fn mine_fds_encoded(
                 Arc::clone(&prev)
             };
 
-            let outs: Vec<LevelOut> = if config.threads > 1
-                && candidates.len() >= PAR_MIN.max(config.threads)
-            {
-                if pool.is_empty() {
-                    for _ in 0..config.threads {
-                        let (job_tx, job_rx) = channel::<LevelJob>();
-                        let (out_tx, out_rx) = channel::<LevelOut>();
-                        scope.spawn(move || {
-                            sqlnf_obs::count!("discovery.mine.worker_spawns");
-                            let mut scratch = ProductScratch::for_encoded(enc);
-                            for job in job_rx {
-                                let out = run_queue(
-                                    enc,
-                                    sem,
-                                    ns,
-                                    job.k,
-                                    &job.candidates,
-                                    &job.order,
-                                    &job.cursor,
-                                    singles,
-                                    &job.prev,
-                                    job.store,
-                                    &mut scratch,
-                                    probes,
-                                );
-                                if out_tx.send(out).is_err() {
-                                    break;
+            let outs: Vec<LevelOut> =
+                if config.threads > 1 && candidates.len() >= PAR_MIN.max(config.threads) {
+                    if pool.is_empty() {
+                        for _ in 0..config.threads {
+                            let (job_tx, job_rx) = channel::<LevelJob>();
+                            let (out_tx, out_rx) = channel::<LevelOut>();
+                            scope.spawn(move || {
+                                sqlnf_obs::count!("discovery.mine.worker_spawns");
+                                let mut scratch = ProductScratch::for_encoded(enc);
+                                for job in job_rx {
+                                    let out = pass.run_queue(
+                                        job.k,
+                                        &job.candidates,
+                                        &job.order,
+                                        &job.cursor,
+                                        &job.prev,
+                                        job.store,
+                                        &mut scratch,
+                                    );
+                                    if out_tx.send(out).is_err() {
+                                        break;
+                                    }
                                 }
-                            }
-                        });
-                        pool.push((job_tx, out_rx));
+                            });
+                            pool.push((job_tx, out_rx));
+                        }
                     }
-                }
-                // One shared queue: every worker pulls candidates
-                // (most expensive first) off the same cursor, so no
-                // thread idles while another drains a heavy chunk.
-                let order = Arc::new(cost_order(&candidates, k, enc.rows(), singles, &level_prev));
-                let candidates = Arc::new(candidates);
-                let cursor = Arc::new(AtomicUsize::new(0));
-                for (job_tx, _) in &pool {
-                    job_tx
-                        .send(LevelJob {
-                            k,
-                            candidates: Arc::clone(&candidates),
-                            order: Arc::clone(&order),
-                            cursor: Arc::clone(&cursor),
-                            prev: Arc::clone(&level_prev),
-                            store,
-                        })
-                        .expect("miner worker hung up");
-                }
-                pool.iter()
-                    .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
-                    .collect()
-            } else {
-                let order: Vec<u32> = (0..candidates.len() as u32).collect();
-                let cursor = AtomicUsize::new(0);
-                vec![run_queue(
-                    enc,
-                    sem,
-                    ns,
-                    k,
-                    &candidates,
-                    &order,
-                    &cursor,
-                    singles,
-                    &level_prev,
-                    store,
-                    &mut scratch,
-                    probes,
-                )]
-            };
+                    // One shared queue: every worker pulls candidates
+                    // (most expensive first) off the same cursor, so no
+                    // thread idles while another drains a heavy chunk.
+                    let order = Arc::new(cost_order(
+                        &candidates,
+                        k,
+                        enc.rows(),
+                        &singles,
+                        &level_prev,
+                    ));
+                    let cursor = Arc::new(AtomicUsize::new(0));
+                    for (job_tx, _) in &pool {
+                        job_tx
+                            .send(LevelJob {
+                                k,
+                                candidates: Arc::clone(&candidates),
+                                order: Arc::clone(&order),
+                                cursor: Arc::clone(&cursor),
+                                prev: Arc::clone(&level_prev),
+                                store,
+                            })
+                            .expect("miner worker hung up");
+                    }
+                    pool.iter()
+                        .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
+                        .collect()
+                } else {
+                    let order: Vec<u32> = (0..candidates.len() as u32).collect();
+                    let cursor = AtomicUsize::new(0);
+                    vec![pass.run_queue(
+                        k,
+                        &candidates,
+                        &order,
+                        &cursor,
+                        &level_prev,
+                        store,
+                        &mut scratch,
+                    )]
+                };
 
             // Retire the previous level when this one replaces it (a
             // check-only pre-last level retains it — the last level
-            // still products from it), then merge this level — FDs and
-            // shards sorted back into candidate order first, so the
+            // still products from it), then merge this level — answers
+            // and shards sorted back into candidate order first, so the
             // result and the cache contents (budget admission
             // included) never depend on which worker processed what.
             if store && !prev.is_empty() {
                 sqlnf_obs::count!("discovery.mine.prev_level.evictions", prev.len());
             }
-            let mut fds: Vec<(u32, MinedFd)> = Vec::new();
+            let mut settled: Vec<(u32, Candidate)> = Vec::new();
             let mut shard: Vec<(u32, AttrSet, Partition, usize)> = Vec::new();
             for out in outs {
-                fds.extend(out.fds);
+                settled.extend(out.settled);
                 shard.extend(out.shard);
             }
-            fds.sort_by_key(|&(i, _)| i);
+            settled.sort_by_key(|&(i, _)| i);
             shard.sort_by_key(|s| s.0);
             let mut next: HashMap<AttrSet, Partition> = HashMap::new();
             let mut bytes = 0usize;
@@ -867,11 +925,25 @@ pub fn mine_fds_encoded(
                     sqlnf_obs::count!("discovery.mine.prev_level.evictions");
                 }
             }
-            for (_, fd) in fds {
-                for a in fd.rhs {
-                    minimal_for[a.index()].push(fd.lhs);
+            for (_, s) in settled {
+                let lhs = s.x;
+                for (plane, rhs, list) in [
+                    (0, s.swept, &mut found.fds),
+                    (1, s.certain, &mut found.certain),
+                ] {
+                    if !rhs.is_empty() {
+                        for a in rhs {
+                            minimal[plane][a.index()].push(lhs);
+                        }
+                        list.push(MinedFd { lhs, rhs });
+                    }
                 }
-                found.push(fd);
+                if s.pkey {
+                    found.keys.pkeys.push(lhs);
+                }
+                if s.ckey {
+                    found.keys.ckeys.push(lhs);
+                }
             }
             if bytes > 0 {
                 sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
@@ -881,12 +953,7 @@ pub fn mine_fds_encoded(
             }
         }
     });
-
-    MiningResult {
-        fds: found,
-        elapsed: started.elapsed(),
-        candidates_checked: checked,
-    }
+    found
 }
 
 #[cfg(test)]

@@ -689,7 +689,7 @@ impl Partition {
     /// This is the check-only fast path for lattice levels whose
     /// partitions are never stored (the last level): a violated FD is
     /// usually refuted within a few rows, so fusing the product with
-    /// the class check ([`crate::check::fd_targets_on_refinement`])
+    /// the class check ([`crate::check::refinement_sweep`])
     /// avoids paying the full prefix sweep per candidate. Only the rows
     /// actually visited count towards
     /// `discovery.partition.rows_scanned`.

@@ -624,18 +624,22 @@ fn run_request(store: &Store, req: Request) -> Result<Reply, ServeError> {
             max_lhs,
             semantics,
         } => {
-            // Snapshot the instance under the read lock, then mine
-            // *outside* it: a full mining run is O(2^arity · rows)
-            // and must not stall writers (or the snapshotter, which
-            // takes every table lock in name order) for its duration.
-            // See DESIGN.md §8.
-            let snap = store.with_table(&table, |st| st.data().clone())?;
-            let max_lhs = max_lhs.clamp(1, snap.schema().arity().max(1));
+            // Snapshot the columns under the read lock — O(arity),
+            // copy-on-write — then mine *outside* it: a full mining
+            // run is O(2^arity · rows) and must not stall writers (or
+            // the snapshotter, which takes every table lock in name
+            // order) for its duration. See DESIGN.md §8.
+            let (schema, snap) = store.with_table(&table, |st| {
+                (st.data().schema().clone(), st.data().snapshot())
+            })?;
+            let enc = Encoded::from_snapshot(snap);
+            let max_lhs = max_lhs.clamp(1, schema.arity().max(1));
             // Without a semantics token the reply is byte-identical to
             // the pre-weak protocol: the combined p/c report.
+            let budget = DEFAULT_CACHE_BUDGET;
             let report = match semantics {
-                Some(sem) => semantics_report(&table, &snap, sem, max_lhs, DEFAULT_CACHE_BUDGET),
-                None => mine_report(&table, &snap, max_lhs, DEFAULT_CACHE_BUDGET),
+                Some(sem) => semantics_report_encoded(&table, &schema, &enc, sem, max_lhs, budget),
+                None => mine_report_encoded(&table, &schema, &enc, max_lhs, budget),
             };
             let lines: Vec<String> = report.lines().map(str::to_owned).collect();
             Ok(Reply::ok_with("mined", lines))

@@ -1,15 +1,21 @@
 //! Byte-for-byte pin of the `MINE` report on the seeded adult-shaped
 //! instance: classification counts, certain keys, λ-FDs with their
 //! projection sizes and nn-FDs must all match
-//! `tests/golden/adult_mine_report.txt`. Ignored by default — a debug
-//! build mines 48,842 rows slowly — and run in CI as
+//! `tests/golden/adult_mine_report.txt` — with the default partition
+//! cache, and with no cache and a 1 MiB one on two threads, which forces
+//! evicted prefixes to be folded from the singles on a report with keys
+//! and λ-FDs. Ignored by default — a debug build mines 48,842 rows
+//! slowly — and run in CI as
 //!
 //! ```text
 //! cargo test -q --release --test adult_golden -- --ignored
 //! ```
 
 use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
-use sqlnf::discovery::classify::mine_report;
+use sqlnf::discovery::check::Semantics;
+use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
+use sqlnf::discovery::mine::MinerConfig;
+use sqlnf::discovery::partition::Encoded;
 
 const GOLDEN: &str = include_str!("golden/adult_mine_report.txt");
 
@@ -22,4 +28,17 @@ fn adult_mine_report_matches_golden() {
         report == GOLDEN,
         "adult MINE report diverges from the golden file:\n{report}"
     );
+    let enc = Encoded::new(&t);
+    for budget in [0, 1 << 20] {
+        let config = MinerConfig::new(Semantics::Possible)
+            .with_max_lhs(3)
+            .with_threads(2)
+            .with_cache_budget(budget);
+        let (cls, keys) = report_parts(&enc, t.schema().arity(), config);
+        let report = render_report("adult", t.len(), t.schema(), 3, &cls, &keys);
+        assert!(
+            report == GOLDEN,
+            "adult MINE report under budget {budget} on 2 threads diverges:\n{report}"
+        );
+    }
 }

@@ -15,8 +15,7 @@
 use std::time::Instant;
 
 use sqlnf::discovery::check::Semantics;
-use sqlnf::discovery::classify::classify_table_encoded;
-use sqlnf::discovery::keys::mine_keys_encoded;
+use sqlnf::discovery::classify::report_parts;
 use sqlnf::discovery::mine::{mine_fds_encoded, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use sqlnf::prelude::*;
@@ -92,17 +91,25 @@ fn mined_fds_identical_across_encodings_semantics_and_threads() {
     }
 }
 
+/// The `MINE` report's pass configuration.
+fn report_config(max_lhs: usize, budget: usize) -> MinerConfig {
+    MinerConfig::new(Semantics::Possible)
+        .with_max_lhs(max_lhs)
+        .with_cache_budget(budget)
+}
+
 #[test]
 fn mined_keys_identical_across_encodings() {
     for (name, t, max_lhs) in corpus() {
         let arity = t.schema().arity();
         let columnar = Encoded::new(&t);
         let reference = Encoded::from_table_rows(&t);
-        let a = mine_keys_encoded(&columnar, arity, max_lhs, usize::MAX);
-        let b = mine_keys_encoded(&reference, arity, max_lhs, usize::MAX);
+        let keys = |enc, budget| report_parts(enc, arity, report_config(max_lhs, budget)).1;
+        let a = keys(&columnar, usize::MAX);
+        let b = keys(&reference, usize::MAX);
         assert_eq!(a, b, "{name}: mined keys diverge");
         // A starved cache changes only throughput, never the keys.
-        let c = mine_keys_encoded(&columnar, arity, max_lhs, 0);
+        let c = keys(&columnar, 0);
         assert_eq!(a, c, "{name}: cache budget changed the mined keys");
     }
 }
@@ -113,8 +120,9 @@ fn classification_identical_across_encodings() {
         let columnar = Encoded::new(&t);
         let reference = Encoded::from_table_rows(&t);
         let arity = t.schema().arity();
-        let a = classify_table_encoded(&columnar, arity, max_lhs, usize::MAX);
-        let b = classify_table_encoded(&reference, arity, max_lhs, usize::MAX);
+        let config = report_config(max_lhs, usize::MAX);
+        let a = report_parts(&columnar, arity, config).0;
+        let b = report_parts(&reference, arity, config).0;
         assert_eq!(a, b, "{name}: classification diverges");
     }
 }

@@ -10,8 +10,9 @@ use common::*;
 use proptest::prelude::*;
 use sqlnf::core::related::weak_fd_holds;
 use sqlnf::discovery::check::{
-    fd_holds, fd_targets_holding, fd_targets_on_refinement, null_semantics, ProbeCache, Semantics,
+    fd_holds, fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics,
 };
+use sqlnf::discovery::classify::{classify_table, mine_keys, report_parts};
 use sqlnf::discovery::mine::{mine_fds, MinerConfig};
 use sqlnf::discovery::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf::prelude::*;
@@ -128,16 +129,16 @@ fn weak_fused_holds(rows: &[[Option<i64>; 3]]) -> bool {
     let ns = NullSemantics::Strong;
     let prefix = Partition::by_attr(&enc, p, ns);
     let mut scratch = ProductScratch::new();
-    let fused = fd_targets_on_refinement(
+    let sem = Semantics::Weak;
+    let (fused, _) = refinement_sweep(
         &enc,
-        x,
         &prefix,
         b,
         ns,
         AttrSet::single(a),
-        Semantics::Weak,
+        sem,
         &mut scratch,
-        &ProbeCache::new(&enc),
+        false,
     );
     let refined = prefix.product_attr(&enc, b, ns, &mut scratch);
     let materialized =
@@ -184,10 +185,12 @@ fn weak_fused_check_keeps_state_per_subclass() {
     assert!(weak_fused_holds(&rows(8)));
 }
 
-/// The fused refinement check returns exactly what the materialized
-/// check returns over the refinement it sweeps: for every semantics,
-/// every prefix `P`, every refining attribute `b ∉ P`, and both the
-/// full and the single-attribute target sets of `P ∪ {b}`.
+/// The fused refinement check, followed by the certain tail as the miner
+/// runs it, returns exactly what the materialized check returns over
+/// the refinement it sweeps: for every semantics, every prefix `P`,
+/// every refining attribute `b ∉ P`, and the full, the single-attribute
+/// and (a key-only question) the empty target sets of `P ∪ {b}`. With
+/// `keyed`, it also tells whether the refinement has a two-row class.
 fn fused_agrees(table: &Table) {
     let enc = Encoded::new(table);
     let all = table.schema().attrs();
@@ -201,23 +204,30 @@ fn fused_agrees(table: &Table) {
                 let x = prefix_set | AttrSet::single(b);
                 let rest = all - x;
                 let refined = prefix.product_attr(&enc, b, ns, &mut scratch);
-                for targets in std::iter::once(rest).chain(rest.iter().map(AttrSet::single)) {
-                    if targets.is_empty() {
-                        continue;
-                    }
+                let singles = rest.iter().map(AttrSet::single);
+                for targets in [AttrSet::EMPTY, rest].into_iter().chain(singles) {
                     let want = fd_targets_holding(&enc, x, &refined, targets, sem, None);
-                    let got = fd_targets_on_refinement(
-                        &enc,
-                        x,
-                        &prefix,
-                        b,
-                        ns,
-                        targets,
-                        sem,
-                        &mut scratch,
-                        &probes,
-                    );
-                    assert_eq!(got, want, "{sem:?} x={x:?} by {b:?} on\n{table}");
+                    for keyed in [false, true] {
+                        let (held, pair) = refinement_sweep(
+                            &enc,
+                            &prefix,
+                            b,
+                            ns,
+                            targets,
+                            sem,
+                            &mut scratch,
+                            keyed,
+                        );
+                        let got = if sem == Semantics::Certain && !held.is_empty() {
+                            probes.fd_targets(&enc, x, held)
+                        } else {
+                            held
+                        };
+                        assert_eq!(got, want, "{sem:?} x={x:?} by {b:?} on\n{table}");
+                        if keyed {
+                            assert_eq!(pair, !refined.is_empty(), "{sem:?} x={x:?} on\n{table}");
+                        }
+                    }
                 }
             }
         }
@@ -281,15 +291,30 @@ proptest! {
         }
     }
 
-    /// The mined FDs are invariant under the cache budget (none, tiny,
-    /// unbounded) and the thread count — caching and the worker pool
-    /// change throughput only, never results.
+    /// The mined FDs, and the report's FDs, keys and classification, are
+    /// invariant under the cache budget (none, tiny, unbounded) and the
+    /// thread count — caching and the worker pool change throughput
+    /// only, never results (the report's lists not even in order).
     #[test]
     fn miner_invariant_under_budget_and_threads(table in small_table(8, 12)) {
         let norm = |mut fds: Vec<sqlnf::discovery::mine::MinedFd>| {
             fds.sort_by_key(|f| (f.lhs.0, f.rhs.0));
             fds
         };
+        let enc = Encoded::new(&table);
+        let report = |config: MinerConfig| report_parts(&enc, 8, config.with_max_lhs(3));
+        let reference = report(MinerConfig::new(Semantics::Possible));
+        for budget in [0usize, 4096, usize::MAX] {
+            for threads in [1usize, 2, 4, 8] {
+                let config = MinerConfig::new(Semantics::Possible)
+                    .with_threads(threads)
+                    .with_cache_budget(budget);
+                prop_assert_eq!(
+                    &report(config), &reference,
+                    "report budget={} threads={} on\n{}", budget, threads, table
+                );
+            }
+        }
         for sem in Semantics::ALL {
             let reference = norm(mine_fds(&table, MinerConfig::new(sem).with_max_lhs(3)).fds);
             for budget in [0usize, 4096, usize::MAX] {
@@ -396,13 +421,82 @@ proptest! {
         }
     }
 
+    /// The report's one lattice pass against the definitions, with the
+    /// LHS cap at the arity (so keys reach the full attribute set):
+    /// * the minimal p-keys and c-keys are the subset-minimal sets
+    ///   satisfying the key, by `satisfies_key` over every subset;
+    /// * nn- and p-FDs together are the minimal p-FDs; nn- and c-FDs
+    ///   together the minimal c-FDs (on a null-free LHS, certain and
+    ///   possible satisfaction coincide, so the minimal c-FDs there are
+    ///   the nn-FDs); nn-FD LHSs are null-free, p- and c-FD LHSs not;
+    /// * the t-FDs are the c-FDs with `X →_w X`, the λ-FDs the t-FDs
+    ///   whose LHS is not a c-key.
+    #[test]
+    fn report_matches_definitions(table in small_table(COLS, 6)) {
+        let all = AttrSet::first_n(COLS);
+        let minimal_keys = |certain: bool| {
+            let key = |x| if certain { Key::certain(x) } else { Key::possible(x) };
+            let mut subsets: Vec<AttrSet> = all.subsets().collect();
+            subsets.sort_by_key(|s| (s.len(), s.0));
+            let mut out: Vec<AttrSet> = Vec::new();
+            for x in subsets {
+                if satisfies_key(&table, &key(x)) && !out.iter().any(|y| y.is_subset(x)) {
+                    out.push(x);
+                }
+            }
+            out
+        };
+        let keys = mine_keys(&table, COLS);
+        prop_assert_eq!(&keys.pkeys, &minimal_keys(false), "p-keys on\n{}", table);
+        prop_assert_eq!(&keys.ckeys, &minimal_keys(true), "c-keys on\n{}", table);
+
+        let cls = classify_table(&table, COLS);
+        let flat = |lists: &[&Vec<sqlnf::discovery::mine::MinedFd>]| {
+            let mut out: Vec<(AttrSet, Attr)> = lists
+                .iter()
+                .flat_map(|l| l.iter())
+                .flat_map(|fd| fd.rhs.iter().map(move |a| (fd.lhs, a)))
+                .collect();
+            out.sort_by_key(|(x, a)| (x.0, a.index()));
+            out
+        };
+        let naive = |sem| {
+            let mut out = minimal_fds_naive(&table, sem);
+            out.sort_by_key(|(x, a)| (x.0, a.index()));
+            out
+        };
+        prop_assert_eq!(flat(&[&cls.nn_fds, &cls.p_fds]), naive(Semantics::Possible));
+        prop_assert_eq!(flat(&[&cls.nn_fds, &cls.c_fds]), naive(Semantics::Certain));
+        let null_free: AttrSet = all
+            .iter()
+            .filter(|&a| table.rows().iter().all(|t| !t.get(a).is_null()))
+            .collect();
+        prop_assert!(cls.nn_fds.iter().all(|fd| fd.lhs.is_subset(null_free)));
+        prop_assert!(cls.p_fds.iter().all(|fd| !fd.lhs.is_subset(null_free)));
+        prop_assert!(cls.c_fds.iter().all(|fd| !fd.lhs.is_subset(null_free)));
+        let total: Vec<_> = cls
+            .c_fds
+            .iter()
+            .filter(|fd| satisfies_fd(&table, &Fd::certain(fd.lhs, fd.lhs)))
+            .cloned()
+            .collect();
+        prop_assert_eq!(&cls.t_fds, &total);
+        let lambda: Vec<(AttrSet, AttrSet)> = total
+            .iter()
+            .filter(|fd| !satisfies_key(&table, &Key::certain(fd.lhs)))
+            .map(|fd| (fd.lhs, fd.rhs))
+            .collect();
+        let got: Vec<(AttrSet, AttrSet)> = cls.lambda_fds.iter().map(|l| (l.lhs, l.rhs)).collect();
+        prop_assert_eq!(got, lambda);
+    }
+
     /// Every mined λ-FD of the classifier is a satisfied total c-FD
     /// whose LHS is not a certain key, and its projection ratio is the
     /// true one.
     #[test]
     fn classifier_lambdas_are_genuine(table in small_table(COLS, 6)) {
         prop_assume!(!table.is_empty());
-        let cls = sqlnf::discovery::classify::classify_table(&table, COLS);
+        let cls = classify_table(&table, COLS);
         let ratio = |attrs| project_set(&table, attrs, "p").len() as f64 / table.len() as f64;
         for lam in &cls.lambda_fds {
             let total = Fd::certain(lam.lhs, lam.lhs | lam.rhs);
@@ -428,7 +522,7 @@ proptest! {
 /// The body of the two `probe_cache_matches_fresh_index` properties.
 fn probe_cache_agrees(table: &Table) {
     use sqlnf::discovery::check::{
-        certain_reflexive_holds_cached, is_ckey_cached, partition_for, probe_weak_pairs,
+        certain_reflexive_holds_cached, partition_for, probe_weak_pairs,
     };
     use std::collections::BTreeSet;
     let enc = Encoded::new(table);
@@ -474,7 +568,7 @@ fn probe_cache_agrees(table: &Table) {
                 "pair round {round} x={x:?} on\n{table}"
             );
             assert_eq!(
-                is_ckey_cached(&enc, &probes, x, &strong),
+                strong.is_empty() && probes.first_weak_pair(&enc, x).is_none(),
                 ckey,
                 "c-key round {round} x={x:?} on\n{table}"
             );

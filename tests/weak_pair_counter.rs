@@ -9,7 +9,10 @@
 //!   their witnesses from the same sweep;
 //! * weak FDs run on the fused early-exit refinement like the other
 //!   semantics, so weak mining scans about as many rows as classical
-//!   mining and does the same products and fused checks.
+//!   mining and does the same products and fused checks;
+//! * the `MINE` report is one lattice pass: on the telemetry shape it
+//!   builds exactly the partition products of one possible mining run
+//!   and scans at most 10% more rows.
 //!
 //! A regression back to pair loops or to a materialized weak check
 //! shows up as a count.
@@ -21,9 +24,8 @@
 use sqlnf::discovery::approx::ckey_error;
 use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
-use sqlnf::discovery::classify::{classify_table, mine_report};
+use sqlnf::discovery::classify::{classify_table, mine_keys, mine_report};
 use sqlnf::discovery::incremental::IncrementalMiner;
-use sqlnf::discovery::keys::mine_keys;
 use sqlnf::discovery::mine::{mine_fds, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use std::sync::Mutex;
@@ -103,4 +105,34 @@ fn weak_mining_scans_like_classical() {
         (classical.2, classical.3),
         "products and fused checks: {work:?}"
     );
+}
+
+#[test]
+fn report_builds_what_one_possible_run_builds() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = sqlnf::datagen::naumann::million_like_with_rows(20_160_626, 20_000);
+    let work = |run: &dyn Fn()| {
+        sqlnf_obs::reset();
+        run();
+        (
+            counter("discovery.partition.products"),
+            counter("discovery.partition.rows_scanned"),
+            visited(),
+        )
+    };
+    let possible = work(&|| {
+        let config = MinerConfig::new(Semantics::Possible).with_max_lhs(3);
+        assert!(!mine_fds(&t, config).fds.is_empty());
+    });
+    let report = work(&|| {
+        let report = mine_report("t", &t, 3, DEFAULT_CACHE_BUDGET);
+        assert!(report.contains("nn-FD"), "{report}");
+    });
+    assert!(possible.0 > 0, "counters compiled in: {possible:?}");
+    assert_eq!(report.0, possible.0, "products: {report:?} vs {possible:?}");
+    assert!(
+        report.1 as f64 <= 1.1 * possible.1 as f64,
+        "rows scanned: {report:?} vs {possible:?}"
+    );
+    assert_eq!(report.2, 0, "weak pairs visited: {report:?}");
 }
