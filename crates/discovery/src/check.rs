@@ -1060,8 +1060,8 @@ pub fn is_weak_key(strong_partition: &Partition) -> bool {
 }
 
 /// Builds the grouping of `X` appropriate for `sem` from scratch — the
-/// reference path; hot loops go through [`crate::cache::PartitionCtx`]
-/// instead.
+/// reference path. The miner products partitions from its previous
+/// level, the incremental replay from a [`crate::cache::PartitionCtx`].
 pub fn partition_for(enc: &Encoded, x: AttrSet, sem: Semantics) -> Partition {
     Partition::by_set(enc, x, null_semantics(sem))
 }

@@ -24,15 +24,15 @@
 //! set projection keeps; small values mean much redundancy eliminated.
 //!
 //! The minimal FDs of both semantics and the minimal keys come from one
-//! lattice pass ([`report_parts`]; see [`crate::mine`]). Classification
-//! builds no partition of its own: an LHS is a c-key iff a mined
-//! minimal c-key lies inside it, and totality is asked of the pass's
-//! probe cache. [`mine_keys`] and [`classify_table`] are views of that
-//! pass.
+//! lattice pass ([`report_lattice`]; see [`crate::mine`]). One split
+//! serves the from-scratch and the incremental report: it builds no
+//! partition, an LHS is a c-key iff a mined minimal c-key lies inside
+//! it, and totality and projection ratios are asked of the caller.
+//! [`mine_keys`] and [`classify_table`] are views of that pass.
 
 use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{certain_reflexive_holds_cached, ProbeCache, Semantics};
-use crate::mine::{mine_fds_encoded, traverse, MinedFd, MinedKeys, MinerConfig};
+use crate::mine::{mine_fds_encoded, traverse, Lattice, MinedFd, MinedKeys, MinerConfig};
 use crate::partition::Encoded;
 use sqlnf_model::attrs::AttrSet;
 use sqlnf_model::schema::TableSchema;
@@ -128,9 +128,17 @@ pub fn mine_keys(table: &Table, max_size: usize) -> MinedKeys {
 /// are identical for any budget. The keys of the report's lattice pass,
 /// without the classification.
 pub fn mine_keys_budgeted(table: &Table, max_size: usize, cache_budget: usize) -> MinedKeys {
+    report_lattice(table, max_size, cache_budget).keys
+}
+
+/// The report's lattice pass over a table, unclassified: its minimal
+/// possible FDs (`fds`), certain FDs and keys, with LHSs and keys of
+/// at most `max_lhs` attributes, under a partition-cache byte budget.
+/// The facts the `WATCH` plane streams are read off it.
+pub fn report_lattice(table: &Table, max_lhs: usize, cache_budget: usize) -> Lattice {
     let enc = Encoded::new(table);
-    let (config, probes) = (report_config(max_size, cache_budget), ProbeCache::new(&enc));
-    traverse(&enc, table.schema().arity(), config, true, &probes).keys
+    let (config, probes) = (report_config(max_lhs, cache_budget), ProbeCache::new(&enc));
+    traverse(&enc, table.schema().arity(), config, true, &probes)
 }
 
 /// The report's pass configuration: the LHS cap, the cache budget, and
@@ -145,9 +153,7 @@ fn report_config(max_lhs: usize, cache_budget: usize) -> MinerConfig {
 /// read off one lattice pass over an encoded instance of `arity`
 /// columns, with `config`'s LHS cap (keys included), threads and cache
 /// budget; its semantics is ignored, as the report fixes possible and
-/// certain. An FD's LHS is a c-key iff some minimal c-key lies inside
-/// it, and keys are mined up to the same cap, so that key was found.
-/// Totality asks the pass's probe cache.
+/// certain. Totality asks the pass's probe cache.
 pub fn report_parts(
     enc: &Encoded,
     arity: usize,
@@ -155,39 +161,57 @@ pub fn report_parts(
 ) -> (Classification, MinedKeys) {
     let probes = ProbeCache::new(enc);
     let pass = traverse(enc, arity, config, true, &probes);
-    let null_free = enc.null_free_columns();
-    let ckey = |x: AttrSet| pass.keys.ckeys.iter().any(|k| k.is_subset(x));
+    split(
+        pass,
+        enc.null_free_columns(),
+        |x| certain_reflexive_holds_cached(enc, &probes, x),
+        |attrs| projection_ratio(enc, attrs),
+    )
+}
 
+/// The nn/p/c/t/λ split of a report's lattice, given the instance's
+/// null-free columns, a totality test `X →_w X` and the projection
+/// ratio. An FD's LHS is a c-key iff some minimal c-key lies inside
+/// it: keys are mined up to the FDs' LHS cap, so that key was found.
+pub(crate) fn split(
+    pass: Lattice,
+    null_free: AttrSet,
+    mut total: impl FnMut(AttrSet) -> bool,
+    mut ratio: impl FnMut(AttrSet) -> f64,
+) -> (Classification, MinedKeys) {
+    let Lattice {
+        fds, certain, keys, ..
+    } = pass;
+    let ckey = |x: AttrSet| keys.ckeys.iter().any(|k| k.is_subset(x));
     let mut out = Classification::default();
-    for fd in pass.fds {
+    for fd in fds {
         if fd.lhs.is_subset(null_free) {
             // Figure 6's nn series additionally requires a non-key LHS.
             if !ckey(fd.lhs) {
-                out.nn_nonkey_ratios
-                    .push(projection_ratio(enc, fd.lhs | fd.rhs));
+                out.nn_nonkey_ratios.push(ratio(fd.lhs | fd.rhs));
             }
             out.nn_fds.push(fd);
         } else {
             out.p_fds.push(fd);
         }
     }
-    for fd in pass.certain {
+    for fd in certain {
         if fd.lhs.is_subset(null_free) {
             continue; // coincides with an nn-FD; counted there
         }
-        if certain_reflexive_holds_cached(enc, &probes, fd.lhs) {
+        if total(fd.lhs) {
             out.t_fds.push(fd.clone());
             if !ckey(fd.lhs) {
                 out.lambda_fds.push(LambdaFd {
                     lhs: fd.lhs,
                     rhs: fd.rhs,
-                    relative_projection_size: projection_ratio(enc, fd.lhs | fd.rhs),
+                    relative_projection_size: ratio(fd.lhs | fd.rhs),
                 });
             }
         }
         out.c_fds.push(fd);
     }
-    (out, pass.keys)
+    (out, keys)
 }
 
 /// Mines and classifies a table and renders the human-readable report

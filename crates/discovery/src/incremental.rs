@@ -37,12 +37,16 @@
 //!   table code equality is value equality), no scan. Inserts can
 //!   never un-refute.
 //!
-//! Everything else (classification into nn/p/c/t/λ, key mining,
-//! projection ratios) replays the *exact* enumeration of the
-//! from-scratch path — same [`k_subsets`] order, same minimality
-//! bookkeeping, same checks on the cache misses — so the output is
-//! byte-identical to [`mine_report`] by construction, not by accident.
-//! The `incremental_matches_scratch` differential property pins this
+//! ## One walk, one split
+//!
+//! A report drives the from-scratch pass's own lattice walk
+//! ([`crate::mine`]) once: each candidate's open possible targets,
+//! certain targets and key flags are settled from the verdict caches,
+//! and only the cache misses are checked. The nn/p/c/t/λ split is the
+//! from-scratch one too ([`crate::classify`]), fed the cached totality
+//! verdicts and projection ratios. So the output is byte-identical to
+//! [`mine_report`] by construction, not by accident; the
+//! `incremental_matches_scratch` differential property pins this
 //! across all four semantics, random DML, and thread counts.
 //!
 //! ## Reconcile policy
@@ -60,8 +64,8 @@ use crate::check::{
     fd_targets_witnessed, is_pkey, null_semantics, pair_refutes, with_rule, ClassSweep, ProbeCache,
     Semantics,
 };
-use crate::classify::{projection_ratio, render_report, Classification, LambdaFd};
-use crate::mine::{k_subsets, MinedFd, MinedKeys};
+use crate::classify::{projection_ratio, render_report, split, Classification};
+use crate::mine::{Lattice, MinedFd, MinedKeys, Walk};
 use crate::partition::{Encoded, NullSemantics};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::schema::TableSchema;
@@ -104,7 +108,7 @@ struct KeyVerdict {
 /// Every verdict memo of one maintained instance.
 #[derive(Debug, Default)]
 struct Caches {
-    /// FD verdicts per semantics (Classical/Possible/Certain/Weak).
+    /// FD verdicts per semantics, indexed by `Semantics as usize`.
     fd: [HashMap<AttrSet, FdVerdict>; 4],
     key: HashMap<AttrSet, KeyVerdict>,
     /// `X →_w X` (totality) verdicts, for the t-FD classification.
@@ -114,6 +118,7 @@ struct Caches {
 }
 
 /// Snapshot of the delta marks a replay validates against.
+#[derive(Clone, Copy)]
 struct Marks<'a> {
     insert: u64,
     delete: u64,
@@ -135,15 +140,6 @@ impl Marks<'_> {
     /// inserted after `at` instead of rechecking the whole candidate.
     fn only_inserts_since(&self, at: u64, cols: AttrSet) -> bool {
         at < self.insert && cols.iter().all(|c| at >= self.cols[c.index()])
-    }
-}
-
-fn sem_index(sem: Semantics) -> usize {
-    match sem {
-        Semantics::Classical => 0,
-        Semantics::Possible => 1,
-        Semantics::Certain => 2,
-        Semantics::Weak => 3,
     }
 }
 
@@ -367,7 +363,6 @@ impl IncrementalMiner {
             enc: &enc,
             ctx: PartitionCtx::with_budget(&enc, nulls, cache_budget),
             probes: ProbeCache::new(&enc),
-            arity,
             ids: &self.ids,
             log: &self.insert_log,
             postings,
@@ -398,67 +393,57 @@ impl IncrementalMiner {
         max_lhs: usize,
         cache_budget: usize,
     ) -> Vec<MinedFd> {
+        let walk = Walk::new(self.schema().arity(), max_lhs, sem, false);
         self.with_pass(null_semantics(sem), cache_budget, |pass, caches| {
-            pass.replay_fds(&mut caches.fd[sem_index(sem)], sem, max_lhs)
+            pass.replay(caches, walk).into_fds(sem)
         })
     }
 
     /// Mines the minimal p-/c-keys; identical to `mine_keys_budgeted`
     /// over [`IncrementalMiner::table`].
     pub fn mine_keys(&mut self, max_size: usize, cache_budget: usize) -> MinedKeys {
+        let walk = Walk::new(self.schema().arity(), max_size, Semantics::Possible, true);
         self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
-            pass.replay_keys(&mut caches.key, max_size)
+            pass.replay(caches, walk.keys_only()).keys
         })
     }
 
-    /// The classification + keys backing one `MINE` report — the
-    /// incremental mirror of `classify_table_budgeted` +
-    /// `mine_keys_budgeted`.
-    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
+    /// The report's lattice over the live rows — minimal possible and
+    /// certain FDs and keys — identical to `report_lattice` over
+    /// [`IncrementalMiner::table`].
+    pub fn lattice(&mut self, max_lhs: usize, cache_budget: usize) -> Lattice {
+        let walk = Walk::new(self.schema().arity(), max_lhs, Semantics::Possible, true);
         self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
-            let null_free = pass.enc.null_free_columns();
-            let possible = pass.replay_fds(
-                &mut caches.fd[sem_index(Semantics::Possible)],
-                Semantics::Possible,
-                max_lhs,
-            );
-            let certain = pass.replay_fds(
-                &mut caches.fd[sem_index(Semantics::Certain)],
-                Semantics::Certain,
-                max_lhs,
-            );
-            let mut out = Classification::default();
-            for fd in possible {
-                if fd.lhs.is_subset(null_free) {
-                    if !pass.key_status(&mut caches.key, fd.lhs).1 {
-                        let ratio = pass.ratio(&mut caches.ratio, fd.lhs | fd.rhs);
-                        out.nn_nonkey_ratios.push(ratio);
+            pass.replay(caches, walk)
+        })
+    }
+
+    /// The classification + keys backing one `MINE` report: the
+    /// report's lattice, split as `report_parts` splits it, with the
+    /// cached totality verdicts and projection ratios.
+    pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
+        let walk = Walk::new(self.schema().arity(), max_lhs, Semantics::Possible, true);
+        self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
+            let lattice = pass.replay(caches, walk);
+            let (enc, marks, now) = (pass.enc, pass.marks, pass.now);
+            let memo = &mut caches.ratio;
+            split(
+                lattice,
+                enc.null_free_columns(),
+                |x| pass.reflexive(&mut caches.refl, x),
+                // Memoized until a delta could have changed it: any
+                // insert or delete, or an update touching `attrs`.
+                |attrs| match memo.get(&attrs) {
+                    Some(&(ratio, at)) if at >= marks.delete && marks.holding_valid(at, attrs) => {
+                        ratio
                     }
-                    out.nn_fds.push(fd);
-                } else {
-                    out.p_fds.push(fd);
-                }
-            }
-            for fd in certain {
-                if fd.lhs.is_subset(null_free) {
-                    continue; // coincides with an nn-FD; counted there
-                }
-                if pass.reflexive(&mut caches.refl, fd.lhs) {
-                    out.t_fds.push(fd.clone());
-                    let ckey = pass.key_status(&mut caches.key, fd.lhs).1;
-                    if !fd.rhs.is_empty() && !ckey {
-                        out.lambda_fds.push(LambdaFd {
-                            lhs: fd.lhs,
-                            rhs: fd.rhs,
-                            relative_projection_size: pass
-                                .ratio(&mut caches.ratio, fd.lhs | fd.rhs),
-                        });
+                    _ => {
+                        let ratio = projection_ratio(enc, attrs);
+                        memo.insert(attrs, (ratio, now));
+                        ratio
                     }
-                }
-                out.c_fds.push(fd);
-            }
-            let keys = pass.replay_keys(&mut caches.key, max_lhs);
-            (out, keys)
+                },
+            )
         })
     }
 
@@ -505,7 +490,6 @@ struct Pass<'a> {
     enc: &'a Encoded,
     ctx: PartitionCtx<'a>,
     probes: ProbeCache,
-    arity: usize,
     ids: &'a [RowId],
     log: &'a [(u64, RowId)],
     postings: &'a Postings,
@@ -817,155 +801,123 @@ impl Pass<'_> {
         witness
     }
 
-    /// Replays the level-wise FD enumeration of [`crate::mine`] against
-    /// the verdict cache. The walk — candidate order, target pruning,
-    /// minimality bookkeeping — is the from-scratch serial one; only
-    /// the per-candidate check is short-circuited by valid verdicts, so
-    /// the returned FDs are identical to `mine_fds` over the same rows.
-    fn replay_fds(
-        &mut self,
-        cache: &mut HashMap<AttrSet, FdVerdict>,
-        sem: Semantics,
-        max_lhs: usize,
-    ) -> Vec<MinedFd> {
-        let attrs: Vec<Attr> = (0..self.arity).map(Attr::from).collect();
-        let all: AttrSet = attrs.iter().copied().collect();
-        let last_level = max_lhs.min(self.arity.saturating_sub(1));
-        let mut minimal_for: Vec<Vec<AttrSet>> = vec![Vec::new(); self.arity];
-        let mut found = Vec::new();
-        let now = self.now;
-
-        for k in 0..=last_level {
+    /// Drives `walk` against the verdict caches: each candidate's open
+    /// targets are settled per plane (the swept semantics', then the
+    /// certain ones) and its open key flags from the key verdicts, so
+    /// the walk records what the from-scratch pass over the same rows
+    /// records.
+    fn replay(&mut self, caches: &mut Caches, mut walk: Walk) -> Lattice {
+        let (sem, certain) = (walk.sem, Semantics::Certain);
+        for k in 0..=walk.last_level {
             if k >= 2 {
                 self.ctx.evict_below(k - 1);
             }
-            for x in k_subsets(&attrs, k) {
-                let mut targets = AttrSet::EMPTY;
-                for a in all - x {
-                    if !minimal_for[a.index()].iter().any(|y| y.is_subset(x)) {
-                        targets.insert(a);
-                    }
+            for c in walk.level(k) {
+                let mut settled = c;
+                settled.swept = self.fd_targets(&mut caches.fd[sem as usize], c.x, c.swept, sem);
+                let cache = &mut caches.fd[certain as usize];
+                settled.certain = self.fd_targets(cache, c.x, c.certain, certain);
+                if c.pkey || c.ckey {
+                    let (p, ck) = self.key_status(&mut caches.key, c.x);
+                    settled.pkey = c.pkey && p;
+                    settled.ckey = c.ckey && ck;
                 }
-                if targets.is_empty() {
-                    continue;
-                }
-                let v = cache.entry(x).or_default();
-                let mut holding = AttrSet::EMPTY;
-                let mut stale = AttrSet::EMPTY;
-                let mut stale_since = u64::MAX;
-                let mut unknown = AttrSet::EMPTY;
-                for a in targets {
-                    let cols = x | AttrSet::single(a);
-                    if let Some(&(_, at)) = v.holding.iter().find(|&&(b, _)| b == a) {
-                        if self.marks.holding_valid(at, cols) {
-                            holding.insert(a);
-                            continue;
-                        }
-                        if self.marks.only_inserts_since(at, cols) {
-                            stale.insert(a);
-                            stale_since = stale_since.min(at);
-                            continue;
-                        }
-                    }
-                    if let Some(&(_, r, s)) = v.refuted.iter().find(|&&(b, _, _)| b == a) {
-                        if self.pair_violates_fd(r, s, x, a, sem) {
-                            continue; // still refuted, witness intact
-                        }
-                    }
-                    unknown.insert(a);
-                }
-                if !stale.is_empty() {
-                    // Held before the delta, and only inserts happened
-                    // since: check the inserted rows' pairs instead of
-                    // rechecking the whole candidate.
-                    self.touched += 1;
-                    let delta = self.delta_since(stale_since);
-                    let mut fresh = Vec::new();
-                    let survive = self.delta_targets_surviving(&delta, x, stale, sem, &mut fresh);
-                    for a in survive {
-                        holding.insert(a);
-                        if let Some(entry) = v.holding.iter_mut().find(|(b, _)| *b == a) {
-                            entry.1 = now;
-                        }
-                    }
-                    for (a, r, s) in fresh {
-                        v.holding.retain(|&(b, _)| b != a);
-                        v.refuted.retain(|&(b, _, _)| b != a);
-                        v.refuted.push((a, r, s));
-                    }
-                }
-                if !unknown.is_empty() {
-                    self.touched += 1;
-                    let p = self.ctx.partition(x);
-                    let ids = self.ids;
-                    let mut fresh = Vec::new();
-                    let held = fd_targets_witnessed(
-                        self.enc,
-                        x,
-                        &p,
-                        unknown,
-                        sem,
-                        Some(&self.probes),
-                        |a, r, s| fresh.push((a, ids[r], ids[s])),
-                    );
-                    holding |= held;
-                    // Record fresh verdicts: held targets stamped at the
-                    // current epoch, refuted ones with their witnesses.
-                    v.refuted.retain(|&(b, _, _)| !unknown.contains(b));
-                    v.holding.retain(|&(b, _)| !(unknown - held).contains(b));
-                    for a in held {
-                        match v.holding.iter_mut().find(|(b, _)| *b == a) {
-                            Some(entry) => entry.1 = now,
-                            None => v.holding.push((a, now)),
-                        }
-                    }
-                    debug_assert_eq!(fresh.len(), (unknown - held).len());
-                    v.refuted.extend(fresh);
-                }
-                if !holding.is_empty() {
-                    for a in holding {
-                        minimal_for[a.index()].push(x);
-                    }
-                    found.push(MinedFd {
-                        lhs: x,
-                        rhs: holding,
-                    });
-                }
+                walk.record(settled);
             }
         }
-        found
+        walk.found
     }
 
-    /// Replays the level-wise key enumeration (every `k`-subset not
-    /// above a found key, level by level) against the verdict cache;
-    /// identical output to `mine_keys_budgeted` over the same rows.
-    fn replay_keys(
+    /// The `targets` of `X → ·` that hold under `sem`, from the verdict
+    /// cache where the delta marks leave a verdict valid: a holding
+    /// one stale only by inserts is re-validated against the inserted
+    /// rows' pairs, a refuted one whose witness pair still violates
+    /// stays refuted, and the rest are checked on `X`'s partition.
+    fn fd_targets(
         &mut self,
-        cache: &mut HashMap<AttrSet, KeyVerdict>,
-        max_size: usize,
-    ) -> MinedKeys {
-        let attrs: Vec<Attr> = (0..self.arity).map(Attr::from).collect();
-        let mut out = MinedKeys::default();
-        for k in 0..=max_size.min(self.arity) {
-            if k >= 2 {
-                self.ctx.evict_below(k - 1);
-            }
-            for x in k_subsets(&attrs, k) {
-                let p_covered = out.pkeys.iter().any(|y| y.is_subset(x));
-                let c_covered = out.ckeys.iter().any(|y| y.is_subset(x));
-                if p_covered && c_covered {
+        cache: &mut HashMap<AttrSet, FdVerdict>,
+        x: AttrSet,
+        targets: AttrSet,
+        sem: Semantics,
+    ) -> AttrSet {
+        if targets.is_empty() {
+            return targets;
+        }
+        let now = self.now;
+        let v = cache.entry(x).or_default();
+        let mut holding = AttrSet::EMPTY;
+        let mut stale = AttrSet::EMPTY;
+        let mut stale_since = u64::MAX;
+        let mut unknown = AttrSet::EMPTY;
+        for a in targets {
+            let cols = x | AttrSet::single(a);
+            if let Some(&(_, at)) = v.holding.iter().find(|&&(b, _)| b == a) {
+                if self.marks.holding_valid(at, cols) {
+                    holding.insert(a);
                     continue;
                 }
-                let (p_is, c_is) = self.key_status(cache, x);
-                if !p_covered && p_is {
-                    out.pkeys.push(x);
-                }
-                if !c_covered && c_is {
-                    out.ckeys.push(x);
+                if self.marks.only_inserts_since(at, cols) {
+                    stale.insert(a);
+                    stale_since = stale_since.min(at);
+                    continue;
                 }
             }
+            if let Some(&(_, r, s)) = v.refuted.iter().find(|&&(b, _, _)| b == a) {
+                if self.pair_violates_fd(r, s, x, a, sem) {
+                    continue; // still refuted, witness intact
+                }
+            }
+            unknown.insert(a);
         }
-        out
+        if !stale.is_empty() {
+            // Held before the delta, and only inserts happened
+            // since: check the inserted rows' pairs instead of
+            // rechecking the whole candidate.
+            self.touched += 1;
+            let delta = self.delta_since(stale_since);
+            let mut fresh = Vec::new();
+            let survive = self.delta_targets_surviving(&delta, x, stale, sem, &mut fresh);
+            for a in survive {
+                holding.insert(a);
+                if let Some(entry) = v.holding.iter_mut().find(|(b, _)| *b == a) {
+                    entry.1 = now;
+                }
+            }
+            for (a, r, s) in fresh {
+                v.holding.retain(|&(b, _)| b != a);
+                v.refuted.retain(|&(b, _, _)| b != a);
+                v.refuted.push((a, r, s));
+            }
+        }
+        if !unknown.is_empty() {
+            self.touched += 1;
+            let p = self.ctx.partition(x);
+            let ids = self.ids;
+            let mut fresh = Vec::new();
+            let held = fd_targets_witnessed(
+                self.enc,
+                x,
+                &p,
+                unknown,
+                sem,
+                Some(&self.probes),
+                |a, r, s| fresh.push((a, ids[r], ids[s])),
+            );
+            holding |= held;
+            // Record fresh verdicts: held targets stamped at the
+            // current epoch, refuted ones with their witnesses.
+            v.refuted.retain(|&(b, _, _)| !unknown.contains(b));
+            v.holding.retain(|&(b, _)| !(unknown - held).contains(b));
+            for a in held {
+                match v.holding.iter_mut().find(|(b, _)| *b == a) {
+                    Some(entry) => entry.1 = now,
+                    None => v.holding.push((a, now)),
+                }
+            }
+            debug_assert_eq!(fresh.len(), (unknown - held).len());
+            v.refuted.extend(fresh);
+        }
+        holding
     }
 
     /// A cached key verdict of `x` under `sem` (`Possible` for p-keys,
@@ -996,8 +948,7 @@ impl Pass<'_> {
     }
 
     /// Cached p-key/c-key status of `x`, rechecking only what the delta
-    /// marks invalidated. Also backs the classification's c-key checks
-    /// (λ-FD and nn-ratio eligibility).
+    /// marks invalidated.
     fn key_status(&mut self, cache: &mut HashMap<AttrSet, KeyVerdict>, x: AttrSet) -> (bool, bool) {
         let v = cache.entry(x).or_default();
         let p_known = self.key_known(&mut v.p, x, Semantics::Possible);
@@ -1056,25 +1007,6 @@ impl Pass<'_> {
             witness.map_or(Verdict::Holds(self.now), |(r, s)| Verdict::Fails(r, s)),
         );
         witness.is_none()
-    }
-
-    /// The projection ratio of `attrs` over the live rows, memoized
-    /// until a delta could have changed it (any insert or delete, or
-    /// an update touching `attrs`), counted on the pass's codes like
-    /// the scratch classifier's.
-    fn ratio(&self, memo: &mut HashMap<AttrSet, (f64, u64)>, attrs: AttrSet) -> f64 {
-        match memo.get(&attrs) {
-            Some(&(ratio, at))
-                if at >= self.marks.delete && self.marks.holding_valid(at, attrs) =>
-            {
-                ratio
-            }
-            _ => {
-                let ratio = projection_ratio(self.enc, attrs);
-                memo.insert(attrs, (ratio, self.now));
-                ratio
-            }
-        }
     }
 }
 

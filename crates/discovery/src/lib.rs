@@ -35,10 +35,10 @@ pub mod prelude {
     };
     pub use crate::classify::{
         classify_table, classify_table_budgeted, mine_keys, mine_keys_budgeted, mine_report,
-        mine_report_encoded, render_report, render_semantics_report, report_parts,
+        mine_report_encoded, render_report, render_semantics_report, report_lattice, report_parts,
         semantics_report, semantics_report_encoded, Classification, Counts, LambdaFd,
     };
     pub use crate::incremental::{IncrementalMiner, RowId};
-    pub use crate::mine::{mine_fds, MinedFd, MinedKeys, MinerConfig, MiningResult};
+    pub use crate::mine::{mine_fds, Lattice, MinedFd, MinedKeys, MinerConfig, MiningResult};
     pub use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 }

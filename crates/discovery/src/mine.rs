@@ -9,11 +9,12 @@
 //!
 //! ## One pass, several questions
 //!
-//! `traverse` is the only lattice walk. A candidate carries the
-//! questions still open at it: the targets of the swept semantics no
-//! minimal FD covers yet, the certain targets no minimal c-FD covers
-//! yet, and — for the report — whether no p-key and no c-key lies
-//! inside it. One sweep of its classes under the swept semantics'
+//! `Walk` is the only lattice walk: `traverse` settles its candidates
+//! from partitions, [`crate::incremental`] from its verdict caches. A
+//! candidate carries the questions still open at it: the targets of
+//! the swept semantics no minimal FD covers yet, the certain targets
+//! no minimal c-FD covers yet, and — for the report — whether no p-key
+//! and no c-key lies inside it. One sweep of its classes under the swept semantics'
 //! class rule answers them all: certain FDs are the possible rule plus
 //! the [`ProbeCache`] tail over the surviving certain targets (a c-FD
 //! is a p-FD), `X` is a p-key iff no class holds two rows, and only a
@@ -168,10 +169,9 @@ impl MiningResult {
     }
 }
 
-/// Generates all `k`-subsets of `attrs`, in the canonical
-/// combination order every level-wise pass in this crate shares (the
-/// incremental replay of [`crate::incremental`] relies on walking the
-/// exact same order as the from-scratch miner).
+/// Generates all `k`-subsets of `attrs`, in combination order — the
+/// order in which [`Walk::level`] hands out each level's candidates,
+/// and with it the order of every mined list.
 pub(crate) fn k_subsets(attrs: &[Attr], k: usize) -> Vec<AttrSet> {
     let mut out = Vec::new();
     let n = attrs.len();
@@ -218,11 +218,10 @@ pub fn mine_fds_encoded(
     started: Instant,
 ) -> MiningResult {
     let pass = traverse(enc, arity, config, false, &ProbeCache::new(enc));
-    let certain = config.semantics == Semantics::Certain;
     MiningResult {
-        fds: if certain { pass.certain } else { pass.fds },
-        elapsed: started.elapsed(),
         candidates_checked: pass.checked,
+        fds: pass.into_fds(config.semantics),
+        elapsed: started.elapsed(),
     }
 }
 
@@ -236,17 +235,29 @@ pub struct MinedKeys {
     pub ckeys: Vec<AttrSet>,
 }
 
-/// What one pass found, each list in candidate (level, then
+/// What one lattice walk found, each list in candidate (level, then
 /// combination) order.
-pub(crate) struct Lattice {
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Lattice {
     /// Minimal FDs of the swept semantics (possible, in a report).
-    pub(crate) fds: Vec<MinedFd>,
+    pub fds: Vec<MinedFd>,
     /// Minimal certain FDs.
-    pub(crate) certain: Vec<MinedFd>,
+    pub certain: Vec<MinedFd>,
     /// Minimal keys (a report only).
-    pub(crate) keys: MinedKeys,
+    pub keys: MinedKeys,
     /// Candidates evaluated.
-    pub(crate) checked: usize,
+    pub checked: usize,
+}
+
+impl Lattice {
+    /// The minimal FDs of a single-semantics walk for `sem`.
+    pub(crate) fn into_fds(self, sem: Semantics) -> Vec<MinedFd> {
+        if sem == Semantics::Certain {
+            self.certain
+        } else {
+            self.fds
+        }
+    }
 }
 
 /// A candidate `X` and the questions still open at it; once settled,
@@ -255,17 +266,17 @@ pub(crate) struct Lattice {
 /// every immediate prefix of a candidate was a candidate one level
 /// down.
 #[derive(Debug, Clone, Copy)]
-struct Candidate {
-    x: AttrSet,
+pub(crate) struct Candidate {
+    pub(crate) x: AttrSet,
     /// Targets of the swept semantics no minimal FD covers yet; then
     /// those `x` determines.
-    swept: AttrSet,
+    pub(crate) swept: AttrSet,
     /// The same for certain FDs.
-    certain: AttrSet,
+    pub(crate) certain: AttrSet,
     /// No p-key is a subset of `x`; then: `x` is a minimal p-key.
-    pkey: bool,
+    pub(crate) pkey: bool,
     /// The same for c-keys.
-    ckey: bool,
+    pub(crate) ckey: bool,
 }
 
 impl Candidate {
@@ -693,16 +704,119 @@ fn uncovered(minimal: &[Vec<AttrSet>], plane: AttrSet, x: AttrSet) -> AttrSet {
         .collect()
 }
 
-/// The one level-wise traversal of the strong-partition lattice (or,
-/// for classical FDs, the null-as-value one) behind every miner of
-/// this crate: the minimal FDs of `config.semantics`, or with `report`
-/// the `MINE` report's minimal possible and certain FDs and minimal
-/// possible and certain keys. Each candidate carries the targets still
-/// open per plane (the swept semantics, and the certain tail) and, in
-/// a report, the two key flags; one sweep of its classes answers them
-/// all (see [`Pass::settle`]). FD levels run to `max_lhs` (at most
-/// `arity − 1`: a full-width LHS has no targets); in a report, key
-/// levels run to `min(max_lhs, arity)`.
+/// The bookkeeping of one level-wise lattice walk, shared by both
+/// miners: [`traverse`] settles each candidate from its partitions,
+/// the incremental replay from its verdict caches. Candidates of one
+/// level never cover each other, so a level may be settled in any
+/// order, as long as it is recorded in candidate order before the next
+/// level is asked for.
+pub(crate) struct Walk {
+    attrs: Vec<Attr>,
+    /// The semantics whose class rule settles the swept plane.
+    pub(crate) sem: Semantics,
+    /// The targets each plane asks about: the swept semantics', and
+    /// the certain tail's.
+    planes: [AttrSet; 2],
+    /// Whether keys are asked (a report).
+    keys: bool,
+    /// The last level walked.
+    pub(crate) last_level: usize,
+    /// `minimal[plane][a]` = the minimal LHSs recorded for target `a`.
+    minimal: [Vec<Vec<AttrSet>>; 2],
+    /// What the walk found.
+    pub(crate) found: Lattice,
+}
+
+impl Walk {
+    /// The walk of a report (possible and certain FDs and keys, levels
+    /// up to `min(max_lhs, arity)`) or of `sem`'s FDs alone (up to
+    /// `min(max_lhs, arity − 1)`: a full-width LHS has no targets).
+    /// Certain FDs are the possible class rule plus the certain tail,
+    /// so a certain walk sweeps no targets of its own.
+    pub(crate) fn new(arity: usize, max_lhs: usize, sem: Semantics, report: bool) -> Walk {
+        let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
+        let all: AttrSet = attrs.iter().copied().collect();
+        let (sem, planes) = match (report, sem) {
+            (true, _) => (Semantics::Possible, [all, all]),
+            (false, Semantics::Certain) => (Semantics::Possible, [AttrSet::EMPTY, all]),
+            (false, sem) => (sem, [all, AttrSet::EMPTY]),
+        };
+        Walk {
+            attrs,
+            sem,
+            planes,
+            keys: report,
+            last_level: max_lhs.min(arity.saturating_sub(usize::from(!report))),
+            minimal: [vec![Vec::new(); arity], vec![Vec::new(); arity]],
+            found: Lattice::default(),
+        }
+    }
+
+    /// This report walk without its FD questions: the minimal keys
+    /// alone.
+    pub(crate) fn keys_only(mut self) -> Walk {
+        self.planes = [AttrSet::EMPTY; 2];
+        self
+    }
+
+    /// The level-`k` candidates with a question open, in combination
+    /// order.
+    pub(crate) fn level(&mut self, k: usize) -> Vec<Candidate> {
+        sqlnf_obs::count!("discovery.mine.lattice_levels");
+        let generated = k_subsets(&self.attrs, k);
+        let generated_count = generated.len();
+        let candidates: Vec<Candidate> = generated
+            .into_iter()
+            .map(|x| Candidate {
+                x,
+                swept: uncovered(&self.minimal[0], self.planes[0], x),
+                certain: uncovered(&self.minimal[1], self.planes[1], x),
+                pkey: self.keys && !self.found.keys.pkeys.iter().any(|y| y.is_subset(x)),
+                ckey: self.keys && !self.found.keys.ckeys.iter().any(|y| y.is_subset(x)),
+            })
+            .filter(Candidate::open)
+            .collect();
+        let pruned = generated_count - candidates.len();
+        self.found.checked += candidates.len();
+        sqlnf_obs::count!("discovery.mine.candidates_checked", candidates.len());
+        sqlnf_obs::count!("discovery.mine.candidates_pruned", pruned);
+        sqlnf_obs::trace!(
+            "mine level {k}: {} candidates ({pruned} pruned)",
+            candidates.len()
+        );
+        candidates
+    }
+
+    /// Records a settled candidate: its determined targets as minimal
+    /// FDs, its surviving key flags as minimal keys.
+    pub(crate) fn record(&mut self, s: Candidate) {
+        let lhs = s.x;
+        for (plane, rhs, list) in [
+            (0, s.swept, &mut self.found.fds),
+            (1, s.certain, &mut self.found.certain),
+        ] {
+            if !rhs.is_empty() {
+                for a in rhs {
+                    self.minimal[plane][a.index()].push(lhs);
+                }
+                list.push(MinedFd { lhs, rhs });
+            }
+        }
+        if s.pkey {
+            self.found.keys.pkeys.push(lhs);
+        }
+        if s.ckey {
+            self.found.keys.ckeys.push(lhs);
+        }
+    }
+}
+
+/// The level-wise traversal of the strong-partition lattice (or, for
+/// classical FDs, the null-as-value one) behind every from-scratch
+/// miner of this crate: the [`Walk`] of `config.semantics`' minimal
+/// FDs, or with `report` the `MINE` report's minimal possible and
+/// certain FDs and keys, each candidate settled from its partitions by
+/// one sweep of its classes (see [`Pass::settle`]).
 pub(crate) fn traverse(
     enc: &Encoded,
     arity: usize,
@@ -711,21 +825,8 @@ pub(crate) fn traverse(
     probes: &ProbeCache,
 ) -> Lattice {
     let _span = sqlnf_obs::span!("mine_fds");
-    let attrs: Vec<Attr> = (0..arity).map(Attr::from).collect();
-    let all: AttrSet = attrs.iter().copied().collect();
-    // The targets each plane asks about: certain FDs are the possible
-    // class rule plus the certain tail, so a certain run sweeps none of
-    // its own.
-    let (sem, planes) = match (report, config.semantics) {
-        (true, _) => (Semantics::Possible, [all, all]),
-        (false, Semantics::Certain) => (Semantics::Possible, [AttrSet::EMPTY, all]),
-        (false, sem) => (sem, [all, AttrSet::EMPTY]),
-    };
-    let last_level = if report {
-        config.max_lhs.min(arity)
-    } else {
-        config.max_lhs.min(arity.saturating_sub(1))
-    };
+    let mut walk = Walk::new(arity, config.max_lhs, config.semantics, report);
+    let (sem, last_level) = (walk.sem, walk.last_level);
 
     // The single-attribute partitions: always resident, the floor every
     // product chain bottoms out on. Each is an independent table sweep,
@@ -752,15 +853,6 @@ pub(crate) fn traverse(
     };
     let pass = &pass;
 
-    // minimal[plane][a] = the minimal LHSs recorded for target a.
-    let mut minimal: [Vec<Vec<AttrSet>>; 2] = [vec![Vec::new(); arity], vec![Vec::new(); arity]];
-    let mut found = Lattice {
-        fds: Vec::new(),
-        certain: Vec::new(),
-        keys: MinedKeys::default(),
-        checked: 0,
-    };
-
     // One scope for the whole run: workers (spawned lazily at the first
     // level big enough to parallelise) persist across levels, each
     // owning its product scratch. Dropping the pool at scope end closes
@@ -771,33 +863,7 @@ pub(crate) fn traverse(
         let mut scratch = ProductScratch::for_encoded(enc);
 
         for k in 0..=last_level {
-            sqlnf_obs::count!("discovery.mine.lattice_levels");
-            // Candidates of this level, with their open questions.
-            let generated = k_subsets(&attrs, k);
-            let generated_count = generated.len();
-            let candidates: Vec<Candidate> = generated
-                .into_iter()
-                .map(|x| Candidate {
-                    x,
-                    swept: uncovered(&minimal[0], planes[0], x),
-                    certain: uncovered(&minimal[1], planes[1], x),
-                    pkey: report && !found.keys.pkeys.iter().any(|y| y.is_subset(x)),
-                    ckey: report && !found.keys.ckeys.iter().any(|y| y.is_subset(x)),
-                })
-                .filter(Candidate::open)
-                .collect();
-            let candidates = Arc::new(candidates);
-            found.checked += candidates.len();
-            sqlnf_obs::count!("discovery.mine.candidates_checked", candidates.len());
-            sqlnf_obs::count!(
-                "discovery.mine.candidates_pruned",
-                generated_count - candidates.len()
-            );
-            sqlnf_obs::trace!(
-                "mine level {k}: {} candidates ({} pruned)",
-                candidates.len(),
-                generated_count - candidates.len()
-            );
+            let candidates = Arc::new(walk.level(k));
 
             // Keep this level's partitions only if the next level will
             // consult them (level-2 candidates product the singles
@@ -926,24 +992,7 @@ pub(crate) fn traverse(
                 }
             }
             for (_, s) in settled {
-                let lhs = s.x;
-                for (plane, rhs, list) in [
-                    (0, s.swept, &mut found.fds),
-                    (1, s.certain, &mut found.certain),
-                ] {
-                    if !rhs.is_empty() {
-                        for a in rhs {
-                            minimal[plane][a.index()].push(lhs);
-                        }
-                        list.push(MinedFd { lhs, rhs });
-                    }
-                }
-                if s.pkey {
-                    found.keys.pkeys.push(lhs);
-                }
-                if s.ckey {
-                    found.keys.ckeys.push(lhs);
-                }
+                walk.record(s);
             }
             if bytes > 0 {
                 sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
@@ -953,7 +1002,7 @@ pub(crate) fn traverse(
             }
         }
     });
-    found
+    walk.found
 }
 
 #[cfg(test)]

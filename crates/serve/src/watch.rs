@@ -148,19 +148,17 @@ fn is_weak_fact(fact: &str) -> bool {
     fact.starts_with("wfd:")
 }
 
+/// The fact set of one report lattice, plus the weak plane's minimal
+/// FDs when it is watched.
 fn facts_from_parts(
     schema: &TableSchema,
-    pfds: &[MinedFd],
-    cfds: &[MinedFd],
+    pass: &Lattice,
     wfds: Option<&[MinedFd]>,
-    keys: &MinedKeys,
 ) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let mut fd_groups = vec![("pfd", pfds), ("cfd", cfds)];
-    if let Some(w) = wfds {
-        fd_groups.push(("wfd", w));
-    }
-    for (tag, fds) in fd_groups {
+    let weak = wfds.map(|w| ("wfd", w));
+    let fd_groups = [("pfd", &pass.fds[..]), ("cfd", &pass.certain[..])];
+    for (tag, fds) in fd_groups.into_iter().chain(weak) {
         for fd in fds {
             for a in fd.rhs.iter() {
                 out.insert(format!(
@@ -171,10 +169,10 @@ fn facts_from_parts(
             }
         }
     }
-    for k in &keys.pkeys {
+    for k in &pass.keys.pkeys {
         out.insert(format!("pkey:{}", render_cols(schema, *k)));
     }
-    for k in &keys.ckeys {
+    for k in &pass.keys.ckeys {
         out.insert(format!("ckey:{}", render_cols(schema, *k)));
     }
     out
@@ -193,38 +191,24 @@ pub fn table_facts(table: &Table, max_lhs: usize) -> BTreeSet<String> {
 }
 
 /// [`table_facts`] with the weak plane included: `include_weak` adds a
-/// `wfd:` fact per RHS attribute of each minimal weak FD.
+/// `wfd:` fact per RHS attribute of each minimal weak FD. One report
+/// pass answers everything else.
 pub fn table_facts_with(table: &Table, max_lhs: usize, include_weak: bool) -> BTreeSet<String> {
-    let pfds = mine_fds(
-        table,
-        MinerConfig::new(Semantics::Possible).with_max_lhs(max_lhs),
-    )
-    .fds;
-    let cfds = mine_fds(
-        table,
-        MinerConfig::new(Semantics::Certain).with_max_lhs(max_lhs),
-    )
-    .fds;
+    let pass = report_lattice(table, max_lhs, DEFAULT_CACHE_BUDGET);
     let wfds = include_weak.then(|| {
-        mine_fds(
-            table,
-            MinerConfig::new(Semantics::Weak).with_max_lhs(max_lhs),
-        )
-        .fds
+        let config = MinerConfig::new(Semantics::Weak).with_max_lhs(max_lhs);
+        mine_fds(table, config).fds
     });
-    let keys = mine_keys_budgeted(table, max_lhs, DEFAULT_CACHE_BUDGET);
-    facts_from_parts(table.schema(), &pfds, &cfds, wfds.as_deref(), &keys)
+    facts_from_parts(table.schema(), &pass, wfds.as_deref())
 }
 
-/// The facts of a watched table's maintained instance; the weak plane
-/// is mined only when `weak` (some weak subscriber watches the table).
+/// The facts of a watched table's maintained instance: one report
+/// walk, plus the weak plane's only when `weak` (some weak subscriber
+/// watches the table).
 fn miner_facts(m: &mut IncrementalMiner, weak: bool) -> BTreeSet<String> {
-    let mine = |m: &mut IncrementalMiner, sem| m.mine_fds(sem, WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET);
-    let pfds = mine(m, Semantics::Possible);
-    let cfds = mine(m, Semantics::Certain);
-    let wfds = weak.then(|| mine(m, Semantics::Weak));
-    let keys = m.mine_keys(WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET);
-    facts_from_parts(m.schema(), &pfds, &cfds, wfds.as_deref(), &keys)
+    let pass = m.lattice(WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET);
+    let wfds = weak.then(|| m.mine_fds(Semantics::Weak, WATCH_MAX_LHS, DEFAULT_CACHE_BUDGET));
+    facts_from_parts(m.schema(), &pass, wfds.as_deref())
 }
 
 /// What one committed statement did to its table.

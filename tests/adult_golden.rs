@@ -4,7 +4,9 @@
 //! `tests/golden/adult_mine_report.txt` — with the default partition
 //! cache, and with no cache and a 1 MiB one on two threads, which forces
 //! evicted prefixes to be folded from the singles on a report with keys
-//! and λ-FDs. Ignored by default — a debug build mines 48,842 rows
+//! and λ-FDs. The incremental engine must render the same report, cold
+//! and after deleting row 0 and re-inserting its tuple (the row
+//! multiset is unchanged). Ignored by default — a debug build mines 48,842 rows
 //! slowly — and run in CI as
 //!
 //! ```text
@@ -14,6 +16,7 @@
 use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
+use sqlnf::discovery::incremental::IncrementalMiner;
 use sqlnf::discovery::mine::MinerConfig;
 use sqlnf::discovery::partition::Encoded;
 
@@ -41,4 +44,23 @@ fn adult_mine_report_matches_golden() {
             "adult MINE report under budget {budget} on 2 threads diverges:\n{report}"
         );
     }
+}
+
+#[test]
+#[ignore = "48,842-row mine; run in release builds only"]
+fn incremental_adult_report_matches_golden() {
+    let t = sqlnf::datagen::naumann::adult_like(20_160_626);
+    let mut m = IncrementalMiner::from_table(&t);
+    let cold = m.report("adult", 3, DEFAULT_CACHE_BUDGET);
+    assert!(
+        cold == GOLDEN,
+        "cold incremental adult report diverges:\n{cold}"
+    );
+    assert!(m.delete(0));
+    m.insert(t.rows()[0].clone());
+    let again = m.report("adult", 3, DEFAULT_CACHE_BUDGET);
+    assert!(
+        again == GOLDEN,
+        "incremental adult report after deleting and re-inserting row 0 diverges:\n{again}"
+    );
 }

@@ -1,0 +1,129 @@
+//! Exact pins of the discovery work counters on one fixed instance,
+//! `hepatitis_like(7)` with LHS cap 3. Two runs are recorded in
+//! `tests/golden/discovery_counters.txt`, one block each:
+//!
+//! * `[scratch]` — one `report_parts` pass on one thread;
+//! * `[incremental]` — one scripted `IncrementalMiner` run: a cold
+//!   report, then a report after each of inserting a copy of row 0,
+//!   deleting one row, and changing one cell.
+//!
+//! Each line is `name value`; the test demands equality, so any change
+//! to the rows a pass scans, the products it builds, its fused checks,
+//! probe indexes, weak pairs, evictions, partition-cache misses or the
+//! candidates the incremental replay touches shows up here. A change
+//! that moves a counter on purpose updates the golden file with the
+//! block the failure message prints.
+//!
+//! Kept as its own integration binary: the counters live in the
+//! process-wide registry, and other suites mine concurrently. The
+//! tests here share one lock for the same reason.
+
+use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
+use sqlnf::discovery::check::Semantics;
+use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
+use sqlnf::discovery::incremental::IncrementalMiner;
+use sqlnf::discovery::mine::MinerConfig;
+use sqlnf::discovery::partition::Encoded;
+use sqlnf::prelude::*;
+use std::sync::Mutex;
+
+const GOLDEN: &str = include_str!("golden/discovery_counters.txt");
+
+const MAX_LHS: usize = 3;
+
+/// The pinned counters, in file order.
+const COUNTERS: [&str; 8] = [
+    "discovery.partition.rows_scanned",
+    "discovery.partition.products",
+    "discovery.check.fused_checks",
+    "discovery.check.probe_index.builds",
+    "discovery.check.weak_pairs_visited",
+    "discovery.mine.prev_level.evictions",
+    "discovery.partition.cache.misses",
+    "discovery.incr.candidates_touched",
+];
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn fixture() -> Table {
+    sqlnf::datagen::naumann::hepatitis_like(7)
+}
+
+/// The counters `run` moves, as the golden file's block `name`.
+fn block(name: &str, run: impl FnOnce()) -> String {
+    sqlnf_obs::reset();
+    run();
+    let report = sqlnf_obs::report();
+    let mut out = format!("[{name}]\n");
+    for counter in COUNTERS {
+        let value = report.counter(counter).unwrap_or(0);
+        out.push_str(&format!("{counter} {value}\n"));
+    }
+    out
+}
+
+/// The golden file's block `name`.
+fn golden(name: &str) -> String {
+    let header = format!("[{name}]\n");
+    let start = GOLDEN.find(&header).expect("block in the golden file");
+    let body = &GOLDEN[start + header.len()..];
+    let end = body.find("\n[").map_or(body.len(), |i| i + 1);
+    format!("{header}{}", &body[..end])
+}
+
+#[test]
+fn scratch_report_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = fixture();
+    let enc = Encoded::new(&t);
+    let mut report = String::new();
+    let got = block("scratch", || {
+        let config = MinerConfig::new(Semantics::Possible)
+            .with_max_lhs(MAX_LHS)
+            .with_threads(1);
+        let (cls, keys) = report_parts(&enc, t.schema().arity(), config);
+        report = render_report("t", t.len(), t.schema(), MAX_LHS, &cls, &keys);
+    });
+    assert_eq!(report, mine_report("t", &t, MAX_LHS, DEFAULT_CACHE_BUDGET));
+    assert!(
+        got == golden("scratch"),
+        "scratch counters moved; now:\n{got}"
+    );
+}
+
+#[test]
+fn incremental_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = fixture();
+    let mut reports = Vec::new();
+    let mut tables = Vec::new();
+    let got = block("incremental", || {
+        let mut m = IncrementalMiner::from_table(&t);
+        let mut step = |m: &mut IncrementalMiner| {
+            reports.push(m.report("t", MAX_LHS, DEFAULT_CACHE_BUDGET));
+            tables.push(m.table());
+        };
+        step(&mut m);
+        m.insert(t.rows()[0].clone());
+        step(&mut m);
+        assert!(m.delete(3));
+        step(&mut m);
+        // Row 5's age becomes one no row carries.
+        let mut changed = t.rows()[5].clone();
+        *changed.get_mut(Attr::from(1)) = Value::Int(200);
+        assert!(m.update(5, changed));
+        step(&mut m);
+    });
+    // Checked outside the counted window: the scratch side moves the
+    // same counters.
+    for (report, table) in reports.iter().zip(&tables) {
+        assert_eq!(
+            *report,
+            mine_report("t", table, MAX_LHS, DEFAULT_CACHE_BUDGET)
+        );
+    }
+    assert!(
+        got == golden("incremental"),
+        "incremental counters moved; now:\n{got}"
+    );
+}
