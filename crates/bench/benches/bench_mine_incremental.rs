@@ -5,16 +5,18 @@
 //! paths plus the `discovery.partition.rows_scanned` work counters
 //! (zero without `--features obs`) and the resulting speedups.
 //!
-//! Both paths mine the same report surface — Possible FDs, Certain
-//! FDs, and possible/certain keys — and the bench asserts their
-//! results are identical before recording a single number, so the
-//! speedup is never bought with a weaker answer.
+//! Both paths run the lattice walk the serve tier runs: the scratch
+//! leg is `report_lattice` (the walk behind `table_facts_with`), the
+//! incremental leg `IncrementalMiner::lattice` (the WATCH hub's
+//! `miner_facts`). Each yields the minimal possible FDs, certain FDs
+//! and possible/certain keys of one pass, and the bench asserts both
+//! legs' results are identical before recording a single number, so
+//! the speedup is never bought with a weaker answer.
 
 use sqlnf_bench::{banner, fmt_duration, measure, render_table, write_bench_json, BenchRecord};
 use sqlnf_datagen::naumann::adult_like;
 use sqlnf_discovery::prelude::{
-    mine_fds, mine_keys_budgeted, IncrementalMiner, MinedFd, MinedKeys, MinerConfig, Semantics,
-    DEFAULT_CACHE_BUDGET,
+    report_lattice, IncrementalMiner, Lattice, MinedFd, MinedKeys, DEFAULT_CACHE_BUDGET,
 };
 use sqlnf_model::prelude::*;
 use sqlnf_obs::json::JsonValue;
@@ -32,7 +34,8 @@ const BASE_ROWS: usize = 16_384;
 /// Measured runs per configuration (median taken).
 const RUNS: usize = 3;
 
-/// The mined surface both paths must agree on byte-for-byte.
+/// The mined surface both paths must agree on byte-for-byte: the
+/// lattice without its candidate count.
 #[derive(PartialEq)]
 struct Mined {
     pfds: Vec<MinedFd>,
@@ -40,28 +43,22 @@ struct Mined {
     keys: MinedKeys,
 }
 
-fn mine_scratch(table: &Table) -> Mined {
-    Mined {
-        pfds: mine_fds(
-            table,
-            MinerConfig::new(Semantics::Possible).with_max_lhs(MAX_LHS),
-        )
-        .fds,
-        cfds: mine_fds(
-            table,
-            MinerConfig::new(Semantics::Certain).with_max_lhs(MAX_LHS),
-        )
-        .fds,
-        keys: mine_keys_budgeted(table, MAX_LHS, DEFAULT_CACHE_BUDGET),
+impl From<Lattice> for Mined {
+    fn from(pass: Lattice) -> Mined {
+        Mined {
+            pfds: pass.fds,
+            cfds: pass.certain,
+            keys: pass.keys,
+        }
     }
 }
 
+fn mine_scratch(table: &Table) -> Mined {
+    report_lattice(table, MAX_LHS, DEFAULT_CACHE_BUDGET).into()
+}
+
 fn mine_incremental(m: &mut IncrementalMiner) -> Mined {
-    Mined {
-        pfds: m.mine_fds(Semantics::Possible, MAX_LHS, DEFAULT_CACHE_BUDGET),
-        cfds: m.mine_fds(Semantics::Certain, MAX_LHS, DEFAULT_CACHE_BUDGET),
-        keys: m.mine_keys(MAX_LHS, DEFAULT_CACHE_BUDGET),
-    }
+    m.lattice(MAX_LHS, DEFAULT_CACHE_BUDGET).into()
 }
 
 /// Reads the partition work counter (0 when obs is compiled out).

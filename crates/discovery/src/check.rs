@@ -5,23 +5,26 @@
 
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 /// A memoized probe structure for weak-similarity checks on a fixed
 /// attribute set `X`: the `X`-null rows, and per distinct null
-/// *pattern* a hash index of the `X`-total rows keyed by their
-/// projection onto the pattern's non-null part.
+/// *pattern* the `X`-total rows bucketed by their projection onto the
+/// pattern's non-null part.
 ///
 /// Building it costs one pass to merge the per-column null lists, one
-/// complement pass for the total-row list, and one key-extraction pass
-/// per distinct pattern — the total-row list itself is computed **once**
-/// and shared by every pattern (the old code re-scanned all rows with
-/// an `is_total_on` test per pattern, which was quadratic in practice
-/// on null-heavy candidates). Callers that probe the same `X` several
-/// times (c-key + reflexivity during classification, key mining) build
-/// the index once and reuse it; the yes/no questions sweep it by groups
+/// complement pass for the total-row list, and one grouping pass per
+/// distinct pattern — the total-row list itself is computed **once**
+/// and shared by every pattern. No pass builds a key per row: rows are
+/// grouped by fingerprint and checked against each group's head row
+/// (`RowGroups`), and each pattern's buckets are one flat `u32` row
+/// array. Callers that probe the same `X` several times
+/// (c-key + reflexivity during classification, key mining) build the
+/// index once and reuse it; the yes/no questions sweep it by groups
 /// (`WeakSweep`) rather than visiting its pairs.
 pub struct ProbeIndex {
     x: AttrSet,
@@ -30,9 +33,14 @@ pub struct ProbeIndex {
     patterns: Vec<Pattern>,
 }
 
-/// One distinct null pattern of `X`: `(reduced, null rows with this
-/// pattern, total rows keyed by their projection onto reduced)`.
-type Pattern = (AttrSet, Vec<usize>, HashMap<Vec<u32>, Vec<usize>>);
+/// One distinct null pattern of `X`: its reduced part (the columns of
+/// `X` where its rows are non-null), its null rows, and the `X`-total
+/// rows bucketed by their codes on the reduced part.
+struct Pattern {
+    reduced: AttrSet,
+    rows: Vec<usize>,
+    buckets: Buckets,
+}
 
 impl ProbeIndex {
     /// Builds the probe index of `x`. Cheap (`O(|X|)`, no allocation)
@@ -45,19 +53,17 @@ impl ProbeIndex {
                 patterns: Vec::new(),
             };
         }
+        let _span = sqlnf_obs::span!("discovery.check.probe_index.build");
         sqlnf_obs::count!("discovery.check.probe_index.builds");
         let null_rows = enc.null_rows_on(x);
         // The x-total rows, computed once and shared by every pattern.
         let total = total_rows(enc.rows(), &null_rows);
-        let patterns: Vec<Pattern> = null_patterns(enc, x, &null_rows)
+        let patterns = null_patterns(enc, x, &null_rows)
             .into_iter()
-            .map(|(reduced, rows)| {
-                let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-                for &s in &total {
-                    let key: Vec<u32> = reduced.iter().map(|a| enc.code(s, a)).collect();
-                    index.entry(key).or_default().push(s);
-                }
-                (reduced, rows, index)
+            .map(|(reduced, rows)| Pattern {
+                reduced,
+                rows,
+                buckets: Buckets::new(enc, reduced, &total),
             })
             .collect();
         ProbeIndex {
@@ -79,8 +85,8 @@ impl ProbeIndex {
     /// and returns `false` — when `f` returns `false`.
     ///
     /// Null–null pairs are compared directly (there are few null rows
-    /// in practice); null–total pairs come from the per-pattern hash
-    /// indexes: a row `r` with nulls on `N ⊆ X` is weakly similar to an
+    /// in practice); null–total pairs come from the per-pattern
+    /// buckets: a row `r` with nulls on `N ⊆ X` is weakly similar to an
     /// `X`-total row `s` iff `s` matches `r` exactly on `X − N`. This
     /// is what keeps c-FD discovery on the 48 842-row `adult` workload
     /// within the same order of magnitude as classical discovery (as in
@@ -113,14 +119,15 @@ impl ProbeIndex {
             }
         }
         // 2) null–total pairs, by null pattern.
-        for (reduced, rows, index) in &self.patterns {
-            for &r in rows {
-                let key: Vec<u32> = reduced.iter().map(|a| enc.code(r, a)).collect();
-                if let Some(matches) = index.get(&key) {
-                    for &s in matches {
-                        if enc.equal_on(r, s, extra) && !f(r, s) {
-                            return false;
-                        }
+        for p in &self.patterns {
+            for &r in &p.rows {
+                let Some(g) = p.buckets.groups.get(enc, r) else {
+                    continue;
+                };
+                for &s in p.buckets.rows(g) {
+                    let s = s as usize;
+                    if enc.equal_on(r, s, extra) && !f(r, s) {
+                        return false;
                     }
                 }
             }
@@ -134,30 +141,194 @@ impl ProbeIndex {
     /// matching bucket rows; then the null rows of every two patterns
     /// joined on their common non-null part.
     fn sweep(&self, enc: &Encoded, extra: AttrSet, sweep: &mut WeakSweep) {
-        for (reduced, rows, index) in &self.patterns {
+        for p in &self.patterns {
             if sweep.done() {
                 return;
             }
             // Each bucket is swept once per distinct reduced key among
             // the nulls — never per null row.
-            let mut seen: HashSet<Vec<u32>> = HashSet::new();
-            let partners = rows
+            let mut seen = vec![false; p.buckets.groups.len()];
+            let partners = p
+                .rows
                 .iter()
                 .filter_map(|&r| {
-                    let rkey: Vec<u32> = reduced.iter().map(|a| enc.code(r, a)).collect();
-                    let bucket = index.get(&rkey);
-                    seen.insert(rkey).then_some(bucket).flatten()
+                    let g = p.buckets.groups.get(enc, r)?;
+                    let first = !std::mem::replace(&mut seen[g as usize], true);
+                    first.then(|| p.buckets.rows(g))
                 })
                 .flatten()
-                .copied();
-            sweep.within_pattern(enc, *reduced | extra, rows, partners);
+                .map(|&s| s as usize);
+            sweep.within_pattern(enc, p.reduced | extra, &p.rows, partners);
         }
         let patterns: Vec<(AttrSet, &[usize])> = self
             .patterns
             .iter()
-            .map(|(reduced, rows, _)| (*reduced, rows.as_slice()))
+            .map(|p| (p.reduced, p.rows.as_slice()))
             .collect();
         sweep.across_patterns(enc, extra, &patterns);
+    }
+}
+
+/// Rows bucketed by their codes on a key, flat: group `g` of `groups`
+/// holds the rows `rows[starts[g]..starts[g + 1]]`, ascending.
+struct Buckets {
+    groups: RowGroups,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Buckets {
+    /// Buckets `rows` (ascending) by their codes on `key`: one grouping
+    /// pass, then a counting scatter into one `u32` array.
+    fn new(enc: &Encoded, key: AttrSet, rows: &[usize]) -> Buckets {
+        let mut groups = RowGroups::new(key);
+        let ids: Vec<u32> = rows.iter().map(|&r| groups.get_or_open(enc, r).0).collect();
+        let mut starts = vec![0u32; groups.len() + 1];
+        for &g in &ids {
+            starts[g as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut flat = vec![0u32; rows.len()];
+        for (&r, &g) in rows.iter().zip(&ids) {
+            let slot = &mut cursor[g as usize];
+            flat[*slot as usize] = r as u32;
+            *slot += 1;
+        }
+        Buckets {
+            groups,
+            starts,
+            rows: flat,
+        }
+    }
+
+    /// The rows of group `g`, ascending.
+    fn rows(&self, g: u32) -> &[u32] {
+        let g = g as usize;
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+}
+
+/// Ends a chain of groups sharing a fingerprint.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Rows grouped by their codes on a key — a set of columns — with no
+/// key built per row. A row's *fingerprint* is a keyed hash of its
+/// codes; it selects the chain of groups opened with that fingerprint,
+/// and the row belongs to the group on the chain whose head row has
+/// the same codes. Two keys that share a fingerprint open two groups
+/// on one chain, so the grouping is exactly "equal codes on the key"
+/// whatever the hash does — only lookups by key are ever made, never
+/// an iteration over the map. The hash is keyed afresh per grouping
+/// ([`RandomState`]), so no data can be crafted to put many keys on
+/// one chain. Groups are numbered densely from 0 in the order they
+/// open.
+struct RowGroups {
+    key: AttrSet,
+    hasher: RandomState,
+    /// Fingerprint → the last group opened with it.
+    last: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
+    /// Per group, its head: the row that opened it.
+    heads: Vec<u32>,
+    /// Per group, the group opened before it with the same
+    /// fingerprint, or [`NO_GROUP`].
+    prev: Vec<u32>,
+}
+
+impl RowGroups {
+    fn new(key: AttrSet) -> RowGroups {
+        RowGroups {
+            key,
+            hasher: RandomState::new(),
+            last: HashMap::default(),
+            heads: Vec::new(),
+            prev: Vec::new(),
+        }
+    }
+
+    /// Drops every group and keys the grouping on `key`, keeping the
+    /// allocations.
+    fn reset(&mut self, key: AttrSet) {
+        self.key = key;
+        self.last.clear();
+        self.heads.clear();
+        self.prev.clear();
+    }
+
+    /// The number of groups opened.
+    fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// The row that opened group `g`.
+    fn head(&self, g: u32) -> usize {
+        self.heads[g as usize] as usize
+    }
+
+    fn fingerprint(&self, enc: &Encoded, row: usize) -> u64 {
+        #[cfg(test)]
+        if tests::ONE_FINGERPRINT.with(std::cell::Cell::get) {
+            return 0;
+        }
+        let mut h = self.hasher.build_hasher();
+        for a in self.key {
+            h.write_u32(enc.code(row, a));
+        }
+        h.finish()
+    }
+
+    /// The group on fingerprint `fp`'s chain whose head has `row`'s
+    /// codes on the key.
+    fn find(&self, enc: &Encoded, row: usize, fp: u64) -> Option<u32> {
+        let mut g = *self.last.get(&fp)?;
+        while g != NO_GROUP {
+            if enc.equal_on(self.head(g), row, self.key) {
+                return Some(g);
+            }
+            g = self.prev[g as usize];
+        }
+        None
+    }
+
+    /// The group of the rows with `row`'s codes on the key, if open.
+    fn get(&self, enc: &Encoded, row: usize) -> Option<u32> {
+        self.find(enc, row, self.fingerprint(enc, row))
+    }
+
+    /// `row`'s group, opened with `row` as its head if absent; `true`
+    /// when it was opened.
+    fn get_or_open(&mut self, enc: &Encoded, row: usize) -> (u32, bool) {
+        let fp = self.fingerprint(enc, row);
+        if let Some(g) = self.find(enc, row, fp) {
+            return (g, false);
+        }
+        // Row ids are `u32` throughout the kernels, and a group has at
+        // least one row.
+        let g = self.heads.len() as u32;
+        self.prev.push(self.last.insert(fp, g).unwrap_or(NO_GROUP));
+        self.heads.push(row as u32);
+        (g, true)
+    }
+}
+
+/// The hasher of a fingerprint map: a fingerprint is already a keyed
+/// hash, so it hashes to itself.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint maps are keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -190,13 +361,31 @@ fn null_patterns(enc: &Encoded, x: AttrSet, null_rows: &[usize]) -> Vec<(AttrSet
     patterns
 }
 
-/// One group of a [`WeakSweep`]: rows sharing their codes on the group
-/// key. Per target it keeps the code of the row that opened the group
-/// and the first row that disagreed with it.
-struct Group {
-    head: usize,
-    cells: Vec<(u32, usize)>,
-    conflict: AttrSet,
+/// The groups of one [`WeakSweep`] pass: rows sharing their codes on
+/// the pass's key. Per group and target, flat at `g·n..(g + 1)·n` for
+/// `n` targets, the code of the group's head and the first row that
+/// disagreed with it; per group, the targets some member disagreed on.
+struct SweepGroups {
+    rows: RowGroups,
+    cells: Vec<(u32, u32)>,
+    conflict: Vec<AttrSet>,
+}
+
+impl SweepGroups {
+    fn new(key: AttrSet) -> SweepGroups {
+        SweepGroups {
+            rows: RowGroups::new(key),
+            cells: Vec::new(),
+            conflict: Vec::new(),
+        }
+    }
+
+    /// Drops every group and keys the pass on `key`.
+    fn reset(&mut self, key: AttrSet) {
+        self.rows.reset(key);
+        self.cells.clear();
+        self.conflict.clear();
+    }
 }
 
 /// The grouped sweep over the weak pairs of `X` — the one
@@ -217,9 +406,10 @@ struct Group {
 /// whole group is constant on it: the quadratic pair set collapses to
 /// one linear grouping pass per null pattern. Null rows of two
 /// different patterns are weakly similar iff they agree on the columns
-/// non-null in both; hash-joining the two patterns on those codes
-/// gives groups where every row of one side pairs with every row of
-/// the other, so again "all pairs agree" is "the group is constant".
+/// non-null in both; joining the two patterns on those codes gives
+/// groups where every row of one side pairs with every row of the
+/// other, so again "all pairs agree" is "the group is constant". The
+/// groups are [`RowGroups`], so no row builds a key.
 struct WeakSweep {
     targets: Vec<Attr>,
     holding: AttrSet,
@@ -256,63 +446,60 @@ impl WeakSweep {
         }
     }
 
-    /// Adds `row` to the group keyed by `key`, opening it if absent —
-    /// or, with `open = false`, only joins an existing group. Adding
-    /// with `anchor` means every two rows of the group must now agree
-    /// on each target (the row pairs with every null row of its
-    /// pattern group, or with the whole other side of a cross-pattern
-    /// join), so the group's disagreements refute targets.
+    /// Adds `row` to its group, opening the group if absent — or, with
+    /// `open = false`, only joins an existing group. Adding with
+    /// `anchor` means every two rows of the group must now agree on
+    /// each target (the row pairs with every null row of its pattern
+    /// group, or with the whole other side of a cross-pattern join), so
+    /// the group's disagreements refute targets.
     fn join(
         &mut self,
         enc: &Encoded,
-        groups: &mut HashMap<Vec<u32>, Group>,
-        key: &[u32],
+        groups: &mut SweepGroups,
         row: usize,
         anchor: bool,
         open: bool,
     ) {
-        let g = match groups.get_mut(key) {
-            Some(g) => g,
-            None => {
-                if open {
-                    let cells = self
-                        .targets
-                        .iter()
-                        .map(|&a| (enc.code(row, a), row))
-                        .collect();
-                    groups.insert(
-                        key.to_vec(),
-                        Group {
-                            head: row,
-                            cells,
-                            conflict: AttrSet::EMPTY,
-                        },
-                    );
-                }
+        let g = if open {
+            let (g, opened) = groups.rows.get_or_open(enc, row);
+            if opened {
+                let cells = self.targets.iter().map(|&a| (enc.code(row, a), row as u32));
+                groups.cells.extend(cells);
+                groups.conflict.push(AttrSet::EMPTY);
                 return;
             }
+            g
+        } else {
+            let Some(g) = groups.rows.get(enc, row) else {
+                return;
+            };
+            g
         };
-        for (&a, cell) in self.targets.iter().zip(&mut g.cells) {
-            if enc.code(row, a) != cell.0 && g.conflict.insert(a) {
-                cell.1 = row;
+        let n = self.targets.len();
+        let cells = &mut groups.cells[g as usize * n..(g as usize + 1) * n];
+        let conflict = &mut groups.conflict[g as usize];
+        for (&a, cell) in self.targets.iter().zip(cells.iter_mut()) {
+            if enc.code(row, a) != cell.0 && conflict.insert(a) {
+                cell.1 = row as u32;
             }
         }
         if !anchor {
             return;
         }
-        self.pair.get_or_insert((g.head, row));
-        let killed = self.holding & g.conflict;
+        let head = groups.rows.head(g);
+        self.pair.get_or_insert((head, row));
+        let killed = self.holding & *conflict;
         if killed.is_empty() {
             return;
         }
         // `row` pairs with every row of the group: with the head where
         // it disagrees with the head, else with the row that did.
-        for (&a, &(code, clash)) in self.targets.iter().zip(&g.cells) {
+        for (&a, &(code, clash)) in self.targets.iter().zip(cells.iter()) {
             if killed.contains(a) {
                 let earlier = if enc.code(row, a) != code {
-                    g.head
+                    head
                 } else {
-                    clash
+                    clash as usize
                 };
                 self.refuted.push((a, earlier, row));
             }
@@ -331,22 +518,16 @@ impl WeakSweep {
         nulls: &[usize],
         partners: impl Iterator<Item = usize>,
     ) {
-        let cols: Vec<&[u32]> = key.iter().map(|a| enc.column(a)).collect();
-        let mut buf: Vec<u32> = Vec::with_capacity(cols.len());
-        let mut groups: HashMap<Vec<u32>, Group> = HashMap::new();
+        let mut groups = SweepGroups::new(key);
         // Every null row pairs with the rows it meets in its group.
         for &row in nulls {
-            buf.clear();
-            buf.extend(cols.iter().map(|c| c[row]));
-            self.join(enc, &mut groups, &buf, row, true, true);
+            self.join(enc, &mut groups, row, true, true);
             if self.done() {
                 return;
             }
         }
         for row in partners {
-            buf.clear();
-            buf.extend(cols.iter().map(|c| c[row]));
-            self.join(enc, &mut groups, &buf, row, true, false);
+            self.join(enc, &mut groups, row, true, false);
             if self.done() {
                 return;
             }
@@ -354,29 +535,20 @@ impl WeakSweep {
     }
 
     /// The null–null pairs across patterns: rows of patterns `i < j`
-    /// hash-joined on `(red_i ∩ red_j) ∪ extra`.
+    /// joined on `(red_i ∩ red_j) ∪ extra`.
     fn across_patterns(&mut self, enc: &Encoded, extra: AttrSet, patterns: &[(AttrSet, &[usize])]) {
-        let mut buf: Vec<u32> = Vec::new();
-        let mut groups: HashMap<Vec<u32>, Group> = HashMap::new();
+        let mut groups = SweepGroups::new(extra);
         for (i, &(red_i, rows_i)) in patterns.iter().enumerate() {
             for &(red_j, rows_j) in &patterns[i + 1..] {
                 if self.done() {
                     return;
                 }
-                let cols: Vec<&[u32]> = ((red_i & red_j) | extra)
-                    .iter()
-                    .map(|a| enc.column(a))
-                    .collect();
-                groups.clear();
+                groups.reset((red_i & red_j) | extra);
                 for &row in rows_i {
-                    buf.clear();
-                    buf.extend(cols.iter().map(|c| c[row]));
-                    self.join(enc, &mut groups, &buf, row, false, true);
+                    self.join(enc, &mut groups, row, false, true);
                 }
                 for &row in rows_j {
-                    buf.clear();
-                    buf.extend(cols.iter().map(|c| c[row]));
-                    self.join(enc, &mut groups, &buf, row, true, false);
+                    self.join(enc, &mut groups, row, true, false);
                     if self.done() {
                         return;
                     }
@@ -597,6 +769,7 @@ impl ProbeCache {
         if s.is_empty() {
             return;
         }
+        let _span = sqlnf_obs::span!("discovery.check.probe_sweep");
         match self.strategy(enc, s) {
             ProbeStrategy::Index(idx) => idx.sweep(enc, x - s, sweep),
             ProbeStrategy::Direct => sweep_direct(enc, x, sweep),
@@ -1078,9 +1251,72 @@ mod tests {
     use super::*;
     use sqlnf_model::constraint::{Fd, Key};
     use sqlnf_model::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set on a thread, every [`RowGroups`] fingerprint it
+        /// computes is 0, so all keys share one chain.
+        pub(super) static ONE_FINGERPRINT: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn enc(t: &Table) -> Encoded {
         Encoded::new(t)
+    }
+
+    /// What the certain tail answers for one LHS: its surviving
+    /// targets, their witnesses, the first weak pair, the totality
+    /// witnesses and every weak pair in visiting order.
+    type TailAnswers = (
+        AttrSet,
+        Vec<(Attr, usize, usize)>,
+        Option<(usize, usize)>,
+        Vec<(Attr, usize, usize)>,
+        Vec<(usize, usize)>,
+    );
+
+    /// The certain tail's answers for every LHS of at most two columns,
+    /// through one cache. Each LHS is asked past the admission
+    /// threshold, so direct scans and footprint indexes both answer.
+    fn tail_answers(e: &Encoded) -> Vec<TailAnswers> {
+        let probes = ProbeCache::new(e);
+        let all = e.null_free_columns() | e.nullable_columns();
+        let mut out = Vec::new();
+        for x in all.subsets().filter(|x| x.len() <= 2) {
+            for _ in 0..ADMIT_AFTER + 2 {
+                let mut pairs = Vec::new();
+                probes.weak_pairs(e, x, |r, s| {
+                    pairs.push((r, s));
+                    true
+                });
+                out.push((
+                    probes.fd_targets(e, x, all - x),
+                    probes.fd_target_witnesses(e, x, all - x),
+                    probes.first_weak_pair(e, x),
+                    probes.fd_target_witnesses(e, x, x),
+                    pairs,
+                ));
+            }
+        }
+        out
+    }
+
+    /// Rows are grouped by code equality, never by fingerprint alone:
+    /// with every key forced onto one fingerprint, each grouping
+    /// becomes one long chain, and every answer and witness of the
+    /// certain tail stays what it was.
+    #[test]
+    fn one_fingerprint_changes_no_answer() {
+        let adult = sqlnf_datagen::naumann::adult_like(20_160_626);
+        let prefix = Table::from_rows(adult.schema().clone(), adult.rows()[..600].to_vec());
+        for t in [sqlnf_datagen::naumann::hepatitis_like(7), prefix] {
+            let e = enc(&t);
+            let hashed = tail_answers(&e);
+            ONE_FINGERPRINT.with(|f| f.set(true));
+            let forced = tail_answers(&e);
+            ONE_FINGERPRINT.with(|f| f.set(false));
+            assert!(hashed.iter().any(|a| !a.4.is_empty()));
+            assert!(hashed == forced, "{}", t.schema().name());
+        }
     }
 
     #[test]

@@ -22,22 +22,25 @@
 //! For each λ-FD (and each nn-FD with non-c-key LHS) the *relative
 //! projection size* is `|I[X·rhs]| / |I|` — the fraction of rows the
 //! set projection keeps; small values mean much redundancy eliminated.
+//! Both kinds of FD determine their RHS on equal LHS codes, so the
+//! projection has as many rows as the LHS has distinct code tuples
+//! ([`projection_ratio`]): one counting-sort partition of at most
+//! `max_lhs` columns per ratio, whatever the RHS's width.
 //!
 //! The minimal FDs of both semantics and the minimal keys come from one
 //! lattice pass ([`report_lattice`]; see [`crate::mine`]). One split
-//! serves the from-scratch and the incremental report: it builds no
-//! partition, an LHS is a c-key iff a mined minimal c-key lies inside
-//! it, and totality and projection ratios are asked of the caller.
-//! [`mine_keys`] and [`classify_table`] are views of that pass.
+//! serves the from-scratch and the incremental report: an LHS is a
+//! c-key iff a mined minimal c-key lies inside it, and totality and
+//! projection ratios are asked of the caller. [`mine_keys`] and
+//! [`classify_table`] are views of that pass.
 
 use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{certain_reflexive_holds_cached, ProbeCache, Semantics};
 use crate::mine::{mine_fds_encoded, traverse, Lattice, MinedFd, MinedKeys, MinerConfig};
-use crate::partition::Encoded;
+use crate::partition::{Encoded, NullSemantics, Partition};
 use sqlnf_model::attrs::AttrSet;
 use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A λ-FD together with its relative projection size.
@@ -165,20 +168,22 @@ pub fn report_parts(
         pass,
         enc.null_free_columns(),
         |x| certain_reflexive_holds_cached(enc, &probes, x),
-        |attrs| projection_ratio(enc, attrs),
+        |lhs| projection_ratio(enc, lhs),
     )
 }
 
 /// The nn/p/c/t/λ split of a report's lattice, given the instance's
 /// null-free columns, a totality test `X →_w X` and the projection
-/// ratio. An FD's LHS is a c-key iff some minimal c-key lies inside
-/// it: keys are mined up to the FDs' LHS cap, so that key was found.
+/// ratio of an nn- or λ-FD, asked with its LHS ([`projection_ratio`]).
+/// An FD's LHS is a c-key iff some minimal c-key lies inside it: keys
+/// are mined up to the FDs' LHS cap, so that key was found.
 pub(crate) fn split(
     pass: Lattice,
     null_free: AttrSet,
     mut total: impl FnMut(AttrSet) -> bool,
     mut ratio: impl FnMut(AttrSet) -> f64,
 ) -> (Classification, MinedKeys) {
+    let _span = sqlnf_obs::span!("discovery.classify.split");
     let Lattice {
         fds, certain, keys, ..
     } = pass;
@@ -188,7 +193,7 @@ pub(crate) fn split(
         if fd.lhs.is_subset(null_free) {
             // Figure 6's nn series additionally requires a non-key LHS.
             if !ckey(fd.lhs) {
-                out.nn_nonkey_ratios.push(ratio(fd.lhs | fd.rhs));
+                out.nn_nonkey_ratios.push(ratio(fd.lhs));
             }
             out.nn_fds.push(fd);
         } else {
@@ -205,7 +210,7 @@ pub(crate) fn split(
                 out.lambda_fds.push(LambdaFd {
                     lhs: fd.lhs,
                     rhs: fd.rhs,
-                    relative_projection_size: ratio(fd.lhs | fd.rhs),
+                    relative_projection_size: ratio(fd.lhs),
                 });
             }
         }
@@ -359,25 +364,30 @@ pub fn render_report(
     out
 }
 
-/// `|I[attrs]| / |I|` counted on dictionary codes: two rows project to
-/// the same tuple iff their codes agree on `attrs` (`⊥` is code 0, so
-/// `⊥ = ⊥` as in the set projection). Each row's projection gets a
-/// dense id refined one column at a time, so no tuple is built.
-pub(crate) fn projection_ratio(enc: &Encoded, attrs: AttrSet) -> f64 {
+/// The relative projection size `|I[X·Y]| / |I|` of an FD `X → Y`
+/// that [`split`] gives a ratio — an nn-FD or a λ-FD — asked with its
+/// LHS `X` alone: `(rows − error(π_X)) / rows` for the null-as-value
+/// partition of `X`, i.e. the number of distinct `X` code tuples
+/// (`⊥` is code 0, so `⊥ = ⊥` as in the set projection) over the rows.
+///
+/// The identity `|I[X·Y]| = |I[X]|` holds for both kinds; it suffices
+/// that two rows with equal `X` codes are equal on `Y`:
+///
+/// * an nn-FD is a p-FD with a null-free `X`, so rows with equal `X`
+///   codes are strongly similar on `X`, and the p-FD makes them equal
+///   on `Y`;
+/// * a λ-FD is a c-FD, and rows with equal `X` codes are weakly
+///   similar on `X` (`⊥` is weakly similar to anything), so the c-FD
+///   makes them equal on `Y`.
+///
+/// So the count is the one the set projection onto `X·Y` gives, and
+/// every ratio is the same `f64`. Counting on `X` costs one counting
+/// sort and at most `max_lhs − 1` refinements, however wide `Y` is.
+pub(crate) fn projection_ratio(enc: &Encoded, lhs: AttrSet) -> f64 {
     if enc.rows() == 0 {
         return 1.0;
     }
-    let mut ids = vec![0u32; enc.rows()];
-    let mut distinct = 1;
-    let mut refined: HashMap<(u32, u32), u32> = HashMap::new();
-    for a in attrs {
-        refined.clear();
-        for (id, &code) in ids.iter_mut().zip(enc.column(a)) {
-            let next = refined.len() as u32;
-            *id = *refined.entry((*id, code)).or_insert(next);
-        }
-        distinct = refined.len();
-    }
+    let distinct = enc.rows() - Partition::by_set(enc, lhs, NullSemantics::NullAsValue).error();
     distinct as f64 / enc.rows() as f64
 }
 
@@ -589,6 +599,44 @@ mod tests {
                 semantics_report("c", &before, sem, 3, budget)
             );
         }
+    }
+
+    /// Every ratio the split hands out is the set projection onto the
+    /// FD's `X·Y`, counted on `X` alone — on the Figure 7 snippet, the
+    /// hepatitis shape, a null-heavy adult prefix and the full contact
+    /// table (whose λ-FD LHSs repeat with `⊥`, so `⊥ = ⊥` counts),
+    /// against `project_set` over the whole `X ∪ Y`.
+    #[test]
+    fn lhs_counts_are_projection_sizes() {
+        let adult = sqlnf_datagen::naumann::adult_like(20_160_626);
+        let prefix = Table::from_rows(adult.schema().clone(), adult.rows()[..4096].to_vec());
+        let mut checked = 0;
+        for t in [
+            fig7_snippet(),
+            sqlnf_datagen::naumann::hepatitis_like(7),
+            prefix,
+            sqlnf_datagen::contact::contact_full(42),
+        ] {
+            let enc = Encoded::new(&t);
+            let config = report_config(3, DEFAULT_CACHE_BUDGET);
+            let (cls, keys) = report_parts(&enc, t.schema().arity(), config);
+            let ckey = |x: AttrSet| keys.ckeys.iter().any(|k| k.is_subset(x));
+            let nn = cls.nn_fds.iter().filter(|fd| !ckey(fd.lhs));
+            let fds: Vec<(AttrSet, AttrSet)> = nn
+                .map(|fd| (fd.lhs, fd.rhs))
+                .chain(cls.lambda_fds.iter().map(|l| (l.lhs, l.rhs)))
+                .collect();
+            let lambda = cls.lambda_fds.iter().map(|l| l.relative_projection_size);
+            let ratios: Vec<f64> = cls.nn_nonkey_ratios.iter().copied().chain(lambda).collect();
+            assert_eq!(fds.len(), ratios.len(), "{cls:?}");
+            for ((lhs, rhs), ratio) in fds.into_iter().zip(ratios) {
+                let want = project_set(&t, lhs | rhs, "p").len() as f64 / t.len() as f64;
+                assert_eq!(projection_ratio(&enc, lhs), want, "{lhs:?} -> {rhs:?}");
+                assert_eq!(ratio, want, "{lhs:?} -> {rhs:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! ## Delta algebra
 //!
-//! Per delta we record three monotone marks: the epoch of the last
-//! insert, of the last delete, and per column the epoch of the last
-//! update that changed it. Verdicts are then validated per candidate:
+//! Per delta we record monotone marks: the epoch of the last insert,
+//! and per column the epoch of the last update that changed it.
+//! Verdicts are then validated per candidate:
 //!
 //! * **Holding** `X → A` (epoch `e`): still holds iff no insert since
 //!   `e` and no update touched a column of `X ∪ {A}` since `e`.
@@ -44,10 +44,10 @@
 //! certain targets and key flags are settled from the verdict caches,
 //! and only the cache misses are checked. The nn/p/c/t/λ split is the
 //! from-scratch one too ([`crate::classify`]), fed the cached totality
-//! verdicts and projection ratios. So the output is byte-identical to
-//! [`mine_report`] by construction, not by accident; the
-//! `incremental_matches_scratch` differential property pins this
-//! across all four semantics, random DML, and thread counts.
+//! verdicts and the same LHS-counted projection ratios. So the output
+//! is byte-identical to [`mine_report`] by construction, not by
+//! accident; the `incremental_matches_scratch` differential property
+//! pins this across all four semantics, random DML, and thread counts.
 //!
 //! ## Reconcile policy
 //!
@@ -113,15 +113,12 @@ struct Caches {
     key: HashMap<AttrSet, KeyVerdict>,
     /// `X →_w X` (totality) verdicts, for the t-FD classification.
     refl: HashMap<AttrSet, Verdict>,
-    /// Projection-ratio memo: value + epoch it was computed at.
-    ratio: HashMap<AttrSet, (f64, u64)>,
 }
 
 /// Snapshot of the delta marks a replay validates against.
 #[derive(Clone, Copy)]
 struct Marks<'a> {
     insert: u64,
-    delete: u64,
     cols: &'a [u64],
 }
 
@@ -190,7 +187,6 @@ pub struct IncrementalMiner {
     /// Monotone delta counter; bumped once per applied delta.
     epoch: u64,
     last_insert: u64,
-    last_delete: u64,
     /// Per column: epoch of the last update that changed it.
     col_updated: Vec<u64>,
     caches: Caches,
@@ -232,7 +228,6 @@ impl IncrementalMiner {
             next_id: rows,
             epoch: 0,
             last_insert: 0,
-            last_delete: 0,
             col_updated: vec![0; arity],
             caches: Caches::default(),
             postings: None,
@@ -332,7 +327,6 @@ impl IncrementalMiner {
         self.ids.remove(row);
         self.postings = None;
         self.begin_delta();
-        self.last_delete = self.epoch;
         true
     }
 
@@ -368,7 +362,6 @@ impl IncrementalMiner {
             postings,
             marks: Marks {
                 insert: self.last_insert,
-                delete: self.last_delete,
                 cols: &self.col_updated,
             },
             now: self.epoch,
@@ -420,29 +413,18 @@ impl IncrementalMiner {
 
     /// The classification + keys backing one `MINE` report: the
     /// report's lattice, split as `report_parts` splits it, with the
-    /// cached totality verdicts and projection ratios.
+    /// cached totality verdicts. Projection ratios are counted afresh:
+    /// each is one counting sort over the FD's LHS.
     pub fn classify(&mut self, max_lhs: usize, cache_budget: usize) -> (Classification, MinedKeys) {
         let walk = Walk::new(self.schema().arity(), max_lhs, Semantics::Possible, true);
         self.with_pass(NullSemantics::Strong, cache_budget, |pass, caches| {
             let lattice = pass.replay(caches, walk);
-            let (enc, marks, now) = (pass.enc, pass.marks, pass.now);
-            let memo = &mut caches.ratio;
+            let enc = pass.enc;
             split(
                 lattice,
                 enc.null_free_columns(),
                 |x| pass.reflexive(&mut caches.refl, x),
-                // Memoized until a delta could have changed it: any
-                // insert or delete, or an update touching `attrs`.
-                |attrs| match memo.get(&attrs) {
-                    Some(&(ratio, at)) if at >= marks.delete && marks.holding_valid(at, attrs) => {
-                        ratio
-                    }
-                    _ => {
-                        let ratio = projection_ratio(enc, attrs);
-                        memo.insert(attrs, (ratio, now));
-                        ratio
-                    }
-                },
+                |lhs| projection_ratio(enc, lhs),
             )
         })
     }

@@ -1,18 +1,25 @@
-//! Exact pins of the discovery work counters on one fixed instance,
-//! `hepatitis_like(7)` with LHS cap 3. Two runs are recorded in
+//! Exact pins of the discovery work counters on fixed instances with
+//! LHS cap 3. Three runs are recorded in
 //! `tests/golden/discovery_counters.txt`, one block each:
 //!
-//! * `[scratch]` — one `report_parts` pass on one thread;
-//! * `[incremental]` — one scripted `IncrementalMiner` run: a cold
-//!   report, then a report after each of inserting a copy of row 0,
-//!   deleting one row, and changing one cell.
+//! * `[scratch]` — one `report_parts` pass on one thread over
+//!   `hepatitis_like(7)`;
+//! * `[incremental]` — one scripted `IncrementalMiner` run over
+//!   `hepatitis_like(7)`: a cold report, then a report after each of
+//!   inserting a copy of row 0, deleting one row, and changing one cell;
+//! * `[scratch adult]` — one `report_parts` pass on one thread over the
+//!   first 4,096 rows of `adult_like(20160626)`, a null-heavy shape
+//!   whose certain tail builds probe indexes (hepatitis never does).
 //!
 //! Each line is `name value`; the test demands equality, so any change
 //! to the rows a pass scans, the products it builds, its fused checks,
-//! probe indexes, weak pairs, evictions, partition-cache misses or the
-//! candidates the incremental replay touches shows up here. A change
+//! probe indexes and how they are served, weak pairs, evictions,
+//! partition-cache misses or the candidates the incremental replay
+//! touches shows up here. A change
 //! that moves a counter on purpose updates the golden file with the
 //! block the failure message prints.
+//!
+//! The report's post-pass phases are pinned to have spans as well.
 //!
 //! Kept as its own integration binary: the counters live in the
 //! process-wide registry, and other suites mine concurrently. The
@@ -32,11 +39,13 @@ const GOLDEN: &str = include_str!("golden/discovery_counters.txt");
 const MAX_LHS: usize = 3;
 
 /// The pinned counters, in file order.
-const COUNTERS: [&str; 8] = [
+const COUNTERS: [&str; 10] = [
     "discovery.partition.rows_scanned",
     "discovery.partition.products",
     "discovery.check.fused_checks",
     "discovery.check.probe_index.builds",
+    "discovery.check.probe_index.hits",
+    "discovery.check.probe_index.direct",
     "discovery.check.weak_pairs_visited",
     "discovery.mine.prev_level.evictions",
     "discovery.partition.cache.misses",
@@ -71,24 +80,62 @@ fn golden(name: &str) -> String {
     format!("{header}{}", &body[..end])
 }
 
-#[test]
-fn scratch_report_counters_match_golden() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let t = fixture();
-    let enc = Encoded::new(&t);
+/// The first 4,096 rows of the seeded adult shape.
+fn adult_prefix() -> Table {
+    let t = sqlnf::datagen::naumann::adult_like(20_160_626);
+    Table::from_rows(t.schema().clone(), t.rows()[..4096].to_vec())
+}
+
+/// One single-threaded `report_parts` pass over `t` as the golden
+/// block `name`, checked against the scratch `MINE` report.
+fn check_scratch_block(name: &str, t: &Table) {
+    let enc = Encoded::new(t);
     let mut report = String::new();
-    let got = block("scratch", || {
+    let got = block(name, || {
         let config = MinerConfig::new(Semantics::Possible)
             .with_max_lhs(MAX_LHS)
             .with_threads(1);
         let (cls, keys) = report_parts(&enc, t.schema().arity(), config);
         report = render_report("t", t.len(), t.schema(), MAX_LHS, &cls, &keys);
     });
-    assert_eq!(report, mine_report("t", &t, MAX_LHS, DEFAULT_CACHE_BUDGET));
-    assert!(
-        got == golden("scratch"),
-        "scratch counters moved; now:\n{got}"
-    );
+    assert_eq!(report, mine_report("t", t, MAX_LHS, DEFAULT_CACHE_BUDGET));
+    assert!(got == golden(name), "{name} counters moved; now:\n{got}");
+}
+
+#[test]
+fn scratch_report_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    check_scratch_block("scratch", &fixture());
+}
+
+#[test]
+fn scratch_adult_prefix_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    check_scratch_block("scratch adult", &adult_prefix());
+}
+
+/// The report's phases after its lattice pass are timed: one adult
+/// prefix report enters the split, a probe-index build and a probe
+/// sweep, so `METRICS` after a `MINE` shows where their time goes.
+#[test]
+fn report_phases_enter_their_spans() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = adult_prefix();
+    let enc = Encoded::new(&t);
+    sqlnf_obs::reset();
+    let config = MinerConfig::new(Semantics::Possible)
+        .with_max_lhs(MAX_LHS)
+        .with_threads(1);
+    report_parts(&enc, t.schema().arity(), config);
+    let report = sqlnf_obs::report();
+    for span in [
+        "discovery.classify.split",
+        "discovery.check.probe_index.build",
+        "discovery.check.probe_sweep",
+    ] {
+        let entered = report.timer(span).map_or(0, |timer| timer.count);
+        assert!(entered > 0, "{span} never entered");
+    }
 }
 
 #[test]
