@@ -5,9 +5,7 @@
 
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
@@ -17,12 +15,14 @@ use std::sync::{Arc, Mutex};
 /// pattern's non-null part.
 ///
 /// Building it costs one pass to merge the per-column null lists, one
-/// complement pass for the total-row list, and one grouping pass per
+/// complement pass for the total-row list, and one grouping per
 /// distinct pattern — the total-row list itself is computed **once**
-/// and shared by every pattern. No pass builds a key per row: rows are
-/// grouped by fingerprint and checked against each group's head row
-/// (`RowGroups`), and each pattern's buckets are one flat `u32` row
-/// array. Callers that probe the same `X` several times
+/// and shared by every pattern. No pass builds a key or a hash per row:
+/// a pattern's null rows and the total rows are grouped by the
+/// partition refinement kernel (`Partition::join_groups`), and each
+/// pattern keeps only the total rows that share a group with one of its
+/// null rows, as one flat `u32` row array. Callers that probe the same
+/// `X` several times
 /// (c-key + reflexivity during classification, key mining) build the
 /// index once and reuse it; the yes/no questions sweep it by groups
 /// (`WeakSweep`) rather than visiting its pairs.
@@ -34,11 +34,15 @@ pub struct ProbeIndex {
 }
 
 /// One distinct null pattern of `X`: its reduced part (the columns of
-/// `X` where its rows are non-null), its null rows, and the `X`-total
-/// rows bucketed by their codes on the reduced part.
+/// `X` where its rows are non-null), its null rows grouped by their
+/// codes on the reduced part, and per group the `X`-total rows with
+/// those codes.
 struct Pattern {
     reduced: AttrSet,
     rows: Vec<usize>,
+    /// The group of each null row (parallel to `rows`), numbered from 0
+    /// in order of first appearance.
+    groups: Vec<u32>,
     buckets: Buckets,
 }
 
@@ -58,12 +62,17 @@ impl ProbeIndex {
         let null_rows = enc.null_rows_on(x);
         // The x-total rows, computed once and shared by every pattern.
         let total = total_rows(enc.rows(), &null_rows);
+        let mut scratch = ProductScratch::new();
         let patterns = null_patterns(enc, x, &null_rows)
             .into_iter()
-            .map(|(reduced, rows)| Pattern {
-                reduced,
-                rows,
-                buckets: Buckets::new(enc, reduced, &total),
+            .map(|(reduced, rows)| {
+                let (groups, buckets) = Buckets::new(enc, reduced, &rows, &total, &mut scratch);
+                Pattern {
+                    reduced,
+                    rows,
+                    groups,
+                    buckets,
+                }
             })
             .collect();
         ProbeIndex {
@@ -120,10 +129,7 @@ impl ProbeIndex {
         }
         // 2) null–total pairs, by null pattern.
         for p in &self.patterns {
-            for &r in &p.rows {
-                let Some(g) = p.buckets.groups.get(enc, r) else {
-                    continue;
-                };
+            for (&r, &g) in p.rows.iter().zip(&p.groups) {
                 for &s in p.buckets.rows(g) {
                     let s = s as usize;
                     if enc.equal_on(r, s, extra) && !f(r, s) {
@@ -147,12 +153,11 @@ impl ProbeIndex {
             }
             // Each bucket is swept once per distinct reduced key among
             // the nulls — never per null row.
-            let mut seen = vec![false; p.buckets.groups.len()];
+            let mut seen = vec![false; p.buckets.len()];
             let partners = p
-                .rows
+                .groups
                 .iter()
-                .filter_map(|&r| {
-                    let g = p.buckets.groups.get(enc, r)?;
+                .filter_map(|&g| {
                     let first = !std::mem::replace(&mut seen[g as usize], true);
                     first.then(|| p.buckets.rows(g))
                 })
@@ -169,167 +174,73 @@ impl ProbeIndex {
     }
 }
 
-/// Rows bucketed by their codes on a key, flat: group `g` of `groups`
-/// holds the rows `rows[starts[g]..starts[g + 1]]`, ascending.
+/// The `X`-total partners of one null pattern, flat: group `g` of the
+/// pattern's null rows has the total rows `rows[starts[g]..starts[g + 1]]`,
+/// ascending — those equal to its null rows on the reduced part.
 struct Buckets {
-    groups: RowGroups,
     starts: Vec<u32>,
     rows: Vec<u32>,
 }
 
 impl Buckets {
-    /// Buckets `rows` (ascending) by their codes on `key`: one grouping
-    /// pass, then a counting scatter into one `u32` array.
-    fn new(enc: &Encoded, key: AttrSet, rows: &[usize]) -> Buckets {
-        let mut groups = RowGroups::new(key);
-        let ids: Vec<u32> = rows.iter().map(|&r| groups.get_or_open(enc, r).0).collect();
-        let mut starts = vec![0u32; groups.len() + 1];
-        for &g in &ids {
+    /// Groups `nulls` by their codes on `key` and joins the `total`
+    /// rows (ascending) to those groups ([`join_groups`]), then scatters
+    /// the joined rows into one `u32` array. Returns the nulls' groups
+    /// (parallel to `nulls`) with the buckets.
+    fn new(
+        enc: &Encoded,
+        key: AttrSet,
+        nulls: &[usize],
+        total: &[usize],
+        scratch: &mut ProductScratch,
+    ) -> (Vec<u32>, Buckets) {
+        let (groups, joined) = join_groups(enc, key, nulls, total.iter().copied(), scratch);
+        let k = groups.iter().max().map_or(0, |&g| g as usize + 1);
+        let mut starts = vec![0u32; k + 1];
+        for &(_, g) in &joined {
             starts[g as usize + 1] += 1;
         }
         for i in 1..starts.len() {
             starts[i] += starts[i - 1];
         }
         let mut cursor = starts.clone();
-        let mut flat = vec![0u32; rows.len()];
-        for (&r, &g) in rows.iter().zip(&ids) {
+        let mut flat = vec![0u32; joined.len()];
+        for &(r, g) in &joined {
             let slot = &mut cursor[g as usize];
-            flat[*slot as usize] = r as u32;
+            flat[*slot as usize] = r;
             *slot += 1;
         }
-        Buckets {
-            groups,
-            starts,
-            rows: flat,
-        }
+        (groups, Buckets { starts, rows: flat })
     }
 
-    /// The rows of group `g`, ascending.
+    /// The number of groups.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The total rows of group `g`, ascending.
     fn rows(&self, g: u32) -> &[u32] {
         let g = g as usize;
         &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 }
 
-/// Ends a chain of groups sharing a fingerprint.
-const NO_GROUP: u32 = u32::MAX;
-
-/// Rows grouped by their codes on a key — a set of columns — with no
-/// key built per row. A row's *fingerprint* is a keyed hash of its
-/// codes; it selects the chain of groups opened with that fingerprint,
-/// and the row belongs to the group on the chain whose head row has
-/// the same codes. Two keys that share a fingerprint open two groups
-/// on one chain, so the grouping is exactly "equal codes on the key"
-/// whatever the hash does — only lookups by key are ever made, never
-/// an iteration over the map. The hash is keyed afresh per grouping
-/// ([`RandomState`]), so no data can be crafted to put many keys on
-/// one chain. Groups are numbered densely from 0 in the order they
-/// open.
-struct RowGroups {
+/// [`Partition::join_groups`] over row ids, counting the rows it is
+/// handed under `discovery.check.sweep.rows_grouped`.
+fn join_groups(
+    enc: &Encoded,
     key: AttrSet,
-    hasher: RandomState,
-    /// Fingerprint → the last group opened with it.
-    last: HashMap<u64, u32, BuildHasherDefault<FingerprintHasher>>,
-    /// Per group, its head: the row that opened it.
-    heads: Vec<u32>,
-    /// Per group, the group opened before it with the same
-    /// fingerprint, or [`NO_GROUP`].
-    prev: Vec<u32>,
-}
-
-impl RowGroups {
-    fn new(key: AttrSet) -> RowGroups {
-        RowGroups {
-            key,
-            hasher: RandomState::new(),
-            last: HashMap::default(),
-            heads: Vec::new(),
-            prev: Vec::new(),
-        }
-    }
-
-    /// Drops every group and keys the grouping on `key`, keeping the
-    /// allocations.
-    fn reset(&mut self, key: AttrSet) {
-        self.key = key;
-        self.last.clear();
-        self.heads.clear();
-        self.prev.clear();
-    }
-
-    /// The number of groups opened.
-    fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// The row that opened group `g`.
-    fn head(&self, g: u32) -> usize {
-        self.heads[g as usize] as usize
-    }
-
-    fn fingerprint(&self, enc: &Encoded, row: usize) -> u64 {
-        #[cfg(test)]
-        if tests::ONE_FINGERPRINT.with(std::cell::Cell::get) {
-            return 0;
-        }
-        let mut h = self.hasher.build_hasher();
-        for a in self.key {
-            h.write_u32(enc.code(row, a));
-        }
-        h.finish()
-    }
-
-    /// The group on fingerprint `fp`'s chain whose head has `row`'s
-    /// codes on the key.
-    fn find(&self, enc: &Encoded, row: usize, fp: u64) -> Option<u32> {
-        let mut g = *self.last.get(&fp)?;
-        while g != NO_GROUP {
-            if enc.equal_on(self.head(g), row, self.key) {
-                return Some(g);
-            }
-            g = self.prev[g as usize];
-        }
-        None
-    }
-
-    /// The group of the rows with `row`'s codes on the key, if open.
-    fn get(&self, enc: &Encoded, row: usize) -> Option<u32> {
-        self.find(enc, row, self.fingerprint(enc, row))
-    }
-
-    /// `row`'s group, opened with `row` as its head if absent; `true`
-    /// when it was opened.
-    fn get_or_open(&mut self, enc: &Encoded, row: usize) -> (u32, bool) {
-        let fp = self.fingerprint(enc, row);
-        if let Some(g) = self.find(enc, row, fp) {
-            return (g, false);
-        }
-        // Row ids are `u32` throughout the kernels, and a group has at
-        // least one row.
-        let g = self.heads.len() as u32;
-        self.prev.push(self.last.insert(fp, g).unwrap_or(NO_GROUP));
-        self.heads.push(row as u32);
-        (g, true)
-    }
-}
-
-/// The hasher of a fingerprint map: a fingerprint is already a keyed
-/// hash, so it hashes to itself.
-#[derive(Default)]
-struct FingerprintHasher(u64);
-
-impl Hasher for FingerprintHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("fingerprint maps are keyed by u64 only");
-    }
-
-    fn write_u64(&mut self, fp: u64) {
-        self.0 = fp;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    opening: &[usize],
+    joining: impl Iterator<Item = usize>,
+    scratch: &mut ProductScratch,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let opening: Vec<u32> = opening.iter().map(|&r| r as u32).collect();
+    let joining: Vec<u32> = joining.map(|r| r as u32).collect();
+    sqlnf_obs::count!(
+        "discovery.check.sweep.rows_grouped",
+        opening.len() + joining.len()
+    );
+    Partition::join_groups(enc, key, &opening, joining, scratch)
 }
 
 /// The rows of `0..rows` not in `null_rows` (ascending), in one
@@ -361,28 +272,22 @@ fn null_patterns(enc: &Encoded, x: AttrSet, null_rows: &[usize]) -> Vec<(AttrSet
     patterns
 }
 
-/// The groups of one [`WeakSweep`] pass: rows sharing their codes on
-/// the pass's key. Per group and target, flat at `g·n..(g + 1)·n` for
-/// `n` targets, the code of the group's head and the first row that
-/// disagreed with it; per group, the targets some member disagreed on.
+/// The open groups of one [`WeakSweep`] pass, numbered as the pass's
+/// grouping numbers them: per group its head, the row that opened it;
+/// per group and target, flat at `g·n..(g + 1)·n` for `n` targets, the
+/// code of the head and the first row that disagreed with it; per
+/// group, the targets some member disagreed on.
+#[derive(Default)]
 struct SweepGroups {
-    rows: RowGroups,
+    heads: Vec<u32>,
     cells: Vec<(u32, u32)>,
     conflict: Vec<AttrSet>,
 }
 
 impl SweepGroups {
-    fn new(key: AttrSet) -> SweepGroups {
-        SweepGroups {
-            rows: RowGroups::new(key),
-            cells: Vec::new(),
-            conflict: Vec::new(),
-        }
-    }
-
-    /// Drops every group and keys the pass on `key`.
-    fn reset(&mut self, key: AttrSet) {
-        self.rows.reset(key);
+    /// Drops every group, keeping the allocations.
+    fn clear(&mut self) {
+        self.heads.clear();
         self.cells.clear();
         self.conflict.clear();
     }
@@ -394,8 +299,8 @@ impl SweepGroups {
 /// * which of `targets` every weak pair agrees on (the certain-FD
 ///   tail, [`ProbeCache::fd_targets`]), with a disagreeing pair per
 ///   refuted target;
-/// * whether `X →_w X` holds (totality): exactly `targets = X` surviving
-///   whole;
+/// * whether `X →_w X` holds (totality): exactly the targets
+///   `X ∩ nullable` surviving whole ([`certain_reflexive_holds`]);
 /// * the first weak pair, if any (the c-key check,
 ///   [`ProbeCache::first_weak_pair`]).
 ///
@@ -408,8 +313,15 @@ impl SweepGroups {
 /// different patterns are weakly similar iff they agree on the columns
 /// non-null in both; joining the two patterns on those codes gives
 /// groups where every row of one side pairs with every row of the
-/// other, so again "all pairs agree" is "the group is constant". The
-/// groups are [`RowGroups`], so no row builds a key.
+/// other, so again "all pairs agree" is "the group is constant".
+///
+/// Each pass groups only the rows it joins — a pattern's null rows and
+/// their candidate partners, or the null rows of two patterns — with the
+/// partition refinement kernel ([`Partition::join_groups`]), so no row's
+/// codes are hashed. The rows that may open a group come first, and the
+/// groups they open are numbered `0, 1, …` as they open; a joining row
+/// is handed over only when it meets an opening row, and the rows it
+/// leaves out would join no group.
 struct WeakSweep {
     targets: Vec<Attr>,
     holding: AttrSet,
@@ -418,6 +330,8 @@ struct WeakSweep {
     pair: Option<(usize, usize)>,
     /// Per refuted target, a weak pair that disagrees on it.
     refuted: Vec<(Attr, usize, usize)>,
+    /// The grouping kernel's scratch, reused by every pass.
+    scratch: ProductScratch,
 }
 
 impl WeakSweep {
@@ -428,6 +342,7 @@ impl WeakSweep {
             until_pair: false,
             pair: None,
             refuted: Vec::new(),
+            scratch: ProductScratch::new(),
         }
     }
 
@@ -446,38 +361,39 @@ impl WeakSweep {
         }
     }
 
-    /// Adds `row` to its group, opening the group if absent — or, with
-    /// `open = false`, only joins an existing group. Adding with
-    /// `anchor` means every two rows of the group must now agree on
-    /// each target (the row pairs with every null row of its pattern
-    /// group, or with the whole other side of a cross-pattern join), so
-    /// the group's disagreements refute targets.
-    fn join(
+    /// The `opening` rows, each with its group on `key`, followed by the
+    /// `joining` rows that meet one of those groups, each with it — the
+    /// order the pass adds them in ([`join_groups`]).
+    fn group(
         &mut self,
         enc: &Encoded,
-        groups: &mut SweepGroups,
-        row: usize,
-        anchor: bool,
-        open: bool,
-    ) {
-        let g = if open {
-            let (g, opened) = groups.rows.get_or_open(enc, row);
-            if opened {
-                let cells = self.targets.iter().map(|&a| (enc.code(row, a), row as u32));
-                groups.cells.extend(cells);
-                groups.conflict.push(AttrSet::EMPTY);
-                return;
-            }
-            g
-        } else {
-            let Some(g) = groups.rows.get(enc, row) else {
-                return;
-            };
-            g
-        };
+        key: AttrSet,
+        opening: &[usize],
+        joining: impl Iterator<Item = usize>,
+    ) -> Vec<(u32, u32)> {
+        let (groups, joined) = join_groups(enc, key, opening, joining, &mut self.scratch);
+        let opening = opening.iter().map(|&r| r as u32);
+        opening.zip(groups).chain(joined).collect()
+    }
+
+    /// Adds `row` to its group `g`, opening the group with `row` as its
+    /// head when `g` is the next one to open. Adding with `anchor` means
+    /// every two rows of the group must now agree on each target (the
+    /// row pairs with every null row of its pattern group, or with the
+    /// whole other side of a cross-pattern join), so the group's
+    /// disagreements refute targets.
+    fn join(&mut self, enc: &Encoded, groups: &mut SweepGroups, g: u32, row: usize, anchor: bool) {
+        let g = g as usize;
+        if g == groups.heads.len() {
+            groups.heads.push(row as u32);
+            let cells = self.targets.iter().map(|&a| (enc.code(row, a), row as u32));
+            groups.cells.extend(cells);
+            groups.conflict.push(AttrSet::EMPTY);
+            return;
+        }
         let n = self.targets.len();
-        let cells = &mut groups.cells[g as usize * n..(g as usize + 1) * n];
-        let conflict = &mut groups.conflict[g as usize];
+        let cells = &mut groups.cells[g * n..(g + 1) * n];
+        let conflict = &mut groups.conflict[g];
         for (&a, cell) in self.targets.iter().zip(cells.iter_mut()) {
             if enc.code(row, a) != cell.0 && conflict.insert(a) {
                 cell.1 = row as u32;
@@ -486,7 +402,7 @@ impl WeakSweep {
         if !anchor {
             return;
         }
-        let head = groups.rows.head(g);
+        let head = groups.heads[g] as usize;
         self.pair.get_or_insert((head, row));
         let killed = self.holding & *conflict;
         if killed.is_empty() {
@@ -518,16 +434,11 @@ impl WeakSweep {
         nulls: &[usize],
         partners: impl Iterator<Item = usize>,
     ) {
-        let mut groups = SweepGroups::new(key);
+        let rows = self.group(enc, key, nulls, partners);
+        let mut groups = SweepGroups::default();
         // Every null row pairs with the rows it meets in its group.
-        for &row in nulls {
-            self.join(enc, &mut groups, row, true, true);
-            if self.done() {
-                return;
-            }
-        }
-        for row in partners {
-            self.join(enc, &mut groups, row, true, false);
+        for (row, g) in rows {
+            self.join(enc, &mut groups, g, row as usize, true);
             if self.done() {
                 return;
             }
@@ -537,19 +448,19 @@ impl WeakSweep {
     /// The null–null pairs across patterns: rows of patterns `i < j`
     /// joined on `(red_i ∩ red_j) ∪ extra`.
     fn across_patterns(&mut self, enc: &Encoded, extra: AttrSet, patterns: &[(AttrSet, &[usize])]) {
-        let mut groups = SweepGroups::new(extra);
+        let mut groups = SweepGroups::default();
         for (i, &(red_i, rows_i)) in patterns.iter().enumerate() {
             for &(red_j, rows_j) in &patterns[i + 1..] {
                 if self.done() {
                     return;
                 }
-                groups.reset((red_i & red_j) | extra);
-                for &row in rows_i {
-                    self.join(enc, &mut groups, row, false, true);
-                }
-                for &row in rows_j {
-                    self.join(enc, &mut groups, row, true, false);
-                    if self.done() {
+                groups.clear();
+                let key = (red_i & red_j) | extra;
+                let rows = self.group(enc, key, rows_i, rows_j.iter().copied());
+                for (k, (row, g)) in rows.into_iter().enumerate() {
+                    let anchor = k >= rows_i.len();
+                    self.join(enc, &mut groups, g, row as usize, anchor);
+                    if anchor && self.done() {
                         return;
                     }
                 }
@@ -1199,15 +1110,29 @@ pub fn is_pkey(strong_partition: &Partition) -> bool {
 /// upgrades a certain FD `X →_w Y` to the *total* FD `X →_w XY`
 /// (Definition 9). Rows without nulls in `X` satisfy it trivially
 /// (weak similarity = equality there); only null-bearing rows matter,
-/// and the check is the certain-FD tail with targets `X`.
+/// and the check is the certain-FD tail with targets the nullable
+/// footprint `S = X ∩ nullable`, not all of `X`.
+///
+/// Why `S` suffices: every grouping key of the sweep contains
+/// `extra = X ∖ S`, whose columns carry no `⊥` — within a pattern the
+/// key is `reduced ∪ extra`, across two patterns `(red_i ∩ red_j) ∪
+/// extra`. So no group disagrees on a column of `extra`, no such target
+/// is ever refuted, and the sweep over targets `X` refutes exactly the
+/// targets of `S` the sweep over `S` refutes, with the same witnesses in
+/// the same order. Hence `X →_w X` holds iff every target of `S`
+/// survives. Asking `X` only keeps the sweep running after the last
+/// target of `S` fell, since the `extra` targets never empty `holding`.
 pub fn certain_reflexive_holds(enc: &Encoded, x: AttrSet) -> bool {
-    certain_tail(enc, x, x, None).holding == x
+    let footprint = x & enc.nullable_columns();
+    certain_tail(enc, x, footprint, None).holding == footprint
 }
 
 /// [`certain_reflexive_holds`] probing through a shared
-/// [`ProbeCache`].
+/// [`ProbeCache`]; asks the same nullable footprint, for the same
+/// reason.
 pub fn certain_reflexive_holds_cached(enc: &Encoded, probes: &ProbeCache, x: AttrSet) -> bool {
-    probes.fd_targets(enc, x, x) == x
+    let footprint = x & probes.nullable;
+    probes.fd_targets(enc, x, footprint) == footprint
 }
 
 /// The [`NullSemantics`] under which partitions for `sem` are built:
@@ -1251,13 +1176,6 @@ mod tests {
     use super::*;
     use sqlnf_model::constraint::{Fd, Key};
     use sqlnf_model::prelude::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// While set on a thread, every [`RowGroups`] fingerprint it
-        /// computes is 0, so all keys share one chain.
-        pub(super) static ONE_FINGERPRINT: Cell<bool> = const { Cell::new(false) };
-    }
 
     fn enc(t: &Table) -> Encoded {
         Encoded::new(t)
@@ -1300,22 +1218,115 @@ mod tests {
         out
     }
 
-    /// Rows are grouped by code equality, never by fingerprint alone:
-    /// with every key forced onto one fingerprint, each grouping
-    /// becomes one long chain, and every answer and witness of the
-    /// certain tail stays what it was.
-    #[test]
-    fn one_fingerprint_changes_no_answer() {
+    /// The fixtures of the witness golden: the hepatitis shape (no
+    /// footprint index is ever admitted there on its own), a null-heavy
+    /// 600-row adult prefix and the Figure 7 contact table, whose
+    /// profiles repeat with `⊥`.
+    fn witness_fixtures() -> Vec<(&'static str, Table)> {
         let adult = sqlnf_datagen::naumann::adult_like(20_160_626);
         let prefix = Table::from_rows(adult.schema().clone(), adult.rows()[..600].to_vec());
-        for t in [sqlnf_datagen::naumann::hepatitis_like(7), prefix] {
+        vec![
+            ("hepatitis", sqlnf_datagen::naumann::hepatitis_like(7)),
+            ("adult600", prefix),
+            ("contact", sqlnf_datagen::contact::contact_full(42)),
+        ]
+    }
+
+    /// [`tail_answers`] as text, one line per LHS and run of asking
+    /// rounds that answered alike: each refuted target with its witness
+    /// pair (the rest of the targets hold), the first weak pair, the
+    /// totality witnesses, and the number of weak pairs with an FNV-1a
+    /// digest of their visiting order.
+    fn render_tail_answers(name: &str, e: &Encoded) -> String {
+        let all = e.null_free_columns() | e.nullable_columns();
+        let lhss: Vec<AttrSet> = all.subsets().filter(|x| x.len() <= 2).collect();
+        let rounds = ADMIT_AFTER as usize + 2;
+        let witnesses = |w: &[(Attr, usize, usize)]| {
+            let w: Vec<String> = w
+                .iter()
+                .map(|(a, r, s)| format!("{}:{r}-{s}", a.0))
+                .collect();
+            format!("[{}]", w.join(" "))
+        };
+        let mut lines: Vec<(AttrSet, usize, usize, String)> = Vec::new();
+        for (i, (held, refuted, first, total, pairs)) in tail_answers(e).into_iter().enumerate() {
+            let x = lhss[i / rounds];
+            let refuted_targets: AttrSet = refuted.iter().map(|w| w.0).collect();
+            assert_eq!(held, (all - x) - refuted_targets, "{name} {x:?}");
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for (r, s) in &pairs {
+                for b in (*r as u64)
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain((*s as u64).to_le_bytes())
+                {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            let first = first.map_or("-".to_string(), |(r, s)| format!("{r}-{s}"));
+            let answer = format!(
+                "refuted {} first {first} total {} pairs {} {digest:016x}",
+                witnesses(&refuted),
+                witnesses(&total),
+                pairs.len(),
+            );
+            match lines.last_mut() {
+                Some(last) if last.0 == x && last.3 == answer => last.2 = i % rounds,
+                _ => lines.push((x, i % rounds, i % rounds, answer)),
+            }
+        }
+        lines
+            .into_iter()
+            .map(|(x, from, to, answer)| format!("{name} {x:?} r{from}-{to}: {answer}\n"))
+            .collect()
+    }
+
+    /// The certain tail's answers and witnesses are pinned line for
+    /// line: which targets survive, which weak pair refutes each other
+    /// one, the first weak pair, the totality witnesses and the weak
+    /// pairs in visiting order, for every LHS of at most two columns,
+    /// each asked past the index admission threshold. A change to how
+    /// the sweep groups rows — a key missing a column, a group that
+    /// loses its head — moves a line here.
+    #[test]
+    fn certain_tail_witnesses_match_golden() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/certain_tail_witnesses.txt");
+        let mut got = String::new();
+        for (name, t) in witness_fixtures() {
+            got.push_str(&render_tail_answers(name, &enc(&t)));
+        }
+        assert!(got
+            .lines()
+            .any(|l| !l.ends_with(" pairs 0 cbf29ce484222325")));
+        assert!(
+            got.lines().any(|l| l.contains(" r1-6:")),
+            "the index answers"
+        );
+        for (i, (g, want)) in got.lines().zip(GOLDEN.lines()).enumerate() {
+            assert_eq!(g, want, "line {}", i + 1);
+        }
+        assert_eq!(got.lines().count(), GOLDEN.lines().count());
+    }
+
+    /// Totality needs only the nullable footprint: the sweep of `X`
+    /// refutes no column of `X ∖ nullable`, so asking `X` and asking
+    /// `X ∩ nullable` give the same witnesses.
+    #[test]
+    fn totality_asks_the_nullable_footprint() {
+        for (name, t) in witness_fixtures() {
             let e = enc(&t);
-            let hashed = tail_answers(&e);
-            ONE_FINGERPRINT.with(|f| f.set(true));
-            let forced = tail_answers(&e);
-            ONE_FINGERPRINT.with(|f| f.set(false));
-            assert!(hashed.iter().any(|a| !a.4.is_empty()));
-            assert!(hashed == forced, "{}", t.schema().name());
+            let probes = ProbeCache::new(&e);
+            let all = e.null_free_columns() | e.nullable_columns();
+            for x in all.subsets().filter(|x| x.len() <= 2) {
+                let footprint = x & e.nullable_columns();
+                for _ in 0..ADMIT_AFTER + 2 {
+                    assert_eq!(
+                        probes.fd_target_witnesses(&e, x, x),
+                        probes.fd_target_witnesses(&e, x, footprint),
+                        "{name} {x:?}"
+                    );
+                }
+            }
         }
     }
 

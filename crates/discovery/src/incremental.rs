@@ -978,9 +978,12 @@ impl Pass<'_> {
                 self.first_delta_pair(&delta, x, Semantics::Certain, |r, s| !unequal(r, s))
             }
             _ => {
-                // A weak pair that disagrees on some column of `x`.
+                // A weak pair that disagrees on some column of `x`: one
+                // of its nullable footprint, as `certain_reflexive_holds`
+                // proves.
                 self.touched += 1;
-                let refuted = self.probes.fd_target_witnesses(enc, x, x);
+                let footprint = x & enc.nullable_columns();
+                let refuted = self.probes.fd_target_witnesses(enc, x, footprint);
                 refuted.first().map(|&(_, r, s)| (self.ids[r], self.ids[s]))
             }
         };

@@ -676,6 +676,105 @@ impl Partition {
         Partition { classes }
     }
 
+    /// Groups rows by their codes on `key` (null-as-value): the group of
+    /// each `opening` row, numbered densely from 0 in order of first
+    /// appearance, and the `joining` rows equal on `key` to some opening
+    /// row, each with that row's group, in `joining` order. Rows of
+    /// either list must be distinct. No row's codes are hashed:
+    ///
+    /// 1. a *code filter* per key column, most selective first, keeps
+    ///    the joining rows whose code on that column some opening row
+    ///    carries — the probe table marks the opening rows' codes;
+    /// 2. the refinement kernel of [`Partition::product_attr`], started
+    ///    from one class of the opening and surviving joining rows,
+    ///    splits them by every key column; a row in no stripped class is
+    ///    alone in its group.
+    ///
+    /// The filter only drops rows the refinement would leave without an
+    /// opening row, so the groups are exactly "equal codes on `key`";
+    /// the order of the columns changes neither pass's result.
+    /// Uncounted: callers count the rows they group.
+    pub(crate) fn join_groups(
+        enc: &Encoded,
+        key: AttrSet,
+        opening: &[u32],
+        mut joining: Vec<u32>,
+        scratch: &mut ProductScratch,
+    ) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let mut cols: Vec<Attr> = key.iter().collect();
+        cols.sort_by_key(|&a| std::cmp::Reverse(enc.dict_size(a)));
+        for &a in &cols {
+            if joining.is_empty() {
+                break;
+            }
+            let col = enc.column(a);
+            scratch.ensure_probe(enc.dict_size(a) as usize + 1);
+            for &r in opening {
+                scratch.label(col[r as usize], 1);
+            }
+            joining.retain(|&s| scratch.probe_label(col[s as usize]) != 0);
+            for &r in opening {
+                scratch.clear_label(col[r as usize]);
+            }
+        }
+        let mut rows = opening.to_vec();
+        rows.extend_from_slice(&joining);
+        let mut p = Partition {
+            classes: if rows.len() >= 2 {
+                vec![rows]
+            } else {
+                Vec::new()
+            },
+        };
+        for &a in &cols {
+            if p.is_empty() {
+                break;
+            }
+            p = p.refine_with(enc, a, NullSemantics::NullAsValue, scratch);
+        }
+        // Label each row with its class (1-based; 0 = alone), then number
+        // the groups as the opening rows first meet them.
+        scratch.ensure_probe(enc.rows());
+        for (i, class) in p.classes.iter().enumerate() {
+            for &r in class {
+                scratch.label(r, i as u32 + 1);
+            }
+        }
+        const NONE: u32 = u32::MAX;
+        let mut class_group = vec![NONE; p.classes.len()];
+        let mut groups = 0u32;
+        let mut next = || {
+            groups += 1;
+            groups - 1
+        };
+        let ids = opening
+            .iter()
+            .map(
+                |&r| match (scratch.probe_label(r) as usize).checked_sub(1) {
+                    Some(c) if class_group[c] != NONE => class_group[c],
+                    Some(c) => {
+                        class_group[c] = next();
+                        class_group[c]
+                    }
+                    None => next(),
+                },
+            )
+            .collect();
+        let joined = joining
+            .iter()
+            .filter_map(|&s| {
+                let c = (scratch.probe_label(s) as usize).checked_sub(1)?;
+                (class_group[c] != NONE).then_some((s, class_group[c]))
+            })
+            .collect();
+        for class in &p.classes {
+            for &r in class {
+                scratch.clear_label(r);
+            }
+        }
+        (ids, joined)
+    }
+
     /// Sweeps the refinement `π_self · π_{a}` row by row *without
     /// materializing it*: calls `f(sub, first, r)` for every row `r`
     /// the null semantics keeps, where `sub` numbers `r`'s subclass
@@ -1066,6 +1165,59 @@ mod tests {
                 refined,
                 "{sem:?} product after fused sweep"
             );
+        }
+    }
+
+    /// `join_groups` is code equality on the key: opening rows share an
+    /// id iff they are equal on it, ids count up as the opening rows
+    /// first meet them, and a joining row comes back, in order and with
+    /// the id, iff it equals some opening row.
+    #[test]
+    fn join_groups_match_code_equality() {
+        let t = TableBuilder::new("r", ["a", "b", "c"], &[])
+            .row(tuple!["x", 1i64, null])
+            .row(tuple![null, 1i64, 7i64])
+            .row(tuple!["x", 2i64, 7i64])
+            .row(tuple!["x", 1i64, null])
+            .row(tuple![null, 1i64, 8i64])
+            .row(tuple!["y", 2i64, 7i64])
+            .row(tuple!["x", 2i64, 7i64])
+            .build();
+        let e = Encoded::new(&t);
+        let mut scratch = ProductScratch::new();
+        let splits: [(&[u32], &[u32]); 3] = [
+            (&[0, 1, 2, 3], &[6, 4, 5]),
+            (&[5, 4], &[3, 2, 1, 0, 6]),
+            (&[], &[0, 1]),
+        ];
+        for key in AttrSet::from_indices([0, 1, 2]).subsets() {
+            for (opening, joining) in splits {
+                let (ids, joined) =
+                    Partition::join_groups(&e, key, opening, joining.to_vec(), &mut scratch);
+                let mut firsts: Vec<u32> = Vec::new();
+                for (i, &r) in opening.iter().enumerate() {
+                    let first = opening[..i]
+                        .iter()
+                        .position(|&s| e.equal_on(r as usize, s as usize, key));
+                    match first {
+                        Some(j) => assert_eq!(ids[i], ids[j], "{key:?} {opening:?}"),
+                        None => {
+                            assert_eq!(ids[i] as usize, firsts.len(), "{key:?} {opening:?}");
+                            firsts.push(r);
+                        }
+                    }
+                }
+                let expect: Vec<(u32, u32)> = joining
+                    .iter()
+                    .filter_map(|&s| {
+                        let g = firsts
+                            .iter()
+                            .position(|&r| e.equal_on(r as usize, s as usize, key))?;
+                        Some((s, g as u32))
+                    })
+                    .collect();
+                assert_eq!(joined, expect, "{key:?} {opening:?}");
+            }
         }
     }
 

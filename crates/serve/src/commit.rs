@@ -493,7 +493,9 @@ impl GroupWal {
                 // release turns per-shard durability into the
                 // cross-shard watermark.
                 if let Some(tx) = self.listener.lock().unwrap().as_ref() {
-                    let _ = tx.send(HubMsg::Batch(notices));
+                    if tx.send(HubMsg::Batch(notices)).is_err() {
+                        self.metrics.watch_notify_failed.add(1);
+                    }
                 }
                 shard.durable.fetch_add(n, Ordering::Release);
                 {
@@ -517,7 +519,9 @@ impl GroupWal {
                 // epoch — the lost epochs are a permanent gap, so
                 // nothing at or past them may ever ack, on any shard.
                 if let (Some(wal), Some((bytes, records))) = (file.as_mut(), rollback) {
-                    let _ = wal.truncate_to(bytes, records);
+                    if wal.truncate_to(bytes, records).is_err() {
+                        self.metrics.wal_truncate_failed.add(1);
+                    }
                 }
                 let first_bad = shard.durable.load(Ordering::Acquire) + 1;
                 shard.failed.store(first_bad, Ordering::Release);

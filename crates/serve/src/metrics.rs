@@ -172,7 +172,17 @@ pub struct StoreMetrics {
     pub(crate) commit_batch_size: Arc<Timer>,
     pub(crate) wal_bytes: Arc<Counter>,
     pub(crate) wal_records: Arc<Counter>,
+    /// `serve.wal.truncate_failed`: failed batches whose frames could
+    /// not be cut from the log again, so recovery may replay frames
+    /// their writers saw fail.
+    pub(crate) wal_truncate_failed: Arc<Counter>,
+    /// `serve.session.io_errors`: sessions that ended on a socket error
+    /// (a clean end of stream is not one).
+    pub(crate) session_io_errors: Arc<Counter>,
     pub(crate) watch_events: Arc<Counter>,
+    /// `serve.watch.notify_failed`: durable batches the WATCH hub was
+    /// gone to receive.
+    pub(crate) watch_notify_failed: Arc<Counter>,
     pub(crate) watch_dropped: Arc<Counter>,
     /// High-water mark of the rows the WATCH hub's miners hold.
     pub(crate) watch_shadow_rows: Arc<Counter>,
@@ -208,7 +218,10 @@ impl Default for StoreMetrics {
             commit_batch_size: timer("serve.commit.batch_size"),
             wal_bytes: counter("serve.wal.bytes"),
             wal_records: counter("serve.wal.records"),
+            wal_truncate_failed: counter("serve.wal.truncate_failed"),
+            session_io_errors: counter("serve.session.io_errors"),
             watch_events: counter("serve.watch.events"),
+            watch_notify_failed: counter("serve.watch.notify_failed"),
             watch_dropped: counter("serve.watch.dropped"),
             watch_shadow_rows: counter("serve.watch.shadow_rows"),
             watch_publish: timer("serve.watch.publish"),

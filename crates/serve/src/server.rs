@@ -282,7 +282,9 @@ fn worker_loop(
                 if kill.load(Ordering::SeqCst) {
                     continue; // crash simulation: drop without replying
                 }
-                let _ = handle_session(store, sessions, stream, shutdown, kill);
+                if handle_session(store, sessions, stream, shutdown, kill).is_err() {
+                    store.metrics().session_io_errors.add(1);
+                }
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -875,6 +877,35 @@ mod tests {
             .with_table("purchase", |st| assert_eq!(st.data().len(), 5))
             .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session that dies on an I/O error is counted; one that ends on
+    /// a clean end of stream is not.
+    #[test]
+    fn session_io_errors_are_counted() {
+        use std::io::Read;
+        use std::time::Instant;
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let store = Arc::clone(server.store());
+        let errors = || store.metrics().report().counter("serve.session.io_errors");
+        let mut clean = crate::client::Client::connect(server.local_addr()).unwrap();
+        clean.expect_ok("PING").unwrap();
+        drop(clean);
+        // A line that is not UTF-8 fails the session's read.
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"\xff\xfe\n").unwrap();
+        let mut rest = Vec::new();
+        let _ = raw.read_to_end(&mut rest);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while errors() != Some(1) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(errors(), Some(1));
+        let stats = store.stats_lines();
+        assert!(
+            stats.contains(&"session.io_errors 1".to_owned()),
+            "{stats:?}"
+        );
     }
 
     /// One watched insert records one `serve.watch.publish` sample (the

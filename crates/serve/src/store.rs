@@ -340,6 +340,7 @@ impl Store {
         };
         let mut lines = vec![
             format!("requests {}", m.requests.get()),
+            format!("session.io_errors {}", m.session_io_errors.get()),
             format!("sessions {}", m.sessions.get()),
             format!("snapshots {}", m.snapshots.get()),
             format!("stmt.admitted {}", m.admitted.get()),
@@ -347,6 +348,8 @@ impl Store {
             format!("tables {}", tables.len()),
             format!("wal.bytes {wal_bytes}"),
             format!("wal.records {wal_records}"),
+            format!("wal.truncate_failed {}", m.wal_truncate_failed.get()),
+            format!("watch.notify_failed {}", m.watch_notify_failed.get()),
             format!("watch.shadow_rows {}", m.watch_shadow_rows.get()),
         ];
         // A table without constraints holds no index: no line, so
@@ -891,6 +894,37 @@ mod tests {
         drop(reborn);
         let third = Store::open(&dir, 0).unwrap();
         assert_eq!(third.export_script(), script);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch whose fsync fails is cut from the log again: its frame
+    /// is gone after recovery, and the truncate that cut it is not
+    /// counted as failed.
+    #[test]
+    fn failed_batch_is_gone_after_recovery() {
+        let dir = tmp_dir("fsync_fault");
+        let store = Store::open(&dir, 0).unwrap();
+        store.execute_sql(DDL).unwrap();
+        store
+            .execute_sql("INSERT INTO purchase VALUES (1, 'Fitbit', NULL, 240);")
+            .unwrap();
+        let durable = store.wal_size();
+        store.inject_fsync_fault_once();
+        assert!(store
+            .execute_sql("INSERT INTO purchase VALUES (2, 'Doll', 'Kingtoys', 25);")
+            .is_err());
+        assert_eq!(store.wal_size(), durable, "the failed frame was cut");
+        let stats = store.stats_lines();
+        for line in ["wal.truncate_failed 0", "watch.notify_failed 0"] {
+            assert!(stats.contains(&line.to_owned()), "{stats:?}");
+        }
+        let report = store.metrics().report();
+        assert_eq!(report.counter("serve.wal.truncate_failed"), Some(0));
+        drop(store);
+        let reborn = Store::open(&dir, 0).unwrap();
+        reborn
+            .with_table("purchase", |st| assert_eq!(st.data().len(), 1))
+            .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

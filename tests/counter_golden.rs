@@ -1,6 +1,6 @@
 //! Exact pins of the discovery work counters on fixed instances with
-//! LHS cap 3. Three runs are recorded in
-//! `tests/golden/discovery_counters.txt`, one block each:
+//! LHS cap 3. Each run below is recorded in
+//! `tests/golden/discovery_counters.txt` as one block:
 //!
 //! * `[scratch]` — one `report_parts` pass on one thread over
 //!   `hepatitis_like(7)`;
@@ -9,7 +9,15 @@
 //!   inserting a copy of row 0, deleting one row, and changing one cell;
 //! * `[scratch adult]` — one `report_parts` pass on one thread over the
 //!   first 4,096 rows of `adult_like(20160626)`, a null-heavy shape
-//!   whose certain tail builds probe indexes (hepatitis never does).
+//!   whose certain tail builds probe indexes (hepatitis never does);
+//! * `[mine_fds adult <semantics>]` — one single-semantics `mine_fds`
+//!   walk on one thread over the same prefix, per semantics;
+//! * `[scratch adult full]` and `[scratch million 200k]` — release only
+//!   (`--ignored`): one `report_parts` pass on one thread over the full
+//!   `adult_like(20160626)`, the report's real shape of 24 certain-tail
+//!   sweeps, and over `million_like_with_rows(20160626, 200000)` with a
+//!   [`MILLION_BUDGET`] partition budget, under which the lattice pass
+//!   evicts previous-level partitions.
 //!
 //! Each line is `name value`; the test demands equality, so any change
 //! to the rows a pass scans, the products it builds, its fused checks,
@@ -29,17 +37,18 @@ use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
 use sqlnf::discovery::incremental::IncrementalMiner;
-use sqlnf::discovery::mine::MinerConfig;
+use sqlnf::discovery::mine::{mine_fds, mine_fds_encoded, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use sqlnf::prelude::*;
 use std::sync::Mutex;
+use std::time::Instant;
 
 const GOLDEN: &str = include_str!("golden/discovery_counters.txt");
 
 const MAX_LHS: usize = 3;
 
 /// The pinned counters, in file order.
-const COUNTERS: [&str; 10] = [
+const COUNTERS: [&str; 11] = [
     "discovery.partition.rows_scanned",
     "discovery.partition.products",
     "discovery.check.fused_checks",
@@ -50,6 +59,7 @@ const COUNTERS: [&str; 10] = [
     "discovery.mine.prev_level.evictions",
     "discovery.partition.cache.misses",
     "discovery.incr.candidates_touched",
+    "discovery.check.sweep.rows_grouped",
 ];
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -86,32 +96,87 @@ fn adult_prefix() -> Table {
     Table::from_rows(t.schema().clone(), t.rows()[..4096].to_vec())
 }
 
-/// One single-threaded `report_parts` pass over `t` as the golden
-/// block `name`, checked against the scratch `MINE` report.
-fn check_scratch_block(name: &str, t: &Table) {
+/// The partition budget of the `[scratch million 200k]` block: small
+/// enough that the lattice pass evicts.
+const MILLION_BUDGET: usize = 4 << 20;
+
+/// One single-threaded `report_parts` pass over `t` with `budget` as
+/// the golden block `name`, checked against the scratch `MINE` report.
+/// Returns the times the pass entered the certain tail's sweep.
+fn check_scratch_block(name: &str, t: &Table, budget: usize) -> u64 {
     let enc = Encoded::new(t);
     let mut report = String::new();
     let got = block(name, || {
         let config = MinerConfig::new(Semantics::Possible)
             .with_max_lhs(MAX_LHS)
-            .with_threads(1);
+            .with_threads(1)
+            .with_cache_budget(budget);
         let (cls, keys) = report_parts(&enc, t.schema().arity(), config);
         report = render_report("t", t.len(), t.schema(), MAX_LHS, &cls, &keys);
     });
-    assert_eq!(report, mine_report("t", t, MAX_LHS, DEFAULT_CACHE_BUDGET));
+    let sweeps = sqlnf_obs::report()
+        .timer("discovery.check.probe_sweep")
+        .map_or(0, |timer| timer.count);
+    assert_eq!(report, mine_report("t", t, MAX_LHS, budget));
     assert!(got == golden(name), "{name} counters moved; now:\n{got}");
+    sweeps
 }
 
 #[test]
 fn scratch_report_counters_match_golden() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    check_scratch_block("scratch", &fixture());
+    check_scratch_block("scratch", &fixture(), DEFAULT_CACHE_BUDGET);
 }
 
 #[test]
 fn scratch_adult_prefix_counters_match_golden() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    check_scratch_block("scratch adult", &adult_prefix());
+    check_scratch_block("scratch adult", &adult_prefix(), DEFAULT_CACHE_BUDGET);
+}
+
+#[test]
+fn mine_fds_adult_prefix_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = adult_prefix();
+    let enc = Encoded::new(&t);
+    for sem in Semantics::ALL {
+        let name = format!("mine_fds adult {}", sem.token());
+        let config = MinerConfig::new(sem).with_max_lhs(MAX_LHS).with_threads(1);
+        let mut mined = None;
+        let got = block(&name, || {
+            mined = Some(mine_fds_encoded(&enc, t.schema().arity(), config, Instant::now()).fds);
+        });
+        assert_eq!(
+            mined,
+            Some(mine_fds(&t, config.with_threads(4)).fds),
+            "{name}"
+        );
+        assert!(got == golden(&name), "{name} counters moved; now:\n{got}");
+    }
+}
+
+/// The full adult report: its certain tail sweeps 24 times.
+#[test]
+#[ignore = "full adult report; run in release builds only"]
+fn scratch_adult_full_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = sqlnf::datagen::naumann::adult_like(20_160_626);
+    let sweeps = check_scratch_block("scratch adult full", &t, DEFAULT_CACHE_BUDGET);
+    assert_eq!(sweeps, 24);
+}
+
+/// The telemetry shape past its partition budget.
+#[test]
+#[ignore = "200,000-row report; run in release builds only"]
+fn scratch_million_counters_match_golden() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let t = sqlnf::datagen::naumann::million_like_with_rows(20_160_626, 200_000);
+    check_scratch_block("scratch million 200k", &t, MILLION_BUDGET);
+    let pinned = golden("scratch million 200k");
+    assert!(
+        !pinned.contains("prev_level.evictions 0\n"),
+        "the budget evicts"
+    );
 }
 
 /// The report's phases after its lattice pass are timed: one adult
