@@ -5,32 +5,15 @@
 //! size falls between 52 % and 78 % — the low population is genuine
 //! compression, the high population is "should really be a key but the
 //! data is dirty". The nn-FD distribution shows no such gap. This bench
-//! mines the corpus, prints both distributions as text histograms, and
-//! checks the gap.
+//! mines the corpus and prints both distributions as text histograms;
+//! `tests/figure6.rs` asserts the gap on the same [`Figure6`].
 
-use sqlnf_bench::{banner, histogram01, timed};
-use sqlnf_datagen::corpus::corpus;
-use sqlnf_discovery::approx::key_error_of_table;
-use sqlnf_discovery::classify::classify_table;
+use sqlnf_bench::{banner, histogram01, timed, Figure6};
 
 fn main() {
     banner("E2: Figure 6 — relative sizes of projections on λ-FDs");
-    let tables = corpus(20_160_626);
-    // (ratio, c-key g3 error of the LHS) per λ-FD.
-    let ((lambda_points, nn_ratios), elapsed) = timed(|| {
-        let mut lambda = Vec::new();
-        let mut nn = Vec::new();
-        for ct in &tables {
-            let cls = classify_table(&ct.table, 3);
-            for l in &cls.lambda_fds {
-                let key_err = key_error_of_table(&ct.table, l.lhs, true);
-                lambda.push((l.relative_projection_size, key_err));
-            }
-            nn.extend(cls.nn_nonkey_ratios.iter().copied());
-        }
-        (lambda, nn)
-    });
-    let lambda_ratios: Vec<f64> = lambda_points.iter().map(|(r, _)| *r).collect();
+    let (fig, elapsed) = timed(|| Figure6::of_corpus(20_160_626));
+    let lambda_ratios = fig.lambda_ratios();
     println!(
         "classified corpus in {}",
         sqlnf_bench::fmt_duration(elapsed)
@@ -40,50 +23,22 @@ fn main() {
     print!("{}", histogram01(&lambda_ratios, 10));
     println!(
         "\nnn-FDs with non-key LHS ({} total; paper: 620):",
-        nn_ratios.len()
+        fig.nn_ratios.len()
     );
-    print!("{}", histogram01(&nn_ratios, 10));
+    print!("{}", histogram01(&fig.nn_ratios, 10));
 
     // The paper's observed gap: no λ ratio in (52 %, 78 %).
-    let in_gap = lambda_ratios
-        .iter()
-        .filter(|&&r| r > 0.52 && r < 0.78)
-        .count();
-    let low = lambda_ratios.iter().filter(|&&r| r <= 0.52).count();
-    let high = lambda_ratios.iter().filter(|&&r| r >= 0.78).count();
+    let (low, in_gap, high) = fig.bands();
     println!("\nλ ratios ≤52%: {low}   in gap (52–78%): {in_gap}   ≥78%: {high}");
-    assert!(low > 0, "low (genuinely compressing) population missing");
-    assert!(high > 0, "high (dirty almost-key) population missing");
-    assert!(
-        in_gap * 10 <= lambda_ratios.len(),
-        "gap is not sparse: {in_gap}/{} λ-FDs inside (52%,78%)",
-        lambda_ratios.len()
-    );
-    println!("shape check: bimodal λ distribution with a sparse 52–78% band ✓");
 
     // The paper's manual diagnosis of the high population — "the LHSs
     // should really be certain keys, but are not due to dirty data" —
     // made quantitative: g₃ key error of the LHS per population.
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let high_errs: Vec<f64> = lambda_points
-        .iter()
-        .filter(|(r, _)| *r >= 0.78)
-        .map(|(_, e)| *e)
-        .collect();
-    let low_errs: Vec<f64> = lambda_points
-        .iter()
-        .filter(|(r, _)| *r <= 0.52)
-        .map(|(_, e)| *e)
-        .collect();
+    let (high_err, low_err) = fig.mean_key_errors();
     println!(
         "\nmean c-key g3 error of the λ-LHS: high population {:.1}% (almost keys), \
          low population {:.1}% (genuine compression)",
-        mean(&high_errs) * 100.0,
-        mean(&low_errs) * 100.0
+        high_err * 100.0,
+        low_err * 100.0
     );
-    assert!(
-        mean(&high_errs) < mean(&low_errs),
-        "the high-ratio population must be nearer to key-ness"
-    );
-    println!("shape check: high-ratio λ-LHSs are nearly keys (small g3), low-ratio ones are not ✓");
 }

@@ -184,6 +184,74 @@ pub fn banner(title: &str) {
     println!("=== {title} ===");
 }
 
+/// Figure 6's data over the seeded Section 7 corpus: per λ-FD its
+/// relative projection size and the c-key g₃ error of its LHS, and the
+/// relative projection sizes of the nn-FDs with non-key LHSs (LHS
+/// cap 3). `exp_fig6` prints it; a root test asserts the paper's shape
+/// claims on it.
+#[derive(Debug, Clone)]
+pub struct Figure6 {
+    /// `(relative projection size, c-key g₃ error of the LHS)` per λ-FD.
+    pub lambda: Vec<(f64, f64)>,
+    /// Relative projection sizes of the nn-FDs with non-key LHSs.
+    pub nn_ratios: Vec<f64>,
+}
+
+impl Figure6 {
+    /// The paper's gap: no λ ratio falls strictly between these.
+    pub const GAP: (f64, f64) = (0.52, 0.78);
+
+    /// Classifies every table of `corpus(seed)`.
+    pub fn of_corpus(seed: u64) -> Figure6 {
+        let mut fig = Figure6 {
+            lambda: Vec::new(),
+            nn_ratios: Vec::new(),
+        };
+        for ct in &sqlnf_datagen::corpus::corpus(seed) {
+            let cls = sqlnf_discovery::classify::classify_table(&ct.table, 3);
+            let enc = sqlnf_discovery::partition::Encoded::new(&ct.table);
+            for l in &cls.lambda_fds {
+                let key_err = sqlnf_discovery::approx::ckey_error(&enc, l.lhs);
+                fig.lambda.push((l.relative_projection_size, key_err));
+            }
+            fig.nn_ratios.extend(cls.nn_nonkey_ratios.iter().copied());
+        }
+        fig
+    }
+
+    /// The λ-FDs' relative projection sizes.
+    pub fn lambda_ratios(&self) -> Vec<f64> {
+        self.lambda.iter().map(|&(r, _)| r).collect()
+    }
+
+    /// λ-FDs at or below the gap, inside it, and at or above it.
+    pub fn bands(&self) -> (usize, usize, usize) {
+        let (lo, hi) = Figure6::GAP;
+        let count = |f: &dyn Fn(f64) -> bool| self.lambda.iter().filter(|&&(r, _)| f(r)).count();
+        (
+            count(&|r| r <= lo),
+            count(&|r| r > lo && r < hi),
+            count(&|r| r >= hi),
+        )
+    }
+
+    /// The mean c-key g₃ error of the LHSs of the high (at or above
+    /// the gap) and of the low (at or below it) λ population.
+    pub fn mean_key_errors(&self) -> (f64, f64) {
+        let (lo, hi) = Figure6::GAP;
+        let mean = |f: &dyn Fn(f64) -> bool| {
+            let errs: Vec<f64> = self
+                .lambda
+                .iter()
+                .filter(|&&(r, _)| f(r))
+                .map(|&(_, e)| e)
+                .collect();
+            errs.iter().sum::<f64>() / errs.len().max(1) as f64
+        };
+        (mean(&|r| r >= hi), mean(&|r| r <= lo))
+    }
+}
+
 /// A simple text histogram over [0, 1] with `buckets` buckets, used to
 /// render Figure 6's distribution in the terminal.
 pub fn histogram01(values: &[f64], buckets: usize) -> String {

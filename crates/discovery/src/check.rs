@@ -647,10 +647,14 @@ impl ProbeCache {
     /// Visits every weak pair of `x` (exactly as [`probe_weak_pairs`])
     /// through the footprint cache. Enumeration *order* may differ
     /// between the direct and indexed paths; the pair set never does.
-    /// Only for callers that need every pair (approximate errors): the
-    /// yes/no questions and their witnesses come from the grouped sweep ([`ProbeCache::fd_targets`],
-    /// [`ProbeCache::first_weak_pair`]). Each call adds the pairs it
-    /// visited to `discovery.check.weak_pairs_visited`.
+    /// Only for callers that need every pair — no miner does: the
+    /// yes/no questions and their witnesses come from the grouped sweep
+    /// ([`ProbeCache::fd_targets`], [`ProbeCache::first_weak_pair`]),
+    /// and the c-key error of [`crate::approx`] enumerates through
+    /// [`probe_weak_pairs`]. The certain-tail witness golden pins the
+    /// pairs visited here against the cache's direct and indexed paths.
+    /// Each call adds the pairs it visited to
+    /// `discovery.check.weak_pairs_visited`.
     pub fn weak_pairs(
         &self,
         enc: &Encoded,
@@ -1158,8 +1162,8 @@ pub fn is_weak_key(strong_partition: &Partition) -> bool {
 }
 
 /// Builds the grouping of `X` appropriate for `sem` from scratch — the
-/// reference path. The miner products partitions from its previous
-/// level, the incremental replay from a [`crate::cache::PartitionCtx`].
+/// reference path. The miner and the incremental replay product theirs
+/// through the partition [`crate::mine::Store`].
 pub fn partition_for(enc: &Encoded, x: AttrSet, sem: Semantics) -> Partition {
     Partition::by_set(enc, x, null_semantics(sem))
 }

@@ -34,9 +34,10 @@
 //! projection ratios are asked of the caller. [`mine_keys`] and
 //! [`classify_table`] are views of that pass.
 
-use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{certain_reflexive_holds_cached, ProbeCache, Semantics};
-use crate::mine::{mine_fds_encoded, traverse, Lattice, MinedFd, MinedKeys, MinerConfig};
+use crate::mine::{
+    mine_fds_encoded, traverse, Lattice, MinedFd, MinedKeys, MinerConfig, DEFAULT_CACHE_BUDGET,
+};
 use crate::partition::{Encoded, NullSemantics, Partition};
 use sqlnf_model::attrs::AttrSet;
 use sqlnf_model::schema::TableSchema;
@@ -104,7 +105,7 @@ pub fn classify_table(table: &Table, max_lhs: usize) -> Classification {
     classify_table_budgeted(table, max_lhs, DEFAULT_CACHE_BUDGET)
 }
 
-/// [`classify_table`] with an explicit partition-cache byte budget for
+/// [`classify_table`] with an explicit partition-store byte budget for
 /// the lattice pass. Results are identical for any budget.
 pub fn classify_table_budgeted(
     table: &Table,
@@ -116,7 +117,7 @@ pub fn classify_table_budgeted(
 }
 
 /// Mines the subset-minimal p-keys and c-keys with attribute sets of at
-/// most `max_size` attributes, with the default partition-cache budget.
+/// most `max_size` attributes, with the default partition-store budget.
 ///
 /// There is no separate *weak*-key miner: weak keys coincide exactly
 /// with possible keys ([`crate::check::is_weak_key`]) — an `X`-null row
@@ -127,7 +128,7 @@ pub fn mine_keys(table: &Table, max_size: usize) -> MinedKeys {
     mine_keys_budgeted(table, max_size, DEFAULT_CACHE_BUDGET)
 }
 
-/// [`mine_keys`] with an explicit partition-cache byte budget; results
+/// [`mine_keys`] with an explicit partition-store byte budget; results
 /// are identical for any budget. The keys of the report's lattice pass,
 /// without the classification.
 pub fn mine_keys_budgeted(table: &Table, max_size: usize, cache_budget: usize) -> MinedKeys {
@@ -136,7 +137,7 @@ pub fn mine_keys_budgeted(table: &Table, max_size: usize, cache_budget: usize) -
 
 /// The report's lattice pass over a table, unclassified: its minimal
 /// possible FDs (`fds`), certain FDs and keys, with LHSs and keys of
-/// at most `max_lhs` attributes, under a partition-cache byte budget.
+/// at most `max_lhs` attributes, under a partition-store byte budget.
 /// The facts the `WATCH` plane streams are read off it.
 pub fn report_lattice(table: &Table, max_lhs: usize, cache_budget: usize) -> Lattice {
     let enc = Encoded::new(table);

@@ -59,14 +59,13 @@
 //!
 //! [`mine_report`]: crate::classify::mine_report
 
-use crate::cache::PartitionCtx;
 use crate::check::{
     fd_targets_witnessed, is_pkey, null_semantics, pair_refutes, with_rule, ClassSweep, ProbeCache,
     Semantics,
 };
 use crate::classify::{projection_ratio, render_report, split, Classification};
-use crate::mine::{Lattice, MinedFd, MinedKeys, Walk};
-use crate::partition::{Encoded, NullSemantics};
+use crate::mine::{Lattice, MinedFd, MinedKeys, Store, Walk};
+use crate::partition::{Encoded, NullSemantics, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
@@ -355,7 +354,8 @@ impl IncrementalMiner {
             .get_or_insert_with(|| postings_of(&enc, arity));
         let mut pass = Pass {
             enc: &enc,
-            ctx: PartitionCtx::with_budget(&enc, nulls, cache_budget),
+            store: Store::new(arity, nulls, cache_budget),
+            scratch: ProductScratch::for_encoded(&enc),
             probes: ProbeCache::new(&enc),
             ids: &self.ids,
             log: &self.insert_log,
@@ -470,7 +470,10 @@ impl IncrementalMiner {
 /// are table rows of the snapshot; witnesses are stored as [`RowId`]s.
 struct Pass<'a> {
     enc: &'a Encoded,
-    ctx: PartitionCtx<'a>,
+    /// The replay's partitions, built on demand and retired level by
+    /// level.
+    store: Store,
+    scratch: ProductScratch,
     probes: ProbeCache,
     ids: &'a [RowId],
     log: &'a [(u64, RowId)],
@@ -792,7 +795,7 @@ impl Pass<'_> {
         let (sem, certain) = (walk.sem, Semantics::Certain);
         for k in 0..=walk.last_level {
             if k >= 2 {
-                self.ctx.evict_below(k - 1);
+                self.store.evict_below(k - 1);
             }
             for c in walk.level(k) {
                 let mut settled = c;
@@ -873,7 +876,7 @@ impl Pass<'_> {
         }
         if !unknown.is_empty() {
             self.touched += 1;
-            let p = self.ctx.partition(x);
+            let p = self.store.partition(self.enc, x, &mut self.scratch);
             let ids = self.ids;
             let mut fresh = Vec::new();
             let held = fd_targets_witnessed(
@@ -940,7 +943,7 @@ impl Pass<'_> {
         }
         self.touched += 1;
         let (now, ids) = (self.now, self.ids);
-        let strong = self.ctx.partition(x);
+        let strong = self.store.partition(self.enc, x, &mut self.scratch);
         let p_is = p_known.unwrap_or_else(|| {
             let holds = is_pkey(&strong);
             v.p = Some(if holds {
@@ -1024,18 +1027,18 @@ mod tests {
                 &t,
                 MinerConfig::new(sem).with_max_lhs(max_lhs).with_threads(1),
             );
-            let incr = m.mine_fds(sem, max_lhs, crate::cache::DEFAULT_CACHE_BUDGET);
+            let incr = m.mine_fds(sem, max_lhs, crate::mine::DEFAULT_CACHE_BUDGET);
             assert_eq!(scratch.fds, incr, "{sem:?}");
         }
-        let keys = mine_keys_budgeted(&t, max_lhs, crate::cache::DEFAULT_CACHE_BUDGET);
+        let keys = mine_keys_budgeted(&t, max_lhs, crate::mine::DEFAULT_CACHE_BUDGET);
         assert_eq!(
             keys,
-            m.mine_keys(max_lhs, crate::cache::DEFAULT_CACHE_BUDGET)
+            m.mine_keys(max_lhs, crate::mine::DEFAULT_CACHE_BUDGET)
         );
-        let report = mine_report("r", &t, max_lhs, crate::cache::DEFAULT_CACHE_BUDGET);
+        let report = mine_report("r", &t, max_lhs, crate::mine::DEFAULT_CACHE_BUDGET);
         assert_eq!(
             report,
-            m.report("r", max_lhs, crate::cache::DEFAULT_CACHE_BUDGET)
+            m.report("r", max_lhs, crate::mine::DEFAULT_CACHE_BUDGET)
         );
     }
 
@@ -1108,9 +1111,9 @@ mod tests {
         sqlnf_obs::reset();
         let mut m = IncrementalMiner::from_table(&sample()).with_reconcile_every(2);
         m.insert(tuple![5i64, 50i64, "w"]);
-        let _ = m.report("r", 2, crate::cache::DEFAULT_CACHE_BUDGET); // 1 delta: no audit
+        let _ = m.report("r", 2, crate::mine::DEFAULT_CACHE_BUDGET); // 1 delta: no audit
         m.insert(tuple![6i64, 60i64, "v"]);
-        let _ = m.report("r", 2, crate::cache::DEFAULT_CACHE_BUDGET); // 2 deltas: audit
+        let _ = m.report("r", 2, crate::mine::DEFAULT_CACHE_BUDGET); // 2 deltas: audit
         assert_eq!(m.deltas_since_reconcile, 0);
     }
 }

@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod cache;
 pub mod check;
 pub mod classify;
 pub mod incremental;
@@ -23,11 +22,7 @@ pub mod partition;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::approx::{
-        cfd_error, cfd_error_probed, ckey_error, ckey_error_probed, classical_fd_error,
-        key_error_of_table, pfd_error, pkey_error, wfd_error,
-    };
-    pub use crate::cache::{PartitionCtx, DEFAULT_CACHE_BUDGET};
+    pub use crate::approx::ckey_error;
     pub use crate::check::{
         certain_reflexive_holds, certain_reflexive_holds_cached, fd_holds, fd_targets_holding,
         is_ckey, is_pkey, is_weak_key, null_semantics, partition_for, probe_weak_pairs, ProbeCache,
@@ -39,6 +34,9 @@ pub mod prelude {
         semantics_report, semantics_report_encoded, Classification, Counts, LambdaFd,
     };
     pub use crate::incremental::{IncrementalMiner, RowId};
-    pub use crate::mine::{mine_fds, Lattice, MinedFd, MinedKeys, MinerConfig, MiningResult};
+    pub use crate::mine::{
+        mine_fds, Lattice, MinedFd, MinedKeys, MinerConfig, MiningResult, Store,
+        DEFAULT_CACHE_BUDGET,
+    };
     pub use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 }

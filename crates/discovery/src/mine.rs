@@ -30,13 +30,14 @@
 //! codes, computed in one sweep of the prefix partition with a reusable
 //! probe-table scratch (see [`Partition::product_attr`] — the cost is
 //! proportional to the *prefix*, which shrinks as levels advance, not
-//! to the table). Every immediate prefix of a candidate is
-//! itself a candidate of the previous level (uncovered targets and
+//! to the table). The partitions live in one [`Store`], which the
+//! incremental replay uses too. Every immediate prefix of a candidate
+//! is itself a candidate of the previous level (uncovered targets and
 //! key flags are inherited downwards), so the prefix lookup misses
-//! only when the byte budget ([`MinerConfig::cache_budget`]) evicted it — in which
-//! case the partition is folded from the always-resident singles.
-//! Levels retire as the frontier advances: only level `k−1` is kept
-//! while level `k` runs. On levels whose partitions are never stored
+//! only when the byte budget ([`MinerConfig::cache_budget`]) evicted
+//! it — in which case the partition is folded from the singles, all
+//! built up front. Levels retire as the frontier advances: only level
+//! `k−1` is kept while level `k` runs. On levels whose partitions are never stored
 //! (the last one) the product is fused with the class check
 //! ([`crate::check::refinement_sweep`]) and stops once every
 //! target is refuted, so refuted candidates — the vast majority at
@@ -52,17 +53,17 @@
 //! contiguous chunk to one thread the way equal-size chunking did.
 //! Every emitted FD and partition shard is tagged with its candidate
 //! index; the main thread sorts by index before merging, so results —
-//! and the cache contents under any byte budget — are byte-identical
+//! and the store's contents under any byte budget — are byte-identical
 //! across thread counts (`parallel_equals_serial`). Workers share one
 //! [`ProbeCache`], so LHSs with the same nullable footprint reuse one
 //! probe index instead of rebuilding per candidate. Worker saturation
 //! is visible as the `discovery.mine.worker_busy_ns` timer.
 
-use crate::cache::DEFAULT_CACHE_BUDGET;
 use crate::check::{fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics};
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::table::Table;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -97,11 +98,11 @@ pub struct MinerConfig {
     /// candidates are independent (minimality only consults strictly
     /// smaller LHSs), so per-level parallelism is exact. `1` = serial.
     pub threads: usize,
-    /// Byte budget for the previous level's cached partitions. Within
-    /// budget, every candidate partition is one product with a cached
-    /// prefix; past it, evicted prefixes are folded from the
-    /// single-attribute partitions. `0` disables caching; results are
-    /// identical for any value (only throughput changes).
+    /// Byte budget of the partition [`Store`]. Within budget, every
+    /// candidate partition is one product with a stored prefix; past
+    /// it, evicted prefixes are folded from the single-attribute
+    /// partitions. `0` stores no multi-attribute partition; results
+    /// are identical for any value (only throughput changes).
     pub cache_budget: usize,
 }
 
@@ -143,7 +144,7 @@ impl MinerConfig {
         self
     }
 
-    /// Overrides the partition-cache byte budget.
+    /// Overrides the partition [`Store`]'s byte budget.
     pub fn with_cache_budget(mut self, bytes: usize) -> Self {
         self.cache_budget = bytes;
         self
@@ -286,94 +287,251 @@ impl Candidate {
     }
 }
 
-/// A candidate partition: borrowed from the singles or the previous
-/// level, owned (freshly producted) everywhere else.
-enum Part<'a> {
-    Ref(&'a Partition),
-    Own(Partition),
+/// Default byte budget of the [`Store`] (64 MiB): roomy for the
+/// paper-scale workloads while bounding the worst case on wide, tall
+/// tables. The CLI exposes it as `--cache-budget`.
+pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
+
+/// The bytes a stored partition charges against the budget.
+fn stored_bytes(p: &Partition) -> usize {
+    p.approx_bytes() + std::mem::size_of::<AttrSet>()
 }
 
-impl Part<'_> {
-    fn get(&self) -> &Partition {
-        match self {
-            Part::Ref(p) => p,
-            Part::Own(p) => p,
-        }
+/// `x`'s two attributes when `x` is a pair over a combined code space
+/// small enough for the fused counting sort over both raw columns.
+fn small_pair(enc: &Encoded, x: AttrSet) -> Option<(Attr, Attr)> {
+    let mut it = x.iter();
+    match (x.len(), it.next(), it.next()) {
+        (2, Some(a), Some(b)) if Partition::by_pair_applicable(enc, a, b) => Some((a, b)),
+        _ => None,
     }
 }
 
-/// Builds `π_x` for a level-`k` candidate from the previous level's
-/// cached partitions and the always-resident singles: one product of
-/// its [`prefix`], except for attribute pairs over a small combined
-/// code space, which take one fused counting sort over both raw
-/// columns.
-fn candidate_partition<'a>(
-    enc: &Encoded,
+/// The one partition store of a lattice walk: the single-attribute
+/// partitions, and the multi-attribute partitions of the levels still
+/// in use, under one byte budget ([`MinerConfig::cache_budget`]; the
+/// singles are not charged). A level-`k` partition is one product of a
+/// stored `(k−1)`-prefix refined by one more attribute's dictionary
+/// codes ([`Partition::product_attr`]: the cost is the prefix's
+/// stripped rows, not the table's).
+///
+/// Two drivers use it. The from-scratch walk builds every single up
+/// front and reads the store shared across its workers; a prefix the
+/// budget evicted is folded from the singles, and each stored level
+/// replaces the one below. The incremental replay builds a single only
+/// when a product needs it and a missing prefix once, through the
+/// store, keeping it for its level ([`Store::partition`]); it retires
+/// a level with [`Store::evict_below`].
+///
+/// Counters: `discovery.mine.prev_level.hits` / `.misses` (a partition
+/// looked for in the store was resident / had to be built),
+/// `.evictions` (partitions retired with their level or refused by the
+/// budget) and `.bytes` (high-water mark of the charged bytes).
+pub struct Store {
     ns: NullSemantics,
-    x: AttrSet,
-    k: usize,
-    singles: &'a [Partition],
-    prev: &HashMap<AttrSet, Partition>,
-    scratch: &mut ProductScratch,
-) -> Part<'a> {
-    match k {
-        0 => Part::Own(Partition::universal(enc.rows())),
-        1 => Part::Ref(&singles[x.first().expect("level-1 candidate").index()]),
-        _ => {
+    budget: usize,
+    singles: Vec<Option<Partition>>,
+    stored: HashMap<AttrSet, Partition>,
+    bytes: usize,
+}
+
+impl Store {
+    /// An empty store over `arity` columns: no single is built yet.
+    pub fn new(arity: usize, ns: NullSemantics, budget: usize) -> Store {
+        Store {
+            ns,
+            budget,
+            singles: vec![None; arity],
+            stored: HashMap::new(),
+            bytes: 0,
+        }
+    }
+
+    /// A store with every single built. Each is an independent table
+    /// sweep, so with threads they are built off a shared atomic cursor
+    /// — on wide tables (hepatitis: 20 columns) this is the one serial
+    /// stage whose cost rivals a whole lattice level.
+    fn with_singles(enc: &Encoded, arity: usize, ns: NullSemantics, config: &MinerConfig) -> Store {
+        let mut store = Store::new(arity, ns, config.cache_budget);
+        let singles = par_map(
+            config.threads,
+            2,
+            arity,
+            || (),
+            |_, i| Partition::by_attr(enc, Attr::from(i), ns),
+        );
+        store.singles = singles.into_iter().map(Some).collect();
+        store
+    }
+
+    /// The single of `a`, if built.
+    fn single(&self, a: Attr) -> Option<&Partition> {
+        self.singles[a.index()].as_ref()
+    }
+
+    /// The cheapest stored `(k−1)`-prefix of a level-`k` candidate `x`
+    /// (`k ≥ 2`) and the attribute it is refined by: a product costs
+    /// exactly the prefix's stripped rows. At level 2 the prefixes are
+    /// the built singles, ties keeping attribute order; deeper, ties
+    /// keep the first attribute left out.
+    fn stored_prefix(&self, x: AttrSet) -> Option<(&Partition, Attr)> {
+        if x.len() == 2 {
             let mut it = x.iter();
-            if let (2, Some(a), Some(b)) = (k, it.next(), it.next()) {
-                if Partition::by_pair_applicable(enc, a, b) {
-                    return Part::Own(Partition::by_pair(enc, a, b, ns));
+            let (a, b) = (it.next()?, it.next()?);
+            return match (self.single(a), self.single(b)) {
+                (Some(p), Some(q)) if q.stripped_rows() < p.stripped_rows() => Some((q, a)),
+                (Some(p), _) => Some((p, b)),
+                (None, q) => q.map(|q| (q, a)),
+            };
+        }
+        let mut best: Option<(&Partition, Attr)> = None;
+        for a in x {
+            if let Some(p) = self.stored.get(&(x - AttrSet::single(a))) {
+                if best.is_none_or(|(q, _)| p.stripped_rows() < q.stripped_rows()) {
+                    best = Some((p, a));
                 }
             }
-            let (prefix, by) = prefix(enc, ns, x, k, singles, prev, scratch);
-            Part::Own(prefix.get().product_attr(enc, by, ns, scratch))
         }
+        best
     }
-}
 
-/// The `(k−1)`-prefix partition a level-`k` candidate (`k ≥ 2`) is
-/// refined from, and the attribute it is refined by — a product or a
-/// refinement costs exactly the prefix's stripped rows, so the cheapest
-/// one: the smaller single at level 2 (ties keep attribute order), else
-/// the cheapest cached prefix. Every immediate prefix of a candidate
-/// was a candidate one level down, so the lookup fails only when the
-/// budget evicted them all; then the prefix is folded from the
-/// singles, smallest first, and refined by the least selective one.
-fn prefix<'a>(
-    enc: &Encoded,
-    ns: NullSemantics,
-    x: AttrSet,
-    k: usize,
-    singles: &'a [Partition],
-    prev: &'a HashMap<AttrSet, Partition>,
-    scratch: &mut ProductScratch,
-) -> (Part<'a>, Attr) {
-    let mut attrs: Vec<Attr> = x.iter().collect();
-    attrs.sort_by_key(|a| singles[a.index()].stripped_rows());
-    if k == 2 {
-        return (Part::Ref(&singles[attrs[0].index()]), attrs[1]);
+    /// The estimated cost of refining `x` from its cheapest stored
+    /// prefix: whole-table-sized and pessimistic when none is stored.
+    fn prefix_cost(&self, enc: &Encoded, x: AttrSet) -> usize {
+        self.stored_prefix(x)
+            .map_or(enc.rows().saturating_mul(2), |(p, _)| p.stripped_rows())
     }
-    let mut best: Option<(Attr, &Partition, usize)> = None;
-    for a in x {
-        if let Some(p) = prev.get(&(x - AttrSet::single(a))) {
-            let cost = p.stripped_rows();
-            if best.is_none_or(|(_, _, c)| cost < c) {
-                best = Some((a, p, cost));
+
+    /// [`traverse`]'s `(k−1)`-prefix of a level-`k` candidate `x`
+    /// (`k ≥ 2`, every single built) and the attribute it is refined
+    /// by: the cheapest stored one. Every immediate prefix of a
+    /// candidate was a candidate one level down, so only an eviction
+    /// leaves none stored; the prefix is then folded from the singles,
+    /// smallest first, and refined by the least selective one.
+    fn prefix(
+        &self,
+        enc: &Encoded,
+        x: AttrSet,
+        scratch: &mut ProductScratch,
+    ) -> (Cow<'_, Partition>, Attr) {
+        if let Some((p, by)) = self.stored_prefix(x) {
+            if x.len() > 2 {
+                sqlnf_obs::count!("discovery.mine.prev_level.hits");
             }
+            return (Cow::Borrowed(p), by);
+        }
+        sqlnf_obs::count!("discovery.mine.prev_level.misses");
+        let single = |a: Attr| self.single(a).expect("traverse builds every single");
+        let mut attrs: Vec<Attr> = x.iter().collect();
+        attrs.sort_by_key(|&a| single(a).stripped_rows());
+        let by = attrs.pop().expect("level ≥ 3");
+        let mut p = single(attrs[0]).product_attr(enc, attrs[1], self.ns, scratch);
+        for &b in &attrs[2..] {
+            p = p.product_attr(enc, b, self.ns, scratch);
+        }
+        (Cow::Owned(p), by)
+    }
+
+    /// [`traverse`]'s `π_x` for a level-`k` candidate: a single, one
+    /// fused counting sort for a small pair, else one product of its
+    /// [`Store::prefix`].
+    fn candidate(
+        &self,
+        enc: &Encoded,
+        x: AttrSet,
+        scratch: &mut ProductScratch,
+    ) -> Cow<'_, Partition> {
+        match x.len() {
+            0 => Cow::Owned(Partition::universal(enc.rows())),
+            1 => Cow::Borrowed(
+                self.single(x.first().expect("level-1 candidate"))
+                    .expect("traverse builds every single"),
+            ),
+            _ => match small_pair(enc, x) {
+                Some((a, b)) => Cow::Owned(Partition::by_pair(enc, a, b, self.ns)),
+                None => {
+                    let (prefix, by) = self.prefix(enc, x, scratch);
+                    Cow::Owned(prefix.product_attr(enc, by, self.ns, scratch))
+                }
+            },
         }
     }
-    if let Some((a, p, _)) = best {
-        sqlnf_obs::count!("discovery.mine.prev_level.hits");
-        return (Part::Ref(p), a);
+
+    /// The incremental replay's `π_x`, served from the store or built
+    /// through it and kept under the budget: a single when first asked;
+    /// a small pair by one counting sort; else one product of the
+    /// cheapest stored prefix or, when none is stored, of `x` minus its
+    /// last attribute, built here the same way.
+    pub fn partition(
+        &mut self,
+        enc: &Encoded,
+        x: AttrSet,
+        scratch: &mut ProductScratch,
+    ) -> Cow<'_, Partition> {
+        let ns = self.ns;
+        if x.len() < 2 {
+            let Some(a) = x.first() else {
+                return Cow::Owned(Partition::universal(enc.rows()));
+            };
+            let single = &mut self.singles[a.index()];
+            return Cow::Borrowed(single.get_or_insert_with(|| Partition::by_attr(enc, a, ns)));
+        }
+        if self.stored.contains_key(&x) {
+            sqlnf_obs::count!("discovery.mine.prev_level.hits");
+            return Cow::Borrowed(&self.stored[&x]);
+        }
+        sqlnf_obs::count!("discovery.mine.prev_level.misses");
+        let p = match small_pair(enc, x) {
+            Some((a, b)) => Partition::by_pair(enc, a, b, ns),
+            None => {
+                let by = match self.stored_prefix(x) {
+                    Some((_, by)) => by,
+                    None => x.iter().last().expect("a pair or more"),
+                };
+                let prefix = self.partition(enc, x - AttrSet::single(by), scratch);
+                prefix.product_attr(enc, by, ns, scratch)
+            }
+        };
+        match self.admit(x, p) {
+            None => Cow::Borrowed(&self.stored[&x]),
+            Some(p) => Cow::Owned(p),
+        }
     }
-    sqlnf_obs::count!("discovery.mine.prev_level.misses");
-    let by = attrs.pop().expect("level ≥ 3");
-    let mut p = singles[attrs[0].index()].product_attr(enc, attrs[1], ns, scratch);
-    for &b in &attrs[2..] {
-        p = p.product_attr(enc, b, ns, scratch);
+
+    /// Stores `p` as `π_x` if the budget allows; else hands it back,
+    /// counted as an eviction.
+    fn admit(&mut self, x: AttrSet, p: Partition) -> Option<Partition> {
+        let sz = stored_bytes(&p);
+        if self.bytes.saturating_add(sz) > self.budget {
+            sqlnf_obs::count!("discovery.mine.prev_level.evictions");
+            return Some(p);
+        }
+        self.bytes += sz;
+        sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", self.bytes);
+        self.stored.insert(x, p);
+        None
     }
-    (Part::Own(p), by)
+
+    /// Retires every stored partition below level `k` and stores the
+    /// level-`k` partitions `parts`, in order, while the budget allows.
+    fn replace_level(&mut self, k: usize, parts: impl IntoIterator<Item = (AttrSet, Partition)>) {
+        self.evict_below(k);
+        for (x, p) in parts {
+            self.admit(x, p);
+        }
+    }
+
+    /// Retires every stored partition of fewer than `min_len`
+    /// attributes: a level-`k` product only reads level `k−1`.
+    pub fn evict_below(&mut self, min_len: usize) {
+        let before = self.stored.len();
+        self.stored.retain(|x, _| x.len() >= min_len);
+        let dropped = before - self.stored.len();
+        if dropped > 0 {
+            sqlnf_obs::count!("discovery.mine.prev_level.evictions", dropped);
+            self.bytes = self.stored.values().map(stored_bytes).sum();
+        }
+    }
 }
 
 /// `f(state, i)` for every `i < n`, in index order. With `threads > 1`
@@ -424,61 +582,40 @@ fn par_map<S, T: Send>(
 }
 
 /// One level's worth of work for a persistent pool worker: the shared
-/// candidate slice, the cost-descending visit order, and the atomic
-/// cursor every worker pulls from.
+/// candidate slice, the cost-descending visit order, the atomic cursor
+/// every worker pulls from, and the store the level reads.
 struct LevelJob {
     k: usize,
     candidates: Arc<Vec<Candidate>>,
     order: Arc<Vec<u32>>,
     cursor: Arc<AtomicUsize>,
-    prev: Arc<HashMap<AttrSet, Partition>>,
-    store: bool,
+    store: Arc<Store>,
+    keep: bool,
 }
 
-/// What a worker sends back per level: settled answers and partition
-/// shards, each tagged with the candidate index so the main thread can
-/// restore candidate order exactly regardless of which worker pulled
-/// what. Shard entries carry their precomputed cache size so the merge
-/// loop stays trivial.
+/// What a worker sends back per level: settled answers and the
+/// partitions kept for the next level, each tagged with the candidate
+/// index so the main thread can restore candidate order exactly
+/// regardless of which worker pulled what.
 struct LevelOut {
     settled: Vec<(u32, Candidate)>,
-    shard: Vec<(u32, AttrSet, Partition, usize)>,
+    kept: Vec<(u32, AttrSet, Partition)>,
 }
 
 /// The deterministic visit order for one level: candidate indexes
 /// sorted by estimated check cost, most expensive first (LPT — longest
 /// processing time — scheduling), ties broken by candidate index. The
 /// estimate is what the check actually sweeps: the stripped rows of
-/// the prefix partition the candidate will refine, or a
-/// whole-table-sized pessimistic constant when every prefix was
-/// evicted and the partition must be folded from the singles.
-fn cost_order(
-    candidates: &[Candidate],
-    k: usize,
-    rows: usize,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
-) -> Vec<u32> {
+/// the prefix partition the candidate will refine (see
+/// [`Store::prefix_cost`]).
+fn cost_order(candidates: &[Candidate], k: usize, enc: &Encoded, store: &Store) -> Vec<u32> {
     let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
     if k < 2 {
         return order;
     }
     let costs: Vec<usize> = candidates
         .iter()
-        .map(|&Candidate { x, .. }| {
-            if k == 2 {
-                x.iter()
-                    .map(|a| singles[a.index()].stripped_rows())
-                    .min()
-                    .unwrap_or(0)
-            } else {
-                x.iter()
-                    .filter_map(|a| prev.get(&(x - AttrSet::single(a))))
-                    .map(|p| p.stripped_rows())
-                    .min()
-                    .unwrap_or_else(|| rows.saturating_mul(2))
-            }
-        })
+        .map(|c| store.prefix_cost(enc, c.x))
         .collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(costs[i as usize]), i));
     order
@@ -487,40 +624,24 @@ fn cost_order(
 /// The last lattice level's working set when the pre-last level was
 /// check-only: each candidate refines exactly one `(k−1)`-prefix, so
 /// only the *distinct* chosen prefixes are materialized — from the
-/// retained level-`(k−2)` cache, one product each. The choice rule is
-/// the cheapest **estimated** prefix (the minimum stripped size over
-/// its cached `(k−2)`-sub-partitions): prefix choice affects
-/// throughput only, never the refined result, so estimating instead of
-/// measuring is sound. Deterministic throughout — first-use order
-/// drives the byte-budget admission, ties break on the smallest
-/// omitted attribute.
-#[allow(clippy::too_many_arguments)]
+/// stored level-`(k−2)` partitions, one product each, in first-use
+/// order (which drives the byte-budget admission). The choice rule is
+/// the cheapest **estimated** prefix ([`Store::prefix_cost`]): prefix
+/// choice affects throughput only, never the refined result, so
+/// estimating instead of measuring is sound. Ties break on the
+/// smallest omitted attribute.
 fn build_needed_prefixes(
     enc: &Encoded,
-    ns: NullSemantics,
     candidates: &[Candidate],
-    k: usize,
-    singles: &[Partition],
-    prev: &HashMap<AttrSet, Partition>,
+    store: &Store,
     threads: usize,
-    budget: usize,
-) -> HashMap<AttrSet, Partition> {
-    let pessimistic = enc.rows().saturating_mul(2);
-    let est = |s: AttrSet| -> usize {
-        let mut e = pessimistic;
-        for b in s {
-            if let Some(p) = prev.get(&(s - AttrSet::single(b))) {
-                e = e.min(p.stripped_rows());
-            }
-        }
-        e
-    };
+) -> Vec<(AttrSet, Partition)> {
     let mut needed: Vec<AttrSet> = Vec::new();
     let mut seen: std::collections::HashSet<AttrSet> = std::collections::HashSet::new();
     for &Candidate { x, .. } in candidates {
         let mut best: Option<(usize, Attr)> = None;
         for a in x {
-            let e = est(x - AttrSet::single(a));
+            let e = store.prefix_cost(enc, x - AttrSet::single(a));
             if best.is_none_or(|(be, _)| e < be) {
                 best = Some((e, a));
             }
@@ -538,49 +659,21 @@ fn build_needed_prefixes(
         let chosen = x
             .iter()
             .map(|a| x - AttrSet::single(a))
-            .find(|s| est(*s) <= min_est.saturating_mul(2) && seen.contains(s))
+            .find(|s| store.prefix_cost(enc, *s) <= min_est.saturating_mul(2) && seen.contains(s))
             .unwrap_or(x - AttrSet::single(best_a));
         if seen.insert(chosen) {
             needed.push(chosen);
         }
     }
     sqlnf_obs::count!("discovery.mine.lazy_prefix_builds", needed.len());
-    let own = |part: Part| match part {
-        Part::Own(p) => p,
-        Part::Ref(p) => p.clone(),
-    };
     let built = par_map(
         threads,
         PAR_MIN,
         needed.len(),
         || ProductScratch::for_encoded(enc),
-        |scratch, i| {
-            own(candidate_partition(
-                enc,
-                ns,
-                needed[i],
-                k - 1,
-                singles,
-                prev,
-                scratch,
-            ))
-        },
+        |scratch, i| store.candidate(enc, needed[i], scratch).into_owned(),
     );
-    let mut map = HashMap::new();
-    let mut bytes = 0usize;
-    for (s, p) in needed.into_iter().zip(built) {
-        let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
-        if bytes.saturating_add(sz) <= budget {
-            bytes += sz;
-            map.insert(s, p);
-        } else {
-            sqlnf_obs::count!("discovery.mine.prev_level.evictions");
-        }
-    }
-    if bytes > 0 {
-        sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
-    }
-    map
+    needed.into_iter().zip(built).collect()
 }
 
 /// The fixed context of one pass, shared by every worker.
@@ -589,14 +682,13 @@ struct Pass<'a> {
     /// The semantics whose class rule the strong sweep applies.
     sem: Semantics,
     ns: NullSemantics,
-    singles: &'a [Partition],
     probes: &'a ProbeCache,
 }
 
 impl Pass<'_> {
     /// Answers every open question of one candidate with one sweep of
     /// its classes: materialized (and handed back for the next level's
-    /// cache) when `store` or below level 2, else fused with the
+    /// store) when `keep` or below level 2, else fused with the
     /// product of its cheapest prefix. The class rule runs over the
     /// union of both planes' targets; a c-FD is a p-FD, so the
     /// certain tail only probes the survivors, and only a p-key can be
@@ -605,31 +697,22 @@ impl Pass<'_> {
         &self,
         c: Candidate,
         k: usize,
-        prev: &HashMap<AttrSet, Partition>,
-        store: bool,
+        store: &Store,
+        keep: bool,
         scratch: &mut ProductScratch,
     ) -> (Candidate, Option<Partition>) {
         let enc = self.enc;
         let targets = c.swept | c.certain;
         let mut kept = None;
-        let (holding, pair) = if !store && k >= 2 {
-            let (prefix, by) = prefix(enc, self.ns, c.x, k, self.singles, prev, scratch);
+        let (holding, pair) = if !keep && k >= 2 {
+            let (prefix, by) = store.prefix(enc, c.x, scratch);
             let keyed = c.pkey || c.ckey;
-            refinement_sweep(
-                enc,
-                prefix.get(),
-                by,
-                self.ns,
-                targets,
-                self.sem,
-                scratch,
-                keyed,
-            )
+            refinement_sweep(enc, &prefix, by, self.ns, targets, self.sem, scratch, keyed)
         } else {
-            let p = candidate_partition(enc, self.ns, c.x, k, self.singles, prev, scratch);
-            let holding = fd_targets_holding(enc, c.x, p.get(), targets, self.sem, None);
-            let pair = !p.get().is_empty();
-            if let (true, Part::Own(p)) = (store, p) {
+            let p = store.candidate(enc, c.x, scratch);
+            let holding = fd_targets_holding(enc, c.x, &p, targets, self.sem, None);
+            let pair = !p.is_empty();
+            if let (true, Cow::Owned(p)) = (keep, p) {
                 kept = Some(p);
             }
             (holding, pair)
@@ -651,8 +734,8 @@ impl Pass<'_> {
 
     /// Drains the level's work queue from one thread: pulls candidate
     /// positions off the shared cursor until the order is exhausted,
-    /// settling each candidate and (when `store` is set) collecting
-    /// owned partitions for the next level's cache. Both output
+    /// settling each candidate and (when `keep` is set) collecting
+    /// owned partitions for the next level's store. Both output
     /// streams are tagged with the candidate index. Also used by the
     /// serial path (with a trivial identity order), so serial and
     /// parallel runs share one code path.
@@ -663,14 +746,14 @@ impl Pass<'_> {
         candidates: &[Candidate],
         order: &[u32],
         cursor: &AtomicUsize,
-        prev: &HashMap<AttrSet, Partition>,
-        store: bool,
+        store: &Store,
+        keep: bool,
         scratch: &mut ProductScratch,
     ) -> LevelOut {
         let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
         let mut out = LevelOut {
             settled: Vec::new(),
-            shard: Vec::new(),
+            kept: Vec::new(),
         };
         let mut processed = 0usize;
         loop {
@@ -681,13 +764,12 @@ impl Pass<'_> {
             let i = order[pos];
             let c = candidates[i as usize];
             processed += 1;
-            let (settled, kept) = self.settle(c, k, prev, store, scratch);
+            let (settled, kept) = self.settle(c, k, store, keep, scratch);
             if settled.open() {
                 out.settled.push((i, settled));
             }
             if let Some(p) = kept {
-                let sz = p.approx_bytes() + std::mem::size_of::<AttrSet>();
-                out.shard.push((i, c.x, p, sz));
+                out.kept.push((i, c.x, p));
             }
         }
         sqlnf_obs::count!("discovery.mine.worker_candidates", processed);
@@ -827,20 +909,7 @@ pub(crate) fn traverse(
     let _span = sqlnf_obs::span!("mine_fds");
     let mut walk = Walk::new(arity, config.max_lhs, config.semantics, report);
     let (sem, last_level) = (walk.sem, walk.last_level);
-
-    // The single-attribute partitions: always resident, the floor every
-    // product chain bottoms out on. Each is an independent table sweep,
-    // so with threads they are built off a shared atomic cursor — on
-    // wide tables (hepatitis: 20 columns) this is the one serial stage
-    // whose cost rivals a whole lattice level.
     let ns = null_semantics(sem);
-    let singles = par_map(
-        config.threads,
-        2,
-        arity,
-        || (),
-        |_, i| Partition::by_attr(enc, Attr::from(i), ns),
-    );
     // One probe cache for the whole run, shared by every worker:
     // certain-semantics candidates with the same nullable footprint
     // reuse one index (see `check::ProbeCache`).
@@ -848,10 +917,10 @@ pub(crate) fn traverse(
         enc,
         sem,
         ns,
-        singles: &singles,
         probes,
     };
     let pass = &pass;
+    let mut store = Arc::new(Store::with_singles(enc, arity, ns, &config));
 
     // One scope for the whole run: workers (spawned lazily at the first
     // level big enough to parallelise) persist across levels, each
@@ -859,7 +928,6 @@ pub(crate) fn traverse(
     // the job channels and lets the workers drain out.
     std::thread::scope(|scope| {
         let mut pool: Vec<(Sender<LevelJob>, Receiver<LevelOut>)> = Vec::new();
-        let mut prev: Arc<HashMap<AttrSet, Partition>> = Arc::new(HashMap::new());
         let mut scratch = ProductScratch::for_encoded(enc);
 
         for k in 0..=last_level {
@@ -876,133 +944,103 @@ pub(crate) fn traverse(
             // every pre-last candidate's partition — on adult-shaped
             // tables that eager build dominated the whole run.
             let defer_prelast = last_level >= 4;
-            let store = k >= 2
+            let keep = k >= 2
                 && k < if defer_prelast {
                     last_level - 1
                 } else {
                     last_level
                 };
-            let level_prev: Arc<HashMap<AttrSet, Partition>> = if defer_prelast && k == last_level {
-                Arc::new(build_needed_prefixes(
-                    enc,
-                    ns,
-                    &candidates,
-                    k,
-                    &singles,
-                    &prev,
-                    config.threads,
-                    config.cache_budget,
-                ))
+            if defer_prelast && k == last_level {
+                let needed = build_needed_prefixes(enc, &candidates, &store, config.threads);
+                level_store(&mut store).replace_level(k - 1, needed);
+            }
+
+            let outs: Vec<LevelOut> = if config.threads > 1
+                && candidates.len() >= PAR_MIN.max(config.threads)
+            {
+                if pool.is_empty() {
+                    for _ in 0..config.threads {
+                        let (job_tx, job_rx) = channel::<LevelJob>();
+                        let (out_tx, out_rx) = channel::<LevelOut>();
+                        scope.spawn(move || {
+                            sqlnf_obs::count!("discovery.mine.worker_spawns");
+                            let mut scratch = ProductScratch::for_encoded(enc);
+                            for job in job_rx {
+                                let out = pass.run_queue(
+                                    job.k,
+                                    &job.candidates,
+                                    &job.order,
+                                    &job.cursor,
+                                    &job.store,
+                                    job.keep,
+                                    &mut scratch,
+                                );
+                                // Release the level's store before
+                                // replying: the main thread updates
+                                // it once every worker has replied.
+                                drop(job);
+                                if out_tx.send(out).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        pool.push((job_tx, out_rx));
+                    }
+                }
+                // One shared queue: every worker pulls candidates
+                // (most expensive first) off the same cursor, so no
+                // thread idles while another drains a heavy chunk.
+                let order = Arc::new(cost_order(&candidates, k, enc, &store));
+                let cursor = Arc::new(AtomicUsize::new(0));
+                for (job_tx, _) in &pool {
+                    job_tx
+                        .send(LevelJob {
+                            k,
+                            candidates: Arc::clone(&candidates),
+                            order: Arc::clone(&order),
+                            cursor: Arc::clone(&cursor),
+                            store: Arc::clone(&store),
+                            keep,
+                        })
+                        .expect("miner worker hung up");
+                }
+                pool.iter()
+                    .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
+                    .collect()
             } else {
-                Arc::clone(&prev)
+                let order: Vec<u32> = (0..candidates.len() as u32).collect();
+                let cursor = AtomicUsize::new(0);
+                vec![pass.run_queue(k, &candidates, &order, &cursor, &store, keep, &mut scratch)]
             };
 
-            let outs: Vec<LevelOut> =
-                if config.threads > 1 && candidates.len() >= PAR_MIN.max(config.threads) {
-                    if pool.is_empty() {
-                        for _ in 0..config.threads {
-                            let (job_tx, job_rx) = channel::<LevelJob>();
-                            let (out_tx, out_rx) = channel::<LevelOut>();
-                            scope.spawn(move || {
-                                sqlnf_obs::count!("discovery.mine.worker_spawns");
-                                let mut scratch = ProductScratch::for_encoded(enc);
-                                for job in job_rx {
-                                    let out = pass.run_queue(
-                                        job.k,
-                                        &job.candidates,
-                                        &job.order,
-                                        &job.cursor,
-                                        &job.prev,
-                                        job.store,
-                                        &mut scratch,
-                                    );
-                                    if out_tx.send(out).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                            pool.push((job_tx, out_rx));
-                        }
-                    }
-                    // One shared queue: every worker pulls candidates
-                    // (most expensive first) off the same cursor, so no
-                    // thread idles while another drains a heavy chunk.
-                    let order = Arc::new(cost_order(
-                        &candidates,
-                        k,
-                        enc.rows(),
-                        &singles,
-                        &level_prev,
-                    ));
-                    let cursor = Arc::new(AtomicUsize::new(0));
-                    for (job_tx, _) in &pool {
-                        job_tx
-                            .send(LevelJob {
-                                k,
-                                candidates: Arc::clone(&candidates),
-                                order: Arc::clone(&order),
-                                cursor: Arc::clone(&cursor),
-                                prev: Arc::clone(&level_prev),
-                                store,
-                            })
-                            .expect("miner worker hung up");
-                    }
-                    pool.iter()
-                        .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
-                        .collect()
-                } else {
-                    let order: Vec<u32> = (0..candidates.len() as u32).collect();
-                    let cursor = AtomicUsize::new(0);
-                    vec![pass.run_queue(
-                        k,
-                        &candidates,
-                        &order,
-                        &cursor,
-                        &level_prev,
-                        store,
-                        &mut scratch,
-                    )]
-                };
-
-            // Retire the previous level when this one replaces it (a
-            // check-only pre-last level retains it — the last level
-            // still products from it), then merge this level — answers
-            // and shards sorted back into candidate order first, so the
-            // result and the cache contents (budget admission
-            // included) never depend on which worker processed what.
-            if store && !prev.is_empty() {
-                sqlnf_obs::count!("discovery.mine.prev_level.evictions", prev.len());
-            }
+            // Merge this level — answers and kept partitions sorted back
+            // into candidate order first, so the result and the store's
+            // contents (budget admission included) never depend on which
+            // worker processed what — and, when it is kept, let it
+            // replace the level below (a check-only pre-last level
+            // leaves it: the last level still products from it).
             let mut settled: Vec<(u32, Candidate)> = Vec::new();
-            let mut shard: Vec<(u32, AttrSet, Partition, usize)> = Vec::new();
+            let mut kept: Vec<(u32, AttrSet, Partition)> = Vec::new();
             for out in outs {
                 settled.extend(out.settled);
-                shard.extend(out.shard);
+                kept.extend(out.kept);
             }
             settled.sort_by_key(|&(i, _)| i);
-            shard.sort_by_key(|s| s.0);
-            let mut next: HashMap<AttrSet, Partition> = HashMap::new();
-            let mut bytes = 0usize;
-            for (_, x, p, sz) in shard {
-                if bytes.saturating_add(sz) <= config.cache_budget {
-                    bytes += sz;
-                    next.insert(x, p);
-                } else {
-                    sqlnf_obs::count!("discovery.mine.prev_level.evictions");
-                }
-            }
+            kept.sort_by_key(|s| s.0);
             for (_, s) in settled {
                 walk.record(s);
             }
-            if bytes > 0 {
-                sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", bytes);
-            }
-            if store {
-                prev = Arc::new(next);
+            if keep {
+                level_store(&mut store).replace_level(k, kept.into_iter().map(|(_, x, p)| (x, p)));
             }
         }
     });
     walk.found
+}
+
+/// The store between two levels, when no worker holds it.
+fn level_store(store: &mut Arc<Store>) -> &mut Store {
+    Arc::get_mut(store).expect("workers release the store before replying")
 }
 
 #[cfg(test)]
@@ -1205,6 +1243,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn store_sample() -> Table {
+        TableBuilder::new("r", ["a", "b", "c"], &[])
+            .row(tuple!["x", 1i64, 1i64])
+            .row(tuple!["x", 1i64, 2i64])
+            .row(tuple![null, 1i64, 1i64])
+            .row(tuple![null, 2i64, 2i64])
+            .row(tuple!["y", 2i64, 1i64])
+            .row(tuple!["x", 1i64, 1i64])
+            .build()
+    }
+
+    #[test]
+    fn store_matches_by_set_on_all_subsets() {
+        let t = store_sample();
+        let enc = Encoded::new(&t);
+        let mut scratch = ProductScratch::for_encoded(&enc);
+        for ns in [NullSemantics::Strong, NullSemantics::NullAsValue] {
+            let mut store = Store::new(3, ns, DEFAULT_CACHE_BUDGET);
+            for x in AttrSet::first_n(3).subsets() {
+                let want = Partition::by_set(&enc, x, ns);
+                assert_eq!(
+                    *store.partition(&enc, x, &mut scratch),
+                    want,
+                    "{ns:?} {x:?}"
+                );
+                // Asked again, it is served from the store and agrees.
+                assert_eq!(
+                    *store.partition(&enc, x, &mut scratch),
+                    want,
+                    "{ns:?} {x:?} (stored)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_budget_store_is_still_correct() {
+        let t = store_sample();
+        let enc = Encoded::new(&t);
+        let mut scratch = ProductScratch::for_encoded(&enc);
+        let mut store = Store::new(3, NullSemantics::Strong, 0);
+        for x in AttrSet::first_n(3).subsets() {
+            assert_eq!(
+                *store.partition(&enc, x, &mut scratch),
+                Partition::by_set(&enc, x, NullSemantics::Strong),
+                "{x:?}"
+            );
+        }
+        assert_eq!(store.bytes, 0);
+    }
+
+    #[test]
+    fn retiring_a_level_resets_its_bytes() {
+        let t = store_sample();
+        let enc = Encoded::new(&t);
+        let mut scratch = ProductScratch::for_encoded(&enc);
+        let mut store = Store::new(3, NullSemantics::NullAsValue, DEFAULT_CACHE_BUDGET);
+        let all = AttrSet::first_n(3);
+        store.partition(&enc, all, &mut scratch);
+        assert!(store.bytes > 0);
+        store.evict_below(usize::MAX);
+        assert_eq!(store.bytes, 0);
+        // Still correct after a full purge.
+        assert_eq!(
+            *store.partition(&enc, all, &mut scratch),
+            Partition::by_set(&enc, all, NullSemantics::NullAsValue)
+        );
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub struct Partition {
 /// [`Partition::product_attr`]: one `u32` probe table (keyed by row id
 /// for the binary product, by dictionary code for the attribute
 /// product) plus per-group slot buffers, owned by a thread (a miner
-/// worker, a [`crate::cache::PartitionCtx`]) and reused across every
+/// worker, an incremental replay) and reused across every
 /// intersection it performs — the per-candidate `HashMap` allocations
 /// of the old refinement path are gone entirely.
 ///
@@ -837,7 +837,7 @@ impl Partition {
     }
 
     /// Approximate heap footprint in bytes — the accounting unit of the
-    /// level-wise partition cache budget.
+    /// partition store's byte budget.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Partition>()
             + self.classes.len() * std::mem::size_of::<Vec<u32>>()

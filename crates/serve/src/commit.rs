@@ -660,17 +660,10 @@ fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::test_dir::tmp_dir;
 
     fn meters() -> Arc<StoreMetrics> {
         Arc::default()
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sqlnf_commit_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]

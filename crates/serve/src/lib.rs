@@ -50,3 +50,21 @@ pub use watch::{
     table_facts, table_facts_with, Subscription, WatchEvent, WatchHub, DEFAULT_WATCH_QUEUE,
     WATCH_MAX_LHS,
 };
+
+#[cfg(test)]
+mod test_dir {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fresh, empty directory under the system temp dir, unique per
+    /// call (process id plus a counter), so tests on parallel threads
+    /// never open, fault or delete each other's WAL.
+    pub(crate) fn tmp_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("sqlnf_{tag}_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+}

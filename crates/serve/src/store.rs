@@ -793,6 +793,7 @@ fn replay_into(registry: &mut Registry, src: &str) -> Result<(), ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::tmp_dir;
 
     const DDL: &str = "CREATE TABLE purchase (
         order_id INT NOT NULL,
@@ -801,12 +802,6 @@ mod tests {
         price    INT NOT NULL,
         CONSTRAINT line CERTAIN FD (item, catalog) -> (price)
     );";
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sqlnf_store_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn execute_admits_and_rejects() {

@@ -377,13 +377,7 @@ pub fn merge_by_epoch(shards: Vec<Vec<(u64, String)>>, epoch_base: u64) -> (Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sqlnf_wal_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::test_dir::tmp_dir;
 
     #[test]
     fn append_replay_round_trip() {

@@ -151,9 +151,9 @@ FLAGS (any subcommand):
     --stats-json <path>                write the report as JSON (profile adds
                                        the table statistics to the document)
     --trace                            echo the reasoner/miner trace to stderr
-    --cache-budget <bytes>             partition-cache byte budget for mining
+    --cache-budget <bytes>             partition-store byte budget for mining
                                        (suffixes k/m/g accepted; default 64m;
-                                       0 disables caching — results identical)
+                                       0 keeps only the singles — results identical)
 ";
 
 /// Collects the CREATE TABLE designs of a script.
@@ -269,8 +269,9 @@ pub fn cmd_profile(csv_src: &str, name: &str) -> Result<String, CliError> {
 }
 
 /// `sqlnf mine`: discover and classify FDs of a CSV table.
-/// `cache_budget` bounds the bytes the level-wise partition cache may
-/// hold (see `--cache-budget`); results are identical for any value.
+/// `cache_budget` bounds the bytes the miner's partition store may hold,
+/// scratch or incremental (see `--cache-budget`); results are
+/// identical for any value.
 pub fn cmd_mine(
     csv_src: &str,
     name: &str,
@@ -798,8 +799,9 @@ impl ObsOptions {
 /// other subcommands).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MineOptions {
-    /// `--cache-budget <bytes>`: byte budget of the miner's level-wise
-    /// partition cache. Results are identical for any value.
+    /// `--cache-budget <bytes>`: byte budget of the miner's partition
+    /// store, scratch or incremental. Results are identical for any
+    /// value.
     pub cache_budget: usize,
     /// `--incremental[=K]`: route `mine` through the incremental
     /// engine, applying every row as a delta. `Some(0)` never audits;

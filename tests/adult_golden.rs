@@ -13,11 +13,11 @@
 //! cargo test -q --release --test adult_golden -- --ignored
 //! ```
 
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
 use sqlnf::discovery::incremental::IncrementalMiner;
 use sqlnf::discovery::mine::MinerConfig;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::partition::Encoded;
 
 const GOLDEN: &str = include_str!("golden/adult_mine_report.txt");

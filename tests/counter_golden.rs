@@ -21,9 +21,9 @@
 //!
 //! Each line is `name value`; the test demands equality, so any change
 //! to the rows a pass scans, the products it builds, its fused checks,
-//! probe indexes and how they are served, weak pairs, evictions,
-//! partition-cache misses or the candidates the incremental replay
-//! touches shows up here. A change
+//! probe indexes and how they are served, weak pairs, the partition
+//! store's evictions and misses or the candidates the incremental
+//! replay touches shows up here. A change
 //! that moves a counter on purpose updates the golden file with the
 //! block the failure message prints.
 //!
@@ -33,10 +33,10 @@
 //! process-wide registry, and other suites mine concurrently. The
 //! tests here share one lock for the same reason.
 
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{mine_report, render_report, report_parts};
 use sqlnf::discovery::incremental::IncrementalMiner;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::mine::{mine_fds, mine_fds_encoded, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use sqlnf::prelude::*;
@@ -57,7 +57,7 @@ const COUNTERS: [&str; 11] = [
     "discovery.check.probe_index.direct",
     "discovery.check.weak_pairs_visited",
     "discovery.mine.prev_level.evictions",
-    "discovery.partition.cache.misses",
+    "discovery.mine.prev_level.misses",
     "discovery.incr.candidates_touched",
     "discovery.check.sweep.rows_grouped",
 ];

@@ -269,24 +269,29 @@ proptest! {
         }
     }
 
-    /// Cached partition products agree with the direct row grouping of
-    /// [`Partition::by_set`], for every semantics, on a level-ordered
-    /// sweep of the whole lattice (so the memo is exercised both cold
-    /// and warm).
+    /// The partition store's products agree with the direct row
+    /// grouping of [`Partition::by_set`], for every semantics, on a
+    /// level-ordered sweep of the whole lattice (so the store is
+    /// exercised both cold and warm), under the default budget and
+    /// under none.
     #[test]
-    fn ctx_partitions_match_by_set(table in small_table(4, 8)) {
-        use sqlnf::discovery::cache::PartitionCtx;
+    fn store_partitions_match_by_set(table in small_table(4, 8)) {
         use sqlnf::discovery::check::null_semantics;
-        use sqlnf::discovery::partition::{Encoded, Partition};
+        use sqlnf::discovery::mine::{Store, DEFAULT_CACHE_BUDGET};
+        use sqlnf::discovery::partition::{Encoded, Partition, ProductScratch};
         let enc = Encoded::new(&table);
+        let mut scratch = ProductScratch::for_encoded(&enc);
         let mut subsets: Vec<AttrSet> = AttrSet::first_n(4).subsets().collect();
         subsets.sort_by_key(|s| (s.len(), s.0));
         for sem in Semantics::ALL {
             let ns = null_semantics(sem);
-            let mut ctx = PartitionCtx::new(&enc, ns);
-            for &x in &subsets {
-                let want = Partition::by_set(&enc, x, ns);
-                prop_assert_eq!(&*ctx.partition(x), &want, "{:?} {:?} on\n{}", sem, x, table);
+            for budget in [DEFAULT_CACHE_BUDGET, 0] {
+                let mut store = Store::new(4, ns, budget);
+                for &x in &subsets {
+                    let want = Partition::by_set(&enc, x, ns);
+                    let got = store.partition(&enc, x, &mut scratch);
+                    prop_assert_eq!(&*got, &want, "{:?} {:?} on\n{}", sem, x, table);
+                }
             }
         }
     }

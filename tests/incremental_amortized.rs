@@ -3,9 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::classify::mine_report;
 use sqlnf::discovery::incremental::IncrementalMiner;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::prelude::*;
 
 const COLS: usize = 6;

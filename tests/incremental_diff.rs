@@ -10,10 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{mine_keys_budgeted, mine_report};
 use sqlnf::discovery::incremental::IncrementalMiner;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::mine::{mine_fds, MinerConfig};
 use sqlnf::prelude::*;
 

@@ -2,7 +2,7 @@
 //! storage targets: mine the full `million_like` instance end-to-end
 //! under both classical and certain semantics and check the planted
 //! dependencies come back, then render its `MINE` report, whose lattice
-//! pass overflows the default partition-cache budget. Ignored by
+//! pass overflows the default partition-store budget. Ignored by
 //! default — a debug build takes minutes where release takes seconds —
 //! and run in CI as
 //!
@@ -12,9 +12,9 @@
 
 use std::time::Instant;
 
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::mine_report;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::mine::{mine_fds, MinerConfig, MiningResult};
 use sqlnf::prelude::*;
 

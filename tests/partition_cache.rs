@@ -1,8 +1,9 @@
-//! Evidence for the discovery caches: the level-cached partition
-//! products (a [`PartitionCtx`] sweep must scan at least 3× fewer rows
-//! than fresh [`Partition::by_set`] builds) and the miner's
-//! footprint-keyed probe cache (certain-semantics mining must reuse
-//! probe indexes instead of rebuilding per candidate).
+//! Evidence for the discovery caches: the partition store's level
+//! products (a [`Store`] sweep must scan at least 3× fewer rows than
+//! fresh [`Partition::by_set`] builds, and the scratch pass and the
+//! incremental replay both report it under `discovery.mine.prev_level.*`)
+//! and the miner's footprint-keyed probe cache (certain-semantics mining
+//! must reuse probe indexes instead of rebuilding per candidate).
 //!
 //! Kept as its own integration binary: the tests read the
 //! process-global counter registry, so they serialize on a local lock
@@ -13,6 +14,8 @@
 
 use sqlnf_discovery::prelude::*;
 use sqlnf_model::attrs::AttrSet;
+use sqlnf_model::tuple::Tuple;
+use sqlnf_model::value::Value;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes counter-reading tests within this binary (an assert
@@ -53,11 +56,16 @@ fn cached_products_scan_at_least_3x_fewer_rows() {
         .counter("discovery.partition.rows_scanned")
         .unwrap_or(0);
 
-    // Cached build: one product with a memoized prefix per candidate.
+    // Stored build: one product with a stored prefix per candidate.
     sqlnf_obs::reset();
-    let mut ctx = PartitionCtx::new(&enc, NullSemantics::Strong);
+    let mut store = Store::new(
+        table.schema().arity(),
+        NullSemantics::Strong,
+        DEFAULT_CACHE_BUDGET,
+    );
+    let mut scratch = ProductScratch::for_encoded(&enc);
     for &x in &subsets {
-        std::hint::black_box(ctx.partition(x));
+        std::hint::black_box(store.partition(&enc, x, &mut scratch));
     }
     let report = sqlnf_obs::report();
     let cached = report
@@ -67,16 +75,16 @@ fn cached_products_scan_at_least_3x_fewer_rows() {
     assert!(fresh > 0 && cached > 0, "fresh={fresh} cached={cached}");
     assert!(
         fresh >= 3 * cached,
-        "expected ≥3× fewer rows scanned through the cache: \
+        "expected ≥3× fewer rows scanned through the store: \
          fresh={fresh} cached={cached}"
     );
     // Each multi-attribute subset is built exactly once (one miss, no
-    // rebuild), and every size-≥3 build finds its prefix in the memo.
+    // rebuild), and every size-≥3 build finds its prefix stored.
     let hits = report
-        .counter("discovery.partition.cache.hits")
+        .counter("discovery.mine.prev_level.hits")
         .unwrap_or(0);
     let misses = report
-        .counter("discovery.partition.cache.misses")
+        .counter("discovery.mine.prev_level.misses")
         .unwrap_or(0);
     let multi = subsets.iter().filter(|x| x.len() >= 2).count() as u64;
     let deep = subsets.iter().filter(|x| x.len() >= 3).count() as u64;
@@ -84,14 +92,52 @@ fn cached_products_scan_at_least_3x_fewer_rows() {
     assert_eq!(hits, deep, "misses={misses}");
 }
 
-/// Certain-semantics mining on the wide-short hepatitis workload: the
-/// miner's prev-level lookups report under their own counter names
-/// (not the `PartitionCtx` ones — the old conflation), and the
-/// footprint-keyed probe cache keeps index builds far below one per
-/// probed candidate (the seed code built 1350 per run) while showing
-/// actual reuse.
+/// One store, two drivers: the scratch report and the incremental
+/// replay both count their store traffic under
+/// `discovery.mine.prev_level.*`. A report after an insert that opens
+/// no question (the WATCH hub's steady state) settles every candidate
+/// from its verdicts and the inserted rows: it builds no partition.
 #[test]
-fn miner_probe_cache_reuses_and_counters_are_separated() {
+fn scratch_pass_and_replay_count_under_one_store() {
+    if !sqlnf_obs::ENABLED {
+        return;
+    }
+    let _guard = counters_lock();
+    let table = sqlnf_datagen::naumann::hepatitis_like(20_160_626);
+    let counter = |name: &str| sqlnf_obs::report().counter(name).unwrap_or(0);
+
+    sqlnf_obs::reset();
+    let scratch = mine_report("t", &table, 3, DEFAULT_CACHE_BUDGET);
+    assert!(counter("discovery.mine.prev_level.hits") > 0);
+
+    sqlnf_obs::reset();
+    let mut m = IncrementalMiner::from_table(&table);
+    assert_eq!(m.report("t", 3, DEFAULT_CACHE_BUDGET), scratch);
+    let cold_misses = counter("discovery.mine.prev_level.misses");
+    assert!(cold_misses > 0, "the cold replay builds through the store");
+    assert!(counter("discovery.mine.prev_level.hits") > 0);
+
+    // Values no row carries: no pair gains a similar partner.
+    let arity = table.schema().arity();
+    m.insert(Tuple::new(
+        (0..arity)
+            .map(|i| Value::Int(1_000_000 + i as i64))
+            .collect::<Vec<_>>(),
+    ));
+    sqlnf_obs::reset();
+    let warm = m.report("t", 3, DEFAULT_CACHE_BUDGET);
+    assert_eq!(counter("discovery.partition.builds"), 0);
+    assert_eq!(counter("discovery.partition.products"), 0);
+    assert_eq!(counter("discovery.mine.prev_level.misses"), 0);
+    assert_eq!(warm, mine_report("t", &m.table(), 3, DEFAULT_CACHE_BUDGET));
+}
+
+/// Certain-semantics mining on the wide-short hepatitis workload: the
+/// miner's prefix lookups hit its store, and the footprint-keyed probe
+/// cache keeps index builds far below one per probed candidate (the
+/// seed code built 1350 per run) while showing actual reuse.
+#[test]
+fn miner_probe_cache_reuses_and_prefixes_hit_the_store() {
     if !sqlnf_obs::ENABLED {
         return;
     }
@@ -106,29 +152,12 @@ fn miner_probe_cache_reuses_and_counters_are_separated() {
     );
     assert!(res.fd_count_attrwise() > 0);
     let report = sqlnf_obs::report();
-
-    // The miner never touches a PartitionCtx: its prev-level lookup
-    // traffic must land on `discovery.mine.prev_level.*` and leave the
-    // budgeted-cache names untouched.
-    assert_eq!(
-        report
-            .counter("discovery.partition.cache.hits")
-            .unwrap_or(0),
-        0
-    );
-    assert_eq!(
-        report
-            .counter("discovery.partition.cache.misses")
-            .unwrap_or(0),
-        0
-    );
     assert!(
         report
             .counter("discovery.mine.prev_level.hits")
             .unwrap_or(0)
             > 0
     );
-
     let builds = report
         .counter("discovery.check.probe_index.builds")
         .unwrap_or(0);

@@ -22,10 +22,10 @@
 //! tests here share one lock for the same reason.
 
 use sqlnf::discovery::approx::ckey_error;
-use sqlnf::discovery::cache::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::check::Semantics;
 use sqlnf::discovery::classify::{classify_table, mine_keys, mine_report};
 use sqlnf::discovery::incremental::IncrementalMiner;
+use sqlnf::discovery::mine::DEFAULT_CACHE_BUDGET;
 use sqlnf::discovery::mine::{mine_fds, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use std::sync::Mutex;
