@@ -11,89 +11,44 @@
 //! * on the full table (124 rows), decomposing by σ keeps 105 distinct
 //!   projected rows — 19 sources of potential inconsistency removed —
 //!   and the c-key c⟨first,last,city⟩ holds on the projection.
+//!
+//! `tests/paper_claims.rs` asserts these claims on the same
+//! [`Contact`]; a claim that fails prints `✗`.
 
-use sqlnf_bench::banner;
-use sqlnf_datagen::contact::{contact_full, contact_sigma_fd, fig7_snippet};
-use sqlnf_model::prelude::*;
+use sqlnf_bench::{banner, Contact, SEED};
 
 fn main() {
     banner("E3: contact_draft_lookup (Figures 7 and 8)");
+    let contact = Contact::decompose(SEED);
 
     // --- Snippet (Figure 7) ---
-    let snip = fig7_snippet();
-    let s = snip.schema().clone();
+    let snip = &contact.snippet;
     println!("snippet I ({} rows):\n{snip}", snip.len());
-
-    let flc = s.set(&["first_name", "last_name", "city"]);
-    let full_rhs = s.set(&["first_name", "last_name", "city", "state_id"]);
-    let sigma_fd = Fd::certain(flc, full_rhs);
-    assert!(satisfies_fd(&snip, &sigma_fd));
-    println!("σ: first,last,city ->w first,last,city,state   holds ✓");
-    for lhs in [
-        s.set(&["first_name", "city"]),
-        s.set(&["last_name", "city"]),
-    ] {
-        let fd = Fd::certain(lhs, full_rhs);
-        assert!(satisfies_fd(&snip, &fd));
+    for claim in &contact.snippet_claims {
+        println!("{claim}");
     }
-    println!("accidental variants (first,city) / (last,city)  hold ✓ (as the paper notes)");
-    let move_fd = Fd::possible(s.set(&["first_name", "last_name"]), s.set(&["state_id"]));
-    assert!(!satisfies_fd(&snip, &move_fd));
-    println!("first,last -> state                             fails ✓ (Stacey Brennan moved)");
-    assert!(!satisfies_fd(
-        &snip,
-        &Fd::certain(s.set(&["city"]), s.set(&["state_id"]))
-    ));
-    println!("city ->w state                                  fails ✓ (NULL city rows)");
 
     // --- Figure 8: the decomposition of the snippet ---
-    let (rest, proj) = sqlnf_core::decompose::decompose_instance_by_cfd(&snip, &sigma_fd);
+    let (proj, rest) = (&contact.projection, &contact.remainder);
     println!("\nVRNF decomposition of the snippet (Figure 8):");
     println!(
         "set projection [f,l,city,state] ({} rows):\n{proj}",
         proj.len()
     );
     println!("multiset remainder [[id,f,l,city]] ({} rows)", rest.len());
-    assert_eq!(proj.len(), 10);
-    assert_eq!(rest.len(), 14);
-    let joined = join(&rest, &proj, "rejoined");
-    let reordered = reorder_columns(&joined, s.column_names());
-    assert!(snip.multiset_eq(&reordered));
-    println!("join of the components = I (lossless) ✓");
-    let ps = proj.schema().clone();
-    assert!(satisfies_key(
-        &proj,
-        &Key::certain(ps.set(&["first_name", "last_name", "city"]))
-    ));
-    println!("c<first,last,city> holds on the projection ✓");
+    for claim in &contact.figure8_claims {
+        println!("{claim}");
+    }
 
     // --- Full table (124 × 14) ---
     banner("full contact_draft_lookup (generated, 124 rows × 14 columns)");
-    let full = contact_full(20_160_626);
-    let fs = full.schema().clone();
-    let fd = contact_sigma_fd(&fs);
-    assert!(satisfies_fd(&full, &fd));
-    let (rest_f, proj_f) = sqlnf_core::decompose::decompose_instance_by_cfd(&full, &fd);
-    println!(
-        "rows: base {}  set-projection {}  multiset remainder {}",
-        full.len(),
-        proj_f.len(),
-        rest_f.len()
-    );
+    let (base, projected, remainder) = contact.full_rows;
+    println!("rows: base {base}  set-projection {projected}  multiset remainder {remainder}");
     println!(
         "eliminated sources of potential inconsistency: {} (paper: 19, 124 → 105 rows)",
-        full.len() - proj_f.len()
+        base - projected
     );
-    assert_eq!(full.len(), 124);
-    assert_eq!(proj_f.len(), 105);
-    let pfs = proj_f.schema().clone();
-    assert!(satisfies_key(
-        &proj_f,
-        &Key::certain(pfs.set(&["first_name", "last_name", "city"]))
-    ));
-    println!("c<first,last,city> holds on the 105-row projection ✓");
-    let joined_f = join(&rest_f, &proj_f, "rejoined");
-    let reordered_f = reorder_columns(&joined_f, fs.column_names());
-    assert!(full.multiset_eq(&reordered_f));
-    println!("lossless ✓");
+    for claim in &contact.full_claims {
+        println!("{claim}");
+    }
 }

@@ -9,34 +9,27 @@
 //!   106 status_flag + 100 url), plus 134 redundant dmerc_rgn nulls;
 //! * total cells 3806 → 3720;
 //! * the decomposition is lossless.
+//!
+//! `tests/paper_claims.rs` asserts these numbers on the same
+//! [`Contractor`] (and `tests/end_to_end.rs` the cell counts).
 
-use sqlnf_bench::{banner, render_table};
-use sqlnf_core::decompose::vrnf_decompose;
-use sqlnf_datagen::contractor::{contractor, contractor_sigma};
-use sqlnf_model::prelude::*;
-use std::collections::HashMap;
+use sqlnf_bench::{banner, render_table, Contractor, SEED};
 
 fn main() {
     banner("E4: VRNF normalization of contractor (Section 7)");
-    let table = contractor(20_160_626);
-    let schema = table.schema().clone();
-    let sigma = contractor_sigma(&schema);
+    let c = Contractor::normalize(SEED);
+    let schema = c.table.schema();
     println!(
         "input: {} rows × {} columns = {} cells",
-        table.len(),
+        c.table.len(),
         schema.arity(),
-        table.cell_count()
+        c.table.cell_count()
     );
-    println!("Σ = {}", sigma.display(&schema));
-    assert!(satisfies_all(&table, &sigma));
-
-    let decomposition = vrnf_decompose(schema.attrs(), schema.nfs(), &sigma)
-        .expect("total FDs in, decomposition out");
-    let parts = decomposition.apply(&table);
+    println!("Σ = {}", c.sigma.display(schema));
 
     // Report the components.
     let mut rows_out = Vec::new();
-    for (comp, part) in decomposition.components.iter().zip(&parts) {
+    for (comp, part) in c.decomposition.components.iter().zip(&c.parts) {
         rows_out.push(vec![
             schema.display_set(comp.attrs),
             if comp.multiset { "multiset" } else { "set" }.to_string(),
@@ -49,66 +42,17 @@ fn main() {
         render_table(&["component", "kind", "attrs", "rows"], &rows_out)
     );
 
-    // Check the paper's component shapes: (attrs, rows) multiset-exact.
-    let mut shape: Vec<(usize, usize)> = decomposition
-        .components
-        .iter()
-        .zip(&parts)
-        .map(|(c, p)| (c.attrs.len(), p.len()))
-        .collect();
-    shape.sort();
-    assert_eq!(shape, vec![(4, 38), (4, 73), (5, 67), (17, 173)]);
-
-    // Cells.
-    let cells: usize = parts.iter().map(Table::cell_count).sum();
     println!(
         "\ncells: {} → {} (paper: 3806 → 3720)",
-        table.cell_count(),
-        cells
+        c.table.cell_count(),
+        c.cells_after()
     );
-    assert_eq!(table.cell_count(), 3806);
-    assert_eq!(cells, 3720);
 
-    // Redundant value eliminations per RHS column: occurrences removed
-    // by replacing the base column with one row per group.
-    let mut value_elims: HashMap<&str, usize> = HashMap::new();
-    let mut null_elims: HashMap<&str, usize> = HashMap::new();
-    for fd in &sigma.fds {
-        let groups = sqlnf_model::project::project_set(&table, fd.lhs, "g").len();
-        let _ = groups;
-        for a in fd.rhs - fd.lhs {
-            // Group rows by LHS value and count per-group extras.
-            let mut seen: HashMap<Vec<Value>, (Value, usize)> = HashMap::new();
-            for t in table.rows() {
-                let key: Vec<Value> = fd.lhs.iter().map(|x| t.get(x).clone()).collect();
-                let e = seen.entry(key).or_insert_with(|| (t.get(a).clone(), 0));
-                e.1 += 1;
-            }
-            let col = schema.column_name(a);
-            for (v, count) in seen.values() {
-                let extras = count - 1;
-                if v.is_null() {
-                    *null_elims.entry(col).or_insert(0) += extras;
-                } else {
-                    *value_elims.entry(col).or_insert(0) += extras;
-                }
-            }
-        }
-    }
-    let mut elim_rows: Vec<Vec<String>> = Vec::new();
-    let mut total_values = 0usize;
-    for col in [
-        "dmerc_rgn",
-        "status",
-        "contractor_version",
-        "status_flag",
-        "url",
-    ] {
-        let v = value_elims.get(col).copied().unwrap_or(0);
-        let n = null_elims.get(col).copied().unwrap_or(0);
-        total_values += v;
-        elim_rows.push(vec![col.to_string(), v.to_string(), n.to_string()]);
-    }
+    let elim_rows: Vec<Vec<String>> = c
+        .eliminated
+        .iter()
+        .map(|(col, values, nulls)| vec![col.to_string(), values.to_string(), nulls.to_string()])
+        .collect();
     println!();
     print!(
         "{}",
@@ -121,17 +65,11 @@ fn main() {
             &elim_rows
         )
     );
-    println!("\ntotal redundant data values eliminated: {total_values} (paper: 448)");
-    assert_eq!(total_values, 448);
-    assert_eq!(value_elims["dmerc_rgn"], 1);
-    assert_eq!(value_elims["status"], 135);
-    assert_eq!(value_elims["contractor_version"], 106);
-    assert_eq!(value_elims["status_flag"], 106);
-    assert_eq!(value_elims["url"], 100);
-    assert_eq!(null_elims.get("dmerc_rgn").copied().unwrap_or(0), 134);
-    println!("per-column breakdown matches the paper (1/135/106/106/100 + 134 nulls) ✓");
-
-    // Losslessness.
-    assert!(decomposition.is_lossless_on(&table));
-    println!("join of all four components reproduces the 173-row table (lossless) ✓");
+    println!(
+        "\ntotal redundant data values eliminated: {} (paper: 448)",
+        c.values_eliminated()
+    );
+    for claim in c.claims() {
+        println!("{claim}");
+    }
 }

@@ -10,98 +10,44 @@
 //! hepatitis        20    155  8250   0.8s     264   1.2s
 //! ```
 //!
-//! Shapes under test: counts of classical FDs and c-FDs are
-//! *incomparable* (either can be larger); the wide-short `hepatitis`
-//! regime explodes with accidental classical FDs while c-FDs stay
-//! moderate; c-FD discovery stays within the same order of magnitude
-//! of runtime as classical discovery. Absolute counts and times differ
-//! (synthetic data, different hardware, LHS size capped at 4).
+//! Shapes: counts of classical FDs and c-FDs are *incomparable*
+//! (either can be larger); the wide-short `hepatitis` regime explodes
+//! with accidental classical FDs while c-FDs stay moderate; c-FD
+//! discovery stays within the same order of magnitude of runtime as
+//! classical discovery. Absolute counts and times differ (synthetic
+//! data, different hardware, LHS size capped at 4).
 //!
 //! Beyond the paper's two columns, each data set is also mined under
-//! the weak (some-possible-world) semantics (`weak_<name>` entries in
-//! the JSON): its check runs on the same stripped partitions as
+//! the weak (some-possible-world) semantics (the `w-FDs` columns): its
+//! check runs on the same stripped partitions as
 //! classical/possible with no probe-index tail, so on probe-dominated
 //! shapes it lands between classical and certain.
 //!
-//! Every measurement goes through `measure()`/`write_bench_json`, so a
-//! run leaves a counter-annotated `BENCH_discovery.json` behind (build
-//! with `--features obs` for the counters; see `bench-baselines/` for
-//! the committed before/after pair of the columnar-storage work).
+//! The counts come from the same [`DiscoveryTable`] that
+//! `tests/paper_claims.rs` asserts the shapes on (a release test, run
+//! with `--ignored`); the times are printed, never asserted.
 
-use sqlnf_bench::{banner, fmt_duration, measure, render_table, write_bench_json, BenchRecord};
-use sqlnf_datagen::naumann::{adult_like, breast_cancer_like, hepatitis_like, million_like};
+use sqlnf_bench::{banner, fmt_duration, mark, render_table, timed, DiscoveryTable, SEED};
+use sqlnf_datagen::naumann::adult_like;
 use sqlnf_discovery::check::Semantics;
-use sqlnf_discovery::mine::{mine_fds, MinerConfig, MiningResult};
-use sqlnf_model::table::Table;
-
-fn run(name: &str, table: &Table, max_lhs: usize, records: &mut Vec<BenchRecord>) -> Vec<String> {
-    // One timing pass for the big table, a median of three for the
-    // small ones (same policy for baseline and optimized runs).
-    let runs = if table.len() > 10_000 { 1 } else { 3 };
-    let mut classical: Option<MiningResult> = None;
-    let r_classical = measure(&format!("classical_{name}"), runs, || {
-        classical = Some(mine_fds(
-            table,
-            MinerConfig::new(Semantics::Classical).with_max_lhs(max_lhs),
-        ));
-    });
-    let mut certain: Option<MiningResult> = None;
-    let r_certain = measure(&format!("certain_{name}"), runs, || {
-        certain = Some(mine_fds(
-            table,
-            MinerConfig::new(Semantics::Certain).with_max_lhs(max_lhs),
-        ));
-    });
-    let mut weak: Option<MiningResult> = None;
-    let r_weak = measure(&format!("weak_{name}"), runs, || {
-        weak = Some(mine_fds(
-            table,
-            MinerConfig::new(Semantics::Weak).with_max_lhs(max_lhs),
-        ));
-    });
-    let row = vec![
-        name.to_string(),
-        table.schema().arity().to_string(),
-        table.len().to_string(),
-        classical.expect("measured").fd_count_attrwise().to_string(),
-        fmt_duration(r_classical.median),
-        certain.expect("measured").fd_count_attrwise().to_string(),
-        fmt_duration(r_certain.median),
-        weak.expect("measured").fd_count_attrwise().to_string(),
-        fmt_duration(r_weak.median),
-    ];
-    records.push(r_classical);
-    records.push(r_certain);
-    records.push(r_weak);
-    row
-}
+use sqlnf_discovery::mine::{mine_fds, MinerConfig};
 
 fn main() {
     banner("E6: classical FD discovery vs c-FD discovery (Section 7 table)");
     println!("(synthetic data sets with the paper's dimensions; LHS capped at 4 attributes)\n");
 
-    let bc = breast_cancer_like(20_160_626);
-    let hep = hepatitis_like(20_160_626);
-    let adult = adult_like(20_160_626);
-
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let mut rows = vec![
-        run("breast-cancer", &bc, 4, &mut records),
-        run("adult", &adult, 4, &mut records),
-        run("hepatitis", &hep, 4, &mut records),
-    ];
-
-    // Beyond the paper's table: the million-row telemetry regime the
-    // columnar dictionary-code storage targets (8 low-cardinality
-    // columns, planted site→region and device_class→firmware FDs).
-    // LHS capped at 3 — at this scale the interesting comparison is
-    // rows/second, not lattice depth. Built after the paper tables are
-    // measured so its ~350 MB of row storage doesn't sit on the heap
-    // (and in the allocator's free lists) during their timings.
-    let million = million_like(20_160_626);
-    rows.push(run("million", &million, 3, &mut records));
-    drop(million);
-
+    let table = DiscoveryTable::of_naumann(SEED);
+    let rows: Vec<Vec<String>> = table
+        .rows
+        .iter()
+        .map(|r| {
+            let mut row = vec![r.name.to_string(), r.cols.to_string(), r.rows.to_string()];
+            for (count, time) in [r.classical, r.certain, r.weak] {
+                row.extend([count.to_string(), fmt_duration(time)]);
+            }
+            row
+        })
+        .collect();
     print!(
         "{}",
         render_table(
@@ -121,60 +67,36 @@ fn main() {
     // engineering headroom. Meaningful only on multi-core boxes; the
     // level-parallel miner is exact regardless (see
     // `mine::tests::parallel_equals_serial`).
+    let adult = adult_like(SEED);
+    let certain_adult = |threads: usize| {
+        let config = MinerConfig::new(Semantics::Certain)
+            .with_max_lhs(4)
+            .with_threads(threads);
+        timed(|| mine_fds(&adult, config).fd_count_attrwise())
+    };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut par: Option<MiningResult> = None;
-    let r_par = measure("certain_adult_parallel", 1, || {
-        par = Some(mine_fds(
-            &adult,
-            MinerConfig::new(Semantics::Certain)
-                .with_max_lhs(4)
-                .with_threads(0),
-        ));
-    });
+    let (par_count, par_time) = certain_adult(0);
     println!(
-        "\nc-FDs on adult with {cores} core(s): {} FDs in {} (serial above: {})",
-        par.expect("measured").fd_count_attrwise(),
-        fmt_duration(r_par.median),
-        rows[1][6]
+        "\nc-FDs on adult with {cores} core(s): {par_count} FDs in {} (serial above: {})",
+        fmt_duration(par_time),
+        fmt_duration(table.row("adult").certain.1)
     );
-    records.push(r_par);
 
     // Thread sweep: c-FD mining on adult at fixed thread counts, one
-    // timing pass each (`certain_adult_t1` … `t8`). The cost-balanced
-    // work queue makes the extra threads count wherever the hardware
-    // has the cores; the sweep records what this box actually does.
+    // timing pass each. The cost-balanced work queue makes the extra
+    // threads count wherever the hardware has the cores; the sweep
+    // records what this box actually does.
     banner("thread sweep: certain_adult at 1/2/4/8 threads");
     for threads in [1usize, 2, 4, 8] {
-        let r = measure(&format!("certain_adult_t{threads}"), 1, || {
-            std::hint::black_box(mine_fds(
-                &adult,
-                MinerConfig::new(Semantics::Certain)
-                    .with_max_lhs(4)
-                    .with_threads(threads),
-            ));
-        });
-        println!("  {} threads: {}", threads, fmt_duration(r.median));
-        records.push(r);
+        println!(
+            "  {} threads: {}",
+            threads,
+            fmt_duration(certain_adult(threads).1)
+        );
     }
 
-    match write_bench_json("discovery", &records) {
-        Ok(path) => println!("bench json: {}", path.display()),
-        Err(e) => eprintln!("bench json not written: {e}"),
-    }
-
-    // Shape assertions.
-    let fd_counts: Vec<usize> = rows.iter().map(|r| r[3].parse().unwrap()).collect();
-    let cfd_counts: Vec<usize> = rows.iter().map(|r| r[5].parse().unwrap()).collect();
-    // hepatitis (row 2) explodes classically but not certainly.
-    assert!(
-        fd_counts[2] > 5 * cfd_counts[2],
-        "wide-short regime must favour classical-FD explosion: {} vs {}",
-        fd_counts[2],
-        cfd_counts[2]
+    println!(
+        "\nshape check: hepatitis explodes classically, c-FD counts stay moderate {}",
+        mark(&table.claims())
     );
-    assert!(
-        fd_counts[2] > fd_counts[0] && fd_counts[2] > fd_counts[1],
-        "hepatitis must dominate the classical counts"
-    );
-    println!("\nshape check: hepatitis explodes classically, c-FD counts stay moderate ✓");
 }

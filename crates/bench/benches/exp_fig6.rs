@@ -8,11 +8,11 @@
 //! mines the corpus and prints both distributions as text histograms;
 //! `tests/figure6.rs` asserts the gap on the same [`Figure6`].
 
-use sqlnf_bench::{banner, histogram01, timed, Figure6};
+use sqlnf_bench::{banner, histogram01, timed, Figure6, SEED};
 
 fn main() {
     banner("E2: Figure 6 — relative sizes of projections on λ-FDs");
-    let (fig, elapsed) = timed(|| Figure6::of_corpus(20_160_626));
+    let (fig, elapsed) = timed(|| Figure6::of_corpus(SEED));
     let lambda_ratios = fig.lambda_ratios();
     println!(
         "classified corpus in {}",

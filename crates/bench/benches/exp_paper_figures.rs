@@ -1,170 +1,29 @@
 //! E0 — a mechanized walkthrough of the paper's running examples:
 //! Figures 1–5, Examples 1–3, the Section 4 worked derivations, and
 //! the Section 5/6 normal-form verdicts. Every claim printed here is
-//! asserted.
+//! checked on the same [`PaperFigures`] that `tests/paper_claims.rs`
+//! asserts; a claim that fails prints `✗`.
 
-use sqlnf_bench::banner;
-use sqlnf_core::axioms::DerivationEngine;
-use sqlnf_core::decompose::decompose_instance_by_cfd;
-use sqlnf_core::implication::Reasoner;
-use sqlnf_core::normal_forms::{is_bcnf, is_sql_bcnf};
-use sqlnf_core::redundancy::{redundant_positions, value_redundant_positions};
-use sqlnf_datagen::paper;
-use sqlnf_model::prelude::*;
+use sqlnf_bench::{banner, Claim, PaperFigures};
 
 fn main() {
     banner("E0: Figures 1–5 and Examples 1–3, mechanized");
+    let figs = PaperFigures::check();
+    let print = |claims: &[Claim]| claims.iter().for_each(|c| println!("{c}"));
+    print(&figs.figures);
 
-    // --- Figure 1 + Figure 2 ---
-    let fig1 = paper::purchase_fig1();
-    let s = fig1.schema().clone();
-    let ic = s.set(&["item", "catalog"]);
-    let price = s.set(&["price"]);
-    assert!(satisfies_fd(&fig1, &Fd::certain(ic, price)));
-    assert!(!satisfies_key(&fig1, &Key::possible(ic)));
-    let sigma1 = Sigma::new().with(Fd::certain(ic, price));
-    let red = redundant_positions(&fig1, &sigma1);
-    assert_eq!(red.len(), 2, "the two Fitbit/Amazon 240s are redundant");
-    println!("Fig 1: item,catalog -> price holds, {{item,catalog}} is no key, 2 redundant 240s ✓");
-
-    let (rest, xy) = decompose_instance_by_cfd(&fig1, &Fd::certain(ic, price));
-    assert_eq!((rest.len(), xy.len()), (4, 3));
-    let joined = join(&rest, &xy, "j");
-    assert!(fig1.multiset_eq(&reorder_columns(&joined, s.column_names())));
-    assert!(satisfies_key(
-        &xy,
-        &Key::certain(xy.schema().set(&["item", "catalog"]))
-    ));
-    println!(
-        "Fig 2: lossless decomposition into purchase[oic] (4 rows) and purchase[icp] (3 rows) ✓"
-    );
-
-    // --- Figure 3 ---
-    let fig3 = paper::fig3_duplicates();
-    let all3 = fig3.schema().attrs();
-    for x in all3.subsets() {
-        assert!(!satisfies_key(&fig3, &Key::possible(x)));
-        for y in all3.subsets() {
-            assert!(satisfies_fd(&fig3, &Fd::possible(x, y)));
-            assert!(satisfies_fd(&fig3, &Fd::certain(x, y)));
-        }
-    }
-    println!("Fig 3: duplicates satisfy every FD and violate every key ✓");
-
-    // --- Figure 4: lossy p-FD decomposition ---
-    let fig4 = paper::purchase_fig4();
-    let s4 = fig4.schema().clone();
-    let ic4 = s4.set(&["item", "catalog"]);
-    let p4 = s4.set(&["price"]);
-    assert!(satisfies_fd(&fig4, &Fd::possible(ic4, p4)));
-    let (rest4, xy4) = decompose_instance_by_cfd(&fig4, &Fd::certain(ic4, p4));
-    let joined4 = join(&rest4, &xy4, "j");
-    assert_eq!(joined4.len(), 4, "2 rows × 2 matching projections");
-    assert!(!fig4.multiset_eq(&reorder_columns(&joined4, s4.column_names())));
-    println!("Fig 4: decomposition by the (merely) possible FD is lossy ✓");
-
-    // --- Figure 5: lossless c-FD decomposition, residual redundancy ---
-    let fig5 = paper::purchase_fig5();
-    let s5 = fig5.schema().clone();
-    let cfd = Fd::certain(s5.set(&["item", "catalog"]), s5.set(&["price"]));
-    assert!(satisfies_fd(&fig5, &cfd));
-    let (rest5, xy5) = decompose_instance_by_cfd(&fig5, &cfd);
-    let joined5 = join(&rest5, &xy5, "j");
-    assert!(fig5.multiset_eq(&reorder_columns(&joined5, s5.column_names())));
-    let sigma5 = Sigma::new().with(Fd::certain(
-        xy5.schema().set(&["item", "catalog"]),
-        xy5.schema().set(&["price"]),
-    ));
-    let resid = redundant_positions(&xy5, &sigma5);
-    assert_eq!(resid.len(), 2, "both 240s in I[icp] stay redundant");
-    assert!(satisfies_key(
-        &xy5,
-        &Key::possible(xy5.schema().set(&["item", "catalog"]))
-    ));
-    assert!(!satisfies_key(
-        &xy5,
-        &Key::certain(xy5.schema().set(&["item", "catalog"]))
-    ));
-    println!("Fig 5: c-FD decomposition lossless; I[icp] keeps 2 redundant 240s; p-key holds, c-key fails ✓");
-
-    // --- Example 1 ---
-    let e1 = paper::example1_employees();
-    let es = e1.schema().clone();
-    assert!(!satisfies_fd(
-        &e1,
-        &Fd::certain(es.set(&["name", "dob"]), es.set(&["dob"]))
-    ));
-    println!("Ex 1: the c-FD nd ->w d rejects the dob-less John Smith ✓");
-
-    // --- Example 2 (spot checks; the full matrix is a unit test) ---
-    let e2 = paper::example2_relation();
-    let e2s = e2.schema().clone();
-    assert!(satisfies_fd(
-        &e2,
-        &Fd::possible(e2s.set(&["dept"]), e2s.set(&["dept"]))
-    ));
-    assert!(!satisfies_fd(
-        &e2,
-        &Fd::certain(e2s.set(&["dept"]), e2s.set(&["dept"]))
-    ));
-    println!("Ex 2: d ->s d holds while d ->w d fails (⊥ vs CS) ✓");
-
-    // --- Section 4: derivations and closures ---
     banner("Section 4: reasoning");
-    let t = AttrSet::first_n(4);
-    let schema = paper::purchase_schema(&["order_id", "catalog", "price"]);
-    let nfs = schema.nfs();
-    let sigma = paper::section4_sigma(&schema);
-    let eng = DerivationEngine::saturate(t, nfs, &sigma);
-    let goal = Constraint::Fd(Fd::possible(
-        schema.set(&["order_id", "item"]),
-        schema.set(&["price"]),
-    ));
-    assert!(eng.derives(&goal));
     println!("derivation of oi ->s p from {{oi ->s c, ic ->w p}}:");
-    print!("{}", eng.render_proof(&goal, &schema).unwrap());
-    let r = Reasoner::new(t, nfs, &sigma);
-    assert_eq!(r.p_closure(schema.set(&["order_id", "item"])), t);
-    assert_eq!(
-        r.c_closure(schema.set(&["order_id", "item"])),
-        schema.set(&["order_id"])
+    print!(
+        "{}",
+        figs.derivation.as_deref().unwrap_or("  none found ✗\n")
     );
-    println!("closures: oi*p = oicp, oi*c = o ✓ (so oi ->w p is not implied)");
-    let cx = paper::section4_counterexample();
-    assert!(satisfies_all(&cx, &sigma));
-    assert!(!satisfies_fd(
-        &cx,
-        &Fd::certain(schema.set(&["order_id", "item"]), schema.set(&["price"]))
-    ));
-    println!("…witnessed by the Section 4 counterexample instance ✓");
+    print(&figs.reasoning);
 
-    // --- Section 5/6: normal-form verdicts ---
     banner("Sections 5–6: normal forms");
-    let oip = schema.set(&["order_id", "item", "price"]);
-    let sigma_nf = Sigma::new().with(Fd::certain(ic, price));
-    assert!(!is_bcnf(t, oip, &sigma_nf));
-    println!("(oicp, oip, {{ic ->w p}}) is not in BCNF / RFNF ✓");
-    let sigma_ok = Sigma::new()
-        .with(Fd::certain(s.set(&["order_id", "item", "catalog"]), price))
-        .with(Key::certain(t));
-    assert!(is_bcnf(t, AttrSet::EMPTY, &sigma_ok));
-    println!("(oicp, ∅, {{oic ->w p, c<oicp>}}) is in BCNF / RFNF ✓");
-    let ex3 = Sigma::new().with(Fd::certain(s.set(&["order_id", "item", "catalog"]), t));
-    assert_eq!(is_sql_bcnf(t, oip, &ex3), Ok(false));
-    println!("Example 3's schema is not in SQL-BCNF / VRNF ✓");
+    print(&figs.normal_forms);
 
-    // Section 6.2's instance: only null positions are redundant.
-    let oic_inst = paper::section62_oic_instance();
-    let os = oic_inst.schema().clone();
-    let sigma62 = Sigma::new().with(Fd::certain(
-        os.set(&["order_id", "item", "catalog"]),
-        os.set(&["catalog"]),
-    ));
-    let red62 = redundant_positions(&oic_inst, &sigma62);
-    let vred62 = value_redundant_positions(&oic_inst, &sigma62);
-    assert_eq!(red62.len(), 2);
-    assert!(vred62.is_empty());
-    println!("Section 6.2: exactly the two ⊥ positions are redundant — value-redundancy-free ✓");
-
-    println!("\nall figure/example claims verified ✓");
+    let all = figs.derivation.is_some() && figs.claims().all(|c| c.holds);
+    let verified = Claim::new("all figure/example claims verified ✓", all);
+    println!("\n{verified}");
 }

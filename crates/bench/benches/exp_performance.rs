@@ -13,89 +13,26 @@
 //!   percent of query overhead.
 //!
 //! Absolute numbers differ from the paper's 2014-era hardware and
-//! engine; the claims under test are the ratios.
+//! engine; the claims are the ratios. They are wall-time comparisons,
+//! so this bench prints them and nothing asserts them;
+//! `tests/paper_claims.rs` asserts the verdicts and row counts of the
+//! same [`Performance`] (a release test, run with `--ignored`).
 
-use sqlnf_bench::{banner, fmt_duration, measure, render_table, write_bench_json};
-use sqlnf_core::decompose::vrnf_decompose;
-use sqlnf_datagen::contractor::{contractor, contractor_sigma};
-use sqlnf_model::prelude::*;
-
-/// Cross product with a `new` column of 1..=n.
-fn scale(table: &Table, n: i64) -> Table {
-    let mut numbers = Table::new(TableSchema::new("numbers", ["new"], &["new"]));
-    for i in 1..=n {
-        numbers.push(tuple![i]);
-    }
-    join(&numbers, table, format!("{}_x{n}", table.schema().name()))
-}
+use sqlnf_bench::{banner, fmt_duration, render_table, Performance, SEED};
 
 fn main() {
     banner("E5: validation and query performance, normalized vs not (Section 7)");
-    let base = contractor(20_160_626);
-    let sigma = contractor_sigma(base.schema());
-
-    // Normalize first (at base scale), then scale both representations.
-    let decomposition = vrnf_decompose(base.schema().attrs(), base.schema().nfs(), &sigma)
-        .expect("contractor Σ is total FDs");
-    let parts = decomposition.apply(&base);
-
-    let scaled = scale(&base, 1000);
-    let scaled_parts: Vec<Table> = parts.iter().map(|p| scale(p, 1000)).collect();
+    let perf = Performance::run(SEED);
     println!(
         "non-normalized: {} rows; normalized: {} tables of {} rows",
-        scaled.len(),
-        scaled_parts.len(),
-        scaled_parts
+        perf.rows,
+        perf.part_rows.len(),
+        perf.part_rows
             .iter()
-            .map(|t| t.len().to_string())
+            .map(|n| n.to_string())
             .collect::<Vec<_>>()
             .join("/")
     );
-
-    // --- Consistency validation ---
-    let ss = scaled.schema().clone();
-    let cfd = Fd::certain(
-        ss.set(&["new", "city", "url"]),
-        ss.set(&["dmerc_rgn", "status"]),
-    );
-    let r_cfd = measure("validate_cfd_nonnormalized", 5, || {
-        assert!(satisfies_fd(&scaled, &cfd));
-    });
-    let t_cfd = r_cfd.median;
-
-    // The normalized component carrying (city, url, dmerc_rgn, status).
-    let table1 = scaled_parts
-        .iter()
-        .find(|t| t.schema().attr("dmerc_rgn").is_some() && t.schema().arity() == 5)
-        .expect("FD1 component (plus the new column)");
-    let t1s = table1.schema().clone();
-    let ckey = Key::certain(t1s.set(&["new", "city", "url"]));
-    let r_key = measure("validate_ckey_normalized", 5, || {
-        assert!(satisfies_key(table1, &ckey));
-    });
-    let t_key = r_key.median;
-
-    // --- Query: select all vs join of components ---
-    // "Select all" materializes a result set (as the paper's DBMS
-    // does); the normalized variant materializes the same result via
-    // the equality join of all four components.
-    let r_select = measure("select_all_nonnormalized", 5, || {
-        let result = Table::from_rows(scaled.schema().clone(), scaled.rows().to_vec());
-        assert_eq!(result.len(), scaled.len());
-        std::hint::black_box(&result);
-    });
-    let t_select = r_select.median;
-    let r_join = measure("select_all_join_normalized", 5, || {
-        let joined = join_all(scaled_parts.iter(), "joined");
-        assert_eq!(joined.len(), scaled.len());
-        std::hint::black_box(&joined);
-    });
-    let t_join = r_join.median;
-
-    match write_bench_json("performance", &[r_cfd, r_key, r_select, r_join]) {
-        Ok(path) => println!("bench report: {}", path.display()),
-        Err(e) => println!("bench report not written: {e}"),
-    }
 
     println!();
     print!(
@@ -105,30 +42,30 @@ fn main() {
             &[
                 vec![
                     "validate c-FD on non-normalized".into(),
-                    fmt_duration(t_cfd),
+                    fmt_duration(perf.cfd.1),
                     "122ms".into()
                 ],
                 vec![
                     "validate c-key on normalized".into(),
-                    fmt_duration(t_key),
+                    fmt_duration(perf.ckey.1),
                     "15ms".into()
                 ],
                 vec![
                     "select all from non-normalized".into(),
-                    fmt_duration(t_select),
+                    fmt_duration(perf.select.1),
                     "2957ms".into()
                 ],
                 vec![
                     "select all from join of normalized".into(),
-                    fmt_duration(t_join),
+                    fmt_duration(perf.join.1),
                     "3150ms".into()
                 ],
             ]
         )
     );
 
-    let validation_gain = t_cfd.as_secs_f64() / t_key.as_secs_f64().max(1e-9);
-    let query_cost = t_join.as_secs_f64() / t_select.as_secs_f64().max(1e-9);
+    let validation_gain = perf.validation_gain();
+    let query_cost = perf.query_cost();
     println!("\nvalidation speedup (paper ≈ 8.1×): {validation_gain:.1}×");
     println!("query slowdown from joining (paper ≈ 1.07×): {query_cost:.2}×");
     println!(
@@ -137,13 +74,11 @@ fn main() {
          relative overhead is larger — the claim under test is that it stays a small\n\
          constant, not an asymptotic blowup)"
     );
-    assert!(
-        validation_gain > 2.0,
-        "validation on the normalized schema must be substantially cheaper"
+    // Validation on the normalized schema must be substantially
+    // cheaper, and the join overhead a modest constant factor.
+    let shape = validation_gain > 2.0 && query_cost < 40.0;
+    println!(
+        "shape check: normalization makes consistency validation much cheaper, querying a little slower {}",
+        if shape { "✓" } else { "✗" }
     );
-    assert!(
-        query_cost < 40.0,
-        "join overhead must stay a modest constant factor, got {query_cost:.1}×"
-    );
-    println!("shape check: normalization makes consistency validation much cheaper, querying a little slower ✓");
 }

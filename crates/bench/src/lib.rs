@@ -1,17 +1,84 @@
 //! # sqlnf-bench
 //!
-//! Shared helpers for the benchmark and experiment harness. Each bench
-//! target under `benches/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for recorded results); this crate provides the
-//! text-table rendering and timing utilities they share.
+//! The paper's evaluation as data. Each experiment of DESIGN.md §3 is
+//! one function here that computes its data: the `exp_*` bench target
+//! under `benches/` prints the experiment's EXPERIMENTS.md table from
+//! it, and a root test (`tests/figure6.rs`, `tests/paper_claims.rs`)
+//! asserts the paper's shape claims on the same value. Wall-time
+//! comparisons are printed, never asserted; end-to-end performance is
+//! measured by the `benchmark/` workspace alone. This crate also holds
+//! the text-table rendering and timing helpers the benches share.
 
 #![warn(missing_docs)]
 
-use sqlnf_obs::json::JsonValue;
-use sqlnf_obs::ObsReport;
-use std::path::{Path, PathBuf};
+mod ablation;
+mod contact;
+mod contractor;
+mod corpus;
+mod discovery;
+mod paper;
+mod performance;
+
+pub use ablation::Ablation;
+pub use contact::Contact;
+pub use contractor::Contractor;
+pub use corpus::{CountTable, Figure6};
+pub use discovery::{DiscoveryRow, DiscoveryTable};
+pub use paper::PaperFigures;
+pub use performance::Performance;
+
+use sqlnf_model::prelude::{join, reorder_columns, Table};
+use std::fmt;
 use std::time::{Duration, Instant};
+
+/// The seed every experiment runs with (the conference date), so all
+/// counts are reproducible bit-for-bit.
+pub const SEED: u64 = 20_160_626;
+
+/// One claim of the paper checked on an experiment's data; a root test
+/// asserts it. A bench prints it as a line of its table, its `✓`
+/// turned into `✗` when the data does not bear the claim out, or
+/// marks a summary line for several claims with [`mark`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Claim {
+    /// The claim, as a bench prints it or a failing test names it.
+    pub text: &'static str,
+    /// Whether the data bears it out.
+    pub holds: bool,
+}
+
+impl Claim {
+    /// A claim and its verdict.
+    pub fn new(text: &'static str, holds: bool) -> Claim {
+        Claim { text, holds }
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.holds {
+            f.write_str(self.text)
+        } else {
+            f.write_str(&self.text.replace('✓', "✗"))
+        }
+    }
+}
+
+/// `✓` when every claim holds, `✗` otherwise: the mark of a summary
+/// line standing for several claims.
+pub fn mark(claims: &[Claim]) -> &'static str {
+    if claims.iter().all(|c| c.holds) {
+        "✓"
+    } else {
+        "✗"
+    }
+}
+
+/// Whether joining a decomposition's two components gives `base` back.
+pub(crate) fn lossless(base: &Table, remainder: &Table, projection: &Table) -> bool {
+    let joined = join(remainder, projection, "rejoined");
+    base.multiset_eq(&reorder_columns(&joined, base.schema().column_names()))
+}
 
 /// Renders an aligned text table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -57,8 +124,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Runs `f` `n` times and returns the median duration (coarse but
-/// stable enough for the experiment tables; Criterion handles the
-/// micro-benches).
+/// stable enough for the experiment tables).
 pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
     assert!(n >= 1);
     let mut times: Vec<Duration> = (0..n)
@@ -70,6 +136,14 @@ pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
         .collect();
     times.sort();
     times[times.len() / 2]
+}
+
+/// Runs `f` `n` times and returns its last result with the median
+/// duration.
+pub fn median_run<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut out = None;
+    let median = median_time(n, || out = Some(f()));
+    (out.expect("n >= 1"), median)
 }
 
 /// Formats a duration in engineering style (µs / ms / s).
@@ -84,172 +158,10 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// One measurement annotated with the observability counters that
-/// accumulated while it ran. With the `obs` feature of `sqlnf-obs`
-/// compiled out (the default for standalone bench runs), the report is
-/// empty and only the timing is recorded.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Measurement identifier, e.g. `validate_cfd_nonnormalized`.
-    pub id: String,
-    /// Median wall-clock time over the measured runs.
-    pub median: Duration,
-    /// Counter/timer snapshot of the *last* measured run sequence
-    /// (the global registry, reset before measuring, captured after).
-    /// A caller whose runs start servers absorbs their stores' reports
-    /// here: `serve.*` counters live in each store's own registry.
-    pub obs: ObsReport,
-    /// Extra bench-specific fields serialized into the JSON entry
-    /// (e.g. a throughput figure).
-    pub extra: Vec<(String, JsonValue)>,
-}
-
-impl BenchRecord {
-    /// The median in nanoseconds, saturating.
-    pub fn median_ns(&self) -> u64 {
-        self.median.as_nanos().min(u64::MAX as u128) as u64
-    }
-}
-
-/// Measures `f` (median over `n` runs) and snapshots the observability
-/// counters the runs produced, for [`write_bench_json`].
-pub fn measure(id: &str, n: usize, f: impl FnMut()) -> BenchRecord {
-    sqlnf_obs::reset();
-    let median = median_time(n, f);
-    BenchRecord {
-        id: id.to_owned(),
-        median,
-        obs: sqlnf_obs::report(),
-        extra: Vec::new(),
-    }
-}
-
-/// Where [`write_bench_json`] puts its files: `$SQLNF_BENCH_DIR`, or
-/// `target/bench-reports` relative to the working directory.
-pub fn bench_report_dir() -> PathBuf {
-    std::env::var_os("SQLNF_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new("target").join("bench-reports"))
-}
-
-/// Writes records as `BENCH_<name>.json` inside `dir` and returns the
-/// file path. Each entry carries its timing plus the counters/timers
-/// snapshot taken by [`measure`].
-pub fn write_bench_json_in(
-    dir: &Path,
-    name: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<PathBuf> {
-    let entries = JsonValue::Array(
-        records
-            .iter()
-            .map(|r| {
-                let mut fields = vec![
-                    ("id".to_string(), JsonValue::Str(r.id.clone())),
-                    (
-                        "median_ns".to_string(),
-                        JsonValue::Int(r.median_ns() as i128),
-                    ),
-                ];
-                fields.extend(r.extra.iter().cloned());
-                if let JsonValue::Object(obs_fields) = r.obs.to_json_value() {
-                    fields.extend(obs_fields);
-                }
-                JsonValue::Object(fields)
-            })
-            .collect(),
-    );
-    let doc = JsonValue::Object(vec![
-        ("bench".to_string(), JsonValue::Str(name.to_owned())),
-        (
-            "obs_enabled".to_string(),
-            JsonValue::Bool(sqlnf_obs::ENABLED),
-        ),
-        ("entries".to_string(), entries),
-    ]);
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, doc.to_json())?;
-    Ok(path)
-}
-
-/// [`write_bench_json_in`] into the default [`bench_report_dir`].
-pub fn write_bench_json(name: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
-    write_bench_json_in(&bench_report_dir(), name, records)
-}
-
 /// Prints a banner separating experiment sections.
 pub fn banner(title: &str) {
     println!();
     println!("=== {title} ===");
-}
-
-/// Figure 6's data over the seeded Section 7 corpus: per λ-FD its
-/// relative projection size and the c-key g₃ error of its LHS, and the
-/// relative projection sizes of the nn-FDs with non-key LHSs (LHS
-/// cap 3). `exp_fig6` prints it; a root test asserts the paper's shape
-/// claims on it.
-#[derive(Debug, Clone)]
-pub struct Figure6 {
-    /// `(relative projection size, c-key g₃ error of the LHS)` per λ-FD.
-    pub lambda: Vec<(f64, f64)>,
-    /// Relative projection sizes of the nn-FDs with non-key LHSs.
-    pub nn_ratios: Vec<f64>,
-}
-
-impl Figure6 {
-    /// The paper's gap: no λ ratio falls strictly between these.
-    pub const GAP: (f64, f64) = (0.52, 0.78);
-
-    /// Classifies every table of `corpus(seed)`.
-    pub fn of_corpus(seed: u64) -> Figure6 {
-        let mut fig = Figure6 {
-            lambda: Vec::new(),
-            nn_ratios: Vec::new(),
-        };
-        for ct in &sqlnf_datagen::corpus::corpus(seed) {
-            let cls = sqlnf_discovery::classify::classify_table(&ct.table, 3);
-            let enc = sqlnf_discovery::partition::Encoded::new(&ct.table);
-            for l in &cls.lambda_fds {
-                let key_err = sqlnf_discovery::approx::ckey_error(&enc, l.lhs);
-                fig.lambda.push((l.relative_projection_size, key_err));
-            }
-            fig.nn_ratios.extend(cls.nn_nonkey_ratios.iter().copied());
-        }
-        fig
-    }
-
-    /// The λ-FDs' relative projection sizes.
-    pub fn lambda_ratios(&self) -> Vec<f64> {
-        self.lambda.iter().map(|&(r, _)| r).collect()
-    }
-
-    /// λ-FDs at or below the gap, inside it, and at or above it.
-    pub fn bands(&self) -> (usize, usize, usize) {
-        let (lo, hi) = Figure6::GAP;
-        let count = |f: &dyn Fn(f64) -> bool| self.lambda.iter().filter(|&&(r, _)| f(r)).count();
-        (
-            count(&|r| r <= lo),
-            count(&|r| r > lo && r < hi),
-            count(&|r| r >= hi),
-        )
-    }
-
-    /// The mean c-key g₃ error of the LHSs of the high (at or above
-    /// the gap) and of the low (at or below it) λ population.
-    pub fn mean_key_errors(&self) -> (f64, f64) {
-        let (lo, hi) = Figure6::GAP;
-        let mean = |f: &dyn Fn(f64) -> bool| {
-            let errs: Vec<f64> = self
-                .lambda
-                .iter()
-                .filter(|&&(r, _)| f(r))
-                .map(|&(_, e)| e)
-                .collect();
-            errs.iter().sum::<f64>() / errs.len().max(1) as f64
-        };
-        (mean(&|r| r >= hi), mean(&|r| r <= lo))
-    }
 }
 
 /// A simple text histogram over [0, 1] with `buckets` buckets, used to
@@ -304,6 +216,9 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(m.as_nanos() > 0);
+        let (v, d) = median_run(3, || 6 * 7);
+        assert_eq!(v, 42);
+        assert!(d.as_nanos() > 0);
     }
 
     #[test]
@@ -314,41 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn measure_and_write_bench_json() {
-        let rec = measure("toy", 3, || {
-            sqlnf_obs::count!("bench.test.toy_work");
-            std::hint::black_box((0..100).sum::<u64>());
-        });
-        assert_eq!(rec.id, "toy");
-        assert!(rec.median_ns() > 0);
-
-        let dir = std::env::temp_dir().join("sqlnf_bench_json_test");
-        let path = write_bench_json_in(&dir, "unit", &[rec]).unwrap();
-        assert!(path.ends_with("BENCH_unit.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = sqlnf_obs::json::parse(&text).expect("valid JSON");
-        assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some("unit"));
-        let entries = doc.get("entries").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert!(
-            entries[0]
-                .get("median_ns")
-                .and_then(|v| v.as_u64())
-                .unwrap()
-                > 0
-        );
-        // When instrumentation is compiled in, the entry is annotated
-        // with the counters the run produced.
-        if sqlnf_obs::ENABLED {
-            assert!(
-                entries[0]
-                    .get("counters")
-                    .and_then(|c| c.get("bench.test.toy_work"))
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0)
-                    >= 3
-            );
-        }
+    fn a_failing_claim_prints_a_cross() {
+        let ok = Claim::new("holds ✓ (note)", true);
+        let bad = Claim::new("holds ✓ (note)", false);
+        assert_eq!(ok.to_string(), "holds ✓ (note)");
+        assert_eq!(bad.to_string(), "holds ✗ (note)");
+        assert_eq!(mark(std::slice::from_ref(&ok)), "✓");
+        assert_eq!(mark(&[ok, bad]), "✗");
     }
 
     #[test]
