@@ -18,7 +18,7 @@
 
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::constraint::{Constraint, Fd, Key, Modality, Sigma};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The inference rules of Tables 1–3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +140,10 @@ pub struct DerivationEngine {
     t: AttrSet,
     nfs: AttrSet,
     rules: RuleSet,
-    derived: HashMap<Constraint, Justification>,
+    /// Ordered, so saturation visits the derived constraints — and
+    /// records each one's first justification — in the same order in
+    /// every process: a proof prints the same way run to run.
+    derived: BTreeMap<Constraint, Justification>,
 }
 
 impl DerivationEngine {
@@ -171,7 +174,7 @@ impl DerivationEngine {
             t,
             nfs,
             rules,
-            derived: HashMap::new(),
+            derived: BTreeMap::new(),
         };
         for c in sigma.iter() {
             eng.insert(
@@ -199,7 +202,7 @@ impl DerivationEngine {
     }
 
     fn insert(&mut self, c: Constraint, j: Justification) -> bool {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.derived.entry(c) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.derived.entry(c) {
             e.insert(j);
             true
         } else {

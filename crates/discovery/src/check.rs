@@ -21,7 +21,9 @@ use std::sync::{Arc, Mutex};
 /// a pattern's null rows and the total rows are grouped by the
 /// partition refinement kernel (`Partition::join_groups`), and each
 /// pattern keeps only the total rows that share a group with one of its
-/// null rows, as one flat `u32` row array. Callers that probe the same
+/// null rows, as one flat `u32` row array. A pattern null on all of `X`
+/// pairs with every total row, so it groups nothing and keeps no copy:
+/// its one bucket is the total-row list itself. Callers that probe the same
 /// `X` several times
 /// (c-key + reflexivity during classification, key mining) build the
 /// index once and reuse it; the yes/no questions sweep it by groups
@@ -29,6 +31,9 @@ use std::sync::{Arc, Mutex};
 pub struct ProbeIndex {
     x: AttrSet,
     null_rows: Vec<usize>,
+    /// The `X`-total rows, ascending, when a pattern's reduced part is
+    /// empty (its one bucket); else empty.
+    total: Vec<u32>,
     /// Sorted by reduced pattern so probing order is deterministic.
     patterns: Vec<Pattern>,
 }
@@ -43,7 +48,9 @@ struct Pattern {
     /// The group of each null row (parallel to `rows`), numbered from 0
     /// in order of first appearance.
     groups: Vec<u32>,
-    buckets: Buckets,
+    /// `None` when `reduced` is empty: every null row is in group 0,
+    /// whose bucket is every `X`-total row ([`ProbeIndex::total`]).
+    buckets: Option<Buckets>,
 }
 
 impl ProbeIndex {
@@ -54,6 +61,7 @@ impl ProbeIndex {
             return ProbeIndex {
                 x,
                 null_rows: Vec::new(),
+                total: Vec::new(),
                 patterns: Vec::new(),
             };
         }
@@ -63,10 +71,15 @@ impl ProbeIndex {
         // The x-total rows, computed once and shared by every pattern.
         let total = total_rows(enc.rows(), &null_rows);
         let mut scratch = ProductScratch::new();
-        let patterns = null_patterns(enc, x, &null_rows)
+        let patterns: Vec<Pattern> = null_patterns(enc, x, &null_rows)
             .into_iter()
             .map(|(reduced, rows)| {
-                let (groups, buckets) = Buckets::new(enc, reduced, &rows, &total, &mut scratch);
+                let (groups, buckets) = if reduced.is_empty() {
+                    (vec![0; rows.len()], None)
+                } else {
+                    let (groups, buckets) = Buckets::new(enc, reduced, &rows, &total, &mut scratch);
+                    (groups, Some(buckets))
+                };
                 Pattern {
                     reduced,
                     rows,
@@ -75,10 +88,24 @@ impl ProbeIndex {
                 }
             })
             .collect();
+        let total = if patterns.iter().any(|p| p.buckets.is_none()) {
+            total.iter().map(|&r| r as u32).collect()
+        } else {
+            Vec::new()
+        };
         ProbeIndex {
             x,
             null_rows,
+            total,
             patterns,
+        }
+    }
+
+    /// The `X`-total rows of group `g` of pattern `p`, ascending.
+    fn bucket<'a>(&'a self, p: &'a Pattern, g: u32) -> &'a [u32] {
+        match &p.buckets {
+            Some(buckets) => buckets.rows(g),
+            None => &self.total,
         }
     }
 
@@ -130,7 +157,7 @@ impl ProbeIndex {
         // 2) null–total pairs, by null pattern.
         for p in &self.patterns {
             for (&r, &g) in p.rows.iter().zip(&p.groups) {
-                for &s in p.buckets.rows(g) {
+                for &s in self.bucket(p, g) {
                     let s = s as usize;
                     if enc.equal_on(r, s, extra) && !f(r, s) {
                         return false;
@@ -153,13 +180,13 @@ impl ProbeIndex {
             }
             // Each bucket is swept once per distinct reduced key among
             // the nulls — never per null row.
-            let mut seen = vec![false; p.buckets.len()];
+            let mut seen = vec![false; p.groups.iter().max().map_or(0, |&g| g as usize + 1)];
             let partners = p
                 .groups
                 .iter()
                 .filter_map(|&g| {
                     let first = !std::mem::replace(&mut seen[g as usize], true);
-                    first.then(|| p.buckets.rows(g))
+                    first.then(|| self.bucket(p, g))
                 })
                 .flatten()
                 .map(|&s| s as usize);
@@ -211,11 +238,6 @@ impl Buckets {
             *slot += 1;
         }
         (groups, Buckets { starts, rows: flat })
-    }
-
-    /// The number of groups.
-    fn len(&self) -> usize {
-        self.starts.len() - 1
     }
 
     /// The total rows of group `g`, ascending.
@@ -861,20 +883,22 @@ impl ClassRule for Head {
 /// target remembers the first member with a non-null code, and only a
 /// later, different non-null code refutes it. (The head would be
 /// unsound here: it may carry `⊥` on a target two later rows disagree
-/// on.)
+/// on.) A class's state is seeded from its head when its second row
+/// arrives: a class of one row refutes nothing, and a sweep in row order
+/// meets every singleton class.
 pub(crate) enum FirstNonNull {}
 
 /// [`FirstNonNull`] state of a target no member has a code on yet.
 const NO_ROW: u32 = u32::MAX;
 
 impl ClassRule for FirstNonNull {
+    /// The head while the class has no other row, then per target.
     fn width(n: usize) -> usize {
-        n
+        n + 1
     }
 
-    fn open(enc: &Encoded, targets: AttrSet, state: &mut [u32], row: usize) {
-        state.fill(NO_ROW);
-        FirstNonNull::feed(enc, targets, state, targets, row, |_, _| {});
+    fn open(_: &Encoded, _: AttrSet, state: &mut [u32], row: usize) {
+        state[0] = row as u32;
     }
 
     #[inline]
@@ -886,6 +910,17 @@ impl ClassRule for FirstNonNull {
         row: usize,
         mut refute: impl FnMut(Attr, usize),
     ) -> AttrSet {
+        let (head, state) = state.split_first_mut().expect("the head slot");
+        if *head != NO_ROW {
+            for (seen, a) in state.iter_mut().zip(targets) {
+                *seen = if enc.code(*head as usize, a) == 0 {
+                    NO_ROW
+                } else {
+                    *head
+                };
+            }
+            *head = NO_ROW;
+        }
         let mut still = holding;
         for (seen, a) in state.iter_mut().zip(targets) {
             let c = enc.code(row, a);
@@ -998,8 +1033,8 @@ impl<R: ClassRule> ClassSweep<R> {
 /// `sem` — refute `a` under `sem`'s class rule.
 pub(crate) fn pair_refutes(enc: &Encoded, sem: Semantics, a: Attr, r: usize, s: usize) -> bool {
     let one = AttrSet::single(a);
-    // Either rule keeps one state word for one target.
-    let mut state = [0u32];
+    // Either rule keeps at most two state words for one target.
+    let mut state = [0u32; 2];
     with_rule!(sem, |R| {
         R::open(enc, one, &mut state, r);
         R::feed(enc, one, &mut state, one, s, |_, _| {}).is_empty()
@@ -1039,6 +1074,35 @@ pub fn refinement_sweep(
         prefix.for_each_refined_row(enc, by, ns, scratch, |sub, first, r| {
             pair |= !first;
             sweep.row(enc, sub, first, r as usize, |_, _, _| {}) || (keyed && !pair)
+        });
+        sweep.holding()
+    });
+    (holding, pair)
+}
+
+/// [`refinement_sweep`] without a prefix: the rows come in row order,
+/// each keyed by its mixed-radix code on `x`
+/// ([`Partition::for_each_coded_row`]), so no partition is built and
+/// none need be stored. Same contract: the targets left standing (a
+/// certain caller runs the [`ProbeCache`] tail on them), whether some
+/// class holds two rows, and with `keyed` a run on to the first such
+/// class.
+pub fn code_sweep(
+    enc: &Encoded,
+    x: AttrSet,
+    ns: NullSemantics,
+    targets: AttrSet,
+    sem: Semantics,
+    scratch: &mut ProductScratch,
+    keyed: bool,
+) -> (AttrSet, bool) {
+    sqlnf_obs::count!("discovery.check.code_sweeps");
+    let mut pair = false;
+    let holding = with_rule!(sem, |R| {
+        let mut sweep = ClassSweep::<R>::new(targets);
+        Partition::for_each_coded_row(enc, x, ns, scratch, |class, first, r| {
+            pair |= !first;
+            sweep.row(enc, class, first, r as usize, |_, _, _| {}) || (keyed && !pair)
         });
         sweep.holding()
     });

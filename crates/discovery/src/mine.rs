@@ -24,31 +24,43 @@
 //!
 //! ## Level-cached partition products
 //!
-//! A level-`k` candidate's stripped partition is never rebuilt from
-//! the rows: it is the TANE product `π_{X∖{a}} · π_{a}` of a cached
-//! level-`(k−1)` partition refined by one more attribute's dictionary
-//! codes, computed in one sweep of the prefix partition with a reusable
-//! probe-table scratch (see [`Partition::product_attr`] — the cost is
-//! proportional to the *prefix*, which shrinks as levels advance, not
-//! to the table). The partitions live in one [`Store`], which the
-//! incremental replay uses too. Every immediate prefix of a candidate
-//! is itself a candidate of the previous level (uncovered targets and
-//! key flags are inherited downwards), so the prefix lookup misses
-//! only when the byte budget ([`MinerConfig::cache_budget`]) evicted
-//! it — in which case the partition is folded from the singles, all
-//! built up front. Levels retire as the frontier advances: only level
-//! `k−1` is kept while level `k` runs. On levels whose partitions are never stored
-//! (the last one) the product is fused with the class check
-//! ([`crate::check::refinement_sweep`]) and stops once every
-//! target is refuted, so refuted candidates — the vast majority at
-//! depth — cost a handful of row visits instead of a full sweep.
+//! A level-`k` candidate's stripped partition is the TANE product
+//! `π_{X∖{a}} · π_{a}` of a cached level-`(k−1)` partition refined by
+//! one more attribute's dictionary codes, computed in one sweep of the
+//! prefix partition with a reusable probe-table scratch (see
+//! [`Partition::product_attr`] — the cost is proportional to the
+//! *prefix*, which shrinks as levels advance, not to the table). The
+//! partitions live in one [`Store`], which the incremental replay uses
+//! too. Every immediate prefix of a candidate is itself a candidate of
+//! the previous level (uncovered targets and key flags are inherited
+//! downwards), so the prefix lookup misses only when the byte budget
+//! ([`MinerConfig::cache_budget`]) evicted it. Levels retire as the
+//! frontier advances: only level `k−1` is kept while level `k` runs.
+//!
+//! A candidate with no stored prefix — every single and pair, and an
+//! evicted prefix's candidate — whose columns pass the counting-sort
+//! gate ([`Encoded::code_space`]) comes from its own codes instead: a
+//! kept level sorts it by its mixed-radix code
+//! ([`Partition::by_codes`]), and a level nobody reads (levels 0 and 1,
+//! the last level, a check-only pre-last level) builds no partition at
+//! all but sweeps the rows in row order, keyed by that code, through
+//! the class check ([`crate::check::code_sweep`]). Only a candidate too
+//! wide for the gate reads the singles: a pair refines its more
+//! selective single, and an evicted prefix is folded from them; each
+//! level builds the singles its wide candidates need before it runs.
+//! On the levels nobody reads, a candidate with a stored prefix fuses
+//! the product with the class check
+//! ([`crate::check::refinement_sweep`]). Both fused sweeps stop once
+//! every target is refuted, so refuted candidates — the vast majority
+//! at depth — cost a handful of row visits instead of a full sweep.
 //!
 //! With `threads > 1` the per-level fan-out runs on a *persistent*
 //! worker pool spawned once inside one `thread::scope`: each worker
 //! owns its scratch for the whole mining run and receives, per level,
 //! a shared [`Arc`] of the candidate slice plus an atomic cursor into
 //! a *cost-descending* visit order (LPT scheduling: per-candidate cost
-//! is the chosen prefix's `stripped_rows()`). Workers pull one
+//! is the rows its check sweeps — the chosen prefix's `stripped_rows()`,
+//! or the table's for a candidate from its codes). Workers pull one
 //! candidate at a time, so an expensive straggler never pins a whole
 //! contiguous chunk to one thread the way equal-size chunking did.
 //! Every emitted FD and partition shard is tagged with its candidate
@@ -59,7 +71,9 @@
 //! probe index instead of rebuilding per candidate. Worker saturation
 //! is visible as the `discovery.mine.worker_busy_ns` timer.
 
-use crate::check::{fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics};
+use crate::check::{
+    code_sweep, fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics,
+};
 use crate::partition::{Encoded, NullSemantics, Partition, ProductScratch};
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::table::Table;
@@ -99,8 +113,9 @@ pub struct MinerConfig {
     /// smaller LHSs), so per-level parallelism is exact. `1` = serial.
     pub threads: usize,
     /// Byte budget of the partition [`Store`]. Within budget, every
-    /// candidate partition is one product with a stored prefix; past
-    /// it, evicted prefixes are folded from the single-attribute
+    /// candidate past level 2 refines a stored prefix; past it, a
+    /// candidate whose prefixes were evicted comes from its own codes,
+    /// or, too wide for that, from a fold of the single-attribute
     /// partitions. `0` stores no multi-attribute partition; results
     /// are identical for any value (only throughput changes).
     pub cache_budget: usize,
@@ -297,31 +312,30 @@ fn stored_bytes(p: &Partition) -> usize {
     p.approx_bytes() + std::mem::size_of::<AttrSet>()
 }
 
-/// `x`'s two attributes when `x` is a pair over a combined code space
-/// small enough for the fused counting sort over both raw columns.
-fn small_pair(enc: &Encoded, x: AttrSet) -> Option<(Attr, Attr)> {
-    let mut it = x.iter();
-    match (x.len(), it.next(), it.next()) {
-        (2, Some(a), Some(b)) if Partition::by_pair_applicable(enc, a, b) => Some((a, b)),
-        _ => None,
-    }
-}
-
 /// The one partition store of a lattice walk: the single-attribute
 /// partitions, and the multi-attribute partitions of the levels still
 /// in use, under one byte budget ([`MinerConfig::cache_budget`]; the
-/// singles are not charged). A level-`k` partition is one product of a
-/// stored `(k−1)`-prefix refined by one more attribute's dictionary
-/// codes ([`Partition::product_attr`]: the cost is the prefix's
-/// stripped rows, not the table's).
+/// singles are not charged). A candidate's `π_x` comes from `x`'s own
+/// codes when `x` passes the counting-sort gate
+/// ([`Encoded::code_space`]) and no `(k−1)`-prefix of it is stored —
+/// singles and pairs never have one: one counting sort
+/// ([`Partition::by_codes`]), or no partition at all when no later
+/// level reads it ([`crate::check::code_sweep`]). Otherwise it is one
+/// product of a stored prefix refined by one more attribute's
+/// dictionary codes ([`Partition::product_attr`]: the cost is the
+/// prefix's stripped rows, not the table's).
 ///
-/// Two drivers use it. The from-scratch walk builds every single up
-/// front and reads the store shared across its workers; a prefix the
-/// budget evicted is folded from the singles, and each stored level
-/// replaces the one below. The incremental replay builds a single only
-/// when a product needs it and a missing prefix once, through the
-/// store, keeping it for its level ([`Store::partition`]); it retires
-/// a level with [`Store::evict_below`].
+/// A single is built only when a candidate too wide for the gate needs
+/// it: as its own partition, as the prefix of a pair, or to fold a
+/// prefix the budget evicted.
+///
+/// Two drivers use it. The from-scratch walk builds the singles a
+/// level needs at its start (`Store::ensure_singles`) and reads the
+/// store shared across its workers; each stored level replaces the one
+/// below. The incremental replay builds a single when first asked and
+/// a missing partition once, through the store, keeping it for its
+/// level ([`Store::partition`]); it retires a level with
+/// [`Store::evict_below`].
 ///
 /// Counters: `discovery.mine.prev_level.hits` / `.misses` (a partition
 /// looked for in the store was resident / had to be built),
@@ -347,21 +361,32 @@ impl Store {
         }
     }
 
-    /// A store with every single built. Each is an independent table
-    /// sweep, so with threads they are built off a shared atomic cursor
-    /// — on wide tables (hepatitis: 20 columns) this is the one serial
-    /// stage whose cost rivals a whole lattice level.
-    fn with_singles(enc: &Encoded, arity: usize, ns: NullSemantics, config: &MinerConfig) -> Store {
-        let mut store = Store::new(arity, ns, config.cache_budget);
-        let singles = par_map(
-            config.threads,
+    /// Builds every single a wide candidate among `xs` reads and the
+    /// store lacks: the candidates past the gate with no stored prefix.
+    /// Each is an independent table sweep, so with threads they are
+    /// built off a shared atomic cursor.
+    fn ensure_singles(
+        &mut self,
+        enc: &Encoded,
+        xs: impl IntoIterator<Item = AttrSet>,
+        threads: usize,
+    ) {
+        let wide: AttrSet = xs
+            .into_iter()
+            .filter(|&x| enc.code_space(x).is_none() && self.stored_prefix(x).is_none())
+            .fold(AttrSet::EMPTY, |acc, x| acc | x);
+        let missing: Vec<Attr> = wide.iter().filter(|&a| self.single(a).is_none()).collect();
+        let ns = self.ns;
+        let built = par_map(
+            threads,
             2,
-            arity,
+            missing.len(),
             || (),
-            |_, i| Partition::by_attr(enc, Attr::from(i), ns),
+            |_, i| Partition::by_codes(enc, AttrSet::single(missing[i]), ns),
         );
-        store.singles = singles.into_iter().map(Some).collect();
-        store
+        for (a, p) in missing.into_iter().zip(built) {
+            self.singles[a.index()] = Some(p);
+        }
     }
 
     /// The single of `a`, if built.
@@ -370,19 +395,12 @@ impl Store {
     }
 
     /// The cheapest stored `(k−1)`-prefix of a level-`k` candidate `x`
-    /// (`k ≥ 2`) and the attribute it is refined by: a product costs
-    /// exactly the prefix's stripped rows. At level 2 the prefixes are
-    /// the built singles, ties keeping attribute order; deeper, ties
-    /// keep the first attribute left out.
+    /// (`k ≥ 3`; singles and pairs have none) and the attribute it is
+    /// refined by: a product costs exactly the prefix's stripped rows.
+    /// Ties keep the first attribute left out.
     fn stored_prefix(&self, x: AttrSet) -> Option<(&Partition, Attr)> {
-        if x.len() == 2 {
-            let mut it = x.iter();
-            let (a, b) = (it.next()?, it.next()?);
-            return match (self.single(a), self.single(b)) {
-                (Some(p), Some(q)) if q.stripped_rows() < p.stripped_rows() => Some((q, a)),
-                (Some(p), _) => Some((p, b)),
-                (None, q) => q.map(|q| (q, a)),
-            };
+        if x.len() < 3 {
+            return None;
         }
         let mut best: Option<(&Partition, Attr)> = None;
         for a in x {
@@ -395,19 +413,30 @@ impl Store {
         best
     }
 
-    /// The estimated cost of refining `x` from its cheapest stored
-    /// prefix: whole-table-sized and pessimistic when none is stored.
+    /// Whether `π_x` comes from `x`'s own codes: `x` passes the gate and
+    /// no prefix of it is stored.
+    fn coded(&self, enc: &Encoded, x: AttrSet) -> bool {
+        enc.code_space(x).is_some() && self.stored_prefix(x).is_none()
+    }
+
+    /// The estimated rows a check of `x` sweeps: the table's for a
+    /// candidate from its codes, its stored prefix's stripped rows, and
+    /// pessimistically twice the table's for a fold.
     fn prefix_cost(&self, enc: &Encoded, x: AttrSet) -> usize {
+        if self.coded(enc, x) {
+            return enc.rows();
+        }
         self.stored_prefix(x)
             .map_or(enc.rows().saturating_mul(2), |(p, _)| p.stripped_rows())
     }
 
     /// [`traverse`]'s `(k−1)`-prefix of a level-`k` candidate `x`
-    /// (`k ≥ 2`, every single built) and the attribute it is refined
-    /// by: the cheapest stored one. Every immediate prefix of a
-    /// candidate was a candidate one level down, so only an eviction
-    /// leaves none stored; the prefix is then folded from the singles,
-    /// smallest first, and refined by the least selective one.
+    /// (`k ≥ 2`) and the attribute it is refined by: the cheapest stored
+    /// one; for a pair, its more selective single. Every immediate prefix
+    /// of a candidate was a candidate one level down, so only an
+    /// eviction, or a prefix that was never stored, leaves none; the
+    /// prefix is then folded from the singles, smallest first, and
+    /// refined by the least selective one.
     fn prefix(
         &self,
         enc: &Encoded,
@@ -415,14 +444,22 @@ impl Store {
         scratch: &mut ProductScratch,
     ) -> (Cow<'_, Partition>, Attr) {
         if let Some((p, by)) = self.stored_prefix(x) {
-            if x.len() > 2 {
-                sqlnf_obs::count!("discovery.mine.prev_level.hits");
-            }
+            sqlnf_obs::count!("discovery.mine.prev_level.hits");
             return (Cow::Borrowed(p), by);
         }
-        sqlnf_obs::count!("discovery.mine.prev_level.misses");
-        let single = |a: Attr| self.single(a).expect("traverse builds every single");
+        let single = |a: Attr| {
+            self.single(a)
+                .expect("the level builds the singles of its wide candidates")
+        };
         let mut attrs: Vec<Attr> = x.iter().collect();
+        if let [a, b] = attrs[..] {
+            return if single(b).stripped_rows() < single(a).stripped_rows() {
+                (Cow::Borrowed(single(b)), a)
+            } else {
+                (Cow::Borrowed(single(a)), b)
+            };
+        }
+        sqlnf_obs::count!("discovery.mine.prev_level.misses");
         attrs.sort_by_key(|&a| single(a).stripped_rows());
         let by = attrs.pop().expect("level ≥ 3");
         let mut p = single(attrs[0]).product_attr(enc, attrs[1], self.ns, scratch);
@@ -432,36 +469,34 @@ impl Store {
         (Cow::Owned(p), by)
     }
 
-    /// [`traverse`]'s `π_x` for a level-`k` candidate: a single, one
-    /// fused counting sort for a small pair, else one product of its
-    /// [`Store::prefix`].
+    /// [`traverse`]'s `π_x` for a level-`k` candidate: a built single,
+    /// one counting sort when it comes from its codes, else one product
+    /// of its [`Store::prefix`].
     fn candidate(
         &self,
         enc: &Encoded,
         x: AttrSet,
         scratch: &mut ProductScratch,
     ) -> Cow<'_, Partition> {
-        match x.len() {
-            0 => Cow::Owned(Partition::universal(enc.rows())),
-            1 => Cow::Borrowed(
-                self.single(x.first().expect("level-1 candidate"))
-                    .expect("traverse builds every single"),
-            ),
-            _ => match small_pair(enc, x) {
-                Some((a, b)) => Cow::Owned(Partition::by_pair(enc, a, b, self.ns)),
-                None => {
-                    let (prefix, by) = self.prefix(enc, x, scratch);
-                    Cow::Owned(prefix.product_attr(enc, by, self.ns, scratch))
-                }
-            },
+        if let Some(p) = x
+            .first()
+            .filter(|_| x.len() == 1)
+            .and_then(|a| self.single(a))
+        {
+            return Cow::Borrowed(p);
         }
+        if x.len() < 2 || self.coded(enc, x) {
+            return Cow::Owned(Partition::by_codes(enc, x, self.ns));
+        }
+        let (prefix, by) = self.prefix(enc, x, scratch);
+        Cow::Owned(prefix.product_attr(enc, by, self.ns, scratch))
     }
 
     /// The incremental replay's `π_x`, served from the store or built
     /// through it and kept under the budget: a single when first asked;
-    /// a small pair by one counting sort; else one product of the
-    /// cheapest stored prefix or, when none is stored, of `x` minus its
-    /// last attribute, built here the same way.
+    /// one counting sort when `x` comes from its codes; else one product
+    /// of the cheapest stored prefix or, when none is stored, of `x`
+    /// minus its last attribute, built here the same way.
     pub fn partition(
         &mut self,
         enc: &Encoded,
@@ -474,23 +509,24 @@ impl Store {
                 return Cow::Owned(Partition::universal(enc.rows()));
             };
             let single = &mut self.singles[a.index()];
-            return Cow::Borrowed(single.get_or_insert_with(|| Partition::by_attr(enc, a, ns)));
+            return Cow::Borrowed(
+                single.get_or_insert_with(|| Partition::by_codes(enc, AttrSet::single(a), ns)),
+            );
         }
         if self.stored.contains_key(&x) {
             sqlnf_obs::count!("discovery.mine.prev_level.hits");
             return Cow::Borrowed(&self.stored[&x]);
         }
         sqlnf_obs::count!("discovery.mine.prev_level.misses");
-        let p = match small_pair(enc, x) {
-            Some((a, b)) => Partition::by_pair(enc, a, b, ns),
-            None => {
-                let by = match self.stored_prefix(x) {
-                    Some((_, by)) => by,
-                    None => x.iter().last().expect("a pair or more"),
-                };
-                let prefix = self.partition(enc, x - AttrSet::single(by), scratch);
-                prefix.product_attr(enc, by, ns, scratch)
-            }
+        let p = if self.coded(enc, x) {
+            Partition::by_codes(enc, x, ns)
+        } else {
+            let by = match self.stored_prefix(x) {
+                Some((_, by)) => by,
+                None => x.iter().last().expect("a pair or more"),
+            };
+            let prefix = self.partition(enc, x - AttrSet::single(by), scratch);
+            prefix.product_attr(enc, by, ns, scratch)
         };
         match self.admit(x, p) {
             None => Cow::Borrowed(&self.stored[&x]),
@@ -585,7 +621,6 @@ fn par_map<S, T: Send>(
 /// candidate slice, the cost-descending visit order, the atomic cursor
 /// every worker pulls from, and the store the level reads.
 struct LevelJob {
-    k: usize,
     candidates: Arc<Vec<Candidate>>,
     order: Arc<Vec<u32>>,
     cursor: Arc<AtomicUsize>,
@@ -606,8 +641,8 @@ struct LevelOut {
 /// sorted by estimated check cost, most expensive first (LPT — longest
 /// processing time — scheduling), ties broken by candidate index. The
 /// estimate is what the check actually sweeps: the stripped rows of
-/// the prefix partition the candidate will refine (see
-/// [`Store::prefix_cost`]).
+/// the prefix partition the candidate will refine, or the table's rows
+/// for one from its codes (see [`Store::prefix_cost`]).
 fn cost_order(candidates: &[Candidate], k: usize, enc: &Encoded, store: &Store) -> Vec<u32> {
     let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
     if k < 2 {
@@ -633,7 +668,7 @@ fn cost_order(candidates: &[Candidate], k: usize, enc: &Encoded, store: &Store) 
 fn build_needed_prefixes(
     enc: &Encoded,
     candidates: &[Candidate],
-    store: &Store,
+    store: &mut Arc<Store>,
     threads: usize,
 ) -> Vec<(AttrSet, Partition)> {
     let mut needed: Vec<AttrSet> = Vec::new();
@@ -666,6 +701,8 @@ fn build_needed_prefixes(
         }
     }
     sqlnf_obs::count!("discovery.mine.lazy_prefix_builds", needed.len());
+    level_store(store).ensure_singles(enc, needed.iter().copied(), threads);
+    let store = &**store;
     let built = par_map(
         threads,
         PAR_MIN,
@@ -687,47 +724,50 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     /// Answers every open question of one candidate with one sweep of
-    /// its classes: materialized (and handed back for the next level's
-    /// store) when `keep` or below level 2, else fused with the
-    /// product of its cheapest prefix. The class rule runs over the
-    /// union of both planes' targets; a c-FD is a p-FD, so the
-    /// certain tail only probes the survivors, and only a p-key can be
-    /// a c-key.
+    /// its classes under the swept semantics' class rule, over the union
+    /// of both planes' targets; a c-FD is a p-FD, so the certain tail
+    /// only probes the survivors, and only a p-key can be a c-key. When
+    /// `keep`, the partition is materialized and handed back for the
+    /// next level's store. Otherwise no partition is kept: a candidate
+    /// from its codes is swept in row order by its mixed-radix code, one
+    /// with a stored prefix (or too wide for the gate) by the fused
+    /// product of its prefix; only a single past the gate is built.
     fn settle(
         &self,
         c: Candidate,
-        k: usize,
         store: &Store,
         keep: bool,
         scratch: &mut ProductScratch,
     ) -> (Candidate, Option<Partition>) {
-        let enc = self.enc;
+        let (enc, x) = (self.enc, c.x);
         let targets = c.swept | c.certain;
+        let keyed = c.pkey || c.ckey;
         let mut kept = None;
-        let (holding, pair) = if !keep && k >= 2 {
-            let (prefix, by) = store.prefix(enc, c.x, scratch);
-            let keyed = c.pkey || c.ckey;
+        let (holding, pair) = if !keep && store.coded(enc, x) {
+            code_sweep(enc, x, self.ns, targets, self.sem, scratch, keyed)
+        } else if !keep && x.len() >= 2 {
+            let (prefix, by) = store.prefix(enc, x, scratch);
             refinement_sweep(enc, &prefix, by, self.ns, targets, self.sem, scratch, keyed)
         } else {
-            let p = store.candidate(enc, c.x, scratch);
-            let holding = fd_targets_holding(enc, c.x, &p, targets, self.sem, None);
+            let p = store.candidate(enc, x, scratch);
+            let holding = fd_targets_holding(enc, x, &p, targets, self.sem, None);
             let pair = !p.is_empty();
-            if let (true, Cow::Owned(p)) = (keep, p) {
-                kept = Some(p);
+            if keep {
+                kept = Some(p.into_owned());
             }
             (holding, pair)
         };
         let certain = holding & c.certain;
         let settled = Candidate {
-            x: c.x,
+            x,
             swept: holding & c.swept,
             certain: if certain.is_empty() {
                 certain
             } else {
-                self.probes.fd_targets(enc, c.x, certain)
+                self.probes.fd_targets(enc, x, certain)
             },
             pkey: c.pkey && !pair,
-            ckey: c.ckey && !pair && self.probes.first_weak_pair(enc, c.x).is_none(),
+            ckey: c.ckey && !pair && self.probes.first_weak_pair(enc, x).is_none(),
         };
         (settled, kept)
     }
@@ -742,7 +782,6 @@ impl Pass<'_> {
     #[allow(clippy::too_many_arguments)]
     fn run_queue(
         &self,
-        k: usize,
         candidates: &[Candidate],
         order: &[u32],
         cursor: &AtomicUsize,
@@ -764,7 +803,7 @@ impl Pass<'_> {
             let i = order[pos];
             let c = candidates[i as usize];
             processed += 1;
-            let (settled, kept) = self.settle(c, k, store, keep, scratch);
+            let (settled, kept) = self.settle(c, store, keep, scratch);
             if settled.open() {
                 out.settled.push((i, settled));
             }
@@ -920,7 +959,7 @@ pub(crate) fn traverse(
         probes,
     };
     let pass = &pass;
-    let mut store = Arc::new(Store::with_singles(enc, arity, ns, &config));
+    let mut store = Arc::new(Store::new(arity, ns, config.cache_budget));
 
     // One scope for the whole run: workers (spawned lazily at the first
     // level big enough to parallelise) persist across levels, each
@@ -934,9 +973,9 @@ pub(crate) fn traverse(
             let candidates = Arc::new(walk.level(k));
 
             // Keep this level's partitions only if the next level will
-            // consult them (level-2 candidates product the singles
-            // directly, so level-1 partitions are never stored). On a
-            // deep lattice the *pre-last* level is also check-only:
+            // consult them (level-2 candidates come from their codes or
+            // refine a single, so level-1 partitions are never stored).
+            // On a deep lattice the *pre-last* level is also check-only:
             // each last-level candidate refines exactly one prefix
             // partition, so the last level materializes only the
             // distinct prefixes actually chosen (see
@@ -951,67 +990,67 @@ pub(crate) fn traverse(
                     last_level
                 };
             if defer_prelast && k == last_level {
-                let needed = build_needed_prefixes(enc, &candidates, &store, config.threads);
+                let needed = build_needed_prefixes(enc, &candidates, &mut store, config.threads);
                 level_store(&mut store).replace_level(k - 1, needed);
             }
+            // The singles this level's wide candidates read, if any.
+            let xs = candidates.iter().map(|c| c.x);
+            level_store(&mut store).ensure_singles(enc, xs, config.threads);
 
-            let outs: Vec<LevelOut> = if config.threads > 1
-                && candidates.len() >= PAR_MIN.max(config.threads)
-            {
-                if pool.is_empty() {
-                    for _ in 0..config.threads {
-                        let (job_tx, job_rx) = channel::<LevelJob>();
-                        let (out_tx, out_rx) = channel::<LevelOut>();
-                        scope.spawn(move || {
-                            sqlnf_obs::count!("discovery.mine.worker_spawns");
-                            let mut scratch = ProductScratch::for_encoded(enc);
-                            for job in job_rx {
-                                let out = pass.run_queue(
-                                    job.k,
-                                    &job.candidates,
-                                    &job.order,
-                                    &job.cursor,
-                                    &job.store,
-                                    job.keep,
-                                    &mut scratch,
-                                );
-                                // Release the level's store before
-                                // replying: the main thread updates
-                                // it once every worker has replied.
-                                drop(job);
-                                if out_tx.send(out).is_err() {
-                                    break;
+            let outs: Vec<LevelOut> =
+                if config.threads > 1 && candidates.len() >= PAR_MIN.max(config.threads) {
+                    if pool.is_empty() {
+                        for _ in 0..config.threads {
+                            let (job_tx, job_rx) = channel::<LevelJob>();
+                            let (out_tx, out_rx) = channel::<LevelOut>();
+                            scope.spawn(move || {
+                                sqlnf_obs::count!("discovery.mine.worker_spawns");
+                                let mut scratch = ProductScratch::for_encoded(enc);
+                                for job in job_rx {
+                                    let out = pass.run_queue(
+                                        &job.candidates,
+                                        &job.order,
+                                        &job.cursor,
+                                        &job.store,
+                                        job.keep,
+                                        &mut scratch,
+                                    );
+                                    // Release the level's store before
+                                    // replying: the main thread updates
+                                    // it once every worker has replied.
+                                    drop(job);
+                                    if out_tx.send(out).is_err() {
+                                        break;
+                                    }
                                 }
-                            }
-                        });
-                        pool.push((job_tx, out_rx));
+                            });
+                            pool.push((job_tx, out_rx));
+                        }
                     }
-                }
-                // One shared queue: every worker pulls candidates
-                // (most expensive first) off the same cursor, so no
-                // thread idles while another drains a heavy chunk.
-                let order = Arc::new(cost_order(&candidates, k, enc, &store));
-                let cursor = Arc::new(AtomicUsize::new(0));
-                for (job_tx, _) in &pool {
-                    job_tx
-                        .send(LevelJob {
-                            k,
-                            candidates: Arc::clone(&candidates),
-                            order: Arc::clone(&order),
-                            cursor: Arc::clone(&cursor),
-                            store: Arc::clone(&store),
-                            keep,
-                        })
-                        .expect("miner worker hung up");
-                }
-                pool.iter()
-                    .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
-                    .collect()
-            } else {
-                let order: Vec<u32> = (0..candidates.len() as u32).collect();
-                let cursor = AtomicUsize::new(0);
-                vec![pass.run_queue(k, &candidates, &order, &cursor, &store, keep, &mut scratch)]
-            };
+                    // One shared queue: every worker pulls candidates
+                    // (most expensive first) off the same cursor, so no
+                    // thread idles while another drains a heavy chunk.
+                    let order = Arc::new(cost_order(&candidates, k, enc, &store));
+                    let cursor = Arc::new(AtomicUsize::new(0));
+                    for (job_tx, _) in &pool {
+                        job_tx
+                            .send(LevelJob {
+                                candidates: Arc::clone(&candidates),
+                                order: Arc::clone(&order),
+                                cursor: Arc::clone(&cursor),
+                                store: Arc::clone(&store),
+                                keep,
+                            })
+                            .expect("miner worker hung up");
+                    }
+                    pool.iter()
+                        .map(|(_, out_rx)| out_rx.recv().expect("miner worker panicked"))
+                        .collect()
+                } else {
+                    let order: Vec<u32> = (0..candidates.len() as u32).collect();
+                    let cursor = AtomicUsize::new(0);
+                    vec![pass.run_queue(&candidates, &order, &cursor, &store, keep, &mut scratch)]
+                };
 
             // Merge this level — answers and kept partitions sorted back
             // into candidate order first, so the result and the store's

@@ -24,16 +24,21 @@
 //! hash-everything rebuild. The storage layer guarantees the only
 //! invariants the kernels need — code `0` = `⊥`, code equality ⟺ value
 //! equality within the table, and every code `≤ dict_size`. Because the
-//! dictionary size is known, [`Partition::by_attr`] is a counting sort
-//! (no hashing, classes come out internally sorted for free), with a
-//! stable radix fallback when retired dictionary entries make the code
-//! space much larger than the table (heavy DELETE churn).
+//! dictionary sizes are known, the rows of `X` have a *mixed-radix
+//! code* — the codes of `X`'s columns read as the digits of one number,
+//! column `a` in base `dict_size(a) + 1` — and two rows share it iff
+//! they are equal on `X`. [`Partition::by_codes`] is a counting sort
+//! over that code (no hashing, classes come out internally sorted for
+//! free), and [`Partition::for_each_coded_row`] hands the rows to a
+//! check in row order, keyed by it, without building the partition.
+//! Both run while the code space passes the gate of [`RADIX_OVER`].
 
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::column::ColData;
 use sqlnf_model::table::Table;
 use sqlnf_model::value::Value;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How null markers participate in the grouping.
@@ -138,6 +143,44 @@ impl Encoded {
     #[inline]
     pub fn dict_size(&self, a: Attr) -> u32 {
         self.dict_sizes[a.index()]
+    }
+
+    /// The size of `X`'s mixed-radix code space, `Π (dict_size(a) + 1)`
+    /// over its columns, when it passes the counting-sort gate of
+    /// [`RADIX_OVER`]; `None` when `X` is too wide for it. The empty set
+    /// has one code.
+    pub fn code_space(&self, x: AttrSet) -> Option<usize> {
+        // The codes are `u32`s, with `u32::MAX` kept free.
+        let gate = (RADIX_OVER * self.rows + 1024).min(u32::MAX as usize);
+        x.iter().try_fold(1usize, |space, a| {
+            let space = space.saturating_mul(self.dict_size(a) as usize + 1);
+            (space <= gate).then_some(space)
+        })
+    }
+
+    /// Writes the mixed-radix code on `X` of each row of `rows` to
+    /// `out`, in row order: the codes of `X`'s columns read as digits,
+    /// column `a` in base `dict_size(a) + 1`. With `strong`, a row with
+    /// `⊥` in `X` gets 0, a code no `X`-total row has unless `X` is
+    /// empty. Computed a column at a time; `X` must pass the gate.
+    fn codes_into(&self, x: AttrSet, rows: Range<usize>, strong: bool, out: &mut Vec<u32>) {
+        out.clear();
+        let mut cols = x.iter();
+        let Some(first) = cols.next() else {
+            out.resize(rows.len(), 0);
+            return;
+        };
+        out.extend_from_slice(&self.column(first)[rows.clone()]);
+        for a in cols {
+            let base = self.dict_size(a) + 1;
+            for (k, &c) in out.iter_mut().zip(&self.column(a)[rows.clone()]) {
+                *k = if strong && (*k == 0 || c == 0) {
+                    0
+                } else {
+                    *k * base + c
+                };
+            }
+        }
     }
 
     /// The largest dictionary size across all columns — sizes the probe
@@ -337,52 +380,77 @@ impl ProductScratch {
     }
 }
 
-/// Above this ratio of code space to rows, [`Partition::by_attr`]
-/// switches from counting sort (cost `O(rows + dict)`) to a stable
-/// radix sort of `(code, row)` pairs (cost `O(rows)` with a fixed
-/// 2¹⁶-bucket pass) — the regime where heavy DELETE churn left the
-/// dictionary much larger than the table.
+/// The counting-sort gate. A kernel that counts over the mixed-radix
+/// code of `X` keeps one slot per code of its space, `Π (dict + 1)` over
+/// the columns of `X`, so it runs only while that space is at most
+/// `RADIX_OVER · rows + 1024` ([`Encoded::code_space`]): the slots never
+/// dwarf the rows they sort. Past the gate, one column is sorted by a
+/// stable radix pass of `(code, row)` pairs instead (cost `O(rows)` with
+/// a fixed 2¹⁶-bucket pass — the regime where heavy DELETE churn left
+/// the dictionary much larger than the table), several columns are
+/// refined one at a time, and the miner builds such a candidate from a
+/// stored prefix.
 const RADIX_OVER: usize = 4;
 
 impl Partition {
-    /// Partition by a single attribute: a counting sort over the known
-    /// dictionary size. No hashing, no per-class sort — the scatter
-    /// visits rows in ascending order, so every bucket comes out
-    /// internally sorted; only the final by-first-row ordering of the
-    /// (few) classes is explicit.
-    pub fn by_attr(enc: &Encoded, a: Attr, sem: NullSemantics) -> Partition {
+    /// Partition by an attribute set in one counting sort over the
+    /// mixed-radix code of `X` ([`Encoded::code_space`]): the codes a
+    /// column at a time, a count per code, then one pass in row order
+    /// that opens each class of two or more rows, at exact capacity,
+    /// when its first row meets it — so the classes come out in
+    /// canonical order, rows ascending, with no hashing and no sort.
+    /// Under strong similarity a row with `⊥` in `X` takes code 0, which
+    /// no `X`-total row has, and class 0 is dropped. Past the gate, one
+    /// column takes the radix fallback and several are
+    /// [`Partition::by_set`].
+    pub fn by_codes(enc: &Encoded, x: AttrSet, sem: NullSemantics) -> Partition {
+        let Some(space) = enc.code_space(x) else {
+            return match x.first() {
+                Some(a) if x.len() == 1 => {
+                    Partition::counted_build(enc);
+                    Partition::by_attr_radix(enc.column(a), sem)
+                }
+                _ => Partition::by_set(enc, x, sem),
+            };
+        };
+        if x.is_empty() {
+            return Partition::universal(enc.rows());
+        }
+        Partition::counted_build(enc);
+        let strong = sem == NullSemantics::Strong;
+        // counts[c] = the rows of code c; once its class is open, that
+        // class's index, flagged. Classes open in order of their first
+        // row, and each takes its rows in row order.
+        const OPEN: u32 = 1 << 31;
+        assert!(enc.rows() < OPEN as usize, "row ids fit below the flag");
+        let mut codes = Vec::new();
+        enc.codes_into(x, 0..enc.rows(), strong, &mut codes);
+        let mut counts = vec![0u32; space];
+        for &k in &codes {
+            counts[k as usize] += 1;
+        }
+        if strong {
+            counts[0] = 0;
+        }
+        let mut classes: Vec<Vec<u32>> = Vec::new();
+        for (r, &k) in codes.iter().enumerate() {
+            let n = &mut counts[k as usize];
+            if *n & OPEN == 0 {
+                if *n < 2 {
+                    continue;
+                }
+                classes.push(Vec::with_capacity(*n as usize));
+                *n = OPEN | (classes.len() - 1) as u32;
+            }
+            classes[(*n & !OPEN) as usize].push(r as u32);
+        }
+        Partition { classes }
+    }
+
+    /// Counts one partition built from the table's rows.
+    fn counted_build(enc: &Encoded) {
         sqlnf_obs::count!("discovery.partition.builds");
         sqlnf_obs::count!("discovery.partition.rows_scanned", enc.rows());
-        let col = enc.column(a);
-        let dict = enc.dict_size(a) as usize;
-        if dict > RADIX_OVER * col.len() + 1024 {
-            return Partition::by_attr_radix(col, sem);
-        }
-        // starts[c] .. starts[c+1] = the slot range of code c.
-        let mut starts = vec![0u32; dict + 2];
-        for &c in col {
-            starts[c as usize + 1] += 1;
-        }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
-        }
-        let mut out = vec![0u32; col.len()];
-        let mut cursor = starts.clone();
-        for (r, &c) in col.iter().enumerate() {
-            let slot = &mut cursor[c as usize];
-            out[*slot as usize] = r as u32;
-            *slot += 1;
-        }
-        let first_code = usize::from(sem == NullSemantics::Strong);
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for c in first_code..=dict {
-            let (s, e) = (starts[c] as usize, starts[c + 1] as usize);
-            if e - s >= 2 {
-                classes.push(out[s..e].to_vec());
-            }
-        }
-        classes.sort_unstable_by_key(|c| c[0]);
-        Partition { classes }
     }
 
     /// The high-cardinality fallback: stable LSB radix sort of
@@ -421,68 +489,6 @@ impl Partition {
         Partition { classes }
     }
 
-    /// Partition by an attribute *pair* in one counting sort over the
-    /// combined code space `(dict_a + 1) × (dict_b + 1)` — two
-    /// sequential column sweeps and a scatter, no probe table and no
-    /// per-class bookkeeping. This is the level-2 fast path of the
-    /// miner: at that level the prefix partitions are single attributes
-    /// whose stripped classes still cover nearly the whole table, so a
-    /// fused scan of both raw columns beats refining. Callers must
-    /// check [`Partition::pair_space`] against the table size first
-    /// (the guard [`Partition::by_pair_applicable`]); past the gate the
-    /// combined space would dwarf the row count and
-    /// [`Partition::product_attr`] from the smaller single wins.
-    pub fn by_pair(enc: &Encoded, a: Attr, b: Attr, sem: NullSemantics) -> Partition {
-        sqlnf_obs::count!("discovery.partition.builds");
-        sqlnf_obs::count!("discovery.partition.rows_scanned", enc.rows());
-        let (ca, cb) = (enc.column(a), enc.column(b));
-        let width = enc.dict_size(b) as usize + 1;
-        let space = (enc.dict_size(a) as usize + 1) * width;
-        let strong = sem == NullSemantics::Strong;
-        let mut starts = vec![0u32; space + 1];
-        for (&x, &y) in ca.iter().zip(cb) {
-            if strong && (x == 0 || y == 0) {
-                continue;
-            }
-            starts[x as usize * width + y as usize + 1] += 1;
-        }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
-        }
-        let mut out = vec![0u32; starts[space] as usize];
-        let mut cursor = starts.clone();
-        for (r, (&x, &y)) in ca.iter().zip(cb).enumerate() {
-            if strong && (x == 0 || y == 0) {
-                continue;
-            }
-            let slot = &mut cursor[x as usize * width + y as usize];
-            out[*slot as usize] = r as u32;
-            *slot += 1;
-        }
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for c in 0..space {
-            let (s, e) = (starts[c] as usize, starts[c + 1] as usize);
-            if e - s >= 2 {
-                classes.push(out[s..e].to_vec());
-            }
-        }
-        classes.sort_unstable_by_key(|c| c[0]);
-        Partition { classes }
-    }
-
-    /// The combined code space a [`Partition::by_pair`] counting sort
-    /// would allocate for `{a, b}`.
-    fn pair_space(enc: &Encoded, a: Attr, b: Attr) -> usize {
-        (enc.dict_size(a) as usize + 1).saturating_mul(enc.dict_size(b) as usize + 1)
-    }
-
-    /// Whether the pair counting sort is the right kernel for `{a, b}`:
-    /// the combined space must stay within the same
-    /// space-versus-rows margin the radix gate ([`RADIX_OVER`]) uses.
-    pub fn by_pair_applicable(enc: &Encoded, a: Attr, b: Attr) -> bool {
-        Partition::pair_space(enc, a, b) <= RADIX_OVER * enc.rows() + 1024
-    }
-
     /// The trivial partition over the empty attribute set: one class of
     /// all rows.
     pub fn universal(rows: usize) -> Partition {
@@ -494,14 +500,16 @@ impl Partition {
         }
     }
 
-    /// Partition by an attribute set (product of attribute partitions).
+    /// Partition by an attribute set: the first column's partition
+    /// refined by each further column — the reference grouping the
+    /// other kernels are tested against.
     pub fn by_set(enc: &Encoded, x: AttrSet, sem: NullSemantics) -> Partition {
         let mut attrs = x.iter();
         let first = match attrs.next() {
             None => return Partition::universal(enc.rows()),
             Some(a) => a,
         };
-        let mut p = Partition::by_attr(enc, first, sem);
+        let mut p = Partition::by_codes(enc, AttrSet::single(first), sem);
         for a in attrs {
             p = p.refine_by(enc, a, sem);
         }
@@ -597,7 +605,7 @@ impl Partition {
     /// This is the miner's refinement step: its cost is proportional to
     /// the rows inside `self`'s classes — which shrink rapidly as the
     /// lattice level grows — not to the table. Same canonical result as
-    /// `product(&Partition::by_attr(enc, a, sem))` and as
+    /// `product(&Partition::by_codes(enc, {a}, sem))` and as
     /// [`Partition::refine_by`], without the per-class `HashMap`.
     pub fn product_attr(
         &self,
@@ -836,6 +844,76 @@ impl Partition {
         live
     }
 
+    /// Sweeps the classes of `π_X` row by row *without building it*, in
+    /// row order: calls `f(class, first, r)` for every row `r` the null
+    /// semantics keeps, where `class` numbers `r`'s class by its
+    /// mixed-radix code on `X` (from 0, in order of first appearance)
+    /// and `first` marks the class's first row. Classes interleave, so a
+    /// consumer keeps its state per `class`. Stops — and returns `false`
+    /// — as soon as `f` does. Past the counting-sort gate
+    /// ([`Encoded::code_space`]) it sweeps the classes of
+    /// [`Partition::by_codes`] one after another instead, each as class
+    /// 0.
+    ///
+    /// This is the check of a candidate whose partition no later level
+    /// reads and that has no stored prefix to refine
+    /// ([`crate::check::code_sweep`]): as with
+    /// [`Partition::for_each_refined_row`], a violated FD is usually
+    /// refuted within a few rows, and the sweep ends there. Only the
+    /// rows visited count towards `discovery.partition.rows_scanned`.
+    pub fn for_each_coded_row(
+        enc: &Encoded,
+        x: AttrSet,
+        sem: NullSemantics,
+        scratch: &mut ProductScratch,
+        mut f: impl FnMut(u32, bool, u32) -> bool,
+    ) -> bool {
+        let Some(space) = enc.code_space(x) else {
+            return Partition::by_codes(enc, x, sem)
+                .classes
+                .iter()
+                .all(|class| {
+                    let mut rows = class.iter().enumerate();
+                    rows.all(|(i, &r)| f(0, i == 0, r))
+                });
+        };
+        scratch.ensure_probe(space);
+        let strong = sem == NullSemantics::Strong;
+        let skip_zero = strong && !x.is_empty();
+        // The codes are computed a block of rows at a time: column by
+        // column, yet an early stop wastes at most one block.
+        const BLOCK: usize = 4096;
+        let mut codes = Vec::with_capacity(BLOCK);
+        let mut scanned = 0usize;
+        let mut live = true;
+        'sweep: for start in (0..enc.rows()).step_by(BLOCK) {
+            let rows = start..(start + BLOCK).min(enc.rows());
+            enc.codes_into(x, rows, strong, &mut codes);
+            for (r, &code) in (start as u32..).zip(&codes) {
+                scanned += 1;
+                if skip_zero && code == 0 {
+                    continue;
+                }
+                let mut id = scratch.probe_label(code);
+                let first = id == 0;
+                if first {
+                    scratch.touched.push(code);
+                    id = scratch.touched.len() as u32;
+                    scratch.label(code, id);
+                }
+                if !f(id - 1, first, r) {
+                    live = false;
+                    break 'sweep;
+                }
+            }
+        }
+        while let Some(code) = scratch.touched.pop() {
+            scratch.clear_label(code);
+        }
+        sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
+        live
+    }
+
     /// Approximate heap footprint in bytes — the accounting unit of the
     /// partition store's byte budget.
     pub fn approx_bytes(&self) -> usize {
@@ -952,8 +1030,8 @@ mod tests {
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
             for a in t.schema().attrs() {
                 assert_eq!(
-                    Partition::by_attr(&snap, a, sem),
-                    Partition::by_attr(&fresh, a, sem),
+                    Partition::by_codes(&snap, AttrSet::single(a), sem),
+                    Partition::by_codes(&fresh, AttrSet::single(a), sem),
                     "{a:?} {sem:?}"
                 );
                 assert_eq!(snap.nulls(a), fresh.nulls(a), "{a:?} null rows");
@@ -990,7 +1068,7 @@ mod tests {
         };
         assert!((1 << 20) > RADIX_OVER * rows + 1024, "radix path selected");
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let via_radix = Partition::by_attr(&enc, Attr(0), sem);
+            let via_radix = Partition::by_codes(&enc, AttrSet::single(Attr(0)), sem);
             // Naive reference grouping.
             let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
             for (r, &c) in codes.iter().enumerate() {
@@ -1003,9 +1081,9 @@ mod tests {
             expect.sort_unstable_by_key(|c| c[0]);
             assert_eq!(via_radix.classes, expect, "{sem:?}");
         }
-        let strong = Partition::by_attr(&enc, Attr(0), NullSemantics::Strong);
+        let strong = Partition::by_codes(&enc, AttrSet::single(Attr(0)), NullSemantics::Strong);
         assert_eq!(strong.classes, vec![vec![0, 3], vec![1, 4], vec![5, 7]]);
-        let nav = Partition::by_attr(&enc, Attr(0), NullSemantics::NullAsValue);
+        let nav = Partition::by_codes(&enc, AttrSet::single(Attr(0)), NullSemantics::NullAsValue);
         assert_eq!(
             nav.classes,
             vec![vec![0, 3], vec![1, 4], vec![2, 6], vec![5, 7]]
@@ -1016,7 +1094,7 @@ mod tests {
     fn strong_partition_drops_null_rows() {
         let t = sample();
         let e = Encoded::new(&t);
-        let p = Partition::by_attr(&e, Attr(0), NullSemantics::Strong);
+        let p = Partition::by_codes(&e, AttrSet::single(Attr(0)), NullSemantics::Strong);
         // Only {0,1} (the two "x" rows) form a class; nulls vanish and
         // "y" is a singleton.
         assert_eq!(p.classes, vec![vec![0, 1]]);
@@ -1027,7 +1105,7 @@ mod tests {
     fn null_as_value_groups_nulls_together() {
         let t = sample();
         let e = Encoded::new(&t);
-        let p = Partition::by_attr(&e, Attr(0), NullSemantics::NullAsValue);
+        let p = Partition::by_codes(&e, AttrSet::single(Attr(0)), NullSemantics::NullAsValue);
         let mut classes = p.classes.clone();
         classes.sort();
         assert_eq!(classes, vec![vec![0, 1], vec![2, 3]]);
@@ -1069,8 +1147,8 @@ mod tests {
         let mut scratch = ProductScratch::for_encoded(&e);
         let ab = AttrSet::from_indices([0, 1]);
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let pa = Partition::by_attr(&e, Attr(0), sem);
-            let pb = Partition::by_attr(&e, Attr(1), sem);
+            let pa = Partition::by_codes(&e, AttrSet::single(Attr(0)), sem);
+            let pb = Partition::by_codes(&e, AttrSet::single(Attr(1)), sem);
             assert_eq!(
                 pa.product(&pb, &mut scratch),
                 Partition::by_set(&e, ab, sem),
@@ -1084,24 +1162,37 @@ mod tests {
         }
     }
 
+    /// Both mixed-radix kernels group as `by_set` on every subset: the
+    /// counting sort's classes, and the classes the row-order sweep
+    /// numbers (singletons dropped), which must also leave the scratch
+    /// clean for a later product.
     #[test]
-    fn by_pair_matches_by_set() {
+    fn coded_kernels_match_by_set() {
         let t = sample();
         let e = Encoded::new(&t);
+        let mut scratch = ProductScratch::new();
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            for i in 0..t.schema().arity() {
-                for j in 0..t.schema().arity() {
-                    if i == j {
-                        continue;
+            for x in AttrSet::from_indices([0, 1]).subsets() {
+                let want = Partition::by_set(&e, x, sem);
+                assert!(e.code_space(x).is_some());
+                assert_eq!(Partition::by_codes(&e, x, sem), want, "{sem:?} {x:?}");
+                let mut classes: Vec<Vec<u32>> = Vec::new();
+                Partition::for_each_coded_row(&e, x, sem, &mut scratch, |class, first, r| {
+                    assert_eq!(first, class as usize == classes.len(), "{sem:?} {x:?}");
+                    if first {
+                        classes.push(Vec::new());
                     }
-                    let (a, b) = (Attr(i as u8), Attr(j as u8));
-                    assert!(Partition::by_pair_applicable(&e, a, b));
-                    assert_eq!(
-                        Partition::by_pair(&e, a, b, sem),
-                        Partition::by_set(&e, AttrSet::from_indices([i, j]), sem),
-                        "{sem:?} pair ({i}, {j})"
-                    );
-                }
+                    classes[class as usize].push(r);
+                    true
+                });
+                classes.retain(|c| c.len() >= 2);
+                assert_eq!(Partition { classes }, want, "{sem:?} {x:?} swept");
+                let pa = Partition::by_codes(&e, AttrSet::single(Attr(0)), sem);
+                assert_eq!(
+                    pa.product_attr(&e, Attr(1), sem, &mut scratch),
+                    pa.refine_by(&e, Attr(1), sem),
+                    "{sem:?} product after the sweep"
+                );
             }
         }
     }
@@ -1114,7 +1205,7 @@ mod tests {
         // size the probe table themselves.
         let mut scratch = ProductScratch::new();
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let pa = Partition::by_attr(&e, Attr(0), sem);
+            let pa = Partition::by_codes(&e, AttrSet::single(Attr(0)), sem);
             assert_eq!(
                 pa.product_attr(&e, Attr(1), sem, &mut scratch),
                 pa.refine_by(&e, Attr(1), sem),
@@ -1123,7 +1214,7 @@ mod tests {
             let u = Partition::universal(e.rows());
             assert_eq!(
                 u.product_attr(&e, Attr(0), sem, &mut scratch),
-                Partition::by_attr(&e, Attr(0), sem),
+                Partition::by_codes(&e, AttrSet::single(Attr(0)), sem),
                 "{sem:?} from universal"
             );
         }
@@ -1138,7 +1229,7 @@ mod tests {
         let e = Encoded::new(&t);
         let mut scratch = ProductScratch::for_encoded(&e);
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let pa = Partition::by_attr(&e, Attr(0), sem);
+            let pa = Partition::by_codes(&e, AttrSet::single(Attr(0)), sem);
             let mut heads: Vec<u32> = Vec::new();
             let mut members = 0usize;
             pa.for_each_refined_row(&e, Attr(1), sem, &mut scratch, |sub, first, r| {

@@ -27,11 +27,23 @@ use std::sync::Arc;
 /// [`ColumnStore`] (serving discovery), kept in lockstep by every
 /// mutation. [`Table::snapshot`] hands discovery the columnar side in
 /// `O(arity)` — no per-mine re-encode.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Table {
     schema: SchemaRef,
     rows: Vec<Tuple>,
     cols: ColumnStore,
+}
+
+/// Shows what equality compares, the schema and the rows: the columnar
+/// side is derived state, and its dictionaries iterate in hash order,
+/// which differs from one map to the next.
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
 }
 
 /// Equality is schema + row multiset-in-order; the columnar codes are

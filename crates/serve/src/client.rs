@@ -204,9 +204,10 @@ impl Client {
     /// complete request — a verb line or a full SQL statement) in a
     /// single `write`, *then* reads the replies, one per statement, in
     /// order. The server applies the whole burst before fsyncing, so
-    /// the batch typically shares one commit — this is how `bench_serve`
-    /// and the harness saturate group commit instead of measuring
-    /// round-trip latency. An empty batch returns no replies.
+    /// the batch typically shares one commit — this is how the
+    /// benchmark's `ingest` load and the harness saturate group commit
+    /// instead of measuring round-trip latency. An empty batch returns
+    /// no replies.
     pub fn send_batch(&mut self, stmts: &[impl AsRef<str>]) -> Result<Vec<Reply>, ClientError> {
         if stmts.is_empty() {
             return Ok(Vec::new());

@@ -46,6 +46,35 @@ pub fn mixed_table(nullable: usize, total: usize, max_rows: usize) -> impl Strat
     })
 }
 
+/// Strategy: a null-heavy table of `narrow` columns over {0, 1, 2}
+/// followed by `wide` columns over forty values, about one cell in
+/// three `⊥`, with 0..=max_rows rows. Every column is nullable; at
+/// forty rows, sets of three wide columns (or two wide and one narrow)
+/// have a mixed-radix code space past the counting-sort gate.
+pub fn wide_table(narrow: usize, wide: usize, max_rows: usize) -> impl Strategy<Value = Table> {
+    let cell = |domain: i64| {
+        prop_oneof![
+            2 => (0..domain).prop_map(Value::Int),
+            1 => Just(Value::Null),
+        ]
+    };
+    let row = (
+        proptest::collection::vec(cell(3), narrow),
+        proptest::collection::vec(cell(40), wide),
+    );
+    proptest::collection::vec(row, 0..=max_rows).prop_map(move |rows| {
+        let names: Vec<String> = (0..narrow + wide).map(|i| format!("a{i}")).collect();
+        let schema = TableSchema::new("t", names, &[]);
+        Table::from_rows(
+            schema,
+            rows.into_iter().map(|(mut values, rest)| {
+                values.extend(rest);
+                Tuple::new(values)
+            }),
+        )
+    })
+}
+
 /// Strategy: an attribute subset of the first `cols` attributes.
 pub fn attr_subset(cols: usize) -> impl Strategy<Value = AttrSet> {
     (0u32..(1 << cols)).prop_map(|bits| AttrSet(bits as u128))

@@ -20,12 +20,12 @@
 //!   evicts previous-level partitions.
 //!
 //! Each line is `name value`; the test demands equality, so any change
-//! to the rows a pass scans, the products it builds, its fused checks,
-//! probe indexes and how they are served, weak pairs, the partition
-//! store's evictions and misses or the candidates the incremental
-//! replay touches shows up here. A change
-//! that moves a counter on purpose updates the golden file with the
-//! block the failure message prints.
+//! to the rows a pass scans, the products it builds, its fused checks
+//! and code sweeps, probe indexes and how they are served, weak pairs,
+//! the partition store's evictions and misses or the candidates the
+//! incremental replay touches shows up here. A change that moves a
+//! counter on purpose updates the golden file with the block the
+//! failure message prints.
 //!
 //! The report's post-pass phases are pinned to have spans as well.
 //!
@@ -48,10 +48,11 @@ const GOLDEN: &str = include_str!("golden/discovery_counters.txt");
 const MAX_LHS: usize = 3;
 
 /// The pinned counters, in file order.
-const COUNTERS: [&str; 11] = [
+const COUNTERS: [&str; 12] = [
     "discovery.partition.rows_scanned",
     "discovery.partition.products",
     "discovery.check.fused_checks",
+    "discovery.check.code_sweeps",
     "discovery.check.probe_index.builds",
     "discovery.check.probe_index.hits",
     "discovery.check.probe_index.direct",

@@ -10,7 +10,8 @@ use common::*;
 use proptest::prelude::*;
 use sqlnf::core::related::weak_fd_holds;
 use sqlnf::discovery::check::{
-    fd_holds, fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics,
+    code_sweep, fd_holds, fd_targets_holding, null_semantics, refinement_sweep, ProbeCache,
+    Semantics,
 };
 use sqlnf::discovery::classify::{classify_table, mine_keys, report_parts};
 use sqlnf::discovery::mine::{mine_fds, MinerConfig};
@@ -127,7 +128,7 @@ fn weak_fused_holds(rows: &[[Option<i64>; 3]]) -> bool {
     let (p, b, a) = (Attr(0), Attr(1), Attr(2));
     let x = AttrSet::single(p) | AttrSet::single(b);
     let ns = NullSemantics::Strong;
-    let prefix = Partition::by_attr(&enc, p, ns);
+    let prefix = Partition::by_codes(&enc, AttrSet::single(p), ns);
     let mut scratch = ProductScratch::new();
     let sem = Semantics::Weak;
     let (fused, _) = refinement_sweep(
@@ -234,8 +235,69 @@ fn fused_agrees(table: &Table) {
     }
 }
 
+/// The row-order sweep by mixed-radix code, followed by the certain
+/// tail as the miner runs it, returns exactly what the materialized
+/// check returns over [`Partition::by_set`], and whether that partition
+/// has a two-row class: for every semantics, every `X` — inside the
+/// counting-sort gate or past it — the full, the single-attribute and
+/// (a key-only question) the empty target sets, keyed and unkeyed.
+/// One scratch serves every sweep, so each must leave it clean.
+fn coded_agrees(table: &Table) {
+    let enc = Encoded::new(table);
+    let all = table.schema().attrs();
+    let probes = ProbeCache::new(&enc);
+    let mut scratch = ProductScratch::new();
+    for sem in Semantics::ALL {
+        let ns = null_semantics(sem);
+        for x in all.subsets() {
+            let p = Partition::by_set(&enc, x, ns);
+            let rest = all - x;
+            let singles = rest.iter().map(AttrSet::single);
+            for targets in [AttrSet::EMPTY, rest].into_iter().chain(singles) {
+                let want = fd_targets_holding(&enc, x, &p, targets, sem, Some(&probes));
+                for keyed in [false, true] {
+                    let (held, pair) = code_sweep(&enc, x, ns, targets, sem, &mut scratch, keyed);
+                    let got = if sem == Semantics::Certain && !held.is_empty() {
+                        probes.fd_targets(&enc, x, held)
+                    } else {
+                        held
+                    };
+                    assert_eq!(got, want, "{sem:?} x={x:?} keyed={keyed} on\n{table}");
+                    if keyed || !targets.is_empty() {
+                        assert_eq!(pair, !p.is_empty(), "{sem:?} x={x:?} on\n{table}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One counting sort over the mixed-radix code groups exactly as
+    /// [`Partition::by_set`], under both null semantics, for every `X`
+    /// of a null-heavy table — inside the counting-sort gate and past
+    /// it (where it falls back to refining).
+    #[test]
+    fn by_codes_matches_by_set(table in wide_table(2, 3, 40)) {
+        let enc = Encoded::new(&table);
+        for x in table.schema().attrs().subsets() {
+            for ns in [NullSemantics::Strong, NullSemantics::NullAsValue] {
+                prop_assert_eq!(
+                    Partition::by_codes(&enc, x, ns),
+                    Partition::by_set(&enc, x, ns),
+                    "{:?} {:?} on\n{}", ns, x, table
+                );
+            }
+        }
+    }
+
+    /// [`coded_agrees`] on null-heavy tables with sets past the gate.
+    #[test]
+    fn code_sweep_matches_materialized(table in wide_table(2, 3, 40)) {
+        coded_agrees(&table);
+    }
 
     /// The miner finds exactly the minimal FDs, for every semantics.
     #[test]

@@ -56,16 +56,17 @@ fn mine_stats_json_reports_lattice_and_partition_work() {
     let text = std::fs::read_to_string(&json_path).expect("stats file written");
     let doc = parse(&text).expect("stats file is valid JSON");
     assert_eq!(doc.get("command").and_then(JsonValue::as_str), Some("mine"));
-    // The mining run visits lattice levels 0..=2, builds the
-    // single-attribute partitions and products them for the
-    // two-attribute candidates.
+    // The mining run visits lattice levels 0..=2. No later level reads
+    // their partitions and every set is narrow, so each candidate is
+    // swept by its codes, and the report's classification builds
+    // partitions of its own.
     assert!(
         counter(&doc, "discovery.mine.lattice_levels") >= 3,
         "{text}"
     );
     assert!(counter(&doc, "discovery.mine.candidates_checked") > 0);
     assert!(counter(&doc, "discovery.partition.builds") > 0);
-    assert!(counter(&doc, "discovery.partition.products") > 0);
+    assert!(counter(&doc, "discovery.check.code_sweeps") > 0);
     assert!(counter(&doc, "discovery.partition.rows_scanned") > 0);
     // The document also parses through the typed reader (extra keys are
     // ignored).
