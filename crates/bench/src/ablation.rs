@@ -129,7 +129,7 @@ fn probe_ablation() -> ((bool, Duration), (bool, Duration)) {
     let full = adult_like(7);
     let adult = Table::from_rows(
         full.schema().clone(),
-        full.rows().iter().take(12_000).cloned().collect::<Vec<_>>(),
+        full.iter().take(12_000).map(|r| r.to_tuple()),
     );
     let enc = Encoded::new(&adult);
     let s = adult.schema();

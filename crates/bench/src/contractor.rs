@@ -53,7 +53,7 @@ impl Contractor {
             for a in fd.rhs - fd.lhs {
                 // Group rows by LHS value and count per-group extras.
                 let mut seen: HashMap<Vec<Value>, (Value, usize)> = HashMap::new();
-                for t in table.rows() {
+                for t in table.iter() {
                     let key: Vec<Value> = fd.lhs.iter().map(|x| t.get(x).clone()).collect();
                     let e = seen.entry(key).or_insert_with(|| (t.get(a).clone(), 0));
                     e.1 += 1;

@@ -62,7 +62,8 @@ impl Performance {
         // does); the normalized variant materializes the same result
         // via the equality join of all four components.
         let select = median_run(RUNS, || {
-            let result = Table::from_rows(scaled.schema().clone(), scaled.rows().to_vec());
+            let result =
+                Table::from_rows(scaled.schema().clone(), scaled.iter().map(|r| r.to_tuple()));
             std::hint::black_box(&result).len()
         });
         let join = median_run(RUNS, || {

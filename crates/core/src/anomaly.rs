@@ -23,7 +23,7 @@
 
 use sqlnf_model::attrs::Attr;
 use sqlnf_model::constraint::{Modality, Sigma};
-use sqlnf_model::similarity::{strongly_similar, weakly_similar};
+use sqlnf_model::similarity::Agreement;
 use sqlnf_model::table::Table;
 
 /// Union-find over row indices.
@@ -61,10 +61,10 @@ pub fn update_fanout_column(table: &Table, sigma: &Sigma, col: Attr) -> Vec<usiz
         }
         for i in 0..n {
             for j in i + 1..n {
-                let (t, u) = (&table.rows()[i], &table.rows()[j]);
+                let agree = |a| Agreement::of(table.value(i, a), table.value(j, a));
                 let bound = match fd.modality {
-                    Modality::Possible => strongly_similar(t, u, fd.lhs),
-                    Modality::Certain => weakly_similar(t, u, fd.lhs),
+                    Modality::Possible => fd.lhs.iter().all(|a| agree(a).strongly_similar()),
+                    Modality::Certain => fd.lhs.iter().all(|a| agree(a).weakly_similar()),
                 };
                 if bound {
                     dsu.union(i as u32, j as u32);

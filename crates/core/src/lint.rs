@@ -157,7 +157,7 @@ pub fn lint(design: &SchemaDesign) -> LintReport {
         .flatten()
         .or_else(|| redundancy_witness(t, nfs, sigma))
         .map(|(table, pos)| {
-            let renamed = Table::from_rows(schema.clone(), table.rows().to_vec());
+            let renamed = Table::from_rows(schema.clone(), table.iter().map(|r| r.to_tuple()));
             (renamed, pos)
         });
 

@@ -37,7 +37,7 @@ pub struct Position {
 /// A value that can replace the cell at a position, together with every
 /// distinct behaviour class a substitution can have.
 pub fn substitution_candidates(table: &Table, pos: Position) -> Vec<Value> {
-    let current = table.rows()[pos.row].get(pos.col).clone();
+    let current = table.value(pos.row, pos.col).clone();
     let mut cands: Vec<Value> = Vec::new();
 
     // Every distinct active-domain value of the column.
@@ -50,7 +50,6 @@ pub fn substitution_candidates(table: &Table, pos: Position) -> Vec<Value> {
     // string outside the domain works because equality is syntactic.
     let mut fresh = String::from("__fresh__");
     while table
-        .rows()
         .iter()
         .any(|t| matches!(t.get(pos.col), Value::Str(s) if *s == fresh))
     {
@@ -109,7 +108,7 @@ pub fn redundant_positions(table: &Table, sigma: &Sigma) -> Vec<Position> {
 pub fn value_redundant_positions(table: &Table, sigma: &Sigma) -> Vec<Position> {
     redundant_positions(table, sigma)
         .into_iter()
-        .filter(|p| table.rows()[p.row].get(p.col).is_total())
+        .filter(|p| table.value(p.row, p.col).is_total())
         .collect()
 }
 

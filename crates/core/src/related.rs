@@ -42,7 +42,7 @@ pub enum ThreeValued {
 /// The positions of null occurrences of a table.
 fn null_positions(table: &Table) -> Vec<(usize, Attr)> {
     let mut out = Vec::new();
-    for (r, t) in table.rows().iter().enumerate() {
+    for (r, t) in table.iter().enumerate() {
         for a in table.schema().attrs() {
             if t.get(a).is_null() {
                 out.push((r, a));

@@ -12,10 +12,10 @@
 //!
 //! ## State
 //!
-//! The instance is one [`Table`] — rows and their dictionary codes in
-//! lockstep under `push` / `set_value` / `remove_row` — plus an
-//! ascending [`RowId`] per row, so a verdict's witness pair survives
-//! other rows' deletions. Every mine call borrows the table's columns
+//! The instance is one [`Table`] — its dictionary-coded columns, the
+//! only copy of its rows, changed by `push` / `set_value` /
+//! `remove_row` — plus an ascending [`RowId`] per row, so a verdict's
+//! witness pair survives other rows' deletions. Every mine call borrows the table's columns
 //! as a transient `O(arity)` [`Encoded`] snapshot; per-column posting
 //! lists (code → ascending rows) are extended in place per insert and
 //! rebuilt from the codes after an update or delete.
@@ -302,7 +302,7 @@ impl IncrementalMiner {
         let Some(row) = row_of(&self.ids, id) else {
             return false;
         };
-        let old = &self.table.rows()[row];
+        let old = self.table.row_ref(row);
         let changed: AttrSet = (0..self.schema().arity())
             .map(Attr::from)
             .filter(|&a| old.get(a) != tuple.get(a))

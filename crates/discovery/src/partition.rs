@@ -85,7 +85,7 @@ impl Encoded {
         }
     }
 
-    /// Re-encodes a table from its row view with the pre-columnar
+    /// Re-encodes a table from its decoded values with the pre-columnar
     /// algorithm (per-column `HashMap<&Value, u32>`, first-appearance
     /// codes). This is the reference path the differential tests mine
     /// against: after UPDATE/DELETE the storage's codes may differ
@@ -105,7 +105,7 @@ impl Encoded {
                 null_rows: Vec::new(),
             };
             let mut dict: HashMap<&Value, u32> = HashMap::new();
-            for (r, t) in table.rows().iter().enumerate() {
+            for (r, t) in table.iter().enumerate() {
                 let v = t.get(a);
                 let code = if v.is_null() {
                     data.null_rows.push(r as u32);

@@ -1,5 +1,5 @@
-//! Dictionary-coded columnar storage — the primary representation
-//! behind [`crate::table::Table`].
+//! Dictionary-coded columnar storage — the only storage of a
+//! [`crate::table::Table`]'s rows.
 //!
 //! Every column is a `Vec<u32>` of dictionary codes with `0` reserved
 //! for the null marker `⊥`, plus the ascending list of null-bearing
@@ -13,6 +13,12 @@
 //! *consistent*, which is all the discovery kernels need: partitions
 //! group by code identity, never by code magnitude.
 //!
+//! A column's dictionary holds each distinct value once, in code
+//! order, and serves both directions: a code reads its value by
+//! position ([`ColumnStore::value_at`]), and a value finds its code
+//! through an open-addressing table of codes that compares against
+//! those same values.
+//!
 //! Columns sit behind [`Arc`]s so a discovery snapshot is `O(arity)`
 //! pointer clones. Mutations go through [`Arc::make_mut`]: in-place
 //! while the store is unshared (the engine's steady state), a one-time
@@ -23,7 +29,8 @@
 use crate::attrs::Attr;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// One dictionary-coded column: the code vector and the ascending list
@@ -41,31 +48,93 @@ pub struct ColData {
 /// never reach it, so it equals none of them.
 pub const UNSEEN: u32 = u32::MAX;
 
-/// Value → code dictionary for one column. Code `0` stays reserved for
-/// `⊥`; non-null values get `1, 2, …` in first-appearance order.
-/// Entries are never removed, so a code retired by UPDATE/DELETE is
-/// simply never reused for a different value.
+/// The value code `0` reads.
+static NULL: Value = Value::Null;
+
+/// One column's dictionary. Code `0` stays reserved for `⊥`; non-null
+/// values get `1, 2, …` in first-appearance order, and `values[c - 1]`
+/// is the value of code `c`. Entries are never removed, so a code
+/// retired by UPDATE/DELETE is simply never reused for a different
+/// value.
 #[derive(Debug, Clone, Default)]
 struct Dict {
-    index: HashMap<Value, u32>,
+    values: Vec<Value>,
+    /// Codes by the hash of their value, `0` marking an empty slot: an
+    /// open-addressing table probed triangularly, its length `0` or a
+    /// power of two at least `4/3` of the entries.
+    slots: Vec<u32>,
+    /// Heap bytes held by string values.
+    heap: usize,
+    /// Randomly keyed, as a `HashMap`'s: values come from clients.
+    hasher: RandomState,
 }
 
 impl Dict {
-    fn code_for(&mut self, v: &Value) -> u32 {
-        if let Some(&c) = self.index.get(v) {
-            return c;
+    /// The slot holding `v`'s code, or the empty slot where it would
+    /// go; `slots` must not be empty.
+    fn slot(&self, v: &Value) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(v) as usize & mask;
+        let mut step = 0;
+        loop {
+            let c = self.slots[i];
+            if c == 0 || self.values[c as usize - 1] == *v {
+                return i;
+            }
+            step += 1;
+            i = (i + step) & mask;
         }
-        let c = self.index.len() as u32 + 1;
+    }
+
+    fn code_for(&mut self, v: Value) -> u32 {
+        if (self.values.len() + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let i = self.slot(&v);
+        if self.slots[i] != 0 {
+            return self.slots[i];
+        }
         sqlnf_obs::count!("discovery.encode.dict_entries");
-        self.index.insert(v.clone(), c);
-        c
+        if let Value::Str(s) = &v {
+            self.heap += s.capacity();
+        }
+        self.values.push(v);
+        self.slots[i] = self.values.len() as u32;
+        self.slots[i]
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; (self.slots.len() * 2).max(8)];
+        for c in 1..=self.values.len() as u32 {
+            let i = self.slot(&self.values[c as usize - 1]);
+            self.slots[i] = c;
+        }
     }
 
     fn lookup(&self, v: &Value) -> u32 {
         if v.is_null() {
             return 0;
         }
-        self.index.get(v).copied().unwrap_or(UNSEEN)
+        if self.slots.is_empty() {
+            return UNSEEN;
+        }
+        match self.slots[self.slot(v)] {
+            0 => UNSEEN,
+            c => c,
+        }
+    }
+
+    fn value(&self, code: u32) -> &Value {
+        match code {
+            0 => &NULL,
+            c => &self.values[c as usize - 1],
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.values.capacity() * size_of::<Value>()
+            + self.slots.len() * size_of::<u32>()
+            + self.heap
     }
 }
 
@@ -119,20 +188,36 @@ impl ColumnStore {
         self.cols[col].codes[row]
     }
 
+    /// The value of cell `(row, col)`, read through its code.
+    #[inline]
+    pub fn value_at(&self, row: usize, col: usize) -> &Value {
+        self.dicts[col].value(self.code_at(row, col))
+    }
+
     /// Number of dictionary entries of column `col` (codes run
     /// `1..=dict_size`).
     pub fn dict_size(&self, col: usize) -> u32 {
-        self.dicts[col].index.len() as u32
+        self.dicts[col].values.len() as u32
     }
 
-    /// Appends one row in `O(arity)` dictionary probes.
-    pub fn push(&mut self, t: &Tuple) {
+    /// Number of `⊥` cells in column `col`.
+    pub fn null_count(&self, col: usize) -> usize {
+        self.cols[col].null_rows.len()
+    }
+
+    /// Appends one row in `O(arity)` dictionary probes; a value new to
+    /// its column moves into the dictionary.
+    pub fn push(&mut self, t: Tuple) {
         sqlnf_obs::count!("discovery.encode.rows");
         let row = self.rows as u32;
-        for (ci, dict) in self.dicts.iter_mut().enumerate() {
-            let v = t.get(Attr::from(ci));
+        for ((col, dict), v) in self
+            .cols
+            .iter_mut()
+            .zip(&mut self.dicts)
+            .zip(t.into_values())
+        {
             let code = if v.is_null() { 0 } else { dict.code_for(v) };
-            let col = Arc::make_mut(&mut self.cols[ci]);
+            let col = Arc::make_mut(col);
             col.codes.push(code);
             if code == 0 {
                 col.null_rows.push(row);
@@ -152,7 +237,7 @@ impl ColumnStore {
     }
 
     /// Re-codes one cell after a point update.
-    pub fn set_value(&mut self, row: usize, col: usize, v: &Value) {
+    pub fn set_value(&mut self, row: usize, col: usize, v: Value) {
         let code = if v.is_null() {
             0
         } else {
@@ -214,6 +299,19 @@ impl ColumnStore {
         }
     }
 
+    /// The bytes the store holds, from the sizes it keeps (nothing is
+    /// walked): code vectors and null lists, and per dictionary its
+    /// values with their string bytes and its code slots. Capacities
+    /// count in full; allocator overhead does not.
+    pub fn data_bytes(&self) -> usize {
+        let cols: usize = self
+            .cols
+            .iter()
+            .map(|c| (c.codes.capacity() + c.null_rows.capacity()) * size_of::<u32>())
+            .sum();
+        cols + self.dicts.iter().map(Dict::bytes).sum::<usize>()
+    }
+
     /// FNV-style hash of a row's code vector. Together with
     /// [`ColumnStore::code_rows_equal`] this gives duplicate detection
     /// over `u32` codes instead of hashing `Value`s.
@@ -240,9 +338,9 @@ mod tests {
 
     fn store3() -> ColumnStore {
         let mut s = ColumnStore::new(2);
-        s.push(&tuple!["x", 1i64]);
-        s.push(&tuple![null, 1i64]);
-        s.push(&tuple!["x", 2i64]);
+        s.push(tuple!["x", 1i64]);
+        s.push(tuple![null, 1i64]);
+        s.push(tuple!["x", 2i64]);
         s
     }
 
@@ -263,21 +361,21 @@ mod tests {
     #[test]
     fn set_value_maintains_null_rows() {
         let mut s = store3();
-        s.set_value(1, 0, &Value::str("y"));
+        s.set_value(1, 0, Value::str("y"));
         assert_eq!(s.code_at(1, 0), 2);
         assert!(s.snapshot().cols[0].null_rows.is_empty());
-        s.set_value(0, 0, &Value::Null);
+        s.set_value(0, 0, Value::Null);
         assert_eq!(s.code_at(0, 0), 0);
         assert_eq!(s.snapshot().cols[0].null_rows, vec![0]);
         // Re-using an existing value re-uses its code.
-        s.set_value(0, 0, &Value::str("x"));
+        s.set_value(0, 0, Value::str("x"));
         assert_eq!(s.code_at(0, 0), 1);
     }
 
     #[test]
     fn remove_row_shifts_null_rows() {
         let mut s = store3();
-        s.push(&tuple![null, 3i64]);
+        s.push(tuple![null, 3i64]);
         // null rows in column 0: [1, 3]
         s.remove_row(0);
         assert_eq!(s.rows(), 3);
@@ -297,7 +395,7 @@ mod tests {
     #[test]
     fn truncate_drops_tail_rows_and_their_nulls() {
         let mut s = store3();
-        s.push(&tuple![null, 3i64]);
+        s.push(tuple![null, 3i64]);
         s.truncate(2);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.snapshot().cols[0].null_rows, vec![1]);
@@ -310,8 +408,8 @@ mod tests {
     fn snapshot_is_isolated_from_later_mutations() {
         let mut s = store3();
         let snap = s.snapshot();
-        s.push(&tuple!["z", 9i64]);
-        s.set_value(0, 1, &Value::Int(7));
+        s.push(tuple!["z", 9i64]);
+        s.set_value(0, 1, Value::Int(7));
         assert_eq!(snap.rows, 3);
         assert_eq!(snap.cols[0].codes.len(), 3);
         assert_eq!(snap.cols[1].codes[0], 1);
@@ -321,14 +419,44 @@ mod tests {
     #[test]
     fn code_row_equality_matches_value_equality() {
         let mut s = ColumnStore::new(2);
-        s.push(&tuple!["a", 1i64]);
-        s.push(&tuple!["a", 1i64]);
-        s.push(&tuple!["a", 2i64]);
-        s.push(&tuple![null, 1i64]);
-        s.push(&tuple![null, 1i64]);
+        s.push(tuple!["a", 1i64]);
+        s.push(tuple!["a", 1i64]);
+        s.push(tuple!["a", 2i64]);
+        s.push(tuple![null, 1i64]);
+        s.push(tuple![null, 1i64]);
         assert!(s.code_rows_equal(0, 1));
         assert!(!s.code_rows_equal(0, 2));
         assert!(s.code_rows_equal(3, 4));
         assert_eq!(s.row_code_hash(0), s.row_code_hash(1));
+    }
+
+    #[test]
+    fn codes_read_back_their_values_past_every_growth() {
+        let mut s = ColumnStore::new(2);
+        for i in 0..1000i64 {
+            s.push(tuple![(i % 300), (format!("v{}", i % 7))]);
+        }
+        assert_eq!((s.dict_size(0), s.dict_size(1)), (300, 7));
+        for r in 0..1000 {
+            assert_eq!(s.value_at(r, 0), &Value::Int(r as i64 % 300));
+            assert_eq!(s.value_at(r, 1), &Value::str(format!("v{}", r % 7)));
+            assert_eq!(s.code_at(r, 0), r as u32 % 300 + 1);
+        }
+        assert_eq!(s.lookup_codes(&tuple![299i64, "v0"]), vec![300, 1]);
+        assert_eq!(s.lookup_codes(&tuple![300i64, "v7"]), vec![UNSEEN, UNSEEN]);
+        s.push(tuple![null, null]);
+        assert_eq!(s.value_at(1000, 0), &Value::Null);
+        assert_eq!(s.null_count(1), 1);
+    }
+
+    #[test]
+    fn data_bytes_grow_with_rows_and_values() {
+        let mut s = ColumnStore::new(1);
+        assert_eq!(s.data_bytes(), 0);
+        s.push(tuple![1i64]);
+        let one = s.data_bytes();
+        assert!(one >= size_of::<u32>() + size_of::<Value>());
+        s.push(tuple!["a string of some length"]);
+        assert!(s.data_bytes() >= one + "a string of some length".len());
     }
 }

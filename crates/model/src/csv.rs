@@ -174,10 +174,9 @@ pub fn table_to_csv(table: &Table) -> String {
         .map(|c| escape(c))
         .collect();
     let _ = writeln!(out, "{}", header.join(","));
-    for t in table.rows() {
+    for t in table.iter() {
         let row: Vec<String> = t
             .values()
-            .iter()
             .map(|v| match v {
                 Value::Null => "NULL".to_owned(),
                 other => escape(&other.to_string()),

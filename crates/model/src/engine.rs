@@ -191,8 +191,9 @@ impl StoredTable {
 
     /// Inserts a row, enforcing the NFS and every declared constraint
     /// via the incremental indexes; on rejection the table — its
-    /// dictionaries included — is unchanged. Amortized O(1) per FD/key
-    /// plus O(#null rows) for certain constraints.
+    /// dictionaries included — is unchanged. Amortized O(1) per FD/key,
+    /// plus for a certain one O(#rows with `⊥` in its LHS), or a table
+    /// scan when the row itself has `⊥` there.
     pub fn insert(&mut self, row: Tuple) -> Result<(), EngineError> {
         self.check_row_shape(&row)?;
         // An empty Σ has no index to check the codes against.
@@ -231,7 +232,7 @@ impl StoredTable {
                 column: column.to_owned(),
             });
         }
-        let mut new = self.data.rows()[row].clone();
+        let mut new = self.data.row(row);
         *new.get_mut(a) = value.clone();
         let codes = self.data.lookup_codes(&new);
         self.bank.remove(&self.data, row);
@@ -370,7 +371,7 @@ impl Database {
             out.push_str(&sql::render_create_table(st.data().schema(), st.sigma()));
             out.push('\n');
             if !st.data().is_empty() {
-                out.push_str(&sql::render_insert(name, st.data().rows()));
+                out.push_str(&sql::render_table_insert(name, st.data()));
                 out.push('\n');
             }
         }

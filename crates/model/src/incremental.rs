@@ -8,9 +8,10 @@
 //! ([`Table::code_at`], `0` = `⊥`) and never a value:
 //!
 //! * `groups` maps the `X`-codes of every `X`-total row to the group's
-//!   member rows. On the `X`-total part strong similarity is code
-//!   equality, and admission keeps every member equal on `Y`, so the
-//!   first member stands for the group;
+//!   member rows; a one-column `X` keys by its code inline, a wider one
+//!   by a boxed code list. On the `X`-total part strong similarity is
+//!   code equality, and admission keeps every member equal on `Y`, so
+//!   the first member stands for the group;
 //! * `null_rows` lists the rows with `⊥` in `X`. For certain
 //!   constraints weak similarity ("equal codes, or one of them is
 //!   `0`") reaches past the map: a candidate is compared with these
@@ -53,13 +54,21 @@ struct Group {
     rest: Vec<u32>,
 }
 
+/// The `X`-codes of an `X`-total row: inline for a one-column `X`, so
+/// a single-column key allocates nothing per row.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum GroupKey {
+    One(u32),
+    Many(Box<[u32]>),
+}
+
 /// Incremental checker for one FD (`rhs: Some`) or key (`rhs: None`).
 #[derive(Debug, Clone)]
 struct ConstraintIndex {
     lhs: AttrSet,
     rhs: Option<AttrSet>,
     modality: Modality,
-    groups: HashMap<Box<[u32]>, Group>,
+    groups: HashMap<GroupKey, Group>,
     null_rows: Vec<u32>,
     /// Summed capacity of the groups' `rest` lists.
     spilled: usize,
@@ -78,11 +87,12 @@ impl ConstraintIndex {
     }
 
     /// The `X`-codes of a row, or `None` if it has `⊥` in `X`.
-    fn project(&self, code: impl Fn(Attr) -> u32) -> Option<Box<[u32]>> {
-        self.lhs
-            .iter()
-            .map(|a| Some(code(a)).filter(|&c| c != 0))
-            .collect()
+    fn project(&self, code: impl Fn(Attr) -> u32) -> Option<GroupKey> {
+        let mut codes = self.lhs.iter().map(|a| Some(code(a)).filter(|&c| c != 0));
+        if self.lhs.len() == 1 {
+            return codes.next().flatten().map(GroupKey::One);
+        }
+        codes.collect::<Option<_>>().map(GroupKey::Many)
     }
 
     /// Whether stored row `r` and the candidate conflict, given that
@@ -188,12 +198,17 @@ impl ConstraintIndex {
         self.null_rows.iter_mut().for_each(shift);
     }
 
-    /// Map slots (key handle, group, control byte), the `X`-codes each
-    /// group's key holds, the spilled members and the null list.
-    /// Allocator overhead is not counted.
+    /// Map slots (key, group, control byte), the `X`-codes a boxed
+    /// key holds, the spilled members and the null list. Allocator
+    /// overhead is not counted.
     fn bytes(&self) -> usize {
-        self.groups.capacity() * (size_of::<(Box<[u32]>, Group)>() + 1)
-            + (self.groups.len() * self.lhs.len() + self.spilled + self.null_rows.capacity())
+        let boxed = if self.lhs.len() == 1 {
+            0
+        } else {
+            self.lhs.len()
+        };
+        self.groups.capacity() * (size_of::<(GroupKey, Group)>() + 1)
+            + (self.groups.len() * boxed + self.spilled + self.null_rows.capacity())
                 * size_of::<u32>()
     }
 }

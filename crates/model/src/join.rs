@@ -53,18 +53,18 @@ pub fn join(left: &Table, right: &Table, name: impl Into<String>) -> Table {
     // Hash the right side on its common-column values (syntactic
     // equality, so `⊥` keys match only `⊥` keys).
     let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.len());
-    for (i, t) in right.rows().iter().enumerate() {
+    for (i, t) in right.iter().enumerate() {
         let key: Vec<Value> = common.iter().map(|&(_, ra)| t.get(ra).clone()).collect();
         index.entry(key).or_default().push(i);
     }
 
     let mut out = Table::new(schema);
-    for lt in left.rows() {
+    for lt in left.iter() {
         let key: Vec<Value> = common.iter().map(|&(la, _)| lt.get(la).clone()).collect();
         if let Some(matches) = index.get(&key) {
             for &ri in matches {
-                let rt = &right.rows()[ri];
-                let mut vals: Vec<Value> = lt.values().to_vec();
+                let rt = right.row_ref(ri);
+                let mut vals: Vec<Value> = lt.values().cloned().collect();
                 vals.extend(right_only.iter().map(|&a| rt.get(a).clone()));
                 out.push(Tuple::new(vals));
             }
@@ -84,8 +84,7 @@ pub fn join_all<'a>(components: impl IntoIterator<Item = &'a Table>, name: &str)
     }
     // Rename the final result.
     let schema = acc.schema().clone().with_name(name);
-    let rows: Vec<Tuple> = acc.rows().to_vec();
-    Table::from_rows(schema, rows)
+    Table::from_rows(schema, acc.iter().map(|r| r.to_tuple()))
 }
 
 /// Reorders the columns of `table` to the given order (a permutation of
@@ -108,7 +107,7 @@ pub fn reorder_columns(table: &Table, order: &[String]) -> Table {
         .collect();
     let schema = TableSchema::new(s.name(), order.to_vec(), &nn);
     let mut out = Table::new(schema);
-    for t in table.rows() {
+    for t in table.iter() {
         out.push(Tuple::new(
             attrs.iter().map(|&a| t.get(a).clone()).collect::<Vec<_>>(),
         ));

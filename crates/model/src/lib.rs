@@ -45,10 +45,11 @@ pub mod prelude {
     pub use crate::schema::TableSchema;
     pub use crate::similarity::{strongly_similar, weakly_similar, Agreement};
     pub use crate::sql::{
-        parse_script, parse_statement, render_create_table, render_insert, ParseError, Statement,
+        parse_script, parse_statement, render_create_table, render_insert, render_table_insert,
+        ParseError, Statement,
     };
     pub use crate::stats::{profile, render_profile, TableProfile};
-    pub use crate::table::{Table, TableBuilder};
+    pub use crate::table::{RowRef, Table, TableBuilder};
     pub use crate::tuple;
     pub use crate::tuple::Tuple;
     pub use crate::value::Value;

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 pub fn project_multiset(table: &Table, x: AttrSet, name: impl Into<String>) -> Table {
     let (schema, _) = table.schema().project(x, name);
     let mut out = Table::new(schema);
-    for t in table.rows() {
+    for t in table.iter() {
         out.push(t.project(x));
     }
     out
@@ -29,7 +29,7 @@ pub fn project_set(table: &Table, x: AttrSet, name: impl Into<String>) -> Table 
     let (schema, _) = table.schema().project(x, name);
     let mut out = Table::new(schema);
     let mut seen: HashSet<Tuple> = HashSet::with_capacity(table.len());
-    for t in table.rows() {
+    for t in table.iter() {
         let p = t.project(x);
         if seen.insert(p.clone()) {
             out.push(p);
@@ -43,9 +43,9 @@ pub fn project_set(table: &Table, x: AttrSet, name: impl Into<String>) -> Table 
 /// applies to this part of an instance.
 pub fn total_part(table: &Table, x: AttrSet) -> Table {
     let mut out = Table::with_schema(table.schema_ref());
-    for t in table.rows() {
+    for t in table.iter() {
         if t.is_total_on(x) {
-            out.push(t.clone());
+            out.push(t.to_tuple());
         }
     }
     out

@@ -5,13 +5,13 @@
 //! `X`-total part of the instance (strong similarity and equality are
 //! transitive there), falling back to pairwise comparison only for
 //! tuples carrying a null marker in the LHS — the part where weak
-//! similarity loses transitivity.
+//! similarity loses transitivity. Rows are compared by their
+//! dictionary codes: within one table code equality is value equality
+//! (`⊥ = ⊥` included), and code `0` is `⊥`.
 
 use crate::attrs::AttrSet;
 use crate::constraint::{Constraint, Fd, Key, Modality, Sigma};
-use crate::similarity::weakly_similar;
 use crate::table::Table;
-use crate::value::Value;
 use std::collections::HashMap;
 
 /// A witness that an instance violates a constraint: the indices of two
@@ -25,22 +25,31 @@ pub struct ViolatingPair {
     pub row_b: usize,
 }
 
-fn key_of(table: &Table, row: usize, x: AttrSet) -> Vec<Value> {
-    let t = &table.rows()[row];
-    x.iter().map(|a| t.get(a).clone()).collect()
+/// `t[X] = t'[X]` for rows `r` and `s`.
+fn equal_on(table: &Table, r: usize, s: usize, x: AttrSet) -> bool {
+    x.iter().all(|a| table.code_at(r, a) == table.code_at(s, a))
+}
+
+/// `t[X] ∼_w t'[X]` for rows `r` and `s`: equal codes, or one is `⊥`.
+fn codes_weakly_similar(table: &Table, r: usize, s: usize, x: AttrSet) -> bool {
+    x.iter().all(|a| {
+        let (c, d) = (table.code_at(r, a), table.code_at(s, a));
+        c == d || c == 0 || d == 0
+    })
 }
 
 /// Groups the `X`-total rows of `table` by their `X`-projection
 /// (syntactic equality; on `X`-total rows this equals strong similarity).
 /// Returns the groups and the list of rows that are not `X`-total.
-fn split_on(table: &Table, x: AttrSet) -> (HashMap<Vec<Value>, Vec<usize>>, Vec<usize>) {
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+fn split_on(table: &Table, x: AttrSet) -> (HashMap<Vec<u32>, Vec<usize>>, Vec<usize>) {
+    let mut groups: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
     let mut nulls: Vec<usize> = Vec::new();
-    for (i, t) in table.rows().iter().enumerate() {
-        if t.is_total_on(x) {
-            groups.entry(key_of(table, i, x)).or_default().push(i);
-        } else {
+    for i in 0..table.len() {
+        let key: Vec<u32> = x.iter().map(|a| table.code_at(i, a)).collect();
+        if key.contains(&0) {
             nulls.push(i);
+        } else {
+            groups.entry(key).or_default().push(i);
         }
     }
     (groups, nulls)
@@ -63,7 +72,7 @@ pub fn fd_violation(table: &Table, fd: &Fd) -> Option<ViolatingPair> {
         let first = rows[0];
         for &r in &rows[1..] {
             sqlnf_obs::count!("model.satisfy.pair_comparisons");
-            if !table.rows()[first].eq_on(&table.rows()[r], fd.rhs) {
+            if !equal_on(table, first, r, fd.rhs) {
                 return Some(ViolatingPair {
                     row_a: first,
                     row_b: r,
@@ -81,8 +90,7 @@ pub fn fd_violation(table: &Table, fd: &Fd) -> Option<ViolatingPair> {
                     continue;
                 }
                 sqlnf_obs::count!("model.satisfy.pair_comparisons");
-                let (t, u) = (&table.rows()[i], &table.rows()[j]);
-                if weakly_similar(t, u, fd.lhs) && !t.eq_on(u, fd.rhs) {
+                if codes_weakly_similar(table, i, j, fd.lhs) && !equal_on(table, i, j, fd.rhs) {
                     return Some(ViolatingPair { row_a: i, row_b: j });
                 }
             }
@@ -125,13 +133,13 @@ pub fn weak_fd_violation(table: &Table, lhs: AttrSet, rhs: AttrSet) -> Option<Vi
             let mut seen: Option<usize> = None;
             for &r in rows {
                 sqlnf_obs::count!("model.satisfy.pair_comparisons");
-                let v = table.rows()[r].get(a);
-                if matches!(v, Value::Null) {
+                let v = table.code_at(r, a);
+                if v == 0 {
                     continue;
                 }
                 match seen {
                     None => seen = Some(r),
-                    Some(first) if table.rows()[first].get(a) != v => {
+                    Some(first) if table.code_at(first, a) != v => {
                         return Some(ViolatingPair {
                             row_a: first,
                             row_b: r,
@@ -176,7 +184,7 @@ pub fn key_violation(table: &Table, key: &Key) -> Option<ViolatingPair> {
                     continue;
                 }
                 sqlnf_obs::count!("model.satisfy.pair_comparisons");
-                if weakly_similar(&table.rows()[i], &table.rows()[j], key.attrs) {
+                if codes_weakly_similar(table, i, j, key.attrs) {
                     return Some(ViolatingPair { row_a: i, row_b: j });
                 }
             }
@@ -213,8 +221,10 @@ pub fn violations(table: &Table, sigma: &Sigma) -> Vec<Constraint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity::weakly_similar;
     use crate::table::TableBuilder;
     use crate::tuple;
+    use crate::value::Value;
 
     /// Figure 1's relation: satisfies item,catalog → price, violates the
     /// key {item, catalog}.

@@ -25,6 +25,7 @@
 use crate::attrs::AttrSet;
 use crate::constraint::{Fd, Key, Modality, Sigma};
 use crate::schema::TableSchema;
+use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
@@ -604,18 +605,32 @@ fn sql_literal(v: &Value) -> String {
 /// dialect parsed by [`parse_script`] — the WAL and snapshot format
 /// of the server is exactly this round-trip.
 pub fn render_insert(table: &str, rows: &[Tuple]) -> String {
-    let tuples: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let vals: Vec<String> = row.values().iter().map(sql_literal).collect();
-            format!("({})", vals.join(", "))
-        })
-        .collect();
-    format!(
-        "INSERT INTO {} VALUES {};",
-        quote_ident(table),
-        tuples.join(", ")
-    )
+    render_rows(table, rows.iter().map(|row| row.values().iter()))
+}
+
+/// [`render_insert`] of every row of `data`, each cell read through its
+/// code: no tuple is decoded.
+pub fn render_table_insert(table: &str, data: &Table) -> String {
+    render_rows(table, data.iter().map(|row| row.values()))
+}
+
+fn render_rows<'a, R>(table: &str, rows: impl Iterator<Item = R>) -> String
+where
+    R: Iterator<Item = &'a Value>,
+{
+    let mut out = format!("INSERT INTO {} VALUES ", quote_ident(table));
+    for (i, row) in rows.enumerate() {
+        out.push_str(if i == 0 { "(" } else { ", (" });
+        for (j, v) in row.enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&sql_literal(v));
+        }
+        out.push(')');
+    }
+    out.push(';');
+    out
 }
 
 fn column_list_sql(schema: &TableSchema, set: AttrSet) -> String {

@@ -62,7 +62,7 @@ pub fn profile(table: &Table) -> TableProfile {
         let nulls = table.null_count(a);
         total_nulls += nulls;
         let mut distinct: HashSet<&crate::value::Value> = HashSet::new();
-        for t in table.rows() {
+        for t in table.iter() {
             let v = t.get(a);
             if v.is_total() {
                 distinct.insert(v);

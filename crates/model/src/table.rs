@@ -10,9 +10,9 @@ use crate::column::{ColumnSnapshot, ColumnStore};
 use crate::schema::{SchemaRef, TableSchema};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A table over a schema `(T, T_S)`: a finite multiset of tuples.
 ///
@@ -22,50 +22,109 @@ use std::sync::Arc;
 /// `(T, T_S)`" and several constructions (e.g. witnesses for violated
 /// constraints) need the former.
 ///
-/// Storage is dual: the row view (`Vec<Tuple>`, serving projection,
-/// join, satisfaction, SQL and CSV) and the dictionary-coded
-/// [`ColumnStore`] (serving discovery), kept in lockstep by every
-/// mutation. [`Table::snapshot`] hands discovery the columnar side in
-/// `O(arity)` — no per-mine re-encode.
-#[derive(Clone)]
+/// The dictionary-coded [`ColumnStore`] is the only storage: a cell is
+/// a code, and each distinct value is held once, in its column's
+/// dictionary. Rows are read through the codes — [`Table::row_ref`] and
+/// [`Table::iter`] borrow, [`Table::row`] decodes an owned [`Tuple`] —
+/// and [`Table::snapshot`] hands discovery the columns in `O(arity)`.
+/// A clone shares the code vectors until one side mutates them.
 pub struct Table {
     schema: SchemaRef,
-    rows: Vec<Tuple>,
     cols: ColumnStore,
+    /// The decoded rows [`Table::rows`] lends: built on its first call,
+    /// dropped by the next mutation, never cloned.
+    view: OnceLock<Vec<Tuple>>,
 }
 
-/// Shows what equality compares, the schema and the rows: the columnar
-/// side is derived state, and its dictionaries iterate in hash order,
-/// which differs from one map to the next.
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table {
+            schema: Arc::clone(&self.schema),
+            cols: self.cols.clone(),
+            view: OnceLock::new(),
+        }
+    }
+}
+
+/// Shows what equality compares: the schema and the decoded rows, not
+/// the codes, which depend on the mutation history.
 impl fmt::Debug for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Table")
             .field("schema", &self.schema)
-            .field("rows", &self.rows)
+            .field("rows", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
 
-/// Equality is schema + row multiset-in-order; the columnar codes are
-/// derived state (and may legitimately differ between two equal tables
-/// with different mutation histories).
+/// Equality is schema + decoded row multiset-in-order; the codes may
+/// legitimately differ between two equal tables with different
+/// mutation histories.
 impl PartialEq for Table {
     fn eq(&self, other: &Table) -> bool {
-        self.schema == other.schema && self.rows == other.rows
+        self.schema == other.schema && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for Table {}
 
+/// A borrowed row of a [`Table`], read through its column codes: code
+/// `0` reads [`Value::Null`], any other code its dictionary entry.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    table: &'a Table,
+    row: usize,
+}
+
+impl<'a> RowRef<'a> {
+    /// The value in column `a` (the paper's `t[A]`).
+    #[inline]
+    pub fn get(&self, a: Attr) -> &'a Value {
+        self.table.cols.value_at(self.row, a.index())
+    }
+
+    /// All values in column order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &'a Value> + 'a {
+        let (cols, row) = (&self.table.cols, self.row);
+        (0..cols.arity()).map(move |c| cols.value_at(row, c))
+    }
+
+    /// Whether the row is `X`-total; reads codes only.
+    pub fn is_total_on(&self, x: AttrSet) -> bool {
+        x.iter().all(|a| self.table.code_at(self.row, a) != 0)
+    }
+
+    /// The restriction `t[X]` as a fresh tuple (columns of `x` in
+    /// ascending order).
+    pub fn project(&self, x: AttrSet) -> Tuple {
+        Tuple::new(x.iter().map(|a| self.get(a).clone()).collect::<Vec<_>>())
+    }
+
+    /// The row as an owned tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::new(self.values().cloned().collect::<Vec<_>>())
+    }
+}
+
+/// Value equality, across tables too.
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &RowRef<'_>) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for RowRef<'_> {}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_tuple().fmt(f)
+    }
+}
+
 impl Table {
     /// Creates an empty table over the given schema.
     pub fn new(schema: TableSchema) -> Self {
-        let arity = schema.arity();
-        Table {
-            schema: Arc::new(schema),
-            rows: Vec::new(),
-            cols: ColumnStore::new(arity),
-        }
+        Table::with_schema(Arc::new(schema))
     }
 
     /// Creates an empty table over a shared schema handle.
@@ -73,8 +132,8 @@ impl Table {
         let arity = schema.arity();
         Table {
             schema,
-            rows: Vec::new(),
             cols: ColumnStore::new(arity),
+            view: OnceLock::new(),
         }
     }
 
@@ -99,37 +158,68 @@ impl Table {
 
     /// Number of rows (with multiplicity).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.rows()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// The rows, in insertion order.
+    /// Row `row`, borrowed.
+    ///
+    /// # Panics
+    /// Panics if `row ≥ self.len()`.
+    pub fn row_ref(&self, row: usize) -> RowRef<'_> {
+        assert!(row < self.len(), "row {row} of a table of {}", self.len());
+        RowRef { table: self, row }
+    }
+
+    /// Row `row` decoded into an owned tuple.
+    pub fn row(&self, row: usize) -> Tuple {
+        self.row_ref(row).to_tuple()
+    }
+
+    /// The rows, borrowed, in insertion order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        (0..self.len()).map(move |row| RowRef { table: self, row })
+    }
+
+    /// The value of cell `(row, a)`.
+    pub fn value(&self, row: usize, a: Attr) -> &Value {
+        self.cols.value_at(row, a.index())
+    }
+
+    /// The rows as a slice of decoded tuples, in insertion order: a
+    /// whole-table copy, built on the first call after a mutation
+    /// (counted as `model.table.row_view_builds`) and kept until the
+    /// next one. Prefer [`Table::iter`], which copies nothing.
     pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+        self.view.get_or_init(|| {
+            sqlnf_obs::count!("model.table.row_view_builds");
+            self.iter().map(|r| r.to_tuple()).collect()
+        })
     }
 
-    /// Point-updates one cell, keeping the row view and the columnar
-    /// codes in lockstep (the replacement for direct row mutation).
+    /// Point-updates one cell.
     pub fn set_value(&mut self, row: usize, a: Attr, v: Value) {
-        self.cols.set_value(row, a.index(), &v);
-        *self.rows[row].get_mut(a) = v;
+        self.cols.set_value(row, a.index(), v);
+        self.view.take();
     }
 
     /// Removes one row (later rows shift down by one) and returns it.
     pub fn remove_row(&mut self, row: usize) -> Tuple {
+        let t = self.row(row);
         self.cols.remove_row(row);
-        self.rows.remove(row)
+        self.view.take();
+        t
     }
 
     /// Drops every row from `len` on (later rows only, so no row is
     /// renumbered); a no-op when `len ≥ self.len()`.
-    pub(crate) fn truncate(&mut self, len: usize) {
+    pub fn truncate(&mut self, len: usize) {
         self.cols.truncate(len);
-        self.rows.truncate(len);
+        self.view.take();
     }
 
     /// An `O(arity)` frozen view of the dictionary-coded columns — what
@@ -151,6 +241,12 @@ impl Table {
         self.cols.lookup_codes(t)
     }
 
+    /// The bytes the rows take: code vectors, null lists and both
+    /// directions of every dictionary (see [`ColumnStore::data_bytes`]).
+    pub fn data_bytes(&self) -> usize {
+        self.cols.data_bytes()
+    }
+
     /// Appends a row.
     ///
     /// # Panics
@@ -164,28 +260,27 @@ impl Table {
             self.schema.name(),
             self.schema.arity()
         );
-        self.cols.push(&t);
-        self.rows.push(t);
+        self.cols.push(t);
+        self.view.take();
     }
 
     /// Whether the table satisfies its NFS, i.e. is `T_S`-total.
     pub fn satisfies_nfs(&self) -> bool {
-        let nfs = self.schema.nfs();
-        self.rows.iter().all(|t| t.is_total_on(nfs))
+        self.schema.nfs().iter().all(|a| self.null_count(a) == 0)
     }
 
     /// Whether every tuple is total (the idealized relational case,
     /// ignoring duplicates).
     pub fn is_total(&self) -> bool {
-        self.rows.iter().all(Tuple::is_total)
+        self.schema.attrs().iter().all(|a| self.null_count(a) == 0)
     }
 
     /// Whether the table contains duplicate tuples. Compares rows by
     /// their dictionary codes (one `u64` hash + `u32` comparisons per
     /// row) instead of hashing `Value`s.
     pub fn has_duplicates(&self) -> bool {
-        let mut seen: HashMap<u64, Vec<u32>> = HashMap::with_capacity(self.rows.len());
-        for r in 0..self.rows.len() {
+        let mut seen: HashMap<u64, Vec<u32>> = HashMap::with_capacity(self.len());
+        for r in 0..self.len() {
             let bucket = seen.entry(self.cols.row_code_hash(r)).or_default();
             if bucket
                 .iter()
@@ -200,9 +295,9 @@ impl Table {
 
     /// Number of distinct tuples, by code-row comparison.
     pub fn distinct_count(&self) -> usize {
-        let mut seen: HashMap<u64, Vec<u32>> = HashMap::with_capacity(self.rows.len());
+        let mut seen: HashMap<u64, Vec<u32>> = HashMap::with_capacity(self.len());
         let mut distinct = 0usize;
-        for r in 0..self.rows.len() {
+        for r in 0..self.len() {
             let bucket = seen.entry(self.cols.row_code_hash(r)).or_default();
             if !bucket
                 .iter()
@@ -218,12 +313,12 @@ impl Table {
     /// Total number of cells (`rows × columns`), the measure used in the
     /// paper's storage comparison for the contractor experiment.
     pub fn cell_count(&self) -> usize {
-        self.rows.len() * self.schema.arity()
+        self.len() * self.schema.arity()
     }
 
     /// Number of null markers in column `a`.
     pub fn null_count(&self, a: Attr) -> usize {
-        self.rows.iter().filter(|t| t.get(a).is_null()).count()
+        self.cols.null_count(a.index())
     }
 
     /// The attributes whose column contains no null marker in this
@@ -239,14 +334,12 @@ impl Table {
     /// The distinct non-null values occurring in column `a` (the active
     /// domain), in deterministic order.
     pub fn active_domain(&self, a: Attr) -> Vec<Value> {
-        let mut dom: BTreeMap<&Value, ()> = BTreeMap::new();
-        for t in &self.rows {
-            let v = t.get(a);
-            if v.is_total() {
-                dom.insert(v, ());
-            }
-        }
-        dom.into_keys().cloned().collect()
+        let dom: BTreeSet<&Value> = self
+            .iter()
+            .map(|t| t.get(a))
+            .filter(|v| v.is_total())
+            .collect();
+        dom.into_iter().cloned().collect()
     }
 
     /// Multiset equality with another table: same schema columns and the
@@ -256,15 +349,15 @@ impl Table {
         if self.schema.column_names() != other.schema.column_names() {
             return false;
         }
-        if self.rows.len() != other.rows.len() {
+        if self.len() != other.len() {
             return false;
         }
-        let mut counts: HashMap<&Tuple, i64> = HashMap::with_capacity(self.rows.len());
-        for t in &self.rows {
-            *counts.entry(t).or_insert(0) += 1;
+        let mut counts: HashMap<Vec<&Value>, i64> = HashMap::with_capacity(self.len());
+        for t in self.iter() {
+            *counts.entry(t.values().collect()).or_insert(0) += 1;
         }
-        for t in &other.rows {
-            match counts.get_mut(t) {
+        for t in other.iter() {
+            match counts.get_mut(&t.values().collect::<Vec<_>>()) {
                 Some(c) => *c -= 1,
                 None => return false,
             }
@@ -278,9 +371,8 @@ impl Table {
         let names = self.schema.column_names();
         let mut widths: Vec<usize> = names.iter().map(String::len).collect();
         let cells: Vec<Vec<String>> = self
-            .rows
             .iter()
-            .map(|t| t.values().iter().map(Value::to_string).collect())
+            .map(|t| t.values().map(Value::to_string).collect())
             .collect();
         for row in &cells {
             for (i, c) in row.iter().enumerate() {
@@ -458,5 +550,49 @@ mod tests {
         assert!(s.contains("item"));
         assert!(s.contains("Fitbit Surge"));
         assert!(s.contains("240"));
+    }
+
+    #[test]
+    fn rows_read_through_the_codes() {
+        let mut t = Table::new(TableSchema::new("r", ["a", "b"], &[]));
+        t.push(tuple![1i64, "x"]);
+        t.push(tuple![null, "x"]);
+        assert_eq!(t.row(1), tuple![null, "x"]);
+        assert_eq!(t.row_ref(0).get(Attr(1)), &Value::str("x"));
+        assert_eq!(t.value(1, Attr(0)), &Value::Null);
+        assert_eq!(t.row_ref(1), t.row_ref(1));
+        assert_ne!(t.row_ref(0), t.row_ref(1));
+        assert!(!t.row_ref(1).is_total_on(AttrSet::from_indices([0])));
+        let decoded: Vec<Tuple> = t.iter().map(|r| r.to_tuple()).collect();
+        assert_eq!(decoded, vec![tuple![1i64, "x"], tuple![null, "x"]]);
+        assert_eq!(t.remove_row(0), tuple![1i64, "x"]);
+        assert_eq!(t.row(0), tuple![null, "x"]);
+    }
+
+    #[test]
+    fn row_view_is_rebuilt_after_a_mutation_and_not_cloned() {
+        let mut t = fig3();
+        assert_eq!(t.rows().len(), 2);
+        t.set_value(0, Attr(2), Value::Int(7));
+        assert_eq!(t.rows()[0], tuple!["Fitbit Surge", "Amazon", 7i64]);
+        t.push(tuple!["Dora Doll", null, 25i64]);
+        assert_eq!(t.rows()[2], tuple!["Dora Doll", null, 25i64]);
+        t.truncate(1);
+        assert_eq!(t.rows().len(), 1);
+        let c = t.clone();
+        assert!(c.view.get().is_none());
+        assert_eq!(c, t);
+    }
+
+    #[test]
+    fn equality_decodes_across_mutation_histories() {
+        let s = TableSchema::new("r", ["a"], &[]);
+        let mut t1 = Table::from_rows(s.clone(), [tuple![9i64], tuple![1i64]]);
+        t1.remove_row(0);
+        let t2 = Table::from_rows(s, [tuple![1i64]]);
+        assert_ne!(t1.code_at(0, Attr(0)), t2.code_at(0, Attr(0)));
+        assert_eq!(t1, t2);
+        assert_eq!(format!("{t1:?}"), format!("{t2:?}"));
+        assert!(format!("{t1:?}").contains("Tuple([Int(1)])"));
     }
 }

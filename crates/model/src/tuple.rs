@@ -41,6 +41,11 @@ impl Tuple {
         &self.0
     }
 
+    /// The values in column order, moved out of the tuple.
+    pub fn into_values(self) -> Vec<Value> {
+        self.0.into_vec()
+    }
+
     /// Whether the tuple is `X`-total, i.e. `t[A] ≠ ⊥` for all `A ∈ X`.
     pub fn is_total_on(&self, x: AttrSet) -> bool {
         x.iter().all(|a| self.get(a).is_total())

@@ -9,11 +9,16 @@
 //! INSERT or UPDATE must leave the column store byte-identical — codes,
 //! null lists and dictionary sizes: candidates are encoded by lookup,
 //! never by growing a dictionary.
+//!
+//! The columns are a table's only storage, so its rows are checked
+//! against a reference row list kept beside it: every decoded row and
+//! cell, table equality, and a clone that shares every code vector.
 
 use proptest::prelude::*;
 use sqlnf_model::attrs::Attr;
 use sqlnf_model::engine::StoredTable;
 use sqlnf_model::prelude::*;
+use std::sync::Arc;
 
 const COLS: usize = 3;
 
@@ -59,6 +64,66 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(row, col, value)| Op::Update { row, col, value }),
         2 => (0usize..8).prop_map(|row| Op::Delete { row }),
     ]
+}
+
+/// One mutation of a bare [`Table`].
+#[derive(Debug, Clone)]
+enum TableOp {
+    Push(Vec<Value>),
+    Set {
+        row: usize,
+        col: usize,
+        value: Value,
+    },
+    Remove {
+        row: usize,
+    },
+    Truncate {
+        len: usize,
+    },
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        5 => proptest::collection::vec(small_value(), COLS).prop_map(TableOp::Push),
+        3 => (0usize..8, 0usize..COLS, small_value())
+            .prop_map(|(row, col, value)| TableOp::Set { row, col, value }),
+        2 => (0usize..8).prop_map(|row| TableOp::Remove { row }),
+        1 => (0usize..8).prop_map(|len| TableOp::Truncate { len }),
+    ]
+}
+
+/// The table reads back exactly the reference rows, equals the table
+/// built from them and no table built from other rows, and a clone
+/// shares its code vectors.
+fn assert_matches_reference(t: &Table, reference: &[Tuple]) {
+    let schema = t.schema().clone();
+    assert_eq!(t.len(), reference.len(), "row count out of sync");
+    for (i, row) in reference.iter().enumerate() {
+        assert_eq!(&t.row(i), row, "row {i} decodes wrong");
+        let r = t.row_ref(i);
+        for c in 0..COLS {
+            let a = Attr::from(c);
+            assert_eq!(r.get(a), row.get(a), "cell ({i}, {c}) reads wrong");
+        }
+    }
+    assert_eq!(*t, Table::from_rows(schema.clone(), reference.to_vec()));
+    if let Some((_, fewer)) = reference.split_last() {
+        assert_ne!(*t, Table::from_rows(schema.clone(), fewer.to_vec()));
+        // `[ab]{1,2}` never draws "zz".
+        let mut changed = reference.to_vec();
+        *changed[0].get_mut(Attr::from(0)) = Value::str("zz");
+        assert_ne!(*t, Table::from_rows(schema, changed));
+    }
+    let clone = t.clone();
+    let (mine, theirs) = (t.snapshot(), clone.snapshot());
+    for c in 0..COLS {
+        assert!(
+            Arc::ptr_eq(&mine.cols[c], &theirs.cols[c]),
+            "a clone copied column {c}"
+        );
+    }
+    assert_eq!(clone, *t);
 }
 
 /// The agreement invariant between the two representations held by one
@@ -140,6 +205,37 @@ proptest! {
                 }
                 assert_columnar_faithful(stored.data());
             }
+        }
+    }
+
+    #[test]
+    fn table_rows_match_a_reference_row_list(
+        ops in proptest::collection::vec(table_op(), 1..40),
+    ) {
+        let names: Vec<String> = (0..COLS).map(|i| format!("a{i}")).collect();
+        let mut t = Table::new(TableSchema::new("t", names, &[]));
+        let mut reference: Vec<Tuple> = Vec::new();
+        for op in ops {
+            match op {
+                TableOp::Push(values) => {
+                    t.push(Tuple::new(values.clone()));
+                    reference.push(Tuple::new(values));
+                }
+                TableOp::Set { row, col, value } if row < reference.len() => {
+                    t.set_value(row, Attr::from(col), value.clone());
+                    *reference[row].get_mut(Attr::from(col)) = value;
+                }
+                TableOp::Remove { row } if row < reference.len() => {
+                    assert_eq!(t.remove_row(row), reference.remove(row));
+                }
+                TableOp::Truncate { len } => {
+                    t.truncate(len);
+                    reference.truncate(len);
+                }
+                TableOp::Set { .. } | TableOp::Remove { .. } => {}
+            }
+            assert_matches_reference(&t, &reference);
+            assert_columnar_faithful(&t);
         }
     }
 }

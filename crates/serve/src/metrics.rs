@@ -27,7 +27,8 @@
 //!   name);
 //! * `sqlnf_store{name=…}` — the same counters `STATS` reports, same
 //!   names, so the two planes can be diffed against each other; among
-//!   them `table.<name>.index_bytes`, one per table with constraints;
+//!   them `table.<name>.data_bytes`, one per table, and
+//!   `table.<name>.index_bytes`, one per table with constraints;
 //! * `sqlnf_slow_request_ns{rank=…,seq=…,verb=…,stage=…}` — the
 //!   worst-requests log, one `total` sample plus one per non-zero
 //!   stage.

@@ -328,9 +328,11 @@ impl Store {
     /// The `STATS` payload: `name value` lines, sorted by name —
     /// `STATS` and `METRICS` output is stable across runs, so diffs
     /// (and tests diffing the two planes) are deterministic. Each table
-    /// that declares constraints adds `table.<name>.index_bytes`, the
-    /// bytes its admission indexes hold; the table read locks are taken
-    /// one at a time, after the registry lock is dropped.
+    /// adds `table.<name>.data_bytes`, the bytes its rows take (codes,
+    /// null lists, dictionaries), and each table that declares
+    /// constraints `table.<name>.index_bytes`, the bytes its admission
+    /// indexes hold; the table read locks are taken one at a time,
+    /// after the registry lock is dropped.
     pub fn stats_lines(&self) -> Vec<String> {
         let m = &self.metrics;
         let (wal_bytes, wal_records) = self.wal_size();
@@ -352,12 +354,15 @@ impl Store {
             format!("watch.notify_failed {}", m.watch_notify_failed.get()),
             format!("watch.shadow_rows {}", m.watch_shadow_rows.get()),
         ];
-        // A table without constraints holds no index: no line, so
-        // stores of many plain tables keep `METRICS` short.
+        // A table without constraints holds no index: no index line.
         for t in tables {
             let st = t.read().expect("table lock poisoned");
+            let name = st.data().schema().name();
+            lines.push(format!(
+                "table.{name}.data_bytes {}",
+                st.data().data_bytes()
+            ));
             if !st.sigma().is_empty() {
-                let name = st.data().schema().name();
                 lines.push(format!(
                     "table.{name}.index_bytes {}",
                     st.bank().index_bytes()
@@ -529,17 +534,19 @@ impl Store {
                     .timed(Stage::LockTable, || arc.write().unwrap());
                 // Multi-row INSERTs are atomic: roll back this
                 // statement's rows if a later one is rejected.
-                let base = st.data().len();
-                for row in &rows {
-                    if let Err(e) = st.insert(row.clone()) {
+                // The frame is rendered first so the rows can move
+                // into the table.
+                let (base, n) = (st.data().len(), rows.len());
+                let rendered = render_insert(&table, &rows);
+                for row in rows {
+                    if let Err(e) = st.insert(row) {
                         st.truncate(base);
                         return Err(e.into());
                     }
                 }
-                let rendered = render_insert(&table, &rows);
                 let enqueued = self.admit_gate().and_then(|()| {
                     self.wal
-                        .enqueue(&table, Change::Rows(rows.len()), rendered)
+                        .enqueue(&table, Change::Rows(n), rendered)
                         .map_err(ServeError::from)
                 });
                 if enqueued.is_err() {
@@ -659,7 +666,7 @@ impl Store {
             out.push_str(&render_create_table(st.data().schema(), st.sigma()));
             out.push('\n');
             if !st.data().is_empty() {
-                out.push_str(&render_insert(name, st.data().rows()));
+                out.push_str(&render_table_insert(name, st.data()));
                 out.push('\n');
             }
         }
@@ -706,7 +713,7 @@ impl Store {
             script.push_str(&render_create_table(st.data().schema(), st.sigma()));
             script.push('\n');
             if !st.data().is_empty() {
-                script.push_str(&render_insert(name, st.data().rows()));
+                script.push_str(&render_table_insert(name, st.data()));
                 script.push('\n');
             }
         }
@@ -855,13 +862,52 @@ mod tests {
             .execute_sql("INSERT INTO purchase VALUES (1, 'Fitbit', 'Amazon', 240);")
             .unwrap();
         assert!(index_bytes().unwrap() > empty);
-        // A table without constraints has no index and no line.
+        // A table without constraints has no index and no index line;
+        // its rows still get a data line.
         store.execute_sql("CREATE TABLE plain (x INT);").unwrap();
         let lines = store.stats_lines();
-        assert!(!lines.iter().any(|l| l.starts_with("table.plain.")));
+        assert!(!lines
+            .iter()
+            .any(|l| l.starts_with("table.plain.index_bytes")));
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("table.plain.data_bytes ")));
         let mut sorted = lines.clone();
         sorted.sort();
         assert_eq!(lines, sorted, "STATS lines are sorted by name");
+    }
+
+    #[test]
+    fn stats_report_each_tables_data_bytes() {
+        let store = Store::ephemeral();
+        store
+            .execute_sql("CREATE TABLE m (a INT NOT NULL, b INT NOT NULL, c INT NOT NULL);")
+            .unwrap();
+        let data_bytes = || {
+            store.stats_lines().iter().find_map(|l| {
+                l.strip_prefix("table.m.data_bytes ")
+                    .map(|v| v.parse::<usize>().unwrap())
+            })
+        };
+        let mut last = data_bytes().expect("a line per table, constraints or not");
+        let empty = last;
+        // Ten INSERTs of 1,000 rows each over limited-distinct columns.
+        for chunk in 0..10 {
+            let rows: Vec<String> = (chunk * 1000..(chunk + 1) * 1000)
+                .map(|i| format!("({}, {}, {})", i % 997, i % 101, i % 7))
+                .collect();
+            store
+                .execute_sql(&format!("INSERT INTO m VALUES {};", rows.join(", ")))
+                .unwrap();
+            let now = data_bytes().unwrap();
+            assert!(now >= last, "data_bytes fell from {last} to {now}");
+            last = now;
+        }
+        assert!(last > empty);
+        assert!(
+            last <= 48 * 10_000,
+            "{last} B for 10k rows is over 48 B/row"
+        );
     }
 
     #[test]

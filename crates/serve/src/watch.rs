@@ -566,7 +566,9 @@ impl Hub {
                 *n += k;
                 if let Some(w) = self.watched.get_mut(&table) {
                     let _span = metrics.watch_publish.enter();
-                    for row in committed(&self.tables, &table, |t| t.rows()[range].to_vec()) {
+                    for row in committed(&self.tables, &table, |t| {
+                        range.map(|r| t.row(r)).collect::<Vec<_>>()
+                    }) {
                         w.miner.insert(row);
                     }
                     self.note_shadow_rows();
@@ -581,7 +583,10 @@ impl Hub {
     fn seed(&mut self, table: &str) -> &mut Watched {
         let n = self.rows[table];
         let (schema, rows) = committed(&self.tables, table, |t| {
-            (t.schema().clone(), t.rows()[..n].to_vec())
+            (
+                t.schema().clone(),
+                (0..n).map(|r| t.row(r)).collect::<Vec<_>>(),
+            )
         });
         let watched = Watched {
             miner: IncrementalMiner::from_rows(schema, rows),

@@ -236,7 +236,7 @@ pub fn cmd_check(sql_src: &str) -> Result<String, CliError> {
         let red = sqlnf_core::redundancy::redundant_positions(table, stored.sigma());
         let value_red = red
             .iter()
-            .filter(|p| table.rows()[p.row].get(p.col).is_total())
+            .filter(|p| table.value(p.row, p.col).is_total())
             .count();
         let _ = writeln!(
             out,
@@ -252,7 +252,7 @@ pub fn cmd_check(sql_src: &str) -> Result<String, CliError> {
                 "  redundant: row {}, column {} = {}",
                 p.row,
                 table.schema().column_name(p.col),
-                table.rows()[p.row].get(p.col)
+                table.value(p.row, p.col)
             );
         }
         if red.len() > 5 {
@@ -294,8 +294,8 @@ pub fn cmd_mine(
             if every > 0 {
                 m = m.with_reconcile_every(every);
             }
-            for row in table.rows() {
-                m.insert(row.clone());
+            for row in table.iter() {
+                m.insert(row.to_tuple());
             }
             Ok(match opts.semantics {
                 None => m.report(name, max_lhs, opts.cache_budget),
