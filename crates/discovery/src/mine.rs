@@ -34,25 +34,35 @@
 //! too. Every immediate prefix of a candidate is itself a candidate of
 //! the previous level (uncovered targets and key flags are inherited
 //! downwards), so the prefix lookup misses only when the byte budget
-//! ([`MinerConfig::cache_budget`]) evicted it. Levels retire as the
+//! ([`MinerConfig::cache_budget`]) refused it. Levels retire as the
 //! frontier advances: only level `k−1` is kept while level `k` runs.
 //!
-//! A candidate with no stored prefix — every single and pair, and an
-//! evicted prefix's candidate — whose columns pass the counting-sort
-//! gate ([`Encoded::code_space`]) comes from its own codes instead: a
-//! kept level sorts it by its mixed-radix code
-//! ([`Partition::by_codes`]), and a level nobody reads (levels 0 and 1,
-//! the last level, a check-only pre-last level) builds no partition at
-//! all but sweeps the rows in row order, keyed by that code, through
-//! the class check ([`crate::check::code_sweep`]). Only a candidate too
-//! wide for the gate reads the singles: a pair refines its more
-//! selective single, and an evicted prefix is folded from them; each
-//! level builds the singles its wide candidates need before it runs.
-//! On the levels nobody reads, a candidate with a stored prefix fuses
-//! the product with the class check
-//! ([`crate::check::refinement_sweep`]). Both fused sweeps stop once
-//! every target is refuted, so refuted candidates — the vast majority
-//! at depth — cost a handful of row visits instead of a full sweep.
+//! The budget is asked before a kept level builds: the store reserves
+//! the level's candidates in candidate order, each charged a bound on
+//! its partition's bytes from the column statistics alone
+//! ([`Store::charge`]), and a candidate builds its partition only if it
+//! was reserved. A refused candidate is settled like one of a level
+//! nobody reads, by a sweep that keeps nothing, so no partition is
+//! built only to be dropped, and the budget caps the bytes a level
+//! builds.
+//!
+//! A candidate with no stored prefix — every single and pair, and the
+//! candidate of a refused or evicted prefix — whose columns pass the
+//! counting-sort gate ([`Encoded::code_space`]) comes from its own
+//! codes instead: a reserved candidate is sorted by its mixed-radix
+//! code ([`Partition::by_codes`]), and any other (on levels 0 and 1,
+//! the last level, a check-only pre-last level, or refused by the
+//! budget) builds no partition at all but sweeps the rows in row
+//! order, keyed by that code, through the class check
+//! ([`crate::check::code_sweep`]). Only a candidate too wide for the
+//! gate reads the singles: a pair refines its more selective single,
+//! and a missing prefix is folded from them; each level builds the
+//! singles its wide candidates need before it runs. A candidate that
+//! keeps no partition and has a stored prefix fuses the product with
+//! the class check ([`crate::check::refinement_sweep`]). Both fused
+//! sweeps stop once every target is refuted, so refuted candidates —
+//! the vast majority at depth — cost a handful of row visits instead of
+//! a full sweep.
 //!
 //! With `threads > 1` the per-level fan-out runs on a *persistent*
 //! worker pool spawned once inside one `thread::scope`: each worker
@@ -63,13 +73,14 @@
 //! or the table's for a candidate from its codes). Workers pull one
 //! candidate at a time, so an expensive straggler never pins a whole
 //! contiguous chunk to one thread the way equal-size chunking did.
-//! Every emitted FD and partition shard is tagged with its candidate
-//! index; the main thread sorts by index before merging, so results —
-//! and the store's contents under any byte budget — are byte-identical
-//! across thread counts (`parallel_equals_serial`). Workers share one
-//! [`ProbeCache`], so LHSs with the same nullable footprint reuse one
-//! probe index instead of rebuilding per candidate. Worker saturation
-//! is visible as the `discovery.mine.worker_busy_ns` timer.
+//! Every settled candidate is tagged with its candidate index; the
+//! main thread sorts by index before merging, so results are
+//! byte-identical across thread counts (`parallel_equals_serial`), and
+//! so is the store: a kept level is reserved in candidate order before
+//! the fan-out. Workers share one [`ProbeCache`], so LHSs with the same
+//! nullable footprint reuse one probe index instead of rebuilding per
+//! candidate. Worker saturation is visible as the
+//! `discovery.mine.worker_busy_ns` timer.
 
 use crate::check::{
     code_sweep, fd_targets_holding, null_semantics, refinement_sweep, ProbeCache, Semantics,
@@ -112,12 +123,15 @@ pub struct MinerConfig {
     /// candidates are independent (minimality only consults strictly
     /// smaller LHSs), so per-level parallelism is exact. `1` = serial.
     pub threads: usize,
-    /// Byte budget of the partition [`Store`]. Within budget, every
-    /// candidate past level 2 refines a stored prefix; past it, a
-    /// candidate whose prefixes were evicted comes from its own codes,
-    /// or, too wide for that, from a fold of the single-attribute
-    /// partitions. `0` stores no multi-attribute partition; results
-    /// are identical for any value (only throughput changes).
+    /// Byte budget of the partition [`Store`], asked before a partition
+    /// is built: each is charged a bound on its bytes
+    /// ([`Store::charge`]), and one whose charge does not fit is not
+    /// built to be stored. Within budget, every candidate past level 2
+    /// refines a stored prefix; past it, a candidate whose prefixes were
+    /// refused comes from its own codes, or, too wide for that, from a
+    /// fold of the single-attribute partitions. `0` stores no
+    /// multi-attribute partition; results are identical for any value
+    /// (only throughput changes).
     pub cache_budget: usize,
 }
 
@@ -307,11 +321,6 @@ impl Candidate {
 /// tables. The CLI exposes it as `--cache-budget`.
 pub const DEFAULT_CACHE_BUDGET: usize = 64 << 20;
 
-/// The bytes a stored partition charges against the budget.
-fn stored_bytes(p: &Partition) -> usize {
-    p.approx_bytes() + std::mem::size_of::<AttrSet>()
-}
-
 /// The one partition store of a lattice walk: the single-attribute
 /// partitions, and the multi-attribute partitions of the levels still
 /// in use, under one byte budget ([`MinerConfig::cache_budget`]; the
@@ -320,32 +329,50 @@ fn stored_bytes(p: &Partition) -> usize {
 /// ([`Encoded::code_space`]) and no `(k−1)`-prefix of it is stored —
 /// singles and pairs never have one: one counting sort
 /// ([`Partition::by_codes`]), or no partition at all when no later
-/// level reads it ([`crate::check::code_sweep`]). Otherwise it is one
+/// level reads it or the budget refused it
+/// ([`crate::check::code_sweep`]). Otherwise it is one
 /// product of a stored prefix refined by one more attribute's
 /// dictionary codes ([`Partition::product_attr`]: the cost is the
 /// prefix's stripped rows, not the table's).
 ///
 /// A single is built only when a candidate too wide for the gate needs
 /// it: as its own partition, as the prefix of a pair, or to fold a
-/// prefix the budget evicted.
+/// prefix the budget refused.
+///
+/// The budget is asked before a partition is built: [`Store::reserve`]
+/// charges `π_x` its [`Store::charge`], a bound on its bytes known from
+/// the column statistics alone, and refuses it when the charge does not
+/// fit. So no partition is built to be stored and then dropped, and the
+/// budget caps what the stored partitions can take, not just what they
+/// took. Once stored, a partition's charge is trued down to the bytes it
+/// takes, so the slack of its bound is free for later reservations.
 ///
 /// Two drivers use it. The from-scratch walk builds the singles a
-/// level needs at its start (`Store::ensure_singles`) and reads the
-/// store shared across its workers; each stored level replaces the one
-/// below. The incremental replay builds a single when first asked and
-/// a missing partition once, through the store, keeping it for its
-/// level ([`Store::partition`]); it retires a level with
-/// [`Store::evict_below`].
+/// level needs at its start (`Store::ensure_singles`), reserves a kept
+/// level's partitions in candidate order before any is built
+/// (`Store::reserve_level`), and reads the store shared across its
+/// workers; a candidate builds its partition only if it was reserved,
+/// and each stored level replaces the one below. The incremental
+/// replay builds a single when first asked and a missing partition
+/// once, through the store ([`Store::partition`]): it reserves before
+/// it builds and keeps a reserved partition for its level; it retires a
+/// level with [`Store::evict_below`].
 ///
 /// Counters: `discovery.mine.prev_level.hits` / `.misses` (a partition
 /// looked for in the store was resident / had to be built),
-/// `.evictions` (partitions retired with their level or refused by the
-/// budget) and `.bytes` (high-water mark of the charged bytes).
+/// `.evictions` (partitions retired with their level, and reservations
+/// the budget refused) and `.bytes` (high-water mark of the charged
+/// bytes: the stored partitions' own, plus the bounds of those
+/// reserved and not yet built).
 pub struct Store {
     ns: NullSemantics,
     budget: usize,
     singles: Vec<Option<Partition>>,
     stored: HashMap<AttrSet, Partition>,
+    /// The charge of every reserved partition: its bound until it is
+    /// stored, then its own bytes.
+    reserved: HashMap<AttrSet, usize>,
+    /// The sum of the charges in `reserved`.
     bytes: usize,
 }
 
@@ -357,7 +384,59 @@ impl Store {
             budget,
             singles: vec![None; arity],
             stored: HashMap::new(),
+            reserved: HashMap::new(),
             bytes: 0,
+        }
+    }
+
+    /// The bytes `π_x` charges against the budget from its reservation
+    /// until it is stored: its [`Partition::max_bytes`] under the store's
+    /// null semantics plus its key, known before it is built and never
+    /// below what it takes.
+    pub fn charge(&self, enc: &Encoded, x: AttrSet) -> usize {
+        Partition::max_bytes(enc, x, self.ns) + std::mem::size_of::<AttrSet>()
+    }
+
+    /// The bytes charged now: the charges of the partitions stored or
+    /// reserved. Never above the budget.
+    pub fn charged(&self) -> usize {
+        self.bytes
+    }
+
+    /// Reserves room for `π_x` before it is built: charges
+    /// [`Store::charge`] if it fits the budget; else refuses, counted as
+    /// an eviction, and `π_x` is not to be stored. A reserved `x` is
+    /// charged once.
+    pub fn reserve(&mut self, enc: &Encoded, x: AttrSet) -> bool {
+        if self.is_reserved(x) {
+            return true;
+        }
+        let charge = self.charge(enc, x);
+        if self.bytes.saturating_add(charge) > self.budget {
+            sqlnf_obs::count!("discovery.mine.prev_level.evictions");
+            return false;
+        }
+        self.bytes += charge;
+        sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", self.bytes);
+        self.reserved.insert(x, charge);
+        true
+    }
+
+    /// Whether `π_x` was reserved: [`traverse`] builds and keeps a
+    /// candidate's partition only then.
+    fn is_reserved(&self, x: AttrSet) -> bool {
+        self.reserved.contains_key(&x)
+    }
+
+    /// Reserves, in order, the level-`k` partitions among `xs` that fit.
+    /// A stored level replaces the one below, so that level's charges
+    /// are released first; its partitions stay readable, for the
+    /// products that build level `k`, until [`Store::replace_level`].
+    fn reserve_level(&mut self, enc: &Encoded, k: usize, xs: impl IntoIterator<Item = AttrSet>) {
+        self.reserved.retain(|x, _| x.len() >= k);
+        self.bytes = self.reserved.values().sum();
+        for x in xs {
+            self.reserve(enc, x);
         }
     }
 
@@ -493,10 +572,12 @@ impl Store {
     }
 
     /// The incremental replay's `π_x`, served from the store or built
-    /// through it and kept under the budget: a single when first asked;
-    /// one counting sort when `x` comes from its codes; else one product
-    /// of the cheapest stored prefix or, when none is stored, of `x`
-    /// minus its last attribute, built here the same way.
+    /// through it: a single when first asked; one counting sort when `x`
+    /// comes from its codes; else one product of the cheapest stored
+    /// prefix or, when none is stored, of `x` minus its last attribute,
+    /// built here the same way. `π_x` is reserved before it is built,
+    /// and stored only if the reservation holds; a refused one is still
+    /// built and handed back, since the replay reads it.
     pub fn partition(
         &mut self,
         enc: &Encoded,
@@ -518,6 +599,7 @@ impl Store {
             return Cow::Borrowed(&self.stored[&x]);
         }
         sqlnf_obs::count!("discovery.mine.prev_level.misses");
+        let keep = self.reserve(enc, x);
         let p = if self.coded(enc, x) {
             Partition::by_codes(enc, x, ns)
         } else {
@@ -528,44 +610,45 @@ impl Store {
             let prefix = self.partition(enc, x - AttrSet::single(by), scratch);
             prefix.product_attr(enc, by, ns, scratch)
         };
-        match self.admit(x, p) {
-            None => Cow::Borrowed(&self.stored[&x]),
-            Some(p) => Cow::Owned(p),
+        if !keep {
+            return Cow::Owned(p);
         }
+        Cow::Borrowed(self.keep(x, p))
     }
 
-    /// Stores `p` as `π_x` if the budget allows; else hands it back,
-    /// counted as an eviction.
-    fn admit(&mut self, x: AttrSet, p: Partition) -> Option<Partition> {
-        let sz = stored_bytes(&p);
-        if self.bytes.saturating_add(sz) > self.budget {
-            sqlnf_obs::count!("discovery.mine.prev_level.evictions");
-            return Some(p);
-        }
-        self.bytes += sz;
-        sqlnf_obs::count_max!("discovery.mine.prev_level.bytes", self.bytes);
-        self.stored.insert(x, p);
-        None
+    /// Stores `π_x`, reserved before it was built, and trues its charge
+    /// down to the bytes it takes: the rest of the bound is free again.
+    fn keep(&mut self, x: AttrSet, p: Partition) -> &Partition {
+        let charge = self
+            .reserved
+            .get_mut(&x)
+            .expect("a partition is reserved before it is built");
+        let taken = p.approx_bytes() + std::mem::size_of::<AttrSet>();
+        debug_assert!(taken <= *charge, "{x:?} takes {taken} > its bound {charge}");
+        self.bytes -= *charge - taken;
+        *charge = taken;
+        self.stored.entry(x).or_insert(p)
     }
 
     /// Retires every stored partition below level `k` and stores the
-    /// level-`k` partitions `parts`, in order, while the budget allows.
+    /// level-`k` partitions `parts`, each reserved before it was built.
     fn replace_level(&mut self, k: usize, parts: impl IntoIterator<Item = (AttrSet, Partition)>) {
         self.evict_below(k);
         for (x, p) in parts {
-            self.admit(x, p);
+            self.keep(x, p);
         }
     }
 
-    /// Retires every stored partition of fewer than `min_len`
-    /// attributes: a level-`k` product only reads level `k−1`.
+    /// Retires every stored or reserved partition of fewer than
+    /// `min_len` attributes: a level-`k` product only reads level `k−1`.
     pub fn evict_below(&mut self, min_len: usize) {
         let before = self.stored.len();
         self.stored.retain(|x, _| x.len() >= min_len);
+        self.reserved.retain(|x, _| x.len() >= min_len);
+        self.bytes = self.reserved.values().sum();
         let dropped = before - self.stored.len();
         if dropped > 0 {
             sqlnf_obs::count!("discovery.mine.prev_level.evictions", dropped);
-            self.bytes = self.stored.values().map(stored_bytes).sum();
         }
     }
 }
@@ -625,16 +708,15 @@ struct LevelJob {
     order: Arc<Vec<u32>>,
     cursor: Arc<AtomicUsize>,
     store: Arc<Store>,
-    keep: bool,
 }
 
-/// What a worker sends back per level: settled answers and the
-/// partitions kept for the next level, each tagged with the candidate
-/// index so the main thread can restore candidate order exactly
-/// regardless of which worker pulled what.
+/// What a worker sends back per level: settled answers, each tagged
+/// with the candidate index so the main thread can restore candidate
+/// order exactly regardless of which worker pulled what, and the
+/// partitions kept for the next level.
 struct LevelOut {
     settled: Vec<(u32, Candidate)>,
-    kept: Vec<(u32, AttrSet, Partition)>,
+    kept: Vec<(AttrSet, Partition)>,
 }
 
 /// The deterministic visit order for one level: candidate indexes
@@ -656,17 +738,18 @@ fn cost_order(candidates: &[Candidate], k: usize, enc: &Encoded, store: &Store) 
     order
 }
 
-/// The last lattice level's working set when the pre-last level was
+/// The last level `k`'s working set when the pre-last level was
 /// check-only: each candidate refines exactly one `(k−1)`-prefix, so
 /// only the *distinct* chosen prefixes are materialized — from the
-/// stored level-`(k−2)` partitions, one product each, in first-use
-/// order (which drives the byte-budget admission). The choice rule is
-/// the cheapest **estimated** prefix ([`Store::prefix_cost`]): prefix
-/// choice affects throughput only, never the refined result, so
-/// estimating instead of measuring is sound. Ties break on the
-/// smallest omitted attribute.
+/// stored level-`(k−2)` partitions, one product each — and only those
+/// the store reserves, in first-use order; the candidate of a refused
+/// one finds no stored prefix. The choice rule is the cheapest
+/// **estimated** prefix ([`Store::prefix_cost`]): prefix choice affects
+/// throughput only, never the refined result, so estimating instead of
+/// measuring is sound. Ties break on the smallest omitted attribute.
 fn build_needed_prefixes(
     enc: &Encoded,
+    k: usize,
     candidates: &[Candidate],
     store: &mut Arc<Store>,
     threads: usize,
@@ -700,6 +783,8 @@ fn build_needed_prefixes(
             needed.push(chosen);
         }
     }
+    level_store(store).reserve_level(enc, k - 1, needed.iter().copied());
+    needed.retain(|&x| store.is_reserved(x));
     sqlnf_obs::count!("discovery.mine.lazy_prefix_builds", needed.len());
     level_store(store).ensure_singles(enc, needed.iter().copied(), threads);
     let store = &**store;
@@ -727,21 +812,22 @@ impl Pass<'_> {
     /// its classes under the swept semantics' class rule, over the union
     /// of both planes' targets; a c-FD is a p-FD, so the certain tail
     /// only probes the survivors, and only a p-key can be a c-key. When
-    /// `keep`, the partition is materialized and handed back for the
-    /// next level's store. Otherwise no partition is kept: a candidate
-    /// from its codes is swept in row order by its mixed-radix code, one
-    /// with a stored prefix (or too wide for the gate) by the fused
-    /// product of its prefix; only a single past the gate is built.
+    /// the store reserved `x`, the partition is materialized and handed
+    /// back for the next level's store. Otherwise no partition is kept:
+    /// a candidate from its codes is swept in row order by its
+    /// mixed-radix code, one with a stored prefix (or too wide for the
+    /// gate) by the fused product of its prefix; only a single past the
+    /// gate is built.
     fn settle(
         &self,
         c: Candidate,
         store: &Store,
-        keep: bool,
         scratch: &mut ProductScratch,
     ) -> (Candidate, Option<Partition>) {
         let (enc, x) = (self.enc, c.x);
         let targets = c.swept | c.certain;
         let keyed = c.pkey || c.ckey;
+        let keep = store.is_reserved(x);
         let mut kept = None;
         let (holding, pair) = if !keep && store.coded(enc, x) {
             code_sweep(enc, x, self.ns, targets, self.sem, scratch, keyed)
@@ -774,19 +860,17 @@ impl Pass<'_> {
 
     /// Drains the level's work queue from one thread: pulls candidate
     /// positions off the shared cursor until the order is exhausted,
-    /// settling each candidate and (when `keep` is set) collecting
-    /// owned partitions for the next level's store. Both output
-    /// streams are tagged with the candidate index. Also used by the
-    /// serial path (with a trivial identity order), so serial and
-    /// parallel runs share one code path.
-    #[allow(clippy::too_many_arguments)]
+    /// settling each candidate and collecting the owned partitions of
+    /// the reserved ones for the next level's store. The answers are
+    /// tagged with the candidate index. Also used by the serial path
+    /// (with a trivial identity order), so serial and parallel runs
+    /// share one code path.
     fn run_queue(
         &self,
         candidates: &[Candidate],
         order: &[u32],
         cursor: &AtomicUsize,
         store: &Store,
-        keep: bool,
         scratch: &mut ProductScratch,
     ) -> LevelOut {
         let _busy = sqlnf_obs::span!("discovery.mine.worker_busy_ns");
@@ -803,12 +887,12 @@ impl Pass<'_> {
             let i = order[pos];
             let c = candidates[i as usize];
             processed += 1;
-            let (settled, kept) = self.settle(c, store, keep, scratch);
+            let (settled, kept) = self.settle(c, store, scratch);
             if settled.open() {
                 out.settled.push((i, settled));
             }
             if let Some(p) = kept {
-                out.kept.push((i, c.x, p));
+                out.kept.push((c.x, p));
             }
         }
         sqlnf_obs::count!("discovery.mine.worker_candidates", processed);
@@ -981,7 +1065,10 @@ pub(crate) fn traverse(
             // distinct prefixes actually chosen (see
             // [`build_needed_prefixes`]) instead of eagerly building
             // every pre-last candidate's partition — on adult-shaped
-            // tables that eager build dominated the whole run.
+            // tables that eager build dominated the whole run. A kept
+            // level builds only what the store reserves before it fans
+            // out; a candidate it refuses is swept like one of a level
+            // nobody reads.
             let defer_prelast = last_level >= 4;
             let keep = k >= 2
                 && k < if defer_prelast {
@@ -990,8 +1077,12 @@ pub(crate) fn traverse(
                     last_level
                 };
             if defer_prelast && k == last_level {
-                let needed = build_needed_prefixes(enc, &candidates, &mut store, config.threads);
+                let needed = build_needed_prefixes(enc, k, &candidates, &mut store, config.threads);
                 level_store(&mut store).replace_level(k - 1, needed);
+            }
+            if keep {
+                let xs = candidates.iter().map(|c| c.x);
+                level_store(&mut store).reserve_level(enc, k, xs);
             }
             // The singles this level's wide candidates read, if any.
             let xs = candidates.iter().map(|c| c.x);
@@ -1012,7 +1103,6 @@ pub(crate) fn traverse(
                                         &job.order,
                                         &job.cursor,
                                         &job.store,
-                                        job.keep,
                                         &mut scratch,
                                     );
                                     // Release the level's store before
@@ -1039,7 +1129,6 @@ pub(crate) fn traverse(
                                 order: Arc::clone(&order),
                                 cursor: Arc::clone(&cursor),
                                 store: Arc::clone(&store),
-                                keep,
                             })
                             .expect("miner worker hung up");
                     }
@@ -1049,28 +1138,27 @@ pub(crate) fn traverse(
                 } else {
                     let order: Vec<u32> = (0..candidates.len() as u32).collect();
                     let cursor = AtomicUsize::new(0);
-                    vec![pass.run_queue(&candidates, &order, &cursor, &store, keep, &mut scratch)]
+                    vec![pass.run_queue(&candidates, &order, &cursor, &store, &mut scratch)]
                 };
 
-            // Merge this level — answers and kept partitions sorted back
-            // into candidate order first, so the result and the store's
-            // contents (budget admission included) never depend on which
-            // worker processed what — and, when it is kept, let it
-            // replace the level below (a check-only pre-last level
-            // leaves it: the last level still products from it).
+            // Merge this level — answers sorted back into candidate order
+            // first, so the result never depends on which worker
+            // processed what — and, when it is kept, let it replace the
+            // level below (a check-only pre-last level leaves it: the
+            // last level still products from it). What it stores was
+            // reserved in candidate order before the fan-out.
             let mut settled: Vec<(u32, Candidate)> = Vec::new();
-            let mut kept: Vec<(u32, AttrSet, Partition)> = Vec::new();
+            let mut kept: Vec<(AttrSet, Partition)> = Vec::new();
             for out in outs {
                 settled.extend(out.settled);
                 kept.extend(out.kept);
             }
             settled.sort_by_key(|&(i, _)| i);
-            kept.sort_by_key(|s| s.0);
             for (_, s) in settled {
                 walk.record(s);
             }
             if keep {
-                level_store(&mut store).replace_level(k, kept.into_iter().map(|(_, x, p)| (x, p)));
+                level_store(&mut store).replace_level(k, kept);
             }
         }
     });

@@ -926,6 +926,26 @@ impl Partition {
                 .sum::<usize>()
     }
 
+    /// An upper bound on the [`Partition::approx_bytes`] of `π_X`, from
+    /// the column statistics alone (`O(|X|)`, no row pass): under
+    /// strong similarity no row with `⊥` in `X` is in a class, so the
+    /// stripped rows are at most the rows less the nulls of `X`'s most
+    /// null column; every class holds two or more rows and one code of
+    /// `X`'s space ([`Encoded::code_space`]). Each kernel that builds
+    /// from codes or refines by them allocates its classes at exact
+    /// capacity, so what it builds stays within the bound.
+    pub fn max_bytes(enc: &Encoded, x: AttrSet, sem: NullSemantics) -> usize {
+        let nulls = match sem {
+            NullSemantics::Strong => x.iter().map(|a| enc.nulls(a).len()).max(),
+            NullSemantics::NullAsValue => None,
+        };
+        let stripped = enc.rows() - nulls.unwrap_or(0);
+        let classes = (stripped / 2).min(enc.code_space(x).unwrap_or(usize::MAX));
+        std::mem::size_of::<Partition>()
+            + classes * std::mem::size_of::<Vec<u32>>()
+            + stripped * std::mem::size_of::<u32>()
+    }
+
     /// `Σ (|class| − 1)`: the TANE error measure. Zero iff the grouping
     /// is (a candidate for) a key under the chosen semantics.
     pub fn error(&self) -> usize {

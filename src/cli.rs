@@ -270,8 +270,9 @@ pub fn cmd_profile(csv_src: &str, name: &str) -> Result<String, CliError> {
 
 /// `sqlnf mine`: discover and classify FDs of a CSV table.
 /// `cache_budget` bounds the bytes the miner's partition store may hold,
-/// scratch or incremental (see `--cache-budget`); results are
-/// identical for any value.
+/// scratch or incremental (see `--cache-budget`): it is asked before a
+/// partition is built, with a bound on its bytes, so a partition past
+/// it is never built to be stored; results are identical for any value.
 pub fn cmd_mine(
     csv_src: &str,
     name: &str,

@@ -48,8 +48,9 @@ const GOLDEN: &str = include_str!("golden/discovery_counters.txt");
 const MAX_LHS: usize = 3;
 
 /// The pinned counters, in file order.
-const COUNTERS: [&str; 12] = [
+const COUNTERS: [&str; 13] = [
     "discovery.partition.rows_scanned",
+    "discovery.partition.builds",
     "discovery.partition.products",
     "discovery.check.fused_checks",
     "discovery.check.code_sweeps",

@@ -400,6 +400,71 @@ proptest! {
         }
     }
 
+    /// The store's charge, known before a partition is built, bounds
+    /// what it builds: for every `X` of a null-heavy table with sets
+    /// past the counting-sort gate, under both null semantics, asked
+    /// with the previous levels stored, it is at least the bytes of the
+    /// store's `π_X`, of `π_X` from its codes and of every product of a
+    /// prefix refined by one more attribute.
+    #[test]
+    fn store_charge_bounds_built_partitions(table in wide_table(2, 3, 40)) {
+        use sqlnf::discovery::mine::Store;
+        let enc = Encoded::new(&table);
+        let mut scratch = ProductScratch::for_encoded(&enc);
+        let all = table.schema().attrs();
+        let mut subsets: Vec<AttrSet> = all.subsets().collect();
+        subsets.sort_by_key(|s| (s.len(), s.0));
+        for ns in [NullSemantics::Strong, NullSemantics::NullAsValue] {
+            let mut store = Store::new(all.len(), ns, usize::MAX);
+            for &x in &subsets {
+                let charge = store.charge(&enc, x);
+                let mut built = vec![
+                    store.partition(&enc, x, &mut scratch).approx_bytes(),
+                    Partition::by_codes(&enc, x, ns).approx_bytes(),
+                ];
+                for a in x {
+                    let prefix = Partition::by_codes(&enc, x - AttrSet::single(a), ns);
+                    built.push(prefix.product_attr(&enc, a, ns, &mut scratch).approx_bytes());
+                }
+                for bytes in built {
+                    prop_assert!(charge >= bytes, "{:?} {:?}: {} < {} on\n{}", ns, x, charge, bytes, table);
+                }
+            }
+        }
+    }
+
+    /// However reservations come — asked directly, or by the replay's
+    /// builds through the store, with levels retired between — the
+    /// store never charges more than its budget.
+    #[test]
+    fn store_never_charges_past_its_budget(
+        table in wide_table(2, 3, 40),
+        budget in 0usize..4096,
+        xs in proptest::collection::vec(attr_subset(5), 0..24),
+    ) {
+        use sqlnf::discovery::mine::Store;
+        let enc = Encoded::new(&table);
+        let mut scratch = ProductScratch::for_encoded(&enc);
+        for ns in [NullSemantics::Strong, NullSemantics::NullAsValue] {
+            let mut store = Store::new(5, ns, budget);
+            for (i, &x) in xs.iter().enumerate() {
+                match i % 4 {
+                    0 | 1 => {
+                        store.reserve(&enc, x);
+                    }
+                    2 => {
+                        store.partition(&enc, x, &mut scratch);
+                    }
+                    _ => store.evict_below(x.len()),
+                }
+                prop_assert!(
+                    store.charged() <= budget,
+                    "{:?} after {:?}: {} > {}", ns, &xs[..=i], store.charged(), budget
+                );
+            }
+        }
+    }
+
     /// The fused refinement check equals the materialized one on
     /// random null-bearing tables.
     #[test]
