@@ -1100,9 +1100,9 @@ mod tests {
         let schema = TableSchema::new("e", ["a", "b"], &[]);
         let mut m = IncrementalMiner::new(schema);
         assert_matches_scratch(&mut m, 2);
-        let id = m.insert(tuple![1i64, 2i64]);
+        m.insert(tuple![1i64, 2i64]);
         assert_matches_scratch(&mut m, 2);
-        m.delete(id);
+        m.insert(tuple![1i64, 3i64]);
         assert_matches_scratch(&mut m, 2);
     }
 

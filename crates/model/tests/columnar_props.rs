@@ -1,12 +1,13 @@
 //! Property test for the columnar primary storage: under arbitrary
-//! engine DML sequences the incrementally-maintained dictionary codes
+//! engine insert and rollback sequences the incrementally-maintained
+//! dictionary codes
 //! must stay a faithful view of the row data — same shape, nulls
 //! exactly at code 0, and per-column code equality coinciding with
 //! value equality across every row pair. That last clause is the whole
 //! contract discovery builds on: partitions read codes, never values.
 //!
 //! Under a non-empty Σ the engine also refuses rows, and a refused
-//! INSERT or UPDATE must leave the column store byte-identical — codes,
+//! INSERT must leave the column store byte-identical — codes,
 //! null lists and dictionary sizes: candidates are encoded by lookup,
 //! never by growing a dictionary.
 //!
@@ -25,14 +26,7 @@ const COLS: usize = 3;
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<Value>),
-    Update {
-        row: usize,
-        col: usize,
-        value: Value,
-    },
-    Delete {
-        row: usize,
-    },
+    Truncate { len: usize },
 }
 
 fn small_value() -> impl Strategy<Value = Value> {
@@ -60,9 +54,7 @@ fn constraint() -> impl Strategy<Value = Constraint> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => proptest::collection::vec(small_value(), COLS).prop_map(Op::Insert),
-        3 => (0usize..8, 0usize..COLS, small_value())
-            .prop_map(|(row, col, value)| Op::Update { row, col, value }),
-        2 => (0usize..8).prop_map(|row| Op::Delete { row }),
+        1 => (0usize..8).prop_map(|len| Op::Truncate { len }),
     ]
 }
 
@@ -75,9 +67,6 @@ enum TableOp {
         col: usize,
         value: Value,
     },
-    Remove {
-        row: usize,
-    },
     Truncate {
         len: usize,
     },
@@ -88,7 +77,6 @@ fn table_op() -> impl Strategy<Value = TableOp> {
         5 => proptest::collection::vec(small_value(), COLS).prop_map(TableOp::Push),
         3 => (0usize..8, 0usize..COLS, small_value())
             .prop_map(|(row, col, value)| TableOp::Set { row, col, value }),
-        2 => (0usize..8).prop_map(|row| TableOp::Remove { row }),
         1 => (0usize..8).prop_map(|len| TableOp::Truncate { len }),
     ]
 }
@@ -187,17 +175,16 @@ proptest! {
             let unconstrained = sigma.is_empty();
             let mut stored = StoredTable::new(schema.clone(), sigma);
             for op in ops.clone() {
-                // Out-of-range rows and violations of Σ are refused and
-                // must leave no trace; with an empty Σ every insert
-                // lands.
+                // Violations of Σ are refused and must leave no trace;
+                // with an empty Σ every insert lands.
                 let before = stored.data().snapshot();
                 let insert = matches!(op, Op::Insert(_));
                 let refused = match op {
                     Op::Insert(values) => stored.insert(Tuple::new(values)).is_err(),
-                    Op::Update { row, col, value } => {
-                        stored.update(row, &format!("a{col}"), value).is_err()
+                    Op::Truncate { len } => {
+                        stored.truncate(len);
+                        false
                     }
-                    Op::Delete { row } => stored.delete(row).is_err(),
                 };
                 assert!(!(insert && refused && unconstrained), "no constraints");
                 if refused {
@@ -225,14 +212,11 @@ proptest! {
                     t.set_value(row, Attr::from(col), value.clone());
                     *reference[row].get_mut(Attr::from(col)) = value;
                 }
-                TableOp::Remove { row } if row < reference.len() => {
-                    assert_eq!(t.remove_row(row), reference.remove(row));
-                }
                 TableOp::Truncate { len } => {
                     t.truncate(len);
                     reference.truncate(len);
                 }
-                TableOp::Set { .. } | TableOp::Remove { .. } => {}
+                TableOp::Set { .. } => {}
             }
             assert_matches_reference(&t, &reference);
             assert_columnar_faithful(&t);

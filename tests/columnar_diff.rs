@@ -5,9 +5,10 @@
 //! (`Encoded::from_table_rows`, the reference algorithm the storage
 //! refactor replaced).
 //!
-//! The interesting case is a table *after* UPDATE/DELETE churn: the
-//! incremental dictionaries then assign different code values than a
-//! fresh first-appearance scan would (retired codes are not recycled),
+//! The interesting case is a table *after* cell rewrites and a tail
+//! rollback: the incremental dictionaries then assign different code
+//! values than a fresh first-appearance scan would (retired codes are
+//! not recycled),
 //! so agreement here pins down the invariant the whole columnar design
 //! rests on — mined output depends only on the *grouping* the codes
 //! induce, never on the code values themselves.
@@ -20,10 +21,10 @@ use sqlnf::discovery::mine::{mine_fds_encoded, MinerConfig};
 use sqlnf::discovery::partition::Encoded;
 use sqlnf::prelude::*;
 
-/// A table whose column store has lived through the full DML mix:
-/// inserts, value rewrites (both null→value and value→null), and row
-/// deletions. The surviving rows' incremental codes are sparse and
-/// out of first-appearance order.
+/// A table whose column store has lived through every mutation a
+/// table has: inserts, value rewrites (both null→value and
+/// value→null), and a rolled-back tail. The surviving rows'
+/// incremental codes are sparse and out of first-appearance order.
 fn churned_table() -> Table {
     let mut t = TableBuilder::new("churn", ["a", "b", "c", "d"], &[])
         .row(tuple![1i64, "x", 10i64, null])
@@ -37,11 +38,10 @@ fn churned_table() -> Table {
     // Rewrites: retire codes, mint new ones, flip null states.
     t.set_value(0, s.a("b"), Value::str("z"));
     t.set_value(1, s.a("d"), Value::Null);
-    t.set_value(4, s.a("d"), Value::str("r"));
-    t.set_value(5, s.a("a"), Value::Int(9));
-    // Deletions shift every later row id.
-    t.remove_row(2);
-    t.remove_row(0);
+    t.set_value(2, s.a("d"), Value::str("r"));
+    t.set_value(3, s.a("a"), Value::Int(9));
+    // A rollback drops the tail and leaves its values' codes behind.
+    t.truncate(4);
     // Fresh appends on top of the churn.
     t.push(tuple![9i64, "x", 10i64, "p"]);
     t.push(tuple![3i64, "x", 40i64, null]);

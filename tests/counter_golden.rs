@@ -6,7 +6,8 @@
 //!   `hepatitis_like(7)`;
 //! * `[incremental]` — one scripted `IncrementalMiner` run over
 //!   `hepatitis_like(7)`: a cold report, then a report after each of
-//!   inserting a copy of row 0, deleting one row, and changing one cell;
+//!   inserting a copy of row 0, inserting two rows that break holding
+//!   FDs, and inserting a row with an unseen age;
 //! * `[scratch adult]` — one `report_parts` pass on one thread over the
 //!   first 4,096 rows of `adult_like(20160626)`, a null-heavy shape
 //!   whose certain tail builds probe indexes (hepatitis never does);
@@ -220,12 +221,23 @@ fn incremental_counters_match_golden() {
         step(&mut m);
         m.insert(t.rows()[0].clone());
         step(&mut m);
-        assert!(m.delete(3));
+        // Copies of row 3 with its class, then its sex, flipped: every
+        // FD into either column that held on an LHS row 3 is total on
+        // now fails.
+        for a in [Attr::from(0), Attr::from(2)] {
+            let mut flipped = t.rows()[3].clone();
+            let v = match flipped.get(a) {
+                Value::Int(1) => 2,
+                _ => 1,
+            };
+            *flipped.get_mut(a) = Value::Int(v);
+            m.insert(flipped);
+        }
         step(&mut m);
-        // Row 5's age becomes one no row carries.
-        let mut changed = t.rows()[5].clone();
-        *changed.get_mut(Attr::from(1)) = Value::Int(200);
-        assert!(m.update(5, changed));
+        // A copy of row 5 with an age no row carries.
+        let mut unseen = t.rows()[5].clone();
+        *unseen.get_mut(Attr::from(1)) = Value::Int(200);
+        m.insert(unseen);
         step(&mut m);
     });
     // Checked outside the counted window: the scratch side moves the

@@ -1,6 +1,5 @@
 //! Differential property for the incremental discovery engine: after
-//! every batch of random DML (inserts, updates, deletes), the
-//! incremental `MINE` output — FDs under all four semantics, keys,
+//! every batch of random inserts, the incremental `MINE` output — FDs under all four semantics, keys,
 //! the WATCH hub's one-pass lattice walk, and the rendered report —
 //! byte-equals a from-scratch mine of the same rows, with the
 //! from-scratch side run at 1 and 4 threads (the miner's determinism
@@ -38,7 +37,7 @@ fn random_tuple(rng: &mut StdRng) -> Tuple {
 /// A random tuple with nulls in its last column only, whose first
 /// column determines its second, and its third but in one row of 25:
 /// the c-FD `c0 -> c1` holds after every batch, and c-FDs `c0 X -> c2`
-/// come and go as dirty rows arrive and leave. The certain plane of
+/// hold until dirty rows arrive. The certain plane of
 /// [`random_tuple`] traces stays empty, as nulls in every column refute
 /// every c-FD with an LHS of at most [`MAX_LHS`] attributes.
 fn planted_tuple(rng: &mut StdRng) -> Tuple {
@@ -107,7 +106,12 @@ fn assert_incremental_matches(m: &mut IncrementalMiner, ctx: &str) {
     );
 }
 
-fn run_dml_trace(seed: u64, batches: usize, ops_per_batch: usize, tuple: fn(&mut StdRng) -> Tuple) {
+fn run_insert_trace(
+    seed: u64,
+    batches: usize,
+    rows_per_batch: usize,
+    tuple: fn(&mut StdRng) -> Tuple,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = TableSchema::new(
         "t",
@@ -119,28 +123,11 @@ fn run_dml_trace(seed: u64, batches: usize, ops_per_batch: usize, tuple: fn(&mut
         table.push(tuple(&mut rng));
     }
     let mut m = IncrementalMiner::from_table(&table);
-    let mut live: Vec<usize> = (0..table.len()).collect();
     assert_incremental_matches(&mut m, &format!("seed {seed} cold"));
 
     for batch in 0..batches {
-        for _ in 0..ops_per_batch {
-            match rng.gen_range(0..10) {
-                0..=4 => {
-                    live.push(m.insert(tuple(&mut rng)));
-                }
-                5..=7 if !live.is_empty() => {
-                    let row = live[rng.gen_range(0..live.len())];
-                    assert!(m.update(row, tuple(&mut rng)));
-                }
-                _ if !live.is_empty() => {
-                    let i = rng.gen_range(0..live.len());
-                    let row = live.swap_remove(i);
-                    assert!(m.delete(row));
-                }
-                _ => {
-                    live.push(m.insert(tuple(&mut rng)));
-                }
-            }
+        for _ in 0..rows_per_batch {
+            m.insert(tuple(&mut rng));
         }
         assert_incremental_matches(&mut m, &format!("seed {seed} batch {batch}"));
     }
@@ -149,10 +136,10 @@ fn run_dml_trace(seed: u64, batches: usize, ops_per_batch: usize, tuple: fn(&mut
 #[test]
 fn incremental_matches_scratch_after_every_batch() {
     for seed in [3, 17, 92] {
-        run_dml_trace(seed, 6, 12, random_tuple);
+        run_insert_trace(seed, 6, 12, random_tuple);
     }
     for seed in [5, 41] {
-        run_dml_trace(seed, 6, 12, planted_tuple);
+        run_insert_trace(seed, 6, 12, planted_tuple);
     }
 }
 
@@ -167,17 +154,8 @@ fn reconcile_audits_never_diverge() {
         &[],
     );
     let mut m = IncrementalMiner::new(schema).with_reconcile_every(1);
-    let mut live = Vec::new();
     for step in 0..30 {
-        if live.is_empty() || rng.gen_bool(0.6) {
-            live.push(m.insert(random_tuple(&mut rng)));
-        } else if rng.gen_bool(0.5) {
-            let row = live[rng.gen_range(0..live.len())];
-            m.update(row, random_tuple(&mut rng));
-        } else {
-            let i = rng.gen_range(0..live.len());
-            m.delete(live.swap_remove(i));
-        }
+        m.insert(random_tuple(&mut rng));
         let _ = m.report("t", MAX_LHS, DEFAULT_CACHE_BUDGET);
         assert_eq!(m.deltas_applied(), step + 1);
     }
