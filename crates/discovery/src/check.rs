@@ -606,7 +606,7 @@ enum ProbeStrategy {
 /// Footprints whose pair bound is large are indexed on first probe
 /// (`adult`: three footprints serve all 58 probed candidates). Small
 /// jobs are scanned directly and only earn an index after
-/// [`ADMIT_AFTER`] probes, so one-shot footprints — the common case on
+/// `ADMIT_AFTER` probes, so one-shot footprints — the common case on
 /// wide tables where most candidate LHSs are entirely nullable — never
 /// pay a build. Counted under `discovery.check.probe_index.{hits,
 /// direct}`; [`ProbeIndex::new`] counts the builds
@@ -722,6 +722,7 @@ impl ProbeCache {
 
     /// [`ProbeCache::fd_targets`] as witnesses: for each refuted target,
     /// a weak pair of `x` that disagrees on it.
+    #[cfg(test)]
     pub(crate) fn fd_target_witnesses(
         &self,
         enc: &Encoded,
@@ -1027,18 +1028,6 @@ impl<R: ClassRule> ClassSweep<R> {
             .enumerate()
             .all(|(i, r)| self.row(enc, 0, i == 0, r, &mut refute))
     }
-}
-
-/// Whether two rows of one class — already similar on `X` under
-/// `sem` — refute `a` under `sem`'s class rule.
-pub(crate) fn pair_refutes(enc: &Encoded, sem: Semantics, a: Attr, r: usize, s: usize) -> bool {
-    let one = AttrSet::single(a);
-    // Either rule keeps at most two state words for one target.
-    let mut state = [0u32; 2];
-    with_rule!(sem, |R| {
-        R::open(enc, one, &mut state, r);
-        R::feed(enc, one, &mut state, one, s, |_, _| {}).is_empty()
-    })
 }
 
 /// [`fd_targets_holding`] fused with the partition product, without the

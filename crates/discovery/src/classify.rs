@@ -24,7 +24,7 @@
 //! set projection keeps; small values mean much redundancy eliminated.
 //! Both kinds of FD determine their RHS on equal LHS codes, so the
 //! projection has as many rows as the LHS has distinct code tuples
-//! ([`projection_ratio`]): one counting-sort partition of at most
+//! (`projection_ratio`): one counting-sort partition of at most
 //! `max_lhs` columns per ratio, whatever the RHS's width.
 //!
 //! The minimal FDs of both semantics and the minimal keys come from one

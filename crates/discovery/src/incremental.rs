@@ -1,41 +1,32 @@
-//! Incremental FD/key discovery over a live, mutating instance.
+//! Incremental FD/key discovery over a growing instance.
 //!
 //! The from-scratch miner ([`crate::mine`]) re-walks the whole candidate
 //! lattice per call. Under the serve tier's write traffic that is pure
-//! waste: one admitted row can only *break* FDs/keys that held (it adds
-//! pairs) and one deletion can only *repair* refuted ones (it removes
-//! pairs) — the verdicts of untouched candidates are still good. This
-//! module maintains exactly that: a verdict cache over the explored
-//! candidate frontier, invalidated by a small delta algebra, so a
-//! `MINE` after `k` admissions costs `O(k · touched candidates)` row
-//! work instead of a full lattice re-run.
+//! waste: served tables only grow, and an appended row can only *break*
+//! FDs/keys that held (it adds pairs) — the verdicts of untouched
+//! candidates are still good. This module maintains exactly that: a
+//! verdict cache over the explored candidate frontier, so a `MINE`
+//! after `k` admissions costs `O(k · touched candidates)` row work
+//! instead of a full lattice re-run.
 //!
 //! ## State
 //!
 //! The instance is one [`Table`] — its dictionary-coded columns, the
-//! only copy of its rows, changed by `push` / `set_value` /
-//! `remove_row` — plus an ascending [`RowId`] per row, so a verdict's
-//! witness pair survives other rows' deletions. Every mine call borrows the table's columns
-//! as a transient `O(arity)` [`Encoded`] snapshot; per-column posting
-//! lists (code → ascending rows) are extended in place per insert and
-//! rebuilt from the codes after an update or delete.
+//! only copy of its rows, grown by `push`. A row is named by its index,
+//! which no later insert changes. Every mine call borrows the table's
+//! columns as a transient `O(arity)` [`Encoded`] snapshot; per-column
+//! posting lists (code → ascending rows) are built by the first mine
+//! and extended in place per insert.
 //!
-//! ## Delta algebra
+//! ## Verdicts under appends
 //!
-//! Per delta we record monotone marks: the epoch of the last insert,
-//! and per column the epoch of the last update that changed it.
-//! Verdicts are then validated per candidate:
-//!
-//! * **Holding** `X → A` (epoch `e`): still holds iff no insert since
-//!   `e` and no update touched a column of `X ∪ {A}` since `e`.
-//!   Deletions never break a holding FD/key — removing rows removes
-//!   violating pairs only.
-//! * **Refuted** `X → A` with witness pair `(r, s)`: still refuted iff
-//!   the two rows are live and *still violate* — a single violating
-//!   pair refutes regardless of every other row, so the witness
-//!   re-check is `O(|X|)` code comparisons (code 0 is ⊥; within one
-//!   table code equality is value equality), no scan. Inserts can
-//!   never un-refute.
+//! * **Holding** `X → A` is stamped with the row count it was checked
+//!   at, and is still valid iff no row was appended since. Otherwise
+//!   only the pairs with a row of `stamp..len` are new, so only those
+//!   are checked.
+//! * **Refuted** `X → A` is final: a single violating pair refutes
+//!   regardless of every other row, and appends neither change nor
+//!   remove a row. No witness is kept.
 //!
 //! ## One walk, one split
 //!
@@ -47,7 +38,8 @@
 //! verdicts and the same LHS-counted projection ratios. So the output
 //! is byte-identical to [`mine_report`] by construction, not by
 //! accident; the `incremental_matches_scratch` differential property
-//! pins this across all four semantics, random DML, and thread counts.
+//! pins this across all four semantics, random insert traces, and
+//! thread counts.
 //!
 //! ## Reconcile policy
 //!
@@ -60,8 +52,8 @@
 //! [`mine_report`]: crate::classify::mine_report
 
 use crate::check::{
-    fd_targets_witnessed, is_pkey, null_semantics, pair_refutes, with_rule, ClassSweep, ProbeCache,
-    Semantics,
+    certain_reflexive_holds_cached, fd_targets_holding, is_pkey, null_semantics, with_rule,
+    ClassSweep, ProbeCache, Semantics,
 };
 use crate::classify::{projection_ratio, render_report, split, Classification};
 use crate::mine::{Lattice, MinedFd, MinedKeys, Store, Walk};
@@ -71,28 +63,35 @@ use sqlnf_model::schema::TableSchema;
 use sqlnf_model::table::Table;
 use sqlnf_model::tuple::Tuple;
 use std::collections::HashMap;
-use std::rc::Rc;
-
-/// Stable identifier of a row; never invalidated by other rows'
-/// deletions.
-pub type RowId = usize;
+use std::ops::Range;
 
 /// A cached yes/no verdict about one candidate attribute set.
 #[derive(Debug, Clone, Copy)]
 enum Verdict {
-    /// Established at the given delta epoch.
-    Holds(u64),
-    /// Refuted by the (live) witness pair.
-    Fails(RowId, RowId),
+    /// Holds on the first `n` rows.
+    Holds(usize),
+    /// Refuted; no append un-refutes it.
+    Fails,
+}
+
+impl Verdict {
+    /// The verdict of a check over the first `rows` rows.
+    fn of(holds: bool, rows: usize) -> Verdict {
+        if holds {
+            Verdict::Holds(rows)
+        } else {
+            Verdict::Fails
+        }
+    }
 }
 
 /// Per-candidate FD verdicts, one entry per target attribute.
 #[derive(Debug, Default)]
 struct FdVerdict {
-    /// Targets known to hold, with the epoch that established it.
-    holding: Vec<(Attr, u64)>,
-    /// Targets known refuted, with a witness pair.
-    refuted: Vec<(Attr, RowId, RowId)>,
+    /// Targets known to hold, with the row count they were checked at.
+    holding: Vec<(Attr, usize)>,
+    /// Targets known refuted.
+    refuted: AttrSet,
 }
 
 /// Per-candidate key verdicts.
@@ -114,44 +113,9 @@ struct Caches {
     refl: HashMap<AttrSet, Verdict>,
 }
 
-/// Snapshot of the delta marks a replay validates against.
-#[derive(Clone, Copy)]
-struct Marks<'a> {
-    insert: u64,
-    cols: &'a [u64],
-}
-
-impl Marks<'_> {
-    /// Whether a holding verdict from epoch `at` over columns `cols`
-    /// survived every delta since: no insert, and no update touching
-    /// the columns.
-    fn holding_valid(&self, at: u64, cols: AttrSet) -> bool {
-        at >= self.insert && cols.iter().all(|c| at >= self.cols[c.index()])
-    }
-
-    /// Whether a holding verdict from epoch `at` is invalid *only*
-    /// because of inserts — no update has touched `cols` since. Such a
-    /// verdict still covers every pair of pre-delta rows (deletes only
-    /// remove pairs), so it can be re-validated against just the rows
-    /// inserted after `at` instead of rechecking the whole candidate.
-    fn only_inserts_since(&self, at: u64, cols: AttrSet) -> bool {
-        at < self.insert && cols.iter().all(|c| at >= self.cols[c.index()])
-    }
-}
-
 /// Per column: code → ascending rows carrying it (code 0 = the
 /// column's ⊥ rows).
 type Postings = Vec<Vec<Vec<usize>>>;
-
-/// The position of stable id `id` in the ascending `ids`, if live.
-/// Ids are handed out densely and only deletes open gaps, so without
-/// deletes id `i` sits at position `i`: one probe, no search.
-fn row_of(ids: &[RowId], id: RowId) -> Option<usize> {
-    if ids.get(id) == Some(&id) {
-        return Some(id);
-    }
-    ids.binary_search(&id).ok()
-}
 
 fn postings_of(enc: &Encoded, arity: usize) -> Postings {
     (0..arity)
@@ -166,38 +130,25 @@ fn postings_of(enc: &Encoded, arity: usize) -> Postings {
         .collect()
 }
 
-/// Incrementally-maintained discovery state for one table.
+/// Incrementally-maintained discovery state for one growing table.
 ///
-/// Feed it the same row stream the table sees ([`insert`],
-/// [`update`], [`delete`]); ask for mined FDs, keys or the full `MINE`
-/// report at any point. Reports are byte-identical to [`mine_report`]
-/// over the current rows.
+/// Feed it the rows the table admits ([`insert`]); ask for mined FDs,
+/// keys or the full `MINE` report at any point. Reports are
+/// byte-identical to [`mine_report`] over the current rows.
 ///
 /// [`insert`]: IncrementalMiner::insert
-/// [`update`]: IncrementalMiner::update
-/// [`delete`]: IncrementalMiner::delete
 /// [`mine_report`]: crate::classify::mine_report
 pub struct IncrementalMiner {
-    /// The live rows and their dictionary codes.
+    /// The rows and their dictionary codes.
     table: Table,
-    /// `ids[i]` is the stable id of table row `i`; strictly ascending.
-    ids: Vec<RowId>,
-    next_id: RowId,
-    /// Monotone delta counter; bumped once per applied delta.
-    epoch: u64,
-    last_insert: u64,
-    /// Per column: epoch of the last update that changed it.
-    col_updated: Vec<u64>,
+    /// Rows inserted since construction.
+    deltas: u64,
     caches: Caches,
-    /// Posting lists over the table rows, kept warm across inserts and
-    /// dropped on update/delete (row indices shift or codes move). The
-    /// delta re-validation sweeps scan only the sparsest matching list
-    /// instead of the whole instance.
+    /// Posting lists over the table rows, built by the first mine and
+    /// extended by every insert after it. The delta re-validation
+    /// sweeps scan only the sparsest matching list instead of the
+    /// whole instance.
     postings: Option<Postings>,
-    /// `(epoch, id)` of every insert, ascending in both — the rows a
-    /// verdict from epoch `e` has never seen are exactly the live
-    /// entries after the `partition_point` of `e`.
-    insert_log: Vec<(u64, RowId)>,
     deltas_since_reconcile: u64,
     reconcile_every: Option<u64>,
 }
@@ -208,8 +159,8 @@ impl IncrementalMiner {
         IncrementalMiner::seeded(Table::new(schema))
     }
 
-    /// Seeds the maintained instance from an existing table; rows get
-    /// [`RowId`]s `0..len` in table order.
+    /// Seeds the maintained instance from an existing table, its rows
+    /// in table order.
     pub fn from_table(table: &Table) -> IncrementalMiner {
         IncrementalMiner::seeded(table.clone())
     }
@@ -220,17 +171,11 @@ impl IncrementalMiner {
     }
 
     fn seeded(table: Table) -> IncrementalMiner {
-        let (rows, arity) = (table.len(), table.schema().arity());
         IncrementalMiner {
             table,
-            ids: (0..rows).collect(),
-            next_id: rows,
-            epoch: 0,
-            last_insert: 0,
-            col_updated: vec![0; arity],
+            deltas: 0,
             caches: Caches::default(),
             postings: None,
-            insert_log: Vec::new(),
             deltas_since_reconcile: 0,
             reconcile_every: None,
         }
@@ -248,36 +193,33 @@ impl IncrementalMiner {
         self.table.schema()
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.table.len()
     }
 
-    /// Whether no live rows remain.
+    /// Whether there are no rows.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
 
     /// Deltas applied since construction.
     pub fn deltas_applied(&self) -> u64 {
-        self.epoch
+        self.deltas
     }
 
-    /// A copy of the live rows, in [`RowId`] order. This is what every
-    /// report mines; its row multiset always equals the table the
-    /// deltas were mirrored from (row *order* is irrelevant to every
-    /// mined artifact).
+    /// A copy of the rows, in insertion order. This is what every
+    /// report mines.
     pub fn table(&self) -> Table {
         self.table.clone()
     }
 
-    /// Appends a row, returning its stable id.
-    pub fn insert(&mut self, tuple: Tuple) -> RowId {
+    /// Appends a row, returning its index.
+    pub fn insert(&mut self, tuple: Tuple) -> usize {
         let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        self.begin_delta();
-        self.last_insert = self.epoch;
-        let id = self.next_id;
-        self.next_id += 1;
+        sqlnf_obs::count!("discovery.incr.deltas");
+        self.deltas += 1;
+        self.deltas_since_reconcile += 1;
         self.table.push(tuple);
         let row = self.table.len() - 1;
         if let Some(postings) = self.postings.as_mut() {
@@ -289,58 +231,15 @@ impl IncrementalMiner {
                 lists[code].push(row);
             }
         }
-        self.ids.push(id);
-        self.insert_log.push((self.epoch, id));
-        id
-    }
-
-    /// Replaces a live row; returns `false` (and applies nothing) if
-    /// the id is dead or unknown. Only columns whose value actually
-    /// changed are marked dirty.
-    pub fn update(&mut self, id: RowId, tuple: Tuple) -> bool {
-        let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        let Some(row) = row_of(&self.ids, id) else {
-            return false;
-        };
-        let old = self.table.row_ref(row);
-        let changed: AttrSet = (0..self.schema().arity())
-            .map(Attr::from)
-            .filter(|&a| old.get(a) != tuple.get(a))
-            .collect();
-        self.begin_delta();
-        for a in changed {
-            self.col_updated[a.index()] = self.epoch;
-            self.table.set_value(row, a, tuple.get(a).clone());
-            self.postings = None;
-        }
-        true
-    }
-
-    /// Removes a live row; returns `false` if it was not live.
-    pub fn delete(&mut self, id: RowId) -> bool {
-        let _apply = sqlnf_obs::span!("discovery.incr.apply");
-        let Some(row) = row_of(&self.ids, id) else {
-            return false;
-        };
-        self.table.remove_row(row);
-        self.ids.remove(row);
-        self.postings = None;
-        self.begin_delta();
-        true
-    }
-
-    fn begin_delta(&mut self) {
-        sqlnf_obs::count!("discovery.incr.deltas");
-        self.epoch += 1;
-        self.deltas_since_reconcile += 1;
+        row
     }
 
     /// Runs one replay over a transient snapshot of the table: builds
-    /// the postings if a delta dropped them, hands `run` the per-call
-    /// state, the verdict caches and the rows, and charges the
-    /// candidates it touched. The snapshot is dropped before
-    /// returning, so the next insert finds the table's columns
-    /// unshared and extends them in place.
+    /// the postings on the first call, hands `run` the per-call state,
+    /// the verdict caches and the rows, and charges the candidates it
+    /// touched. The snapshot is dropped before returning, so the next
+    /// insert finds the table's columns unshared and extends them in
+    /// place.
     fn with_pass<T>(
         &mut self,
         nulls: NullSemantics,
@@ -357,15 +256,7 @@ impl IncrementalMiner {
             store: Store::new(arity, nulls, cache_budget),
             scratch: ProductScratch::for_encoded(&enc),
             probes: ProbeCache::new(&enc),
-            ids: &self.ids,
-            log: &self.insert_log,
             postings,
-            marks: Marks {
-                insert: self.last_insert,
-                cols: &self.col_updated,
-            },
-            now: self.epoch,
-            delta_memo: None,
             touched: 0,
         };
         let out = run(&mut pass, &mut self.caches);
@@ -401,7 +292,7 @@ impl IncrementalMiner {
         })
     }
 
-    /// The report's lattice over the live rows — minimal possible and
+    /// The report's lattice over the rows — minimal possible and
     /// certain FDs and keys — identical to `report_lattice` over
     /// [`IncrementalMiner::table`].
     pub fn lattice(&mut self, max_lhs: usize, cache_budget: usize) -> Lattice {
@@ -429,7 +320,7 @@ impl IncrementalMiner {
         })
     }
 
-    /// The `MINE` report over the live rows, byte-identical to
+    /// The `MINE` report over the rows, byte-identical to
     /// [`mine_report`](crate::classify::mine_report) over
     /// [`IncrementalMiner::table`]. When the reconcile threshold is
     /// armed and tripped, also runs the full from-scratch pipeline and
@@ -458,7 +349,7 @@ impl IncrementalMiner {
         assert_eq!(
             incr, full,
             "incremental reconcile mismatch on {name} after {} deltas",
-            self.epoch
+            self.deltas
         );
         self.deltas_since_reconcile = 0;
         incr
@@ -466,8 +357,8 @@ impl IncrementalMiner {
 }
 
 /// The state of one replay: the snapshot and every structure the
-/// verdict checks consult, plus the running per-call counters. Rows
-/// are table rows of the snapshot; witnesses are stored as [`RowId`]s.
+/// verdict checks consult, plus the running per-call counters. Its
+/// row count is the stamp fresh verdicts carry.
 struct Pass<'a> {
     enc: &'a Encoded,
     /// The replay's partitions, built on demand and retired level by
@@ -475,85 +366,12 @@ struct Pass<'a> {
     store: Store,
     scratch: ProductScratch,
     probes: ProbeCache,
-    ids: &'a [RowId],
-    log: &'a [(u64, RowId)],
     postings: &'a Postings,
-    marks: Marks<'a>,
-    /// The epoch fresh verdicts are stamped with.
-    now: u64,
-    /// The rows inserted after some epoch, for the last epoch asked:
-    /// within one replay most stale verdicts share the epoch of the
-    /// previous mine, so the set is computed once, not per candidate.
-    delta_memo: Option<(u64, Rc<[usize]>)>,
     /// Candidates that needed row work (`discovery.incr.candidates_touched`).
     touched: usize,
 }
 
 impl Pass<'_> {
-    /// The rows (ascending) inserted after `since` and still live —
-    /// the only rows that can carry a pair unseen by a verdict stamped
-    /// at `since`.
-    fn delta_since(&mut self, since: u64) -> Rc<[usize]> {
-        match &self.delta_memo {
-            Some((at, rows)) if *at == since => Rc::clone(rows),
-            _ => {
-                let start = self.log.partition_point(|&(e, _)| e <= since);
-                let rows: Rc<[usize]> = self.log[start..]
-                    .iter()
-                    .filter_map(|&(_, id)| row_of(self.ids, id))
-                    .collect();
-                self.delta_memo = Some((since, Rc::clone(&rows)));
-                rows
-            }
-        }
-    }
-
-    /// The table rows of a witness pair, if both are still live.
-    fn live_pair(&self, r: RowId, s: RowId) -> Option<(usize, usize)> {
-        Some((row_of(self.ids, r)?, row_of(self.ids, s)?))
-    }
-
-    /// LHS-similarity of two rows under the mining semantics:
-    /// syntactic equality (⊥ = ⊥) classically, strong similarity for
-    /// possible FDs and p-keys, weak similarity for certain FDs and
-    /// c-keys. Weak FDs only ever constrain `X`-total pairs (an
-    /// `X`-incomplete row is completed apart with fresh values), so
-    /// their pair notion is strong similarity too.
-    fn similar(&self, r: usize, s: usize, x: AttrSet, sem: Semantics) -> bool {
-        let e = self.enc;
-        match sem {
-            Semantics::Classical => e.equal_on(r, s, x),
-            Semantics::Possible | Semantics::Weak => e.is_total_on(r, x) && e.equal_on(r, s, x),
-            Semantics::Certain => e.weakly_similar(r, s, x),
-        }
-    }
-
-    /// Whether the witness pair still violates `X → A` (rows live and
-    /// similar on `X` per `sem`, refuting `a` under `sem`'s class
-    /// rule). Purely semantic: any live violating pair refutes,
-    /// whatever its history.
-    fn pair_violates_fd(&self, r: RowId, s: RowId, x: AttrSet, a: Attr, sem: Semantics) -> bool {
-        let Some((r, s)) = self.live_pair(r, s) else {
-            return false;
-        };
-        self.similar(r, s, x, sem) && pair_refutes(self.enc, sem, a, r, s)
-    }
-
-    /// Whether a witness pair still refutes `X` as a key: possible keys
-    /// fall to a strongly-similar pair, certain keys to a weakly-similar
-    /// one.
-    fn pair_violates_key(&self, r: RowId, s: RowId, x: AttrSet, sem: Semantics) -> bool {
-        self.live_pair(r, s)
-            .is_some_and(|(r, s)| self.similar(r, s, x, sem))
-    }
-
-    /// Whether a witness pair still refutes totality `X →_w X`: weakly
-    /// similar on `X` but not syntactically equal on it.
-    fn pair_violates_reflexive(&self, r: RowId, s: RowId, x: AttrSet) -> bool {
-        self.live_pair(r, s)
-            .is_some_and(|(r, s)| self.enc.weakly_similar(r, s, x) && !self.enc.equal_on(r, s, x))
-    }
-
     /// The rows of column `a` carrying `code`.
     fn posting(&self, a: Attr, code: u32) -> &[usize] {
         self.postings[a.index()]
@@ -561,21 +379,20 @@ impl Pass<'_> {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Groups `delta` by its code vector on `x` (⊥ is code 0), in key
-    /// order: equal projections have identical partner sets, so they
-    /// share one probe. Under `Possible` and `Weak`, x-incomplete rows
-    /// are dropped — ⊥ is strongly similar to nothing, and the weak
-    /// completion isolates such rows with fresh values.
+    /// Groups the `delta` rows by their code vector on `x` (⊥ is code
+    /// 0), in key order: equal projections have identical partner
+    /// sets, so they share one probe. Under `Possible` and `Weak`,
+    /// x-incomplete rows are dropped — ⊥ is strongly similar to
+    /// nothing, and the weak completion isolates such rows with fresh
+    /// values.
     fn delta_groups(
         &self,
-        delta: &[usize],
+        delta: Range<usize>,
         x: AttrSet,
         sem: Semantics,
     ) -> Vec<(Vec<u32>, Vec<usize>)> {
         let key = |r: usize| x.iter().map(move |a| self.enc.code(r, a));
         let mut rows: Vec<usize> = delta
-            .iter()
-            .copied()
             .filter(|&r| {
                 !matches!(sem, Semantics::Possible | Semantics::Weak) || self.enc.is_total_on(r, x)
             })
@@ -591,7 +408,6 @@ impl Pass<'_> {
         }
         groups
     }
-
     /// Visits every row `sem`-similar on `x` to the projection `kv`
     /// (carried by delta row `r0`), charging each visit to `scanned`.
     /// Stops — returning `false` — when `f` does. The visited rows
@@ -666,8 +482,8 @@ impl Pass<'_> {
     }
 
     /// Visits every `sem`-similar pair `(r, s)` with `r` drawn from
-    /// `delta` — exactly the pairs that a verdict predating the delta
-    /// rows has never seen. Calls `f` for each; stops early — and
+    /// `delta` — exactly the pairs that a verdict stamped before the
+    /// delta rows has never seen. Calls `f` for each; stops early — and
     /// returns `false` — when `f` returns `false`. A pair with both
     /// rows in `delta` may be visited in both orientations; callers
     /// hunt for a single violation, so the duplicate is harmless. Rows
@@ -675,7 +491,7 @@ impl Pass<'_> {
     /// every other check path.
     fn for_each_delta_pair(
         &self,
-        delta: &[usize],
+        delta: Range<usize>,
         x: AttrSet,
         sem: Semantics,
         mut f: impl FnMut(usize, usize) -> bool,
@@ -689,7 +505,7 @@ impl Pass<'_> {
             // first pair, so the scan is O(1) in practice.
             let mut scanned = 0usize;
             let mut complete = true;
-            'empty: for &r in delta {
+            'empty: for r in delta {
                 for s in 0..self.enc.rows() {
                     scanned += 1;
                     if r != s && !f(r, s) {
@@ -717,11 +533,9 @@ impl Pass<'_> {
     }
 
     /// Re-validates previously-holding targets of `X → ·` against only
-    /// the delta-involved pairs. Returns the surviving targets; each
-    /// refuted one is appended to `refuted` with a live witness pair.
-    /// Sound because deletes only remove pairs and the caller has
-    /// checked that no update touched `X` or a target since the
-    /// verdicts were stamped.
+    /// the pairs with a `delta` row, and returns the surviving targets.
+    /// Sound because the verdicts covered every pair of the rows before
+    /// `delta`, and appends change none of them.
     ///
     /// The delta rows' classes go through the class kernel. On `∅`
     /// every pair is similar, so the whole instance is one class. Else
@@ -730,28 +544,27 @@ impl Pass<'_> {
     /// of them is similar to all.
     fn delta_targets_surviving(
         &self,
-        delta: &[usize],
+        delta: Range<usize>,
         x: AttrSet,
         targets: AttrSet,
         sem: Semantics,
-        refuted: &mut Vec<(Attr, RowId, RowId)>,
     ) -> AttrSet {
         if delta.is_empty() {
             return targets;
         }
-        let (enc, ids) = (self.enc, self.ids);
-        let mut refute = |a, r, s| refuted.push((a, ids[r], ids[s]));
+        let enc = self.enc;
+        let refute = |_, _, _| {};
         let mut scanned = 0usize;
         let holding = with_rule!(sem, |R| {
             let mut sweep = ClassSweep::<R>::new(targets);
             if x.is_empty() {
-                sweep.class(enc, (0..enc.rows()).inspect(|_| scanned += 1), &mut refute);
+                sweep.class(enc, (0..enc.rows()).inspect(|_| scanned += 1), refute);
             } else {
                 scanned += delta.len();
                 for (kv, group) in self.delta_groups(delta, x, sem) {
-                    let live = sweep.class(enc, group.iter().copied(), &mut refute)
+                    let live = sweep.class(enc, group.iter().copied(), refute)
                         && self.for_each_partner(x, &kv, group[0], sem, &mut scanned, |s| {
-                            sweep.row(enc, 0, false, s, &mut refute)
+                            sweep.row(enc, 0, false, s, refute)
                         });
                     if !live {
                         break;
@@ -763,29 +576,6 @@ impl Pass<'_> {
         sqlnf_obs::count!("discovery.partition.rows_scanned", scanned);
         holding
     }
-
-    /// The first delta-involved pair similar on `x` under `sem` that
-    /// `keep` rejects, as stable ids — the witness that kills a stale
-    /// key or totality verdict. `None` means the verdict survived the
-    /// delta.
-    fn first_delta_pair(
-        &self,
-        delta: &[usize],
-        x: AttrSet,
-        sem: Semantics,
-        keep: impl Fn(usize, usize) -> bool,
-    ) -> Option<(RowId, RowId)> {
-        let mut witness = None;
-        self.for_each_delta_pair(delta, x, sem, |r, s| {
-            if keep(r, s) {
-                return true;
-            }
-            witness = Some((self.ids[r], self.ids[s]));
-            false
-        });
-        witness
-    }
-
     /// Drives `walk` against the verdict caches: each candidate's open
     /// targets are settled per plane (the swept semantics', then the
     /// certain ones) and its open key flags from the key verdicts, so
@@ -814,10 +604,9 @@ impl Pass<'_> {
     }
 
     /// The `targets` of `X → ·` that hold under `sem`, from the verdict
-    /// cache where the delta marks leave a verdict valid: a holding
-    /// one stale only by inserts is re-validated against the inserted
-    /// rows' pairs, a refuted one whose witness pair still violates
-    /// stays refuted, and the rest are checked on `X`'s partition.
+    /// cache: a refuted target stays refuted, a holding one stale by
+    /// appends is re-validated against the appended rows' pairs, and
+    /// the rest are checked on `X`'s partition.
     fn fd_targets(
         &mut self,
         cache: &mut HashMap<AttrSet, FdVerdict>,
@@ -828,112 +617,78 @@ impl Pass<'_> {
         if targets.is_empty() {
             return targets;
         }
-        let now = self.now;
+        let now = self.enc.rows();
         let v = cache.entry(x).or_default();
         let mut holding = AttrSet::EMPTY;
         let mut stale = AttrSet::EMPTY;
-        let mut stale_since = u64::MAX;
+        let mut stale_since = now;
         let mut unknown = AttrSet::EMPTY;
-        for a in targets {
-            let cols = x | AttrSet::single(a);
-            if let Some(&(_, at)) = v.holding.iter().find(|&&(b, _)| b == a) {
-                if self.marks.holding_valid(at, cols) {
+        for a in targets - v.refuted {
+            match v.holding.iter().find(|&&(b, _)| b == a) {
+                Some(&(_, at)) if at == now => {
                     holding.insert(a);
-                    continue;
                 }
-                if self.marks.only_inserts_since(at, cols) {
+                Some(&(_, at)) => {
                     stale.insert(a);
                     stale_since = stale_since.min(at);
-                    continue;
+                }
+                None => {
+                    unknown.insert(a);
                 }
             }
-            if let Some(&(_, r, s)) = v.refuted.iter().find(|&&(b, _, _)| b == a) {
-                if self.pair_violates_fd(r, s, x, a, sem) {
-                    continue; // still refuted, witness intact
-                }
-            }
-            unknown.insert(a);
         }
         if !stale.is_empty() {
-            // Held before the delta, and only inserts happened
-            // since: check the inserted rows' pairs instead of
-            // rechecking the whole candidate.
+            // Held on the first `stale_since` rows: check the pairs of
+            // the rows appended since instead of rechecking the whole
+            // candidate.
             self.touched += 1;
-            let delta = self.delta_since(stale_since);
-            let mut fresh = Vec::new();
-            let survive = self.delta_targets_surviving(&delta, x, stale, sem, &mut fresh);
-            for a in survive {
-                holding.insert(a);
-                if let Some(entry) = v.holding.iter_mut().find(|(b, _)| *b == a) {
-                    entry.1 = now;
+            let survive = self.delta_targets_surviving(stale_since..now, x, stale, sem);
+            holding |= survive;
+            v.refuted |= stale - survive;
+            v.holding.retain(|&(b, _)| !(stale - survive).contains(b));
+            for (b, at) in &mut v.holding {
+                if survive.contains(*b) {
+                    *at = now;
                 }
-            }
-            for (a, r, s) in fresh {
-                v.holding.retain(|&(b, _)| b != a);
-                v.refuted.retain(|&(b, _, _)| b != a);
-                v.refuted.push((a, r, s));
             }
         }
         if !unknown.is_empty() {
             self.touched += 1;
             let p = self.store.partition(self.enc, x, &mut self.scratch);
-            let ids = self.ids;
-            let mut fresh = Vec::new();
-            let held = fd_targets_witnessed(
-                self.enc,
-                x,
-                &p,
-                unknown,
-                sem,
-                Some(&self.probes),
-                |a, r, s| fresh.push((a, ids[r], ids[s])),
-            );
+            let held = fd_targets_holding(self.enc, x, &p, unknown, sem, Some(&self.probes));
             holding |= held;
-            // Record fresh verdicts: held targets stamped at the
-            // current epoch, refuted ones with their witnesses.
-            v.refuted.retain(|&(b, _, _)| !unknown.contains(b));
-            v.holding.retain(|&(b, _)| !(unknown - held).contains(b));
-            for a in held {
-                match v.holding.iter_mut().find(|(b, _)| *b == a) {
-                    Some(entry) => entry.1 = now,
-                    None => v.holding.push((a, now)),
-                }
-            }
-            debug_assert_eq!(fresh.len(), (unknown - held).len());
-            v.refuted.extend(fresh);
+            v.holding.extend(held.iter().map(|a| (a, now)));
+            v.refuted |= unknown - held;
         }
         holding
     }
 
     /// A cached key verdict of `x` under `sem` (`Possible` for p-keys,
-    /// `Certain` for c-keys), if the delta marks leave it decidable
-    /// without a full check: a holding verdict stale only by inserts
-    /// is re-validated against the inserted rows' pairs.
+    /// `Certain` for c-keys), if there is one: a holding verdict stale
+    /// by appends is re-validated against the appended rows' pairs.
     fn key_known(
         &mut self,
         slot: &mut Option<Verdict>,
         x: AttrSet,
         sem: Semantics,
     ) -> Option<bool> {
-        match *slot {
-            Some(Verdict::Holds(at)) if self.marks.holding_valid(at, x) => Some(true),
-            Some(Verdict::Holds(at)) if self.marks.only_inserts_since(at, x) => {
+        let now = self.enc.rows();
+        match (*slot)? {
+            Verdict::Fails => Some(false),
+            Verdict::Holds(at) if at == now => Some(true),
+            Verdict::Holds(at) => {
                 // A key dies only to a *new* similar pair; probe the
-                // inserted rows instead of rechecking the candidate.
+                // appended rows instead of rechecking the candidate.
                 self.touched += 1;
-                let delta = self.delta_since(at);
-                let witness = self.first_delta_pair(&delta, x, sem, |_, _| false);
-                *slot =
-                    Some(witness.map_or(Verdict::Holds(self.now), |(r, s)| Verdict::Fails(r, s)));
-                Some(witness.is_none())
+                let holds = self.for_each_delta_pair(at..now, x, sem, |_, _| false);
+                *slot = Some(Verdict::of(holds, now));
+                Some(holds)
             }
-            Some(Verdict::Fails(r, s)) if self.pair_violates_key(r, s, x, sem) => Some(false),
-            _ => None,
         }
     }
 
-    /// Cached p-key/c-key status of `x`, rechecking only what the delta
-    /// marks invalidated.
+    /// Cached p-key/c-key status of `x`, checking only what the cache
+    /// cannot answer.
     fn key_status(&mut self, cache: &mut HashMap<AttrSet, KeyVerdict>, x: AttrSet) -> (bool, bool) {
         let v = cache.entry(x).or_default();
         let p_known = self.key_known(&mut v.p, x, Semantics::Possible);
@@ -942,28 +697,19 @@ impl Pass<'_> {
             return (p, c);
         }
         self.touched += 1;
-        let (now, ids) = (self.now, self.ids);
+        let now = self.enc.rows();
         let strong = self.store.partition(self.enc, x, &mut self.scratch);
         let p_is = p_known.unwrap_or_else(|| {
             let holds = is_pkey(&strong);
-            v.p = Some(if holds {
-                Verdict::Holds(now)
-            } else {
-                let c = &strong.classes[0];
-                Verdict::Fails(ids[c[0] as usize], ids[c[1] as usize])
-            });
+            v.p = Some(Verdict::of(holds, now));
             holds
         });
         let c_is = c_known.unwrap_or_else(|| {
-            // is_ckey with witness extraction: a strong pair is
-            // already a weak violation; else the sweep's first weak pair.
-            let witness = match strong.classes.first() {
-                Some(c) => Some((c[0] as usize, c[1] as usize)),
-                None => self.probes.first_weak_pair(self.enc, x),
-            };
-            v.c =
-                Some(witness.map_or(Verdict::Holds(now), |(r, s)| Verdict::Fails(ids[r], ids[s])));
-            witness.is_none()
+            // A strong pair is already a weak violation; else the
+            // sweep looks for a weak pair.
+            let holds = strong.is_empty() && self.probes.first_weak_pair(self.enc, x).is_none();
+            v.c = Some(Verdict::of(holds, now));
+            holds
         });
         (p_is, c_is)
     }
@@ -971,30 +717,23 @@ impl Pass<'_> {
     /// Cached totality check `X →_w X` (Definition 9).
     fn reflexive(&mut self, cache: &mut HashMap<AttrSet, Verdict>, x: AttrSet) -> bool {
         let enc = self.enc;
-        let unequal = |r: usize, s: usize| !enc.equal_on(r, s, x);
-        let witness = match cache.get(&x) {
-            Some(&Verdict::Holds(at)) if self.marks.holding_valid(at, x) => return true,
-            Some(&Verdict::Fails(r, s)) if self.pair_violates_reflexive(r, s, x) => return false,
-            Some(&Verdict::Holds(at)) if self.marks.only_inserts_since(at, x) => {
+        let now = enc.rows();
+        let holds = match cache.get(&x) {
+            Some(&Verdict::Fails) => return false,
+            Some(&Verdict::Holds(at)) if at == now => return true,
+            Some(&Verdict::Holds(at)) => {
                 self.touched += 1;
-                let delta = self.delta_since(at);
-                self.first_delta_pair(&delta, x, Semantics::Certain, |r, s| !unequal(r, s))
+                self.for_each_delta_pair(at..now, x, Semantics::Certain, |r, s| {
+                    enc.equal_on(r, s, x)
+                })
             }
-            _ => {
-                // A weak pair that disagrees on some column of `x`: one
-                // of its nullable footprint, as `certain_reflexive_holds`
-                // proves.
+            None => {
                 self.touched += 1;
-                let footprint = x & enc.nullable_columns();
-                let refuted = self.probes.fd_target_witnesses(enc, x, footprint);
-                refuted.first().map(|&(_, r, s)| (self.ids[r], self.ids[s]))
+                certain_reflexive_holds_cached(enc, &self.probes, x)
             }
         };
-        cache.insert(
-            x,
-            witness.map_or(Verdict::Holds(self.now), |(r, s)| Verdict::Fails(r, s)),
-        );
-        witness.is_none()
+        cache.insert(x, Verdict::of(holds, now));
+        holds
     }
 }
 
@@ -1057,42 +796,6 @@ mod tests {
         // a → b held; this insert breaks it.
         m.insert(tuple![1i64, 99i64, "z"]);
         assert_matches_scratch(&mut m, 3);
-    }
-
-    #[test]
-    fn deletes_can_unrefute() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        assert_matches_scratch(&mut m, 3);
-        // Deleting row 1 removes the (a,b) → c violation witness.
-        m.delete(1);
-        assert_matches_scratch(&mut m, 3);
-        // And deleting everything leaves the vacuous instance.
-        for r in [0, 2, 3] {
-            m.delete(r);
-        }
-        assert_matches_scratch(&mut m, 3);
-    }
-
-    #[test]
-    fn updates_touch_only_changed_columns() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        assert_matches_scratch(&mut m, 3);
-        m.update(2, tuple![2i64, 10i64, null]); // b changed
-        assert_matches_scratch(&mut m, 3);
-        m.update(3, tuple![3i64, null, "x"]); // no-op update
-        assert_matches_scratch(&mut m, 3);
-        m.update(0, tuple![1i64, 10i64, null]); // c nulled
-        assert_matches_scratch(&mut m, 3);
-    }
-
-    #[test]
-    fn dead_slots_reject_mutation() {
-        let mut m = IncrementalMiner::from_table(&sample());
-        assert!(m.delete(1));
-        assert!(!m.delete(1));
-        assert!(!m.update(1, tuple![0i64, 0i64, "q"]));
-        assert!(!m.delete(99));
-        assert_eq!(m.len(), 3);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod prelude {
         mine_report_encoded, render_report, render_semantics_report, report_lattice, report_parts,
         semantics_report, semantics_report_encoded, Classification, Counts, LambdaFd,
     };
-    pub use crate::incremental::{IncrementalMiner, RowId};
+    pub use crate::incremental::IncrementalMiner;
     pub use crate::mine::{
         mine_fds, Lattice, MinedFd, MinedKeys, MinerConfig, MiningResult, Store,
         DEFAULT_CACHE_BUDGET,

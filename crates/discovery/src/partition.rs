@@ -31,7 +31,7 @@
 //! over that code (no hashing, classes come out internally sorted for
 //! free), and [`Partition::for_each_coded_row`] hands the rows to a
 //! check in row order, keyed by it, without building the partition.
-//! Both run while the code space passes the gate of [`RADIX_OVER`].
+//! Both run while the code space passes the gate of `RADIX_OVER`.
 
 use sqlnf_model::attrs::{Attr, AttrSet};
 use sqlnf_model::column::ColData;
@@ -66,7 +66,7 @@ pub struct Encoded {
 impl Encoded {
     /// Borrows a table's columnar encoding — `O(arity)`, no per-row
     /// work. The `discovery.encode.{rows,dict_entries}` counters tick
-    /// at INSERT/UPDATE time in the storage layer; only the (cheap)
+    /// at INSERT time in the storage layer; only the (cheap)
     /// build itself is counted here.
     pub fn new(table: &Table) -> Encoded {
         Encoded::from_snapshot(table.snapshot())
@@ -88,8 +88,9 @@ impl Encoded {
     /// Re-encodes a table from its decoded values with the pre-columnar
     /// algorithm (per-column `HashMap<&Value, u32>`, first-appearance
     /// codes). This is the reference path the differential tests mine
-    /// against: after UPDATE/DELETE the storage's codes may differ
-    /// from a fresh encode (retired entries keep their codes), but
+    /// against: after a point update or a rolled-back tail the
+    /// storage's codes may differ from a fresh encode (retired entries
+    /// keep their codes), but
     /// every mined result must be byte-identical either way.
     pub fn from_table_rows(table: &Table) -> Encoded {
         let _span = sqlnf_obs::span!("discovery.encode");
@@ -147,9 +148,13 @@ impl Encoded {
 
     /// The size of `X`'s mixed-radix code space, `Π (dict_size(a) + 1)`
     /// over its columns, when it passes the counting-sort gate of
-    /// [`RADIX_OVER`]; `None` when `X` is too wide for it. The empty set
-    /// has one code.
+    /// `RADIX_OVER`; `None` when `X` is too wide for it. The empty set
+    /// has one code, and a single column always passes: its slots are
+    /// bounded by its own dictionary, which holds a value per code.
     pub fn code_space(&self, x: AttrSet) -> Option<usize> {
+        if let (Some(a), 1) = (x.first(), x.len()) {
+            return Some(self.dict_size(a) as usize + 1);
+        }
         // The codes are `u32`s, with `u32::MAX` kept free.
         let gate = (RADIX_OVER * self.rows + 1024).min(u32::MAX as usize);
         x.iter().try_fold(1usize, |space, a| {
@@ -384,10 +389,10 @@ impl ProductScratch {
 /// code of `X` keeps one slot per code of its space, `Π (dict + 1)` over
 /// the columns of `X`, so it runs only while that space is at most
 /// `RADIX_OVER · rows + 1024` ([`Encoded::code_space`]): the slots never
-/// dwarf the rows they sort. Past the gate, one column is sorted by a
-/// stable radix pass of `(code, row)` pairs instead (cost `O(rows)` with
-/// a fixed 2¹⁶-bucket pass — the regime where heavy DELETE churn left
-/// the dictionary much larger than the table), several columns are
+/// dwarf the rows they sort. A single column always passes: its 4 B
+/// slots per code are bounded by its dictionary, already resident with
+/// a value per code, and a dictionary outgrows its column only by the
+/// values of rolled-back rows. Past the gate, several columns are
 /// refined one at a time, and the miner builds such a candidate from a
 /// stored prefix.
 const RADIX_OVER: usize = 4;
@@ -400,18 +405,11 @@ impl Partition {
     /// when its first row meets it — so the classes come out in
     /// canonical order, rows ascending, with no hashing and no sort.
     /// Under strong similarity a row with `⊥` in `X` takes code 0, which
-    /// no `X`-total row has, and class 0 is dropped. Past the gate, one
-    /// column takes the radix fallback and several are
-    /// [`Partition::by_set`].
+    /// no `X`-total row has, and class 0 is dropped. Past the gate, `X`
+    /// is [`Partition::by_set`].
     pub fn by_codes(enc: &Encoded, x: AttrSet, sem: NullSemantics) -> Partition {
         let Some(space) = enc.code_space(x) else {
-            return match x.first() {
-                Some(a) if x.len() == 1 => {
-                    Partition::counted_build(enc);
-                    Partition::by_attr_radix(enc.column(a), sem)
-                }
-                _ => Partition::by_set(enc, x, sem),
-            };
+            return Partition::by_set(enc, x, sem);
         };
         if x.is_empty() {
             return Partition::universal(enc.rows());
@@ -451,42 +449,6 @@ impl Partition {
     fn counted_build(enc: &Encoded) {
         sqlnf_obs::count!("discovery.partition.builds");
         sqlnf_obs::count!("discovery.partition.rows_scanned", enc.rows());
-    }
-
-    /// The high-cardinality fallback: stable LSB radix sort of
-    /// `(code, row)` pairs, then a run sweep. Identical output to the
-    /// counting-sort path.
-    fn by_attr_radix(col: &[u32], sem: NullSemantics) -> Partition {
-        let mut pairs: Vec<(u32, u32)> = col
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| !(c == 0 && sem == NullSemantics::Strong))
-            .map(|(r, &c)| (c, r as u32))
-            .collect();
-        let max = pairs.iter().map(|p| p.0).max().unwrap_or(0);
-        let mut tmp = vec![(0u32, 0u32); pairs.len()];
-        radix_pass(&pairs, &mut tmp, 0);
-        if max >= 1 << 16 {
-            radix_pass(&tmp, &mut pairs, 16);
-        } else {
-            pairs.copy_from_slice(&tmp);
-        }
-        // Stability keeps rows ascending within each equal-code run.
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let code = pairs[i].0;
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == code {
-                j += 1;
-            }
-            if j - i >= 2 {
-                classes.push(pairs[i..j].iter().map(|p| p.1).collect());
-            }
-            i = j;
-        }
-        classes.sort_unstable_by_key(|c| c[0]);
-        Partition { classes }
     }
 
     /// The trivial partition over the empty attribute set: one class of
@@ -972,23 +934,6 @@ impl Partition {
     }
 }
 
-/// One stable counting pass over 16 bits of the code.
-fn radix_pass(src: &[(u32, u32)], dst: &mut [(u32, u32)], shift: u32) {
-    const R: usize = 1 << 16;
-    let mut counts = vec![0u32; R + 1];
-    for &(c, _) in src {
-        counts[(((c >> shift) as usize) & (R - 1)) + 1] += 1;
-    }
-    for i in 1..=R {
-        counts[i] += counts[i - 1];
-    }
-    for &p in src {
-        let b = ((p.0 >> shift) as usize) & (R - 1);
-        dst[counts[b] as usize] = p;
-        counts[b] += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,10 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn radix_path_matches_counting_sort() {
-        // Force the radix fallback with a synthetic column whose code
-        // space dwarfs its rows (the post-DELETE-churn regime), and
-        // check it against the counting-sort path on identical codes.
+    fn sparse_column_partitions_match_naive_grouping() {
+        // A synthetic column whose code space dwarfs its rows, as a
+        // dictionary left large by rolled-back rows would: the counting
+        // sort over its codes must agree with a naive grouping.
         let codes = vec![70_000u32, 3, 0, 70_000, 3, 1 << 20, 0, 1 << 20, 5];
         let nulls: Vec<u32> = codes
             .iter()
@@ -1087,9 +1032,15 @@ mod tests {
             dict_sizes: vec![1 << 20],
             rows,
         };
-        assert!((1 << 20) > RADIX_OVER * rows + 1024, "radix path selected");
+        assert!((1 << 20) > RADIX_OVER * rows + 1024, "space past the gate");
+        let one = AttrSet::single(Attr(0));
+        assert_eq!(
+            enc.code_space(one),
+            Some((1 << 20) + 1),
+            "one column passes"
+        );
         for sem in [NullSemantics::Strong, NullSemantics::NullAsValue] {
-            let via_radix = Partition::by_codes(&enc, AttrSet::single(Attr(0)), sem);
+            let coded = Partition::by_codes(&enc, one, sem);
             // Naive reference grouping.
             let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
             for (r, &c) in codes.iter().enumerate() {
@@ -1100,11 +1051,11 @@ mod tests {
             }
             let mut expect: Vec<Vec<u32>> = groups.into_values().filter(|g| g.len() >= 2).collect();
             expect.sort_unstable_by_key(|c| c[0]);
-            assert_eq!(via_radix.classes, expect, "{sem:?}");
+            assert_eq!(coded.classes, expect, "{sem:?}");
         }
-        let strong = Partition::by_codes(&enc, AttrSet::single(Attr(0)), NullSemantics::Strong);
+        let strong = Partition::by_codes(&enc, one, NullSemantics::Strong);
         assert_eq!(strong.classes, vec![vec![0, 3], vec![1, 4], vec![5, 7]]);
-        let nav = Partition::by_codes(&enc, AttrSet::single(Attr(0)), NullSemantics::NullAsValue);
+        let nav = Partition::by_codes(&enc, one, NullSemantics::NullAsValue);
         assert_eq!(
             nav.classes,
             vec![vec![0, 3], vec![1, 4], vec![2, 6], vec![5, 7]]

@@ -8,10 +8,11 @@
 //! equality — the invariant every partition kernel in
 //! `sqlnf-discovery` relies on. For a table built by appends alone the
 //! codes are exactly what a fresh row-major encode would produce;
-//! after point updates or deletes the codes may differ from a fresh
-//! encode (retired dictionary entries keep their codes) but remain
-//! *consistent*, which is all the discovery kernels need: partitions
-//! group by code identity, never by code magnitude.
+//! after a point update of a scratch copy, or a rolled-back tail, the
+//! codes may differ from a fresh encode (retired dictionary entries
+//! keep their codes) but remain *consistent*, which is all the
+//! discovery kernels need: partitions group by code identity, never by
+//! code magnitude.
 //!
 //! A column's dictionary holds each distinct value once, in code
 //! order, and serves both directions: a code reads its value by
@@ -54,8 +55,8 @@ static NULL: Value = Value::Null;
 /// One column's dictionary. Code `0` stays reserved for `⊥`; non-null
 /// values get `1, 2, …` in first-appearance order, and `values[c - 1]`
 /// is the value of code `c`. Entries are never removed, so a code
-/// retired by UPDATE/DELETE is simply never reused for a different
-/// value.
+/// retired by a point update or a rollback is simply never reused for
+/// a different value.
 #[derive(Debug, Clone, Default)]
 struct Dict {
     values: Vec<Value>,
@@ -139,7 +140,7 @@ impl Dict {
 }
 
 /// The dictionary-coded columns of a table, maintained incrementally
-/// on INSERT/UPDATE/DELETE.
+/// on every append, point update and rollback.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnStore {
     cols: Vec<Arc<ColData>>,
@@ -256,26 +257,6 @@ impl ColumnStore {
         }
     }
 
-    /// Removes one row, shifting later rows down by one.
-    pub fn remove_row(&mut self, row: usize) {
-        let r = row as u32;
-        for col in &mut self.cols {
-            let data = Arc::make_mut(col);
-            data.codes.remove(row);
-            let i = match data.null_rows.binary_search(&r) {
-                Ok(i) => {
-                    data.null_rows.remove(i);
-                    i
-                }
-                Err(i) => i,
-            };
-            for n in &mut data.null_rows[i..] {
-                *n -= 1;
-            }
-        }
-        self.rows -= 1;
-    }
-
     /// Drops every row from `len` on; no other row is renumbered.
     pub(crate) fn truncate(&mut self, len: usize) {
         if len >= self.rows {
@@ -370,18 +351,6 @@ mod tests {
         // Re-using an existing value re-uses its code.
         s.set_value(0, 0, Value::str("x"));
         assert_eq!(s.code_at(0, 0), 1);
-    }
-
-    #[test]
-    fn remove_row_shifts_null_rows() {
-        let mut s = store3();
-        s.push(tuple![null, 3i64]);
-        // null rows in column 0: [1, 3]
-        s.remove_row(0);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.snapshot().cols[0].null_rows, vec![0, 2]);
-        s.remove_row(0); // removes the (now first) null row
-        assert_eq!(s.snapshot().cols[0].null_rows, vec![1]);
     }
 
     #[test]

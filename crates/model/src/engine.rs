@@ -1,6 +1,7 @@
 //! A small constraint-enforcing storage engine: named tables, each with
-//! a declared constraint set, and insert/update/delete operations that
-//! keep every instance a valid table over its `(T, T_S, Σ)`.
+//! a declared constraint set, and an insert that keeps every instance a
+//! valid table over its `(T, T_S, Σ)`. Tables only grow; the one
+//! removal is the rollback of a statement's appended tail.
 //!
 //! This is the substrate behind the run-time claims of the paper's
 //! introduction: on a well-designed schema the engine rejects update
@@ -13,7 +14,6 @@ use crate::schema::TableSchema;
 use crate::sql::{self, Statement};
 use crate::table::Table;
 use crate::tuple::Tuple;
-use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,20 +49,6 @@ pub enum EngineError {
         /// The two rows witnessing the violation.
         rows: (usize, usize),
     },
-    /// No column with this name in the target table.
-    NoSuchColumn {
-        /// Target table.
-        table: String,
-        /// Requested column.
-        column: String,
-    },
-    /// Row index out of range.
-    NoSuchRow {
-        /// Target table.
-        table: String,
-        /// Requested row.
-        row: usize,
-    },
     /// SQL script error.
     Parse(sql::ParseError),
 }
@@ -94,12 +80,6 @@ impl fmt::Display for EngineError {
                 "constraint {constraint} of {table:?} violated by rows {} and {}",
                 rows.0, rows.1
             ),
-            EngineError::NoSuchColumn { table, column } => {
-                write!(f, "table {table:?} has no column {column:?}")
-            }
-            EngineError::NoSuchRow { table, row } => {
-                write!(f, "table {table:?} has no row {row}")
-            }
             EngineError::Parse(e) => write!(f, "{e}"),
         }
     }
@@ -115,8 +95,8 @@ impl From<sql::ParseError> for EngineError {
 
 /// A stored table: schema, declared constraints, data, and the
 /// incremental constraint indexes that make inserts O(1) amortized per
-/// constraint (see [`crate::incremental`]). All three mutations —
-/// insert, update, delete — maintain the indexes incrementally, so a
+/// constraint (see [`crate::incremental`]). Both mutations — insert and
+/// the tail rollback — maintain the indexes incrementally, so a
 /// `StoredTable` is self-contained: services that want per-table
 /// locking (rather than one lock around a whole [`Database`]) can wrap
 /// each `StoredTable` in its own lock and call these methods directly.
@@ -199,7 +179,7 @@ impl StoredTable {
         // An empty Σ has no index to check the codes against.
         if !self.sigma.is_empty() {
             let codes = self.data.lookup_codes(&row);
-            if let Err((ci, conflict)) = self.bank.check(&self.data, &codes, None) {
+            if let Err((ci, conflict)) = self.bank.check(&self.data, &codes) {
                 return Err(self.violation_error(ci, (conflict.with_row, self.data.len())));
             }
         }
@@ -208,61 +188,9 @@ impl StoredTable {
         Ok(())
     }
 
-    /// Updates one cell, enforcing constraints incrementally: the old
-    /// row leaves the indexes, the replacement is validated against the
-    /// rest of the instance, and on rejection the old row is restored —
-    /// no full rescan, no index rebuild.
-    pub fn update(&mut self, row: usize, column: &str, value: Value) -> Result<(), EngineError> {
-        if row >= self.data.len() {
-            return Err(EngineError::NoSuchRow {
-                table: self.name().to_owned(),
-                row,
-            });
-        }
-        let schema = self.data.schema();
-        let a = schema
-            .attr(column)
-            .ok_or_else(|| EngineError::NoSuchColumn {
-                table: self.name().to_owned(),
-                column: column.to_owned(),
-            })?;
-        if value.is_null() && schema.nfs().contains(a) {
-            return Err(EngineError::NotNullViolation {
-                table: self.name().to_owned(),
-                column: column.to_owned(),
-            });
-        }
-        let mut new = self.data.row(row);
-        *new.get_mut(a) = value.clone();
-        let codes = self.data.lookup_codes(&new);
-        self.bank.remove(&self.data, row);
-        if let Err((ci, conflict)) = self.bank.check(&self.data, &codes, Some(row)) {
-            self.bank.insert(&self.data, row);
-            return Err(self.violation_error(ci, (conflict.with_row, row)));
-        }
-        self.data.set_value(row, a, value);
-        self.bank.insert(&self.data, row);
-        Ok(())
-    }
-
-    /// Deletes a row (deletions can never introduce a violation of this
-    /// constraint class); the indexes compact their row ids in place.
-    pub fn delete(&mut self, row: usize) -> Result<Tuple, EngineError> {
-        if row >= self.data.len() {
-            return Err(EngineError::NoSuchRow {
-                table: self.name().to_owned(),
-                row,
-            });
-        }
-        self.bank.remove(&self.data, row);
-        let removed = self.data.remove_row(row);
-        self.bank.shift_down(row);
-        Ok(removed)
-    }
-
     /// Drops every row from `len` on — the rollback of a statement that
-    /// appended them. Tail rows leave the indexes without renumbering
-    /// any other id; a no-op when `len ≥` the row count.
+    /// appended them. The tail rows leave the indexes last first, so
+    /// each index pops them; a no-op when `len ≥` the row count.
     pub fn truncate(&mut self, len: usize) {
         for row in (len..self.data.len()).rev() {
             self.bank.remove(&self.data, row);
@@ -314,22 +242,6 @@ impl Database {
     /// Inserts a row into a named table (see [`StoredTable::insert`]).
     pub fn insert(&mut self, name: &str, row: Tuple) -> Result<(), EngineError> {
         self.table_mut(name)?.insert(row)
-    }
-
-    /// Updates one cell of a named table (see [`StoredTable::update`]).
-    pub fn update(
-        &mut self,
-        name: &str,
-        row: usize,
-        column: &str,
-        value: Value,
-    ) -> Result<(), EngineError> {
-        self.table_mut(name)?.update(row, column, value)
-    }
-
-    /// Deletes a row of a named table (see [`StoredTable::delete`]).
-    pub fn delete(&mut self, name: &str, row: usize) -> Result<Tuple, EngineError> {
-        self.table_mut(name)?.delete(row)
     }
 
     /// Drops the tail rows of a named table (see
@@ -448,45 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn update_rolls_back_on_violation() {
-        let mut db = purchase_db();
-        db.insert("purchase", tuple![9i64, "Fitbit Surge", "Amazon", 240i64])
-            .unwrap();
-        // Changing one of the two Amazon prices breaks the c-FD.
-        let err = db
-            .update("purchase", 0, "price", Value::Int(999))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::ConstraintViolation { .. }));
-        let t = db.table("purchase").unwrap().data();
-        assert_eq!(t.rows()[0].get(t.schema().a("price")), &Value::Int(240));
-        // Changing the item breaks the agreement instead: allowed.
-        db.update("purchase", 0, "item", Value::str("Fitbit Versa"))
-            .unwrap();
-        // NOT NULL still enforced on update.
-        let e2 = db.update("purchase", 0, "price", Value::Null).unwrap_err();
-        assert!(matches!(e2, EngineError::NotNullViolation { .. }));
-    }
-
-    #[test]
-    fn update_of_an_unknown_column_names_the_column() {
-        let mut db = purchase_db();
-        let err = db
-            .update("purchase", 0, "colour", Value::str("red"))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::NoSuchColumn {
-                table: "purchase".to_owned(),
-                column: "colour".to_owned(),
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "table \"purchase\" has no column \"colour\""
-        );
-    }
-
-    #[test]
     fn keys_reject_duplicates_fds_do_not() {
         let mut db = Database::new();
         let schema = TableSchema::new("t", ["a", "b"], &[]);
@@ -505,21 +378,6 @@ mod tests {
         let e2 = db.insert("t", tuple![null, 20i64]).unwrap_err();
         assert!(matches!(e2, EngineError::ConstraintViolation { .. }));
         db.insert("t", tuple![2i64, 20i64]).unwrap();
-    }
-
-    #[test]
-    fn delete_returns_row() {
-        let mut db = purchase_db();
-        let removed = db.delete("purchase", 0).unwrap();
-        assert_eq!(
-            removed,
-            tuple![5299401i64, "Fitbit Surge", "Amazon", 240i64]
-        );
-        assert_eq!(db.table("purchase").unwrap().data().len(), 1);
-        assert!(matches!(
-            db.delete("purchase", 5),
-            Err(EngineError::NoSuchRow { .. })
-        ));
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! never grows a dictionary: a value its column has not seen gets
 //! [`UNSEEN`](crate::column::UNSEEN), equal to no stored code, so a
 //! rejected row leaves the table untouched. A row enters the bank once
-//! it is stored ([`IndexBank::insert`] reads its codes back) and leaves
-//! it while it is still stored ([`IndexBank::remove`]). A positional
-//! delete then renumbers the later ids ([`IndexBank::shift_down`]);
-//! dropping tail rows renumbers nothing. When a candidate conflicts,
-//! the witness is the group's first member, else the first weakly
-//! similar null row, else the first weakly similar row of the table.
-//! The equivalence with full revalidation is property-tested.
+//! it is stored ([`IndexBank::insert`] reads its codes back). Tables
+//! only grow, so the one way out is a rollback that drops the last rows
+//! stored, last first ([`IndexBank::remove`]): each leaves its group or
+//! the null list by a pop, and no id is renumbered. When a candidate
+//! conflicts, the witness is the group's first member, else the first
+//! weakly similar null row, else the first weakly similar row of the
+//! table. The equivalence with full revalidation is property-tested.
 
 use crate::attrs::{Attr, AttrSet};
 use crate::constraint::{Modality, Sigma};
@@ -45,9 +45,9 @@ pub struct Conflict {
     pub with_row: usize,
 }
 
-/// The member rows of one `X`-total group, in the order a `Vec` with
-/// `swap_remove` would keep them. The first member is held inline, so
-/// a key group — always a single row — allocates nothing.
+/// The member rows of one `X`-total group, ascending. The first member
+/// is held inline, so a key group — always a single row — allocates
+/// nothing.
 #[derive(Debug, Clone)]
 struct Group {
     first: u32,
@@ -110,7 +110,7 @@ impl ConstraintIndex {
         })
     }
 
-    fn check(&self, table: &Table, codes: &[u32], exclude: Option<usize>) -> Result<(), Conflict> {
+    fn check(&self, table: &Table, codes: &[u32]) -> Result<(), Conflict> {
         let key = self.project(|a| codes[a.index()]);
         if let Some(g) = key.as_ref().and_then(|k| self.groups.get(k)) {
             let w = g.first as usize;
@@ -130,7 +130,7 @@ impl ConstraintIndex {
             // …and, with ⊥ in its own X, against rows the map cannot
             // find: scan.
             if key.is_none() {
-                if let Some(r) = (0..table.len()).find(|&r| Some(r) != exclude && conflicts(r)) {
+                if let Some(r) = (0..table.len()).find(|&r| conflicts(r)) {
                     return Err(Conflict { with_row: r });
                 }
             }
@@ -160,42 +160,25 @@ impl ConstraintIndex {
         }
     }
 
+    /// Forgets `row`, the largest id indexed: it is the last member of
+    /// its group, or of the null list.
     fn remove(&mut self, table: &Table, row: usize) {
         let id = row as u32;
         let Some(key) = self.project(|a| table.code_at(row, a)) else {
-            if let Some(at) = self.null_rows.iter().rposition(|&r| r == id) {
-                self.null_rows.swap_remove(at);
-            }
+            let popped = self.null_rows.pop();
+            debug_assert_eq!(popped, Some(id), "not the last null row");
             return;
         };
         let Some(g) = self.groups.get_mut(&key) else {
             return;
         };
-        if g.first != id {
-            if let Some(at) = g.rest.iter().rposition(|&r| r == id) {
-                g.rest.swap_remove(at);
-            }
-        } else if let Some(last) = g.rest.pop() {
-            g.first = last;
+        if let Some(last) = g.rest.pop() {
+            debug_assert_eq!(last, id, "not the group's last member");
         } else {
+            debug_assert_eq!(g.first, id, "not the group's member");
             self.spilled -= g.rest.capacity();
             self.groups.remove(&key);
         }
-    }
-
-    fn shift_down(&mut self, removed: usize) {
-        let removed = removed as u32;
-        let shift = |r: &mut u32| {
-            debug_assert_ne!(*r, removed, "removed id still indexed");
-            if *r > removed {
-                *r -= 1;
-            }
-        };
-        for g in self.groups.values_mut() {
-            shift(&mut g.first);
-            g.rest.iter_mut().for_each(shift);
-        }
-        self.null_rows.iter_mut().for_each(shift);
     }
 
     /// Map slots (key, group, control byte), the `X`-codes a boxed
@@ -242,18 +225,10 @@ impl IndexBank {
 
     /// Whether a row with the candidate `codes` (from
     /// [`Table::lookup_codes`]) may join `table`; on refusal, the first
-    /// violated constraint's index and the conflict. A full scan skips
-    /// the row at `exclude`: a point update validates the replacement
-    /// while the old row, already [`remove`](Self::remove)d, still
-    /// occupies its slot.
-    pub fn check(
-        &self,
-        table: &Table,
-        codes: &[u32],
-        exclude: Option<usize>,
-    ) -> Result<(), (usize, Conflict)> {
+    /// violated constraint's index and the conflict.
+    pub fn check(&self, table: &Table, codes: &[u32]) -> Result<(), (usize, Conflict)> {
         for (ci, idx) in self.indexes.iter().enumerate() {
-            idx.check(table, codes, exclude).map_err(|c| (ci, c))?;
+            idx.check(table, codes).map_err(|c| (ci, c))?;
         }
         Ok(())
     }
@@ -266,22 +241,12 @@ impl IndexBank {
         }
     }
 
-    /// Forgets the stored row `row`, reading its codes before the
-    /// table drops or changes it: one hash lookup plus a scan of the
-    /// row's group. Other ids are untouched.
+    /// Forgets the stored row `row`, the last one indexed, reading its
+    /// codes before the table drops it: one hash lookup and a pop. A
+    /// rollback removes its rows last first; other ids are untouched.
     pub fn remove(&mut self, table: &Table, row: usize) {
         for idx in &mut self.indexes {
             idx.remove(table, row);
-        }
-    }
-
-    /// Compacts ids after a positional delete: every stored id greater
-    /// than `removed` decrements by one. The id `removed` itself must
-    /// already have been [`remove`](Self::remove)d. Touches each stored
-    /// id once — no rehashing, no reallocation.
-    pub fn shift_down(&mut self, removed: usize) {
-        for idx in &mut self.indexes {
-            idx.shift_down(removed);
         }
     }
 
@@ -313,7 +278,7 @@ mod tests {
     }
 
     fn check(bank: &IndexBank, table: &Table, row: &Tuple) -> Result<(), (usize, Conflict)> {
-        bank.check(table, &table.lookup_codes(row), None)
+        bank.check(table, &table.lookup_codes(row))
     }
 
     /// Appends `row` if the bank admits it, in the engine's order:
@@ -381,47 +346,6 @@ mod tests {
         let (ci, conflict) = check(&bank, &table, &tuple![7i64, 2i64, 0i64]).unwrap_err();
         assert_eq!(ci, 0);
         assert_eq!(conflict.with_row, 0);
-    }
-
-    #[test]
-    fn remove_and_shift_track_deletes() {
-        let sigma = Sigma::new()
-            .with(Key::certain(AttrSet::from_indices([0])))
-            .with(Fd::certain(
-                AttrSet::from_indices([1]),
-                AttrSet::from_indices([2]),
-            ));
-        let mut table = Table::new(schema());
-        let mut bank = IndexBank::build(&sigma, &table);
-        for r in [
-            tuple![1i64, 5i64, 50i64],
-            tuple![2i64, null, 50i64],
-            tuple![3i64, 5i64, 50i64],
-        ] {
-            assert!(admit(&mut bank, &mut table, r));
-        }
-        // Delete the middle (null-bearing) row: remove, drop, shift.
-        bank.remove(&table, 1);
-        table.remove_row(1);
-        bank.shift_down(1);
-        // Key 2 is free again, key 3 (now id 1) still taken, and the
-        // FD group {5}→{50} still rejects a divergent RHS.
-        assert!(check(&bank, &table, &tuple![2i64, 9i64, 0i64]).is_ok());
-        let (_, c) = check(&bank, &table, &tuple![3i64, 8i64, 0i64]).unwrap_err();
-        assert_eq!(c.with_row, 1);
-        assert!(check(&bank, &table, &tuple![4i64, 5i64, 99i64]).is_err());
-        // Updating row 0's key: remove old, validate the replacement
-        // excluding the slot, store it, index it.
-        bank.remove(&table, 0);
-        let taken = table.lookup_codes(&tuple![3i64, 5i64, 50i64]);
-        // Key 3 is taken by row 1: conflict even mid-update.
-        assert!(bank.check(&table, &taken, Some(0)).is_err());
-        let free = table.lookup_codes(&tuple![7i64, 5i64, 50i64]);
-        bank.check(&table, &free, Some(0)).unwrap();
-        table.set_value(0, Attr(0), crate::value::Value::Int(7));
-        bank.insert(&table, 0);
-        assert!(check(&bank, &table, &tuple![7i64, 0i64, 0i64]).is_err());
-        assert!(check(&bank, &table, &tuple![1i64, 0i64, 0i64]).is_ok());
     }
 
     #[test]

@@ -201,18 +201,12 @@ impl Table {
         })
     }
 
-    /// Point-updates one cell.
+    /// Point-updates one cell. Served tables only grow; this is for
+    /// what-if edits of a scratch copy: a candidate value in a
+    /// redundancy check, a completion of a possible world.
     pub fn set_value(&mut self, row: usize, a: Attr, v: Value) {
         self.cols.set_value(row, a.index(), v);
         self.view.take();
-    }
-
-    /// Removes one row (later rows shift down by one) and returns it.
-    pub fn remove_row(&mut self, row: usize) -> Tuple {
-        let t = self.row(row);
-        self.cols.remove_row(row);
-        self.view.take();
-        t
     }
 
     /// Drops every row from `len` on (later rows only, so no row is

@@ -1,7 +1,7 @@
 //! Group commit over the sharded WAL.
 //!
 //! Writers validate and apply a statement under its table lock, then
-//! [`enqueue`](GroupWal::enqueue) the canonical rendering — which
+//! enqueue (`GroupWal::enqueue`) the canonical rendering — which
 //! assigns the frame its global epoch and its position in the shard's
 //! commit sequence — release their locks, and park in
 //! [`wait`](GroupWal::wait) until the shard's durable sequence covers

@@ -53,8 +53,7 @@ pub struct ServeConfig {
     /// How long an elected committer lingers collecting more frames
     /// before writing its batch (0 = drain immediately).
     pub commit_window: Duration,
-    /// Fsync discipline at the ack boundary (see
-    /// [`FsyncMode`](crate::commit::FsyncMode)).
+    /// Fsync discipline at the ack boundary (see [`FsyncMode`]).
     pub fsync: FsyncMode,
 }
 
@@ -72,8 +71,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A running server; dropping it without calling [`shutdown`]
-/// (`Server::shutdown`) aborts like [`kill`](Server::kill).
+/// A running server; dropping it without calling
+/// [`shutdown`](Server::shutdown) aborts like [`kill`](Server::kill).
 #[derive(Debug)]
 pub struct Server {
     store: Arc<Store>,

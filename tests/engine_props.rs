@@ -124,8 +124,8 @@ proptest! {
             let rebuilt = IndexBank::build(&sigma, stored.data());
             for p in &probes {
                 let codes = stored.data().lookup_codes(&Tuple::new(p.clone()));
-                let incremental = stored.bank().check(stored.data(), &codes, None);
-                let reference = rebuilt.check(stored.data(), &codes, None);
+                let incremental = stored.bank().check(stored.data(), &codes);
+                let reference = rebuilt.check(stored.data(), &codes);
                 prop_assert_eq!(incremental, reference, "bank divergence after {op:?}");
             }
         }
