@@ -643,14 +643,15 @@ impl Pass<'_> {
             // candidate.
             self.touched += 1;
             let survive = self.delta_targets_surviving(stale_since..now, x, stale, sem);
+            let failed = stale - survive;
             holding |= survive;
-            v.refuted |= stale - survive;
-            v.holding.retain(|&(b, _)| !(stale - survive).contains(b));
-            for (b, at) in &mut v.holding {
+            v.refuted |= failed;
+            v.holding.retain_mut(|(b, at)| {
                 if survive.contains(*b) {
                     *at = now;
                 }
-            }
+                !failed.contains(*b)
+            });
         }
         if !unknown.is_empty() {
             self.touched += 1;
