@@ -109,12 +109,6 @@ impl ProbeIndex {
         }
     }
 
-    /// Whether any row carries `⊥` in `X` (if not, every probe is a
-    /// trivial success).
-    pub fn has_null_rows(&self) -> bool {
-        !self.null_rows.is_empty()
-    }
-
     /// Visits every unordered pair of rows that is weakly similar on
     /// `X` and involves at least one row carrying `⊥` in `X` (the pairs
     /// the strong partition cannot see). Calls `f(r, s)`; stops early —
@@ -127,29 +121,15 @@ impl ProbeIndex {
     /// is what keeps c-FD discovery on the 48 842-row `adult` workload
     /// within the same order of magnitude as classical discovery (as in
     /// the paper's comparison).
-    pub fn for_each_weak_pair(&self, enc: &Encoded, f: impl FnMut(usize, usize) -> bool) -> bool {
-        self.for_each_weak_pair_filtered(enc, AttrSet::EMPTY, f)
-    }
-
-    /// [`ProbeIndex::for_each_weak_pair`] for the *larger* attribute
-    /// set `self.x ∪ extra`, where every column of `extra` is null-free
-    /// in the instance. This is what makes an index reusable across
-    /// LHSs sharing a nullable footprint (see [`ProbeCache`]): rows
-    /// carry `⊥` in `X` exactly where they carry `⊥` in
-    /// `X ∩ nullable`, and on the null-free remainder weak similarity
-    /// degenerates to code equality — so the weak pairs of `X` are the
-    /// weak pairs of the footprint filtered by equality on `extra`.
-    pub fn for_each_weak_pair_filtered(
+    pub fn for_each_weak_pair(
         &self,
         enc: &Encoded,
-        extra: AttrSet,
         mut f: impl FnMut(usize, usize) -> bool,
     ) -> bool {
-        let x_full = self.x | extra;
         // 1) null–null pairs.
         for (i, &r) in self.null_rows.iter().enumerate() {
             for &s in &self.null_rows[i + 1..] {
-                if enc.weakly_similar(r, s, x_full) && !f(r, s) {
+                if enc.weakly_similar(r, s, self.x) && !f(r, s) {
                     return false;
                 }
             }
@@ -158,8 +138,7 @@ impl ProbeIndex {
         for p in &self.patterns {
             for (&r, &g) in p.rows.iter().zip(&p.groups) {
                 for &s in self.bucket(p, g) {
-                    let s = s as usize;
-                    if enc.equal_on(r, s, extra) && !f(r, s) {
+                    if !f(r, s as usize) {
                         return false;
                     }
                 }
@@ -168,9 +147,10 @@ impl ProbeIndex {
         true
     }
 
-    /// Runs `sweep` over the weak pairs of `self.x ∪ extra` (`extra`
-    /// null-free, as in [`ProbeIndex::for_each_weak_pair_filtered`]):
-    /// per null pattern, the pattern's null rows grouped with the
+    /// Runs `sweep` over the weak pairs of `self.x ∪ extra`, where every
+    /// column of `extra` is null-free in the instance (the reuse across
+    /// LHSs sharing a nullable footprint, see [`ProbeCache`]): per null
+    /// pattern, the pattern's null rows grouped with the
     /// matching bucket rows; then the null rows of every two patterns
     /// joined on their common non-null part.
     fn sweep(&self, enc: &Encoded, extra: AttrSet, sweep: &mut WeakSweep) {
@@ -295,22 +275,19 @@ fn null_patterns(enc: &Encoded, x: AttrSet, null_rows: &[usize]) -> Vec<(AttrSet
 }
 
 /// The open groups of one [`WeakSweep`] pass, numbered as the pass's
-/// grouping numbers them: per group its head, the row that opened it;
-/// per group and target, flat at `g·n..(g + 1)·n` for `n` targets, the
-/// code of the head and the first row that disagreed with it; per
+/// grouping numbers them: per group and target, flat at `g·n..(g + 1)·n`
+/// for `n` targets, the code of the row that opened the group; per
 /// group, the targets some member disagreed on.
 #[derive(Default)]
 struct SweepGroups {
-    heads: Vec<u32>,
-    cells: Vec<(u32, u32)>,
+    codes: Vec<u32>,
     conflict: Vec<AttrSet>,
 }
 
 impl SweepGroups {
     /// Drops every group, keeping the allocations.
     fn clear(&mut self) {
-        self.heads.clear();
-        self.cells.clear();
+        self.codes.clear();
         self.conflict.clear();
     }
 }
@@ -319,12 +296,11 @@ impl SweepGroups {
 /// implementation behind every certain-semantics question:
 ///
 /// * which of `targets` every weak pair agrees on (the certain-FD
-///   tail, [`ProbeCache::fd_targets`]), with a disagreeing pair per
-///   refuted target;
+///   tail, [`ProbeCache::fd_targets`]);
 /// * whether `X →_w X` holds (totality): exactly the targets
 ///   `X ∩ nullable` surviving whole ([`certain_reflexive_holds`]);
-/// * the first weak pair, if any (the c-key check,
-///   [`ProbeCache::first_weak_pair`]).
+/// * whether any weak pair exists (the c-key check,
+///   [`ProbeCache::has_weak_pair`]).
 ///
 /// A row `r` with nulls on `N ⊆ X` is weakly similar to an `X`-total
 /// row, or to a null row of the same pattern, iff the two agree on the
@@ -349,9 +325,8 @@ struct WeakSweep {
     holding: AttrSet,
     /// Stop at the first weak pair instead of when no target survives.
     until_pair: bool,
-    pair: Option<(usize, usize)>,
-    /// Per refuted target, a weak pair that disagrees on it.
-    refuted: Vec<(Attr, usize, usize)>,
+    /// Whether a weak pair has been met.
+    pair: bool,
     /// The grouping kernel's scratch, reused by every pass.
     scratch: ProductScratch,
 }
@@ -362,8 +337,7 @@ impl WeakSweep {
             targets: targets.iter().collect(),
             holding: targets,
             until_pair: false,
-            pair: None,
-            refuted: Vec::new(),
+            pair: false,
             scratch: ProductScratch::new(),
         }
     }
@@ -377,7 +351,7 @@ impl WeakSweep {
 
     fn done(&self) -> bool {
         if self.until_pair {
-            self.pair.is_some()
+            self.pair
         } else {
             self.holding.is_empty()
         }
@@ -398,51 +372,32 @@ impl WeakSweep {
         opening.zip(groups).chain(joined).collect()
     }
 
-    /// Adds `row` to its group `g`, opening the group with `row` as its
-    /// head when `g` is the next one to open. Adding with `anchor` means
+    /// Adds `row` to its group `g`, opening the group with `row`'s codes
+    /// when `g` is the next one to open. Adding with `anchor` means
     /// every two rows of the group must now agree on each target (the
     /// row pairs with every null row of its pattern group, or with the
     /// whole other side of a cross-pattern join), so the group's
     /// disagreements refute targets.
     fn join(&mut self, enc: &Encoded, groups: &mut SweepGroups, g: u32, row: usize, anchor: bool) {
         let g = g as usize;
-        if g == groups.heads.len() {
-            groups.heads.push(row as u32);
-            let cells = self.targets.iter().map(|&a| (enc.code(row, a), row as u32));
-            groups.cells.extend(cells);
+        if g == groups.conflict.len() {
+            groups
+                .codes
+                .extend(self.targets.iter().map(|&a| enc.code(row, a)));
             groups.conflict.push(AttrSet::EMPTY);
             return;
         }
         let n = self.targets.len();
-        let cells = &mut groups.cells[g * n..(g + 1) * n];
         let conflict = &mut groups.conflict[g];
-        for (&a, cell) in self.targets.iter().zip(cells.iter_mut()) {
-            if enc.code(row, a) != cell.0 && conflict.insert(a) {
-                cell.1 = row as u32;
+        for (&a, &code) in self.targets.iter().zip(&groups.codes[g * n..(g + 1) * n]) {
+            if enc.code(row, a) != code {
+                conflict.insert(a);
             }
         }
-        if !anchor {
-            return;
+        if anchor {
+            self.pair = true;
+            self.holding = self.holding - *conflict;
         }
-        let head = groups.heads[g] as usize;
-        self.pair.get_or_insert((head, row));
-        let killed = self.holding & *conflict;
-        if killed.is_empty() {
-            return;
-        }
-        // `row` pairs with every row of the group: with the head where
-        // it disagrees with the head, else with the row that did.
-        for (&a, &(code, clash)) in self.targets.iter().zip(cells.iter()) {
-            if killed.contains(a) {
-                let earlier = if enc.code(row, a) != code {
-                    head
-                } else {
-                    clash as usize
-                };
-                self.refuted.push((a, earlier, row));
-            }
-        }
-        self.holding = self.holding - killed;
     }
 
     /// The pairs of one null pattern: its null rows with each other
@@ -536,31 +491,6 @@ pub fn probe_weak_pairs(
     done
 }
 
-/// Weak pairs of `x` without any index: each `X`-null row scanned
-/// against the table — the direct counterpart of [`sweep_direct`] for
-/// callers that need the pairs themselves.
-fn direct_weak_pairs(enc: &Encoded, x: AttrSet, mut f: impl FnMut(usize, usize) -> bool) -> bool {
-    let null_rows = enc.null_rows_on(x);
-    // null–null pairs, each unordered pair once.
-    for (i, &r) in null_rows.iter().enumerate() {
-        for &s in &null_rows[i + 1..] {
-            if enc.weakly_similar(r, s, x) && !f(r, s) {
-                return false;
-            }
-        }
-    }
-    // null–total pairs, against the complement of the null list.
-    let total = total_rows(enc.rows(), &null_rows);
-    for &r in &null_rows {
-        for &s in &total {
-            if enc.weakly_similar(r, s, x) && !f(r, s) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Direct scanning stays cheaper than an index build while the
 /// `nulls × rows` pair bound is below this.
 const DIRECT_SCAN_LIMIT: usize = 1 << 16;
@@ -595,11 +525,10 @@ enum ProbeStrategy {
 /// > `S`  ∧  `r =_{X∖S} s`.
 ///
 /// An index built for `S` therefore serves **every** LHS with that
-/// footprint, with the null-free remainder applied as an equality
-/// filter at probe time ([`ProbeIndex::for_each_weak_pair_filtered`]
-/// and the grouped sweep, `WeakSweep`). Keying on `S` alone
-/// *without* the filter would be unsound — it admits pairs that
-/// disagree on `X ∖ S`.
+/// footprint, with the null-free remainder added to every grouping key
+/// of the sweep (`WeakSweep`). Keying on `S` alone *without* the
+/// remainder would be unsound — it admits pairs that disagree on
+/// `X ∖ S`.
 ///
 /// ## Build policy
 ///
@@ -666,40 +595,6 @@ impl ProbeCache {
         ProbeStrategy::Index(idx)
     }
 
-    /// Visits every weak pair of `x` (exactly as [`probe_weak_pairs`])
-    /// through the footprint cache. Enumeration *order* may differ
-    /// between the direct and indexed paths; the pair set never does.
-    /// Only for callers that need every pair — no miner does: the
-    /// yes/no questions and their witnesses come from the grouped sweep
-    /// ([`ProbeCache::fd_targets`], [`ProbeCache::first_weak_pair`]),
-    /// and the c-key error of [`crate::approx`] enumerates through
-    /// [`probe_weak_pairs`]. The certain-tail witness golden pins the
-    /// pairs visited here against the cache's direct and indexed paths.
-    /// Each call adds the pairs it visited to
-    /// `discovery.check.weak_pairs_visited`.
-    pub fn weak_pairs(
-        &self,
-        enc: &Encoded,
-        x: AttrSet,
-        mut f: impl FnMut(usize, usize) -> bool,
-    ) -> bool {
-        let s = x & self.nullable;
-        if s.is_empty() {
-            return true;
-        }
-        let mut visited = 0u64;
-        let visit = |r, t| {
-            visited += 1;
-            f(r, t)
-        };
-        let done = match self.strategy(enc, s) {
-            ProbeStrategy::Index(idx) => idx.for_each_weak_pair_filtered(enc, x - s, visit),
-            ProbeStrategy::Direct => direct_weak_pairs(enc, x, visit),
-        };
-        sqlnf_obs::count!("discovery.check.weak_pairs_visited", visited);
-        done
-    }
-
     /// Runs the grouped sweep of `x` through the footprint cache.
     fn sweep(&self, enc: &Encoded, x: AttrSet, sweep: &mut WeakSweep) {
         let s = x & self.nullable;
@@ -717,38 +612,27 @@ impl ProbeCache {
     /// pairs of `x` — the certain-semantics tail of the FD check,
     /// served from the footprint cache by the grouped sweep.
     pub fn fd_targets(&self, enc: &Encoded, x: AttrSet, targets: AttrSet) -> AttrSet {
-        certain_tail(enc, x, targets, Some(self)).holding
+        certain_tail(enc, x, targets, Some(self))
     }
 
-    /// [`ProbeCache::fd_targets`] as witnesses: for each refuted target,
-    /// a weak pair of `x` that disagrees on it.
-    #[cfg(test)]
-    pub(crate) fn fd_target_witnesses(
-        &self,
-        enc: &Encoded,
-        x: AttrSet,
-        targets: AttrSet,
-    ) -> Vec<(Attr, usize, usize)> {
-        certain_tail(enc, x, targets, Some(self)).refuted
-    }
-
-    /// The first weak pair of `x` involving a row with `⊥` in `x`, if
-    /// any (the c-key check's probe tail), by the grouped sweep.
-    pub fn first_weak_pair(&self, enc: &Encoded, x: AttrSet) -> Option<(usize, usize)> {
+    /// Whether `x` has a weak pair involving a row with `⊥` in `x` (the
+    /// c-key check's probe tail), by the grouped sweep.
+    pub fn has_weak_pair(&self, enc: &Encoded, x: AttrSet) -> bool {
         let mut sweep = WeakSweep::first_pair();
         self.sweep(enc, x, &mut sweep);
         sweep.pair
     }
 }
 
-/// The certain-FD tail: the grouped sweep of `x`'s weak pairs over
-/// `targets`, through `probes` or, for one-shot checks, unindexed.
+/// The certain-FD tail: the targets of `targets` that survive the
+/// grouped sweep of `x`'s weak pairs, through `probes` or, for one-shot
+/// checks, unindexed.
 fn certain_tail(
     enc: &Encoded,
     x: AttrSet,
     targets: AttrSet,
     probes: Option<&ProbeCache>,
-) -> WeakSweep {
+) -> AttrSet {
     let mut sweep = WeakSweep::targets(targets);
     if !targets.is_empty() {
         match probes {
@@ -756,7 +640,7 @@ fn certain_tail(
             None => sweep_direct(enc, x, &mut sweep),
         }
     }
-    sweep
+    sweep.holding
 }
 
 /// Semantics under which a mined FD `X → A` is evaluated.
@@ -823,25 +707,19 @@ impl Semantics {
 
 /// The per-class rule of a semantics: what a class of rows similar on
 /// `X` remembers per target, and which later member refutes a target.
-/// A refutation always names the earlier row it clashes with, so every
-/// refuted target comes with a witness pair.
+/// A class's state opens with its first row in the first word.
 pub(crate) trait ClassRule {
     /// State words a class keeps for `n` targets.
     fn width(n: usize) -> usize;
 
-    /// Seeds the state of a class whose first row is `row`.
-    fn open(enc: &Encoded, targets: AttrSet, state: &mut [u32], row: usize);
-
     /// Compares a later member `row` with the class state on each
-    /// target of `holding`. Returns the targets it leaves standing and
-    /// reports each other one as `refute(a, earlier)`.
+    /// target of `holding`. Returns the targets it leaves standing.
     fn feed(
         enc: &Encoded,
         targets: AttrSet,
         state: &mut [u32],
         holding: AttrSet,
         row: usize,
-        refute: impl FnMut(Attr, usize),
     ) -> AttrSet;
 }
 
@@ -854,26 +732,13 @@ impl ClassRule for Head {
         1
     }
 
-    fn open(_: &Encoded, _: AttrSet, state: &mut [u32], row: usize) {
-        state[0] = row as u32;
-    }
-
     #[inline]
-    fn feed(
-        enc: &Encoded,
-        _: AttrSet,
-        state: &mut [u32],
-        holding: AttrSet,
-        row: usize,
-        mut refute: impl FnMut(Attr, usize),
-    ) -> AttrSet {
+    fn feed(enc: &Encoded, _: AttrSet, state: &mut [u32], holding: AttrSet, row: usize) -> AttrSet {
         let head = state[0] as usize;
         let mut still = AttrSet::EMPTY;
         for a in holding {
             if enc.code(row, a) == enc.code(head, a) {
                 still.insert(a);
-            } else {
-                refute(a, head);
             }
         }
         still
@@ -898,10 +763,6 @@ impl ClassRule for FirstNonNull {
         n + 1
     }
 
-    fn open(_: &Encoded, _: AttrSet, state: &mut [u32], row: usize) {
-        state[0] = row as u32;
-    }
-
     #[inline]
     fn feed(
         enc: &Encoded,
@@ -909,7 +770,6 @@ impl ClassRule for FirstNonNull {
         state: &mut [u32],
         holding: AttrSet,
         row: usize,
-        mut refute: impl FnMut(Attr, usize),
     ) -> AttrSet {
         let (head, state) = state.split_first_mut().expect("the head slot");
         if *head != NO_ROW {
@@ -932,7 +792,6 @@ impl ClassRule for FirstNonNull {
                 *seen = row as u32;
             } else if enc.code(*seen as usize, a) != c {
                 still.remove(a);
-                refute(a, *seen as usize);
             }
         }
         still
@@ -962,7 +821,7 @@ pub(crate) use with_rule;
 /// id of its class, tracking which targets every class has left
 /// standing. Class ids index the state, so classes may interleave (the
 /// subclasses of one prefix class in a fused refinement); a class's
-/// first row re-seeds its id.
+/// first row re-seeds its id with itself as the head.
 pub(crate) struct ClassSweep<R> {
     targets: AttrSet,
     holding: AttrSet,
@@ -989,44 +848,29 @@ impl<R: ClassRule> ClassSweep<R> {
     }
 
     /// Feeds `row` as a member of class `class` — its first row when
-    /// `first` — reporting each target it refutes as
-    /// `refute(a, earlier, row)`. Returns whether any target survives.
+    /// `first`. Returns whether any target survives.
     #[inline]
-    pub(crate) fn row(
-        &mut self,
-        enc: &Encoded,
-        class: u32,
-        first: bool,
-        row: usize,
-        mut refute: impl FnMut(Attr, usize, usize),
-    ) -> bool {
+    pub(crate) fn row(&mut self, enc: &Encoded, class: u32, first: bool, row: usize) -> bool {
         let at = class as usize * self.width;
         let end = at + self.width;
         if first {
             if self.state.len() < end {
                 self.state.resize(end, 0);
             }
-            R::open(enc, self.targets, &mut self.state[at..end], row);
+            self.state[at] = row as u32;
         } else {
             let state = &mut self.state[at..end];
-            self.holding = R::feed(enc, self.targets, state, self.holding, row, |a, earlier| {
-                refute(a, earlier, row)
-            });
+            self.holding = R::feed(enc, self.targets, state, self.holding, row);
         }
         !self.holding.is_empty()
     }
 
     /// Feeds the rows of one class, first row first; returns whether
     /// any target survives.
-    pub(crate) fn class(
-        &mut self,
-        enc: &Encoded,
-        rows: impl IntoIterator<Item = usize>,
-        mut refute: impl FnMut(Attr, usize, usize),
-    ) -> bool {
+    pub(crate) fn class(&mut self, enc: &Encoded, rows: impl IntoIterator<Item = usize>) -> bool {
         rows.into_iter()
             .enumerate()
-            .all(|(i, r)| self.row(enc, 0, i == 0, r, &mut refute))
+            .all(|(i, r)| self.row(enc, 0, i == 0, r))
     }
 }
 
@@ -1062,7 +906,7 @@ pub fn refinement_sweep(
         let mut sweep = ClassSweep::<R>::new(targets);
         prefix.for_each_refined_row(enc, by, ns, scratch, |sub, first, r| {
             pair |= !first;
-            sweep.row(enc, sub, first, r as usize, |_, _, _| {}) || (keyed && !pair)
+            sweep.row(enc, sub, first, r as usize) || (keyed && !pair)
         });
         sweep.holding()
     });
@@ -1091,7 +935,7 @@ pub fn code_sweep(
         let mut sweep = ClassSweep::<R>::new(targets);
         Partition::for_each_coded_row(enc, x, ns, scratch, |class, first, r| {
             pair |= !first;
-            sweep.row(enc, class, first, r as usize, |_, _, _| {}) || (keyed && !pair)
+            sweep.row(enc, class, first, r as usize) || (keyed && !pair)
         });
         sweep.holding()
     });
@@ -1112,24 +956,10 @@ pub fn fd_targets_holding(
     sem: Semantics,
     probes: Option<&ProbeCache>,
 ) -> AttrSet {
-    fd_targets_witnessed(enc, x, partition, targets, sem, probes, |_, _, _| {})
-}
-
-/// [`fd_targets_holding`] reporting a violating pair for each refuted
-/// target as `refute(a, r, s)`.
-pub(crate) fn fd_targets_witnessed(
-    enc: &Encoded,
-    x: AttrSet,
-    partition: &Partition,
-    targets: AttrSet,
-    sem: Semantics,
-    probes: Option<&ProbeCache>,
-    mut refute: impl FnMut(Attr, usize, usize),
-) -> AttrSet {
     let holding = with_rule!(sem, |R| {
         let mut sweep = ClassSweep::<R>::new(targets);
         for class in &partition.classes {
-            if !sweep.class(enc, class.iter().map(|&r| r as usize), &mut refute) {
+            if !sweep.class(enc, class.iter().map(|&r| r as usize)) {
                 break;
             }
         }
@@ -1138,11 +968,7 @@ pub(crate) fn fd_targets_witnessed(
     if sem != Semantics::Certain || holding.is_empty() {
         return holding;
     }
-    let tail = certain_tail(enc, x, holding, probes);
-    for (a, r, s) in tail.refuted {
-        refute(a, r, s);
-    }
-    tail.holding
+    certain_tail(enc, x, holding, probes)
 }
 
 /// Whether `X` is a c-key of the encoded instance: no two rows weakly
@@ -1154,7 +980,7 @@ pub fn is_ckey(enc: &Encoded, x: AttrSet, strong_partition: &Partition) -> bool 
     }
     let mut sweep = WeakSweep::first_pair();
     sweep_direct(enc, x, &mut sweep);
-    sweep.pair.is_none()
+    !sweep.pair
 }
 
 /// Whether `X` is a p-key: no two rows strongly similar on `X`
@@ -1175,13 +1001,13 @@ pub fn is_pkey(strong_partition: &Partition) -> bool {
 /// key is `reduced ∪ extra`, across two patterns `(red_i ∩ red_j) ∪
 /// extra`. So no group disagrees on a column of `extra`, no such target
 /// is ever refuted, and the sweep over targets `X` refutes exactly the
-/// targets of `S` the sweep over `S` refutes, with the same witnesses in
-/// the same order. Hence `X →_w X` holds iff every target of `S`
-/// survives. Asking `X` only keeps the sweep running after the last
-/// target of `S` fell, since the `extra` targets never empty `holding`.
+/// targets of `S` the sweep over `S` refutes. Hence `X →_w X` holds iff
+/// every target of `S` survives. Asking `X` only keeps the sweep running
+/// after the last target of `S` fell, since the `extra` targets never
+/// empty `holding`.
 pub fn certain_reflexive_holds(enc: &Encoded, x: AttrSet) -> bool {
     let footprint = x & enc.nullable_columns();
-    certain_tail(enc, x, footprint, None).holding == footprint
+    certain_tail(enc, x, footprint, None) == footprint
 }
 
 /// [`certain_reflexive_holds`] probing through a shared
@@ -1239,47 +1065,32 @@ mod tests {
     }
 
     /// What the certain tail answers for one LHS: its surviving
-    /// targets, their witnesses, the first weak pair, the totality
-    /// witnesses and every weak pair in visiting order.
-    type TailAnswers = (
-        AttrSet,
-        Vec<(Attr, usize, usize)>,
-        Option<(usize, usize)>,
-        Vec<(Attr, usize, usize)>,
-        Vec<(usize, usize)>,
-    );
+    /// targets, whether it has a weak pair, and whether `X →_w X` holds.
+    type TailAnswers = (AttrSet, bool, bool);
 
     /// The certain tail's answers for every LHS of at most two columns,
-    /// through one cache. Each LHS is asked past the admission
+    /// through `probes`. Each LHS is asked past the admission
     /// threshold, so direct scans and footprint indexes both answer.
-    fn tail_answers(e: &Encoded) -> Vec<TailAnswers> {
-        let probes = ProbeCache::new(e);
+    fn tail_answers(e: &Encoded, probes: &ProbeCache) -> Vec<TailAnswers> {
         let all = e.null_free_columns() | e.nullable_columns();
         let mut out = Vec::new();
         for x in all.subsets().filter(|x| x.len() <= 2) {
             for _ in 0..ADMIT_AFTER + 2 {
-                let mut pairs = Vec::new();
-                probes.weak_pairs(e, x, |r, s| {
-                    pairs.push((r, s));
-                    true
-                });
                 out.push((
                     probes.fd_targets(e, x, all - x),
-                    probes.fd_target_witnesses(e, x, all - x),
-                    probes.first_weak_pair(e, x),
-                    probes.fd_target_witnesses(e, x, x),
-                    pairs,
+                    probes.has_weak_pair(e, x),
+                    certain_reflexive_holds_cached(e, probes, x),
                 ));
             }
         }
         out
     }
 
-    /// The fixtures of the witness golden: the hepatitis shape (no
+    /// The fixtures of the certain-tail golden: the hepatitis shape (no
     /// footprint index is ever admitted there on its own), a null-heavy
     /// 600-row adult prefix and the Figure 7 contact table, whose
     /// profiles repeat with `⊥`.
-    fn witness_fixtures() -> Vec<(&'static str, Table)> {
+    fn tail_fixtures() -> Vec<(&'static str, Table)> {
         let adult = sqlnf_datagen::naumann::adult_like(20_160_626);
         let prefix = Table::from_rows(adult.schema().clone(), adult.rows()[..600].to_vec());
         vec![
@@ -1290,43 +1101,31 @@ mod tests {
     }
 
     /// [`tail_answers`] as text, one line per LHS and run of asking
-    /// rounds that answered alike: each refuted target with its witness
-    /// pair (the rest of the targets hold), the first weak pair, the
-    /// totality witnesses, and the number of weak pairs with an FNV-1a
-    /// digest of their visiting order.
-    fn render_tail_answers(name: &str, e: &Encoded) -> String {
+    /// rounds that answered alike: the targets that hold, whether a
+    /// weak pair exists, whether `X →_w X` holds, and the number of weak
+    /// pairs with an FNV-1a digest of [`probe_weak_pairs`]' visiting
+    /// order (the order the c-key error's greedy bound consumes).
+    fn render_tail_answers(name: &str, e: &Encoded, probes: &ProbeCache) -> String {
         let all = e.null_free_columns() | e.nullable_columns();
         let lhss: Vec<AttrSet> = all.subsets().filter(|x| x.len() <= 2).collect();
         let rounds = ADMIT_AFTER as usize + 2;
-        let witnesses = |w: &[(Attr, usize, usize)]| {
-            let w: Vec<String> = w
-                .iter()
-                .map(|(a, r, s)| format!("{}:{r}-{s}", a.0))
-                .collect();
-            format!("[{}]", w.join(" "))
-        };
         let mut lines: Vec<(AttrSet, usize, usize, String)> = Vec::new();
-        for (i, (held, refuted, first, total, pairs)) in tail_answers(e).into_iter().enumerate() {
+        for (i, (held, pair, total)) in tail_answers(e, probes).into_iter().enumerate() {
             let x = lhss[i / rounds];
-            let refuted_targets: AttrSet = refuted.iter().map(|w| w.0).collect();
-            assert_eq!(held, (all - x) - refuted_targets, "{name} {x:?}");
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            for (r, s) in &pairs {
-                for b in (*r as u64)
+            let (mut pairs, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+            probe_weak_pairs(e, x, |r, s| {
+                pairs += 1;
+                for b in (r as u64)
                     .to_le_bytes()
                     .into_iter()
-                    .chain((*s as u64).to_le_bytes())
+                    .chain((s as u64).to_le_bytes())
                 {
                     digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
                 }
-            }
-            let first = first.map_or("-".to_string(), |(r, s)| format!("{r}-{s}"));
-            let answer = format!(
-                "refuted {} first {first} total {} pairs {} {digest:016x}",
-                witnesses(&refuted),
-                witnesses(&total),
-                pairs.len(),
-            );
+                true
+            });
+            let answer =
+                format!("held {held:?} pair {pair} total {total} pairs {pairs} {digest:016x}");
             match lines.last_mut() {
                 Some(last) if last.0 == x && last.3 == answer => last.2 = i % rounds,
                 _ => lines.push((x, i % rounds, i % rounds, answer)),
@@ -1338,27 +1137,29 @@ mod tests {
             .collect()
     }
 
-    /// The certain tail's answers and witnesses are pinned line for
-    /// line: which targets survive, which weak pair refutes each other
-    /// one, the first weak pair, the totality witnesses and the weak
-    /// pairs in visiting order, for every LHS of at most two columns,
-    /// each asked past the index admission threshold. A change to how
-    /// the sweep groups rows — a key missing a column, a group that
+    /// The certain tail's answers are pinned line for line: which
+    /// targets survive, whether a weak pair exists, whether `X →_w X`
+    /// holds, and the weak pairs in visiting order, for every LHS of at
+    /// most two columns, each asked past the index admission threshold
+    /// so direct scans and footprint indexes both answer. A change to
+    /// how the sweep groups rows — a key missing a column, a group that
     /// loses its head — moves a line here.
     #[test]
-    fn certain_tail_witnesses_match_golden() {
-        const GOLDEN: &str = include_str!("../../../tests/golden/certain_tail_witnesses.txt");
+    fn certain_tail_answers_match_golden() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/certain_tail_answers.txt");
         let mut got = String::new();
-        for (name, t) in witness_fixtures() {
-            got.push_str(&render_tail_answers(name, &enc(&t)));
+        let mut indexed = false;
+        for (name, t) in tail_fixtures() {
+            let e = enc(&t);
+            let probes = ProbeCache::new(&e);
+            got.push_str(&render_tail_answers(name, &e, &probes));
+            let state = probes.state.lock().expect("probe cache poisoned");
+            indexed |= state.values().any(|slot| slot.idx.is_some());
         }
+        assert!(indexed, "a footprint index answers");
         assert!(got
             .lines()
             .any(|l| !l.ends_with(" pairs 0 cbf29ce484222325")));
-        assert!(
-            got.lines().any(|l| l.contains(" r1-6:")),
-            "the index answers"
-        );
         for (i, (g, want)) in got.lines().zip(GOLDEN.lines()).enumerate() {
             assert_eq!(g, want, "line {}", i + 1);
         }
@@ -1367,10 +1168,10 @@ mod tests {
 
     /// Totality needs only the nullable footprint: the sweep of `X`
     /// refutes no column of `X ∖ nullable`, so asking `X` and asking
-    /// `X ∩ nullable` give the same witnesses.
+    /// `X ∩ nullable` refute the same targets.
     #[test]
     fn totality_asks_the_nullable_footprint() {
-        for (name, t) in witness_fixtures() {
+        for (name, t) in tail_fixtures() {
             let e = enc(&t);
             let probes = ProbeCache::new(&e);
             let all = e.null_free_columns() | e.nullable_columns();
@@ -1378,8 +1179,8 @@ mod tests {
                 let footprint = x & e.nullable_columns();
                 for _ in 0..ADMIT_AFTER + 2 {
                     assert_eq!(
-                        probes.fd_target_witnesses(&e, x, x),
-                        probes.fd_target_witnesses(&e, x, footprint),
+                        probes.fd_targets(&e, x, x),
+                        probes.fd_targets(&e, x, footprint) | (x - footprint),
                         "{name} {x:?}"
                     );
                 }
@@ -1511,16 +1312,18 @@ mod tests {
         }
     }
 
-    /// Every witness the kernels hand out is a genuine violating pair:
-    /// FD witnesses of all four semantics (class rule and certain tail,
-    /// unindexed and through an index), c-key pairs and totality
-    /// witnesses — exhaustively over 3×3 tables on {0, 1, ⊥}, where
-    /// null rows of two patterns already meet in the cross-pattern join.
+    /// Every kernel answers exactly what the pairwise definitions say:
+    /// the FD targets of all four semantics (class rule and certain
+    /// tail, unindexed and through an indexed cache), whether a weak
+    /// pair exists, and both totality forms — exhaustively over 3×3
+    /// tables on {0, 1, ⊥}, where null rows of two patterns already
+    /// meet in the cross-pattern join.
     #[test]
-    fn witnesses_are_violating_pairs() {
+    fn kernels_match_pairwise_definitions_exhaustively() {
         let vals = [Value::Int(0), Value::Int(1), Value::Null];
         let schema = TableSchema::new("r", ["a", "b", "c"], &[]);
         let all = AttrSet::from_indices([0, 1, 2]);
+        let pairs = [(0, 1), (0, 2), (1, 2)];
         for code in 0..3usize.pow(9) {
             let rows = (0..3).map(|i| {
                 Tuple::new(
@@ -1542,37 +1345,55 @@ mod tests {
                     let (cr, cs) = (e.code(r, a), e.code(s, a));
                     cr != cs && (sem != Semantics::Weak || (cr != 0 && cs != 0))
                 };
+                let naive = |sem| {
+                    let refuted: AttrSet = pairs
+                        .iter()
+                        .filter(|&&(r, s)| similar(sem, r, s))
+                        .flat_map(|&(r, s)| (all - x).iter().filter(move |&a| clash(sem, a, r, s)))
+                        .collect();
+                    all - x - refuted
+                };
+                let weak = |&(r, s): &(usize, usize)| e.weakly_similar(r, s, x);
+                let pair = pairs
+                    .iter()
+                    .filter(|p| weak(p))
+                    .any(|&(r, s)| !e.is_total_on(r, x) || !e.is_total_on(s, x));
+                let total = pairs
+                    .iter()
+                    .filter(|p| weak(p))
+                    .all(|&(r, s)| e.equal_on(r, s, x));
                 for sem in Semantics::ALL {
                     let p = partition_for(&e, x, sem);
-                    // Past the fifth probe the footprint is indexed.
-                    let rounds = if sem == Semantics::Certain { 7 } else { 1 };
-                    for round in 0..rounds {
-                        let tail = (round > 0).then_some(&probes);
-                        let mut refuted = AttrSet::EMPTY;
-                        let held =
-                            fd_targets_witnessed(&e, x, &p, all - x, sem, tail, |a, r, s| {
-                                assert!(refuted.insert(a), "{sem:?} {a:?} twice x={x:?}\n{t}");
-                                assert!(
-                                    similar(sem, r, s) && clash(sem, a, r, s),
-                                    "{sem:?} x={x:?} {a:?} ({r}, {s})\n{t}"
-                                );
-                            });
-                        assert_eq!(held | refuted, all - x, "{sem:?} x={x:?}\n{t}");
-                        assert!(held.is_disjoint(refuted));
-                    }
+                    let held = fd_targets_holding(&e, x, &p, all - x, sem, None);
+                    assert_eq!(held, naive(sem), "{sem:?} x={x:?}\n{t}");
                 }
-                if let Some((r, s)) = probes.first_weak_pair(&e, x) {
-                    assert!(e.weakly_similar(r, s, x) && r != s, "c-key x={x:?}\n{t}");
-                    assert!(!e.is_total_on(r, x) || !e.is_total_on(s, x));
-                }
-                let refl = probes.fd_target_witnesses(&e, x, x);
-                assert_eq!(
-                    refl.is_empty(),
-                    certain_reflexive_holds(&e, x),
-                    "x={x:?}\n{t}"
-                );
-                for (a, r, s) in refl {
-                    assert!(e.weakly_similar(r, s, x) && e.code(r, a) != e.code(s, a));
+                assert_eq!(certain_reflexive_holds(&e, x), total, "x={x:?}\n{t}");
+                // Past the fifth probe the footprint is indexed.
+                let certain = partition_for(&e, x, Semantics::Certain);
+                for round in 0..ADMIT_AFTER + 2 {
+                    let held = fd_targets_holding(
+                        &e,
+                        x,
+                        &certain,
+                        all - x,
+                        Semantics::Certain,
+                        Some(&probes),
+                    );
+                    assert_eq!(
+                        held,
+                        naive(Semantics::Certain),
+                        "round {round} x={x:?}\n{t}"
+                    );
+                    assert_eq!(
+                        probes.has_weak_pair(&e, x),
+                        pair,
+                        "round {round} x={x:?}\n{t}"
+                    );
+                    assert_eq!(
+                        certain_reflexive_holds_cached(&e, &probes, x),
+                        total,
+                        "round {round} x={x:?}\n{t}"
+                    );
                 }
             }
         }

@@ -553,18 +553,17 @@ impl Pass<'_> {
             return targets;
         }
         let enc = self.enc;
-        let refute = |_, _, _| {};
         let mut scanned = 0usize;
         let holding = with_rule!(sem, |R| {
             let mut sweep = ClassSweep::<R>::new(targets);
             if x.is_empty() {
-                sweep.class(enc, (0..enc.rows()).inspect(|_| scanned += 1), refute);
+                sweep.class(enc, (0..enc.rows()).inspect(|_| scanned += 1));
             } else {
                 scanned += delta.len();
                 for (kv, group) in self.delta_groups(delta, x, sem) {
-                    let live = sweep.class(enc, group.iter().copied(), refute)
+                    let live = sweep.class(enc, group.iter().copied())
                         && self.for_each_partner(x, &kv, group[0], sem, &mut scanned, |s| {
-                            sweep.row(enc, 0, false, s, refute)
+                            sweep.row(enc, 0, false, s)
                         });
                     if !live {
                         break;
@@ -708,7 +707,7 @@ impl Pass<'_> {
         let c_is = c_known.unwrap_or_else(|| {
             // A strong pair is already a weak violation; else the
             // sweep looks for a weak pair.
-            let holds = strong.is_empty() && self.probes.first_weak_pair(self.enc, x).is_none();
+            let holds = strong.is_empty() && !self.probes.has_weak_pair(self.enc, x);
             v.c = Some(Verdict::of(holds, now));
             holds
         });

@@ -853,7 +853,7 @@ impl Pass<'_> {
                 self.probes.fd_targets(enc, x, certain)
             },
             pkey: c.pkey && !pair,
-            ckey: c.ckey && !pair && self.probes.first_weak_pair(enc, x).is_none(),
+            ckey: c.ckey && !pair && !self.probes.has_weak_pair(enc, x),
         };
         (settled, kept)
     }

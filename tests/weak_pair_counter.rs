@@ -5,8 +5,8 @@
 //!   sweep and never enumerate weak pairs: they leave
 //!   `discovery.check.weak_pairs_visited` at 0, while a
 //!   pair-enumerating caller on the same instance moves it. So do the
-//!   incremental miner's cold c-key and totality checks, which take
-//!   their witnesses from the same sweep;
+//!   incremental miner's cold c-key and totality checks, which ask
+//!   the same sweep;
 //! * weak FDs run on the fused early-exit refinement like the other
 //!   semantics, so weak mining scans about as many rows as classical
 //!   mining and does the same products and fused checks;
@@ -57,7 +57,7 @@ fn classification_and_key_mining_visit_no_weak_pairs() {
         let keys = mine_keys(t, *max_lhs);
         assert!(!keys.pkeys.is_empty(), "{}", t.schema().name());
         // The incremental miner's cold checks: every verdict is fresh,
-        // so each c-key and totality question needs a witness.
+        // so each c-key and totality question runs the sweep.
         let cold = IncrementalMiner::from_table(t).report("t", *max_lhs, DEFAULT_CACHE_BUDGET);
         assert_eq!(cold, mine_report("t", t, *max_lhs, DEFAULT_CACHE_BUDGET));
     }
